@@ -1,7 +1,9 @@
 """Command line front end: generators and verification suites.
 
 Exit codes: 0 all checks pass, 1 at least one identity falsified, 2 usage or
-input error.  ``verify`` emits one JSON object per report, ordered by
+input error (including a flag the chosen suite does not read), 3 stdout closed
+before the output was written (e.g. piped into ``head``) or an internal
+invariant failed.  ``verify`` emits one JSON object per report, ordered by
 (identity, instance); the stream is byte-identical across runs unless
 --timing is given (timing is the only nondeterministic field).  ``gen``
 prints text by default and a JSON object with --json.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -249,25 +252,44 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     return reports
 
 
+def _check_target(args) -> None:
+    """Reject an unknown target, and any flag the target would not read (a
+    flag counts as given when its value differs from the default)."""
+    known = sorted({*SUITES, *IDENTITY_CHECKS, "all"})
+    if args.suite not in known:
+        raise InputError(
+            f"unknown suite or identity {args.suite!r}; known: {', '.join(known)}"
+        )
+    single = args.suite == "main-theorem" and args.geometry is not None
+    by_degree = args.suite in ("series-identities", "integrality", *IDENTITY_CHECKS)
+    flags = {
+        "--max-degree": (args.max_degree is not None, by_degree),
+        "--max-dim": (args.max_dim != DEFAULT_MAX_DIM, single),
+        "-n": (args.n is not None, single),
+        "--geometry": (args.geometry is not None, single),
+        "--sheaf": (args.sheaf is not None, single),
+        "--base-levels": (args.base_levels != 0, single),
+        "--cut": (bool(args.cut), single),
+    }
+    ignored = [flag for flag, (given, read) in flags.items() if given and not read]
+    if ignored:
+        raise InputError(f"{', '.join(ignored)} not used by verify {args.suite}")
+
+
 def cmd_verify(args) -> int:
+    _check_target(args)
     if args.mutate:
         set_mutation(_parse_mutation(args.mutate))
     try:
         started = time.monotonic()
         if args.suite == "all":
             reports = suite_all()
-        elif args.suite == "main-theorem" and args.geometry:
+        elif args.suite == "main-theorem" and args.geometry is not None:
             reports = _single_instance_reports(args)
         elif args.suite in SUITES:
             suite = SUITES[args.suite]
-            if args.max_degree is not None and args.suite in (
-                "series-identities",
-                "integrality",
-            ):
-                reports = suite(args.max_degree)
-            else:
-                reports = suite()
-        elif args.suite in IDENTITY_CHECKS:
+            reports = suite() if args.max_degree is None else suite(args.max_degree)
+        else:
             max_degree = args.max_degree if args.max_degree is not None else 8
             try:
                 reports = [verify_series_identity(args.suite, max_degree)]
@@ -277,9 +299,6 @@ def cmd_verify(args) -> int:
                         exc.identity or args.suite, exc.instance, str(exc)
                     )
                 ]
-        else:
-            known = ", ".join(sorted(list(SUITES) + list(IDENTITY_CHECKS) + ["all"]))
-            raise InputError(f"unknown suite or identity {args.suite!r}; known: {known}")
         elapsed_ms = int((time.monotonic() - started) * 1000)
     finally:
         set_mutation(None)
@@ -291,20 +310,13 @@ def cmd_verify(args) -> int:
     failed = False
     for rep in reports:
         print(rep.to_json(timing=args.timing))
-        failed = failed or rep.verdict != "pass"
+        failed = failed or not rep.passed
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def _run(args) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        return cmd_verify(args)
+        return cmd_gen(args) if args.command == "gen" else cmd_verify(args)
     except (InputError, ParseError, ScopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -315,6 +327,30 @@ def main(argv: list[str] | None = None) -> int:
             ).to_json()
         )
         return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; point the descriptor at
+        # devnull so that flush cannot fail again and print a traceback.
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:
+            pass  # a stream without a descriptor holds nothing to flush at exit
+        return 3
 
 
 def entrypoint() -> None:

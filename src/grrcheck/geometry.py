@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 
 from .arith import InputError
 from .poly import Alphabet, GradedPolynomial
-from .report import FalsificationError
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
 
@@ -299,16 +298,6 @@ class ChowClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def require_integral(self, context: str = "") -> "ChowClass":
-        if not self.is_integral():
-            raise FalsificationError(
-                f"non-integral cycle class {self.serialize()!r} {context}".strip()
-            )
-        return self
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowClass):
             return NotImplemented
@@ -467,9 +456,6 @@ class KClass:
                 total = total * inv.power(-mult)
         return total
 
-    def chern(self, i: int) -> ChowClass:
-        return self.total_chern().graded_part(i)
-
     def normal_form(self) -> dict[DivisorVector, int]:
         """Coordinates in the monomial basis of the K-group (exponents in [0, r_k])."""
         terms: dict[DivisorVector, Fraction] = {
@@ -499,8 +485,9 @@ class KClass:
         raise TypeError("KClass is not hashable")
 
     def serialize(self) -> str:
+        """Canonical text of the class in normal form, one line per basis symbol."""
         lines = []
-        for vec, mult in sorted(self.line_terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for vec, mult in sorted(self.normal_form().items(), key=lambda kv: (sum(kv[0]), kv[0])):
             body = " ".join(f"l{k + 1}^{e}" for k, e in enumerate(vec) if e)
             lines.append(f"{mult}/1" + (f" {body}" if body else ""))
         return "\n".join(lines)

@@ -6,9 +6,10 @@ them canonically, and reports byte-equality.  All scalar ratios of Todd
 denominators are performed as checked exact integer divisions; a failed
 division is a falsification, not a rounding issue.
 
-Substituted universal classes are cached per (tower, tangent, degree) so suite
-runs stay fast; caches are bypassed entirely while a coefficient mutation is
-active (see grrcheck.series.set_mutation).
+Every universal polynomial is evaluated by one substitution loop over its
+monomials.  The combined class with the tangent Chern classes substituted is
+cached per (tower, tangent, degree, active mutation), so suite runs stay fast
+and a mutated class never meets a clean one (see grrcheck.series.set_mutation).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import Mapping, Sequence
 
-from .arith import InputError, exact_ratio, todd_denominator
+from .arith import InputError, bernoulli, exact_ratio, todd_denominator
 from .geometry import (
     ChowClass,
     KClass,
@@ -44,142 +46,96 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
-def _chern_values(f: KClass, upto: int) -> dict[int, ChowClass]:
+def _chern_images(f: KClass, upto: int, prefix: str = "c") -> dict[str, ChowClass]:
+    """{prefix1: c_1(f), ..., prefix<upto>: c_upto(f)}."""
     total = f.total_chern()
-    return {i: total.graded_part(i) for i in range(1, upto + 1)}
+    return {f"{prefix}{i}": total.graded_part(i) for i in range(1, upto + 1)}
 
 
-def _power_table(values: dict[int, ChowClass], tower: Tower):
-    cache: dict[tuple[int, int], ChowClass] = {}
+def _sheaf_images(F: KClass, upto: int) -> dict[str, ChowClass | int]:
+    """The sheaf-side variables r, cp1..cp<upto> at F."""
+    return {"r": F.rank(), **_chern_images(F, upto, "cp")}
 
-    def power(i: int, e: int) -> ChowClass:
-        if e == 0:
-            return tower.unit_chow()
-        key = (i, e)
-        if key not in cache:
-            cache[key] = power(i, e - 1) * values[i]
-        return cache[key]
 
-    return power
+def _substitute(
+    terms: Mapping[tuple[int, ...], Fraction | ChowClass],
+    names: Sequence[str],
+    tower: Tower,
+    images: Mapping[str, ChowClass | int | Fraction],
+    keep: Sequence[str] = (),
+) -> dict[tuple[int, ...], ChowClass]:
+    """Substitute tower classes and scalars for the variables of a term map.
+
+    Coefficients are scalars or ChowClasses.  Variables named in keep stay
+    symbolic: the result maps their exponent tuple (in keep order) to the
+    ChowClass collected from every monomial with those exponents.
+    """
+    kept = [names.index(name) for name in keep]
+    powers: dict[tuple[int, int], ChowClass] = {}
+
+    def power(pos: int, e: int) -> ChowClass:
+        if e == 1:
+            return images[names[pos]]
+        if (pos, e) not in powers:
+            powers[pos, e] = power(pos, e - 1) * images[names[pos]]
+        return powers[pos, e]
+
+    grouped: dict[tuple[int, ...], ChowClass] = {}
+    for mono, coeff in terms.items():
+        acc, scalar = (coeff, 1) if isinstance(coeff, ChowClass) else (None, coeff)
+        for pos, e in enumerate(mono):
+            if not e or pos in kept:
+                continue
+            image = images[names[pos]]
+            if isinstance(image, ChowClass):
+                acc = power(pos, e) if acc is None else acc * power(pos, e)
+                if acc.is_zero():
+                    break
+            else:
+                scalar *= Fraction(image) ** e
+                if not scalar:
+                    break
+        else:
+            value = tower.unit_chow() if acc is None else acc
+            if scalar != 1:
+                value = value.scale(scalar)
+            key = tuple(mono[pos] for pos in kept)
+            grouped[key] = grouped[key] + value if key in grouped else value
+    return grouped
 
 
 def evaluate_universal(
     poly: GradedPolynomial,
     tower: Tower,
-    chern: dict[int, ChowClass],
-    chern_prime: dict[int, ChowClass] | None = None,
-    rank: int | Fraction = 0,
+    images: Mapping[str, ChowClass | int | Fraction],
 ) -> ChowClass:
-    """Evaluate a polynomial in (r, c_i, cp_i) at tower classes.
+    """Evaluate a universal polynomial at tower classes and scalars, one image
+    per variable name (e.g. {"r": rank, "cp1": c_1(F), ...}).  Exact."""
+    grouped = _substitute(poly.terms, poly.alphabet.names(), tower, images)
+    return grouped.get((), tower.zero_chow())
 
-    Variables named c<i> take chern[i], cp<i> take chern_prime[i], r takes the
-    rank scalar.  The result is exact.
+
+def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowClass:
+    """The degree-m combined-class numerator on the tower, at the tangent
+    class and the sheaf map {"r": rank, "cp1": ..., "cp<m>": ...}.
+
+    The tangent Chern classes are substituted once per (tangent, degree,
+    mutation) and cached on the tower, grouped by the exponents of the
+    still-symbolic sheaf variables; each call substitutes only those.
     """
-    names = poly.alphabet.names()
-    c_power = _power_table(chern, tower)
-    cp_power = _power_table(chern_prime or {}, tower)
-    total = tower.zero_chow()
-    for mono, coeff in poly.terms.items():
-        acc = tower.unit_chow()
-        scalar = coeff
-        dead = False
-        for pos, e in enumerate(mono):
-            if e == 0:
-                continue
-            name = names[pos]
-            if name == "r":
-                scalar *= Fraction(rank) ** e
-            elif name.startswith("cp"):
-                acc = acc * cp_power(int(name[2:]), e)
-            elif name.startswith("c"):
-                acc = acc * c_power(int(name[1:]), e)
-            else:
-                raise InputError(f"unexpected variable {name} in universal polynomial")
-            if acc.is_zero():
-                dead = True
-                break
-        if not dead and scalar:
-            total = total + acc.scale(scalar)
-    return total
-
-
-def _ct_partial(tower: Tower, tangent_key: tuple, tangent: KClass, m: int):
-    """The combined-class numerator with tangent Chern classes substituted,
-    grouped by (rank exponent, sheaf-variable exponents) -> ChowClass."""
-    cache_key = ("ct-partial", tangent_key, m)
-    if current_mutation() is None and cache_key in tower._cache:
-        return tower._cache[cache_key]
-    uc = universal_ct(m)
-    chern = _chern_values(tangent, m)
-    c_power = _power_table(chern, tower)
-    names = uc.numerator.alphabet.names()
-    grouped: dict[tuple[int, tuple[int, ...]], ChowClass] = {}
-    for mono, coeff in uc.numerator.terms.items():
-        r_exp = 0
-        cp_exps = [0] * m
-        acc = tower.unit_chow()
-        for pos, e in enumerate(mono):
-            if e == 0:
-                continue
-            name = names[pos]
-            if name == "r":
-                r_exp = e
-            elif name.startswith("cp"):
-                cp_exps[int(name[2:]) - 1] = e
-            else:
-                acc = acc * c_power(int(name[1:]), e)
-            if acc.is_zero():
-                break
-        if acc.is_zero():
-            continue
-        key = (r_exp, tuple(cp_exps))
-        prev = grouped.get(key)
-        grouped[key] = acc.scale(coeff) if prev is None else prev + acc.scale(coeff)
-    if current_mutation() is None:
-        tower._cache[cache_key] = grouped
-    return grouped
-
-
-def ct_on_tower(
-    tower: Tower,
-    tangent_key: tuple,
-    tangent: KClass,
-    f_rank: int,
-    f_chern: dict[int, ChowClass],
-    m: int,
-) -> ChowClass:
-    """The degree-m combined-class numerator of (sheaf data) on the tower."""
-    grouped = _ct_partial(tower, tangent_key, tangent, m)
-    cp_power = _power_table(f_chern, tower)
-    total = tower.zero_chow()
-    for (r_exp, cp_exps), base in grouped.items():
-        acc = base.scale(Fraction(f_rank) ** r_exp)
-        for i, e in enumerate(cp_exps):
-            if e:
-                acc = acc * cp_power(i + 1, e)
-                if acc.is_zero():
-                    break
-        total = total + acc
-    return total
-
-
-def ct_class(
-    F: KClass,
-    source: Tower | VirtualCompleteIntersection,
-    m: int,
-    relative_to: int | None = None,
-) -> ChowClass:
-    """The degree-m combined-class numerator of F on the source.
-
-    With relative_to set, the tangent substituted is the fiberwise difference
-    against that base prefix.  For a cut-out source the value is returned
-    pushed into the ambient ring (multiplied by the cut product), the only
-    form in which such classes exist here.
-    """
-    datum = MorphismDatum(source, relative_to if relative_to is not None else 0)
-    if m > datum.ambient.dim:
-        raise InputError(f"degree {m} overflows the ambient dimension {datum.ambient.dim}")
-    return _source_ct(datum, F, m, relative=relative_to is not None)
+    sheaf_names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
+    key = ("ct-partial", frozenset(tangent.line_terms.items()), m, current_mutation())
+    if key not in tower._cache:
+        numerator = universal_ct(m).numerator
+        tower._cache[key] = _substitute(
+            numerator.terms,
+            numerator.alphabet.names(),
+            tower,
+            _chern_images(tangent, m),
+            keep=sheaf_names,
+        )
+    grouped = _substitute(tower._cache[key], sheaf_names, tower, sheaf)
+    return grouped.get((), tower.zero_chow())
 
 
 # ---------------------------------------------------------------------------
@@ -205,52 +161,23 @@ class MorphismDatum:
         return self.ambient.prefix(self.base_levels)
 
     @property
-    def source_dim(self) -> int:
-        return self.source.dim
-
-    @property
     def relative_dimension(self) -> int:
-        return self.source_dim - self.target.dim
+        return self.source.dim - self.target.dim
 
     def describe(self) -> str:
         return self.label or repr(self.source)
 
 
-def _absolute_tangent(tower: Tower) -> tuple[tuple, KClass]:
-    return ("abs",), tower.tangent_class()
-
-
-def _relative_tangent(tower: Tower, base_levels: int) -> tuple[tuple, KClass]:
-    key = ("rel-tangent", base_levels)
-    if key not in tower._cache:
-        base = tower.prefix(base_levels)
-        tower._cache[key] = tower.tangent_class() - pullback_k(
-            base.tangent_class(), tower
-        )
-    return ("rel", base_levels), tower._cache[key]
-
-
-def _source_tangent(f: MorphismDatum) -> tuple[tuple, KClass]:
-    if isinstance(f.source, Tower):
-        return _absolute_tangent(f.source)
-    return ("vci", f.source.cuts), f.source.tangent_class()
-
-
-def _source_relative_tangent(f: MorphismDatum) -> tuple[tuple, KClass]:
-    key, absolute = _source_tangent(f)
-    base = f.target
-    rel = absolute - pullback_k(base.tangent_class(), f.ambient)
-    return key + ("rel", f.base_levels), rel
+def _source_relative_tangent(f: MorphismDatum) -> KClass:
+    """The fiberwise tangent difference T_X - f^*T_S of the source."""
+    return f.source.tangent_class() - pullback_k(f.target.tangent_class(), f.ambient)
 
 
 def _source_ct(f: MorphismDatum, F: KClass, m: int, relative: bool) -> ChowClass:
     """ct_m(F, source) pushed into the ambient ring (times the cut product for
     a cut-out source), using the absolute or fiberwise tangent."""
-    key, tangent = (
-        _source_relative_tangent(f) if relative else _source_tangent(f)
-    )
-    f_chern = _chern_values(F, m)
-    value = ct_on_tower(f.ambient, key, tangent, F.rank(), f_chern, m)
+    tangent = _source_relative_tangent(f) if relative else f.source.tangent_class()
+    value = ct_on_tower(f.ambient, tangent, _sheaf_images(F, m), m)
     if isinstance(f.source, VirtualCompleteIntersection):
         value = value * f.source.cut_product()
     return value
@@ -279,10 +206,7 @@ def grr_error(f: MorphismDatum, F: KClass, n: int) -> tuple[ChowClass, ChowClass
     d = f.relative_dimension
     target = f.target
     pushed = _k_pushforward(f, F)
-    t_key, t_tangent = _absolute_tangent(target)
-    lhs = ct_on_tower(
-        target, t_key, t_tangent, pushed.rank(), _chern_values(pushed, n), n
-    )
+    lhs = ct_on_tower(target, target.tangent_class(), _sheaf_images(pushed, n), n)
     if d >= 0:
         scalar = exact_ratio(
             todd_denominator(d + n).value, todd_denominator(n).value
@@ -312,13 +236,9 @@ def corollary_sides(f: MorphismDatum, F: KClass, n: int) -> tuple[ChowClass, Cho
     pushed = _k_pushforward(f, F)
     scalar = exact_ratio(todd_denominator(d + n).value, factorial(n))
     s_n = universal_chern_character(n)
-    lhs = evaluate_universal(
-        s_n.numerator,
-        target,
-        {},
-        _chern_values(pushed, n),
-        pushed.rank(),
-    ).scale(scalar)
+    lhs = evaluate_universal(s_n.numerator, target, _sheaf_images(pushed, n)).scale(
+        scalar
+    )
     rhs = _chow_pushforward(f, _source_ct(f, F, d + n, relative=True))
     return lhs, rhs
 
@@ -332,12 +252,12 @@ def decomposition_sides(
     d = f.relative_dimension
     target = f.target
     pushed = _k_pushforward(f, F)
-    pushed_chern = _chern_values(pushed, n)
-    t_key, t_tangent = _absolute_tangent(target)
-    lhs = ct_on_tower(target, t_key, t_tangent, pushed.rank(), pushed_chern, n).scale(
+    pushed_images = _sheaf_images(pushed, n)
+    t_tangent = target.tangent_class()
+    lhs = ct_on_tower(target, t_tangent, pushed_images, n).scale(
         exact_ratio(todd_denominator(d + n).value, todd_denominator(n).value)
     )
-    tangent_chern = _chern_values(t_tangent, n)
+    tangent_chern = _chern_images(t_tangent, n)
     rhs = target.zero_chow()
     for j in range(n + 1):
         outer = exact_ratio(
@@ -346,11 +266,7 @@ def decomposition_sides(
         )
         inner = exact_ratio(todd_denominator(d + n - j).value, factorial(n - j))
         s_part = evaluate_universal(
-            universal_chern_character(n - j).numerator,
-            target,
-            {},
-            pushed_chern,
-            pushed.rank(),
+            universal_chern_character(n - j).numerator, target, pushed_images
         )
         td_part = evaluate_universal(
             universal_todd(j).numerator, target, tangent_chern
@@ -405,16 +321,12 @@ def check_immersion(
     reports = []
 
     koszul = z.koszul_class(F)
-    w_key, w_tangent = _absolute_tangent(w)
-    rhs = ct_on_tower(w, w_key, w_tangent, koszul.rank(), _chern_values(koszul, n), n)
+    rhs = ct_on_tower(w, w.tangent_class(), _sheaf_images(koszul, n), n)
     if n >= r:
         scalar = exact_ratio(
             todd_denominator(n).value, todd_denominator(n - r).value
         )
-        z_key = ("vci", z.cuts)
-        lhs = ct_on_tower(
-            w, z_key, z.tangent_class(), F.rank(), _chern_values(F, n - r), n - r
-        )
+        lhs = ct_on_tower(w, z.tangent_class(), _sheaf_images(F, n - r), n - r)
         lhs = (lhs * z.cut_product()).scale(scalar)
     else:
         lhs = w.zero_chow()
@@ -430,32 +342,21 @@ def check_immersion(
 
     # character-numerator pushforward: vanishing below codim, explicit sum above
     normal = z.normal_class()
-    normal_chern = _chern_values(normal, max(n - r, 0))
-    f_chern = _chern_values(F, n)
+    normal_chern = _chern_images(normal, max(n - r, 0))
+    f_images = _sheaf_images(F, n)
     for m in range(0, n + 1):
         lhs_m = evaluate_universal(
-            universal_chern_character(m).numerator,
-            w,
-            {},
-            _chern_values(koszul, m),
-            koszul.rank(),
+            universal_chern_character(m).numerator, w, _sheaf_images(koszul, m)
         )
-        if m < r:
-            rhs_m = w.zero_chow()
-        else:
-            rhs_m = w.zero_chow()
-            for l in range(r, m + 1):
-                s_part = evaluate_universal(
-                    universal_chern_character(m - l).numerator,
-                    w,
-                    {},
-                    f_chern,
-                    F.rank(),
-                )
-                inv = todd_inverse_numerator(l, r).numerator
-                inv_part = evaluate_universal(inv, w, normal_chern)
-                rhs_m = rhs_m + (s_part * inv_part).scale(comb(m, l))
-            rhs_m = rhs_m * z.cut_product()
+        rhs_m = w.zero_chow()  # the sum is empty below the codimension
+        for l in range(r, m + 1):
+            s_part = evaluate_universal(
+                universal_chern_character(m - l).numerator, w, f_images
+            )
+            inv = todd_inverse_numerator(l, r).numerator
+            inv_part = evaluate_universal(inv, w, normal_chern)
+            rhs_m = rhs_m + (s_part * inv_part).scale(comb(m, l))
+        rhs_m = rhs_m * z.cut_product()
         reports.append(
             VerificationReport.compare(
                 "immersion-character-pushforward",
@@ -477,33 +378,8 @@ def _divisor_td(w: Tower, m: int, divisor: ChowClass) -> ChowClass:
     """Q_m evaluated at the tangent Chern classes of the tower and the divisor."""
     if m < 1:
         raise InputError("divisor polynomial starts in degree 1")
-    uc = q_poly(m)
-    _, tangent = _absolute_tangent(w)
-    chern = _chern_values(tangent, m - 1)
-    names = uc.numerator.alphabet.names()
-    c_power = _power_table(chern, w)
-    d_powers: dict[int, ChowClass] = {0: w.unit_chow()}
-
-    def d_power(e: int) -> ChowClass:
-        if e not in d_powers:
-            d_powers[e] = d_power(e - 1) * divisor
-        return d_powers[e]
-
-    total = w.zero_chow()
-    for mono, coeff in uc.numerator.terms.items():
-        acc = w.unit_chow()
-        for pos, e in enumerate(mono):
-            if not e:
-                continue
-            name = names[pos]
-            if name == "x":
-                acc = acc * d_power(e)
-            else:
-                acc = acc * c_power(int(name[1:]), e)
-            if acc.is_zero():
-                break
-        total = total + acc.scale(coeff)
-    return total
+    images = {**_chern_images(w.tangent_class(), m - 1), "x": divisor}
+    return evaluate_universal(q_poly(m).numerator, w, images)
 
 
 def _restricted_td(w: Tower, cuts: tuple, m: int) -> ChowClass:
@@ -512,7 +388,7 @@ def _restricted_td(w: Tower, cuts: tuple, m: int) -> ChowClass:
     z = VirtualCompleteIntersection(w, cuts)
     if m < 0:
         return w.zero_chow()
-    chern = _chern_values(z.tangent_class(), m)
+    chern = _chern_images(z.tangent_class(), m)
     value = evaluate_universal(universal_todd(m).numerator, w, chern)
     return value * z.cut_product()
 
@@ -549,10 +425,7 @@ def check_divisor_calculus(
     # combined-class linkage for the same divisor
     scalar = exact_ratio(todd_denominator(m).value, todd_denominator(m - 1).value)
     virt = w.structure_sheaf() - line(-a)
-    _, tangent = _absolute_tangent(w)
-    linked = ct_on_tower(
-        w, ("abs",), tangent, 0, _chern_values(virt, m), m
-    )
+    linked = ct_on_tower(w, w.tangent_class(), _sheaf_images(virt, m), m)
     reports.append(
         VerificationReport.compare(
             "divisor-ct-linkage",
@@ -611,8 +484,8 @@ def check_divisor_calculus(
         VerificationReport.compare(
             "divisor-k-two-term",
             f"{name}/D1={a}h/D2={b}h",
-            _nf_text(lhs_k),
-            _nf_text(rhs_k),
+            lhs_k.serialize(),
+            rhs_k.serialize(),
         )
     )
 
@@ -626,8 +499,8 @@ def check_divisor_calculus(
         VerificationReport.compare(
             "divisor-k-difference",
             f"{name}/D={a}h-{b}h",
-            _nf_text(lhs_kd),
-            _nf_text(rhs_kd),
+            lhs_kd.serialize(),
+            rhs_kd.serialize(),
         )
     )
 
@@ -658,21 +531,12 @@ def check_divisor_calculus(
         VerificationReport.compare(
             "divisor-defect-k",
             f"{name}/D={a}h/D'={b}h",
-            _nf_text(defect_k),
-            _nf_text(koszul_ab.scale(-1)),
+            defect_k.serialize(),
+            koszul_ab.scale(-1).serialize(),
             notes="matches the cycle-side defect coefficient -1 in codimension 2",
         )
     )
     return reports
-
-
-def _nf_text(f: KClass) -> str:
-    nf = f.normal_form()
-    lines = []
-    for vec, mult in sorted(nf.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        body = " ".join(f"l{k + 1}^{e}" for k, e in enumerate(vec) if e)
-        lines.append(f"{mult}/1" + (f" {body}" if body else ""))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +624,6 @@ def kappa_expected(n: int) -> tuple[Fraction, str]:
     """The displayed right side for the relative-curve identity in degree n:
     0 for even n >= 2, and the integer T_{n+1} B_{n+1} / (n+1)! times the
     tautological class for odd n."""
-    from .arith import bernoulli
-
     if n < 1:
         raise InputError("degree must be >= 1")
     if n >= 2 and n % 2 == 0:
@@ -857,27 +719,10 @@ def euler_characteristic_via_chow(tower: Tower, F: KClass) -> Fraction:
     equals the K-theoretic Euler characteristic when the theory holds."""
     if F.tower is not tower:
         raise InputError("class does not live on the given tower")
-    key, tangent = _absolute_tangent(tower)
     top = ct_on_tower(
-        tower, key, tangent, F.rank(), _chern_values(F, tower.dim), tower.dim
+        tower, tower.tangent_class(), _sheaf_images(F, tower.dim), tower.dim
     )
     return chow_degree(top) / todd_denominator(tower.dim).value
-
-
-def euler_characteristic_checked(tower: Tower, F: KClass) -> int:
-    """Euler characteristic via the K-pushforward, cross-checked against the
-    degree-zero cycle-side evaluation; a mismatch is a falsification."""
-    from .geometry import euler_characteristic
-
-    chi = euler_characteristic(F)
-    via_chow = euler_characteristic_via_chow(tower, F)
-    if via_chow != chi:
-        raise FalsificationError(
-            f"Euler characteristic mismatch: K side {chi}, cycle side {via_chow}",
-            identity="euler-hirzebruch-consistency",
-            instance=repr(tower),
-        )
-    return chi
 
 
 def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
@@ -895,23 +740,15 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
     target = f.target
     pushed = _k_pushforward(f, F)
     lhs = evaluate_universal(
-        universal_chern_character(n).series_part,
-        target,
-        {},
-        _chern_values(pushed, n),
-        pushed.rank(),
+        universal_chern_character(n).series_part, target, _sheaf_images(pushed, n)
     )
     ambient = f.ambient
-    key, rel_tangent = _source_relative_tangent(f)
-    td_rel_chern = _chern_values(rel_tangent, d + n)
+    rel_tangent = _source_relative_tangent(f)
+    td_rel_chern = _chern_images(rel_tangent, d + n)
     total = ambient.zero_chow()
     for j in range(d + n + 1):
         ch_j = evaluate_universal(
-            universal_chern_character(j).series_part,
-            ambient,
-            {},
-            _chern_values(F, j),
-            F.rank(),
+            universal_chern_character(j).series_part, ambient, _sheaf_images(F, j)
         )
         td_j = evaluate_universal(
             universal_todd(d + n - j).series_part, ambient, td_rel_chern

@@ -21,15 +21,15 @@ suite checks that the two routes agree coefficient by coefficient.  The
 mutation hook deliberately corrupts a generated class so the test harness can
 confirm that suites really fail when a coefficient is wrong.
 
-Generated classes are memoized; the memo is bypassed entirely while a
-mutation is active, so mutations never leak into the cache.
+Generated classes are memoized under a key that includes the active
+mutation, so a mutated class is never returned once the mutation is cleared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .arith import InputError, todd_denominator, todd_ratio
 from .poly import (
@@ -189,8 +189,7 @@ def _finish(
 
 
 def _cached(key: tuple, builder) -> UniversalClass:
-    if _MUTATION is not None:
-        return builder()
+    key += (_MUTATION,)
     got = _CACHE.get(key)
     if got is None:
         got = builder()

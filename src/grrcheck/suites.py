@@ -26,7 +26,6 @@ from .arith import (
     von_staudt_D,
 )
 from .geometry import (
-    KClass,
     Tower,
     VirtualCompleteIntersection,
     build_tower,
@@ -226,7 +225,7 @@ def suite_projective_bundle(max_rank: int = 4) -> list[VerificationReport]:
                 VerificationReport.compare(
                     "bundle-twist-vanishing",
                     f"P{r}, twist {a}",
-                    _k_text(pushed),
+                    pushed.serialize(),
                     "",
                 )
             )
@@ -235,7 +234,7 @@ def suite_projective_bundle(max_rank: int = 4) -> list[VerificationReport]:
             VerificationReport.compare(
                 "bundle-structure-pushforward",
                 f"P{r}",
-                _k_text(pushed_o),
+                pushed_o.serialize(),
                 "1/1",
             )
         )
@@ -245,19 +244,11 @@ def suite_projective_bundle(max_rank: int = 4) -> list[VerificationReport]:
         VerificationReport.compare(
             "bundle-twist-vanishing",
             "F1, twist -1",
-            _k_text(KClass(twisted.prefix(1), pushed.normal_form())),
+            pushed.serialize(),
             "",
         )
     )
     return reports
-
-
-def _k_text(f: KClass) -> str:
-    lines = []
-    for vec, mult in sorted(f.line_terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        body = " ".join(f"l{k + 1}^{e}" for k, e in enumerate(vec) if e)
-        lines.append(f"{mult}/1" + (f" {body}" if body else ""))
-    return "\n".join(lines)
 
 
 def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:

@@ -1,9 +1,13 @@
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from grrcheck import cli
 from grrcheck.cli import main
+from grrcheck.report import FalsificationError
 from grrcheck.series import (
     q_poly,
     todd_inverse_numerator,
@@ -193,6 +197,54 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         values = [json.loads(line)["millis"] for line in lines]
         assert any(v is not None for v in values)
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "kappa", "--max-degree", "3"],
+            ["verify", "all", "--max-degree", "4"],
+            ["verify", "main-theorem", "--sheaf", "O(h)"],
+            ["verify", "main-theorem", "--cut", "h"],
+            ["verify", "main-theorem", "-n", "0"],
+            ["verify", "main-theorem", "--base-levels", "1"],
+            ["verify", "main-theorem", "--max-dim", "7"],
+            ["verify", "kappa", "--geometry", "P(trivial 3) over point"],
+            ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+             "--max-degree", "3"],
+        ],
+    )
+    def test_ignored_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "not used by verify" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_closed_stdout_exits_three_quietly(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["verify", "exp-sum-product", "--max-degree", "3"]) == 3
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [(AssertionError("invariant broken"), 3), (FalsificationError("claim broken"), 1)],
+    )
+    def test_engine_error_exit_code(self, monkeypatch, capsys, error, code):
+        def engine(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "check_main_theorem", engine)
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point", "-n", "0"]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 3:
+            assert (out, err) == ("", "internal error: invariant broken\n")
+        else:
+            assert json.loads(out)["verdict"] == "fail" and err == ""
 
 
 class TestVerifyAll:

@@ -181,15 +181,15 @@ class TestChern:
     def test_line_bundle(self):
         p2 = projective_space(2)
         f = p2.line((1,))
-        assert f.chern(1) == p2.hyperplane(1)
-        assert f.chern(2).is_zero()
+        assert f.total_chern().graded_part(1) == p2.hyperplane(1)
+        assert f.total_chern().graded_part(2).is_zero()
 
     def test_virtual_pair(self):
         p2 = projective_space(2)
         f = p2.line((1,)) + p2.line((-1,))
         h = p2.hyperplane(1)
-        assert f.chern(1).is_zero()
-        assert f.chern(2) == (h * h).scale(-1)
+        assert f.total_chern().graded_part(1).is_zero()
+        assert f.total_chern().graded_part(2) == (h * h).scale(-1)
 
     def test_virtual_rank(self):
         p2 = projective_space(2)
@@ -208,11 +208,11 @@ class TestChern:
         assert ct.graded_part(1) == h.scale(3)
         assert ct.graded_part(2) == (h * h).scale(3)
         p1 = projective_space(1)
-        assert p1.tangent_class().chern(1) == p1.hyperplane(1).scale(2)
+        assert p1.tangent_class().total_chern().graded_part(1) == p1.hyperplane(1).scale(2)
 
     def test_tangent_additive_across_levels(self):
         t = p_by_p(1, 1)
-        c1 = t.tangent_class().chern(1)
+        c1 = t.tangent_class().total_chern().graded_part(1)
         assert c1 == t.hyperplane(1).scale(2) + t.hyperplane(2).scale(2)
 
 
@@ -313,6 +313,10 @@ class TestKNormalForm:
         lhs = p1.line((2,))
         rhs = p1.line((1,)).scale(2) - p1.structure_sheaf()
         assert lhs == rhs  # l^2 = 2l - 1 on the line
+
+    def test_serialize_prints_normal_form(self):
+        p1 = projective_space(1)
+        assert p1.line((2,)).serialize() == "-1/1\n2/1 l1^1"
 
 
 class TestVCI:

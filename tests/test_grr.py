@@ -12,6 +12,8 @@ from grrcheck.geometry import (
 from grrcheck.grr import (
     FormalFibration,
     MorphismDatum,
+    _source_ct,
+    _source_relative_tangent,
     check_divisor_calculus,
     check_immersion,
     check_kappa_identity,
@@ -24,6 +26,7 @@ from grrcheck.grr import (
     grr_error,
     rational_grr_cross_check,
 )
+from grrcheck.series import Mutation, set_mutation
 
 
 def all_pass(reports):
@@ -93,41 +96,43 @@ class TestGrrError:
 
 class TestCtClass:
     def test_degree_zero_is_rank_times_fundamental_class(self):
-        from grrcheck.grr import ct_class
-
         p2 = projective_space(2)
         f = p2.line((1,)) + p2.structure_sheaf().scale(2)
-        assert ct_class(f, p2, 0) == p2.unit_chow().scale(3)
+        value = _source_ct(MorphismDatum(p2, 0), f, 0, relative=False)
+        assert value == p2.unit_chow().scale(3)
 
     def test_degree_one_structure_sheaf_on_line(self):
-        from grrcheck.grr import ct_class
-
         p1 = projective_space(1)
-        assert ct_class(p1.structure_sheaf(), p1, 1) == p1.hyperplane(1).scale(2)
+        value = _source_ct(MorphismDatum(p1, 0), p1.structure_sheaf(), 1, relative=False)
+        assert value == p1.hyperplane(1).scale(2)
 
     def test_relative_on_trivial_family_matches_fiber(self):
         # fiberwise tangent difference of a product equals the fiber's
         # tangent, so relative and fiber-absolute classes agree
-        from grrcheck.grr import ct_class, _relative_tangent
-
         t = build_tower([[(), ()], [(0,), (0,), (0,)]])  # plane fibers over a line
-        _, rel = _relative_tangent(t, 1)
+        f = MorphismDatum(t, 1)
+        rel = _source_relative_tangent(f)
         expected_c1 = t.hyperplane(2).scale(3)
-        assert rel.chern(1) == expected_c1
-        assert rel.chern(2) == (t.hyperplane(2) * t.hyperplane(2)).scale(3)
-        value = ct_class(t.structure_sheaf(), t, 2, relative_to=1)
+        assert rel.total_chern().graded_part(1) == expected_c1
+        assert rel.total_chern().graded_part(2) == (t.hyperplane(2) * t.hyperplane(2)).scale(3)
+        value = _source_ct(f, t.structure_sheaf(), 2, relative=True)
         absolute_fiber = (t.hyperplane(2) * t.hyperplane(2)).scale(12)
         assert value == absolute_fiber  # twelve times the fiber point class
 
-    def test_degree_overflow_rejected(self):
-        from grrcheck.grr import ct_class
-
-        p2 = projective_space(2)
-        with pytest.raises(InputError):
-            ct_class(p2.structure_sheaf(), p2, 3)
-
 
 class TestCheckMainTheorem:
+    def test_tower_cache_follows_the_mutation(self):
+        p4 = projective_space(4)
+        f = MorphismDatum(p4, 0, "P4->pt")
+        all_pass(check_main_theorem(f, p4.structure_sheaf(), 0))
+        set_mutation(Mutation("todd", 4, 0, Fraction(1)))
+        try:
+            reports = check_main_theorem(f, p4.structure_sheaf(), 0)
+        finally:
+            set_mutation(None)
+        assert any(r.verdict != "pass" for r in reports)
+        all_pass(check_main_theorem(f, p4.structure_sheaf(), 0))
+
     def test_bundles_over_bases(self):
         cases = [
             (build_tower([[(), ()], [(0,), (1,)]]), 1, (0, 1)),
@@ -267,7 +272,7 @@ class TestCompositionConsistency:
         composite = MorphismDatum(t, 0)
         top = MorphismDatum(t, 1)
         from grrcheck.geometry import pushforward_k, pushforward_chow
-        from grrcheck.grr import _source_ct, _absolute_tangent, ct_on_tower, _chern_values
+        from grrcheck.grr import _sheaf_images, ct_on_tower
         from grrcheck.arith import exact_ratio
 
         F = t.line((1, -1))
@@ -292,10 +297,7 @@ class TestCompositionConsistency:
 
         # the middle-level identity scaled by step1 reproduces the composite side
         mid_pushed = pushforward_k(F, 1)
-        key, tangent = _absolute_tangent(y)
-        mid_ct = ct_on_tower(
-            y, key, tangent, mid_pushed.rank(), _chern_values(mid_pushed, d_g + n), d_g + n
-        )
+        mid_ct = ct_on_tower(y, y.tangent_class(), _sheaf_images(mid_pushed, d_g + n), d_g + n)
         lhs_via_middle = pushforward_chow(mid_ct.scale(step1), 1).scale(step2)
         lhs_direct, rhs_direct = grr_error(composite, F, n)
         assert lhs_via_middle == lhs_direct == rhs_direct
@@ -305,7 +307,7 @@ class TestDeterminantFormulaDegreeOne:
     def test_relative_curves_reproduce_cleared_determinant_formula(self):
         # d = 1 models: T_2 s_1(f_*F) =
         #   -rank(f_*F) (T_2/2) c1(T_S) + sum_m T_2/(m! T_{2-m}) f_*(s_m(F) Td-num_{2-m}(T_X))
-        from grrcheck.grr import _chern_values, evaluate_universal, _absolute_tangent
+        from grrcheck.grr import _chern_images, _sheaf_images, evaluate_universal
         from grrcheck.geometry import pushforward_k, pushforward_chow
         from grrcheck.series import universal_chern_character, universal_todd
         from grrcheck.arith import exact_ratio
@@ -319,19 +321,15 @@ class TestDeterminantFormulaDegreeOne:
         t2 = todd_denominator(2).value
         for t in towers:
             base = t.prefix(1)
-            _, base_tangent = _absolute_tangent(base)
-            c1_s = base_tangent.total_chern().graded_part(1)
-            _, x_tangent = _absolute_tangent(t)
-            x_chern = _chern_values(x_tangent, 2)
+            c1_s = base.tangent_class().total_chern().graded_part(1)
+            x_chern = _chern_images(t.tangent_class(), 2)
             for coeffs in [(0,) * t.n_levels, (1, 1), (-1, 2), (2, -2)]:
                 F = t.line(coeffs)
                 pushed = pushforward_k(F, 1)
                 lhs = evaluate_universal(
                     universal_chern_character(1).numerator,
                     base,
-                    {},
-                    _chern_values(pushed, 1),
-                    pushed.rank(),
+                    _sheaf_images(pushed, 1),
                 ).scale(t2)
                 rhs = c1_s.scale(Fraction(-pushed.rank() * t2, 2))
                 for m in range(0, 3):
@@ -339,11 +337,7 @@ class TestDeterminantFormulaDegreeOne:
                         t2, factorial(m) * todd_denominator(2 - m).value
                     )
                     s_m = evaluate_universal(
-                        universal_chern_character(m).numerator,
-                        t,
-                        {},
-                        _chern_values(F, m),
-                        F.rank(),
+                        universal_chern_character(m).numerator, t, _sheaf_images(F, m)
                     )
                     td_part = evaluate_universal(
                         universal_todd(2 - m).numerator, t, x_chern
