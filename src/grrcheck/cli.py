@@ -44,6 +44,7 @@ from .specparse import (
     ScopeError,
     build_geometry,
     evaluate_class,
+    geometry_dim,
     parse_class,
     parse_divisor,
     parse_geometry,
@@ -154,21 +155,15 @@ def _gen_universal(kind: str, args) -> tuple[dict, str]:
     return payload, text
 
 
+# factored integer kinds: kind -> (index flag, generator)
+FACTORED_NUMBERS = {
+    "tm": ("m", todd_denominator),
+    "D": ("g", von_staudt_D),
+    "L": ("n", fulton_macpherson_L),
+}
+
+
 def _gen_number(kind: str, args) -> tuple[dict, str]:
-    if kind == "tm":
-        if args.m is None:
-            raise InputError("--m is required for tm")
-        fi = todd_denominator(args.m)
-        return (
-            {
-                "schema": "1",
-                "kind": "tm",
-                "m": args.m,
-                "value": str(fi.value),
-                "factorization": {str(p): e for p, e in fi.factorization},
-            },
-            str(fi),
-        )
     if kind == "bernoulli":
         if args.n is None:
             raise InputError("--n is required for bernoulli")
@@ -177,35 +172,21 @@ def _gen_number(kind: str, args) -> tuple[dict, str]:
             {"schema": "1", "kind": "bernoulli", "n": args.n, "value": str(b)},
             f"B_{args.n} = {b}",
         )
-    if kind == "D":
-        if args.g is None:
-            raise InputError("--g is required for D")
-        fi = von_staudt_D(args.g)
-        return (
-            {
-                "schema": "1",
-                "kind": "D",
-                "g": args.g,
-                "value": str(fi.value),
-                "factorization": {str(p): e for p, e in fi.factorization},
-            },
-            str(fi),
-        )
-    if kind == "L":
-        if args.n is None:
-            raise InputError("--n is required for L")
-        fi = fulton_macpherson_L(args.n)
-        return (
-            {
-                "schema": "1",
-                "kind": "L",
-                "n": args.n,
-                "value": str(fi.value),
-                "factorization": {str(p): e for p, e in fi.factorization},
-            },
-            str(fi),
-        )
-    raise InputError(f"unknown kind {kind}")
+    flag, generator = FACTORED_NUMBERS[kind]
+    index = getattr(args, flag)
+    if index is None:
+        raise InputError(f"--{flag} is required for {kind}")
+    fi = generator(index)
+    return (
+        {
+            "schema": "1",
+            "kind": kind,
+            flag: index,
+            "value": str(fi.value),
+            "factorization": {str(p): e for p, e in fi.factorization},
+        },
+        str(fi),
+    )
 
 
 def cmd_gen(args) -> int:
@@ -231,12 +212,14 @@ def _parse_mutation(spec: str) -> Mutation:
 
 
 def _single_instance_reports(args) -> list[VerificationReport]:
-    scope = build_geometry(parse_geometry(args.geometry))
-    if scope.tower.dim > args.max_dim:
+    geometry = parse_geometry(args.geometry)
+    dim = geometry_dim(geometry)
+    if dim > args.max_dim:
         raise InputError(
-            f"geometry dimension {scope.tower.dim} exceeds the guard {args.max_dim}; "
+            f"geometry dimension {dim} exceeds the guard {args.max_dim}; "
             "raise it with --max-dim"
         )
+    scope = build_geometry(geometry)
     sheaf_text = args.sheaf or "O"
     sheaf = evaluate_class(parse_class(sheaf_text), scope)
     if args.cut:

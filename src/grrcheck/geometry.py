@@ -1,21 +1,25 @@
 """Exact Chow rings and Grothendieck groups of towers of split projective bundles.
 
-A Tower is an iterated projective bundle over a point; level k is the
-projectivization of a direct sum of line bundles whose divisor classes live on
-the partial tower below.  Its Chow ring is the integer polynomial ring on the
-hyperplane classes xi1..xiK modulo one relation per level (the defining
-relation of a projective bundle), with monomial basis { prod xi_k^{a_k} :
-0 <= a_k <= r_k }.  The K-group is free on the same exponent range in the
-line classes l_k.
+A Tower is a base tower plus one split bundle E = L_0 + ... + L_r over it
+(the point has no base); the tower is P(E) over the base.  Everything about
+the new level comes from E through the projective bundle formula (Fulton,
+Intersection Theory, Ch. 3): with xi the hyperplane class and l its line
+bundle,
+
+    Chow relation   sum_j (-1)^j c_j(E) xi^{r+1-j} = 0
+    K relation      sum_j (-1)^j [wedge^j E] l^{r+1-j} = 0
+    K pushforward   pi_* l^a = Sym^a E  for 0 <= a <= r.
+
+So the Chow ring is the integer polynomial ring on xi1..xiK modulo one
+relation per level, with monomial basis { prod xi_k^{a_k} : 0 <= a_k <= r_k },
+and the K-group is free on the same exponent range in the line classes l_k.
+Negative powers of l are rewritten through l^{-1}, which the K relation
+gives as (det E)^{-1} times a polynomial in l, so every K class stays an
+integer combination of line symbols.
 
 Conventions (validated by the binomial oracle and the twist-vanishing checks):
-the bundle is the Proj of the symmetric algebra, the hyperplane class is the
-first Chern class of its tautological quotient line bundle, the Chow
-relation's coefficients are the Chern classes of the bundle with alternating
-signs, and the K-pushforward of the a-th power of the hyperplane line bundle
-is the a-th symmetric power of the defining bundle for a >= 0.  Negative
-powers are rewritten through the inverse of the hyperplane class modulo the
-level relation (possible because every line summand is invertible).
+the bundle is the Proj of the symmetric algebra and the hyperplane class is
+the first Chern class of its tautological quotient line bundle.
 
 Towers are immutable after build; all class operations are pure, so one tower
 may be shared read-only by concurrent verification jobs.
@@ -33,118 +37,105 @@ from .arith import InputError
 from .poly import Alphabet, GradedPolynomial
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
+# One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
+# maps exponent offsets to coefficients; a term m rewrites to the terms
+# m + offset, so the offsets already subtract the exponent they replace.
+Rule = dict[tuple[int, ...], int | Fraction]
+
+
+def _padded(rule: Rule) -> Rule:
+    return {m + (0,): c for m, c in rule.items()}
 
 
 class Tower:
-    """An iterated split projective bundle over a point."""
+    """An iterated split projective bundle over a point: P(E) over self.base.
+
+    E is the split bundle of the top level's line summands, a KClass on the
+    base; its total Chern class gives the Chow relation, its exterior powers
+    the K relation and its symmetric powers the K-pushforward images.
+    """
 
     def __init__(self, levels: Sequence[Sequence[DivisorVector]]):
         self.levels: tuple[tuple[DivisorVector, ...], ...] = tuple(
             tuple(tuple(int(c) for c in vec) for vec in level) for level in levels
         )
-        for k, level in enumerate(self.levels):
-            if not level:
-                raise InputError(f"level {k + 1} has no line summands")
-            for vec in level:
-                if len(vec) != k:
-                    raise InputError(
-                        f"level {k + 1} summand {vec} must reference exactly the "
-                        f"{k} earlier hyperplanes"
-                    )
+        self.n_levels: int = len(self.levels)
+        self.base: Tower | None = Tower(self.levels[:-1]) if self.levels else None
         self.ranks: tuple[int, ...] = tuple(len(level) - 1 for level in self.levels)
         self.dim: int = sum(self.ranks)
-        self.n_levels: int = len(self.levels)
         self.alphabet = Alphabet([(f"xi{k + 1}", 1) for k in range(self.n_levels)])
-        # per-level rewrite data, built bottom-up
-        self._chow_rules: list[dict[tuple[int, ...], Fraction]] = []
-        self._k_pos_rules: list[dict[DivisorVector, int]] = []
-        self._k_neg_rules: list[dict[DivisorVector, int]] = []
-        for k in range(self.n_levels):
-            self._build_rules(k)
         self._cache: dict = {}
+        # per level (above, below) rules; the Chow ring has no negative exponents
+        self._chow_rules: list[tuple[Rule, Rule]] = []
+        self._k_rules: list[tuple[Rule, Rule]] = []
+        self._sym_images: tuple[dict[DivisorVector, int], ...] = ()
+        if self.base is None:
+            return
+        k = self.n_levels - 1
+        top = self.levels[k]
+        if not top:
+            raise InputError(f"level {k + 1} has no line summands")
+        for vec in top:
+            if len(vec) != k:
+                raise InputError(
+                    f"level {k + 1} summand {vec} must reference exactly the "
+                    f"{k} earlier hyperplanes"
+                )
+        base = self.base
+        self._chow_rules = [(_padded(a), _padded(b)) for a, b in base._chow_rules]
+        self._k_rules = [(_padded(a), _padded(b)) for a, b in base._k_rules]
 
-    # -- construction internals -----------------------------------------
+        r = self.ranks[k]
+        bundle = KClass(base, {vec: top.count(vec) for vec in top})
+        # xi^{r+1} -> sum_{j>=1} (-1)^{j+1} c_j(E) xi^{r+1-j}
+        chow_above = {
+            m + (-sum(m),): c if sum(m) % 2 else -c
+            for m, c in bundle.total_chern().terms.items()
+            if sum(m)
+        }
+        self._chow_rules.append((chow_above, {}))
+        # l^{r+1} -> sum_{j>=1} (-1)^{j+1} wedge^j E l^{r+1-j}, and multiplying
+        # the relation by l^{-1}: l^{-1} -> sum_{j<=r} (-1)^{r+j} wedge^j E det(E)^{-1} l^{r-j}
+        wedges = [bundle.wedge(j) for j in range(r + 2)]
+        (det,) = wedges[r + 1].line_terms
+        k_above = {
+            v + (-j,): c if j % 2 else -c
+            for j in range(1, r + 2)
+            for v, c in wedges[j].line_terms.items()
+        }
+        k_below = {
+            v + (r + 1 - j,): c if (r + j) % 2 == 0 else -c
+            for j in range(r + 1)
+            for v, c in wedges[j].twist(tuple(-x for x in det)).line_terms.items()
+        }
+        self._k_rules.append((k_above, k_below))
+        self._sym_images = tuple(bundle.sym(a).line_terms for a in range(r + 1))
 
     def _pad(self, vec: DivisorVector) -> DivisorVector:
         return vec + (0,) * (self.n_levels - len(vec))
 
-    def _build_rules(self, k: int) -> None:
-        r = self.ranks[k]
-        n = self.n_levels
-        summands = [self._pad(v) for v in self.levels[k]]
-
-        # Chow: xi_k^{r+1} -> sum_j (-1)^{j+1} c_j(E_k) xi_k^{r+1-j}
-        rule: dict[tuple[int, ...], Fraction] = {}
-        for j in range(1, r + 2):
-            cj: dict[tuple[int, ...], Fraction] = {}
-            for subset in combinations(range(r + 1), j):
-                term: dict[tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
-                for i in subset:
-                    linear = {
-                        tuple(1 if p == lev else 0 for p in range(n)): Fraction(c)
-                        for lev, c in enumerate(summands[i])
-                        if c
-                    }
-                    term = _dict_mul(term, linear)
-                for mono, c in term.items():
-                    cj[mono] = cj.get(mono, Fraction(0)) + c
-            cj = self._chow_reduce(cj, upto=k)
-            sign = 1 if j % 2 == 1 else -1
-            for mono, c in cj.items():
-                shifted = list(mono)
-                shifted[k] += r + 1 - j
-                key = tuple(shifted)
-                rule[key] = rule.get(key, Fraction(0)) + sign * c
-        self._chow_rules.append({m: c for m, c in rule.items() if c})
-
-        # K: elementary symmetric sums of the line classes l^{v_i}
-        e_tables: list[dict[DivisorVector, int]] = []
-        for j in range(r + 2):
-            ej: dict[DivisorVector, int] = {}
-            for subset in combinations(range(r + 1), j):
-                vec = tuple(sum(col) for col in zip(*(summands[i] for i in subset))) if subset else (0,) * n
-                ej[vec] = ej.get(vec, 0) + 1
-            e_tables.append(ej)
-        pos: dict[DivisorVector, int] = {}
-        for j in range(1, r + 2):
-            sign = 1 if j % 2 == 1 else -1
-            for vec, c in e_tables[j].items():
-                key = tuple(v + ((r + 1 - j) if p == k else 0) for p, v in enumerate(vec))
-                pos[key] = pos.get(key, 0) + sign * c
-        self._k_pos_rules.append({m: c for m, c in pos.items() if c})
-
-        det = tuple(sum(col) for col in zip(*summands)) if summands else (0,) * n
-        neg: dict[DivisorVector, int] = {}
-        for j in range(r + 1):
-            sign = (-1) ** (r + j)
-            for vec, c in e_tables[j].items():
-                key = tuple(
-                    v - det[p] + ((r - j) if p == k else 0) for p, v in enumerate(vec)
-                )
-                neg[key] = neg.get(key, 0) + sign * c
-        self._k_neg_rules.append({m: c for m, c in neg.items() if c})
-
-    def _chow_reduce(
-        self, terms: Mapping[tuple[int, ...], Fraction], upto: int | None = None
-    ) -> dict[tuple[int, ...], Fraction]:
-        """Exhaustive rewrite to the monomial basis (levels above `upto` untouched)."""
-        top = (self.n_levels if upto is None else upto) - 1
-        out = {m: Fraction(c) for m, c in terms.items() if c}
-        for k in range(top, -1, -1):
+    def _normal_form(
+        self,
+        terms: Mapping[tuple[int, ...], int | Fraction],
+        rules: Sequence[tuple[Rule, Rule]],
+        levels: Sequence[int] | None = None,
+    ) -> dict[tuple[int, ...], int | Fraction]:
+        """Rewrite every exponent of the given levels (default all, top first)
+        into [0, r_k] with the (above, below) rules of each level."""
+        out = {m: c for m, c in terms.items() if c}
+        for k in reversed(range(self.n_levels)) if levels is None else levels:
             r = self.ranks[k]
-            rule = self._chow_rules[k]
+            above, below = rules[k]
             while True:
-                excess = {m: c for m, c in out.items() if m[k] > r}
-                if not excess:
+                bad = [(m, c) for m, c in out.items() if not 0 <= m[k] <= r]
+                if not bad:
                     break
-                for m in excess:
+                for m, _ in bad:
                     del out[m]
-                for m, c in excess.items():
-                    base = list(m)
-                    base[k] -= r + 1
-                    for rm, rc in rule.items():
-                        key = tuple(b + v for b, v in zip(base, rm))
-                        val = out.get(key, Fraction(0)) + c * rc
+                for m, c in bad:
+                    for offset, rc in (above if m[k] > r else below).items():
+                        key = tuple(x + y for x, y in zip(m, offset))
+                        val = out.get(key, 0) + c * rc
                         if val:
                             out[key] = val
                         else:
@@ -154,19 +145,13 @@ class Tower:
     # -- public structure -------------------------------------------------
 
     def prefix(self, n_levels: int) -> "Tower":
-        """The partial tower consisting of the first n_levels levels (cached)."""
+        """The partial tower consisting of the first n_levels levels."""
         if not 0 <= n_levels <= self.n_levels:
             raise InputError(f"prefix {n_levels} out of range")
-        if n_levels == self.n_levels:
-            return self
-        key = ("prefix", n_levels)
-        if key not in self._cache:
-            sub = Tower(self.levels[:n_levels])
-            # share the whole chain so prefix-of-prefix is the same object
-            for j in range(n_levels):
-                sub._cache[("prefix", j)] = self.prefix(j)
-            self._cache[key] = sub
-        return self._cache[key]
+        tower = self
+        for _ in range(self.n_levels - n_levels):
+            tower = tower.base
+        return tower
 
     def zero_chow(self) -> "ChowClass":
         return ChowClass(self, {})
@@ -176,9 +161,7 @@ class Tower:
 
     def hyperplane(self, k: int) -> "ChowClass":
         """The class of the level-k hyperplane (1-based)."""
-        mono = [0] * self.n_levels
-        mono[k - 1] = 1
-        return ChowClass(self, {tuple(mono): Fraction(1)})
+        return self.divisor_chow(tuple(int(p == k - 1) for p in range(self.n_levels)))
 
     def divisor_chow(self, vec: DivisorVector) -> "ChowClass":
         vec = self._pad(tuple(vec))
@@ -220,17 +203,6 @@ class Tower:
         return f"Tower(dim={self.dim}: {sig})"
 
 
-def _dict_mul(
-    a: Mapping[tuple[int, ...], Fraction], b: Mapping[tuple[int, ...], Fraction]
-) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {m: c for m, c in out.items() if c}
-
-
 def build_tower(levels: Sequence[Sequence[Sequence[int]]]) -> Tower:
     """Build a tower from per-level lists of summand coefficient vectors."""
     return Tower([[tuple(vec) for vec in level] for level in levels])
@@ -252,8 +224,9 @@ class ChowClass:
 
     def __init__(self, tower: Tower, terms: Mapping[tuple[int, ...], Fraction | int]):
         self.tower = tower
-        reduced = tower._chow_reduce({m: Fraction(c) for m, c in terms.items()})
-        self.terms: dict[tuple[int, ...], Fraction] = reduced
+        self.terms: dict[tuple[int, ...], Fraction] = tower._normal_form(
+            {m: Fraction(c) for m, c in terms.items()}, tower._chow_rules
+        )
 
     def _check(self, other: "ChowClass") -> None:
         if self.tower is not other.tower:
@@ -282,13 +255,12 @@ class ChowClass:
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        return ChowClass(self.tower, _dict_mul(self.terms, other.terms))
-
-    def power(self, k: int) -> "ChowClass":
-        out = self.tower.unit_chow()
-        for _ in range(k):
-            out = out * self
-        return out
+        out: dict[tuple[int, ...], Fraction] = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                key = tuple(x + y for x, y in zip(ma, mb))
+                out[key] = out.get(key, 0) + ca * cb
+        return ChowClass(self.tower, out)
 
     def graded_part(self, m: int) -> "ChowClass":
         return ChowClass(
@@ -332,8 +304,8 @@ def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
         nxt: dict[tuple[int, ...], Fraction] = {}
         for mono, c in terms.items():
             if mono[k] == r:
-                nxt[mono[:k]] = nxt.get(mono[:k], Fraction(0)) + c
-        current = current.prefix(k)
+                nxt[mono[:k]] = nxt.get(mono[:k], 0) + c
+        current = current.base
         terms = nxt
     return ChowClass(current, terms)
 
@@ -421,55 +393,50 @@ class KClass:
             symbols.extend([v] * c)
         return symbols
 
-    def wedge(self, i: int) -> "KClass":
-        """i-th exterior power of an effective class (multiset semantics)."""
+    def _power(self, n: int, kind: str, choose) -> "KClass":
+        """The n-th exterior (choose = combinations) or symmetric (choose =
+        combinations_with_replacement) power of an effective class."""
         symbols = self._effective_symbols()
-        if i < 0:
-            raise InputError("wedge index must be >= 0")
+        if n < 0:
+            raise InputError(f"{kind} index must be >= 0")
         out: dict[DivisorVector, int] = {}
-        for subset in combinations(symbols, i):
-            key = tuple(sum(col) for col in zip(*subset)) if subset else (0,) * self.tower.n_levels
+        for picked in choose(symbols, n):
+            key = tuple(sum(col) for col in zip(*picked)) if picked else (0,) * self.tower.n_levels
             out[key] = out.get(key, 0) + 1
         return KClass(self.tower, out)
+
+    def wedge(self, i: int) -> "KClass":
+        """i-th exterior power of an effective class (multiset semantics)."""
+        return self._power(i, "wedge", combinations)
 
     def sym(self, a: int) -> "KClass":
         """a-th symmetric power of an effective class."""
-        symbols = self._effective_symbols()
-        if a < 0:
-            raise InputError("sym index must be >= 0")
-        out: dict[DivisorVector, int] = {}
-        for multiset in combinations_with_replacement(symbols, a):
-            key = tuple(sum(col) for col in zip(*multiset)) if multiset else (0,) * self.tower.n_levels
-            out[key] = out.get(key, 0) + 1
-        return KClass(self.tower, out)
+        return self._power(a, "sym", combinations_with_replacement)
 
     def total_chern(self) -> ChowClass:
-        """prod (1 + [D])^multiplicity, exactly expanded (inverses for virtual parts)."""
+        """prod (1 + D)^m over the line symbols, each factor expanded as
+        sum_{i<=dim} binom(m, i) D^i (exact for every sign of m, as D is
+        nilpotent)."""
         tower = self.tower
-        total = tower.unit_chow()
+        unit = tower.unit_chow()
+        total = unit
         for vec, mult in sorted(self.line_terms.items()):
             d = tower.divisor_chow(vec)
-            if mult >= 0:
-                total = total * (tower.unit_chow() + d).power(mult)
-            else:
-                inv = _chow_inverse(tower.unit_chow() + d)
-                total = total * inv.power(-mult)
+            factor, power, binom = unit, unit, 1
+            for i in range(1, tower.dim + 1):
+                binom = binom * (mult - i + 1) // i  # exact: binom(m, i)
+                if not binom:
+                    break
+                power = power * d
+                if power.is_zero():
+                    break
+                factor = factor + power.scale(binom)
+            total = total * factor
         return total
 
     def normal_form(self) -> dict[DivisorVector, int]:
         """Coordinates in the monomial basis of the K-group (exponents in [0, r_k])."""
-        terms: dict[DivisorVector, Fraction] = {
-            v: Fraction(c) for v, c in self.line_terms.items()
-        }
-        for k in range(self.tower.n_levels - 1, -1, -1):
-            terms = _k_reduce_level(self.tower, terms, k)
-        out: dict[DivisorVector, int] = {}
-        for v, c in terms.items():
-            if c:
-                if c.denominator != 1:
-                    raise AssertionError("K normal form produced a non-integer")
-                out[v] = int(c)
-        return out
+        return self.tower._normal_form(self.line_terms, self.tower._k_rules)
 
     def __eq__(self, other: object) -> bool:
         """Equality as K-theory classes (compared in normal form)."""
@@ -496,84 +463,24 @@ class KClass:
         return f"KClass({self.line_terms})"
 
 
-def _chow_inverse(alpha: ChowClass) -> ChowClass:
-    """Inverse of 1 + nilpotent in the Chow ring: 1 - n + n^2 - ..."""
-    unit = alpha.tower.unit_chow()
-    nil = alpha - unit
-    total = unit
-    power = unit
-    sign = -1
-    for _ in range(alpha.tower.dim):
-        power = power * nil
-        if power.is_zero():
-            break
-        total = total + power.scale(sign)
-        sign = -sign
-    return total
-
-
-def _k_reduce_level(
-    tower: Tower, terms: dict[DivisorVector, Fraction], k: int
-) -> dict[DivisorVector, Fraction]:
-    r = tower.ranks[k]
-    pos = tower._k_pos_rules[k]
-    neg = tower._k_neg_rules[k]
-    out = dict(terms)
-    while True:
-        bad = [(v, c) for v, c in out.items() if v[k] > r or v[k] < 0]
-        if not bad:
-            return out
-        for v, _ in bad:
-            del out[v]
-        for v, c in bad:
-            if v[k] > r:
-                base = tuple(x - (r + 1) if p == k else x for p, x in enumerate(v))
-                rule = pos
-            else:
-                base = tuple(x + 1 if p == k else x for p, x in enumerate(v))
-                rule = neg
-            for rv, rc in rule.items():
-                key = tuple(b + x for b, x in zip(base, rv))
-                val = out.get(key, Fraction(0)) + c * rc
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-
-
-def _top_band_representation(
-    tower: Tower, terms: dict[DivisorVector, int]
-) -> dict[DivisorVector, Fraction]:
-    """Rewrite only the top level's exponents into [0, r_top]."""
-    return _k_reduce_level(
-        tower, {v: Fraction(c) for v, c in terms.items()}, tower.n_levels - 1
-    )
-
-
 def pushforward_k(f: KClass, n_collapse: int = 1) -> KClass:
     """K-theoretic pushforward collapsing the top n levels of the tower."""
     tower = f.tower
     if not 0 <= n_collapse <= tower.n_levels:
         raise InputError("cannot collapse more levels than the tower has")
     current = tower
-    terms: dict[DivisorVector, int] = dict(f.line_terms)
+    terms: Mapping[DivisorVector, int] = f.line_terms
     for _ in range(n_collapse):
+        # band the top exponent into [0, r], then l^a pushes to Sym^a E
         k = current.n_levels - 1
-        banded = _top_band_representation(current, terms)
-        summands = [current._pad(v)[:k] for v in current.levels[k]]
+        banded = current._normal_form(terms, current._k_rules, levels=(k,))
         nxt: dict[DivisorVector, int] = {}
         for vec, c in banded.items():
-            if c.denominator != 1:
-                raise AssertionError("non-integer multiplicity in K pushforward")
-            a = vec[k]
-            base = vec[:k]
-            for multiset in combinations_with_replacement(summands, a):
-                key = tuple(
-                    b + sum(col) for b, col in zip(base, zip(*multiset))
-                ) if multiset else base
-                nxt[key] = nxt.get(key, 0) + int(c)
-        current = current.prefix(k)
-        terms = {v: c for v, c in nxt.items() if c}
+            for image, ic in current._sym_images[vec[k]].items():
+                key = tuple(b + x for b, x in zip(vec[:k], image))
+                nxt[key] = nxt.get(key, 0) + c * ic
+        current = current.base
+        terms = nxt
     return KClass(current, terms)
 
 

@@ -188,6 +188,22 @@ def _finish(
     return UniversalClass(name, degree, series_part, scale, numerator, True)
 
 
+def _chern_exponents(
+    reduced: dict[tuple[int, ...], Fraction], width: int, offset: int = 1
+) -> dict[tuple[int, ...], Fraction]:
+    """Turn e-index multisets into exponent vectors of the given width, e-index
+    i counting at position i - offset."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for eta, coeff in reduced.items():
+        vec = [0] * width
+        for i in eta:
+            if not 0 <= i - offset < width:
+                raise AssertionError(f"e-index {i} outside the {width} exponent slots")
+            vec[i - offset] += 1
+        terms[tuple(vec)] = coeff
+    return terms
+
+
 def _cached(key: tuple, builder) -> UniversalClass:
     key += (_MUTATION,)
     got = _CACHE.get(key)
@@ -211,16 +227,7 @@ def universal_todd(m: int, n_roots: int | None = None) -> UniversalClass:
         orbit = orbit_from_product(todd_root_series(m), n, m)
         graded = {lam: c for lam, c in orbit.items() if sum(lam) == m}
         reduced = reduce_orbit_to_elementary(graded, n)
-        alph = tangent_alphabet(m)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for eta, coeff in reduced.items():
-            vec = [0] * m
-            for i in eta:
-                if i > m:
-                    raise AssertionError("degree-m part used an e-index beyond m")
-                vec[i - 1] += 1
-            terms[tuple(vec)] = coeff
-        series = GradedPolynomial(alph, m, terms)
+        series = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
         return _finish("todd", "todd", m, series, todd_denominator(m).value)
 
     return _cached(("todd", m, n), build)
@@ -243,13 +250,8 @@ def universal_chern_character(m: int) -> UniversalClass:
         orbit = {(k,): Fraction(1, factorial(k)) for k in range(1, m + 1)}
         graded = {lam: c for lam, c in orbit.items() if sum(lam) == m}
         reduced = reduce_orbit_to_elementary(graded, m)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for eta, coeff in reduced.items():
-            vec = [0] * (m + 1)  # position 0 is the rank variable
-            for i in eta:
-                vec[i] += 1
-            terms[tuple(vec)] = coeff
-        series = GradedPolynomial(alph, m, terms)
+        # position 0 is the rank variable
+        series = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
         out = _finish("ch", "ch", m, series, factorial(m))
         oracle = newton_power_sum(m).rename(
             {f"e{i}": f"cp{i}" for i in range(1, m + 1)}
@@ -322,14 +324,9 @@ def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
         orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg)
         graded = {lam: c for lam, c in orbit.items() if sum(lam) == deg}
         reduced = reduce_orbit_to_elementary(graded, r)
-        alph = weighted_alphabet("c", r)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for eta, coeff in reduced.items():
-            vec = [0] * r
-            for i in eta:
-                vec[i - 1] += 1
-            terms[tuple(vec)] = coeff
-        series = GradedPolynomial(alph, max(deg, 0), terms)
+        series = GradedPolynomial(
+            weighted_alphabet("c", r), max(deg, 0), _chern_exponents(reduced, r)
+        )
         return _finish("toddinv", "toddinv", m, series, factorial(m))
 
     return _cached(("toddinv", m, r), build)

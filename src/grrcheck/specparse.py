@@ -415,7 +415,19 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
                 raise InputError(f"alias {bundle_node.alias!r} bound twice")
             names[bundle_node.alias] = k
         partial = GeometryScope(build_tower(levels), dict(names))
-    return GeometryScope(build_tower(levels), names)
+    return GeometryScope(partial.tower, names)
+
+
+def geometry_dim(ast: GeomAST) -> int:
+    """The dimension of the tower the AST describes, without building it:
+    each level adds its summand count minus one."""
+    dim = 0
+    while isinstance(ast, GeomBundle):
+        bundle = ast.bundle
+        count = bundle.count if isinstance(bundle, TrivialBundle) else len(bundle.divisors)
+        dim += count - 1
+        ast = ast.base
+    return dim
 
 
 def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:

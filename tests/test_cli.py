@@ -78,6 +78,35 @@ class TestGen:
         assert main(["gen", "bernoulli", "--n", "4"]) == 0
         assert capsys.readouterr().out.strip() == "B_4 = -1/30"
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["tm", "--m", "4"],
+                '{"schema": "1", "kind": "tm", "m": 4, "value": "720", '
+                '"factorization": {"2": 4, "3": 2, "5": 1}}',
+            ),
+            (
+                ["D", "--g", "3"],
+                '{"schema": "1", "kind": "D", "g": 3, "value": "252", '
+                '"factorization": {"2": 2, "3": 2, "7": 1}}',
+            ),
+            (
+                ["L", "--n", "3"],
+                '{"schema": "1", "kind": "L", "n": 3, "value": "2", '
+                '"factorization": {"2": 1}}',
+            ),
+        ],
+    )
+    def test_factored_number_json(self, argv, expected, capsys):
+        assert main(["gen", *argv, "--json"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("kind,flag", [("tm", "--m"), ("D", "--g"), ("L", "--n")])
+    def test_factored_number_needs_its_flag(self, kind, flag, capsys):
+        assert main(["gen", kind]) == 2
+        assert f"{flag} is required for {kind}" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_instance_p2(self, capsys):
@@ -147,6 +176,36 @@ class TestVerify:
             ]
         )
         assert code == 0
+
+    def test_dimension_guard_runs_before_the_build(self, monkeypatch, capsys):
+        def build(ast):
+            raise AssertionError("the tower was built before the guard")
+
+        monkeypatch.setattr(cli, "build_geometry", build)
+        code = main(
+            ["verify", "main-theorem", "--geometry", "P(trivial 30) over point", "-n", "0"]
+        )
+        assert code == 2
+        assert "geometry dimension 29 exceeds the guard 6" in capsys.readouterr().err
+
+    def test_large_symmetric_power(self, capsys):
+        # the pushed class has multiplicities of order binom(62, 2); the
+        # total Chern class must not take time linear in them
+        code = main(
+            [
+                "verify",
+                "main-theorem",
+                "--geometry",
+                "P(trivial 3) over point",
+                "--sheaf",
+                "sym(60, O(h)+O(h)+O(h))",
+                "-n",
+                "1",
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines
+        assert all(json.loads(line)["verdict"] == "pass" for line in lines)
 
     def test_cut_instance(self, capsys):
         code = main(

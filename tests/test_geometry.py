@@ -84,7 +84,7 @@ class TestNormalForm:
     def test_normal_form_exponent_bounds(self):
         t = hirzebruch()
         xi = t.hyperplane(2)
-        big = xi.power(5)
+        big = xi * xi * xi * xi * xi
         for mono in big.terms:
             assert mono[1] <= t.ranks[1]
 
@@ -107,10 +107,9 @@ class TestNormalForm:
                     return work
                 mono, k = excess[rng.randrange(len(excess))]
                 coeff = work.pop(mono)
-                base = list(mono)
-                base[k] -= t.ranks[k] + 1
-                for rm, rc in t._chow_rules[k].items():
-                    key = tuple(b + v for b, v in zip(base, rm))
+                above, _ = t._chow_rules[k]
+                for offset, rc in above.items():
+                    key = tuple(b + v for b, v in zip(mono, offset))
                     val = work.get(key, Fraction(0)) + coeff * rc
                     if val:
                         work[key] = val
@@ -214,6 +213,65 @@ class TestChern:
         t = p_by_p(1, 1)
         c1 = t.tangent_class().total_chern().graded_part(1)
         assert c1 == t.hyperplane(1).scale(2) + t.hyperplane(2).scale(2)
+
+
+def reference_total_chern(f: KClass) -> ChowClass:
+    # the product of (1 + D) factors, with 1 - D + D^2 - ... for negative ones
+    t = f.tower
+    unit = t.unit_chow()
+    total = unit
+    for vec, mult in f.line_terms.items():
+        d = t.divisor_chow(vec)
+        factor = unit + d
+        if mult < 0:
+            factor, power = unit, unit
+            for _ in range(t.dim):
+                power = power * d.scale(-1)
+                factor = factor + power
+        for _ in range(abs(mult)):
+            total = total * factor
+    return total
+
+
+class TestBinomialTotalChern:
+    TOWER = [[(), (), ()], [(1,), (0,)], [(1, -1), (0, 2)]]
+
+    @pytest.mark.parametrize("mult", range(-6, 7))
+    def test_single_symbol_matches_product(self, mult):
+        t = build_tower(self.TOWER)
+        for vec in [(1, 0, 0), (0, 1, -1), (2, -1, 1), (-1, 1, 1), (0, 0, 0)]:
+            f = KClass(t, {vec: mult})
+            assert f.total_chern() == reference_total_chern(f), (vec, mult)
+
+    def test_mixed_class_matches_product(self):
+        t = build_tower(self.TOWER)
+        f = KClass(t, {(1, 0, 0): 5, (0, 1, -1): -6, (2, -1, 1): -3, (-1, 1, 1): 4})
+        assert f.total_chern() == reference_total_chern(f)
+
+
+class TestTowerChain:
+    def test_prefix_of_prefix_is_the_same_tower(self):
+        t = build_tower([[(), (), ()], [(1,), (0,)], [(1, -1), (0, 2)]])
+        for k in range(t.n_levels + 1):
+            for j in range(k + 1):
+                assert t.prefix(k).prefix(j) is t.prefix(j)
+        assert t.base is t.prefix(2) and t.prefix(0).base is None
+
+    def test_pushforward_lands_on_the_base(self):
+        t = build_tower([[(), (), ()], [(1,), (0,)], [(1, -1), (0, 2)]])
+        f = KClass(t, {(1, -1, 2): 3, (0, 1, -3): -1})
+        assert pushforward_k(f, 1).tower is t.prefix(t.n_levels - 1)
+        assert pushforward_chow(t.hyperplane(3), 1).tower is t.base
+
+    def test_levels_come_from_the_bundle(self):
+        # xi^2 = c1(E) xi - c2(E) on P(E) with E = O(h) + O(2h) over P2
+        t = build_tower([[(), (), ()], [(1,), (2,)]])
+        h, xi = t.hyperplane(1), t.hyperplane(2)
+        assert xi * xi == h.scale(3) * xi - (h * h).scale(2)
+        # l^2 = [E] l - det E in K, and pi_* l = E
+        e = t.line((1, 0)) + t.line((2, 0))
+        assert t.line((0, 2)) == e * t.line((0, 1)) - t.line((3, 0))
+        assert pushforward_k(t.line((0, 1)), 1) == t.base.line((1,)) + t.base.line((2,))
 
 
 class TestLambdaOps:

@@ -1,10 +1,12 @@
-"""Every function and method in the package is reached from the package itself.
+"""Every function and method in the package is reached from the package
+itself, and every module uses the names it imports.
 
 A name scan over the sources: a module-level function counts as reached when
 its name appears (as a name or an attribute) somewhere in ``src/grrcheck``
 outside its own definition, a method when its name appears there as an
 attribute.  Helpers only tests call are flagged, so tests exercise the code
-paths the program runs.
+paths the program runs.  An imported name counts as used when it appears as a
+name in its module; a deletion that leaves an import behind is flagged.
 """
 
 import ast
@@ -75,3 +77,24 @@ def test_every_function_is_reached_from_the_package():
 def test_allowlist_names_exist():
     defs, _ = _definitions_and_uses()
     assert set(ALLOWED_UNREACHED) <= {name for _, _, name, _, _, _ in defs}
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items())
+            if name not in used
+        ]
+    assert not unused, "imported but never used: " + ", ".join(unused)
