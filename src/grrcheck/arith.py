@@ -103,6 +103,22 @@ def todd_denominator(m: int) -> FactoredInteger:
     return FactoredInteger.from_exponents(exps)
 
 
+def _divide_todd_denominator(
+    m: int, divisor: dict[int, int]
+) -> tuple[bool, int | tuple[int, int, int]]:
+    """T_m divided by the integer with the given prime exponents: (True,
+    quotient), or (False, (prime, needed, available)) at the first prime of
+    the divisor that T_m holds too few times."""
+    total = todd_denominator(m).exponents()
+    for p, e in divisor.items():
+        if total.get(p, 0) < e:
+            return False, (p, e, total.get(p, 0))
+    quotient = FactoredInteger.from_exponents(
+        {p: e - divisor.get(p, 0) for p, e in total.items()}
+    )
+    return True, quotient.value
+
+
 def check_divisibility_lemma(
     parts_factorial: list[int], parts_todd: list[int], m: int
 ) -> tuple[bool, int | tuple[int, int, int]]:
@@ -126,14 +142,7 @@ def check_divisibility_lemma(
     for mj in parts_todd:
         for p, e in todd_denominator(mj).exponents().items():
             divisor[p] = divisor.get(p, 0) + e
-    total = todd_denominator(m).exponents()
-    for p, e in divisor.items():
-        if total.get(p, 0) < e:
-            return False, (p, e, total.get(p, 0))
-    quotient = FactoredInteger.from_exponents(
-        {p: e - divisor.get(p, 0) for p, e in total.items()}
-    )
-    return True, quotient.value
+    return _divide_todd_denominator(m, divisor)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -224,14 +233,7 @@ def check_ekedahl_divisibility(g: int) -> tuple[bool, int | tuple[int, int, int]
     divisor[2] = divisor.get(2, 0) + 1
     for p, e in von_staudt_D(g).exponents().items():
         divisor[p] = divisor.get(p, 0) + e
-    total = todd_denominator(2 * g).exponents()
-    for p, e in divisor.items():
-        if total.get(p, 0) < e:
-            return False, (p, e, total.get(p, 0))
-    quotient = FactoredInteger.from_exponents(
-        {p: e - divisor.get(p, 0) for p, e in total.items()}
-    )
-    return True, quotient.value
+    return _divide_todd_denominator(2 * g, divisor)
 
 
 def exact_ratio(numer: int, denom: int) -> int:

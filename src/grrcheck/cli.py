@@ -29,16 +29,7 @@ from .geometry import VirtualCompleteIntersection
 from .grr import MorphismDatum, check_main_theorem
 from .identities import IDENTITY_CHECKS, verify_series_identity
 from .report import FalsificationError, VerificationReport
-from .series import (
-    Mutation,
-    UniversalClass,
-    q_poly,
-    set_mutation,
-    todd_inverse_numerator,
-    universal_chern_character,
-    universal_ct,
-    universal_todd,
-)
+from .series import UNIVERSAL_CLASSES, Mutation, set_mutation
 from .specparse import (
     ParseError,
     ScopeError,
@@ -66,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="print a generated object")
     gen.add_argument(
         "kind",
-        choices=["todd", "ch", "ct", "q", "toddinv", "tm", "bernoulli", "D", "L"],
+        choices=[*UNIVERSAL_CLASSES, "tm", "bernoulli", "D", "L"],
     )
     gen.add_argument("--degree", type=int, help="degree for todd/ch/ct/q/toddinv")
     gen.add_argument("--rank", type=int, help="number of roots for toddinv")
@@ -119,18 +110,10 @@ def _gen_universal(kind: str, args) -> tuple[dict, str]:
         raise InputError(
             f"degree {degree} exceeds the resource guard; raise it with --max-degree"
         )
-    if kind == "toddinv":
-        if args.rank is None:
-            raise InputError("--rank is required for toddinv")
-        uc: UniversalClass = todd_inverse_numerator(degree, args.rank)
-    else:
-        builder = {
-            "todd": universal_todd,
-            "ch": universal_chern_character,
-            "ct": universal_ct,
-            "q": q_poly,
-        }[kind]
-        uc = builder(degree)
+    if kind == "toddinv" and args.rank is None:
+        raise InputError("--rank is required for toddinv")
+    builder, _ = UNIVERSAL_CLASSES[kind]
+    uc = builder(degree, args.rank) if kind == "toddinv" else builder(degree)
     payload = {
         "schema": "1",
         "kind": kind,
@@ -190,7 +173,7 @@ def _gen_number(kind: str, args) -> tuple[dict, str]:
 
 
 def cmd_gen(args) -> int:
-    if args.kind in ("todd", "ch", "ct", "q", "toddinv"):
+    if args.kind in UNIVERSAL_CLASSES:
         payload, text = _gen_universal(args.kind, args)
     else:
         payload, text = _gen_number(args.kind, args)

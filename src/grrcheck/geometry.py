@@ -34,7 +34,7 @@ from math import prod
 from typing import Mapping, Sequence
 
 from .arith import InputError
-from .poly import Alphabet, GradedPolynomial
+from .poly import Alphabet, GradedPolynomial, root_alphabet
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
 # One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
@@ -452,12 +452,10 @@ class KClass:
         raise TypeError("KClass is not hashable")
 
     def serialize(self) -> str:
-        """Canonical text of the class in normal form, one line per basis symbol."""
-        lines = []
-        for vec, mult in sorted(self.normal_form().items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            body = " ".join(f"l{k + 1}^{e}" for k, e in enumerate(vec) if e)
-            lines.append(f"{mult}/1" + (f" {body}" if body else ""))
-        return "\n".join(lines)
+        """Canonical text of the class in normal form, one line per basis
+        symbol: the polynomial text form in l1..lK, each of weight 1."""
+        alphabet = root_alphabet("l", self.tower.n_levels)
+        return GradedPolynomial(alphabet, self.tower.dim, self.normal_form()).serialize()
 
     def __repr__(self) -> str:
         return f"KClass({self.line_terms})"

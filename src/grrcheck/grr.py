@@ -6,10 +6,13 @@ them canonically, and reports byte-equality.  All scalar ratios of Todd
 denominators are performed as checked exact integer divisions; a failed
 division is a falsification, not a rounding issue.
 
-Every universal polynomial is evaluated by one substitution loop over its
-monomials.  The combined class with the tangent Chern classes substituted is
-cached per (tower, tangent, degree, active mutation), so suite runs stay fast
-and a mutated class never meets a clean one (see grrcheck.series.set_mutation).
+Every universal polynomial is evaluated by the one substitution loop over its
+monomials, grrcheck.poly.substitute_terms: on a tower with Chow classes as
+images and the tower's unit class as one, in a formal fibration through
+GradedPolynomial.substitute.  The combined class with the tangent Chern
+classes substituted is cached per (tower, tangent, degree, active mutation),
+so suite runs stay fast and a mutated class never meets a clean one (see
+grrcheck.series.set_mutation).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .arith import InputError, bernoulli, exact_ratio, todd_denominator
 from .geometry import (
@@ -29,7 +32,7 @@ from .geometry import (
     pushforward_chow,
     pushforward_k,
 )
-from .poly import Alphabet, GradedPolynomial
+from .poly import Alphabet, GradedPolynomial, substitute_terms
 from .report import FalsificationError, VerificationReport
 from .series import (
     current_mutation,
@@ -57,53 +60,6 @@ def _sheaf_images(F: KClass, upto: int) -> dict[str, ChowClass | int]:
     return {"r": F.rank(), **_chern_images(F, upto, "cp")}
 
 
-def _substitute(
-    terms: Mapping[tuple[int, ...], Fraction | ChowClass],
-    names: Sequence[str],
-    tower: Tower,
-    images: Mapping[str, ChowClass | int | Fraction],
-    keep: Sequence[str] = (),
-) -> dict[tuple[int, ...], ChowClass]:
-    """Substitute tower classes and scalars for the variables of a term map.
-
-    Coefficients are scalars or ChowClasses.  Variables named in keep stay
-    symbolic: the result maps their exponent tuple (in keep order) to the
-    ChowClass collected from every monomial with those exponents.
-    """
-    kept = [names.index(name) for name in keep]
-    powers: dict[tuple[int, int], ChowClass] = {}
-
-    def power(pos: int, e: int) -> ChowClass:
-        if e == 1:
-            return images[names[pos]]
-        if (pos, e) not in powers:
-            powers[pos, e] = power(pos, e - 1) * images[names[pos]]
-        return powers[pos, e]
-
-    grouped: dict[tuple[int, ...], ChowClass] = {}
-    for mono, coeff in terms.items():
-        acc, scalar = (coeff, 1) if isinstance(coeff, ChowClass) else (None, coeff)
-        for pos, e in enumerate(mono):
-            if not e or pos in kept:
-                continue
-            image = images[names[pos]]
-            if isinstance(image, ChowClass):
-                acc = power(pos, e) if acc is None else acc * power(pos, e)
-                if acc.is_zero():
-                    break
-            else:
-                scalar *= Fraction(image) ** e
-                if not scalar:
-                    break
-        else:
-            value = tower.unit_chow() if acc is None else acc
-            if scalar != 1:
-                value = value.scale(scalar)
-            key = tuple(mono[pos] for pos in kept)
-            grouped[key] = grouped[key] + value if key in grouped else value
-    return grouped
-
-
 def evaluate_universal(
     poly: GradedPolynomial,
     tower: Tower,
@@ -111,7 +67,7 @@ def evaluate_universal(
 ) -> ChowClass:
     """Evaluate a universal polynomial at tower classes and scalars, one image
     per variable name (e.g. {"r": rank, "cp1": c_1(F), ...}).  Exact."""
-    grouped = _substitute(poly.terms, poly.alphabet.names(), tower, images)
+    grouped = substitute_terms(poly.terms, poly.alphabet.names(), images, tower.unit_chow())
     return grouped.get((), tower.zero_chow())
 
 
@@ -127,14 +83,14 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
     key = ("ct-partial", frozenset(tangent.line_terms.items()), m, current_mutation())
     if key not in tower._cache:
         numerator = universal_ct(m).numerator
-        tower._cache[key] = _substitute(
+        tower._cache[key] = substitute_terms(
             numerator.terms,
             numerator.alphabet.names(),
-            tower,
             _chern_images(tangent, m),
+            tower.unit_chow(),
             keep=sheaf_names,
         )
-    grouped = _substitute(tower._cache[key], sheaf_names, tower, sheaf)
+    grouped = substitute_terms(tower._cache[key], sheaf_names, sheaf, tower.unit_chow())
     return grouped.get((), tower.zero_chow())
 
 

@@ -11,6 +11,11 @@ line, ``<num>/<den> <var>^<exp> ...`` with variables in alphabet order and
 exponents always written; terms sorted ascending by (weighted degree, exponent
 vector).  The zero polynomial serializes to the empty string.
 
+substitute_terms is the one loop over the monomials of a universal
+polynomial, for every ring the package evaluates in: GradedPolynomial.substitute
+(formal root rings) and the tower evaluations of grrcheck.grr (Chow rings)
+both call it.
+
 The symmetric-function reduction implements the classical fundamental-theorem
 algorithm (lexicographic leading-term elimination).  Internally symmetric
 polynomials are stored per orbit, i.e. in the monomial-symmetric basis indexed
@@ -27,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .arith import InputError
 
@@ -273,61 +278,31 @@ class GradedPolynomial:
         """Substitute variables by polynomials (or scalars) over a target alphabet.
 
         Unmapped variables must exist by name in the target alphabet and map to
-        themselves.  The result is truncated to min over all inputs unless an
-        explicit bound is given.
+        themselves.  The bound is the given truncation, or else the minimum
+        over self and the images; it never exceeds a polynomial image's own
+        bound, and the result carries exactly this bound.
         """
-        bound = self.truncation if truncation is None else truncation
-        polys: dict[str, GradedPolynomial] = {}
-        for name, img in images.items():
-            if isinstance(img, GradedPolynomial):
-                polys[name] = img
-                bound = min(bound, img.truncation) if truncation is None else bound
+        polys = [img for img in images.values() if isinstance(img, GradedPolynomial)]
+        bound = min(
+            [self.truncation if truncation is None else truncation]
+            + [p.truncation for p in polys]
+        )
         if target is None:
-            some = next(iter(polys.values()), None)
-            if some is None:
+            if not polys:
                 raise InputError("cannot infer target alphabet from scalar-only substitution")
-            target = some.alphabet
-        for p in polys.values():
-            if p.alphabet != target:
-                raise InputError("substitution images live in different alphabets")
-
-        one = GradedPolynomial.constant(target, bound, 1)
-        var_images: list[GradedPolynomial | Fraction] = []
-        for name, _ in self.alphabet.variables:
+            target = polys[0].alphabet
+        if any(p.alphabet != target for p in polys):
+            raise InputError("substitution images live in different alphabets")
+        full: dict[str, GradedPolynomial | Scalar] = {}
+        for name in self.alphabet.names():
             if name in images:
                 img = images[name]
-                var_images.append(img.truncate(bound) if isinstance(img, GradedPolynomial) else Fraction(img))
             else:
-                var_images.append(GradedPolynomial.variable(target, bound, name))
-
-        power_cache: list[dict[int, GradedPolynomial]] = [dict() for _ in var_images]
-
-        def var_power(i: int, e: int) -> GradedPolynomial:
-            cached = power_cache[i].get(e)
-            if cached is None:
-                img = var_images[i]
-                assert isinstance(img, GradedPolynomial)
-                cached = img.power(e)
-                power_cache[i][e] = cached
-            return cached
-
-        total = GradedPolynomial.zero(target, bound)
-        for mono, coeff in self.terms.items():
-            acc = one
-            scalar = coeff
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                img = var_images[i]
-                if isinstance(img, Fraction):
-                    scalar *= img**e
-                    if scalar == 0:
-                        break
-                else:
-                    acc = acc * var_power(i, e)
-            else:
-                total = total + acc.scale(scalar)
-        return total
+                img = GradedPolynomial.variable(target, bound, name)
+            full[name] = img.truncate(bound) if isinstance(img, GradedPolynomial) else img
+        one = GradedPolynomial.constant(target, bound, 1)
+        grouped = substitute_terms(self.terms, self.alphabet.names(), full, one)
+        return grouped.get((), GradedPolynomial.zero(target, bound))
 
     def embed(self, target: Alphabet) -> "GradedPolynomial":
         """Reinterpret over a larger alphabet containing all current names (same weights)."""
@@ -392,6 +367,63 @@ class GradedPolynomial:
 
     def __repr__(self) -> str:
         return f"GradedPolynomial({self.pretty()})"
+
+
+# ---------------------------------------------------------------------------
+# the one substitution loop for universal polynomials
+# ---------------------------------------------------------------------------
+
+
+def substitute_terms(
+    terms: Mapping[Monomial, Any],
+    names: Sequence[str],
+    images: Mapping[str, Any],
+    one: Any,
+    keep: Sequence[str] = (),
+) -> dict[Monomial, Any]:
+    """Substitute ring elements and scalars for the variables of a term map.
+
+    This is the only loop over the monomials of a universal polynomial; it
+    serves GradedPolynomial.substitute and the tower evaluations of
+    grrcheck.grr alike.  A coefficient or an image is a scalar (int or
+    Fraction) or a ring element with *, +, .scale and .is_zero(); one is the
+    ring's unit.  Variables named in keep stay symbolic: the result maps
+    their exponent tuple (in keep order) to the ring element collected from
+    every monomial with those exponents, so with nothing kept the only key
+    is ().  Powers of each image are computed once per call.
+    """
+    kept = [names.index(name) for name in keep]
+    powers: dict[tuple[int, int], Any] = {}
+
+    def power(pos: int, e: int):
+        if e == 1:
+            return images[names[pos]]
+        if (pos, e) not in powers:
+            powers[pos, e] = power(pos, e - 1) * images[names[pos]]
+        return powers[pos, e]
+
+    grouped: dict[Monomial, Any] = {}
+    for mono, coeff in terms.items():
+        acc, scalar = (None, coeff) if isinstance(coeff, (int, Fraction)) else (coeff, 1)
+        for pos, e in enumerate(mono):
+            if not e or pos in kept:
+                continue
+            image = images[names[pos]]
+            if isinstance(image, (int, Fraction)):
+                scalar *= Fraction(image) ** e
+                if not scalar:
+                    break
+            else:
+                acc = power(pos, e) if acc is None else acc * power(pos, e)
+                if acc.is_zero():
+                    break
+        else:
+            value = one if acc is None else acc
+            if scalar != 1:
+                value = value.scale(scalar)
+            key = tuple(mono[pos] for pos in kept)
+            grouped[key] = grouped[key] + value if key in grouped else value
+    return grouped
 
 
 # ---------------------------------------------------------------------------

@@ -107,16 +107,8 @@ def poly_inverse(p: GradedPolynomial, bound: int | None = None) -> GradedPolynom
     if p.coefficient() != 1:
         raise InputError("poly_inverse needs constant term 1")
     bound = p.truncation if bound is None else bound
-    one = GradedPolynomial.constant(p.alphabet, bound, 1)
-    u = one - p.truncate(bound)
-    total = one
-    power = one
-    for _ in range(bound):
-        power = power * u
-        if power.is_zero():
-            break
-        total = total + power
-    return total
+    u = GradedPolynomial.constant(p.alphabet, bound, 1) - p.truncate(bound)
+    return apply_series([Fraction(1)] * (bound + 1), u)  # 1/(1-u) = sum u^k
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +405,14 @@ def todd_inverse_oracle(m: int, r: int) -> GradedPolynomial:
     return _multiplicative_series_oracle(todd_inverse_root_series(m - r), m - r, r)
 
 
-ORACLES = {
-    "todd": lambda uc: todd_series_oracle(uc.degree),
-    "ch": lambda uc: chern_character_oracle(uc.degree),
-    "ct": lambda uc: ct_oracle(uc.degree),
-    "q": lambda uc: q_oracle(uc.degree),
+# class kind -> (builder, power-sum oracle), both called with the class's
+# arguments: (degree,), or (degree, rank) for toddinv.  The lambdas look the
+# functions up by name at call time, so a rebinding of a module name (as the
+# benchmark's layer tracer does) is seen through the table as well.
+UNIVERSAL_CLASSES = {
+    "todd": (lambda *a: universal_todd(*a), lambda *a: todd_series_oracle(*a)),
+    "ch": (lambda *a: universal_chern_character(*a), lambda *a: chern_character_oracle(*a)),
+    "ct": (lambda *a: universal_ct(*a), lambda *a: ct_oracle(*a)),
+    "q": (lambda *a: q_poly(*a), lambda *a: q_oracle(*a)),
+    "toddinv": (lambda *a: todd_inverse_numerator(*a), lambda *a: todd_inverse_oracle(*a)),
 }

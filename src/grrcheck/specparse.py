@@ -361,36 +361,39 @@ def parse_divisor(text: str) -> DivisorExpr:
     return div
 
 
+def _divisor_vector(div: DivisorExpr, names: dict[str, int], n_levels: int) -> tuple[int, ...]:
+    """Coefficient vector of a divisor over n_levels levels; a name is an
+    alias, xi<k> for 1 <= k <= n_levels, or h (level 1)."""
+    vec = [0] * n_levels
+    for coeff, name in div.terms:
+        m = re.fullmatch(r"xi(\d+)", name)
+        if name in names:
+            level = names[name]
+        elif m and 1 <= int(m.group(1)) <= n_levels:
+            level = int(m.group(1))
+        elif name == "h" and n_levels >= 1:
+            level = 1
+        else:
+            raise ScopeError(name)
+        vec[level - 1] += coeff
+    return tuple(vec)
+
+
 @dataclass
 class GeometryScope:
     tower: Tower
     names: dict[str, int]  # symbol -> 1-based level
 
-    def resolve(self, name: str) -> int:
-        if name in self.names:
-            return self.names[name]
-        m = re.fullmatch(r"xi(\d+)", name)
-        if m and 1 <= int(m.group(1)) <= self.tower.n_levels:
-            return int(m.group(1))
-        if name == "h" and self.tower.n_levels >= 1:
-            return 1
-        raise ScopeError(name)
-
-    def divisor_vector(self, div: DivisorExpr, scope_levels: int | None = None) -> tuple[int, ...]:
-        limit = self.tower.n_levels if scope_levels is None else scope_levels
-        vec = [0] * limit
-        for coeff, name in div.terms:
-            level = self.resolve(name)
-            if level > limit:
-                raise ScopeError(
-                    f"{name} (level {level} is not below the level being defined)"
-                )
-            vec[level - 1] += coeff
-        return tuple(vec)
+    def divisor_vector(self, div: DivisorExpr) -> tuple[int, ...]:
+        return _divisor_vector(div, self.names, self.tower.n_levels)
 
 
 def build_geometry(ast: GeomAST) -> GeometryScope:
-    """Resolve the AST bottom-up into a tower and its name scope."""
+    """Resolve the AST bottom-up into a tower and its name scope.
+
+    The divisors of each level resolve against the levels below it (their
+    count and aliases), so the tower is built once, at the end.
+    """
     chain: list[GeomBundle] = []
     node = ast
     while isinstance(node, GeomBundle):
@@ -400,22 +403,17 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
 
     names: dict[str, int] = {}
     levels: list[list[tuple[int, ...]]] = []
-    partial = GeometryScope(build_tower([]), {})
-    for k, bundle_node in enumerate(chain, start=1):
+    for below, bundle_node in enumerate(chain):
         bundle = bundle_node.bundle
         if isinstance(bundle, TrivialBundle):
-            summands = [(0,) * (k - 1)] * bundle.count
+            levels.append([(0,) * below] * bundle.count)
         else:
-            summands = [
-                partial.divisor_vector(d, scope_levels=k - 1) for d in bundle.divisors
-            ]
-        levels.append(summands)
+            levels.append([_divisor_vector(d, names, below) for d in bundle.divisors])
         if bundle_node.alias:
             if bundle_node.alias in names:
                 raise InputError(f"alias {bundle_node.alias!r} bound twice")
-            names[bundle_node.alias] = k
-        partial = GeometryScope(build_tower(levels), dict(names))
-    return GeometryScope(partial.tower, names)
+            names[bundle_node.alias] = below + 1
+    return GeometryScope(build_tower(levels), names)
 
 
 def geometry_dim(ast: GeomAST) -> int:

@@ -45,15 +45,7 @@ from .grr import (
 )
 from .identities import IDENTITY_CHECKS, howe_claims, verify_series_identity
 from .report import FalsificationError, VerificationReport
-from .series import (
-    ORACLES,
-    q_poly,
-    todd_inverse_numerator,
-    todd_inverse_oracle,
-    universal_chern_character,
-    universal_ct,
-    universal_todd,
-)
+from .series import UNIVERSAL_CLASSES
 
 
 def _guard(identity: str, instance: str, thunk) -> list[VerificationReport]:
@@ -134,53 +126,36 @@ def suite_integrality(max_degree: int = 12) -> list[VerificationReport]:
     """Integer coefficients for every generated class family, agreement of the
     two generation routes, and exactness of every Todd-denominator ratio."""
     reports: list[VerificationReport] = []
+    top = max(max_degree - 2, 0)
     plans = [
-        ("todd", range(0, max_degree + 1), universal_todd),
-        ("ch", range(0, max_degree + 1), universal_chern_character),
-        ("ct", range(0, max(max_degree - 2, 0) + 1), universal_ct),
-        ("q", range(1, max(max_degree - 2, 0) + 1), q_poly),
+        ("todd", [(m,) for m in range(0, max_degree + 1)]),
+        ("ch", [(m,) for m in range(0, max_degree + 1)]),
+        ("ct", [(m,) for m in range(0, top + 1)]),
+        ("q", [(m,) for m in range(1, top + 1)]),
+        ("toddinv", [(m, r) for r in range(1, 5) for m in range(r, max(top, r) + 1)]),
     ]
-    for kind, degrees, builder in plans:
-        oracle = ORACLES[kind]
-        for m in degrees:
+    for kind, arg_lists in plans:
+        builder, oracle = UNIVERSAL_CLASSES[kind]
+        for args in arg_lists:
+            instance = f"degree {args[0]}" + "".join(f" rank {r}" for r in args[1:])
 
-            def run(kind=kind, m=m, builder=builder, oracle=oracle):
-                uc = builder(m)
+            def run(kind=kind, args=args, instance=instance, builder=builder, oracle=oracle):
+                uc = builder(*args)
                 rep_int = VerificationReport.compare(
                     f"integrality:{kind}",
-                    f"degree {m}",
+                    instance,
                     "integral" if uc.numerator.is_integral() else "non-integral",
                     "integral",
                 )
                 rep_agree = VerificationReport.compare(
                     f"route-agreement:{kind}",
-                    f"degree {m}",
+                    instance,
                     uc.numerator.serialize(),
-                    oracle(uc).scale(uc.scale).serialize(),
+                    oracle(*args).scale(uc.scale).serialize(),
                 )
                 return [rep_int, rep_agree]
 
-            reports.extend(_guard(f"integrality:{kind}", f"degree {m}", run))
-    for r in range(1, 5):
-        for m in range(r, max(max_degree - 2, r) + 1):
-
-            def run(m=m, r=r):
-                uc = todd_inverse_numerator(m, r)
-                rep_int = VerificationReport.compare(
-                    "integrality:toddinv",
-                    f"degree {m} rank {r}",
-                    "integral" if uc.numerator.is_integral() else "non-integral",
-                    "integral",
-                )
-                rep_agree = VerificationReport.compare(
-                    "route-agreement:toddinv",
-                    f"degree {m} rank {r}",
-                    uc.numerator.serialize(),
-                    todd_inverse_oracle(m, r).scale(uc.scale).serialize(),
-                )
-                return [rep_int, rep_agree]
-
-            reports.extend(_guard("integrality:toddinv", f"degree {m} rank {r}", run))
+            reports.extend(_guard(f"integrality:{kind}", instance, run))
 
     def scalars():
         bad: list[str] = []

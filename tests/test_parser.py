@@ -62,6 +62,28 @@ class TestGeometryParsing:
         with pytest.raises(ScopeError):
             build_geometry(parse_geometry("P([0, xi2]) over (P(trivial 2) over point)"))
 
+    def test_own_alias_not_in_scope(self):
+        with pytest.raises(ScopeError):
+            build_geometry(parse_geometry("P([0, y]) as y over (P(trivial 2) over point)"))
+
+    def test_three_levels_build_one_chain(self, monkeypatch):
+        from grrcheck.geometry import Tower
+
+        builds = []
+        original = Tower.__init__
+
+        def counting_init(self, levels):
+            builds.append(len(levels))
+            original(self, levels)
+
+        monkeypatch.setattr(Tower, "__init__", counting_init)
+        scope = build_geometry(
+            parse_geometry("P([0, xi2]) over (P([0, xi1]) over (P(trivial 2) over point))")
+        )
+        # the tower and its base chain, each built once
+        assert sorted(builds) == [0, 1, 2, 3]
+        assert scope.tower.levels[1:] == (((0,), (1,)), ((0, 0), (0, 1)))
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_geometry("point point")

@@ -114,6 +114,92 @@ class TestGradedPolynomial:
         assert "z" in r.alphabet
 
 
+def _random_polynomial(rng, alphabet, truncation, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        mono = tuple(rng.randint(0, 2) for _ in alphabet.variables)
+        terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return GradedPolynomial(alphabet, truncation, terms)
+
+
+def _naive_substitute(p, images, target, bound):
+    """Multiply out each monomial's images one factor at a time."""
+    total = GradedPolynomial.zero(target, bound)
+    for mono, coeff in p.terms.items():
+        acc = GradedPolynomial.constant(target, bound, coeff)
+        for (name, _), e in zip(p.alphabet.variables, mono):
+            if name in images:
+                image = images[name]
+            else:
+                image = GradedPolynomial.variable(target, bound, name)
+            for _ in range(e):
+                if isinstance(image, GradedPolynomial):
+                    acc = acc * image.truncate(bound)
+                else:
+                    acc = acc.scale(image)
+        total = total + acc
+    return total
+
+
+class TestSubstituteAgainstNaiveExpansion:
+    """GradedPolynomial.substitute against a factor-by-factor expansion, with
+    polynomial, int and Fraction (including zero) images, unmapped variables,
+    and given or inferred truncation bounds."""
+
+    SOURCE = Alphabet([("r", 0), ("a", 1), ("b", 2), ("c", 1)])
+    TARGET = Alphabet([("x", 1), ("y", 2), ("c", 1)])
+
+    def _random_image(self, rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-2, 2)
+        if kind == 1:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        return _random_polynomial(rng, self.TARGET, rng.randint(1, 6), rng.randint(0, 4))
+
+    def test_seeded_cases(self):
+        rng = random.Random(20261018)
+        checked = {"given": 0, "inferred": 0, "zero scalar": 0, "unmapped": 0}
+        for _ in range(300):
+            p = _random_polynomial(rng, self.SOURCE, rng.randint(0, 6), rng.randint(0, 6))
+            images = {"r": rng.choice([0, 1, -2, Fraction(3, 2)])}
+            images["a"] = self._random_image(rng)
+            images["b"] = self._random_image(rng)
+            if rng.random() < 0.7:
+                images["c"] = self._random_image(rng)
+            polys = [img for img in images.values() if isinstance(img, GradedPolynomial)]
+            if not polys or rng.random() < 0.5:
+                given = rng.randint(0, 7)
+                result = p.substitute(images, self.TARGET, truncation=given)
+                bound = min([given] + [q.truncation for q in polys])
+                checked["given"] += 1
+            else:
+                result = p.substitute(images)
+                bound = min([p.truncation] + [q.truncation for q in polys])
+                checked["inferred"] += 1
+            checked["zero scalar"] += any(img == 0 for img in images.values()
+                                          if not isinstance(img, GradedPolynomial))
+            checked["unmapped"] += "c" not in images
+            expected = _naive_substitute(p, images, self.TARGET, bound)
+            assert result.alphabet == self.TARGET
+            assert result.truncation == bound
+            assert result.terms == expected.terms
+        assert min(checked.values()) >= 30, checked
+
+    def test_scalar_only_needs_target(self):
+        p = GradedPolynomial(self.SOURCE, 3, {(1, 1, 0, 0): 2})
+        images = {"r": 2, "a": Fraction(1, 2), "b": 0}
+        with pytest.raises(InputError):
+            p.substitute(images)
+        assert p.substitute(images, self.TARGET).serialize() == "2/1"
+
+    def test_images_in_different_alphabets_rejected(self):
+        p = GradedPolynomial.variable(self.SOURCE, 3, "a")
+        other = GradedPolynomial.variable(root_alphabet("x", 1), 3, "x1")
+        with pytest.raises(InputError):
+            p.substitute({"a": other}, self.TARGET)
+
+
 class TestPartitions:
     def test_counts(self):
         assert len(partitions(8)) == 22
