@@ -21,7 +21,15 @@ Conventions (validated by the binomial oracle and the twist-vanishing checks):
 the bundle is the Proj of the symmetric algebra and the hyperplane class is
 the first Chern class of its tautological quotient line bundle.
 
-Towers are immutable after build; all class operations are pure, so one tower
+Chow classes have integer coefficients on that basis.  Each tower keeps the
+normal form of every product of two basis monomials it has been asked for, so
+a product of classes is a sum of table entries and never runs the rewrite
+loop; the table is filled lazily and skips pairs above the dimension, which
+vanish.  Sums, differences, scalings, graded parts, pushforwards and pullbacks
+keep normal form and build their results without a rewrite.
+
+Towers are immutable after build apart from their lazy caches, whose entries
+are functions of the tower alone; all class operations are pure, so one tower
 may be shared read-only by concurrent verification jobs.
 """
 
@@ -34,13 +42,13 @@ from math import prod
 from typing import Mapping, Sequence
 
 from .arith import InputError
-from .poly import Alphabet, GradedPolynomial, root_alphabet
+from .poly import Alphabet, GradedPolynomial, Monomial, Scalar, root_alphabet
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
 # One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
-# maps exponent offsets to coefficients; a term m rewrites to the terms
-# m + offset, so the offsets already subtract the exponent they replace.
-Rule = dict[tuple[int, ...], int | Fraction]
+# maps exponent offsets to integer coefficients; a term m rewrites to the
+# terms m + offset, so the offsets already subtract the exponent they replace.
+Rule = dict[Monomial, int]
 
 
 def _padded(rule: Rule) -> Rule:
@@ -65,6 +73,10 @@ class Tower:
         self.dim: int = sum(self.ranks)
         self.alphabet = Alphabet([(f"xi{k + 1}", 1) for k in range(self.n_levels)])
         self._cache: dict = {}
+        # normal form of the product of two basis monomials, filled by __mul__
+        self._products: dict[tuple[Monomial, Monomial], dict[Monomial, int]] = {}
+        self._zero = ChowClass._normal(self, {})
+        self._unit = ChowClass._normal(self, {(0,) * self.n_levels: 1})
         # per level (above, below) rules; the Chow ring has no negative exponents
         self._chow_rules: list[tuple[Rule, Rule]] = []
         self._k_rules: list[tuple[Rule, Rule]] = []
@@ -116,10 +128,10 @@ class Tower:
 
     def _normal_form(
         self,
-        terms: Mapping[tuple[int, ...], int | Fraction],
+        terms: Mapping[Monomial, Scalar],
         rules: Sequence[tuple[Rule, Rule]],
         levels: Sequence[int] | None = None,
-    ) -> dict[tuple[int, ...], int | Fraction]:
+    ) -> dict[Monomial, Scalar]:
         """Rewrite every exponent of the given levels (default all, top first)
         into [0, r_k] with the (above, below) rules of each level."""
         out = {m: c for m, c in terms.items() if c}
@@ -154,10 +166,10 @@ class Tower:
         return tower
 
     def zero_chow(self) -> "ChowClass":
-        return ChowClass(self, {})
+        return self._zero
 
     def unit_chow(self) -> "ChowClass":
-        return ChowClass(self, {(0,) * self.n_levels: Fraction(1)})
+        return self._unit
 
     def hyperplane(self, k: int) -> "ChowClass":
         """The class of the level-k hyperplane (1-based)."""
@@ -165,13 +177,13 @@ class Tower:
 
     def divisor_chow(self, vec: DivisorVector) -> "ChowClass":
         vec = self._pad(tuple(vec))
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[Monomial, int] = {}
         for kpos, c in enumerate(vec):
             if c:
                 mono = [0] * self.n_levels
                 mono[kpos] = 1
-                out[tuple(mono)] = Fraction(c)
-        return ChowClass(self, out)
+                out[tuple(mono)] = c
+        return ChowClass(self, out)  # reduced: xi = D on a rank-0 level
 
     def line(self, vec: DivisorVector) -> "KClass":
         return KClass(self, {self._pad(tuple(vec)): 1})
@@ -217,53 +229,100 @@ def projective_space(n: int) -> Tower:
     return Tower([[()] * (n + 1)])
 
 
+def _exact(c: Scalar) -> Scalar:
+    """An integral Fraction as an int; any other scalar unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class ChowClass:
-    """An integer (or, transiently, rational) cycle class in normal form."""
+    """A cycle class on a tower: a sparse vector on the monomial basis
+    prod xi_k^{a_k}, 0 <= a_k <= r_k, keyed by the exponent tuple, with no
+    zero coefficients.
+
+    Coefficients are ints.  A Fraction occurs only where a value is not an
+    integer: the rational series parts that rational_grr_cross_check
+    evaluates, or a universal polynomial carrying a Fraction mutation delta;
+    a Fraction scalar with denominator 1 enters as an int.
+
+    ChowClass(tower, terms) reduces raw terms with the Chow relations.  Every
+    other result is built by _normal from terms already in normal form: the
+    linear operations and the push and pull maps preserve it, and a product
+    sums c_a * c_b times the tower's table entry for each pair of basis
+    monomials (computed on first use, skipped above the dimension).
+    """
 
     __slots__ = ("tower", "terms")
 
-    def __init__(self, tower: Tower, terms: Mapping[tuple[int, ...], Fraction | int]):
+    def __init__(self, tower: Tower, terms: Mapping[Monomial, Scalar]):
         self.tower = tower
-        self.terms: dict[tuple[int, ...], Fraction] = tower._normal_form(
-            {m: Fraction(c) for m, c in terms.items()}, tower._chow_rules
+        self.terms: dict[Monomial, Scalar] = tower._normal_form(
+            {m: _exact(c) for m, c in terms.items()}, tower._chow_rules
         )
+
+    @classmethod
+    def _normal(cls, tower: Tower, terms: dict[Monomial, Scalar]) -> "ChowClass":
+        """The class with the given terms, already in normal form without zeros."""
+        alpha = object.__new__(cls)
+        alpha.tower = tower
+        alpha.terms = terms
+        return alpha
 
     def _check(self, other: "ChowClass") -> None:
         if self.tower is not other.tower:
             raise InputError("classes live on different towers")
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
+    def _combine(self, other: "ChowClass", sign: int) -> "ChowClass":
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return ChowClass(self.tower, out)
+            val = out.get(m, 0) + sign * c
+            if val:
+                out[m] = val
+            else:
+                del out[m]
+        return ChowClass._normal(self.tower, out)
+
+    def __add__(self, other: "ChowClass") -> "ChowClass":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return ChowClass(self.tower, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ChowClass":
         return self.scale(-1)
 
-    def scale(self, r: int | Fraction) -> "ChowClass":
-        r = Fraction(r)
-        return ChowClass(self.tower, {m: c * r for m, c in self.terms.items()})
+    def scale(self, r: Scalar) -> "ChowClass":
+        r = _exact(r)
+        if not r:
+            return self.tower.zero_chow()
+        return ChowClass._normal(self.tower, {m: c * r for m, c in self.terms.items()})
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        tower = self.tower
+        if not self.terms or not other.terms:
+            return tower.zero_chow()  # zero images are common in substitutions
+        table = tower._products
+        dim = tower.dim
+        right = [(mb, cb, sum(mb)) for mb, cb in other.terms.items()]
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ma, mb))
-                out[key] = out.get(key, 0) + ca * cb
-        return ChowClass(self.tower, out)
+            room = dim - sum(ma)
+            for mb, cb, degree in right:
+                if degree > room:
+                    continue  # above the dimension: the product vanishes
+                entry = table.get((ma, mb))
+                if entry is None:
+                    raw = {tuple(x + y for x, y in zip(ma, mb)): 1}
+                    entry = table[ma, mb] = tower._normal_form(raw, tower._chow_rules)
+                c = ca * cb
+                for m, t in entry.items():
+                    out[m] = get(m, 0) + c * t
+        return ChowClass._normal(tower, {m: c for m, c in out.items() if c})
 
     def graded_part(self, m: int) -> "ChowClass":
-        return ChowClass(
+        return ChowClass._normal(
             self.tower, {mono: c for mono, c in self.terms.items() if sum(mono) == m}
         )
 
@@ -299,15 +358,17 @@ def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
     terms = alpha.terms
     current = tower
     for _ in range(n_collapse):
+        # the top exponent at r_k is the fiber's point class; the rest of the
+        # monomial is a basis monomial of the base
         k = current.n_levels - 1
         r = current.ranks[k]
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        nxt: dict[Monomial, Scalar] = {}
         for mono, c in terms.items():
             if mono[k] == r:
                 nxt[mono[:k]] = nxt.get(mono[:k], 0) + c
         current = current.base
-        terms = nxt
-    return ChowClass(current, terms)
+        terms = {m: c for m, c in nxt.items() if c}
+    return ChowClass._normal(current, terms)
 
 
 def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
@@ -316,7 +377,7 @@ def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
     if tower.prefix(k) is not alpha.tower and tower.prefix(k).levels != alpha.tower.levels:
         raise InputError("source is not a prefix of the target tower")
     pad = tower.n_levels - k
-    return ChowClass(tower, {m + (0,) * pad: c for m, c in alpha.terms.items()})
+    return ChowClass._normal(tower, {m + (0,) * pad: c for m, c in alpha.terms.items()})
 
 
 class KClass:

@@ -12,7 +12,9 @@ images and the tower's unit class as one, in a formal fibration through
 GradedPolynomial.substitute.  The combined class with the tangent Chern
 classes substituted is cached per (tower, tangent, degree, active mutation),
 so suite runs stay fast and a mutated class never meets a clean one (see
-grrcheck.series.set_mutation).
+grrcheck.series.set_mutation).  One main-theorem instance pushes its sheaf
+forward once and builds the Chern images of the sheaf and of its pushforward
+once, for all three of its checks.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from .series import (
 
 def _chern_images(f: KClass, upto: int, prefix: str = "c") -> dict[str, ChowClass]:
     """{prefix1: c_1(f), ..., prefix<upto>: c_upto(f)}."""
+    if upto < 1:
+        return {}  # no total Chern class to build (e.g. every n = 0 instance)
     total = f.total_chern()
     return {f"{prefix}{i}": total.graded_part(i) for i in range(1, upto + 1)}
 
@@ -129,91 +133,93 @@ def _source_relative_tangent(f: MorphismDatum) -> KClass:
     return f.source.tangent_class() - pullback_k(f.target.tangent_class(), f.ambient)
 
 
-def _source_ct(f: MorphismDatum, F: KClass, m: int, relative: bool) -> ChowClass:
+def _source_ct(
+    f: MorphismDatum, source: Mapping[str, ChowClass | int], m: int, relative: bool
+) -> ChowClass:
     """ct_m(F, source) pushed into the ambient ring (times the cut product for
-    a cut-out source), using the absolute or fiberwise tangent."""
+    a cut-out source), using the absolute or fiberwise tangent; source holds
+    F's ambient sheaf images up to degree at least m."""
     tangent = _source_relative_tangent(f) if relative else f.source.tangent_class()
-    value = ct_on_tower(f.ambient, tangent, _sheaf_images(F, m), m)
+    value = ct_on_tower(f.ambient, tangent, source, m)
     if isinstance(f.source, VirtualCompleteIntersection):
         value = value * f.source.cut_product()
     return value
-
-
-def _k_pushforward(f: MorphismDatum, F: KClass) -> KClass:
-    ambient_class = (
-        F if isinstance(f.source, Tower) else f.source.koszul_class(F)
-    )
-    return pushforward_k(ambient_class, f.ambient.n_levels - f.base_levels)
 
 
 def _chow_pushforward(f: MorphismDatum, alpha: ChowClass) -> ChowClass:
     return pushforward_chow(alpha, f.ambient.n_levels - f.base_levels)
 
 
-def grr_error(f: MorphismDatum, F: KClass, n: int) -> tuple[ChowClass, ChowClass]:
+def _instance_images(
+    f: MorphismDatum, F: KClass, n: int
+) -> tuple[dict[str, ChowClass | int], dict[str, ChowClass | int]]:
+    """The sheaf images every side of one main-theorem instance reads, built
+    once: (pushed, source) with pushed those of f_*[F] on the target up to
+    degree n and source those of F on the ambient up to degree d+n."""
+    if n < 0:
+        raise InputError("codimension must be >= 0")
+    ambient_class = F if isinstance(f.source, Tower) else f.source.koszul_class(F)
+    pushed = pushforward_k(ambient_class, f.ambient.n_levels - f.base_levels)
+    return _sheaf_images(pushed, n), _sheaf_images(F, max(f.relative_dimension + n, 0))
+
+
+def grr_error(
+    f: MorphismDatum, n: int, pushed: Mapping, source: Mapping
+) -> tuple[ChowClass, ChowClass]:
     """Both sides of the integral Riemann-Roch identity in codimension n of
-    the target; the error is lhs - rhs and the theorem asserts it vanishes.
+    the target, from the images of _instance_images; the error is lhs - rhs
+    and the theorem asserts it vanishes.
 
     d >= 0: (T_{d+n}/T_n) ct_n(f_*[F], S)  vs  f_*(ct_{d+n}(F, X))
     d <  0:            ct_n(f_*[F], S)     vs  (T_n/T_{n+d}) f_*(ct_{n+d}(F, X))
     """
-    if n < 0:
-        raise InputError("codimension must be >= 0")
     d = f.relative_dimension
     target = f.target
-    pushed = _k_pushforward(f, F)
-    lhs = ct_on_tower(target, target.tangent_class(), _sheaf_images(pushed, n), n)
+    lhs = ct_on_tower(target, target.tangent_class(), pushed, n)
     if d >= 0:
         scalar = exact_ratio(
             todd_denominator(d + n).value, todd_denominator(n).value
         )
         lhs = lhs.scale(scalar)
-        rhs = _chow_pushforward(f, _source_ct(f, F, d + n, relative=False))
+        rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=False))
+    elif n + d < 0:
+        rhs = target.zero_chow()
     else:
-        if n + d < 0:
-            rhs = target.zero_chow()
-        else:
-            scalar = exact_ratio(
-                todd_denominator(n).value, todd_denominator(n + d).value
-            )
-            rhs = _chow_pushforward(f, _source_ct(f, F, n + d, relative=False)).scale(
-                scalar
-            )
+        scalar = exact_ratio(
+            todd_denominator(n).value, todd_denominator(n + d).value
+        )
+        rhs = _chow_pushforward(f, _source_ct(f, source, n + d, relative=False)).scale(
+            scalar
+        )
     return lhs, rhs
 
 
-def corollary_sides(f: MorphismDatum, F: KClass, n: int) -> tuple[ChowClass, ChowClass]:
+def corollary_sides(
+    f: MorphismDatum, n: int, pushed: Mapping, source: Mapping
+) -> tuple[ChowClass, ChowClass]:
     """(T_{d+n}/n!) s_n(f_*[F])  vs  f_*(ct_{d+n}(F, X/S)) with the fiberwise
-    tangent difference (relative-dimension >= 0 form)."""
+    tangent difference (relative-dimension >= 0 form), from the images of
+    _instance_images."""
     d = f.relative_dimension
     if d < 0:
         raise InputError("the corollary form needs relative dimension >= 0")
-    target = f.target
-    pushed = _k_pushforward(f, F)
     scalar = exact_ratio(todd_denominator(d + n).value, factorial(n))
     s_n = universal_chern_character(n)
-    lhs = evaluate_universal(s_n.numerator, target, _sheaf_images(pushed, n)).scale(
-        scalar
-    )
-    rhs = _chow_pushforward(f, _source_ct(f, F, d + n, relative=True))
+    lhs = evaluate_universal(s_n.numerator, f.target, pushed).scale(scalar)
+    rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=True))
     return lhs, rhs
 
 
-def decomposition_sides(
-    f: MorphismDatum, F: KClass, n: int
-) -> tuple[ChowClass, ChowClass]:
-    """Target-side regrouping that links the two statement shapes:
-    (T_{d+n}/T_n) ct_n(f_*F, S) = sum_j [T_{d+n}/(T_{d+n-j} T_j)] *
-    [(T_{d+n-j}/(n-j)!) s_{n-j}(f_*F)] * Td-numerator_j(T_S)."""
+def decomposition_rhs(
+    f: MorphismDatum, n: int, pushed: Mapping, tangent_chern: Mapping
+) -> ChowClass:
+    """Target-side regrouping that links the two statement shapes: the main
+    theorem's left side (T_{d+n}/T_n) ct_n(f_*F, S) equals
+    sum_j [T_{d+n}/(T_{d+n-j} T_j)] * [(T_{d+n-j}/(n-j)!) s_{n-j}(f_*F)] *
+    Td-numerator_j(T_S), with pushed from _instance_images and tangent_chern
+    the Chern images of T_S up to degree n."""
     d = f.relative_dimension
     target = f.target
-    pushed = _k_pushforward(f, F)
-    pushed_images = _sheaf_images(pushed, n)
-    t_tangent = target.tangent_class()
-    lhs = ct_on_tower(target, t_tangent, pushed_images, n).scale(
-        exact_ratio(todd_denominator(d + n).value, todd_denominator(n).value)
-    )
-    tangent_chern = _chern_images(t_tangent, n)
     rhs = target.zero_chow()
     for j in range(n + 1):
         outer = exact_ratio(
@@ -222,39 +228,42 @@ def decomposition_sides(
         )
         inner = exact_ratio(todd_denominator(d + n - j).value, factorial(n - j))
         s_part = evaluate_universal(
-            universal_chern_character(n - j).numerator, target, pushed_images
+            universal_chern_character(n - j).numerator, target, pushed
         )
         td_part = evaluate_universal(
             universal_todd(j).numerator, target, tangent_chern
         )
         rhs = rhs + (s_part * td_part).scale(outer * inner)
-    return lhs, rhs
+    return rhs
 
 
 def check_main_theorem(
     f: MorphismDatum, F: KClass, n: int, sheaf_label: str = ""
 ) -> list[VerificationReport]:
     """The main identity, the numerator-corollary form (when applicable), and
-    the scalar regrouping that connects them, on one geometry instance."""
+    the scalar regrouping that connects them, on one geometry instance.
+
+    f_*[F] and the Chern images of F, f_*[F] and the target tangent are built
+    once here and shared by the three checks."""
+    pushed, source = _instance_images(f, F, n)
     instance = f"{f.describe()}/sheaf={sheaf_label or F.line_terms}/n={n}"
-    reports = []
-    lhs, rhs = grr_error(f, F, n)
-    reports.append(
-        VerificationReport.compare(
-            "main-theorem", instance, lhs.serialize(), rhs.serialize()
-        )
-    )
+    lhs, rhs = grr_error(f, n, pushed, source)
+    lhs_text = lhs.serialize()
+    reports = [
+        VerificationReport.compare("main-theorem", instance, lhs_text, rhs.serialize())
+    ]
     if f.relative_dimension >= 0:
-        cl, cr = corollary_sides(f, F, n)
+        cl, cr = corollary_sides(f, n, pushed, source)
         reports.append(
             VerificationReport.compare(
                 "main-theorem-corollary", instance, cl.serialize(), cr.serialize()
             )
         )
-        dl, dr = decomposition_sides(f, F, n)
+        tangent_chern = _chern_images(f.target.tangent_class(), n)
+        dr = decomposition_rhs(f, n, pushed, tangent_chern)
         reports.append(
             VerificationReport.compare(
-                "main-theorem-decomposition", instance, dl.serialize(), dr.serialize()
+                "main-theorem-decomposition", instance, lhs_text, dr.serialize()
             )
         )
     return reports
@@ -664,10 +673,10 @@ def check_surface_det_identity(m: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def chow_degree(alpha: ChowClass) -> Fraction:
+def chow_degree(alpha: ChowClass) -> int | Fraction:
     """Pushforward of a class on the full tower to the point."""
     collapsed = pushforward_chow(alpha, alpha.tower.n_levels)
-    return collapsed.terms.get((), Fraction(0))
+    return collapsed.terms.get((), 0)
 
 
 def euler_characteristic_via_chow(tower: Tower, F: KClass) -> Fraction:
@@ -678,7 +687,7 @@ def euler_characteristic_via_chow(tower: Tower, F: KClass) -> Fraction:
     top = ct_on_tower(
         tower, tower.tangent_class(), _sheaf_images(F, tower.dim), tower.dim
     )
-    return chow_degree(top) / todd_denominator(tower.dim).value
+    return Fraction(chow_degree(top), todd_denominator(tower.dim).value)
 
 
 def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
@@ -694,18 +703,14 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
     if isinstance(f.source, VirtualCompleteIntersection):
         raise InputError("rational cross-check implemented for tower sources")
     target = f.target
-    pushed = _k_pushforward(f, F)
-    lhs = evaluate_universal(
-        universal_chern_character(n).series_part, target, _sheaf_images(pushed, n)
-    )
+    pushed, source = _instance_images(f, F, n)
+    lhs = evaluate_universal(universal_chern_character(n).series_part, target, pushed)
     ambient = f.ambient
     rel_tangent = _source_relative_tangent(f)
     td_rel_chern = _chern_images(rel_tangent, d + n)
     total = ambient.zero_chow()
     for j in range(d + n + 1):
-        ch_j = evaluate_universal(
-            universal_chern_character(j).series_part, ambient, _sheaf_images(F, j)
-        )
+        ch_j = evaluate_universal(universal_chern_character(j).series_part, ambient, source)
         td_j = evaluate_universal(
             universal_todd(d + n - j).series_part, ambient, td_rel_chern
         )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -17,6 +18,8 @@ from grrcheck.series import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+# the benchmark's recorded reference outputs, read only
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 class TestGoldenSerializations:
@@ -316,3 +319,7 @@ class TestVerifyAll:
         assert code == 0
         assert first == second
         assert len(first.splitlines()) > 1000
+        # the stream is byte-identical to the recorded `grrcheck verify all`
+        recorded = json.loads(REFERENCE.read_text())["baseline"]["verify_all"]
+        assert first.count("\n") == recorded["reports"]
+        assert hashlib.sha256(first.encode()).hexdigest() == recorded["sha256"]

@@ -18,6 +18,7 @@ from grrcheck.geometry import (
     pushforward_chow,
     pushforward_k,
 )
+from grrcheck.suites import MODEL_TOWERS
 
 
 def hirzebruch(twist: int = 1) -> Tower:
@@ -124,6 +125,63 @@ class TestNormalForm:
                     raw[mono] = Fraction(rng.randint(-4, 4))
             expected = ChowClass(t, raw).terms
             assert alt_reduce(raw) == expected
+
+
+def scalar_types(alpha: ChowClass) -> set:
+    return {type(c) for c in alpha.terms.values()}
+
+
+class TestProductTable:
+    # the catalogue towers, plus one with a rank-0 level (xi2 = h) under a
+    # twisted level
+    TOWERS = [levels for _, levels, _ in MODEL_TOWERS] + [
+        [[(), (), ()], [(1,)], [(2, -1), (0, 1), (1, 1)]],
+    ]
+
+    @staticmethod
+    def random_terms(rng, t):
+        # exponents up to two past each rank, so raw terms need the rewrite
+        # and products reach degrees above the dimension
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            mono = tuple(rng.randint(0, r + 2) for r in t.ranks)
+            terms[mono] = rng.choice(
+                [rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))]
+            )
+        return terms
+
+    @pytest.mark.parametrize("levels", TOWERS, ids=str)
+    def test_table_product_matches_rewrite_of_naive_product(self, levels):
+        rng = random.Random(f"product-table:{levels}")
+        t = build_tower(levels)
+        for _ in range(30):
+            a = ChowClass(t, self.random_terms(rng, t))
+            b = ChowClass(t, self.random_terms(rng, t))
+            naive = {}
+            for ma, ca in a.terms.items():
+                for mb, cb in b.terms.items():
+                    key = tuple(x + y for x, y in zip(ma, mb))
+                    naive[key] = naive.get(key, 0) + ca * cb
+            assert a * b == ChowClass(t, naive)
+        assert all(sum(ma) + sum(mb) <= t.dim for ma, mb in t._products)
+
+    def test_integer_classes_stay_integer(self):
+        t = build_tower(self.TOWERS[-1])
+        x = t.hyperplane(1).scale(Fraction(3)) - t.hyperplane(3)
+        for alpha in (x * x, x.scale(-2), x + x, pushforward_chow(x * x * x, 1)):
+            assert scalar_types(alpha) <= {int}, alpha
+        half = x.scale(Fraction(1, 2))
+        assert scalar_types(half * x) <= {int, Fraction}
+        assert (half * x.scale(2)) == x * x
+
+    def test_unit_is_built_once(self):
+        t = build_tower(self.TOWERS[-1])
+        assert t.unit_chow() is t.unit_chow()
+        assert t.zero_chow() is t.zero_chow()
+        x = t.hyperplane(2) * t.hyperplane(3) - t.hyperplane(1).scale(4)
+        assert t.unit_chow() * x == x == x * t.unit_chow()
+        assert (t.zero_chow() * x).is_zero()
+        assert t.unit_chow().terms == {(0, 0, 0): 1}
 
 
 class TestPushPull:
