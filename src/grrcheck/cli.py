@@ -3,10 +3,13 @@
 Exit codes: 0 all checks pass, 1 at least one identity falsified, 2 usage or
 input error (including a flag the chosen suite does not read), 3 stdout closed
 before the output was written (e.g. piped into ``head``) or an internal
-invariant failed.  ``verify`` emits one JSON object per report, ordered by
+invariant failed, 130 interrupted (SIGINT; one ``interrupted`` line on
+stderr).  ``verify`` emits one JSON object per report, ordered by
 (identity, instance); the stream is byte-identical across runs unless
---timing is given (timing is the only nondeterministic field).  ``gen``
-prints text by default and a JSON object with --json.
+--timing is given (timing is the only nondeterministic field: each report's
+millis is the wall time of the check that produced it, stamped on its first
+report, with 0 on the others).  ``gen`` prints text by default and a JSON
+object with --json.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from fractions import Fraction
 
 from .arith import (
@@ -28,7 +30,7 @@ from .arith import (
 from .geometry import VirtualCompleteIntersection
 from .grr import MorphismDatum, check_main_theorem
 from .identities import IDENTITY_CHECKS, verify_series_identity
-from .report import FalsificationError, VerificationReport
+from .report import FalsificationError, VerificationReport, timed
 from .series import UNIVERSAL_CLASSES, Mutation, set_mutation
 from .specparse import (
     ParseError,
@@ -40,7 +42,7 @@ from .specparse import (
     parse_divisor,
     parse_geometry,
 )
-from .suites import SUITES, suite_all
+from .suites import SUITES, _guard, suite_all
 
 DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_DIM = 6
@@ -214,7 +216,7 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     n_values = [args.n] if args.n is not None else list(range(0, 4))
     reports: list[VerificationReport] = []
     for n in n_values:
-        reports.extend(check_main_theorem(morphism, sheaf, n, sheaf_text))
+        reports.extend(timed(lambda n=n: check_main_theorem(morphism, sheaf, n, sheaf_text)))
     return reports
 
 
@@ -247,7 +249,6 @@ def cmd_verify(args) -> int:
     if args.mutate:
         set_mutation(_parse_mutation(args.mutate))
     try:
-        started = time.monotonic()
         if args.suite == "all":
             reports = suite_all()
         elif args.suite == "main-theorem" and args.geometry is not None:
@@ -257,22 +258,13 @@ def cmd_verify(args) -> int:
             reports = suite() if args.max_degree is None else suite(args.max_degree)
         else:
             max_degree = args.max_degree if args.max_degree is not None else 8
-            try:
-                reports = [verify_series_identity(args.suite, max_degree)]
-            except FalsificationError as exc:
-                reports = [
-                    VerificationReport.failure(
-                        exc.identity or args.suite, exc.instance, str(exc)
-                    )
-                ]
-        elapsed_ms = int((time.monotonic() - started) * 1000)
+            reports = _guard(
+                args.suite, "", lambda: verify_series_identity(args.suite, max_degree)
+            )
     finally:
         set_mutation(None)
 
     reports.sort(key=lambda r: (r.identity, r.instance))
-    if args.timing and reports:
-        # per-run wall time attributed to the stream's last report
-        reports[-1].millis = elapsed_ms
     failed = False
     for rep in reports:
         print(rep.to_json(timing=args.timing))
@@ -317,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass  # a stream without a descriptor holds nothing to flush at exit
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

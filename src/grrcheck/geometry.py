@@ -36,13 +36,12 @@ may be shared read-only by concurrent verification jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import prod
 from typing import Mapping, Sequence
 
 from .arith import InputError
-from .poly import Alphabet, GradedPolynomial, Monomial, Scalar, root_alphabet
+from .poly import Alphabet, GradedPolynomial, Monomial, Scalar, _exact, root_alphabet
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
 # One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
@@ -227,11 +226,6 @@ def projective_space(n: int) -> Tower:
     if n == 0:
         return Tower([])
     return Tower([[()] * (n + 1)])
-
-
-def _exact(c: Scalar) -> Scalar:
-    """An integral Fraction as an int; any other scalar unchanged."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class ChowClass:

@@ -1,10 +1,20 @@
-"""Sparse graded polynomials over exact rationals, with symmetric reduction.
+"""Sparse graded polynomials with exact coefficients, with symmetric reduction.
 
-A GradedPolynomial is a sparse map from exponent vectors to Fractions over a
-weighted Alphabet, carrying a hard truncation bound: terms of weighted degree
+A GradedPolynomial is a sparse map from exponent vectors to exact scalars over
+a weighted Alphabet, carrying a hard truncation bound: terms of weighted degree
 above the bound are identically discarded, and all arithmetic agrees with
 untruncated arithmetic in degrees <= the bound.  Mixing two polynomials
 truncates to the minimum of their bounds, never extends.
+
+A stored coefficient is never zero and never a float: it is an int when it is
+integral and a Fraction otherwise (_exact normalises a result, and the Chow
+ring of grrcheck.geometry shares it), so the integral numerators the theory
+predicts are computed in int arithmetic.  Each Alphabet memoises the weighted
+degree of every monomial it meets, so a degree is computed once.  A product
+groups the right factor's terms by degree, ascending, and meets each left term
+only with the groups that fit under the bound.  Results of the ring operations
+are built by GradedPolynomial._normal from terms already clean; the public
+constructor checks and normalises arbitrary input.
 
 Canonical text serialization (bit-exact, used for golden files): one term per
 line, ``<num>/<den> <var>^<exp> ...`` with variables in alphabet order and
@@ -22,9 +32,9 @@ polynomials are stored per orbit, i.e. in the monomial-symmetric basis indexed
 by partitions; that is a representation choice only, the elimination order and
 certificates are the classical ones.
 
-Polynomials are immutable after construction; the expansion memo tables are
-insert-only maps of immutable values (safe to share across threads in
-CPython, or keep per task).
+Polynomials are immutable after construction and may share their term dicts;
+the expansion memo tables and the degree memos are insert-only maps of
+immutable values (safe to share across threads in CPython, or keep per task).
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add, mul, sub
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .arith import InputError
@@ -40,6 +51,30 @@ Monomial = tuple[int, ...]
 Partition = tuple[int, ...]  # weakly decreasing positive integers
 
 Scalar = int | Fraction
+
+
+def _exact(c: Scalar) -> Scalar:
+    """An integral Fraction as an int; any other scalar unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _scalar(c) -> Scalar:
+    """Any exact number as a stored coefficient: int when integral, else Fraction."""
+    return c if type(c) is int else _exact(Fraction(c))
+
+
+class _Degrees(dict):
+    """Monomial -> weighted degree for one weight vector, each computed once."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: tuple[int, ...]):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, mono: Monomial) -> int:
+        degree = self[mono] = sum(map(mul, mono, self.weights))
+        return degree
 
 
 class SymmetryError(ValueError):
@@ -53,7 +88,7 @@ class SymmetryError(ValueError):
 class Alphabet:
     """Ordered list of uniquely named variables with non-negative integer weights."""
 
-    __slots__ = ("variables", "weights", "_index")
+    __slots__ = ("variables", "weights", "degrees", "_index")
 
     def __init__(self, variables: Iterable[tuple[str, int]]):
         self.variables: tuple[tuple[str, int], ...] = tuple((str(n), int(w)) for n, w in variables)
@@ -63,6 +98,7 @@ class Alphabet:
         if any(w < 0 for _, w in self.variables):
             raise InputError("variable weights must be >= 0")
         self.weights: tuple[int, ...] = tuple(w for _, w in self.variables)
+        self.degrees = _Degrees(self.weights)
         self._index: dict[str, int] = {n: i for i, (n, _) in enumerate(self.variables)}
 
     def index(self, name: str) -> int:
@@ -120,20 +156,29 @@ class GradedPolynomial:
             raise InputError("truncation bound must be >= 0")
         self.alphabet = alphabet
         self.truncation = truncation
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
-            weights = alphabet.weights
-            nvars = len(weights)
+            degrees = alphabet.degrees
+            nvars = len(alphabet.weights)
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
                     raise InputError(f"monomial {mono} has wrong arity for {alphabet!r}")
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                if sum(e * w for e, w in zip(mono, weights)) > truncation:
-                    continue
-                clean[mono] = c
+                c = _scalar(coeff)
+                if c and degrees[mono] <= truncation:
+                    clean[mono] = c
         self.terms = clean
+
+    @classmethod
+    def _normal(
+        cls, alphabet: Alphabet, truncation: int, terms: dict[Monomial, Scalar]
+    ) -> "GradedPolynomial":
+        """The polynomial with the given terms, already clean: in the bound,
+        non-zero and normalised.  The dict is taken over, not copied."""
+        p = object.__new__(cls)
+        p.alphabet = alphabet
+        p.truncation = truncation
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -143,18 +188,18 @@ class GradedPolynomial:
 
     @classmethod
     def constant(cls, alphabet: Alphabet, truncation: int, value: Scalar) -> "GradedPolynomial":
-        return cls(alphabet, truncation, {(0,) * len(alphabet): Fraction(value)})
+        return cls(alphabet, truncation, {(0,) * len(alphabet): value})
 
     @classmethod
     def variable(cls, alphabet: Alphabet, truncation: int, name: str) -> "GradedPolynomial":
         mono = [0] * len(alphabet)
         mono[alphabet.index(name)] = 1
-        return cls(alphabet, truncation, {tuple(mono): Fraction(1)})
+        return cls(alphabet, truncation, {tuple(mono): 1})
 
     # -- basic queries -------------------------------------------------
 
     def degree_of(self, mono: Monomial) -> int:
-        return sum(e * w for e, w in zip(mono, self.alphabet.weights))
+        return self.alphabet.degrees[mono]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -165,17 +210,18 @@ class GradedPolynomial:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def coefficient(self, **exps: int) -> Fraction:
+    def coefficient(self, **exps: int) -> Scalar:
         """Coefficient of the monomial given by keyword exponents (others 0)."""
         mono = [0] * len(self.alphabet)
         for name, e in exps.items():
             mono[self.alphabet.index(name)] = e
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(tuple(mono), 0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (self.degree_of(kv[0]), kv[0]))
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+        degrees = self.alphabet.degrees
+        return sorted(self.terms.items(), key=lambda kv: (degrees[kv[0]], kv[0]))
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self.terms.items())
 
     def __bool__(self) -> bool:
@@ -193,47 +239,64 @@ class GradedPolynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other: "GradedPolynomial") -> int:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise InputError("alphabet mismatch")
         return min(self.truncation, other.truncation)
 
-    def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+    def _linear(self, other: "GradedPolynomial", op) -> "GradedPolynomial":
+        """self op other for op = operator.add or operator.sub."""
         bound = self._check_compatible(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return GradedPolynomial(self.alphabet, bound, out)
+            if mono in out:
+                c = op(out[mono], c)
+                if c:
+                    out[mono] = _exact(c)
+                else:
+                    del out[mono]
+            else:
+                out[mono] = op(0, c)
+        if bound < max(self.truncation, other.truncation):
+            degrees = self.alphabet.degrees
+            out = {m: c for m, c in out.items() if degrees[m] <= bound}
+        return GradedPolynomial._normal(self.alphabet, bound, out)
+
+    def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+        return self._linear(other, add)
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        bound = self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - c
-        return GradedPolynomial(self.alphabet, bound, out)
+        return self._linear(other, sub)
 
     def __neg__(self) -> "GradedPolynomial":
         return self.scale(-1)
 
     def scale(self, r: Scalar) -> "GradedPolynomial":
-        r = Fraction(r)
-        return GradedPolynomial(
-            self.alphabet, self.truncation, {m: c * r for m, c in self.terms.items()}
-        )
+        r = _scalar(r)
+        terms = {m: _exact(c * r) for m, c in self.terms.items()} if r else {}
+        return GradedPolynomial._normal(self.alphabet, self.truncation, terms)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+        """Product truncated to the smaller bound.  other's terms are grouped
+        by degree, ascending, so each term of self meets only the groups that
+        fit under the bound."""
         bound = self._check_compatible(other)
-        weights = self.alphabet.weights
-        deg_a = {m: sum(e * w for e, w in zip(m, weights)) for m in self.terms}
-        deg_b = {m: sum(e * w for e, w in zip(m, weights)) for m in other.terms}
-        out: dict[Monomial, Fraction] = {}
+        degrees = self.alphabet.degrees
+        groups: dict[int, list[tuple[Monomial, Scalar]]] = {}
+        for mb, cb in other.terms.items():
+            groups.setdefault(degrees[mb], []).append((mb, cb))
+        buckets = sorted(groups.items())
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
         for ma, ca in self.terms.items():
-            da = deg_a[ma]
-            for mb, cb in other.terms.items():
-                if da + deg_b[mb] > bound:
-                    continue
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return GradedPolynomial(self.alphabet, bound, out)
+            room = bound - degrees[ma]
+            for db, group in buckets:
+                if db > room:
+                    break
+                for mb, cb in group:
+                    mono = tuple(map(add, ma, mb))
+                    out[mono] = get(mono, 0) + ca * cb
+        terms = {m: _exact(c) for m, c in out.items() if c}
+        return GradedPolynomial._normal(self.alphabet, bound, terms)
 
     def power(self, k: int) -> "GradedPolynomial":
         if k < 0:
@@ -249,14 +312,12 @@ class GradedPolynomial:
         return result
 
     def graded_part(self, m: int) -> "GradedPolynomial":
-        return GradedPolynomial(
-            self.alphabet,
-            self.truncation,
-            {mono: c for mono, c in self.terms.items() if self.degree_of(mono) == m},
-        )
+        degrees = self.alphabet.degrees
+        terms = {mono: c for mono, c in self.terms.items() if degrees[mono] == m}
+        return GradedPolynomial._normal(self.alphabet, self.truncation, terms)
 
     def truncate(self, bound: int) -> "GradedPolynomial":
-        return GradedPolynomial(self.alphabet, min(bound, self.truncation), self.terms)
+        return self.with_bound(min(bound, self.truncation))
 
     def with_bound(self, bound: int) -> "GradedPolynomial":
         """Rebuild with an explicit truncation bound.
@@ -265,7 +326,13 @@ class GradedPolynomial:
         construction: raising the bound is a claim by the caller that the
         polynomial is exact, not a truncated series.
         """
-        return GradedPolynomial(self.alphabet, bound, self.terms)
+        if bound < 0:
+            raise InputError("truncation bound must be >= 0")
+        terms = self.terms
+        if bound < self.truncation:
+            degrees = self.alphabet.degrees
+            terms = {m: c for m, c in terms.items() if degrees[m] <= bound}
+        return GradedPolynomial._normal(self.alphabet, bound, terms)
 
     # -- structure maps -------------------------------------------------
 
@@ -313,19 +380,18 @@ class GradedPolynomial:
                 raise InputError(f"weight mismatch embedding {name}")
             positions.append(j)
         n = len(target)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             new = [0] * n
             for pos, e in zip(positions, mono):
                 new[pos] = e
             out[tuple(new)] = c
-        return GradedPolynomial(target, self.truncation, out)
+        return GradedPolynomial._normal(target, self.truncation, out)
 
     def rename(self, mapping: Mapping[str, str]) -> "GradedPolynomial":
         """Rename variables in place (same order and weights)."""
         target = Alphabet([(mapping.get(n, n), w) for n, w in self.alphabet.variables])
-        out = GradedPolynomial(target, self.truncation, self.terms)
-        return out
+        return GradedPolynomial._normal(target, self.truncation, self.terms)
 
     # -- text forms ------------------------------------------------------
 
@@ -410,7 +476,7 @@ def substitute_terms(
                 continue
             image = images[names[pos]]
             if isinstance(image, (int, Fraction)):
-                scalar *= Fraction(image) ** e
+                scalar *= image**e
                 if not scalar:
                     break
             else:
@@ -457,10 +523,34 @@ def conjugate_partition(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
 
 
-def _blocks(padded: Sequence[int]) -> list[tuple[int, int]]:
+def _lowerings(gamma: Partition, a: int) -> list[tuple[Partition, int]]:
+    """Every partition reached by lowering a distinct entries of gamma by one,
+    with the number of position sets that reach it.
+
+    Entries are chosen per block of equal values, k of a block of cnt in
+    comb(cnt, k) ways; a block of value v leaves cnt - k entries v and k
+    entries v - 1, so concatenating the blocks in order keeps the result
+    sorted.  A lowered 1 becomes a 0 and leaves the partition.
+    """
+    states: list[tuple[Partition, int, int]] = [((), 1, a)]
+    left = len(gamma)
+    for v, cnt in _blocks(gamma):
+        left -= cnt
+        lowered = (v - 1,) if v > 1 else ()
+        nxt = []
+        for head, mult, rem in states:
+            # at least rem - left from this block, or the later ones cannot take the rest
+            for k in range(max(0, rem - left), min(cnt, rem) + 1):
+                tail = (v,) * (cnt - k) + lowered * k
+                nxt.append((head + tail, mult * comb(cnt, k), rem - k))
+        states = nxt
+    return [(sigma, mult) for sigma, mult, _ in states]
+
+
+def _blocks(parts: Sequence[int]) -> list[tuple[int, int]]:
     """Run-length encode a weakly decreasing vector as (value, count) blocks."""
     blocks: list[tuple[int, int]] = []
-    for v in padded:
+    for v in parts:
         if blocks and blocks[-1][0] == v:
             blocks[-1] = (v, blocks[-1][1] + 1)
         else:
@@ -493,8 +583,8 @@ def orbit_from_product(
 
 
 def multiply_by_elementary(
-    f: dict[Partition, Fraction], a: int, n_roots: int
-) -> dict[Partition, Fraction]:
+    f: dict[Partition, Scalar], a: int, n_roots: int
+) -> dict[Partition, Scalar]:
     """Orbit-basis product f * e_a in n_roots variables.
 
     Uses the backward rule: the coefficient of the sorted monomial gamma in
@@ -510,48 +600,27 @@ def multiply_by_elementary(
     for lam in f:
         d = sum(lam)
         degrees[d] = max(degrees.get(d, 0), lam[0] if lam else 0)
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, Scalar] = {}
     for d, max_part in degrees.items():
         for gamma in partitions(d + a, max_part=max_part + 1, max_len=n_roots):
-            padded = gamma + (0,) * (n_roots - len(gamma))
-            blocks = _blocks(padded)
-            total = Fraction(0)
-            # choose how many entries of each block to decrement (zero block excluded)
-            def walk(bi: int, remaining: int, sigma_parts: list[int], mult: int):
-                nonlocal total
-                if remaining == 0:
-                    rest = [v for v, cnt in blocks[bi:] for _ in range(cnt)]
-                    sigma = tuple(sorted(sigma_parts + rest, reverse=True))
-                    sigma = sigma[: len(sigma) - sigma.count(0)] if 0 in sigma else sigma
-                    c = f.get(sigma)
-                    if c is not None:
-                        total += c * mult
-                    return
-                if bi == len(blocks):
-                    return
-                v, cnt = blocks[bi]
-                top = min(cnt, remaining) if v >= 1 else 0
-                for k in range(top + 1):
-                    walk(
-                        bi + 1,
-                        remaining - k,
-                        sigma_parts + [v] * (cnt - k) + [v - 1] * k,
-                        mult * comb(cnt, k),
-                    )
-
-            walk(0, a, [], 1)
+            total = 0
+            for sigma, mult in _lowerings(gamma, a):
+                c = f.get(sigma)
+                if c is not None:
+                    total += c * mult
             if total:
                 out[gamma] = total
     return out
 
 
-_ELEM_EXPANSION: dict[tuple[int, tuple[int, ...]], dict[Partition, Fraction]] = {}
+_ELEM_EXPANSION: dict[tuple[int, tuple[int, ...]], dict[Partition, int]] = {}
 
 
-def elementary_product_orbit(eta: tuple[int, ...], n_roots: int) -> dict[Partition, Fraction]:
-    """Orbit-basis expansion of the product e_{eta_1} * e_{eta_2} * ... (eta desc)."""
+def elementary_product_orbit(eta: tuple[int, ...], n_roots: int) -> dict[Partition, int]:
+    """Orbit-basis expansion of the product e_{eta_1} * e_{eta_2} * ... (eta desc);
+    its coefficients are non-negative integers."""
     if not eta:
-        return {(): Fraction(1)}
+        return {(): 1}
     key = (n_roots, eta)
     cached = _ELEM_EXPANSION.get(key)
     if cached is None:
@@ -562,22 +631,22 @@ def elementary_product_orbit(eta: tuple[int, ...], n_roots: int) -> dict[Partiti
 
 
 def reduce_orbit_to_elementary(
-    f: Mapping[Partition, Fraction], n_roots: int
-) -> dict[tuple[int, ...], Fraction]:
+    f: Mapping[Partition, Scalar], n_roots: int
+) -> dict[tuple[int, ...], Scalar]:
     """Classical lex leading-term elimination on an orbit-basis symmetric polynomial.
 
     Returns a map from e-index multisets (desc tuples, index i meaning one
     factor e_i) to coefficients.
     """
     work = {lam: c for lam, c in f.items() if c}
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     while work:
         lam = max(work)
         if len(lam) > n_roots:
             raise InputError(f"orbit {lam} impossible with {n_roots} roots")
         coeff = work.pop(lam)
         eta = conjugate_partition(lam)
-        out[eta] = out.get(eta, Fraction(0)) + coeff
+        out[eta] = out.get(eta, 0) + coeff
         for mu, c in elementary_product_orbit(eta, n_roots).items():
             if mu == lam:
                 if c != 1:
@@ -585,7 +654,7 @@ def reduce_orbit_to_elementary(
                 continue
             if mu > lam:
                 raise AssertionError("elimination produced a lex-larger orbit")
-            newc = work.get(mu, Fraction(0)) - coeff * c
+            newc = work.get(mu, 0) - coeff * c
             if newc:
                 work[mu] = newc
             else:
@@ -609,7 +678,7 @@ def check_symmetry(p: GradedPolynomial, root_names: Sequence[str]) -> None:
     idx = [p.alphabet.index(n) for n in root_names]
     for a, b in zip(idx, idx[1:]):
         for mono, coeff in p.terms.items():
-            if p.terms.get(_swap_positions(mono, a, b), Fraction(0)) != coeff:
+            if p.terms.get(_swap_positions(mono, a, b), 0) != coeff:
                 name_a = p.alphabet.variables[a][0]
                 name_b = p.alphabet.variables[b][0]
                 raise SymmetryError(name_a, name_b)
@@ -638,7 +707,7 @@ def elementary_reduce(
     other_idx = [p.alphabet.index(n) for n, _ in other]
     out_alphabet = Alphabet([(f"{out_prefix}{i}", i) for i in range(1, k + 1)] + other)
 
-    groups: dict[Monomial, dict[Partition, Fraction]] = {}
+    groups: dict[Monomial, dict[Partition, Scalar]] = {}
     for mono, coeff in p.terms.items():
         roots = tuple(mono[i] for i in root_idx)
         canon = tuple(sorted(roots, reverse=True))
@@ -648,7 +717,7 @@ def elementary_reduce(
         rest = tuple(mono[i] for i in other_idx)
         groups.setdefault(rest, {})[lam] = coeff
 
-    out_terms: dict[Monomial, Fraction] = {}
+    out_terms: dict[Monomial, Scalar] = {}
     for rest, orbit in groups.items():
         for eta, coeff in reduce_orbit_to_elementary(orbit, k).items():
             evec = [0] * k
@@ -669,13 +738,13 @@ def elementary_symmetric(
     idx = [alphabet.index(n) for n in root_names]
     if i > len(idx):
         return GradedPolynomial.zero(alphabet, truncation)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Scalar] = {}
     n = len(alphabet)
     for subset in combinations(idx, i):
         mono = [0] * n
         for j in subset:
             mono[j] = 1
-        terms[tuple(mono)] = Fraction(1)
+        terms[tuple(mono)] = 1
     return GradedPolynomial(alphabet, truncation, terms)
 
 
@@ -694,16 +763,16 @@ def newton_power_sum(k: int) -> "GradedPolynomial":
         ei = GradedPolynomial.variable(alph, k, f"e{i}")
         total = total + (ei * prev[k - i - 1]).scale((-1) ** (i - 1))
     ek = GradedPolynomial.variable(alph, k, f"e{k}")
-    return total + ek.scale(Fraction((-1) ** (k - 1) * k))
+    return total + ek.scale((-1) ** (k - 1) * k)
 
 
 # ---------------------------------------------------------------------------
-# univariate exact series helpers (lists of Fractions, index = degree)
+# univariate exact series helpers (lists of ints and Fractions, index = degree)
 # ---------------------------------------------------------------------------
 
 
-def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n + 1)
+def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
+    out: list[Scalar] = [0] * (n + 1)
     for i, ai in enumerate(a[: n + 1]):
         if not ai:
             continue
@@ -712,10 +781,10 @@ def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fra
     return out
 
 
-def series_invert(a: Sequence[Fraction], n: int) -> list[Fraction]:
+def series_invert(a: Sequence[Scalar], n: int) -> list[Scalar]:
     if a[0] == 0:
         raise InputError("series is not invertible (zero constant term)")
-    inv0 = 1 / a[0]
+    inv0 = Fraction(1, a[0])
     out = [inv0] + [Fraction(0)] * n
     for k in range(1, n + 1):
         s = Fraction(0)
@@ -725,14 +794,14 @@ def series_invert(a: Sequence[Fraction], n: int) -> list[Fraction]:
     return out
 
 
-def series_log(a: Sequence[Fraction], n: int) -> list[Fraction]:
+def series_log(a: Sequence[Scalar], n: int) -> list[Scalar]:
     """log of a series with constant term 1, via  (log a)' = a'/a."""
     if a[0] != 1:
         raise InputError("series_log needs constant term 1")
-    da = [Fraction(k) * a[k] for k in range(1, min(len(a), n + 1))]
-    da += [Fraction(0)] * (n - len(da))
+    da = [k * a[k] for k in range(1, min(len(a), n + 1))]
+    da += [0] * (n - len(da))
     quot = series_mul(da, series_invert(list(a), n), n - 1) if n >= 1 else []
-    out = [Fraction(0)] * (n + 1)
+    out: list[Scalar] = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):
-        out[k] = quot[k - 1] / k
+        out[k] = Fraction(quot[k - 1], k)
     return out

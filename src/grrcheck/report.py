@@ -9,6 +9,7 @@ report streams are byte-identical across runs (see the CLI --timing flag).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 
@@ -75,6 +76,18 @@ class VerificationReport:
         if self.notes is not None:
             payload["notes"] = self.notes
         return json.dumps(payload, sort_keys=False, separators=(",", ":"))
+
+
+def timed(thunk) -> list[VerificationReport]:
+    """Run a thunk that returns one report or a list of them; stamp its wall
+    time in milliseconds as millis on the first report and 0 on the rest."""
+    started = time.monotonic()
+    result = thunk()
+    reports = result if isinstance(result, list) else [result]
+    elapsed_ms = int((time.monotonic() - started) * 1000)
+    for i, rep in enumerate(reports):
+        rep.millis = 0 if i else elapsed_ms
+    return reports
 
 
 def first_discrepancy(lhs: str, rhs: str) -> str:

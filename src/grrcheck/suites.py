@@ -44,21 +44,25 @@ from .grr import (
     euler_characteristic_via_chow,
 )
 from .identities import IDENTITY_CHECKS, howe_claims, verify_series_identity
-from .report import FalsificationError, VerificationReport
+from .report import FalsificationError, VerificationReport, timed
 from .series import UNIVERSAL_CLASSES
 
 
 def _guard(identity: str, instance: str, thunk) -> list[VerificationReport]:
-    """Run a report-producing thunk, turning falsifications into failed reports."""
-    try:
-        result = thunk()
-    except FalsificationError as exc:
-        return [
-            VerificationReport.failure(
+    """Run a report-producing thunk, turning falsifications into failed reports.
+
+    The thunk's wall time is stamped on its reports as by report.timed.
+    """
+
+    def run():
+        try:
+            return thunk()
+        except FalsificationError as exc:
+            return VerificationReport.failure(
                 exc.identity or identity, exc.instance or instance, str(exc)
             )
-        ]
-    return result if isinstance(result, list) else [result]
+
+    return timed(run)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,20 @@ class TestVerify:
         values = [json.loads(line)["millis"] for line in lines]
         assert any(v is not None for v in values)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "integrality", "--max-degree", "3"],
+            ["verify", "exp-sum-product", "--max-degree", "3"],
+            ["verify", "main-theorem", "--geometry", "P(trivial 3) over point"],
+        ],
+    )
+    def test_timing_stamps_every_report(self, argv, capsys):
+        assert main(argv + ["--timing"]) == 0
+        values = [json.loads(line)["millis"] for line in capsys.readouterr().out.splitlines()]
+        assert len(values) >= 1
+        assert all(type(v) is int and v >= 0 for v in values), values
+
 
     @pytest.mark.parametrize(
         "argv",
@@ -307,6 +321,16 @@ class TestExitCodes:
             assert (out, err) == ("", "internal error: invariant broken\n")
         else:
             assert json.loads(out)["verdict"] == "fail" and err == ""
+
+
+    def test_interrupt_exits_130_without_partial_output(self, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli.SUITES, "integrality", interrupted)
+        assert main(["verify", "integrality", "--max-degree", "3"]) == 130
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "interrupted\n")
 
 
 class TestVerifyAll:

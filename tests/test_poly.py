@@ -200,6 +200,175 @@ class TestSubstituteAgainstNaiveExpansion:
             p.substitute({"a": other}, self.TARGET)
 
 
+# -- a naive dict-of-Fraction reference ring ----------------------------------
+
+
+def _ref_degree(alphabet, mono):
+    return sum(e * w for e, w in zip(mono, alphabet.weights))
+
+
+def _ref_clean(alphabet, bound, terms):
+    return {
+        m: Fraction(c)
+        for m, c in terms.items()
+        if c != 0 and _ref_degree(alphabet, m) <= bound
+    }
+
+
+def _ref_add(alphabet, bound, a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return _ref_clean(alphabet, bound, out)
+
+
+def _ref_mul(alphabet, bound, a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return _ref_clean(alphabet, bound, out)
+
+
+def _ref_substitute(source, terms, images, target, bound):
+    """images: name -> Fraction, or name -> (reference terms, bound) over target."""
+    total = {}
+    for mono, coeff in terms.items():
+        acc = {(0,) * len(target): coeff}
+        for (name, _), e in zip(source.variables, mono):
+            image = images[name]
+            for _ in range(e):
+                if isinstance(image, tuple):
+                    acc = _ref_mul(target, bound, acc, image[0])
+                else:
+                    acc = {m: c * image for m, c in acc.items()}
+        total = _ref_add(target, bound, total, acc)
+    return _ref_clean(target, bound, total)
+
+
+class TestRingAgainstFractionReference:
+    """Every ring operation against the naive reference, over a mixed-weight
+    alphabet with a weight-0 variable: int, Fraction and integral-Fraction
+    coefficients, terms that cancel, and differing bounds.  Stored
+    coefficients must be ints exactly when integral, and never zero."""
+
+    AL = Alphabet([("r", 0), ("a", 1), ("b", 1), ("c", 2), ("d", 3)])
+    TARGET = Alphabet([("x", 1), ("y", 2)])
+
+    @staticmethod
+    def _coefficient(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-4, 4)
+        if kind == 1:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if kind == 2:
+            return Fraction(2 * rng.randint(-3, 3), 2)  # integral, given as a Fraction
+        return Fraction(rng.randint(-3, 3), 3)
+
+    def _raw_terms(self, rng, alphabet, n_terms):
+        terms = {}
+        for _ in range(n_terms):
+            mono = tuple(rng.randint(0, 3 if w == 0 else 2) for w in alphabet.weights)
+            terms[mono] = self._coefficient(rng)
+        return terms
+
+    @staticmethod
+    def _check(poly, alphabet, bound, expected):
+        assert poly.alphabet == alphabet
+        assert poly.truncation == bound
+        assert poly.terms == expected
+        for c in poly.terms.values():
+            assert c != 0
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+        assert poly.is_integral() == all(c.denominator == 1 for c in expected.values())
+
+    def test_seeded_cases(self):
+        rng = random.Random(6)
+        al = self.AL
+        seen = {"cancelled": 0, "integral": 0, "rational": 0, "bounds differ": 0}
+        for _ in range(320):
+            bp, bq = rng.randint(0, 6), rng.randint(0, 6)
+            raw_p = self._raw_terms(rng, al, rng.randint(0, 7))
+            # q cancels some of p's terms exactly
+            raw_q = {m: -Fraction(c) for m, c in raw_p.items() if rng.random() < 0.4}
+            raw_q.update(self._raw_terms(rng, al, rng.randint(0, 5)))
+            p, q = GradedPolynomial(al, bp, raw_p), GradedPolynomial(al, bq, raw_q)
+            ref_p, ref_q = _ref_clean(al, bp, raw_p), _ref_clean(al, bq, raw_q)
+            self._check(p, al, bp, ref_p)
+            self._check(q, al, bq, ref_q)
+            bound = min(bp, bq)
+            ref_sum = _ref_add(al, bound, ref_p, ref_q)
+            self._check(p + q, al, bound, ref_sum)
+            self._check(p - q, al, bound, _ref_add(al, bound, ref_p, ref_q, -1))
+            self._check(p * q, al, bound, _ref_mul(al, bound, ref_p, ref_q))
+            for r in (0, Fraction(1, 3), rng.randint(-3, 3), Fraction(6, 3), Fraction(-3, 2)):
+                scaled = {m: c * r for m, c in ref_p.items()}
+                self._check(p.scale(r), al, bp, _ref_clean(al, bp, scaled))
+            k = rng.randint(0, 3)
+            ref_power = _ref_clean(al, bp, {(0,) * len(al): 1})
+            for _ in range(k):
+                ref_power = _ref_mul(al, bp, ref_power, ref_p)
+            self._check(p.power(k), al, bp, ref_power)
+            m = rng.randint(0, bp + 1)
+            part = {mono: c for mono, c in ref_p.items() if _ref_degree(al, mono) == m}
+            self._check(p.graded_part(m), al, bp, part)
+            t = rng.randint(0, 7)
+            self._check(p.truncate(t), al, min(t, bp), _ref_clean(al, min(t, bp), ref_p))
+
+            images, ref_images, bounds = {}, {}, []
+            for name, _ in al.variables:
+                if name != "r" and rng.random() < 0.6:
+                    ib = rng.randint(1, 6)
+                    raw = self._raw_terms(rng, self.TARGET, rng.randint(0, 3))
+                    images[name] = GradedPolynomial(self.TARGET, ib, raw)
+                    ref_images[name] = (_ref_clean(self.TARGET, ib, raw), ib)
+                    bounds.append(ib)
+                else:
+                    images[name] = self._coefficient(rng)
+                    ref_images[name] = Fraction(images[name])
+            given = rng.randint(0, 6)
+            sb = min([given] + bounds)
+            self._check(
+                p.substitute(images, self.TARGET, truncation=given),
+                self.TARGET,
+                sb,
+                _ref_substitute(al, ref_p, ref_images, self.TARGET, sb),
+            )
+
+            seen["cancelled"] += any(m not in ref_sum for m in ref_p if m in ref_q)
+            seen["integral"] += bool(ref_p) and all(c.denominator == 1 for c in ref_p.values())
+            seen["rational"] += any(c.denominator != 1 for c in ref_p.values())
+            seen["bounds differ"] += bp != bq
+        assert min(seen.values()) >= 30, seen
+
+    def test_constructor_checks(self):
+        with pytest.raises(InputError):
+            GradedPolynomial(self.AL, 3, {(1, 0): 1})
+        with pytest.raises(InputError):
+            GradedPolynomial(self.AL, -1)
+        p = GradedPolynomial(self.AL, 2, {(0, 0, 0, 1, 0): Fraction(4, 2), (0, 0, 0, 0, 1): 5,
+                                          (3, 0, 0, 0, 0): 0})
+        assert p.terms == {(0, 0, 0, 1, 0): 2} and type(p.terms[(0, 0, 0, 1, 0)]) is int
+        with pytest.raises(InputError):
+            p.with_bound(-1)
+
+    def test_elementary_product_orbits_are_non_negative_ints(self):
+        for n in range(1, 6):
+            for total in range(0, 9):
+                for eta in partitions(total):
+                    for c in elementary_product_orbit(eta, n).values():
+                        assert type(c) is int and c > 0, (eta, n, c)
+
+    def test_one_exact_helper_for_both_rings(self):
+        from grrcheck import geometry, poly
+
+        assert geometry._exact is poly._exact
+        assert poly._exact(Fraction(6, 3)) == 2 and type(poly._exact(Fraction(6, 3))) is int
+        assert poly._exact(Fraction(1, 3)) == Fraction(1, 3)
+
+
 class TestPartitions:
     def test_counts(self):
         assert len(partitions(8)) == 22
@@ -366,6 +535,21 @@ class TestSeriesHelpers:
     def test_mul(self):
         a = [Fraction(1), Fraction(1)]
         assert series_mul(a, a, 2) == [Fraction(1), Fraction(2), Fraction(1)]
+
+    def test_int_series_give_exact_entries(self):
+        results = [
+            series_invert([1, 1], 3),
+            series_invert([2, 1, 3], 4),
+            series_log([1, 1], 4),
+            series_log([1, 0, 2], 5),
+            series_mul([1, 2], [3, 4, 5], 3),
+        ]
+        for values in results:
+            assert all(type(v) in (int, Fraction) for v in values), values
+        assert series_invert([1, 1], 3) == [1, -1, 1, -1]
+        assert series_invert([2], 1) == [Fraction(1, 2), 0]
+        assert series_log([1, 1], 4) == [0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)]
+        assert series_mul([1, 2], [3, 4, 5], 3) == [3, 10, 13, 10]
 
     def test_log_exp_consistency(self):
         # log(1/(1-x)) = sum x^k / k
