@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .arith import (
     InputError,
@@ -48,7 +49,9 @@ DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_DIM = 6
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="grrcheck",
         description="Exact generators and verifiers for integral "

@@ -236,7 +236,8 @@ class ChowClass:
     Coefficients are ints.  A Fraction occurs only where a value is not an
     integer: the rational series parts that rational_grr_cross_check
     evaluates, or a universal polynomial carrying a Fraction mutation delta;
-    a Fraction scalar with denominator 1 enters as an int.
+    a Fraction scalar with denominator 1 enters as an int, and sums, scalings
+    and products store an integral value as an int (poly._exact).
 
     ChowClass(tower, terms) reduces raw terms with the Chow relations.  Every
     other result is built by _normal from terms already in normal form: the
@@ -271,7 +272,7 @@ class ChowClass:
         for m, c in other.terms.items():
             val = out.get(m, 0) + sign * c
             if val:
-                out[m] = val
+                out[m] = val if type(val) is int else _exact(val)
             else:
                 del out[m]
         return ChowClass._normal(self.tower, out)
@@ -289,7 +290,9 @@ class ChowClass:
         r = _exact(r)
         if not r:
             return self.tower.zero_chow()
-        return ChowClass._normal(self.tower, {m: c * r for m, c in self.terms.items()})
+        return ChowClass._normal(
+            self.tower, {m: _exact(c * r) for m, c in self.terms.items()}
+        )
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
@@ -313,7 +316,9 @@ class ChowClass:
                 c = ca * cb
                 for m, t in entry.items():
                     out[m] = get(m, 0) + c * t
-        return ChowClass._normal(tower, {m: c for m, c in out.items() if c})
+        return ChowClass._normal(
+            tower, {m: c if type(c) is int else _exact(c) for m, c in out.items() if c}
+        )
 
     def graded_part(self, m: int) -> "ChowClass":
         return ChowClass._normal(

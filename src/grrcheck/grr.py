@@ -9,12 +9,23 @@ division is a falsification, not a rounding issue.
 Every universal polynomial is evaluated by the one substitution loop over its
 monomials, grrcheck.poly.substitute_terms: on a tower with Chow classes as
 images and the tower's unit class as one, in a formal fibration through
-GradedPolynomial.substitute.  The combined class with the tangent Chern
-classes substituted is cached per (tower, tangent, degree, active mutation),
-so suite runs stay fast and a mutated class never meets a clean one (see
-grrcheck.series.set_mutation).  One main-theorem instance pushes its sheaf
-forward once and builds the Chern images of the sheaf and of its pushforward
-once, for all three of its checks.
+GradedPolynomial.substitute.  The combined class runs through it only to
+fill ct_on_tower's caches; each call then walks a Horner scheme
+(grrcheck.poly.horner_eval).
+
+Work that depends only on the tower is cached in the tower's _cache, under
+keys that carry the active mutation wherever a universal class is read, so a
+mutated class never meets a clean one (see grrcheck.series.set_mutation):
+
+    ("ct-partial", tangent, m, mutation)                 ct_m, tangent substituted
+    ("ct-partial", tangent, m, mutation, rank, live)     its Horner scheme in the live cp_i
+    ("todd-part", j, mutation)                           Td-numerator_j(T_tower)
+    ("relative-tangent", base levels, cuts)              T_X - f^*T_S on the ambient
+
+One main-theorem instance pushes its sheaf forward once and builds the Chern
+images of the sheaf and of its pushforward once, for all three of its checks.
+The combined class is never assembled from the ch * td factorisation, so
+main-theorem-decomposition stays an independent check.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from .geometry import (
     pushforward_chow,
     pushforward_k,
 )
-from .poly import Alphabet, GradedPolynomial, substitute_terms
+from .poly import Alphabet, GradedPolynomial, horner_eval, horner_scheme, substitute_terms
 from .report import FalsificationError, VerificationReport
 from .series import (
     current_mutation,
@@ -79,9 +90,12 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
     """The degree-m combined-class numerator on the tower, at the tangent
     class and the sheaf map {"r": rank, "cp1": ..., "cp<m>": ...}.
 
-    The tangent Chern classes are substituted once per (tangent, degree,
-    mutation) and cached on the tower, grouped by the exponents of the
-    still-symbolic sheaf variables; each call substitutes only those.
+    Two cache levels on the tower.  ("ct-partial", tangent, m, mutation)
+    holds the numerator with the tangent Chern classes substituted, grouped
+    by the exponents of r, cp1..cpm.  That key plus (rank, live), live the
+    names of the nonzero cp_i, holds the compiled class: r set to the rank
+    and the other cp_i to 0, stored as a Horner scheme in the live cp_i.
+    Each call walks that scheme at the live classes.
     """
     sheaf_names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
     key = ("ct-partial", frozenset(tangent.line_terms.items()), m, current_mutation())
@@ -94,8 +108,17 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
             tower.unit_chow(),
             keep=sheaf_names,
         )
-    grouped = substitute_terms(tower._cache[key], sheaf_names, sheaf, tower.unit_chow())
-    return grouped.get((), tower.zero_chow())
+    live = tuple(name for name in sheaf_names[1:] if not sheaf[name].is_zero())
+    compiled = key + (sheaf["r"], live)
+    if compiled not in tower._cache:
+        fixed = dict.fromkeys(sheaf_names, 0) | {"r": sheaf["r"]}
+        grouped = substitute_terms(
+            tower._cache[key], sheaf_names, fixed, tower.unit_chow(), keep=live
+        )
+        grouped = {e: c for e, c in grouped.items() if not c.is_zero()}
+        zero = {(0,) * len(live): tower.zero_chow()}
+        tower._cache[compiled] = horner_scheme(grouped or zero)
+    return horner_eval(tower._cache[compiled], [sheaf[name] for name in live])
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +152,15 @@ class MorphismDatum:
 
 
 def _source_relative_tangent(f: MorphismDatum) -> KClass:
-    """The fiberwise tangent difference T_X - f^*T_S of the source."""
-    return f.source.tangent_class() - pullback_k(f.target.tangent_class(), f.ambient)
+    """The fiberwise tangent difference T_X - f^*T_S of the source, cached on
+    the ambient tower per ("relative-tangent", base levels, cuts)."""
+    cuts = f.source.cuts if isinstance(f.source, VirtualCompleteIntersection) else None
+    key = ("relative-tangent", f.base_levels, cuts)
+    cache = f.ambient._cache
+    if key not in cache:
+        tangent = f.source.tangent_class()
+        cache[key] = tangent - pullback_k(f.target.tangent_class(), f.ambient)
+    return cache[key]
 
 
 def _source_ct(
@@ -210,14 +240,23 @@ def corollary_sides(
     return lhs, rhs
 
 
-def decomposition_rhs(
-    f: MorphismDatum, n: int, pushed: Mapping, tangent_chern: Mapping
-) -> ChowClass:
+def _todd_part(tower: Tower, j: int) -> ChowClass:
+    """Td-numerator_j at the tower's tangent class, cached on the tower per
+    ("todd-part", j, mutation)."""
+    key = ("todd-part", j, current_mutation())
+    if key not in tower._cache:
+        tangent_chern = _chern_images(tower.tangent_class(), j)
+        tower._cache[key] = evaluate_universal(
+            universal_todd(j).numerator, tower, tangent_chern
+        )
+    return tower._cache[key]
+
+
+def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping) -> ChowClass:
     """Target-side regrouping that links the two statement shapes: the main
     theorem's left side (T_{d+n}/T_n) ct_n(f_*F, S) equals
     sum_j [T_{d+n}/(T_{d+n-j} T_j)] * [(T_{d+n-j}/(n-j)!) s_{n-j}(f_*F)] *
-    Td-numerator_j(T_S), with pushed from _instance_images and tangent_chern
-    the Chern images of T_S up to degree n."""
+    Td-numerator_j(T_S), with pushed from _instance_images."""
     d = f.relative_dimension
     target = f.target
     rhs = target.zero_chow()
@@ -230,10 +269,7 @@ def decomposition_rhs(
         s_part = evaluate_universal(
             universal_chern_character(n - j).numerator, target, pushed
         )
-        td_part = evaluate_universal(
-            universal_todd(j).numerator, target, tangent_chern
-        )
-        rhs = rhs + (s_part * td_part).scale(outer * inner)
+        rhs = rhs + (s_part * _todd_part(target, j)).scale(outer * inner)
     return rhs
 
 
@@ -243,8 +279,9 @@ def check_main_theorem(
     """The main identity, the numerator-corollary form (when applicable), and
     the scalar regrouping that connects them, on one geometry instance.
 
-    f_*[F] and the Chern images of F, f_*[F] and the target tangent are built
-    once here and shared by the three checks."""
+    f_*[F] and the Chern images of F and f_*[F] are built once here and
+    shared by the three checks; the tangent-side classes come from the
+    per-tower caches."""
     pushed, source = _instance_images(f, F, n)
     instance = f"{f.describe()}/sheaf={sheaf_label or F.line_terms}/n={n}"
     lhs, rhs = grr_error(f, n, pushed, source)
@@ -259,8 +296,7 @@ def check_main_theorem(
                 "main-theorem-corollary", instance, cl.serialize(), cr.serialize()
             )
         )
-        tangent_chern = _chern_images(f.target.tangent_class(), n)
-        dr = decomposition_rhs(f, n, pushed, tangent_chern)
+        dr = decomposition_rhs(f, n, pushed)
         reports.append(
             VerificationReport.compare(
                 "main-theorem-decomposition", instance, lhs_text, dr.serialize()

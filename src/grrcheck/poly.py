@@ -24,7 +24,9 @@ vector).  The zero polynomial serializes to the empty string.
 substitute_terms is the one loop over the monomials of a universal
 polynomial, for every ring the package evaluates in: GradedPolynomial.substitute
 (formal root rings) and the tower evaluations of grrcheck.grr (Chow rings)
-both call it.
+both call it.  horner_scheme nests a grouped result by variable so that
+horner_eval evaluates it many times over with one product per exponent step;
+grrcheck.grr compiles the combined class on a tower that way.
 
 The symmetric-function reduction implements the classical fundamental-theorem
 algorithm (lexicographic leading-term elimination).  Internally symmetric
@@ -490,6 +492,34 @@ def substitute_terms(
             key = tuple(mono[pos] for pos in kept)
             grouped[key] = grouped[key] + value if key in grouped else value
     return grouped
+
+
+def horner_scheme(grouped: Mapping[Monomial, Any]) -> Any:
+    """Nest a nonempty map {exponent tuple: coefficient} as a Horner scheme:
+    the coefficient itself for the empty tuple, otherwise the pairs
+    (exponent of the first variable, scheme of the rest), exponents
+    descending (Pena and Sauer, "On the multivariate Horner scheme", 2000)."""
+    if () in grouped:
+        return grouped[()]
+    rest: dict[int, dict[Monomial, Any]] = {}
+    for mono, coeff in grouped.items():
+        rest.setdefault(mono[0], {})[mono[1:]] = coeff
+    return tuple((e, horner_scheme(rest[e])) for e in sorted(rest, reverse=True))
+
+
+def horner_eval(scheme: Any, values: Sequence[Any]) -> Any:
+    """A horner_scheme at one ring element per variable: one product per
+    exponent step of each variable, and no powers or monomials."""
+    if not values:
+        return scheme
+    x, values = values[0], values[1:]
+    acc = None
+    for (e, inner), low in zip(scheme, [e for e, _ in scheme[1:]] + [0]):
+        value = horner_eval(inner, values)
+        acc = value if acc is None else acc + value
+        for _ in range(e - low):
+            acc = acc * x
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -196,37 +196,26 @@ def suite_projective_bundle(max_rank: int = 4) -> list[VerificationReport]:
                 lambda r=r: howe_claims(r, r + 4),
             )
         )
+
+    def pushes_to(identity: str, instance: str, line, expected: str) -> None:
+        """Check that pushing one line bundle down one level gives expected."""
+        reports.extend(
+            _guard(
+                identity,
+                instance,
+                lambda: VerificationReport.compare(
+                    identity, instance, pushforward_k(line, 1).serialize(), expected
+                ),
+            )
+        )
+
     for r in range(1, max_rank):
         pr = projective_space(r)
         for a in range(-r, 0):
-            pushed = pushforward_k(pr.line((a,)), 1)
-            reports.append(
-                VerificationReport.compare(
-                    "bundle-twist-vanishing",
-                    f"P{r}, twist {a}",
-                    pushed.serialize(),
-                    "",
-                )
-            )
-        pushed_o = pushforward_k(pr.structure_sheaf(), 1)
-        reports.append(
-            VerificationReport.compare(
-                "bundle-structure-pushforward",
-                f"P{r}",
-                pushed_o.serialize(),
-                "1/1",
-            )
-        )
+            pushes_to("bundle-twist-vanishing", f"P{r}, twist {a}", pr.line((a,)), "")
+        pushes_to("bundle-structure-pushforward", f"P{r}", pr.structure_sheaf(), "1/1")
     twisted = model_tower("F1")
-    pushed = pushforward_k(twisted.line((0, -1)), 1)
-    reports.append(
-        VerificationReport.compare(
-            "bundle-twist-vanishing",
-            "F1, twist -1",
-            pushed.serialize(),
-            "",
-        )
-    )
+    pushes_to("bundle-twist-vanishing", "F1, twist -1", twisted.line((0, -1)), "")
     return reports
 
 
@@ -269,18 +258,18 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
         if _is_product_tower(levels):
             fiber_dims = [len(level) - 1 for level in levels]
             for coeffs in _sheaf_vectors(tower.n_levels, coefficient_bound):
-                chi = euler_characteristic(tower.line(coeffs))
-                expected = 1
-                for dim_f, a in zip(fiber_dims, coeffs):
-                    expected *= chi_projective_space_oracle(dim_f, a)
-                reports.append(
-                    VerificationReport.compare(
-                        "euler-binomial-oracle",
-                        f"{name}/O({','.join(map(str, coeffs))})",
-                        str(chi),
-                        str(expected),
+                instance = f"{name}/O({','.join(map(str, coeffs))})"
+
+                def oracle(tower=tower, coeffs=coeffs, instance=instance, dims=fiber_dims):
+                    chi = euler_characteristic(tower.line(coeffs))
+                    expected = 1
+                    for dim_f, a in zip(dims, coeffs):
+                        expected *= chi_projective_space_oracle(dim_f, a)
+                    return VerificationReport.compare(
+                        "euler-binomial-oracle", instance, str(chi), str(expected)
                     )
-                )
+
+                reports.extend(_guard("euler-binomial-oracle", instance, oracle))
         # cycle-side degree against the K-side Euler characteristic
         for coeffs in _sheaf_vectors(tower.n_levels, 1):
             F = tower.line(coeffs)
@@ -412,40 +401,42 @@ def suite_surface_det(max_m: int = 6) -> list[VerificationReport]:
 def suite_number_theory() -> list[VerificationReport]:
     """The divisibility corollaries: vanishing-order denominators, the
     factorial-multiple divisibility, and the covering-map defect radicals."""
-    reports: list[VerificationReport] = []
-    for g in range(1, 21):
-        d = von_staudt_D(g)
-        reports.append(
-            VerificationReport.compare(
-                "von-staudt-denominator",
-                f"g={g}",
-                str(d.value),
-                str((bernoulli(2 * g) / (2 * g)).denominator),
-            )
-        )
-    for g in range(2, 16):
+
+    def von_staudt(g: int) -> tuple[str, str]:
+        return str(von_staudt_D(g).value), str((bernoulli(2 * g) / (2 * g)).denominator)
+
+    def hodge_torsion(g: int) -> tuple[str, str]:
         ok, witness = check_ekedahl_divisibility(g)
-        reports.append(
-            VerificationReport.compare(
-                "hodge-torsion-divisibility",
-                f"g={g}",
-                f"quotient {witness}" if ok else f"failed at prime {witness}",
-                f"quotient {witness}" if ok else "exact division",
-            )
-        )
-    for n in range(1, 13):
+        if ok:
+            return f"quotient {witness}", f"quotient {witness}"
+        return f"failed at prime {witness}", "exact division"
+
+    def covering_defect(n: int) -> tuple[str, str]:
         ln = fulton_macpherson_L(n)
         defect = exact_ratio(todd_denominator(n).value, factorial(n))
         divisible = defect % ln.value == 0
         radical_ok = all(defect % p == 0 for p, _ in ln.factorization)
-        reports.append(
-            VerificationReport.compare(
-                "covering-defect-radical",
-                f"n={n}",
-                f"L={ln.value} divides defect {defect}: {divisible and radical_ok}",
-                f"L={ln.value} divides defect {defect}: True",
+        claim = f"L={ln.value} divides defect {defect}"
+        return f"{claim}: {divisible and radical_ok}", f"{claim}: True"
+
+    plans = [
+        ("von-staudt-denominator", "g", range(1, 21), von_staudt),
+        ("hodge-torsion-divisibility", "g", range(2, 16), hodge_torsion),
+        ("covering-defect-radical", "n", range(1, 13), covering_defect),
+    ]
+    reports: list[VerificationReport] = []
+    for identity, index, values, sides in plans:
+        for i in values:
+            instance = f"{index}={i}"
+            reports.extend(
+                _guard(
+                    identity,
+                    instance,
+                    lambda identity=identity, instance=instance, sides=sides, i=i: (
+                        VerificationReport.compare(identity, instance, *sides(i))
+                    ),
+                )
             )
-        )
     return reports
 
 

@@ -9,6 +9,7 @@ import pytest
 from grrcheck import cli
 from grrcheck.cli import main
 from grrcheck.report import FalsificationError
+from grrcheck.suites import suite_main_theorem
 from grrcheck.series import (
     q_poly,
     todd_inverse_numerator,
@@ -266,6 +267,8 @@ class TestVerify:
             ["verify", "integrality", "--max-degree", "3"],
             ["verify", "exp-sum-product", "--max-degree", "3"],
             ["verify", "main-theorem", "--geometry", "P(trivial 3) over point"],
+            ["verify", "number-theory"],
+            ["verify", "projective-bundle"],
         ],
     )
     def test_timing_stamps_every_report(self, argv, capsys):
@@ -273,6 +276,11 @@ class TestVerify:
         values = [json.loads(line)["millis"] for line in capsys.readouterr().out.splitlines()]
         assert len(values) >= 1
         assert all(type(v) is int and v >= 0 for v in values), values
+
+    def test_timing_stamps_the_binomial_oracle_reports(self):
+        reports = suite_main_theorem(coefficient_bound=0)
+        assert any(r.identity == "euler-binomial-oracle" for r in reports)
+        assert all(type(r.millis) is int for r in reports)
 
 
     @pytest.mark.parametrize(
@@ -293,6 +301,35 @@ class TestVerify:
     def test_ignored_flag_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert "not used by verify" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_cut_does_not_leak_into_the_next_call(self, capsys):
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 4) over point", "-n", "0"]
+        assert main(argv + ["--cut", "h"]) == 0
+        with_cut = capsys.readouterr().out
+        # a leaked --cut would make this a usage error
+        assert main(["verify", "number-theory"]) == 0
+        assert main(argv) == 0
+        without_cut = capsys.readouterr().out.splitlines()[-3:]
+        assert with_cut.splitlines() != without_cut
+        assert cli._build_parser().parse_args(argv).cut == []
+
+    def test_help_exits_zero_on_every_call(self, capsys):
+        for argv in (["--help"], ["verify", "--help"], ["--help"]):
+            assert main(argv) == 0
+        assert "usage: grrcheck" in capsys.readouterr().out
+
+    def test_defaults_the_benchmark_reads(self):
+        args = cli._build_parser().parse_args(["verify", "main-theorem"])
+        assert (args.max_dim, args.base_levels, args.cut) == (cli.DEFAULT_MAX_DIM, 0, [])
+        assert (args.n, args.geometry, args.sheaf, args.max_degree) == (None,) * 4
+        assert not args.timing and args.mutate is None
 
 
 class TestExitCodes:

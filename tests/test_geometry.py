@@ -174,6 +174,16 @@ class TestProductTable:
         assert scalar_types(half * x) <= {int, Fraction}
         assert (half * x.scale(2)) == x * x
 
+    def test_integral_results_of_rational_classes_are_int(self):
+        p2 = projective_space(2)
+        half = ChowClass(p2, {(1,): Fraction(1, 2)})
+        assert (half + half).terms == {(1,): 1}
+        assert scalar_types(half + half) == {int}
+        assert scalar_types(half - half.scale(-1)) == {int}
+        assert scalar_types(half.scale(2)) == {int}
+        assert scalar_types(half * half.scale(4)) == {int}
+        assert scalar_types(half + half + half) == {Fraction}
+
     def test_unit_is_built_once(self):
         t = build_tower(self.TOWERS[-1])
         assert t.unit_chow() is t.unit_chow()

@@ -14,6 +14,8 @@ from grrcheck.poly import (
     elementary_product_orbit,
     elementary_reduce,
     elementary_symmetric,
+    horner_eval,
+    horner_scheme,
     join_alphabets,
     multiply_by_elementary,
     newton_power_sum,
@@ -524,6 +526,40 @@ class TestElementaryReduce:
             for i in range(1, n_roots + 1)
         }
         assert q.substitute(images, al) == p
+
+
+class TestHornerScheme:
+    def test_scheme_shape(self):
+        scheme = horner_scheme({(2, 0): "a", (0, 1): "b", (0, 0): "c"})
+        assert scheme == ((2, ((0, "a"),)), (0, ((1, "b"), (0, "c"))))
+        assert horner_scheme({(): "k"}) == "k"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * 3), st.integers(-9, 9), min_size=1, max_size=12
+        ),
+        st.lists(st.integers(-5, 5), min_size=3, max_size=3),
+    )
+    def test_matches_the_monomial_sum(self, terms, point):
+        x, y, z = point
+        direct = sum(c * x**a * y**b * z**d for (a, b, d), c in terms.items())
+        assert horner_eval(horner_scheme(terms), point) == direct
+
+    def test_one_product_per_exponent_step(self):
+        products = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                products.append(other)
+                return Counted(int(self) * other)
+
+            def __add__(self, other):
+                return Counted(int(self) + other)
+
+        scheme = horner_scheme({(5,): Counted(1), (2,): Counted(3), (0,): Counted(1)})
+        assert horner_eval(scheme, [2]) == 2**5 + 3 * 2**2 + 1
+        assert len(products) == 5
 
 
 class TestSeriesHelpers:
