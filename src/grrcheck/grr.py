@@ -225,19 +225,17 @@ def grr_error(
 
 
 def corollary_sides(
-    f: MorphismDatum, n: int, pushed: Mapping, source: Mapping
+    f: MorphismDatum, n: int, s_n: ChowClass, source: Mapping
 ) -> tuple[ChowClass, ChowClass]:
     """(T_{d+n}/n!) s_n(f_*[F])  vs  f_*(ct_{d+n}(F, X/S)) with the fiberwise
-    tangent difference (relative-dimension >= 0 form), from the images of
-    _instance_images."""
+    tangent difference (relative-dimension >= 0 form), from s_n(f_*[F]) and
+    the source images of _instance_images."""
     d = f.relative_dimension
     if d < 0:
         raise InputError("the corollary form needs relative dimension >= 0")
     scalar = exact_ratio(todd_denominator(d + n).value, factorial(n))
-    s_n = universal_chern_character(n)
-    lhs = evaluate_universal(s_n.numerator, f.target, pushed).scale(scalar)
     rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=True))
-    return lhs, rhs
+    return s_n.scale(scalar), rhs
 
 
 def _todd_part(tower: Tower, j: int) -> ChowClass:
@@ -252,11 +250,12 @@ def _todd_part(tower: Tower, j: int) -> ChowClass:
     return tower._cache[key]
 
 
-def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping) -> ChowClass:
+def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping, s_n: ChowClass) -> ChowClass:
     """Target-side regrouping that links the two statement shapes: the main
     theorem's left side (T_{d+n}/T_n) ct_n(f_*F, S) equals
     sum_j [T_{d+n}/(T_{d+n-j} T_j)] * [(T_{d+n-j}/(n-j)!) s_{n-j}(f_*F)] *
-    Td-numerator_j(T_S), with pushed from _instance_images."""
+    Td-numerator_j(T_S), with pushed from _instance_images and the j = 0
+    factor s_n(f_*[F]) given."""
     d = f.relative_dimension
     target = f.target
     rhs = target.zero_chow()
@@ -266,7 +265,7 @@ def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping) -> ChowClass:
             todd_denominator(d + n - j).value * todd_denominator(j).value,
         )
         inner = exact_ratio(todd_denominator(d + n - j).value, factorial(n - j))
-        s_part = evaluate_universal(
+        s_part = s_n if j == 0 else evaluate_universal(
             universal_chern_character(n - j).numerator, target, pushed
         )
         rhs = rhs + (s_part * _todd_part(target, j)).scale(outer * inner)
@@ -279,9 +278,9 @@ def check_main_theorem(
     """The main identity, the numerator-corollary form (when applicable), and
     the scalar regrouping that connects them, on one geometry instance.
 
-    f_*[F] and the Chern images of F and f_*[F] are built once here and
-    shared by the three checks; the tangent-side classes come from the
-    per-tower caches."""
+    f_*[F], the Chern images of F and f_*[F] and s_n(f_*[F]) are built once
+    here and shared by the three checks; the tangent-side classes come from
+    the per-tower caches."""
     pushed, source = _instance_images(f, F, n)
     instance = f"{f.describe()}/sheaf={sheaf_label or F.line_terms}/n={n}"
     lhs, rhs = grr_error(f, n, pushed, source)
@@ -290,13 +289,14 @@ def check_main_theorem(
         VerificationReport.compare("main-theorem", instance, lhs_text, rhs.serialize())
     ]
     if f.relative_dimension >= 0:
-        cl, cr = corollary_sides(f, n, pushed, source)
+        s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+        cl, cr = corollary_sides(f, n, s_n, source)
         reports.append(
             VerificationReport.compare(
                 "main-theorem-corollary", instance, cl.serialize(), cr.serialize()
             )
         )
-        dr = decomposition_rhs(f, n, pushed)
+        dr = decomposition_rhs(f, n, pushed, s_n)
         reports.append(
             VerificationReport.compare(
                 "main-theorem-decomposition", instance, lhs_text, dr.serialize()

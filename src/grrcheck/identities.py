@@ -30,7 +30,6 @@ from .series import (
     apply_series,
     exp_series,
     one_minus_exp_neg_series,
-    poly_inverse,
     q_poly,
     todd_inverse_numerator,
     todd_root_series,
@@ -216,6 +215,15 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
     )
 
 
+def _divide_by_one_minus(p: GradedPolynomial, s: GradedPolynomial) -> GradedPolynomial:
+    """p / (1 - s) for a linear form s, one degree at a time: the quotient y
+    has y_0 = p_0 and y_d = p_d + s * y_{d-1}, since y = p + s * y."""
+    parts = [p.graded_part(0)]
+    for d in range(1, p.truncation + 1):
+        parts.append(p.graded_part(d) + s * parts[-1])
+    return sum(parts[1:], parts[0])
+
+
 def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
     """s_g of the alternating sum of dual wedge powers equals g! * c_g.
 
@@ -237,8 +245,8 @@ def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
                 s = GradedPolynomial.zero(al, g)
                 for n in subset:
                     s = s + GradedPolynomial.variable(al, g, n)
-                factor = one - s  # total Chern class of the line O(-sum_S x)
-                total = total * (factor if size % 2 == 0 else poly_inverse(factor))
+                # 1 - s is the total Chern class of the line O(-sum_S x)
+                total = total * (one - s) if size % 2 == 0 else _divide_by_one_minus(total, s)
         cp_values = {i: total.graded_part(i) for i in range(1, g + 1)}
         lhs = _substituted_chern_numerator(g, 0, cp_values, al, g)
         rhs = elementary_symmetric(al, names, g, g).scale(factorial(g))

@@ -32,7 +32,11 @@ The symmetric-function reduction implements the classical fundamental-theorem
 algorithm (lexicographic leading-term elimination).  Internally symmetric
 polynomials are stored per orbit, i.e. in the monomial-symmetric basis indexed
 by partitions; that is a representation choice only, the elimination order and
-certificates are the classical ones.
+certificates are the classical ones.  The coefficient of m_lambda in a product
+e_eta of elementary functions counts the 0-1 matrices with row sums eta and
+column sums lambda (Macdonald, Symmetric Functions, I.6), and every lambda has
+at most |eta| parts; so all root counts n >= |eta| share one expansion, and a
+smaller n keeps only the lambda of length <= n.
 
 Polynomials are immutable after construction and may share their term dicts;
 the expansion memo tables and the degree memos are insert-only maps of
@@ -648,15 +652,16 @@ _ELEM_EXPANSION: dict[tuple[int, tuple[int, ...]], dict[Partition, int]] = {}
 
 def elementary_product_orbit(eta: tuple[int, ...], n_roots: int) -> dict[Partition, int]:
     """Orbit-basis expansion of the product e_{eta_1} * e_{eta_2} * ... (eta desc);
-    its coefficients are non-negative integers."""
+    its coefficients are non-negative integers.  Every root count >= |eta|
+    gives the same expansion, so it is built and memoised once, at |eta|."""
     if not eta:
         return {(): 1}
-    key = (n_roots, eta)
-    cached = _ELEM_EXPANSION.get(key)
+    n = min(n_roots, sum(eta))
+    cached = _ELEM_EXPANSION.get((n, eta))
     if cached is None:
-        prev = elementary_product_orbit(eta[:-1], n_roots)
-        cached = multiply_by_elementary(prev, eta[-1], n_roots)
-        _ELEM_EXPANSION[key] = cached
+        prev = elementary_product_orbit(eta[:-1], n)
+        cached = multiply_by_elementary(prev, eta[-1], n)
+        _ELEM_EXPANSION[n, eta] = cached
     return cached
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .arith import InputError, todd_denominator, todd_ratio
@@ -100,15 +101,6 @@ def apply_series(coeffs: list[Fraction], p: GradedPolynomial) -> GradedPolynomia
         if coeffs[k]:
             total = total + power.scale(coeffs[k])
     return total
-
-
-def poly_inverse(p: GradedPolynomial, bound: int | None = None) -> GradedPolynomial:
-    """Multiplicative inverse of a polynomial with constant term 1, truncated."""
-    if p.coefficient() != 1:
-        raise InputError("poly_inverse needs constant term 1")
-    bound = p.truncation if bound is None else bound
-    u = GradedPolynomial.constant(p.alphabet, bound, 1) - p.truncate(bound)
-    return apply_series([Fraction(1)] * (bound + 1), u)  # 1/(1-u) = sum u^k
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +340,32 @@ def _multiplicative_series_oracle(
     """Degree-m part of prod_roots f(x_j) in c-variables, via exp(sum l_k p_k).
 
     Independent of the elimination algorithm: uses the logarithm of the
-    per-root series and Newton's power-sum polynomials.
+    per-root series and Newton's power-sum polynomials.  The exponential is
+    taken degree by degree: u = sum l_k p_k has the graded parts u_k =
+    l_k p_k, and E = exp(u) has E_0 = 1 and d E_d = sum_{k=1..d} k u_k E_{d-k}
+    (Knuth, TAOCP vol. 2, 4.7), so no power of u is formed.
     """
     alph = weighted_alphabet("c", n_vars)
-    if m == 0:
-        return GradedPolynomial.constant(alph, 0, 1)
     logs = series_log(per_root, m)
-    u = GradedPolynomial.zero(alph, m)
-    for k in range(1, m + 1):
-        if logs[k]:
-            u = u + _power_sum_in_chern(k, n_vars, alph).with_bound(m).scale(logs[k])
-    total = apply_series(exp_series(m), u)
-    return total.graded_part(m)
+    k_u = {  # k -> k u_k, for the nonzero l_k
+        k: _power_sum_in_chern(k, n_vars, alph).with_bound(m).scale(k * logs[k])
+        for k in range(1, m + 1)
+        if logs[k]
+    }
+    exp_parts = [GradedPolynomial.constant(alph, m, 1)]
+    for d in range(1, m + 1):
+        total = GradedPolynomial.zero(alph, m)
+        for k, part in k_u.items():
+            if k <= d:
+                total = total + part * exp_parts[d - k]
+        exp_parts.append(total.scale(Fraction(1, d)))
+    return exp_parts[m]
 
 
+@lru_cache(maxsize=None)
 def todd_series_oracle(m: int) -> GradedPolynomial:
-    """Rational Td_m by the power-sum route (cross-check for universal_todd)."""
+    """Rational Td_m by the power-sum route (cross-check for universal_todd),
+    built once per degree: it reads no mutation, unlike the primary classes."""
     return _multiplicative_series_oracle(todd_root_series(m), m, m)
 
 

@@ -87,10 +87,11 @@ class TestGrrError:
         F = t.line((1, 1))
         for n in range(0, 3):
             pushed, source = _instance_images(f, F, n)
-            cl, cr = corollary_sides(f, n, pushed, source)
+            s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+            cl, cr = corollary_sides(f, n, s_n, source)
             assert cl == cr, n
             dl, _ = grr_error(f, n, pushed, source)
-            dr = decomposition_rhs(f, n, pushed)
+            dr = decomposition_rhs(f, n, pushed, s_n)
             assert dl == dr, n
 
     def test_rational_shadow(self):
@@ -235,17 +236,18 @@ class TestCheckMainTheorem:
         n = 2
         pushed, source = _instance_images(f, t.line((1, 1)), n)
         clean, _ = grr_error(f, n, pushed, source)
-        assert decomposition_rhs(f, n, pushed) == clean
+        s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+        assert decomposition_rhs(f, n, pushed, s_n) == clean
         for j in range(1, n + 1):
             set_mutation(Mutation("todd", j, 0, Fraction(1)))
             try:
-                mutated = decomposition_rhs(f, n, pushed)
+                mutated = decomposition_rhs(f, n, pushed, s_n)
                 mutated_lhs, _ = grr_error(f, n, pushed, source)
             finally:
                 set_mutation(None)
             assert mutated != clean, j
             assert mutated == mutated_lhs, j
-            assert decomposition_rhs(f, n, pushed) == clean, j
+            assert decomposition_rhs(f, n, pushed, s_n) == clean, j
 
     def test_bundles_over_bases(self):
         cases = [

@@ -413,7 +413,50 @@ def brute_elementary_product(eta, n):
     return orbit
 
 
+def count_01_matrices(rows, cols):
+    """Oracle: the number of 0-1 matrices with the given row and column sums,
+    filling one row at a time."""
+    memo = {}
+
+    def fill(i, caps):
+        if i == len(rows):
+            return int(not any(caps))
+        if (i, caps) not in memo:
+            memo[i, caps] = sum(
+                fill(i + 1, tuple(c - (j in chosen) for j, c in enumerate(caps)))
+                for chosen in combinations(range(len(caps)), rows[i])
+                if all(caps[j] for j in chosen)
+            )
+        return memo[i, caps]
+
+    return fill(0, tuple(cols))
+
+
 class TestOrbitEngine:
+    def test_elementary_products_count_01_matrices(self):
+        # the coefficient of m_lambda in e_eta counts the 0-1 matrices with row
+        # sums eta and column sums lambda; n roots keep the lambda of length <= n
+        for total in range(0, 9):
+            for eta in partitions(total):
+                for n in range(1, total + 3):
+                    expected = {
+                        lam: count
+                        for lam in partitions(total, max_len=n)
+                        if (count := count_01_matrices(eta, lam))
+                    }
+                    assert elementary_product_orbit(eta, n) == expected, (eta, n)
+
+    def test_expansion_memo_is_independent_of_fill_order(self, monkeypatch):
+        from grrcheck import poly
+
+        eta = (3, 2, 2, 1)
+        results = []
+        for order in [(10, 8, 5, 3), (3, 5, 8, 10)]:
+            monkeypatch.setattr(poly, "_ELEM_EXPANSION", {})
+            results.append({n: elementary_product_orbit(eta, n) for n in order})
+        assert results[0] == results[1]
+        assert results[0][10] == results[0][8] != results[0][5]
+
     def test_multiply_by_elementary_against_brute(self):
         for n in (2, 3, 4):
             for eta in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1, 1)]:

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -9,25 +11,36 @@ from grrcheck.poly import (
     elementary_reduce,
     newton_power_sum,
     root_alphabet,
+    series_log,
+    weighted_alphabet,
 )
 from grrcheck.report import FalsificationError
 from grrcheck.series import (
     Mutation,
+    _multiplicative_series_oracle,
+    _power_sum_in_chern,
     apply_series,
     chern_character_oracle,
     ct_oracle,
+    exp_series,
     q_oracle,
     q_poly,
     set_mutation,
     todd_inverse_numerator,
     todd_inverse_oracle,
+    todd_inverse_root_series,
     todd_root_series,
     todd_series_oracle,
     universal_chern_character,
     universal_ct,
     universal_todd,
 )
-from grrcheck.identities import howe_reduce, howe_claims, verify_series_identity
+from grrcheck.identities import (
+    _divide_by_one_minus,
+    howe_claims,
+    howe_reduce,
+    verify_series_identity,
+)
 
 
 def brute_force_todd(m: int, n_roots: int) -> GradedPolynomial:
@@ -112,6 +125,23 @@ class TestHomogeneityAllFamilies:
         for m in range(0, 13):
             assert todd_series_oracle(m) == universal_todd(m).series_part, m
 
+    def test_oracle_built_once_per_degree(self, monkeypatch):
+        from grrcheck import series
+
+        built = Counter()
+        inner = series._multiplicative_series_oracle
+
+        def counting(per_root, m, n_vars):
+            built[m] += 1
+            return inner(per_root, m, n_vars)
+
+        monkeypatch.setattr(series, "_multiplicative_series_oracle", counting)
+        todd_series_oracle.cache_clear()
+        for m in range(1, 7):
+            ct_oracle(m)
+            q_oracle(m)
+        assert built == {m: 1 for m in range(0, 7)}
+
 
 class TestChernCharacter:
     def test_paper_displayed_series(self):
@@ -189,6 +219,27 @@ class TestDivisorPolynomial:
             assert q_oracle(m) == uc.series_part, m
 
 
+def full_exp_route(per_root, m, n_vars):
+    """The power-sum route with exp(u) as the full series sum u^k/k!."""
+    alph = weighted_alphabet("c", n_vars)
+    logs = series_log(per_root, m)
+    u = GradedPolynomial.zero(alph, m)
+    for k in range(1, m + 1):
+        u = u + _power_sum_in_chern(k, n_vars, alph).with_bound(m).scale(logs[k])
+    return apply_series(exp_series(m), u).graded_part(m)
+
+
+class TestGradedExp:
+    def test_against_the_full_exp_series(self):
+        for m in range(0, 10):
+            for per_root, n_vars in [(todd_root_series(m), m)] + [
+                (todd_inverse_root_series(m), r) for r in (1, 2, 3)
+            ]:
+                got = _multiplicative_series_oracle(per_root, m, n_vars)
+                assert got == full_exp_route(per_root, m, n_vars), (m, n_vars)
+                assert got.truncation == m
+
+
 class TestToddInverse:
     def test_spec_examples(self):
         assert todd_inverse_numerator(4, 4).numerator.coefficient() == 24
@@ -227,6 +278,23 @@ class TestIdentities:
 
     def test_wedge_identity(self):
         assert verify_series_identity("top-chern-from-wedges", 6).passed
+
+    def test_degree_by_degree_quotient(self):
+        # against the product with 1/(1 - s) = sum s^k, on every running total
+        # of the wedge identity
+        for g in range(1, 6):
+            al = root_alphabet("x", g)
+            one = GradedPolynomial.constant(al, g, 1)
+            total = one
+            for size in range(1, g + 1):
+                for subset in combinations(al.names(), size):
+                    s = GradedPolynomial.zero(al, g)
+                    for name in subset:
+                        s = s + GradedPolynomial.variable(al, g, name)
+                    inverse = apply_series([Fraction(1)] * (g + 1), s)
+                    quotient = _divide_by_one_minus(total, s)
+                    assert quotient == total * inverse, (g, subset)
+                    total = total * (one - s) if size % 2 == 0 else quotient
 
     def test_unknown_name(self):
         from grrcheck.arith import InputError
