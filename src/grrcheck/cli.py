@@ -194,9 +194,15 @@ def cmd_gen(args) -> int:
 def _parse_mutation(spec: str) -> Mutation:
     try:
         kind, degree, index, delta = spec.split(":")
-        return Mutation(kind, int(degree), int(index), Fraction(delta))
+        mutation = Mutation(kind, int(degree), int(index), Fraction(delta))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad mutation spec {spec!r}: {exc}") from None
+    if kind not in UNIVERSAL_CLASSES:
+        known = ", ".join(UNIVERSAL_CLASSES)
+        raise InputError(f"bad mutation spec {spec!r}: unknown kind {kind!r} (known: {known})")
+    if mutation.degree < 0 or mutation.index < 0:
+        raise InputError(f"bad mutation spec {spec!r}: degree and index must be >= 0")
+    return mutation
 
 
 def _single_instance_reports(args) -> list[VerificationReport]:

@@ -28,6 +28,10 @@ loop; the table is filled lazily and skips pairs above the dimension, which
 vanish.  Sums, differences, scalings, graded parts, pushforwards and pullbacks
 keep normal form and build their results without a rewrite.
 
+Every sum of term maps here (Chow and K sums, scalings and products, the
+rewrite step, twists and the K-pushforward) is grrcheck.poly.accumulate,
+which drops cancelled terms and stores integral values as ints.
+
 Towers are immutable after build apart from their lazy caches, whose entries
 are functions of the tower alone; all class operations are pure, so one tower
 may be shared read-only by concurrent verification jobs.
@@ -41,7 +45,7 @@ from math import prod
 from typing import Mapping, Sequence
 
 from .arith import InputError
-from .poly import Alphabet, GradedPolynomial, Monomial, Scalar, _exact, root_alphabet
+from .poly import Alphabet, GradedPolynomial, Monomial, Scalar, accumulate, root_alphabet
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
 # One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
@@ -133,7 +137,7 @@ class Tower:
     ) -> dict[Monomial, Scalar]:
         """Rewrite every exponent of the given levels (default all, top first)
         into [0, r_k] with the (above, below) rules of each level."""
-        out = {m: c for m, c in terms.items() if c}
+        out = accumulate({}, terms)
         for k in reversed(range(self.n_levels)) if levels is None else levels:
             r = self.ranks[k]
             above, below = rules[k]
@@ -144,13 +148,7 @@ class Tower:
                 for m, _ in bad:
                     del out[m]
                 for m, c in bad:
-                    for offset, rc in (above if m[k] > r else below).items():
-                        key = tuple(x + y for x, y in zip(m, offset))
-                        val = out.get(key, 0) + c * rc
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
+                    accumulate(out, above if m[k] > r else below, c, m)
         return out
 
     # -- public structure -------------------------------------------------
@@ -236,8 +234,8 @@ class ChowClass:
     Coefficients are ints.  A Fraction occurs only where a value is not an
     integer: the rational series parts that rational_grr_cross_check
     evaluates, or a universal polynomial carrying a Fraction mutation delta;
-    a Fraction scalar with denominator 1 enters as an int, and sums, scalings
-    and products store an integral value as an int (poly._exact).
+    the constructor, sums, scalings and products store an integral value as
+    an int (poly.accumulate).
 
     ChowClass(tower, terms) reduces raw terms with the Chow relations.  Every
     other result is built by _normal from terms already in normal form: the
@@ -250,9 +248,7 @@ class ChowClass:
 
     def __init__(self, tower: Tower, terms: Mapping[Monomial, Scalar]):
         self.tower = tower
-        self.terms: dict[Monomial, Scalar] = tower._normal_form(
-            {m: _exact(c) for m, c in terms.items()}, tower._chow_rules
-        )
+        self.terms: dict[Monomial, Scalar] = tower._normal_form(terms, tower._chow_rules)
 
     @classmethod
     def _normal(cls, tower: Tower, terms: dict[Monomial, Scalar]) -> "ChowClass":
@@ -268,14 +264,7 @@ class ChowClass:
 
     def _combine(self, other: "ChowClass", sign: int) -> "ChowClass":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            val = out.get(m, 0) + sign * c
-            if val:
-                out[m] = val if type(val) is int else _exact(val)
-            else:
-                del out[m]
-        return ChowClass._normal(self.tower, out)
+        return ChowClass._normal(self.tower, accumulate(dict(self.terms), other.terms, sign))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         return self._combine(other, 1)
@@ -287,12 +276,9 @@ class ChowClass:
         return self.scale(-1)
 
     def scale(self, r: Scalar) -> "ChowClass":
-        r = _exact(r)
         if not r:
             return self.tower.zero_chow()
-        return ChowClass._normal(
-            self.tower, {m: _exact(c * r) for m, c in self.terms.items()}
-        )
+        return ChowClass._normal(self.tower, accumulate({}, self.terms, r))
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
@@ -303,7 +289,6 @@ class ChowClass:
         dim = tower.dim
         right = [(mb, cb, sum(mb)) for mb, cb in other.terms.items()]
         out: dict[Monomial, Scalar] = {}
-        get = out.get
         for ma, ca in self.terms.items():
             room = dim - sum(ma)
             for mb, cb, degree in right:
@@ -313,12 +298,9 @@ class ChowClass:
                 if entry is None:
                     raw = {tuple(x + y for x, y in zip(ma, mb)): 1}
                     entry = table[ma, mb] = tower._normal_form(raw, tower._chow_rules)
-                c = ca * cb
-                for m, t in entry.items():
-                    out[m] = get(m, 0) + c * t
-        return ChowClass._normal(
-            tower, {m: c if type(c) is int else _exact(c) for m, c in out.items() if c}
-        )
+                if entry:  # a third of the entries vanish by a level's relation
+                    accumulate(out, entry, ca * cb)
+        return ChowClass._normal(tower, out)
 
     def graded_part(self, m: int) -> "ChowClass":
         return ChowClass._normal(
@@ -358,15 +340,11 @@ def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
     current = tower
     for _ in range(n_collapse):
         # the top exponent at r_k is the fiber's point class; the rest of the
-        # monomial is a basis monomial of the base
+        # monomial is a basis monomial of the base, distinct for distinct
+        # monomials, so no two terms collect
         k = current.n_levels - 1
-        r = current.ranks[k]
-        nxt: dict[Monomial, Scalar] = {}
-        for mono, c in terms.items():
-            if mono[k] == r:
-                nxt[mono[:k]] = nxt.get(mono[:k], 0) + c
+        terms = {m[:k]: c for m, c in terms.items() if m[k] == current.ranks[k]}
         current = current.base
-        terms = {m: c for m, c in nxt.items() if c}
     return ChowClass._normal(current, terms)
 
 
@@ -402,17 +380,11 @@ class KClass:
 
     def __add__(self, other: "KClass") -> "KClass":
         self._check(other)
-        out = dict(self.line_terms)
-        for v, c in other.line_terms.items():
-            out[v] = out.get(v, 0) + c
-        return KClass(self.tower, out)
+        return KClass(self.tower, accumulate(dict(self.line_terms), other.line_terms))
 
     def __sub__(self, other: "KClass") -> "KClass":
         self._check(other)
-        out = dict(self.line_terms)
-        for v, c in other.line_terms.items():
-            out[v] = out.get(v, 0) - c
-        return KClass(self.tower, out)
+        return KClass(self.tower, accumulate(dict(self.line_terms), other.line_terms, -1))
 
     def __neg__(self) -> "KClass":
         return KClass(self.tower, {v: -c for v, c in self.line_terms.items()})
@@ -424,9 +396,7 @@ class KClass:
         self._check(other)
         out: dict[DivisorVector, int] = {}
         for va, ca in self.line_terms.items():
-            for vb, cb in other.line_terms.items():
-                key = tuple(x + y for x, y in zip(va, vb))
-                out[key] = out.get(key, 0) + ca * cb
+            accumulate(out, other.line_terms, ca, va)
         return KClass(self.tower, out)
 
     def dual(self) -> "KClass":
@@ -437,10 +407,7 @@ class KClass:
     def twist(self, vec: DivisorVector) -> "KClass":
         """Tensor with the line bundle of the given divisor vector."""
         vec = self.tower._pad(tuple(vec))
-        return KClass(
-            self.tower,
-            {tuple(x + y for x, y in zip(v, vec)): c for v, c in self.line_terms.items()},
-        )
+        return KClass(self.tower, accumulate({}, self.line_terms, 1, vec))
 
     def _effective_symbols(self) -> list[DivisorVector]:
         symbols: list[DivisorVector] = []
@@ -532,13 +499,10 @@ def pushforward_k(f: KClass, n_collapse: int = 1) -> KClass:
         # band the top exponent into [0, r], then l^a pushes to Sym^a E
         k = current.n_levels - 1
         banded = current._normal_form(terms, current._k_rules, levels=(k,))
-        nxt: dict[DivisorVector, int] = {}
+        terms = {}
         for vec, c in banded.items():
-            for image, ic in current._sym_images[vec[k]].items():
-                key = tuple(b + x for b, x in zip(vec[:k], image))
-                nxt[key] = nxt.get(key, 0) + c * ic
+            accumulate(terms, current._sym_images[vec[k]], c, vec[:k])
         current = current.base
-        terms = nxt
     return KClass(current, terms)
 
 

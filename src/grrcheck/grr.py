@@ -4,7 +4,9 @@ Every checker assembles both sides of one exact identity in the integer Chow
 ring of a tower (or in a free symbol ring for formal fibrations), serializes
 them canonically, and reports byte-equality.  All scalar ratios of Todd
 denominators are performed as checked exact integer divisions; a failed
-division is a falsification, not a rounding issue.
+division is a falsification, not a rounding issue.  Each T_a/(j! T_b) is
+grrcheck.arith.todd_ratio; only the T_a/(T_b T_c) of decomposition_rhs is
+spelled out with exact_ratio.
 
 Every universal polynomial is evaluated by the one substitution loop over its
 monomials, grrcheck.poly.substitute_terms: on a tower with Chow classes as
@@ -13,14 +15,15 @@ GradedPolynomial.substitute.  The combined class runs through it only to
 fill ct_on_tower's caches; each call then walks a Horner scheme
 (grrcheck.poly.horner_eval).
 
-Work that depends only on the tower is cached in the tower's _cache, under
-keys that carry the active mutation wherever a universal class is read, so a
-mutated class never meets a clean one (see grrcheck.series.set_mutation):
+Work that depends only on the tower is cached in the tower's _cache.  Where
+a universal class is read, the key holds that class itself (UniversalClass
+hashes by identity), so a class rebuilt under a mutation never meets work
+done with the clean one, and this module need not know that mutations exist:
 
-    ("ct-partial", tangent, m, mutation)                 ct_m, tangent substituted
-    ("ct-partial", tangent, m, mutation, rank, live)     its Horner scheme in the live cp_i
-    ("todd-part", j, mutation)                           Td-numerator_j(T_tower)
-    ("relative-tangent", base levels, cuts)              T_X - f^*T_S on the ambient
+    (universal_ct(m), tangent)                ct_m, tangent substituted
+    (universal_ct(m), tangent, rank, live)    its Horner scheme in the live cp_i
+    universal_todd(j)                         Td-numerator_j(T_tower)
+    ("relative-tangent", base levels, cuts)   T_X - f^*T_S on the ambient
 
 One main-theorem instance pushes its sheaf forward once and builds the Chern
 images of the sheaf and of its pushforward once, for all three of its checks.
@@ -35,7 +38,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping
 
-from .arith import InputError, bernoulli, exact_ratio, todd_denominator
+from .arith import InputError, bernoulli, exact_ratio, todd_denominator, todd_ratio
 from .geometry import (
     ChowClass,
     KClass,
@@ -48,7 +51,6 @@ from .geometry import (
 from .poly import Alphabet, GradedPolynomial, horner_eval, horner_scheme, substitute_terms
 from .report import FalsificationError, VerificationReport
 from .series import (
-    current_mutation,
     q_poly,
     todd_inverse_numerator,
     universal_chern_character,
@@ -90,20 +92,20 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
     """The degree-m combined-class numerator on the tower, at the tangent
     class and the sheaf map {"r": rank, "cp1": ..., "cp<m>": ...}.
 
-    Two cache levels on the tower.  ("ct-partial", tangent, m, mutation)
-    holds the numerator with the tangent Chern classes substituted, grouped
-    by the exponents of r, cp1..cpm.  That key plus (rank, live), live the
+    Two cache levels on the tower.  (universal_ct(m), tangent) holds the
+    numerator with the tangent Chern classes substituted, grouped by the
+    exponents of r, cp1..cpm.  That key plus (rank, live), live the
     names of the nonzero cp_i, holds the compiled class: r set to the rank
     and the other cp_i to 0, stored as a Horner scheme in the live cp_i.
     Each call walks that scheme at the live classes.
     """
     sheaf_names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
-    key = ("ct-partial", frozenset(tangent.line_terms.items()), m, current_mutation())
+    ct = universal_ct(m)
+    key = (ct, frozenset(tangent.line_terms.items()))
     if key not in tower._cache:
-        numerator = universal_ct(m).numerator
         tower._cache[key] = substitute_terms(
-            numerator.terms,
-            numerator.alphabet.names(),
+            ct.numerator.terms,
+            ct.numerator.alphabet.names(),
             _chern_images(tangent, m),
             tower.unit_chow(),
             keep=sheaf_names,
@@ -207,20 +209,13 @@ def grr_error(
     target = f.target
     lhs = ct_on_tower(target, target.tangent_class(), pushed, n)
     if d >= 0:
-        scalar = exact_ratio(
-            todd_denominator(d + n).value, todd_denominator(n).value
-        )
-        lhs = lhs.scale(scalar)
+        lhs = lhs.scale(todd_ratio(d + n, 0, n))
         rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=False))
     elif n + d < 0:
         rhs = target.zero_chow()
     else:
-        scalar = exact_ratio(
-            todd_denominator(n).value, todd_denominator(n + d).value
-        )
-        rhs = _chow_pushforward(f, _source_ct(f, source, n + d, relative=False)).scale(
-            scalar
-        )
+        rhs = _chow_pushforward(f, _source_ct(f, source, n + d, relative=False))
+        rhs = rhs.scale(todd_ratio(n, 0, n + d))
     return lhs, rhs
 
 
@@ -233,21 +228,18 @@ def corollary_sides(
     d = f.relative_dimension
     if d < 0:
         raise InputError("the corollary form needs relative dimension >= 0")
-    scalar = exact_ratio(todd_denominator(d + n).value, factorial(n))
     rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=True))
-    return s_n.scale(scalar), rhs
+    return s_n.scale(todd_ratio(d + n, n, 0)), rhs
 
 
 def _todd_part(tower: Tower, j: int) -> ChowClass:
-    """Td-numerator_j at the tower's tangent class, cached on the tower per
-    ("todd-part", j, mutation)."""
-    key = ("todd-part", j, current_mutation())
-    if key not in tower._cache:
+    """Td-numerator_j at the tower's tangent class, cached on the tower under
+    the class universal_todd(j)."""
+    todd = universal_todd(j)
+    if todd not in tower._cache:
         tangent_chern = _chern_images(tower.tangent_class(), j)
-        tower._cache[key] = evaluate_universal(
-            universal_todd(j).numerator, tower, tangent_chern
-        )
-    return tower._cache[key]
+        tower._cache[todd] = evaluate_universal(todd.numerator, tower, tangent_chern)
+    return tower._cache[todd]
 
 
 def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping, s_n: ChowClass) -> ChowClass:
@@ -264,7 +256,7 @@ def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping, s_n: ChowClass)
             todd_denominator(d + n).value,
             todd_denominator(d + n - j).value * todd_denominator(j).value,
         )
-        inner = exact_ratio(todd_denominator(d + n - j).value, factorial(n - j))
+        inner = todd_ratio(d + n - j, n - j, 0)
         s_part = s_n if j == 0 else evaluate_universal(
             universal_chern_character(n - j).numerator, target, pushed
         )
@@ -324,11 +316,8 @@ def check_immersion(
     koszul = z.koszul_class(F)
     rhs = ct_on_tower(w, w.tangent_class(), _sheaf_images(koszul, n), n)
     if n >= r:
-        scalar = exact_ratio(
-            todd_denominator(n).value, todd_denominator(n - r).value
-        )
         lhs = ct_on_tower(w, z.tangent_class(), _sheaf_images(F, n - r), n - r)
-        lhs = (lhs * z.cut_product()).scale(scalar)
+        lhs = (lhs * z.cut_product()).scale(todd_ratio(n, 0, n - r))
     else:
         lhs = w.zero_chow()
     reports.append(
@@ -424,7 +413,7 @@ def check_divisor_calculus(
     )
 
     # combined-class linkage for the same divisor
-    scalar = exact_ratio(todd_denominator(m).value, todd_denominator(m - 1).value)
+    scalar = todd_ratio(m, 0, m - 1)
     virt = w.structure_sheaf() - line(-a)
     linked = ct_on_tower(w, w.tangent_class(), _sheaf_images(virt, m), m)
     reports.append(
@@ -440,9 +429,7 @@ def check_divisor_calculus(
     lhs_sum = _divisor_td(w, m, da + db)
     rhs_sum = _restricted_td(w, cut(a), m - 1) + _restricted_td(w, cut(b), m - 1)
     if m >= 2:
-        scalar2 = exact_ratio(
-            todd_denominator(m - 1).value, todd_denominator(m - 2).value
-        )
+        scalar2 = todd_ratio(m - 1, 0, m - 2)
         rhs_sum = rhs_sum - _restricted_td(w, cut(a) + cut(b), m - 2).scale(scalar2)
     reports.append(
         VerificationReport.compare(
@@ -458,9 +445,7 @@ def check_divisor_calculus(
     rhs_diff = _restricted_td(w, cut(a), m - 1) - _restricted_td(w, cut(b), m - 1)
     kmax = min(m - 1, delta)
     for k in range(1, kmax + 1):
-        sc = exact_ratio(
-            todd_denominator(m - 1).value, todd_denominator(m - 1 - k).value
-        )
+        sc = todd_ratio(m - 1, 0, m - 1 - k)
         with_x = _restricted_td(w, cut(b) * k + cut(a), m - 1 - k)
         with_y = _restricted_td(w, cut(b) * k + cut(b), m - 1 - k)
         rhs_diff = rhs_diff + (with_x - with_y).scale(sc)
@@ -512,7 +497,7 @@ def check_divisor_calculus(
     )
     expected_chow = w.zero_chow()
     if m >= 2:
-        sc = exact_ratio(todd_denominator(m - 1).value, todd_denominator(m - 2).value)
+        sc = todd_ratio(m - 1, 0, m - 2)
         expected_chow = _restricted_td(w, cut(a) + cut(b), m - 2).scale(-sc)
     reports.append(
         VerificationReport.compare(

@@ -272,10 +272,7 @@ def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
     for m in range(1, max_degree + 1):
         al = join_alphabets(tangent_alphabet(m), Alphabet([("x", 1)]))
         x = GradedPolynomial.variable(al, m, "x")
-        scalar = exact_ratio(
-            todd_denominator(m).value, todd_denominator(m - 1).value
-        )
-        lhs = q_poly(m).numerator.embed(al).scale(scalar)
+        lhs = q_poly(m).numerator.embed(al).scale(todd_ratio(m, 0, m - 1))
         images: dict[str, GradedPolynomial | Fraction] = {"r": Fraction(0)}
         for i in range(1, m + 1):
             images[f"cp{i}"] = x.power(i)
@@ -348,9 +345,7 @@ def check_immersion_todd_decomposition(max_degree: int, max_r: int = 3) -> Verif
         c_all = _elementary_table(al, y_names + z_names, cap, cap)
         for m in range(r, max_degree + 1):
             label = f"r={r} degree {m} ({s_roots} tangent roots)"
-            scalar = exact_ratio(
-                todd_denominator(m).value, todd_denominator(m - r).value
-            )
+            scalar = todd_ratio(m, 0, m - r)
             lhs = _substituted_todd_numerator(m - r, c_y, al, cap).scale(scalar)
             rhs = GradedPolynomial.zero(al, cap)
             for j in range(m - r + 1):

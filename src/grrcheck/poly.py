@@ -7,14 +7,20 @@ untruncated arithmetic in degrees <= the bound.  Mixing two polynomials
 truncates to the minimum of their bounds, never extends.
 
 A stored coefficient is never zero and never a float: it is an int when it is
-integral and a Fraction otherwise (_exact normalises a result, and the Chow
-ring of grrcheck.geometry shares it), so the integral numerators the theory
-predicts are computed in int arithmetic.  Each Alphabet memoises the weighted
-degree of every monomial it meets, so a degree is computed once.  A product
-groups the right factor's terms by degree, ascending, and meets each left term
-only with the groups that fit under the bound.  Results of the ring operations
-are built by GradedPolynomial._normal from terms already clean; the public
-constructor checks and normalises arbitrary input.
+integral and a Fraction otherwise, so the integral numerators the theory
+predicts are computed in int arithmetic.  accumulate (out += c * terms, each
+key optionally shifted by a monomial) is the one kernel that adds exact term
+maps under that rule.  The sums and the symmetric elimination here go through
+it, and so do the Chow and K classes of grrcheck.geometry (sums, scalings,
+products, rewrites, twists and the K-pushforward).  Only the product loop
+below keeps its own accumulation and normalises once at the end.
+
+Each Alphabet memoises the weighted degree of every monomial it meets, so a
+degree is computed once.  A product groups the right factor's terms by
+degree, ascending, and meets each left term only with the groups that fit
+under the bound.  Results of the ring operations are built by
+GradedPolynomial._normal from terms already clean; the public constructor
+checks and normalises arbitrary input.
 
 Canonical text serialization (bit-exact, used for golden files): one term per
 line, ``<num>/<den> <var>^<exp> ...`` with variables in alphabet order and
@@ -48,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .arith import InputError
@@ -67,6 +73,31 @@ def _exact(c: Scalar) -> Scalar:
 def _scalar(c) -> Scalar:
     """Any exact number as a stored coefficient: int when integral, else Fraction."""
     return c if type(c) is int else _exact(Fraction(c))
+
+
+def accumulate(
+    out: dict[Monomial, Scalar],
+    terms: Mapping[Monomial, Scalar],
+    c: Scalar = 1,
+    shift: Monomial | None = None,
+) -> dict[Monomial, Scalar]:
+    """out += c * terms in place, each key of terms moved by + shift when one
+    is given; returns out.  A sum that cancels is dropped and an integral
+    value is stored as an int.  This is the one accumulation of exact term
+    maps: GradedPolynomial sums, the symmetric elimination, and the sums,
+    products, rewrites and pushforwards of the Chow and K classes of
+    grrcheck.geometry."""
+    items = terms.items()
+    if shift is not None:
+        items = [(tuple(map(add, m, shift)), t) for m, t in items]
+    get, unit = out.get, c == 1
+    for m, t in items:
+        v = get(m, 0) + (t if unit else c * t)
+        if v:
+            out[m] = v if type(v) is int else _exact(v)
+        else:
+            out.pop(m, None)
+    return out
 
 
 class _Degrees(dict):
@@ -249,29 +280,20 @@ class GradedPolynomial:
             raise InputError("alphabet mismatch")
         return min(self.truncation, other.truncation)
 
-    def _linear(self, other: "GradedPolynomial", op) -> "GradedPolynomial":
-        """self op other for op = operator.add or operator.sub."""
+    def _linear(self, other: "GradedPolynomial", sign: int) -> "GradedPolynomial":
+        """self + sign * other."""
         bound = self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            if mono in out:
-                c = op(out[mono], c)
-                if c:
-                    out[mono] = _exact(c)
-                else:
-                    del out[mono]
-            else:
-                out[mono] = op(0, c)
+        out = accumulate(dict(self.terms), other.terms, sign)
         if bound < max(self.truncation, other.truncation):
             degrees = self.alphabet.degrees
             out = {m: c for m, c in out.items() if degrees[m] <= bound}
         return GradedPolynomial._normal(self.alphabet, bound, out)
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self._linear(other, add)
+        return self._linear(other, 1)
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self._linear(other, sub)
+        return self._linear(other, -1)
 
     def __neg__(self) -> "GradedPolynomial":
         return self.scale(-1)
@@ -673,28 +695,21 @@ def reduce_orbit_to_elementary(
     Returns a map from e-index multisets (desc tuples, index i meaning one
     factor e_i) to coefficients.
     """
-    work = {lam: c for lam, c in f.items() if c}
+    work = accumulate({}, f)
     out: dict[tuple[int, ...], Scalar] = {}
+    last = None
     while work:
         lam = max(work)
         if len(lam) > n_roots:
             raise InputError(f"orbit {lam} impossible with {n_roots} roots")
-        coeff = work.pop(lam)
+        if last is not None and lam >= last:
+            # e_eta has leading orbit lam with coefficient 1, so lam must go
+            raise AssertionError("elimination did not lower the leading orbit")
+        last, coeff = lam, work[lam]
         eta = conjugate_partition(lam)
-        out[eta] = out.get(eta, 0) + coeff
-        for mu, c in elementary_product_orbit(eta, n_roots).items():
-            if mu == lam:
-                if c != 1:
-                    raise AssertionError("leading coefficient of e-product is not 1")
-                continue
-            if mu > lam:
-                raise AssertionError("elimination produced a lex-larger orbit")
-            newc = work.get(mu, 0) - coeff * c
-            if newc:
-                work[mu] = newc
-            else:
-                work.pop(mu, None)
-    return {eta: c for eta, c in out.items() if c}
+        out[eta] = coeff  # lam -> eta is one to one, so each eta comes once
+        accumulate(work, elementary_product_orbit(eta, n_roots), -coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ mutation hook deliberately corrupts a generated class so the test harness can
 confirm that suites really fail when a coefficient is wrong.
 
 Generated classes are memoized under a key that includes the active
-mutation, so a mutated class is never returned once the mutation is cleared.
+mutation, so a mutated class is never returned once the mutation is cleared;
+a class is a distinct object per mutation, and caches elsewhere key on it.
 """
 
 from __future__ import annotations
@@ -108,9 +109,13 @@ def apply_series(coeffs: list[Fraction], p: GradedPolynomial) -> GradedPolynomia
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniversalClass:
-    """A degree-m universal polynomial and its certified integral numerator."""
+    """A degree-m universal polynomial and its certified integral numerator.
+
+    Equality and hash are by identity: each class is built once per key of
+    the memo (mutation included), so grrcheck.grr keys its per-tower work on
+    the class it read."""
 
     name: str
     degree: int
@@ -137,10 +142,6 @@ _CACHE: dict[tuple, UniversalClass] = {}
 def set_mutation(mutation: Mutation | None) -> None:
     global _MUTATION
     _MUTATION = mutation
-
-
-def current_mutation() -> Mutation | None:
-    return _MUTATION
 
 
 def _finish(
@@ -321,17 +322,17 @@ def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
 # ---------------------------------------------------------------------------
 
 
-def _power_sum_in_chern(k: int, n_vars: int, alph: Alphabet) -> GradedPolynomial:
-    """p_k written in c1..c_{n_vars} (higher elementary classes set to zero)."""
-    p = newton_power_sum(k)
-    images: dict[str, GradedPolynomial | Fraction] = {}
-    bound = k
-    for i in range(1, k + 1):
-        if i <= n_vars:
-            images[f"e{i}"] = GradedPolynomial.variable(alph, bound, f"c{i}")
-        else:
-            images[f"e{i}"] = Fraction(0)
-    return p.substitute(images, alph, truncation=bound)
+@lru_cache(maxsize=None)
+def _power_sum_in_chern(k: int, n_vars: int) -> GradedPolynomial:
+    """p_k written in c1..c_{n_vars} (higher elementary classes set to zero):
+    newton_power_sum(k) with each e_i renamed c_i, the terms in an e_i with
+    i > n_vars dropped, and the bound k."""
+    terms = {
+        mono[:n_vars] + (0,) * (n_vars - k): c
+        for mono, c in newton_power_sum(k).terms.items()
+        if not any(mono[n_vars:])
+    }
+    return GradedPolynomial(weighted_alphabet("c", n_vars), k, terms)
 
 
 def _multiplicative_series_oracle(
@@ -348,7 +349,7 @@ def _multiplicative_series_oracle(
     alph = weighted_alphabet("c", n_vars)
     logs = series_log(per_root, m)
     k_u = {  # k -> k u_k, for the nonzero l_k
-        k: _power_sum_in_chern(k, n_vars, alph).with_bound(m).scale(k * logs[k])
+        k: _power_sum_in_chern(k, n_vars).with_bound(m).scale(k * logs[k])
         for k in range(1, m + 1)
         if logs[k]
     }

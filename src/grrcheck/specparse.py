@@ -124,7 +124,7 @@ ClassAST = ClassO | ClassSum | ClassDual | ClassWedge | ClassSym | ClassTwist
 # -- tokenizer ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?P<int>\d+)|\s*(?P<name>[A-Za-z_][A-Za-z_0-9]*)|\s*(?P<punct>[()\[\],*+\-])"
+    r"\s*(?P<int>\d+)|\s*(?P<name>[A-Za-z_ξ][A-Za-z_0-9ξ]*)|\s*(?P<punct>[()\[\],*+\-])"
 )
 
 
@@ -137,7 +137,6 @@ class Token:
 
 
 def _tokenize(text: str) -> list[Token]:
-    text = text.replace("ξ", "xi")  # accept the Greek spelling
     tokens: list[Token] = []
     pos = 0
     line = 1
@@ -159,7 +158,8 @@ def _tokenize(text: str) -> list[Token]:
         if m.lastgroup == "int":
             tokens.append(Token("int", m.group("int").strip(), line, column))
         elif m.lastgroup == "name":
-            tokens.append(Token("name", m.group("name").strip(), line, column))
+            # accept the Greek spelling of xi
+            tokens.append(Token("name", m.group("name").replace("ξ", "xi"), line, column))
         else:
             tokens.append(Token("punct", m.group("punct").strip(), line, column))
         pos = m.end()

@@ -20,9 +20,9 @@ from math import factorial
 from .arith import (
     bernoulli,
     check_ekedahl_divisibility,
-    exact_ratio,
     fulton_macpherson_L,
     todd_denominator,
+    todd_ratio,
     von_staudt_D,
 )
 from .geometry import (
@@ -413,7 +413,7 @@ def suite_number_theory() -> list[VerificationReport]:
 
     def covering_defect(n: int) -> tuple[str, str]:
         ln = fulton_macpherson_L(n)
-        defect = exact_ratio(todd_denominator(n).value, factorial(n))
+        defect = todd_ratio(n, n, 0)
         divisible = defect % ln.value == 0
         radical_ok = all(defect % p == 0 for p, _ in ln.factorization)
         claim = f"L={ln.value} divides defect {defect}"

@@ -249,6 +249,15 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "integrality", "--max-degree", "5"]) == 0
 
+    @pytest.mark.parametrize("spec", ["foo:1:0:1", "todd:-1:0:1", "todd:1:-1:1"])
+    def test_bad_mutation_is_a_usage_error(self, spec, capsys):
+        assert main(["verify", "kappa", "--mutate", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert spec in captured.err
+        if spec.startswith("foo"):
+            assert "known: todd, ch, ct, q, toddinv" in captured.err
+
     def test_fractional_mutation_exit_one(self, capsys):
         code = main(
             ["verify", "integrality", "--max-degree", "5", "--mutate", "todd:4:0:1/2"]

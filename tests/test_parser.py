@@ -84,6 +84,18 @@ class TestGeometryParsing:
         assert sorted(builds) == [0, 1, 2, 3]
         assert scope.tower.levels[1:] == (((0,), (1,)), ((0, 0), (0, 1)))
 
+    @pytest.mark.parametrize("name", ["xi1", "ξ1"])
+    def test_error_column_counts_characters_as_typed(self, name):
+        text = f"P([{name}, {name}, @]) over point"
+        with pytest.raises(ParseError) as info:
+            parse_geometry(text)
+        assert info.value.column == text.index("@") + 1
+
+    def test_greek_and_latin_spellings_build_the_same_tower(self):
+        latin = build_geometry(parse_geometry("P([0, xi1]) over (P(trivial 2) over point)"))
+        greek = build_geometry(parse_geometry("P([0, ξ1]) over (P(trivial 2) over point)"))
+        assert latin.tower.levels == greek.tower.levels
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_geometry("point point")

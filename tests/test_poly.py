@@ -366,7 +366,8 @@ class TestRingAgainstFractionReference:
     def test_one_exact_helper_for_both_rings(self):
         from grrcheck import geometry, poly
 
-        assert geometry._exact is poly._exact
+        assert geometry.accumulate is poly.accumulate
+        assert not hasattr(geometry, "_exact")
         assert poly._exact(Fraction(6, 3)) == 2 and type(poly._exact(Fraction(6, 3))) is int
         assert poly._exact(Fraction(1, 3)) == Fraction(1, 3)
 
@@ -470,6 +471,20 @@ class TestOrbitEngine:
         # p2 = e1^2 - 2 e2 in the orbit basis: p2 = m_(2)
         out = reduce_orbit_to_elementary({(2,): Fraction(1)}, 2)
         assert out == {(1, 1): Fraction(1), (2,): Fraction(-2)}
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {(1, 1): 2},  # leading coefficient 2: the leading orbit stays
+            {(1, 1): 1, (2,): 1},  # a lex-larger orbit appears
+        ],
+    )
+    def test_elimination_checks_its_leading_orbit(self, broken, monkeypatch):
+        from grrcheck import poly
+
+        monkeypatch.setattr(poly, "elementary_product_orbit", lambda eta, n: broken)
+        with pytest.raises(AssertionError):
+            reduce_orbit_to_elementary({(1, 1): Fraction(1, 2)}, 2)
 
     def test_newton_oracle_matches_elimination(self):
         for k in range(1, 9):

@@ -225,7 +225,7 @@ def full_exp_route(per_root, m, n_vars):
     logs = series_log(per_root, m)
     u = GradedPolynomial.zero(alph, m)
     for k in range(1, m + 1):
-        u = u + _power_sum_in_chern(k, n_vars, alph).with_bound(m).scale(logs[k])
+        u = u + _power_sum_in_chern(k, n_vars).with_bound(m).scale(logs[k])
     return apply_series(exp_series(m), u).graded_part(m)
 
 
@@ -238,6 +238,22 @@ class TestGradedExp:
                 got = _multiplicative_series_oracle(per_root, m, n_vars)
                 assert got == full_exp_route(per_root, m, n_vars), (m, n_vars)
                 assert got.truncation == m
+
+
+class TestPowerSumInChern:
+    def test_against_the_substitute_route(self):
+        # e_i -> c_i for i <= n_vars and e_i -> 0 above, as a full substitution
+        for k in range(1, 11):
+            for n_vars in range(1, 11):
+                alph = weighted_alphabet("c", n_vars)
+                images = {
+                    f"e{i}": GradedPolynomial.variable(alph, k, f"c{i}") if i <= n_vars else 0
+                    for i in range(1, k + 1)
+                }
+                expected = newton_power_sum(k).substitute(images, alph, truncation=k)
+                got = _power_sum_in_chern(k, n_vars)
+                assert got == expected and got.truncation == k, (k, n_vars)
+                assert _power_sum_in_chern(k, n_vars) is got
 
 
 class TestToddInverse:
