@@ -79,16 +79,18 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and p in set(primes_up_to(p))
 
 
-def _factorial_exponents(n: int) -> dict[int, int]:
-    """Prime factorization of n! by Legendre's formula."""
-    exps: dict[int, int] = {}
+@lru_cache(maxsize=None)
+def _factorial_exponents(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n! by Legendre's formula, as sorted (prime,
+    exponent) pairs; a tuple, so no caller can change the memoised value."""
+    exps: list[tuple[int, int]] = []
     for p in primes_up_to(n):
         e, q = 0, p
         while q <= n:
             e += n // q
             q *= p
-        exps[p] = e
-    return exps
+        exps.append((p, e))
+    return tuple(exps)
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +139,7 @@ def check_divisibility_lemma(
         raise InputError("sum of parts exceeds m")
     divisor: dict[int, int] = {}
     for mi in parts_factorial:
-        for p, e in _factorial_exponents(mi + 1).items():
+        for p, e in _factorial_exponents(mi + 1):
             divisor[p] = divisor.get(p, 0) + e
     for mj in parts_todd:
         for p, e in todd_denominator(mj).exponents().items():
@@ -211,7 +213,7 @@ def fulton_macpherson_L(n: int) -> FactoredInteger:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     tn = todd_denominator(n).exponents()
-    fact = _factorial_exponents(n)
+    fact = dict(_factorial_exponents(n))
     leftover: dict[int, int] = {}
     for p, e in tn.items():
         diff = e - fact.get(p, 0)
@@ -229,7 +231,7 @@ def check_ekedahl_divisibility(g: int) -> tuple[bool, int | tuple[int, int, int]
     """
     if g < 2:
         raise InputError(f"g must be >= 2, got {g}")
-    divisor = _factorial_exponents(g - 1)
+    divisor = dict(_factorial_exponents(g - 1))
     divisor[2] = divisor.get(2, 0) + 1
     for p, e in von_staudt_D(g).exponents().items():
         divisor[p] = divisor.get(p, 0) + e

@@ -15,7 +15,10 @@ relation per level, with monomial basis { prod xi_k^{a_k} : 0 <= a_k <= r_k },
 and the K-group is free on the same exponent range in the line classes l_k.
 Negative powers of l are rewritten through l^{-1}, which the K relation
 gives as (det E)^{-1} times a polynomial in l, so every K class stays an
-integer combination of line symbols.
+integer combination of line symbols.  The pushforward of l^a for an a outside
+[0, r] comes from the same relation: each tower keeps pi_* l^a in a table
+grown one exponent at a time outward from the symmetric powers, so a twist by
+a costs |a| steps.
 
 Conventions (validated by the binomial oracle and the twist-vanishing checks):
 the bundle is the Proj of the symmetric algebra and the hyperplane class is
@@ -84,6 +87,9 @@ class Tower:
         self._chow_rules: list[tuple[Rule, Rule]] = []
         self._k_rules: list[tuple[Rule, Rule]] = []
         self._sym_images: tuple[dict[DivisorVector, int], ...] = ()
+        # a -> pi_* l^a on the base for the top level's line class l, filled
+        # outward from the symmetric powers by _pushed_power
+        self._pushed: dict[int, dict[DivisorVector, int]] = {}
         if self.base is None:
             return
         k = self.n_levels - 1
@@ -125,20 +131,18 @@ class Tower:
         }
         self._k_rules.append((k_above, k_below))
         self._sym_images = tuple(bundle.sym(a).line_terms for a in range(r + 1))
+        self._pushed = dict(enumerate(self._sym_images))
 
     def _pad(self, vec: DivisorVector) -> DivisorVector:
         return vec + (0,) * (self.n_levels - len(vec))
 
     def _normal_form(
-        self,
-        terms: Mapping[Monomial, Scalar],
-        rules: Sequence[tuple[Rule, Rule]],
-        levels: Sequence[int] | None = None,
+        self, terms: Mapping[Monomial, Scalar], rules: Sequence[tuple[Rule, Rule]]
     ) -> dict[Monomial, Scalar]:
-        """Rewrite every exponent of the given levels (default all, top first)
-        into [0, r_k] with the (above, below) rules of each level."""
+        """Rewrite every exponent, top level first, into [0, r_k] with the
+        (above, below) rules of each level."""
         out = accumulate({}, terms)
-        for k in reversed(range(self.n_levels)) if levels is None else levels:
+        for k in reversed(range(self.n_levels)):
             r = self.ranks[k]
             above, below = rules[k]
             while True:
@@ -150,6 +154,30 @@ class Tower:
                 for m, c in bad:
                     accumulate(out, above if m[k] > r else below, c, m)
         return out
+
+    def _pushed_power(self, a: int) -> dict[DivisorVector, int]:
+        """pi_* l^a on the base, for the top level's line class l and any
+        integer a.  The table starts at Sym^a E for 0 <= a <= r and grows one
+        exponent at a time away from it: the K rule that rewrites l^a (above
+        r, or below 0) into terms c * L * l^b with b nearer the range gives
+        pi_* l^a = sum c * L * pi_* l^b by the projection formula.  This is
+        the remainder of l^a modulo the monic K relation, unique because its
+        constant term det(E) is a unit, so the result equals banding l^a
+        into [0, r] first; each new exponent costs one pass over the rule."""
+        table = self._pushed
+        if a not in table:
+            above, below = self._k_rules[-1]
+            if a > 0:
+                rule, todo = above, range(max(table) + 1, a + 1)
+            else:
+                rule, todo = below, range(min(table) - 1, a - 1, -1)
+            steps = [(o[-1], c, o[:-1] if any(o[:-1]) else None) for o, c in rule.items()]
+            for b in todo:
+                out: dict[DivisorVector, int] = {}
+                for step, c, shift in steps:
+                    accumulate(out, table[b + step], c, shift)
+                table[b] = out
+        return table[a]
 
     # -- public structure -------------------------------------------------
 
@@ -496,13 +524,11 @@ def pushforward_k(f: KClass, n_collapse: int = 1) -> KClass:
     current = tower
     terms: Mapping[DivisorVector, int] = f.line_terms
     for _ in range(n_collapse):
-        # band the top exponent into [0, r], then l^a pushes to Sym^a E
-        k = current.n_levels - 1
-        banded = current._normal_form(terms, current._k_rules, levels=(k,))
-        terms = {}
-        for vec, c in banded.items():
-            accumulate(terms, current._sym_images[vec[k]], c, vec[:k])
-        current = current.base
+        # L * l^a pushes to L * pi_* l^a (projection formula)
+        pushed: dict[DivisorVector, int] = {}
+        for vec, c in terms.items():
+            accumulate(pushed, current._pushed_power(vec[-1]), c, vec[:-1])
+        terms, current = pushed, current.base
     return KClass(current, terms)
 
 

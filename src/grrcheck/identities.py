@@ -20,6 +20,9 @@ from .arith import InputError, exact_ratio, todd_denominator, todd_ratio
 from .poly import (
     Alphabet,
     GradedPolynomial,
+    Monomial,
+    Scalar,
+    accumulate,
     elementary_reduce,
     elementary_symmetric,
     join_alphabets,
@@ -215,13 +218,32 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
     )
 
 
-def _divide_by_one_minus(p: GradedPolynomial, s: GradedPolynomial) -> GradedPolynomial:
-    """p / (1 - s) for a linear form s, one degree at a time: the quotient y
-    has y_0 = p_0 and y_d = p_d + s * y_{d-1}, since y = p + s * y."""
-    parts = [p.graded_part(0)]
-    for d in range(1, p.truncation + 1):
-        parts.append(p.graded_part(d) + s * parts[-1])
-    return sum(parts[1:], parts[0])
+def _times_one_minus(p: GradedPolynomial, units: list[Monomial]) -> GradedPolynomial:
+    """p * (1 - s) for s the sum of the roots with the given unit exponent
+    vectors: p minus, per root x_i, the terms of p below the bound moved by x_i."""
+    degrees = p.alphabet.degrees
+    low = {m: c for m, c in p.terms.items() if degrees[m] < p.truncation}
+    out = dict(p.terms)
+    for unit in units:
+        accumulate(out, low, -1, unit)
+    return GradedPolynomial(p.alphabet, p.truncation, out)
+
+
+def _divide_by_one_minus(p: GradedPolynomial, units: list[Monomial]) -> GradedPolynomial:
+    """p / (1 - s) for s the sum of the roots with the given unit exponent
+    vectors, one degree at a time: the quotient y has y_0 = p_0 and
+    y_d = p_d + sum_i x_i * y_{d-1}, since y = p + s * y."""
+    degrees = p.alphabet.degrees
+    parts: list[dict[Monomial, Scalar]] = [{} for _ in range(p.truncation + 1)]
+    for m, c in p.terms.items():
+        parts[degrees[m]][m] = c
+    for below, part in zip(parts, parts[1:]):  # below is already y_{d-1}
+        for unit in units:
+            accumulate(part, below, 1, unit)
+    out: dict[Monomial, Scalar] = {}
+    for part in parts:
+        out.update(part)
+    return GradedPolynomial(p.alphabet, p.truncation, out)
 
 
 def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
@@ -238,15 +260,13 @@ def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
     for g in range(1, max_g + 1):
         al = root_alphabet("x", g)
         names = al.names()
-        one = GradedPolynomial.constant(al, g, 1)
-        total = one
+        roots = [tuple(int(i == j) for j in range(g)) for i in range(g)]
+        total = GradedPolynomial.constant(al, g, 1)
         for size in range(1, g + 1):
-            for subset in combinations(names, size):
-                s = GradedPolynomial.zero(al, g)
-                for n in subset:
-                    s = s + GradedPolynomial.variable(al, g, n)
-                # 1 - s is the total Chern class of the line O(-sum_S x)
-                total = total * (one - s) if size % 2 == 0 else _divide_by_one_minus(total, s)
+            for subset in combinations(roots, size):
+                # 1 - sum_S x is the total Chern class of the line O(-sum_S x)
+                step = _times_one_minus if size % 2 == 0 else _divide_by_one_minus
+                total = step(total, list(subset))
         cp_values = {i: total.graded_part(i) for i in range(1, g + 1)}
         lhs = _substituted_chern_numerator(g, 0, cp_values, al, g)
         rhs = elementary_symmetric(al, names, g, g).scale(factorial(g))

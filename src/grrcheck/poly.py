@@ -42,11 +42,18 @@ certificates are the classical ones.  The coefficient of m_lambda in a product
 e_eta of elementary functions counts the 0-1 matrices with row sums eta and
 column sums lambda (Macdonald, Symmetric Functions, I.6), and every lambda has
 at most |eta| parts; so all root counts n >= |eta| share one expansion, and a
-smaller n keeps only the lambda of length <= n.
+smaller n keeps only the lambda of length <= n.  Each expansion multiplies in
+its last factor e_a by the lowerings of every target orbit gamma, and those
+depend on (gamma, a) alone, so _LOWERINGS builds them once as a tuple.  The
+change of basis between the e-products and the orbits is integral and
+unitriangular, so an orbit with integer coefficients (grrcheck.series scales
+each expansion by its cleared denominator first) eliminates entirely in int
+arithmetic, and one that is not integral leaves a Fraction in the result.
 
 Polynomials are immutable after construction and may share their term dicts;
-the expansion memo tables and the degree memos are insert-only maps of
-immutable values (safe to share across threads in CPython, or keep per task).
+the expansion and lowering memo tables and the degree memos are insert-only
+maps of immutable values (safe to share across threads in CPython, or keep
+per task).
 """
 
 from __future__ import annotations
@@ -579,9 +586,10 @@ def conjugate_partition(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
 
 
-def _lowerings(gamma: Partition, a: int) -> list[tuple[Partition, int]]:
+def _lowerings(gamma: Partition, a: int) -> tuple[tuple[Partition, int], ...]:
     """Every partition reached by lowering a distinct entries of gamma by one,
-    with the number of position sets that reach it.
+    with the number of position sets that reach it.  multiply_by_elementary
+    memoises the result per (gamma, a) in _LOWERINGS.
 
     Entries are chosen per block of equal values, k of a block of cnt in
     comb(cnt, k) ways; a block of value v leaves cnt - k entries v and k
@@ -600,7 +608,7 @@ def _lowerings(gamma: Partition, a: int) -> list[tuple[Partition, int]]:
                 tail = (v,) * (cnt - k) + lowered * k
                 nxt.append((head + tail, mult * comb(cnt, k), rem - k))
         states = nxt
-    return [(sigma, mult) for sigma, mult, _ in states]
+    return tuple((sigma, mult) for sigma, mult, _ in states)
 
 
 def _blocks(parts: Sequence[int]) -> list[tuple[int, int]]:
@@ -638,6 +646,12 @@ def orbit_from_product(
     return out
 
 
+# (gamma, a) -> _lowerings(gamma, a): the expansions meet the same pair many
+# times (13,336 lookups of 864 pairs in suite_integrality(13) followed by
+# suite_series_identities(8))
+_LOWERINGS: dict[tuple[Partition, int], tuple[tuple[Partition, int], ...]] = {}
+
+
 def multiply_by_elementary(
     f: dict[Partition, Scalar], a: int, n_roots: int
 ) -> dict[Partition, Scalar]:
@@ -646,7 +660,7 @@ def multiply_by_elementary(
     Uses the backward rule: the coefficient of the sorted monomial gamma in
     f*e_a is the sum over ways of decrementing a entries of gamma (grouped by
     equal-value blocks, with binomial multiplicity) of f's coefficient at the
-    resulting partition.
+    resulting partition.  The lowerings of each (gamma, a) are built once.
     """
     if a == 0:
         return dict(f)
@@ -659,8 +673,11 @@ def multiply_by_elementary(
     out: dict[Partition, Scalar] = {}
     for d, max_part in degrees.items():
         for gamma in partitions(d + a, max_part=max_part + 1, max_len=n_roots):
+            lowerings = _LOWERINGS.get((gamma, a))
+            if lowerings is None:
+                lowerings = _LOWERINGS[gamma, a] = _lowerings(gamma, a)
             total = 0
-            for sigma, mult in _lowerings(gamma, a):
+            for sigma, mult in lowerings:
                 c = f.get(sigma)
                 if c is not None:
                     total += c * mult

@@ -12,8 +12,15 @@ Variable conventions (fixed order, fixed weights):
 Universal polynomials of degree m are generated with exactly m roots and
 reduced to the Chern variables by the classical leading-term elimination in
 :mod:`grrcheck.poly`; a stability test confirms that more roots give the same
-answer.  Every class the theory asserts to be integral is certified at
-generation time, and generation fails loudly (FalsificationError) otherwise.
+answer.  The integral numerator is what is eliminated: the orbit expansion is
+multiplied by the cleared denominator (T_m for Todd, m! for the Chern
+character and the inverse-Todd classes) first, so the elimination runs over
+the integers, and the rational series part is derived as numerator / scale.
+_finish receives every class as its numerator (the combined class sums
+integral numerators directly; Q_m scales its rational product by T_{m-1}),
+applies the mutation hook to it, and certifies it: every class the theory
+asserts to be integral is certified at generation time, and generation fails
+loudly (FalsificationError) otherwise.
 
 An independent generation route through power sums (Newton's identities and
 log/exp of the defining series) exists for every family; the integrality
@@ -37,6 +44,8 @@ from .arith import InputError, todd_denominator, todd_ratio
 from .poly import (
     Alphabet,
     GradedPolynomial,
+    Partition,
+    Scalar,
     newton_power_sum,
     orbit_from_product,
     reduce_orbit_to_elementary,
@@ -148,10 +157,12 @@ def _finish(
     name: str,
     kind: str,
     degree: int,
-    series_part: GradedPolynomial,
+    numerator: GradedPolynomial,
     scale: int,
 ) -> UniversalClass:
-    numerator = series_part.scale(scale)
+    """The class with the given numerator (scale times the class, computed
+    as such) after the mutation hook, certified integral; its series part is
+    numerator / scale."""
     if _MUTATION is not None and _MUTATION.kind == kind and _MUTATION.degree == degree:
         terms = numerator.sorted_terms()
         if not 0 <= _MUTATION.index < len(terms):
@@ -160,7 +171,6 @@ def _finish(
         mutated = dict(numerator.terms)
         mutated[mono] = coeff + _MUTATION.delta
         numerator = GradedPolynomial(numerator.alphabet, numerator.truncation, mutated)
-        series_part = numerator.scale(Fraction(1, scale))
     if not numerator.is_integral():
         bad = next(
             (m, c) for m, c in numerator.sorted_terms() if c.denominator != 1
@@ -170,15 +180,16 @@ def _finish(
             identity=f"integrality:{kind}",
             instance=f"degree {degree}",
         )
+    series_part = numerator.scale(Fraction(1, scale))
     return UniversalClass(name, degree, series_part, scale, numerator, True)
 
 
 def _chern_exponents(
-    reduced: dict[tuple[int, ...], Fraction], width: int, offset: int = 1
-) -> dict[tuple[int, ...], Fraction]:
+    reduced: dict[tuple[int, ...], Scalar], width: int, offset: int = 1
+) -> dict[tuple[int, ...], Scalar]:
     """Turn e-index multisets into exponent vectors of the given width, e-index
     i counting at position i - offset."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Scalar] = {}
     for eta, coeff in reduced.items():
         vec = [0] * width
         for i in eta:
@@ -198,22 +209,30 @@ def _cached(key: tuple, builder) -> UniversalClass:
     return got
 
 
+def _scaled_graded_orbit(
+    orbit: dict[Partition, Fraction], degree: int, scale: int
+) -> dict[Partition, Fraction]:
+    """scale times the degree-`degree` part of an orbit-basis expansion: the
+    orbit whose elimination is the integral numerator."""
+    return {lam: scale * c for lam, c in orbit.items() if sum(lam) == degree}
+
+
 def universal_todd(m: int, n_roots: int | None = None) -> UniversalClass:
     """The degree-m Todd polynomial Td_m and its numerator T_m * Td_m.
 
-    Generated by expanding the per-root series over n_roots (default m) roots
-    and reducing to elementary symmetric (Chern) variables.
+    Generated by expanding the per-root series over n_roots (default m) roots,
+    scaling by T_m and reducing to elementary symmetric (Chern) variables.
     """
     if m < 0:
         raise InputError("degree must be >= 0")
     n = max(m, 1) if n_roots is None else n_roots
 
     def build() -> UniversalClass:
+        tm = todd_denominator(m).value
         orbit = orbit_from_product(todd_root_series(m), n, m)
-        graded = {lam: c for lam, c in orbit.items() if sum(lam) == m}
-        reduced = reduce_orbit_to_elementary(graded, n)
-        series = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
-        return _finish("todd", "todd", m, series, todd_denominator(m).value)
+        reduced = reduce_orbit_to_elementary(_scaled_graded_orbit(orbit, m, tm), n)
+        numerator = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
+        return _finish("todd", "todd", m, numerator, tm)
 
     return _cached(("todd", m, n), build)
 
@@ -230,14 +249,12 @@ def universal_chern_character(m: int) -> UniversalClass:
     def build() -> UniversalClass:
         alph = sheaf_alphabet(m)
         if m == 0:
-            series = GradedPolynomial.variable(alph, 0, "r")
-            return _finish("ch", "ch", 0, series, 1)
-        orbit = {(k,): Fraction(1, factorial(k)) for k in range(1, m + 1)}
-        graded = {lam: c for lam, c in orbit.items() if sum(lam) == m}
-        reduced = reduce_orbit_to_elementary(graded, m)
+            return _finish("ch", "ch", 0, GradedPolynomial.variable(alph, 0, "r"), 1)
+        # ch_m = p_m / m! and p_m is the single orbit m_(m)
+        reduced = reduce_orbit_to_elementary({(m,): 1}, m)
         # position 0 is the rank variable
-        series = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
-        out = _finish("ch", "ch", m, series, factorial(m))
+        numerator = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
+        out = _finish("ch", "ch", m, numerator, factorial(m))
         oracle = newton_power_sum(m).rename(
             {f"e{i}": f"cp{i}" for i in range(1, m + 1)}
         ).embed(alph)
@@ -268,9 +285,7 @@ def universal_ct(m: int) -> UniversalClass:
             s_j = universal_chern_character(j).numerator.embed(alph).with_bound(m)
             td_part = universal_todd(m - j).numerator.embed(alph).with_bound(m)
             total = total + (s_j * td_part).scale(scalar)
-        tm = todd_denominator(m).value
-        series = total.scale(Fraction(1, tm))
-        return _finish("ct", "ct", m, series, tm)
+        return _finish("ct", "ct", m, total, todd_denominator(m).value)
 
     return _cached(("ct", m), build)
 
@@ -293,7 +308,8 @@ def q_poly(m: int) -> UniversalClass:
         for k in range(1, m):
             td_total = td_total + universal_todd(k).series_part.embed(alph).with_bound(m)
         series = (factor * td_total).graded_part(m)
-        return _finish("q", "q", m, series, todd_denominator(m - 1).value)
+        tm1 = todd_denominator(m - 1).value
+        return _finish("q", "q", m, series.scale(tm1), tm1)
 
     return _cached(("q", m), build)
 
@@ -307,12 +323,11 @@ def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
     def build() -> UniversalClass:
         deg = m - r
         orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg)
-        graded = {lam: c for lam, c in orbit.items() if sum(lam) == deg}
-        reduced = reduce_orbit_to_elementary(graded, r)
-        series = GradedPolynomial(
-            weighted_alphabet("c", r), max(deg, 0), _chern_exponents(reduced, r)
+        reduced = reduce_orbit_to_elementary(
+            _scaled_graded_orbit(orbit, deg, factorial(m)), r
         )
-        return _finish("toddinv", "toddinv", m, series, factorial(m))
+        numerator = GradedPolynomial(weighted_alphabet("c", r), deg, _chern_exponents(reduced, r))
+        return _finish("toddinv", "toddinv", m, numerator, factorial(m))
 
     return _cached(("toddinv", m, r), build)
 

@@ -180,6 +180,19 @@ class TestEkedahl:
                 == todd_denominator(2 * g).value
             )
 
+    def test_memoised_factorials_are_not_shared_state(self):
+        # check_ekedahl_divisibility adds to the factorisation of (g-1)! it
+        # reads; the memo must hand it a value it cannot change
+        for g in range(2, 16):
+            first = check_ekedahl_divisibility(g)
+            between = fulton_macpherson_L(g - 1)
+            assert check_ekedahl_divisibility(g) == first, g
+            assert fulton_macpherson_L(g - 1) == between, g
+            quotient = first[1]
+            assert quotient * 2 * factorial(g - 1) * von_staudt_D(g).value == (
+                todd_denominator(2 * g).value
+            )
+
 
 class TestHelpers:
     def test_exact_ratio(self):

@@ -211,6 +211,17 @@ class TestVerify:
         assert code == 0 and lines
         assert all(json.loads(line)["verdict"] == "pass" for line in lines)
 
+    @pytest.mark.parametrize("a", [100000, -100000])
+    def test_large_twist(self, a, capsys):
+        # pi_* O(a*h) is built one exponent at a time from the K relation,
+        # so a twist of 10^5 costs 10^5 steps, not a banding quadratic in a
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+                "--sheaf", f"O({a}*h)", "-n", "1"]
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines
+        assert all(json.loads(line)["verdict"] == "pass" for line in lines)
+
     def test_cut_instance(self, capsys):
         code = main(
             [

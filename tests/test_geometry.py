@@ -391,6 +391,11 @@ class TestKPushforward:
                     n, a
                 ), (n, a)
 
+    def test_large_twists_match_oracle(self):
+        p3 = projective_space(3)
+        for a in (100000, -100000):
+            assert euler_characteristic(p3.line((a,))) == chi_projective_space_oracle(3, a), a
+
     def test_serre_example(self):
         p1 = projective_space(1)
         pushed = pushforward_k(p1.line((-2,)), 1)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -457,6 +458,29 @@ class TestOrbitEngine:
             results.append({n: elementary_product_orbit(eta, n) for n in order})
         assert results[0] == results[1]
         assert results[0][10] == results[0][8] != results[0][5]
+
+    def test_lowerings_run_once_per_pair(self, monkeypatch):
+        from grrcheck import poly
+
+        runs = Counter()
+        undecorated = poly._lowerings
+
+        def counted(gamma, a):
+            runs[gamma, a] += 1
+            return undecorated(gamma, a)
+
+        monkeypatch.setattr(poly, "_lowerings", counted)
+        monkeypatch.setattr(poly, "_LOWERINGS", {})
+        monkeypatch.setattr(poly, "_ELEM_EXPANSION", {})
+        # every expansion up to degree 9, each last factor multiplied in by
+        # multiply_by_elementary (test_elementary_products_count_01_matrices
+        # checks their values)
+        for total in range(1, 10):
+            for eta in partitions(total):
+                elementary_product_orbit(eta, total)
+        assert runs and max(runs.values()) == 1
+        assert set(runs) == set(poly._LOWERINGS)
+        assert all(type(lowerings) is tuple for lowerings in poly._LOWERINGS.values())
 
     def test_multiply_by_elementary_against_brute(self):
         for n in (2, 3, 4):

@@ -10,6 +10,8 @@ from grrcheck.poly import (
     GradedPolynomial,
     elementary_reduce,
     newton_power_sum,
+    orbit_from_product,
+    reduce_orbit_to_elementary,
     root_alphabet,
     series_log,
     weighted_alphabet,
@@ -26,6 +28,8 @@ from grrcheck.series import (
     q_oracle,
     q_poly,
     set_mutation,
+    sheaf_alphabet,
+    tangent_alphabet,
     todd_inverse_numerator,
     todd_inverse_oracle,
     todd_inverse_root_series,
@@ -37,6 +41,7 @@ from grrcheck.series import (
 )
 from grrcheck.identities import (
     _divide_by_one_minus,
+    _times_one_minus,
     howe_claims,
     howe_reduce,
     verify_series_identity,
@@ -103,6 +108,69 @@ class TestUniversalTodd:
             assert all(
                 uc.numerator.degree_of(mono) == m for mono in uc.numerator.terms
             )
+
+
+def fraction_elimination(orbit, n_roots, alphabet, degree, scale, offset=1):
+    """(numerator, series part) by eliminating the rational degree-`degree`
+    orbit and scaling the result, e-index i at exponent position i - offset."""
+    graded = {lam: c for lam, c in orbit.items() if sum(lam) == degree}
+    terms = {}
+    for eta, c in reduce_orbit_to_elementary(graded, n_roots).items():
+        vec = [0] * len(alphabet)
+        for i in eta:
+            vec[i - offset] += 1
+        terms[tuple(vec)] = c
+    series = GradedPolynomial(alphabet, degree, terms)
+    return series.scale(scale), series
+
+
+class TestIntegerElimination:
+    """The classes eliminate scale * orbit over the integers; the result must
+    be what eliminating the rational orbit and scaling afterwards gives."""
+
+    @staticmethod
+    def check(uc, reference):
+        numerator, series = reference
+        assert uc.numerator == numerator and uc.series_part == series
+        assert uc.numerator.truncation == numerator.truncation
+        assert uc.series_part.truncation == series.truncation
+        assert all(type(c) is int for c in uc.numerator.terms.values())
+
+    def test_todd(self):
+        for m in range(0, 14):
+            n = max(m, 1)
+            orbit = orbit_from_product(todd_root_series(m), n, m)
+            scale = todd_denominator(m).value
+            ref = fraction_elimination(orbit, n, tangent_alphabet(m), m, scale)
+            self.check(universal_todd(m), ref)
+
+    def test_chern_character(self):
+        for m in range(1, 14):
+            orbit = {(k,): Fraction(1, factorial(k)) for k in range(1, m + 1)}
+            ref = fraction_elimination(orbit, m, sheaf_alphabet(m), m, factorial(m), offset=0)
+            self.check(universal_chern_character(m), ref)
+
+    def test_todd_inverse(self):
+        for r in range(1, 5):
+            for m in range(r, 11):
+                deg = m - r
+                orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg)
+                ref = fraction_elimination(orbit, r, weighted_alphabet("c", r), deg, factorial(m))
+                self.check(todd_inverse_numerator(m, r), ref)
+
+    def test_perturbed_root_series_fails_certification(self, monkeypatch):
+        from grrcheck import series
+
+        def perturbed(n):
+            coeffs = todd_root_series(n)
+            coeffs[n] += Fraction(1, 1000003)  # a prime no T_m contains
+            return coeffs
+
+        monkeypatch.setattr(series, "todd_root_series", perturbed)
+        monkeypatch.setattr(series, "_CACHE", {})
+        with pytest.raises(FalsificationError) as info:
+            universal_todd(4)
+        assert info.value.identity == "integrality:todd"
 
 
 class TestHomogeneityAllFamilies:
@@ -295,22 +363,36 @@ class TestIdentities:
     def test_wedge_identity(self):
         assert verify_series_identity("top-chern-from-wedges", 6).passed
 
-    def test_degree_by_degree_quotient(self):
-        # against the product with 1/(1 - s) = sum s^k, on every running total
-        # of the wedge identity
+    @staticmethod
+    def wedge_steps():
+        """(running total, roots of S as unit vectors, s = sum_S x) for every
+        step of the wedge identity, g = 1..5, with the generic products."""
         for g in range(1, 6):
             al = root_alphabet("x", g)
             one = GradedPolynomial.constant(al, g, 1)
             total = one
             for size in range(1, g + 1):
-                for subset in combinations(al.names(), size):
+                for subset in combinations(range(g), size):
+                    units = [tuple(int(i == j) for j in range(g)) for i in subset]
                     s = GradedPolynomial.zero(al, g)
-                    for name in subset:
-                        s = s + GradedPolynomial.variable(al, g, name)
-                    inverse = apply_series([Fraction(1)] * (g + 1), s)
-                    quotient = _divide_by_one_minus(total, s)
-                    assert quotient == total * inverse, (g, subset)
-                    total = total * (one - s) if size % 2 == 0 else quotient
+                    for i in subset:
+                        s = s + GradedPolynomial.variable(al, g, f"x{i + 1}")
+                    yield total, units, s
+                    if size % 2 == 0:
+                        total = total * (one - s)
+                    else:
+                        total = total * apply_series([Fraction(1)] * (g + 1), s)
+
+    def test_degree_by_degree_quotient(self):
+        # against the product with 1/(1 - s) = sum s^k
+        for total, units, s in self.wedge_steps():
+            inverse = apply_series([Fraction(1)] * (total.truncation + 1), s)
+            assert _divide_by_one_minus(total, units) == total * inverse, units
+
+    def test_shifted_product(self):
+        for total, units, s in self.wedge_steps():
+            one = GradedPolynomial.constant(total.alphabet, total.truncation, 1)
+            assert _times_one_minus(total, units) == total * (one - s), units
 
     def test_unknown_name(self):
         from grrcheck.arith import InputError
