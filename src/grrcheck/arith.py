@@ -110,15 +110,14 @@ def _divide_todd_denominator(
 ) -> tuple[bool, int | tuple[int, int, int]]:
     """T_m divided by the integer with the given prime exponents: (True,
     quotient), or (False, (prime, needed, available)) at the first prime of
-    the divisor that T_m holds too few times."""
-    total = todd_denominator(m).exponents()
+    the divisor that T_m holds too few times.  Once the exponents fit, the
+    quotient is still a checked exact division (exact_ratio)."""
+    tm = todd_denominator(m)
+    total = tm.exponents()
     for p, e in divisor.items():
         if total.get(p, 0) < e:
             return False, (p, e, total.get(p, 0))
-    quotient = FactoredInteger.from_exponents(
-        {p: e - divisor.get(p, 0) for p, e in total.items()}
-    )
-    return True, quotient.value
+    return True, exact_ratio(tm.value, prod(p**e for p, e in divisor.items()))
 
 
 def check_divisibility_lemma(
@@ -168,8 +167,10 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     """Independent oracle for B_n (Akiyama-Tanigawa triangle).
 
     The triangle natively produces the B_1 = +1/2 convention; the sign is
-    flipped at n = 1 to match this module's convention.  Used for
-    two-algorithm agreement tests.
+    flipped at n = 1 to match this module's convention.  The number-theory
+    suite takes the denominator side of von-staudt-denominator from it, so
+    that identity sets von_staudt_D (which checks itself against bernoulli)
+    against the second algorithm.
     """
     if n < 0:
         raise InputError(f"index must be >= 0, got {n}")

@@ -28,8 +28,8 @@ Chow classes have integer coefficients on that basis.  Each tower keeps the
 normal form of every product of two basis monomials it has been asked for, so
 a product of classes is a sum of table entries and never runs the rewrite
 loop; the table is filled lazily and skips pairs above the dimension, which
-vanish.  Sums, differences, scalings, graded parts, pushforwards and pullbacks
-keep normal form and build their results without a rewrite.
+vanish.  Sums, differences, scalings, graded parts and pushforwards keep
+normal form and build their results without a rewrite.
 
 Every sum of term maps here (Chow and K sums, scalings and products, the
 rewrite step, twists and the K-pushforward) is grrcheck.poly.accumulate,
@@ -374,15 +374,6 @@ def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
         terms = {m[:k]: c for m, c in terms.items() if m[k] == current.ranks[k]}
         current = current.base
     return ChowClass._normal(current, terms)
-
-
-def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
-    """Pull back from a prefix tower (injection of the base polynomial)."""
-    k = alpha.tower.n_levels
-    if tower.prefix(k) is not alpha.tower and tower.prefix(k).levels != alpha.tower.levels:
-        raise InputError("source is not a prefix of the target tower")
-    pad = tower.n_levels - k
-    return ChowClass._normal(tower, {m + (0,) * pad: c for m, c in alpha.terms.items()})
 
 
 class KClass:

@@ -23,10 +23,10 @@ from .poly import (
     Monomial,
     Scalar,
     accumulate,
-    elementary_reduce,
     elementary_symmetric,
     join_alphabets,
     root_alphabet,
+    weighted_alphabet,
 )
 from .report import VerificationReport
 from .series import (
@@ -35,7 +35,6 @@ from .series import (
     one_minus_exp_neg_series,
     q_poly,
     todd_inverse_numerator,
-    todd_root_series,
     tangent_alphabet,
     universal_chern_character,
     universal_ct,
@@ -395,9 +394,15 @@ def howe_reduce(r: int, a: int, degree_bound: int) -> list[GradedPolynomial]:
     """Expand e^{aT} * prod_{i<=r+1} (T-x_i)/(1-e^{-(T-x_i)}) and reduce by the
     relation prod_i (T - x_i) = 0, i.e. rewrite T^{r+1} through lower powers.
 
+    The work is in the Chern alphabet (c1..c_{r+1}, T) throughout: the roots
+    T - x_i have the Chern classes c_k(T - x) = sum_j (-1)^j C(r+1-j, k-j)
+    T^{k-j} c_j (c_0 = 1), which are substituted into the universal Todd
+    classes, and the relation is the monic T^{r+1} = -sum_{j>=1} (-1)^j c_j
+    T^{r+1-j}.
+
     Returns [f_0, ..., f_r] with the reduced series equal to
     sum_j f_j(c1..c_{r+1}) * T^j; the entry f_j is exact through total degree
-    degree_bound - j in the elementary symmetric variables of the roots.
+    degree_bound - j in the Chern classes of the bundle.
     """
     if r < 1:
         raise InputError("bundle rank parameter must be >= 1")
@@ -405,50 +410,38 @@ def howe_reduce(r: int, a: int, degree_bound: int) -> list[GradedPolynomial]:
         raise InputError(
             f"degree bound {degree_bound} cannot determine the T^{r} coefficient"
         )
-    n = r + 1
-    al = join_alphabets(Alphabet([("T", 1)]), root_alphabet("x", n))
-    bound = degree_bound
+    n, bound = r + 1, degree_bound
+    al = join_alphabets(weighted_alphabet("c", n), Alphabet([("T", 1)]))
     t = GradedPolynomial.variable(al, bound, "T")
-    td = todd_root_series(bound)
-    total = apply_series(exp_series(bound, a), t)
-    for i in range(1, n + 1):
-        xi = GradedPolynomial.variable(al, bound, f"x{i}")
-        total = total * apply_series(td, t - xi)
+    c = [GradedPolynomial.constant(al, bound, 1)] + [
+        GradedPolynomial.variable(al, bound, f"c{j}") for j in range(1, n + 1)
+    ]
+    # the Chern classes of the roots T - x_i, zero above the rank r + 1
+    images: dict[str, GradedPolynomial | int] = {
+        f"c{k}": 0 for k in range(n + 1, bound + 1)
+    }
+    for k in range(1, n + 1):
+        images[f"c{k}"] = GradedPolynomial.zero(al, bound)
+        for j in range(k + 1):
+            term = c[j] * t.power(k - j)
+            images[f"c{k}"] += term.scale((-1) ** j * comb(n - j, k - j))
+    td = GradedPolynomial.constant(al, bound, 1)
+    for k in range(1, bound + 1):
+        td += universal_todd(k).series_part.substitute(images, al, truncation=bound)
+    terms = dict((td * apply_series(exp_series(bound, a), t)).terms)
 
-    # relation: T^{r+1} = T^{r+1} - prod(T - x_i), a polynomial of T-degree <= r
-    rel = GradedPolynomial.constant(al, bound, 1)
-    for i in range(1, n + 1):
-        rel = rel * (t - GradedPolynomial.variable(al, bound, f"x{i}"))
-    remainder = t.power(n) - rel
-
-    while True:
-        keep: dict[tuple[int, ...], Fraction] = {}
-        excess: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in total.terms.items():
-            (excess if mono[0] > r else keep)[mono] = c
-        if not excess:
-            break
-        shifted = {
-            (mono[0] - n,) + mono[1:]: c for mono, c in excess.items()
-        }
-        total = GradedPolynomial(al, bound, keep) + GradedPolynomial(
-            al, bound, shifted
-        ) * remainder
-
-    out: list[GradedPolynomial] = []
-    root_names = [f"x{i}" for i in range(1, n + 1)]
-    for j in range(r + 1):
-        part = GradedPolynomial(
-            al,
-            bound,
-            {
-                (0,) + mono[1:]: c
-                for mono, c in total.terms.items()
-                if mono[0] == j
-            },
-        )
-        out.append(elementary_reduce(part, root_names, out_prefix="c"))
-    return out
+    # the relation, from the top power of T down: each rewrite lowers the power
+    for e in range(bound, n - 1, -1):
+        top = {m: v for m, v in terms.items() if m[n] == e}
+        for m in top:
+            del terms[m]
+        for j in range(1, n + 1):
+            shift = tuple(int(i == j - 1) for i in range(n)) + (-j,)
+            accumulate(terms, top, (-1) ** (j + 1), shift)
+    return [
+        GradedPolynomial(al, bound, {m[:n] + (0,): v for m, v in terms.items() if m[n] == j})
+        for j in range(n)
+    ]
 
 
 def howe_claims(r: int, degree_bound: int) -> list[VerificationReport]:

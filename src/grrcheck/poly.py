@@ -121,14 +121,6 @@ class _Degrees(dict):
         return degree
 
 
-class SymmetryError(ValueError):
-    """Input is not symmetric; carries one violating transposition."""
-
-    def __init__(self, name_a: str, name_b: str):
-        self.transposition = (name_a, name_b)
-        super().__init__(f"not symmetric under swapping {name_a} <-> {name_b}")
-
-
 class Alphabet:
     """Ordered list of uniquely named variables with non-negative integer weights."""
 
@@ -730,68 +722,8 @@ def reduce_orbit_to_elementary(
 
 
 # ---------------------------------------------------------------------------
-# GradedPolynomial <-> orbit conversion and the public reduction entry point
+# elementary symmetric polynomials and power sums as GradedPolynomials
 # ---------------------------------------------------------------------------
-
-
-def _swap_positions(mono: Monomial, i: int, j: int) -> Monomial:
-    lst = list(mono)
-    lst[i], lst[j] = lst[j], lst[i]
-    return tuple(lst)
-
-
-def check_symmetry(p: GradedPolynomial, root_names: Sequence[str]) -> None:
-    """Raise SymmetryError naming a violating adjacent transposition, if any."""
-    idx = [p.alphabet.index(n) for n in root_names]
-    for a, b in zip(idx, idx[1:]):
-        for mono, coeff in p.terms.items():
-            if p.terms.get(_swap_positions(mono, a, b), 0) != coeff:
-                name_a = p.alphabet.variables[a][0]
-                name_b = p.alphabet.variables[b][0]
-                raise SymmetryError(name_a, name_b)
-
-
-def elementary_reduce(
-    p: GradedPolynomial,
-    root_names: Sequence[str],
-    out_prefix: str = "e",
-) -> GradedPolynomial:
-    """Rewrite a polynomial symmetric in the given weight-1 roots in terms of
-    the elementary symmetric functions e_1..e_k (named out_prefix1..).
-
-    Non-root variables pass through unchanged.  Substituting the elementary
-    symmetric polynomials back for the e-variables reproduces the input
-    exactly (up to the truncation bound); this round trip is property-tested.
-    """
-    k = len(root_names)
-    root_idx = [p.alphabet.index(n) for n in root_names]
-    for i in root_idx:
-        if p.alphabet.weights[i] != 1:
-            raise InputError("root variables must have weight 1")
-    check_symmetry(p, root_names)
-
-    other = [(n, w) for n, w in p.alphabet.variables if n not in set(root_names)]
-    other_idx = [p.alphabet.index(n) for n, _ in other]
-    out_alphabet = Alphabet([(f"{out_prefix}{i}", i) for i in range(1, k + 1)] + other)
-
-    groups: dict[Monomial, dict[Partition, Scalar]] = {}
-    for mono, coeff in p.terms.items():
-        roots = tuple(mono[i] for i in root_idx)
-        canon = tuple(sorted(roots, reverse=True))
-        if roots != canon:
-            continue  # orbit already counted at its sorted representative
-        lam = canon[: len(canon) - canon.count(0)] if 0 in canon else canon
-        rest = tuple(mono[i] for i in other_idx)
-        groups.setdefault(rest, {})[lam] = coeff
-
-    out_terms: dict[Monomial, Scalar] = {}
-    for rest, orbit in groups.items():
-        for eta, coeff in reduce_orbit_to_elementary(orbit, k).items():
-            evec = [0] * k
-            for i in eta:
-                evec[i - 1] += 1
-            out_terms[tuple(evec) + rest] = coeff
-    return GradedPolynomial(out_alphabet, p.truncation, out_terms)
 
 
 def elementary_symmetric(

@@ -19,6 +19,7 @@ from math import factorial
 
 from .arith import (
     bernoulli,
+    bernoulli_akiyama_tanigawa,
     check_ekedahl_divisibility,
     fulton_macpherson_L,
     todd_denominator,
@@ -403,7 +404,8 @@ def suite_number_theory() -> list[VerificationReport]:
     factorial-multiple divisibility, and the covering-map defect radicals."""
 
     def von_staudt(g: int) -> tuple[str, str]:
-        return str(von_staudt_D(g).value), str((bernoulli(2 * g) / (2 * g)).denominator)
+        denominator = (bernoulli_akiyama_tanigawa(2 * g) / (2 * g)).denominator
+        return str(von_staudt_D(g).value), str(denominator)
 
     def hodge_torsion(g: int) -> tuple[str, str]:
         ok, witness = check_ekedahl_divisibility(g)

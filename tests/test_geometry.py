@@ -14,11 +14,18 @@ from grrcheck.geometry import (
     chi_projective_space_oracle,
     euler_characteristic,
     projective_space,
-    pullback_chow,
     pushforward_chow,
     pushforward_k,
 )
 from grrcheck.suites import MODEL_TOWERS
+
+
+def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
+    """Pull back from a prefix tower (injection of the base polynomial)."""
+    k = alpha.tower.n_levels
+    assert tower.prefix(k).levels == alpha.tower.levels
+    pad = tower.n_levels - k
+    return ChowClass(tower, {m + (0,) * pad: c for m, c in alpha.terms.items()})
 
 
 def hirzebruch(twist: int = 1) -> Tower:

@@ -10,10 +10,8 @@ from grrcheck.arith import InputError
 from grrcheck.poly import (
     Alphabet,
     GradedPolynomial,
-    SymmetryError,
     conjugate_partition,
     elementary_product_orbit,
-    elementary_reduce,
     elementary_symmetric,
     horner_eval,
     horner_scheme,
@@ -27,6 +25,8 @@ from grrcheck.poly import (
     series_log,
     series_mul,
 )
+
+from symmetric_reference import SymmetryError, elementary_reduce
 
 
 def basic_alphabet():

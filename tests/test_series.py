@@ -8,7 +8,6 @@ import pytest
 from grrcheck.arith import todd_denominator
 from grrcheck.poly import (
     GradedPolynomial,
-    elementary_reduce,
     newton_power_sum,
     orbit_from_product,
     reduce_orbit_to_elementary,
@@ -46,11 +45,14 @@ from grrcheck.identities import (
     howe_reduce,
     verify_series_identity,
 )
+from grrcheck.suites import suite_projective_bundle
+
+from symmetric_reference import elementary_reduce, howe_reduce_by_roots
 
 
 def brute_force_todd(m: int, n_roots: int) -> GradedPolynomial:
     """Independent oracle: full-monomial expansion of the root product,
-    reduced by the public elementary_reduce."""
+    reduced by the root-alphabet elementary_reduce of the test reference."""
     al = root_alphabet("x", n_roots)
     coeffs = todd_root_series(m)
     total = GradedPolynomial.constant(al, m, 1)
@@ -424,6 +426,24 @@ class TestHowe:
 
         with pytest.raises(InputError):
             howe_reduce(3, 0, 2)
+
+    @pytest.mark.parametrize("r", range(1, 5))
+    def test_matches_the_root_route(self, r):
+        for a in range(-r, 3):
+            got = howe_reduce(r, a, r + 4)
+            ref = howe_reduce_by_roots(r, a, r + 4)
+            assert len(got) == len(ref) == r + 1
+            for j, (f, g) in enumerate(zip(got, ref)):
+                assert f == g and f.serialize() == g.serialize(), (a, j)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_todd_mutation_turns_the_suite_red(self, m):
+        try:
+            set_mutation(Mutation("todd", m, 0, Fraction(1)))
+            assert not all(rep.passed for rep in suite_projective_bundle())
+        finally:
+            set_mutation(None)
+        assert all(rep.passed for rep in suite_projective_bundle())
 
 
 class TestMutation:

@@ -18,10 +18,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "grrcheck"
 ALLOWED_UNREACHED = {
     "check_divisibility_lemma": "public API: the checked divisibility lemma "
     "listed in the README; tests use it as an independent reference",
-    "bernoulli_akiyama_tanigawa": "public API: the second Bernoulli algorithm "
-    "listed in the README; tests compare the two algorithms",
-    "pullback_chow": "public API: Chow pullback, listed in the README next to "
-    "the pushforward",
     "rational_grr_cross_check": "reference route: classical rational "
     "Riemann-Roch that tests compare the integral sides against",
     "geometry_text": "printer inverse to parse_geometry; tests round-trip "
