@@ -164,14 +164,14 @@ def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
         c_tensor = {i: total.graded_part(i) for i in range(1, cap + 1)}
         c_a = _elementary_table(al, u_names, cap, cap)
         c_b = _elementary_table(al, v_names, cap, cap)
+        s_a = [_substituted_chern_numerator(i, p, c_a, al, cap) for i in range(cap + 1)]
+        s_b = [_substituted_chern_numerator(i, q, c_b, al, cap) for i in range(cap + 1)]
         for m in range(1, cap + 1):
             label = f"degree {m} ({p}+{q} roots)"
             lhs_m = _substituted_chern_numerator(m, p * q, c_tensor, al, cap)
             rhs_m = GradedPolynomial.zero(al, cap)
             for i in range(m + 1):
-                s_i = _substituted_chern_numerator(i, p, c_a, al, cap)
-                s_mi = _substituted_chern_numerator(m - i, q, c_b, al, cap)
-                rhs_m = rhs_m + (s_i * s_mi).scale(comb(m, i))
+                rhs_m = rhs_m + (s_a[i] * s_b[m - i]).scale(comb(m, i))
             parts_l.append((label, lhs_m))
             parts_r.append((label, rhs_m))
     return VerificationReport.compare(
@@ -194,6 +194,8 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
         c_all = _elementary_table(al, all_names, cap, cap)
         c_a = _elementary_table(al, u_names, cap, cap)
         c_b = _elementary_table(al, v_names, cap, cap)
+        td_a = [_substituted_todd_numerator(i, c_a, al, cap) for i in range(cap + 1)]
+        td_b = [_substituted_todd_numerator(i, c_b, al, cap) for i in range(cap + 1)]
         for m in range(1, cap + 1):
             label = f"degree {m} ({p}+{q} roots)"
             lhs_m = _substituted_todd_numerator(m, c_all, al, cap)
@@ -203,9 +205,7 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
                 scalar = exact_ratio(
                     tm, todd_denominator(i).value * todd_denominator(m - i).value
                 )
-                td_i = _substituted_todd_numerator(i, c_a, al, cap)
-                td_mi = _substituted_todd_numerator(m - i, c_b, al, cap)
-                rhs_m = rhs_m + (td_i * td_mi).scale(scalar)
+                rhs_m = rhs_m + (td_a[i] * td_b[m - i]).scale(scalar)
             parts_l.append((label, lhs_m))
             parts_r.append((label, rhs_m))
     return VerificationReport.compare(
@@ -220,8 +220,7 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
 def _times_one_minus(p: GradedPolynomial, units: list[Monomial]) -> GradedPolynomial:
     """p * (1 - s) for s the sum of the roots with the given unit exponent
     vectors: p minus, per root x_i, the terms of p below the bound moved by x_i."""
-    degrees = p.alphabet.degrees
-    low = {m: c for m, c in p.terms.items() if degrees[m] < p.truncation}
+    low = {m: c for m, c in p.terms.items() if p.degree_of(m) < p.truncation}
     out = dict(p.terms)
     for unit in units:
         accumulate(out, low, -1, unit)
@@ -232,10 +231,9 @@ def _divide_by_one_minus(p: GradedPolynomial, units: list[Monomial]) -> GradedPo
     """p / (1 - s) for s the sum of the roots with the given unit exponent
     vectors, one degree at a time: the quotient y has y_0 = p_0 and
     y_d = p_d + sum_i x_i * y_{d-1}, since y = p + s * y."""
-    degrees = p.alphabet.degrees
     parts: list[dict[Monomial, Scalar]] = [{} for _ in range(p.truncation + 1)]
     for m, c in p.terms.items():
-        parts[degrees[m]][m] = c
+        parts[p.degree_of(m)][m] = c
     for below, part in zip(parts, parts[1:]):  # below is already y_{d-1}
         for unit in units:
             accumulate(part, below, 1, unit)
@@ -362,6 +360,15 @@ def check_immersion_todd_decomposition(max_degree: int, max_r: int = 3) -> Verif
         c_y = _elementary_table(al, y_names, cap, cap)
         c_z = _elementary_table(al, z_names, cap, cap)
         c_all = _elementary_table(al, y_names + z_names, cap, cap)
+        z_images = {f"c{i}": c_z[i] for i in range(1, r + 1)}
+        # inv[j] is the inverse-Todd numerator of degree j + r at the z-roots
+        inv = [
+            todd_inverse_numerator(j + r, r).numerator.substitute(z_images, al, truncation=cap)
+            for j in range(max_degree - r + 1)
+        ]
+        td_all = [
+            _substituted_todd_numerator(k, c_all, al, cap) for k in range(max_degree - r + 1)
+        ]
         for m in range(r, max_degree + 1):
             label = f"r={r} degree {m} ({s_roots} tangent roots)"
             scalar = todd_ratio(m, 0, m - r)
@@ -369,11 +376,7 @@ def check_immersion_todd_decomposition(max_degree: int, max_r: int = 3) -> Verif
             rhs = GradedPolynomial.zero(al, cap)
             for j in range(m - r + 1):
                 coef = todd_ratio(m, j + r, m - r - j)
-                inv_uc = todd_inverse_numerator(j + r, r)
-                images = {f"c{i}": c_z[i] for i in range(1, r + 1)}
-                inv_val = inv_uc.numerator.substitute(images, al, truncation=cap)
-                td_val = _substituted_todd_numerator(m - r - j, c_all, al, cap)
-                rhs = rhs + (inv_val * td_val).scale(coef)
+                rhs = rhs + (inv[j] * td_all[m - r - j]).scale(coef)
             parts_l.append((label, lhs))
             parts_r.append((label, rhs))
     return VerificationReport.compare(

@@ -15,10 +15,18 @@ it, and so do the Chow and K classes of grrcheck.geometry (sums, scalings,
 products, rewrites, twists and the K-pushforward).  Only the product loop
 below keeps its own accumulation and normalises once at the end.
 
-Each Alphabet memoises the weighted degree of every monomial it meets, so a
-degree is computed once.  A product groups the right factor's terms by
-degree, ascending, and meets each left term only with the groups that fit
-under the bound.  Results of the ring operations are built by
+Alphabet(...) returns one interned instance per variable list, and each
+Alphabet packs every exponent tuple it meets into an int once, in a memo
+that maps both ways: the weighted degree in the top field, then 16 bits per
+exponent in alphabet order (after Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Int
+order is (degree, exponent tuple) order, the degree is key >> shift, and the
+key of a product of monomials is the sum of their keys: every exponent is
+checked to be below half its field, so a sum never carries.  Term maps stay
+keyed by tuples; only the product loop runs on the packed keys.  It groups
+the right factor's terms by degree, ascending, meets each left term only
+with the groups that fit under the bound, and unpacks each result key
+through the memo.  Results of the ring operations are built by
 GradedPolynomial._normal from terms already clean; the public constructor
 checks and normalises arbitrary input.
 
@@ -51,9 +59,9 @@ each expansion by its cleared denominator first) eliminates entirely in int
 arithmetic, and one that is not integral leaves a Fraction in the result.
 
 Polynomials are immutable after construction and may share their term dicts;
-the expansion and lowering memo tables and the degree memos are insert-only
-maps of immutable values (safe to share across threads in CPython, or keep
-per task).
+the expansion and lowering memo tables, the key memos and the alphabet table
+are insert-only maps of immutable values (safe to share across threads in
+CPython, or keep per task).
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add, mul
+from struct import Struct
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .arith import InputError
@@ -107,35 +116,84 @@ def accumulate(
     return out
 
 
-class _Degrees(dict):
-    """Monomial -> weighted degree for one weight vector, each computed once."""
+# An exponent takes 16 bits of a packed key and stays below half of that, so
+# the sum of two keys never carries into the next exponent.
+_HALF = 1 << 15
 
-    __slots__ = ("weights",)
+
+def _check_packable(mono: Monomial) -> None:
+    if mono and not 0 <= min(mono) <= max(mono) < _HALF:
+        raise AssertionError(f"exponent of {mono} outside the packed range [0, {_HALF})")
+
+
+class _Keys(dict):
+    """Exponent tuple -> packed key for one weight vector, each packed once:
+    the degree, then exponent 0, 1, ... 16 bits each, so keys compare as
+    (degree, exponent tuple) and the degree is key >> shift.  .monomials is
+    the reverse map, filled at the same time."""
+
+    __slots__ = ("weights", "shift", "fields", "monomials")
 
     def __init__(self, weights: tuple[int, ...]):
         super().__init__()
-        self.weights = weights
+        self.weights, self.shift = weights, 16 * len(weights)
+        self.fields = Struct(f">{len(weights)}H")
+        self.monomials = _Monomials(self)
 
     def __missing__(self, mono: Monomial) -> int:
-        degree = self[mono] = sum(map(mul, mono, self.weights))
-        return degree
+        _check_packable(mono)
+        degree = sum(map(mul, mono, self.weights))
+        key = self[mono] = degree << self.shift | int.from_bytes(self.fields.pack(*mono), "big")
+        self.monomials[key] = mono
+        return key
+
+
+class _Monomials(dict):
+    """Packed key -> exponent tuple.  A key no tuple was packed into (a sum of
+    two keys) is unpacked once."""
+
+    __slots__ = ("keys", "size", "mask")
+
+    def __init__(self, keys: _Keys):
+        super().__init__()
+        self.keys, self.size, self.mask = keys, keys.shift // 8, (1 << keys.shift) - 1
+
+    def __missing__(self, key: int) -> Monomial:
+        mono = self.keys.fields.unpack((key & self.mask).to_bytes(self.size, "big"))
+        _check_packable(mono)
+        self[key], self.keys[mono] = mono, key
+        return mono
+
+
+# variable list -> its one Alphabet
+_ALPHABETS: dict[tuple[tuple[str, int], ...], "Alphabet"] = {}
 
 
 class Alphabet:
-    """Ordered list of uniquely named variables with non-negative integer weights."""
+    """Ordered list of uniquely named variables with non-negative integer
+    weights.  There is one instance per list: Alphabet(...) returns it, so its
+    key memos stay warm for every polynomial over the list, and alphabets are
+    equal exactly when they are the same object."""
 
-    __slots__ = ("variables", "weights", "degrees", "_index")
+    __slots__ = ("variables", "weights", "shift", "keys", "monomials", "_index")
 
-    def __init__(self, variables: Iterable[tuple[str, int]]):
-        self.variables: tuple[tuple[str, int], ...] = tuple((str(n), int(w)) for n, w in variables)
-        names = [n for n, _ in self.variables]
+    def __new__(cls, variables: Iterable[tuple[str, int]]) -> "Alphabet":
+        variables = tuple((str(n), int(w)) for n, w in variables)
+        got = _ALPHABETS.get(variables)
+        if got is not None:
+            return got
+        names = [n for n, _ in variables]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate variable names in alphabet: {names}")
-        if any(w < 0 for _, w in self.variables):
+        if any(w < 0 for _, w in variables):
             raise InputError("variable weights must be >= 0")
-        self.weights: tuple[int, ...] = tuple(w for _, w in self.variables)
-        self.degrees = _Degrees(self.weights)
-        self._index: dict[str, int] = {n: i for i, (n, _) in enumerate(self.variables)}
+        self = object.__new__(cls)
+        self.variables = variables
+        self.weights = tuple(w for _, w in variables)
+        self._index = {n: i for i, n in enumerate(names)}
+        self.keys = _Keys(self.weights)
+        self.shift, self.monomials = self.keys.shift, self.keys.monomials
+        return _ALPHABETS.setdefault(variables, self)
 
     def index(self, name: str) -> int:
         try:
@@ -151,12 +209,6 @@ class Alphabet:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.variables == other.variables
-
-    def __hash__(self) -> int:
-        return hash(self.variables)
 
     def __repr__(self) -> str:
         return "Alphabet(" + ", ".join(f"{n}:{w}" for n, w in self.variables) + ")"
@@ -194,13 +246,13 @@ class GradedPolynomial:
         self.truncation = truncation
         clean: dict[Monomial, Scalar] = {}
         if terms:
-            degrees = alphabet.degrees
+            keys, shift = alphabet.keys, alphabet.shift
             nvars = len(alphabet.weights)
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
                     raise InputError(f"monomial {mono} has wrong arity for {alphabet!r}")
                 c = _scalar(coeff)
-                if c and degrees[mono] <= truncation:
+                if c and keys[mono] >> shift <= truncation:
                     clean[mono] = c
         self.terms = clean
 
@@ -235,7 +287,7 @@ class GradedPolynomial:
     # -- basic queries -------------------------------------------------
 
     def degree_of(self, mono: Monomial) -> int:
-        return self.alphabet.degrees[mono]
+        return self.alphabet.keys[mono] >> self.alphabet.shift
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -254,8 +306,8 @@ class GradedPolynomial:
         return self.terms.get(tuple(mono), 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        degrees = self.alphabet.degrees
-        return sorted(self.terms.items(), key=lambda kv: (degrees[kv[0]], kv[0]))
+        keys = self.alphabet.keys
+        return sorted(self.terms.items(), key=lambda kv: keys[kv[0]])
 
     def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self.terms.items())
@@ -275,7 +327,7 @@ class GradedPolynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other: "GradedPolynomial") -> int:
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet:
             raise InputError("alphabet mismatch")
         return min(self.truncation, other.truncation)
 
@@ -284,8 +336,8 @@ class GradedPolynomial:
         bound = self._check_compatible(other)
         out = accumulate(dict(self.terms), other.terms, sign)
         if bound < max(self.truncation, other.truncation):
-            degrees = self.alphabet.degrees
-            out = {m: c for m, c in out.items() if degrees[m] <= bound}
+            keys, shift = self.alphabet.keys, self.alphabet.shift
+            out = {m: c for m, c in out.items() if keys[m] >> shift <= bound}
         return GradedPolynomial._normal(self.alphabet, bound, out)
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
@@ -303,27 +355,32 @@ class GradedPolynomial:
         return GradedPolynomial._normal(self.alphabet, self.truncation, terms)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        """Product truncated to the smaller bound.  other's terms are grouped
-        by degree, ascending, so each term of self meets only the groups that
-        fit under the bound."""
+        """Product truncated to the smaller bound, on packed keys: the key of
+        a product of monomials is the sum of their keys.  other's terms are
+        grouped by degree, ascending, so each term of self meets only the
+        groups that fit under the bound."""
         bound = self._check_compatible(other)
-        degrees = self.alphabet.degrees
-        groups: dict[int, list[tuple[Monomial, Scalar]]] = {}
+        alphabet = self.alphabet
+        keys, shift = alphabet.keys, alphabet.shift
+        groups: dict[int, list[tuple[int, Scalar]]] = {}
         for mb, cb in other.terms.items():
-            groups.setdefault(degrees[mb], []).append((mb, cb))
+            kb = keys[mb]
+            groups.setdefault(kb >> shift, []).append((kb, cb))
         buckets = sorted(groups.items())
-        out: dict[Monomial, Scalar] = {}
+        out: dict[int, Scalar] = {}
         get = out.get
         for ma, ca in self.terms.items():
-            room = bound - degrees[ma]
+            ka = keys[ma]
+            room = bound - (ka >> shift)
             for db, group in buckets:
                 if db > room:
                     break
-                for mb, cb in group:
-                    mono = tuple(map(add, ma, mb))
-                    out[mono] = get(mono, 0) + ca * cb
-        terms = {m: _exact(c) for m, c in out.items() if c}
-        return GradedPolynomial._normal(self.alphabet, bound, terms)
+                for kb, cb in group:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        monomials = alphabet.monomials
+        terms = {monomials[k]: _exact(c) for k, c in out.items() if c}
+        return GradedPolynomial._normal(alphabet, bound, terms)
 
     def power(self, k: int) -> "GradedPolynomial":
         if k < 0:
@@ -339,8 +396,8 @@ class GradedPolynomial:
         return result
 
     def graded_part(self, m: int) -> "GradedPolynomial":
-        degrees = self.alphabet.degrees
-        terms = {mono: c for mono, c in self.terms.items() if degrees[mono] == m}
+        keys, shift = self.alphabet.keys, self.alphabet.shift
+        terms = {mono: c for mono, c in self.terms.items() if keys[mono] >> shift == m}
         return GradedPolynomial._normal(self.alphabet, self.truncation, terms)
 
     def truncate(self, bound: int) -> "GradedPolynomial":
@@ -357,8 +414,8 @@ class GradedPolynomial:
             raise InputError("truncation bound must be >= 0")
         terms = self.terms
         if bound < self.truncation:
-            degrees = self.alphabet.degrees
-            terms = {m: c for m, c in terms.items() if degrees[m] <= bound}
+            keys, shift = self.alphabet.keys, self.alphabet.shift
+            terms = {m: c for m, c in terms.items() if keys[m] >> shift <= bound}
         return GradedPolynomial._normal(self.alphabet, bound, terms)
 
     # -- structure maps -------------------------------------------------

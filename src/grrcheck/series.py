@@ -24,9 +24,10 @@ loudly (FalsificationError) otherwise.
 
 An independent generation route through power sums (Newton's identities and
 log/exp of the defining series) exists for every family; the integrality
-suite checks that the two routes agree coefficient by coefficient.  The
-mutation hook deliberately corrupts a generated class so the test harness can
-confirm that suites really fail when a coefficient is wrong.
+suite checks that the two routes agree coefficient by coefficient.  That
+route, too, multiplies integer numerators and divides once per class, at the
+end.  The mutation hook deliberately corrupts a generated class so the test
+harness can confirm that suites really fail when a coefficient is wrong.
 
 Generated classes are memoized under a key that includes the active
 mutation, so a mutated class is never returned once the mutation is cleared;
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .arith import InputError, todd_denominator, todd_ratio
 from .poly import (
@@ -355,27 +356,58 @@ def _multiplicative_series_oracle(
 ) -> GradedPolynomial:
     """Degree-m part of prod_roots f(x_j) in c-variables, via exp(sum l_k p_k).
 
-    Independent of the elimination algorithm: uses the logarithm of the
-    per-root series and Newton's power-sum polynomials.  The exponential is
-    taken degree by degree: u = sum l_k p_k has the graded parts u_k =
-    l_k p_k, and E = exp(u) has E_0 = 1 and d E_d = sum_{k=1..d} k u_k E_{d-k}
-    (Knuth, TAOCP vol. 2, 4.7), so no power of u is formed.
+    Independent of the elimination algorithm: uses the logarithm l of the
+    per-root series and Newton's power-sum polynomials p_k.  The exponential
+    E = exp(u), u = sum l_k p_k, is taken degree by degree (Knuth, TAOCP
+    vol. 2, 4.7: E_0 = 1 and d E_d = sum_{k=1..d} k l_k p_k E_{d-k}), so no
+    power of u is formed, and on integer polynomials: with D the lcm of the
+    denominators of the k l_k, G_d = D^d d! E_d has G_0 = 1 and
+
+        G_d = sum_{k=1..d} [D^k k l_k (d-1)!/(d-k)!] p_k G_{d-k},
+
+    every bracket an integer.  The one rational step is the exact division
+    E_m = G_m / (D^m m!).
     """
     alph = weighted_alphabet("c", n_vars)
     logs = series_log(per_root, m)
-    k_u = {  # k -> k u_k, for the nonzero l_k
-        k: _power_sum_in_chern(k, n_vars).with_bound(m).scale(k * logs[k])
+    den = lcm(*(Fraction(k * logs[k]).denominator for k in range(1, m + 1)))
+    k_u = {  # k -> D^k k l_k p_k, for the nonzero l_k
+        k: _power_sum_in_chern(k, n_vars).with_bound(m).scale(den**k * k * logs[k])
         for k in range(1, m + 1)
         if logs[k]
     }
-    exp_parts = [GradedPolynomial.constant(alph, m, 1)]
+    parts = [GradedPolynomial.constant(alph, m, 1)]
     for d in range(1, m + 1):
         total = GradedPolynomial.zero(alph, m)
         for k, part in k_u.items():
             if k <= d:
-                total = total + part * exp_parts[d - k]
-        exp_parts.append(total.scale(Fraction(1, d)))
-    return exp_parts[m]
+                falling = factorial(d - 1) // factorial(d - k)
+                total = total + part.scale(falling) * parts[d - k]
+        parts.append(total)
+    return parts[m].scale(Fraction(1, den**m * factorial(m)))
+
+
+def _cleared(p: GradedPolynomial) -> tuple[GradedPolynomial, int]:
+    """(s * p, s) for s the lcm of the denominators of p's coefficients."""
+    s = lcm(*(c.denominator for c in p.terms.values()))
+    return p.scale(s), s
+
+
+def _sum_of_products(
+    pairs: list[tuple[GradedPolynomial, GradedPolynomial]], alph: Alphabet, m: int
+) -> GradedPolynomial:
+    """sum a * b over the pairs, in alph with the bound m: each product is
+    taken on the cleared integer numerators of a and b, and the sum is divided
+    once."""
+    products = []
+    for a, b in pairs:
+        (a, s), (b, t) = _cleared(a), _cleared(b)
+        products.append((a.embed(alph).with_bound(m) * b.embed(alph).with_bound(m), s * t))
+    den = lcm(*(s for _, s in products))
+    total = GradedPolynomial.zero(alph, m)
+    for product, s in products:
+        total = total + product.scale(den // s)
+    return total.scale(Fraction(1, den))
 
 
 @lru_cache(maxsize=None)
@@ -395,28 +427,23 @@ def chern_character_oracle(m: int) -> GradedPolynomial:
 
 
 def ct_oracle(m: int) -> GradedPolynomial:
-    """Rational (ch * Td)_m assembled from the oracle routes."""
-    alph = ct_alphabet(m)
-    total = GradedPolynomial.zero(alph, m)
-    for j in range(m + 1):
-        ch_j = chern_character_oracle(j).embed(alph).with_bound(m)
-        td_j = todd_series_oracle(m - j)
-        if m - j > 0:
-            td_j = td_j.embed(alph).with_bound(m)
-        else:
-            td_j = GradedPolynomial.constant(alph, m, 1)
-        total = total + ch_j * td_j
-    return total.graded_part(m)
+    """Rational (ch * Td)_m assembled from the oracle routes: the sum over j of
+    ch_j * Td_{m-j}, each factor homogeneous."""
+    pairs = [(chern_character_oracle(j), todd_series_oracle(m - j)) for j in range(m + 1)]
+    return _sum_of_products(pairs, ct_alphabet(m), m)
 
 
 def q_oracle(m: int) -> GradedPolynomial:
+    """Rational Q_m / T_{m-1}, the degree-m part of (1 - e^{-x}) * Td: the sum
+    over k < m of the x^(m-k) term of 1 - e^{-x} times Td_k (Td_0 = 1)."""
     alph = divisor_alphabet(m)
-    x = GradedPolynomial.variable(alph, m, "x")
-    factor = apply_series(one_minus_exp_neg_series(m), x)
-    td_total = GradedPolynomial.constant(alph, m, 1)
-    for k in range(1, m):
-        td_total = td_total + todd_series_oracle(k).embed(alph).with_bound(m)
-    return (factor * td_total).graded_part(m)
+    coeffs = one_minus_exp_neg_series(m)
+    pairs = []
+    for k in range(m):  # x is the last of the m variables
+        x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): coeffs[m - k]})
+        td = todd_series_oracle(k) if k else GradedPolynomial.constant(alph, m, 1)
+        pairs.append((x_part, td))
+    return _sum_of_products(pairs, alph, m)
 
 
 def todd_inverse_oracle(m: int, r: int) -> GradedPolynomial:

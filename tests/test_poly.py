@@ -373,6 +373,138 @@ class TestRingAgainstFractionReference:
         assert poly._exact(Fraction(1, 3)) == Fraction(1, 3)
 
 
+# -- packed keys and interned alphabets ----------------------------------------
+
+
+def _tuple_product(p, q):
+    """The product on exponent tuples, loop for loop as the packed kernel
+    runs it: q's terms grouped by degree, ascending, each term of p meeting
+    the groups under the smaller bound.  Returns (terms, whether a sum
+    cancelled)."""
+    al, bound = p.alphabet, min(p.truncation, q.truncation)
+
+    def degree(mono):
+        return sum(e * w for e, w in zip(mono, al.weights))
+
+    groups = {}
+    for mb, cb in q.terms.items():
+        groups.setdefault(degree(mb), []).append((mb, cb))
+    out = {}
+    for ma, ca in p.terms.items():
+        for db, group in sorted(groups.items()):
+            if db > bound - degree(ma):
+                break
+            for mb, cb in group:
+                mono = tuple(x + y for x, y in zip(ma, mb))
+                out[mono] = out.get(mono, 0) + ca * cb
+    terms = {m: c for m, c in out.items() if c}
+    return terms, len(terms) < len(out)
+
+
+class TestPackedKeys:
+    """GradedPolynomial.__mul__ adds packed keys; every result must be the
+    tuple product, term order included, and no exponent may wrap."""
+
+    ALPHABETS = [
+        Alphabet([("r", 0), ("a", 1), ("b", 2), ("c", 1)]),
+        Alphabet([("r", 0), ("s", 0)]),
+        Alphabet([("a", 1), ("b", 3), ("t", 0), ("c", 2), ("d", 1)]),
+        Alphabet([("x", 1)]),
+    ]
+
+    @staticmethod
+    def _random(rng, al, bound, n_terms, top):
+        terms = {}
+        for _ in range(n_terms):
+            mono = tuple(rng.randint(0, top) for _ in al.weights)
+            kind = rng.randrange(3)
+            if kind == 0:
+                terms[mono] = rng.choice([-2, -1, 1, 2])
+            elif kind == 1:
+                terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            else:
+                terms[mono] = Fraction(2 * rng.randint(-2, 2), 2)
+        return GradedPolynomial(al, bound, terms)
+
+    def test_product_against_tuple_product(self):
+        rng = random.Random(20261018)
+        seen = Counter()
+        for _ in range(400):
+            al = rng.choice(self.ALPHABETS)
+            # exponents below 2^14 keep every product inside the packed range
+            top = rng.choice([2, 3, 2**14 - 1])
+            bp, bq = (rng.randint(0, 8), rng.randint(0, 8)) if top < 4 else (10**6, 10**6 - 1)
+            p = self._random(rng, al, bp, rng.randint(0, 8), top)
+            q = self._random(rng, al, bq, rng.randint(0, 8), top)
+            if rng.random() < 0.3:  # p = A + B, q = A - B: the AB terms cancel
+                flip = {m: -c if rng.random() < 0.5 else c for m, c in p.terms.items()}
+                q = GradedPolynomial(al, bq, flip)
+            expected, cancelled = _tuple_product(p, q)
+            got = p * q
+            assert list(got.terms.items()) == list(expected.items())
+            assert got.truncation == min(p.truncation, q.truncation)
+            for c in got.terms.values():
+                assert type(c) is (int if c.denominator == 1 else Fraction), c
+            seen["weight 0"] += 0 in al.weights and any(got.terms)
+            seen["rational"] += not got.is_integral()
+            seen["cancelled"] += cancelled
+            seen["bounds differ"] += p.truncation != q.truncation
+            seen["large exponents"] += top > 3 and bool(got.terms)
+        assert min(seen.values()) >= 20, seen
+
+    def test_sorted_terms_and_serialize_order(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            al = rng.choice(self.ALPHABETS)
+            p = self._random(rng, al, rng.randint(0, 12), rng.randint(0, 10), 4)
+            degree = {m: sum(e * w for e, w in zip(m, al.weights)) for m in p.terms}
+            order = sorted(p.terms.items(), key=lambda kv: (degree[kv[0]], kv[0]))
+            assert p.sorted_terms() == order
+            names = al.names()
+            lines = [
+                " ".join([f"{c.numerator}/{c.denominator}"]
+                         + [f"{names[i]}^{e}" for i, e in enumerate(m) if e])
+                for m, c in order
+            ]
+            assert p.serialize() == "\n".join(lines)
+
+    def test_exponents_never_wrap(self):
+        half = 1 << 15  # every exponent stays below half of its 16-bit field
+        al = Alphabet([("r", 0), ("a", 1)])
+        x = GradedPolynomial(al, 10**6, {(200, 0): 1, (0, 300): 2})
+        assert (x * x).terms == {(400, 0): 1, (200, 300): 4, (0, 600): 4}
+        low = GradedPolynomial(al, 10**6, {(half // 2 - 1, 0): 1, (0, half // 2 - 1): 1})
+        high = GradedPolynomial(al, 10**6, {(half // 2, 0): 1, (0, half // 2): 1})
+        assert set((low * high).terms) == {
+            (half - 1, 0), (half // 2 - 1, half // 2), (half // 2, half // 2 - 1), (0, half - 1)
+        }
+        edge = GradedPolynomial(al, 10**6, {(half - 1, 0): 1})
+        for _ in range(2):  # a failed unpacking is not remembered
+            with pytest.raises(AssertionError, match="packed range"):
+                edge * edge  # 2 * half - 2 still fits the field, but not half of it
+        with pytest.raises(AssertionError, match="packed range"):
+            GradedPolynomial(al, 10**6, {(0, half // 2): 1}).power(2)
+        for bad in [(half, 0), (0, 3 * half), (-1, 0)]:
+            with pytest.raises(AssertionError, match="packed range"):
+                GradedPolynomial(al, 10**6, {bad: 1})
+
+    def test_one_alphabet_per_variable_list(self):
+        from grrcheck import poly
+
+        assert Alphabet([("a", 1), ("b", 2)]) is Alphabet((("a", 1), ("b", 2)))
+        assert root_alphabet("x", 3) is root_alphabet("x", 3)
+        assert root_alphabet("x", 3) is Alphabet([(f"x{i}", 1) for i in (1, 2, 3)])
+        assert Alphabet([("b", 2), ("a", 1)]) is not Alphabet([("a", 1), ("b", 2)])
+        assert Alphabet([("a", 1), ("b", 1)]) is not Alphabet([("a", 1), ("b", 2)])
+        assert Alphabet([("a", 1), ("b", 1)]) != Alphabet([("a", 1), ("b", 2)])
+        p = GradedPolynomial.variable(root_alphabet("x", 2), 3, "x2")
+        assert p.rename({"x2": "y"}).alphabet is Alphabet([("x1", 1), ("y", 1)])
+        for bad in ([("a", 1), ("a", 2)], [("a", -1)]):
+            with pytest.raises(InputError):
+                Alphabet(bad)
+            assert tuple(bad) not in poly._ALPHABETS
+
+
 class TestPartitions:
     def test_counts(self):
         assert len(partitions(8)) == 22

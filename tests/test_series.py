@@ -45,7 +45,7 @@ from grrcheck.identities import (
     howe_reduce,
     verify_series_identity,
 )
-from grrcheck.suites import suite_projective_bundle
+from grrcheck.suites import suite_integrality, suite_projective_bundle
 
 from symmetric_reference import elementary_reduce, howe_reduce_by_roots
 
@@ -310,6 +310,47 @@ class TestGradedExp:
                 assert got.truncation == m
 
 
+def fraction_graded_exp(per_root, m, n_vars):
+    """The power-sum route with the graded exp in Fractions: E_0 = 1 and
+    d E_d = sum_k k l_k p_k E_{d-k}, one division by d per degree."""
+    alph = weighted_alphabet("c", n_vars)
+    logs = series_log(per_root, m)
+    k_u = {
+        k: _power_sum_in_chern(k, n_vars).with_bound(m).scale(k * logs[k])
+        for k in range(1, m + 1)
+        if logs[k]
+    }
+    exp_parts = [GradedPolynomial.constant(alph, m, 1)]
+    for d in range(1, m + 1):
+        total = GradedPolynomial.zero(alph, m)
+        for k, part in k_u.items():
+            if k <= d:
+                total = total + part * exp_parts[d - k]
+        exp_parts.append(total.scale(Fraction(1, d)))
+    return exp_parts[m]
+
+
+class TestIntegerGradedExp:
+    """The oracles run the exp on integer polynomials and divide once; each
+    must equal the Fraction recurrence, coefficient types included."""
+
+    @staticmethod
+    def check(got, expected):
+        assert got == expected and got.truncation == expected.truncation
+        for c in got.terms.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+    def test_todd(self):
+        for m in range(0, 14):
+            self.check(todd_series_oracle(m), fraction_graded_exp(todd_root_series(m), m, m))
+
+    def test_todd_inverse(self):
+        for r in range(1, 5):
+            for m in range(r, 14):
+                expected = fraction_graded_exp(todd_inverse_root_series(m - r), m - r, r)
+                self.check(todd_inverse_oracle(m, r), expected)
+
+
 class TestPowerSumInChern:
     def test_against_the_substitute_route(self):
         # e_i -> c_i for i <= n_vars and e_i -> 0 above, as a full substitution
@@ -444,6 +485,26 @@ class TestHowe:
         finally:
             set_mutation(None)
         assert all(rep.passed for rep in suite_projective_bundle())
+
+
+class TestFormalPathMutationKill:
+    """A corrupted coefficient of any class kind turns the integrality suite
+    red through that kind's own reports, because the oracle routes read no
+    mutation; cleared, the suite passes again."""
+
+    @pytest.mark.parametrize(
+        "kind,m",
+        [("todd", 6), ("todd", 8), ("ch", 3), ("ch", 8), ("ct", 2), ("ct", 6),
+         ("q", 3), ("q", 6), ("toddinv", 4), ("toddinv", 6)],
+    )
+    def test_mutant_is_killed(self, kind, m):
+        try:
+            set_mutation(Mutation(kind, m, 0, Fraction(1)))
+            failed = {rep.identity for rep in suite_integrality(8) if not rep.passed}
+        finally:
+            set_mutation(None)
+        assert failed & {f"integrality:{kind}", f"route-agreement:{kind}"}, failed
+        assert all(rep.passed for rep in suite_integrality(8))
 
 
 class TestMutation:
