@@ -124,7 +124,7 @@ def _gen_universal(kind: str, args) -> tuple[dict, str]:
         "kind": kind,
         "degree": uc.degree,
         "scale": str(uc.scale),
-        "integral": uc.integral,
+        "integral": True,  # _finish certified the numerator
         "numerator": uc.numerator.serialize(),
         "pretty": uc.numerator.pretty(),
     }

@@ -292,9 +292,6 @@ class GradedPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_degree(self) -> int:
-        return max((self.degree_of(m) for m in self.terms), default=0)
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
@@ -672,26 +669,27 @@ def _blocks(parts: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def orbit_from_product(
-    coeffs: Sequence[Fraction], n_roots: int, max_degree: int
-) -> dict[Partition, Fraction]:
-    """Orbit-basis expansion of prod_{j=1..n_roots} f(x_j), f = sum coeffs[k] x^k.
+    coeffs: Sequence[Fraction], n_roots: int, degree: int, scale: Scalar
+) -> dict[Partition, Scalar]:
+    """scale times the degree-`degree` part of the orbit-basis expansion of
+    prod_{j=1..n_roots} f(x_j), f = sum coeffs[k] x^k: the orbit whose
+    elimination is the class numerator.
 
     Each variable occurs in exactly one factor, so the coefficient of the
     monomial-symmetric function m_lambda is prod_i coeffs[lambda_i] times
     coeffs[0]^(n_roots - len(lambda)).
     """
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, Scalar] = {}
     top = len(coeffs) - 1
     c0 = Fraction(coeffs[0]) if coeffs else Fraction(0)
-    for d in range(max_degree + 1):
-        for lam in partitions(d, max_part=top, max_len=n_roots):
-            c = c0 ** (n_roots - len(lam))
-            for part in lam:
-                c *= coeffs[part]
-                if not c:
-                    break
-            if c:
-                out[lam] = c
+    for lam in partitions(degree, max_part=top, max_len=n_roots):
+        c = scale * c0 ** (n_roots - len(lam))
+        for part in lam:
+            c *= coeffs[part]
+            if not c:
+                break
+        if c:
+            out[lam] = c
     return out
 
 

@@ -9,25 +9,24 @@ Variable conventions (fixed order, fixed weights):
 - ``x``             a divisor class, weight 1
 - ``T``             the hyperplane generator of a projective bundle, weight 1
 
-Universal polynomials of degree m are generated with exactly m roots and
-reduced to the Chern variables by the classical leading-term elimination in
-:mod:`grrcheck.poly`; a stability test confirms that more roots give the same
-answer.  The integral numerator is what is eliminated: the orbit expansion is
-multiplied by the cleared denominator (T_m for Todd, m! for the Chern
-character and the inverse-Todd classes) first, so the elimination runs over
-the integers, and the rational series part is derived as numerator / scale.
-_finish receives every class as its numerator (the combined class sums
-integral numerators directly; Q_m scales its rational product by T_{m-1}),
-applies the mutation hook to it, and certifies it: every class the theory
-asserts to be integral is certified at generation time, and generation fails
-loudly (FalsificationError) otherwise.
+A class is stored as its integral numerator over its scale, the cleared
+denominator (T_m for Todd and the combined class, m! for the Chern character
+and the inverse-Todd classes, T_{m-1} for Q_m); the rational class,
+numerator / scale, is derived only where it is read.  Universal polynomials
+of degree m are generated with exactly m roots and reduced to the Chern
+variables by the classical leading-term elimination in :mod:`grrcheck.poly`,
+over the integers: the orbit expansion is scaled first.  A stability test
+confirms that more roots give the same answer.  _finish receives every class
+as its numerator, applies the mutation hook to it, and certifies it: every
+class the theory asserts to be integral is certified at generation time, and
+generation fails loudly (FalsificationError) otherwise.
 
 An independent generation route through power sums (Newton's identities and
-log/exp of the defining series) exists for every family; the integrality
-suite checks that the two routes agree coefficient by coefficient.  That
-route, too, multiplies integer numerators and divides once per class, at the
-end.  The mutation hook deliberately corrupts a generated class so the test
-harness can confirm that suites really fail when a coefficient is wrong.
+log/exp of the defining series) returns the same numerator for every family;
+the integrality suite compares the two as they are.  That route works on
+integer polynomials and scales once per series, at the end.  The mutation
+hook deliberately corrupts a generated class so the test harness can confirm
+that suites really fail when a coefficient is wrong.
 
 Generated classes are memoized under a key that includes the active
 mutation, so a mutated class is never returned once the mutation is cleared;
@@ -38,14 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 
 from .arith import InputError, todd_denominator, todd_ratio
 from .poly import (
     Alphabet,
     GradedPolynomial,
-    Partition,
     Scalar,
     newton_power_sum,
     orbit_from_product,
@@ -121,7 +119,8 @@ def apply_series(coeffs: list[Fraction], p: GradedPolynomial) -> GradedPolynomia
 
 @dataclass(frozen=True, eq=False)
 class UniversalClass:
-    """A degree-m universal polynomial and its certified integral numerator.
+    """A degree-m universal class: its certified integral numerator over its
+    scale.
 
     Equality and hash are by identity: each class is built once per key of
     the memo (mutation included), so grrcheck.grr keys its per-tower work on
@@ -129,10 +128,13 @@ class UniversalClass:
 
     name: str
     degree: int
-    series_part: GradedPolynomial  # exact rational polynomial (e.g. Td_m)
+    numerator: GradedPolynomial  # scale times the class, integer coefficients
     scale: int  # the cleared denominator (T_m, m!, ...)
-    numerator: GradedPolynomial  # scale * series_part, integer coefficients
-    integral: bool
+
+    @cached_property
+    def series_part(self) -> GradedPolynomial:
+        """The exact rational class (e.g. Td_m), numerator / scale."""
+        return self.numerator.scale(Fraction(1, self.scale))
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,7 @@ def _finish(
     scale: int,
 ) -> UniversalClass:
     """The class with the given numerator (scale times the class, computed
-    as such) after the mutation hook, certified integral; its series part is
-    numerator / scale."""
+    as such) after the mutation hook, certified integral."""
     if _MUTATION is not None and _MUTATION.kind == kind and _MUTATION.degree == degree:
         terms = numerator.sorted_terms()
         if not 0 <= _MUTATION.index < len(terms):
@@ -181,8 +182,7 @@ def _finish(
             identity=f"integrality:{kind}",
             instance=f"degree {degree}",
         )
-    series_part = numerator.scale(Fraction(1, scale))
-    return UniversalClass(name, degree, series_part, scale, numerator, True)
+    return UniversalClass(name, degree, numerator, scale)
 
 
 def _chern_exponents(
@@ -210,14 +210,6 @@ def _cached(key: tuple, builder) -> UniversalClass:
     return got
 
 
-def _scaled_graded_orbit(
-    orbit: dict[Partition, Fraction], degree: int, scale: int
-) -> dict[Partition, Fraction]:
-    """scale times the degree-`degree` part of an orbit-basis expansion: the
-    orbit whose elimination is the integral numerator."""
-    return {lam: scale * c for lam, c in orbit.items() if sum(lam) == degree}
-
-
 def universal_todd(m: int, n_roots: int | None = None) -> UniversalClass:
     """The degree-m Todd polynomial Td_m and its numerator T_m * Td_m.
 
@@ -230,8 +222,8 @@ def universal_todd(m: int, n_roots: int | None = None) -> UniversalClass:
 
     def build() -> UniversalClass:
         tm = todd_denominator(m).value
-        orbit = orbit_from_product(todd_root_series(m), n, m)
-        reduced = reduce_orbit_to_elementary(_scaled_graded_orbit(orbit, m, tm), n)
+        orbit = orbit_from_product(todd_root_series(m), n, m, tm)
+        reduced = reduce_orbit_to_elementary(orbit, n)
         numerator = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
         return _finish("todd", "todd", m, numerator, tm)
 
@@ -256,10 +248,7 @@ def universal_chern_character(m: int) -> UniversalClass:
         # position 0 is the rank variable
         numerator = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
         out = _finish("ch", "ch", m, numerator, factorial(m))
-        oracle = newton_power_sum(m).rename(
-            {f"e{i}": f"cp{i}" for i in range(1, m + 1)}
-        ).embed(alph)
-        if _MUTATION is None and out.numerator != oracle:
+        if _MUTATION is None and out.numerator != chern_character_oracle(m):
             raise FalsificationError(
                 f"ch numerator of degree {m} differs from the Newton power sum",
                 identity="integrality:ch",
@@ -323,10 +312,8 @@ def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
 
     def build() -> UniversalClass:
         deg = m - r
-        orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg)
-        reduced = reduce_orbit_to_elementary(
-            _scaled_graded_orbit(orbit, deg, factorial(m)), r
-        )
+        orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg, factorial(m))
+        reduced = reduce_orbit_to_elementary(orbit, r)
         numerator = GradedPolynomial(weighted_alphabet("c", r), deg, _chern_exponents(reduced, r))
         return _finish("toddinv", "toddinv", m, numerator, factorial(m))
 
@@ -352,9 +339,10 @@ def _power_sum_in_chern(k: int, n_vars: int) -> GradedPolynomial:
 
 
 def _multiplicative_series_oracle(
-    per_root: list[Fraction], m: int, n_vars: int
+    per_root: list[Fraction], m: int, n_vars: int, scale: int
 ) -> GradedPolynomial:
-    """Degree-m part of prod_roots f(x_j) in c-variables, via exp(sum l_k p_k).
+    """scale times the degree-m part of prod_roots f(x_j) in c-variables, via
+    exp(sum l_k p_k).
 
     Independent of the elimination algorithm: uses the logarithm l of the
     per-root series and Newton's power-sum polynomials p_k.  The exponential
@@ -365,8 +353,8 @@ def _multiplicative_series_oracle(
 
         G_d = sum_{k=1..d} [D^k k l_k (d-1)!/(d-k)!] p_k G_{d-k},
 
-    every bracket an integer.  The one rational step is the exact division
-    E_m = G_m / (D^m m!).
+    every bracket an integer.  The one rational step is the exact scaling
+    scale * E_m = G_m * scale / (D^m m!).
     """
     alph = weighted_alphabet("c", n_vars)
     logs = series_log(per_root, m)
@@ -384,70 +372,59 @@ def _multiplicative_series_oracle(
                 falling = factorial(d - 1) // factorial(d - k)
                 total = total + part.scale(falling) * parts[d - k]
         parts.append(total)
-    return parts[m].scale(Fraction(1, den**m * factorial(m)))
-
-
-def _cleared(p: GradedPolynomial) -> tuple[GradedPolynomial, int]:
-    """(s * p, s) for s the lcm of the denominators of p's coefficients."""
-    s = lcm(*(c.denominator for c in p.terms.values()))
-    return p.scale(s), s
-
-
-def _sum_of_products(
-    pairs: list[tuple[GradedPolynomial, GradedPolynomial]], alph: Alphabet, m: int
-) -> GradedPolynomial:
-    """sum a * b over the pairs, in alph with the bound m: each product is
-    taken on the cleared integer numerators of a and b, and the sum is divided
-    once."""
-    products = []
-    for a, b in pairs:
-        (a, s), (b, t) = _cleared(a), _cleared(b)
-        products.append((a.embed(alph).with_bound(m) * b.embed(alph).with_bound(m), s * t))
-    den = lcm(*(s for _, s in products))
-    total = GradedPolynomial.zero(alph, m)
-    for product, s in products:
-        total = total + product.scale(den // s)
-    return total.scale(Fraction(1, den))
+    return parts[m].scale(Fraction(scale, den**m * factorial(m)))
 
 
 @lru_cache(maxsize=None)
 def todd_series_oracle(m: int) -> GradedPolynomial:
-    """Rational Td_m by the power-sum route (cross-check for universal_todd),
+    """T_m * Td_m by the power-sum route (cross-check for universal_todd),
     built once per degree: it reads no mutation, unlike the primary classes."""
-    return _multiplicative_series_oracle(todd_root_series(m), m, m)
+    return _multiplicative_series_oracle(todd_root_series(m), m, m, todd_denominator(m).value)
 
 
 def chern_character_oracle(m: int) -> GradedPolynomial:
-    """Rational ch_m by Newton power sums (cross-check for the primary route)."""
+    """m! * ch_m, the m-th Newton power sum in the primed variables (the rank
+    r at m = 0): the cross-check for the primary route."""
     alph = sheaf_alphabet(m)
     if m == 0:
         return GradedPolynomial.variable(alph, 0, "r")
-    p = newton_power_sum(m).rename({f"e{i}": f"cp{i}" for i in range(1, m + 1)})
-    return p.embed(alph).scale(Fraction(1, factorial(m)))
+    return newton_power_sum(m).rename({f"e{i}": f"cp{i}" for i in range(1, m + 1)}).embed(alph)
 
 
 def ct_oracle(m: int) -> GradedPolynomial:
-    """Rational (ch * Td)_m assembled from the oracle routes: the sum over j of
-    ch_j * Td_{m-j}, each factor homogeneous."""
-    pairs = [(chern_character_oracle(j), todd_series_oracle(m - j)) for j in range(m + 1)]
-    return _sum_of_products(pairs, ct_alphabet(m), m)
+    """T_m * (ch * Td)_m assembled from the oracle numerators: the sum over j
+    of (j! ch_j) * (T_{m-j} Td_{m-j}) times T_m / (j! T_{m-j}), each factor
+    homogeneous."""
+    alph = ct_alphabet(m)
+    tm = todd_denominator(m).value
+    total = GradedPolynomial.zero(alph, m)
+    for j in range(m + 1):
+        ch = chern_character_oracle(j).embed(alph).with_bound(m)
+        td = todd_series_oracle(m - j).embed(alph).with_bound(m)
+        ratio = Fraction(tm, factorial(j) * todd_denominator(m - j).value)
+        total = total + (ch * td).scale(ratio)
+    return total
 
 
 def q_oracle(m: int) -> GradedPolynomial:
-    """Rational Q_m / T_{m-1}, the degree-m part of (1 - e^{-x}) * Td: the sum
-    over k < m of the x^(m-k) term of 1 - e^{-x} times Td_k (Td_0 = 1)."""
+    """Q_m = T_{m-1} times the degree-m part of (1 - e^{-x}) * Td: the sum over
+    k < m of x^(m-k) * (T_k Td_k) times c_{m-k} T_{m-1} / T_k, c_j the x^j
+    coefficient of 1 - e^{-x} (Td_0 = 1)."""
     alph = divisor_alphabet(m)
     coeffs = one_minus_exp_neg_series(m)
-    pairs = []
+    tm1 = todd_denominator(m - 1).value
+    total = GradedPolynomial.zero(alph, m)
     for k in range(m):  # x is the last of the m variables
-        x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): coeffs[m - k]})
-        td = todd_series_oracle(k) if k else GradedPolynomial.constant(alph, m, 1)
-        pairs.append((x_part, td))
-    return _sum_of_products(pairs, alph, m)
+        ratio = coeffs[m - k] * Fraction(tm1, todd_denominator(k).value)
+        x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): ratio})
+        total = total + x_part * todd_series_oracle(k).embed(alph).with_bound(m)
+    return total
 
 
 def todd_inverse_oracle(m: int, r: int) -> GradedPolynomial:
-    return _multiplicative_series_oracle(todd_inverse_root_series(m - r), m - r, r)
+    """m! times the degree (m-r) part of prod_{i<=r} (1-e^{-x_i})/x_i by the
+    power-sum route."""
+    return _multiplicative_series_oracle(todd_inverse_root_series(m - r), m - r, r, factorial(m))
 
 
 # class kind -> (builder, power-sum oracle), both called with the class's

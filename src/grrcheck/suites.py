@@ -20,6 +20,7 @@ from math import factorial
 from .arith import (
     bernoulli,
     bernoulli_akiyama_tanigawa,
+    check_divisibility_lemma,
     check_ekedahl_divisibility,
     fulton_macpherson_L,
     todd_denominator,
@@ -156,7 +157,7 @@ def suite_integrality(max_degree: int = 12) -> list[VerificationReport]:
                     f"route-agreement:{kind}",
                     instance,
                     uc.numerator.serialize(),
-                    oracle(*args).scale(uc.scale).serialize(),
+                    oracle(*args).serialize(),
                 )
                 return [rep_int, rep_agree]
 
@@ -164,13 +165,14 @@ def suite_integrality(max_degree: int = 12) -> list[VerificationReport]:
 
     def scalars():
         bad: list[str] = []
-        for m in range(0, max_degree + 1):
-            tm = todd_denominator(m).value
+        # j! T_{m-j} | T_m and T_{m-j} | T_m by the divisibility lemma, the
+        # factor j! as the part j - 1; every ratio at m = 0 is T_0/T_0 = 1
+        for m in range(1, max_degree + 1):
             for j in range(0, m + 1):
-                num = factorial(j) * todd_denominator(m - j).value
-                if tm % num:
+                todd_part = [m - j] * (m > j)
+                if not check_divisibility_lemma([j - 1] * (j > 1), todd_part, m)[0]:
                     bad.append(f"T_{m}/({j}!*T_{m - j})")
-                if tm % todd_denominator(m - j).value:
+                if not check_divisibility_lemma([], todd_part, m)[0]:
                     bad.append(f"T_{m}/T_{m - j}")
         return [
             VerificationReport.compare(

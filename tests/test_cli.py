@@ -106,6 +106,23 @@ class TestGen:
         assert main(["gen", *argv, "--json"]) == 0
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["todd", "--degree", "3"],
+            ["ch", "--degree", "3"],
+            ["ct", "--degree", "3"],
+            ["q", "--degree", "3"],
+            ["toddinv", "--degree", "4", "--rank", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("flags,suffix", [([], "txt"), (["--json"], "json")])
+    def test_universal_class_output_is_pinned(self, argv, flags, suffix, capsys):
+        # the whole stdout, byte for byte: gen_<kind>_<degree>[_<rank>].<txt|json>
+        name = "_".join(["gen", argv[0], *argv[2::2]])
+        assert main(["gen", *argv, *flags]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.{suffix}").read_text()
+
     @pytest.mark.parametrize("kind,flag", [("tm", "--m"), ("D", "--g"), ("L", "--n")])
     def test_factored_number_needs_its_flag(self, kind, flag, capsys):
         assert main(["gen", kind]) == 2

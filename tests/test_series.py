@@ -100,7 +100,7 @@ class TestUniversalTodd:
     def test_integrality_certified(self):
         for m in range(0, 13):
             uc = universal_todd(m)
-            assert uc.integral and uc.numerator.is_integral()
+            assert uc.numerator.is_integral()
             assert uc.numerator == uc.series_part.scale(uc.scale)
             assert uc.scale == todd_denominator(m).value
 
@@ -141,7 +141,7 @@ class TestIntegerElimination:
     def test_todd(self):
         for m in range(0, 14):
             n = max(m, 1)
-            orbit = orbit_from_product(todd_root_series(m), n, m)
+            orbit = orbit_from_product(todd_root_series(m), n, m, 1)
             scale = todd_denominator(m).value
             ref = fraction_elimination(orbit, n, tangent_alphabet(m), m, scale)
             self.check(universal_todd(m), ref)
@@ -156,7 +156,7 @@ class TestIntegerElimination:
         for r in range(1, 5):
             for m in range(r, 11):
                 deg = m - r
-                orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg)
+                orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg, 1)
                 ref = fraction_elimination(orbit, r, weighted_alphabet("c", r), deg, factorial(m))
                 self.check(todd_inverse_numerator(m, r), ref)
 
@@ -193,7 +193,7 @@ class TestHomogeneityAllFamilies:
 
     def test_oracle_route_agrees(self):
         for m in range(0, 13):
-            assert todd_series_oracle(m) == universal_todd(m).series_part, m
+            assert todd_series_oracle(m) == universal_todd(m).numerator, m
 
     def test_oracle_built_once_per_degree(self, monkeypatch):
         from grrcheck import series
@@ -201,9 +201,9 @@ class TestHomogeneityAllFamilies:
         built = Counter()
         inner = series._multiplicative_series_oracle
 
-        def counting(per_root, m, n_vars):
+        def counting(per_root, m, n_vars, scale):
             built[m] += 1
-            return inner(per_root, m, n_vars)
+            return inner(per_root, m, n_vars, scale)
 
         monkeypatch.setattr(series, "_multiplicative_series_oracle", counting)
         todd_series_oracle.cache_clear()
@@ -237,7 +237,7 @@ class TestChernCharacter:
 
     def test_oracle_route_agrees(self):
         for m in range(0, 13):
-            assert chern_character_oracle(m) == universal_chern_character(m).series_part
+            assert chern_character_oracle(m) == universal_chern_character(m).numerator
 
     def test_scale(self):
         for m in range(1, 13):
@@ -268,11 +268,11 @@ class TestCombinedClass:
     def test_integrality(self):
         for m in range(0, 11):
             uc = universal_ct(m)
-            assert uc.integral and uc.numerator.is_integral()
+            assert uc.numerator.is_integral()
 
     def test_oracle_route_agrees(self):
         for m in range(0, 11):
-            assert ct_oracle(m) == universal_ct(m).series_part, m
+            assert ct_oracle(m) == universal_ct(m).numerator, m
 
 
 class TestDivisorPolynomial:
@@ -285,8 +285,8 @@ class TestDivisorPolynomial:
     def test_integrality_and_oracle(self):
         for m in range(1, 11):
             uc = q_poly(m)
-            assert uc.integral
-            assert q_oracle(m) == uc.series_part, m
+            assert uc.numerator.is_integral()
+            assert q_oracle(m) == uc.numerator, m
 
 
 def full_exp_route(per_root, m, n_vars):
@@ -305,7 +305,7 @@ class TestGradedExp:
             for per_root, n_vars in [(todd_root_series(m), m)] + [
                 (todd_inverse_root_series(m), r) for r in (1, 2, 3)
             ]:
-                got = _multiplicative_series_oracle(per_root, m, n_vars)
+                got = _multiplicative_series_oracle(per_root, m, n_vars, 1)
                 assert got == full_exp_route(per_root, m, n_vars), (m, n_vars)
                 assert got.truncation == m
 
@@ -331,8 +331,9 @@ def fraction_graded_exp(per_root, m, n_vars):
 
 
 class TestIntegerGradedExp:
-    """The oracles run the exp on integer polynomials and divide once; each
-    must equal the Fraction recurrence, coefficient types included."""
+    """The oracles run the exp on integer polynomials and scale once; each
+    must equal the Fraction recurrence times the class's scale, coefficient
+    types included."""
 
     @staticmethod
     def check(got, expected):
@@ -342,13 +343,36 @@ class TestIntegerGradedExp:
 
     def test_todd(self):
         for m in range(0, 14):
-            self.check(todd_series_oracle(m), fraction_graded_exp(todd_root_series(m), m, m))
+            expected = fraction_graded_exp(todd_root_series(m), m, m)
+            self.check(todd_series_oracle(m), expected.scale(todd_denominator(m).value))
 
     def test_todd_inverse(self):
         for r in range(1, 5):
             for m in range(r, 14):
                 expected = fraction_graded_exp(todd_inverse_root_series(m - r), m - r, r)
-                self.check(todd_inverse_oracle(m, r), expected)
+                self.check(todd_inverse_oracle(m, r), expected.scale(factorial(m)))
+
+
+class TestOracleRouteIndependence:
+    """The power-sum route shares no checked quotient with the primary route:
+    with todd_ratio replaced by a stub that raises, the combined-class and Q
+    oracles still give the numerators recorded before, in ints."""
+
+    def test_oracles_never_call_todd_ratio(self, monkeypatch):
+        from grrcheck import series
+
+        recorded = {(ct_oracle, m): universal_ct(m).numerator for m in range(0, 11)}
+        recorded.update({(q_oracle, m): q_poly(m).numerator for m in range(1, 11)})
+
+        def refuse(*args):
+            raise AssertionError(f"todd_ratio{args} called on the oracle route")
+
+        monkeypatch.setattr(series, "todd_ratio", refuse)
+        todd_series_oracle.cache_clear()
+        for (oracle, m), numerator in recorded.items():
+            got = oracle(m)
+            assert got == numerator, (oracle.__name__, m)
+            assert all(type(c) is int for c in got.terms.values()), (oracle.__name__, m)
 
 
 class TestPowerSumInChern:
@@ -378,8 +402,8 @@ class TestToddInverse:
         for r in range(1, 5):
             for m in range(r, 11):
                 uc = todd_inverse_numerator(m, r)
-                assert uc.integral, (m, r)
-                assert todd_inverse_oracle(m, r) == uc.series_part, (m, r)
+                assert uc.numerator.is_integral(), (m, r)
+                assert todd_inverse_oracle(m, r) == uc.numerator, (m, r)
 
 
 class TestIdentities:

@@ -16,8 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "grrcheck"
 
 # Deliberate entry points that nothing in the package calls, with the reason.
 ALLOWED_UNREACHED = {
-    "check_divisibility_lemma": "public API: the checked divisibility lemma "
-    "listed in the README; tests use it as an independent reference",
     "rational_grr_cross_check": "reference route: classical rational "
     "Riemann-Roch that tests compare the integral sides against",
     "geometry_text": "printer inverse to parse_geometry; tests round-trip "
