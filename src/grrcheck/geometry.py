@@ -460,15 +460,15 @@ class KClass:
         return self._power(a, "sym", combinations_with_replacement)
 
     def total_chern(self) -> ChowClass:
-        """prod (1 + D)^m over the line symbols, each factor expanded as
-        sum_{i<=dim} binom(m, i) D^i (exact for every sign of m, as D is
-        nilpotent)."""
+        """prod (1 + D)^m over the line symbols, each factor taken into the
+        running product P as sum_{i<=dim} binom(m, i) P*D^i (exact for every
+        sign of m, as D is nilpotent), each P*D^i the previous one times the
+        divisor, so no product of two full classes is formed."""
         tower = self.tower
-        unit = tower.unit_chow()
-        total = unit
+        total = tower.unit_chow()
         for vec, mult in sorted(self.line_terms.items()):
             d = tower.divisor_chow(vec)
-            factor, power, binom = unit, unit, 1
+            power, binom = total, 1
             for i in range(1, tower.dim + 1):
                 binom = binom * (mult - i + 1) // i  # exact: binom(m, i)
                 if not binom:
@@ -476,8 +476,7 @@ class KClass:
                 power = power * d
                 if power.is_zero():
                     break
-                factor = factor + power.scale(binom)
-            total = total * factor
+                total = total + power.scale(binom)
         return total
 
     def normal_form(self) -> dict[DivisorVector, int]:

@@ -20,6 +20,7 @@ a universal class is read, the key holds that class itself (UniversalClass
 hashes by identity), so a class rebuilt under a mutation never meets work
 done with the clean one, and this module need not know that mutations exist:
 
+    ("tangent-chern", tangent)                c(tangent): absolute, fiberwise, cut-out
     (universal_ct(m), tangent)                ct_m, tangent substituted
     (universal_ct(m), tangent, rank, live)    its Horner scheme in the live cp_i
     universal_todd(j)                         Td-numerator_j(T_tower)
@@ -64,17 +65,26 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
-def _chern_images(f: KClass, upto: int, prefix: str = "c") -> dict[str, ChowClass]:
-    """{prefix1: c_1(f), ..., prefix<upto>: c_upto(f)}."""
-    if upto < 1:
-        return {}  # no total Chern class to build (e.g. every n = 0 instance)
-    total = f.total_chern()
+def _chern_images(total: ChowClass, upto: int, prefix: str = "c") -> dict[str, ChowClass]:
+    """{prefix1: c_1, ..., prefix<upto>: c_upto} of a total Chern class."""
     return {f"{prefix}{i}": total.graded_part(i) for i in range(1, upto + 1)}
+
+
+def _tangent_chern(tangent: KClass) -> ChowClass:
+    """The total Chern class of a tangent class, cached on its tower per
+    ("tangent-chern", line terms): one entry serves an absolute, fiberwise
+    or cut-out tangent and every degree read from it."""
+    key = ("tangent-chern", frozenset(tangent.line_terms.items()))
+    if key not in tangent.tower._cache:
+        tangent.tower._cache[key] = tangent.total_chern()
+    return tangent.tower._cache[key]
 
 
 def _sheaf_images(F: KClass, upto: int) -> dict[str, ChowClass | int]:
     """The sheaf-side variables r, cp1..cp<upto> at F."""
-    return {"r": F.rank(), **_chern_images(F, upto, "cp")}
+    # no total Chern class to build below degree 1 (e.g. every n = 0 instance)
+    chern = _chern_images(F.total_chern(), upto, "cp") if upto > 0 else {}
+    return {"r": F.rank(), **chern}
 
 
 def evaluate_universal(
@@ -92,6 +102,10 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
     """The degree-m combined-class numerator on the tower, at the tangent
     class and the sheaf map {"r": rank, "cp1": ..., "cp<m>": ...}.
 
+    ct_m is homogeneous of degree m, so above the tower's dimension it is
+    the zero class; the check comes after universal_ct(m), which raises for
+    a non-integral mutated class.
+
     Two cache levels on the tower.  (universal_ct(m), tangent) holds the
     numerator with the tangent Chern classes substituted, grouped by the
     exponents of r, cp1..cpm.  That key plus (rank, live), live the
@@ -99,14 +113,16 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
     and the other cp_i to 0, stored as a Horner scheme in the live cp_i.
     Each call walks that scheme at the live classes.
     """
-    sheaf_names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
     ct = universal_ct(m)
+    if m > tower.dim:
+        return tower.zero_chow()
+    sheaf_names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
     key = (ct, frozenset(tangent.line_terms.items()))
     if key not in tower._cache:
         tower._cache[key] = substitute_terms(
             ct.numerator.terms,
             ct.numerator.alphabet.names(),
-            _chern_images(tangent, m),
+            _chern_images(_tangent_chern(tangent), m),
             tower.unit_chow(),
             keep=sheaf_names,
         )
@@ -237,7 +253,7 @@ def _todd_part(tower: Tower, j: int) -> ChowClass:
     the class universal_todd(j)."""
     todd = universal_todd(j)
     if todd not in tower._cache:
-        tangent_chern = _chern_images(tower.tangent_class(), j)
+        tangent_chern = _chern_images(_tangent_chern(tower.tangent_class()), j)
         tower._cache[todd] = evaluate_universal(todd.numerator, tower, tangent_chern)
     return tower._cache[todd]
 
@@ -332,7 +348,7 @@ def check_immersion(
 
     # character-numerator pushforward: vanishing below codim, explicit sum above
     normal = z.normal_class()
-    normal_chern = _chern_images(normal, max(n - r, 0))
+    normal_chern = _chern_images(normal.total_chern(), n - r)
     f_images = _sheaf_images(F, n)
     for m in range(0, n + 1):
         lhs_m = evaluate_universal(
@@ -368,7 +384,7 @@ def _divisor_td(w: Tower, m: int, divisor: ChowClass) -> ChowClass:
     """Q_m evaluated at the tangent Chern classes of the tower and the divisor."""
     if m < 1:
         raise InputError("divisor polynomial starts in degree 1")
-    images = {**_chern_images(w.tangent_class(), m - 1), "x": divisor}
+    images = {**_chern_images(_tangent_chern(w.tangent_class()), m - 1), "x": divisor}
     return evaluate_universal(q_poly(m).numerator, w, images)
 
 
@@ -378,7 +394,7 @@ def _restricted_td(w: Tower, cuts: tuple, m: int) -> ChowClass:
     z = VirtualCompleteIntersection(w, cuts)
     if m < 0:
         return w.zero_chow()
-    chern = _chern_images(z.tangent_class(), m)
+    chern = _chern_images(_tangent_chern(z.tangent_class()), m)
     value = evaluate_universal(universal_todd(m).numerator, w, chern)
     return value * z.cut_product()
 
@@ -728,7 +744,7 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
     lhs = evaluate_universal(universal_chern_character(n).series_part, target, pushed)
     ambient = f.ambient
     rel_tangent = _source_relative_tangent(f)
-    td_rel_chern = _chern_images(rel_tangent, d + n)
+    td_rel_chern = _chern_images(_tangent_chern(rel_tangent), d + n)
     total = ambient.zero_chow()
     for j in range(d + n + 1):
         ch_j = evaluate_universal(universal_chern_character(j).series_part, ambient, source)

@@ -292,6 +292,22 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_fractional_ct_mutation_above_the_dimension_exit_one(self, capsys):
+        # ct_2 on P1 is zero above the dimension, but the mutated class is
+        # still built first, so its integrality failure is reported
+        code = main(
+            [
+                "verify", "main-theorem", "--geometry", "P(trivial 2) over point",
+                "--sheaf", "O(xi1)", "--base-levels", "0", "-n", "1",
+                "--mutate", "ct:2:0:1/2",
+            ]
+        )
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert any(
+            r["identity"] == "integrality:ct" and r["verdict"] == "fail" for r in lines
+        )
+
     def test_timing_flag_adds_millis(self, capsys):
         main(["verify", "surface-det", "--timing"])
         lines = capsys.readouterr().out.splitlines()

@@ -19,6 +19,8 @@ from grrcheck.geometry import (
 )
 from grrcheck.suites import MODEL_TOWERS
 
+from chern_reference import factor_total_chern
+
 
 def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
     """Pull back from a prefix tower (injection of the base polynomial)."""
@@ -322,6 +324,24 @@ class TestBinomialTotalChern:
         t = build_tower(self.TOWER)
         f = KClass(t, {(1, 0, 0): 5, (0, 1, -1): -6, (2, -1, 1): -3, (-1, 1, 1): 4})
         assert f.total_chern() == reference_total_chern(f)
+
+
+class TestRunningProductTotalChern:
+    """total_chern's running product against the factor-by-factor product of
+    tests/chern_reference.py, on the product-table towers (twisted levels and
+    a rank-0 level among them)."""
+
+    @pytest.mark.parametrize("levels", TestProductTable.TOWERS, ids=str)
+    def test_random_classes_match_factor_product(self, levels):
+        rng = random.Random(f"running-chern:{levels}")
+        t = build_tower(levels)
+        for _ in range(25):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                vec = tuple(rng.randint(-2, 2) for _ in range(t.n_levels))
+                terms[vec] = rng.randint(-3, 3)
+            f = KClass(t, terms)
+            assert f.total_chern() == factor_total_chern(f), terms
 
 
 class TestTowerChain:

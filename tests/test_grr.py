@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from grrcheck.arith import InputError, bernoulli, todd_denominator
 from grrcheck.geometry import (
     ChowClass,
+    KClass,
     VirtualCompleteIntersection,
     build_tower,
     euler_characteristic,
@@ -21,6 +22,8 @@ from grrcheck.grr import (
     _sheaf_images,
     _source_ct,
     _source_relative_tangent,
+    _tangent_chern,
+    _todd_part,
     check_divisor_calculus,
     check_immersion,
     check_kappa_identity,
@@ -36,8 +39,11 @@ from grrcheck.grr import (
     rational_grr_cross_check,
 )
 from grrcheck.poly import substitute_terms
+from grrcheck.report import FalsificationError
 from grrcheck.series import Mutation, set_mutation, universal_chern_character, universal_ct
 from grrcheck.suites import MODEL_TOWERS, model_tower
+
+from chern_reference import factor_total_chern
 
 
 def all_pass(reports):
@@ -148,7 +154,7 @@ def two_pass_ct(tower, tangent, sheaf, m):
     partial = substitute_terms(
         numerator.terms,
         numerator.alphabet.names(),
-        _chern_images(tangent, m),
+        _chern_images(tangent.total_chern(), m),
         tower.unit_chow(),
         keep=names,
     )
@@ -213,6 +219,83 @@ class TestCompiledCt:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         sheaf = sheaf_map(rng, tower, m, rank, live)
         assert_compiled_matches(tower, tower.tangent_class(), sheaf, m)
+
+
+def tangent_sources():
+    """(tower, tangent, sheaves) on fresh copies of the model towers, with the
+    absolute tangent and the fiberwise one over each base, plus a cut-out
+    source: a hyperplane of the P3 factor in P3 x P2 with its virtual tangent
+    and Koszul sheaves."""
+    for _, levels, bases in MODEL_TOWERS:
+        t = build_tower(levels)
+        a = t.line((1,) + (-1,) * (t.n_levels - 1))
+        b = t.line((-2,) + (1,) * (t.n_levels - 1))
+        sheaves = [t.structure_sheaf(), a - b, b.scale(-3) + a]
+        yield t, t.tangent_class(), sheaves
+        for base in bases:
+            if base:
+                yield t, _source_relative_tangent(MorphismDatum(t, base)), sheaves
+    t = build_tower([[()] * 4, [(0,)] * 3])
+    z = VirtualCompleteIntersection(t, ((1, 0),))
+    sheaves = [z.koszul_class(), z.koszul_class(t.line((2, -1)))]
+    yield t, z.tangent_class(), sheaves
+
+
+class TestZeroAboveDimension:
+    """ct_on_tower returns the zero class for m above the tower's dimension;
+    the monomial-by-monomial evaluation it skips gives that class too."""
+
+    def test_skipped_evaluation_is_zero(self):
+        for tower, tangent, sheaves in tangent_sources():
+            for m in (tower.dim + 1, tower.dim + 2):
+                for F in sheaves:
+                    sheaf = _sheaf_images(F, m)
+                    images = {**_chern_images(tangent.total_chern(), m), **sheaf}
+                    unguarded = evaluate_universal(universal_ct(m).numerator, tower, images)
+                    assert unguarded == tower.zero_chow(), (tower, m)
+                    assert ct_on_tower(tower, tangent, sheaf, m) == unguarded
+
+    def test_non_integral_mutation_still_raises(self):
+        # the mutation is checked when universal_ct(m) is built, before the
+        # degree check
+        p1 = projective_space(1)
+        set_mutation(Mutation("ct", 2, 0, Fraction(1, 2)))
+        try:
+            with pytest.raises(FalsificationError):
+                ct_on_tower(p1, p1.tangent_class(), _sheaf_images(p1.line((1,)), 2), 2)
+        finally:
+            set_mutation(None)
+
+
+class TestTangentChern:
+    """c(tangent) is built once per tower and tangent class, and equals the
+    factor-by-factor product."""
+
+    def test_cached_class_is_the_total_chern_class(self):
+        for tower, tangent, sheaves in tangent_sources():
+            cached = _tangent_chern(tangent)
+            assert cached == tangent.total_chern() == factor_total_chern(tangent)
+            key = ("tangent-chern", frozenset(tangent.line_terms.items()))
+            assert tower._cache[key] is cached
+            assert _tangent_chern(KClass(tower, dict(tangent.line_terms))) is cached
+
+    def test_one_total_chern_per_tangent(self, monkeypatch):
+        calls = []
+        total_chern = KClass.total_chern
+
+        def counted(self):
+            calls.append(frozenset(self.line_terms.items()))
+            return total_chern(self)
+
+        monkeypatch.setattr(KClass, "total_chern", counted)
+        t = build_tower([[(), (), ()], [(0,), (1,)]])
+        tangent = frozenset(t.tangent_class().line_terms.items())
+        sheaf = _sheaf_images(t.structure_sheaf(), t.dim)
+        calls.clear()
+        for m in range(1, t.dim + 1):
+            ct_on_tower(t, t.tangent_class(), sheaf, m)
+            _todd_part(t, m)
+        assert calls == [tangent]
 
 
 class TestCheckMainTheorem:
@@ -458,7 +541,7 @@ class TestDeterminantFormulaDegreeOne:
         for t in towers:
             base = t.prefix(1)
             c1_s = base.tangent_class().total_chern().graded_part(1)
-            x_chern = _chern_images(t.tangent_class(), 2)
+            x_chern = _chern_images(t.tangent_class().total_chern(), 2)
             for coeffs in [(0,) * t.n_levels, (1, 1), (-1, 2), (2, -2)]:
                 F = t.line(coeffs)
                 pushed = pushforward_k(F, 1)
