@@ -49,6 +49,13 @@ DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_DIM = 6
 
 
+def _degree(text: str) -> int:
+    """A --max-degree value, an int >= 0; argparse exits 2 on anything else."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use; parsing leaves it unchanged."""
@@ -70,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, help="index for bernoulli/L")
     gen.add_argument("--g", type=int, help="index for D")
     gen.add_argument("--json", action="store_true")
-    gen.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    gen.add_argument("--max-degree", type=_degree, default=DEFAULT_MAX_DEGREE)
 
     verify = sub.add_parser("verify", help="run a verification suite or identity")
     verify.add_argument(
@@ -78,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="a suite name (%s), an identity name, or 'all'"
         % ", ".join(sorted(SUITES)),
     )
-    verify.add_argument("--max-degree", type=int, default=None)
+    verify.add_argument("--max-degree", type=_degree, default=None)
     verify.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     verify.add_argument("-n", type=int, default=None, help="target codimension")
     verify.add_argument("--geometry", type=str, default=None)

@@ -208,7 +208,9 @@ class Tower:
                 mono = [0] * self.n_levels
                 mono[kpos] = 1
                 out[tuple(mono)] = c
-        return ChowClass(self, out)  # reduced: xi = D on a rank-0 level
+        # xi_k is in normal form unless level k has rank 0, where xi = D
+        reduced = all(r for r, c in zip(self.ranks, vec) if c)
+        return (ChowClass._normal if reduced else ChowClass)(self, out)
 
     def line(self, vec: DivisorVector) -> "KClass":
         return KClass(self, {self._pad(tuple(vec)): 1})

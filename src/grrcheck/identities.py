@@ -20,8 +20,6 @@ from .arith import InputError, exact_ratio, todd_denominator, todd_ratio
 from .poly import (
     Alphabet,
     GradedPolynomial,
-    Monomial,
-    Scalar,
     accumulate,
     elementary_symmetric,
     join_alphabets,
@@ -49,7 +47,7 @@ def _blocks(parts: list[tuple[str, GradedPolynomial]]) -> str:
 def _substituted_chern_numerator(m: int, rank, cp_values, target, bound: int) -> GradedPolynomial:
     """s_m numerator with r -> rank and cp_i -> cp_values[i], kept at bound."""
     uc = universal_chern_character(m)
-    images = {"r": Fraction(rank)}
+    images = {"r": rank}
     for i in range(1, m + 1):
         images[f"cp{i}"] = cp_values[i]
     return uc.numerator.substitute(images, target, truncation=bound)
@@ -217,32 +215,6 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
     )
 
 
-def _times_one_minus(p: GradedPolynomial, units: list[Monomial]) -> GradedPolynomial:
-    """p * (1 - s) for s the sum of the roots with the given unit exponent
-    vectors: p minus, per root x_i, the terms of p below the bound moved by x_i."""
-    low = {m: c for m, c in p.terms.items() if p.degree_of(m) < p.truncation}
-    out = dict(p.terms)
-    for unit in units:
-        accumulate(out, low, -1, unit)
-    return GradedPolynomial(p.alphabet, p.truncation, out)
-
-
-def _divide_by_one_minus(p: GradedPolynomial, units: list[Monomial]) -> GradedPolynomial:
-    """p / (1 - s) for s the sum of the roots with the given unit exponent
-    vectors, one degree at a time: the quotient y has y_0 = p_0 and
-    y_d = p_d + sum_i x_i * y_{d-1}, since y = p + s * y."""
-    parts: list[dict[Monomial, Scalar]] = [{} for _ in range(p.truncation + 1)]
-    for m, c in p.terms.items():
-        parts[p.degree_of(m)][m] = c
-    for below, part in zip(parts, parts[1:]):  # below is already y_{d-1}
-        for unit in units:
-            accumulate(part, below, 1, unit)
-    out: dict[Monomial, Scalar] = {}
-    for part in parts:
-        out.update(part)
-    return GradedPolynomial(p.alphabet, p.truncation, out)
-
-
 def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
     """s_g of the alternating sum of dual wedge powers equals g! * c_g.
 
@@ -257,13 +229,15 @@ def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
     for g in range(1, max_g + 1):
         al = root_alphabet("x", g)
         names = al.names()
-        roots = [tuple(int(i == j) for j in range(g)) for i in range(g)]
-        total = GradedPolynomial.constant(al, g, 1)
-        for size in range(1, g + 1):
-            for subset in combinations(roots, size):
-                # 1 - sum_S x is the total Chern class of the line O(-sum_S x)
-                step = _times_one_minus if size % 2 == 0 else _divide_by_one_minus
-                total = step(total, list(subset))
+        # 1 - sum_S x is the total Chern class of the line O(-sum_S x); S goes by
+        # its largest root, so the running product stays in the roots met so far
+        factors = [
+            ((*rest, names[top]), (-1) ** (size + 1))
+            for top in range(g)
+            for size in range(top, -1, -1)
+            for rest in combinations(names[:top], size)
+        ]
+        total = GradedPolynomial.constant(al, g, 1).times_one_minus(factors)
         cp_values = {i: total.graded_part(i) for i in range(1, g + 1)}
         lhs = _substituted_chern_numerator(g, 0, cp_values, al, g)
         rhs = elementary_symmetric(al, names, g, g).scale(factorial(g))
@@ -290,7 +264,7 @@ def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
         al = join_alphabets(tangent_alphabet(m), Alphabet([("x", 1)]))
         x = GradedPolynomial.variable(al, m, "x")
         lhs = q_poly(m).numerator.embed(al).scale(todd_ratio(m, 0, m - 1))
-        images: dict[str, GradedPolynomial | Fraction] = {"r": Fraction(0)}
+        images: dict[str, GradedPolynomial | int] = {"r": 0}
         for i in range(1, m + 1):
             images[f"cp{i}"] = x.power(i)
         rhs = universal_ct(m).numerator.substitute(images, al)
@@ -351,7 +325,7 @@ def check_immersion_todd_decomposition(max_degree: int, max_r: int = 3) -> Verif
     tangent, for split tangent (y-roots) and normal (z-roots) classes."""
     parts_l: list[tuple[str, GradedPolynomial]] = []
     parts_r: list[tuple[str, GradedPolynomial]] = []
-    for r in range(1, max_r + 1):
+    for r in range(1, min(max_r, max_degree) + 1):
         s_roots = max(1, min(3, max_degree - r))
         al = join_alphabets(root_alphabet("y", s_roots), root_alphabet("z", r))
         y_names = [f"y{i}" for i in range(1, s_roots + 1)]

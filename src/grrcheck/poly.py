@@ -12,8 +12,8 @@ predicts are computed in int arithmetic.  accumulate (out += c * terms, each
 key optionally shifted by a monomial) is the one kernel that adds exact term
 maps under that rule.  The sums and the symmetric elimination here go through
 it, and so do the Chow and K classes of grrcheck.geometry (sums, scalings,
-products, rewrites, twists and the K-pushforward).  Only the product loop
-below keeps its own accumulation and normalises once at the end.
+products, rewrites, twists and the K-pushforward).  Only the two loops on
+packed keys below keep their own accumulation and normalise once at the end.
 
 Alphabet(...) returns one interned instance per variable list, and each
 Alphabet packs every exponent tuple it meets into an int once, in a memo
@@ -23,12 +23,15 @@ using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Int
 order is (degree, exponent tuple) order, the degree is key >> shift, and the
 key of a product of monomials is the sum of their keys: every exponent is
 checked to be below half its field, so a sum never carries.  Term maps stay
-keyed by tuples; only the product loop runs on the packed keys.  It groups
-the right factor's terms by degree, ascending, meets each left term only
-with the groups that fit under the bound, and unpacks each result key
-through the memo.  Results of the ring operations are built by
-GradedPolynomial._normal from terms already clean; the public constructor
-checks and normalises arbitrary input.
+keyed by tuples; two loops run on the packed keys and unpack each result key
+through the memo.  The product groups the right factor's terms by degree,
+ascending, and meets each left term only with the groups that fit under the
+bound.  times_one_minus multiplies by factors (1 - s)^{+-1}, s a sum of
+weight-1 variables, on slices of one degree each: a variable's key moves a
+slice up one degree, so each factor is one in-place pass of key additions,
+and the product stays packed from the first factor to the last.  Results of
+the ring operations are built by GradedPolynomial._normal from terms already
+clean; the public constructor checks and normalises arbitrary input.
 
 Canonical text serialization (bit-exact, used for golden files): one term per
 line, ``<num>/<den> <var>^<exp> ...`` with variables in alphabet order and
@@ -377,6 +380,34 @@ class GradedPolynomial:
                     out[k] = get(k, 0) + ca * cb
         monomials = alphabet.monomials
         terms = {monomials[k]: _exact(c) for k, c in out.items() if c}
+        return GradedPolynomial._normal(alphabet, bound, terms)
+
+    def times_one_minus(self, factors: Iterable[tuple[Sequence[str], int]]) -> "GradedPolynomial":
+        """self * prod (1 - sum_{v in S} v)^e over the (S, e) factors, each S a
+        set of weight-1 variables and e = 1 or -1, on per-degree slices of
+        packed keys: y_d -= sum_S v*y_{d-1} top down for e = 1, and y_d +=
+        sum_S v*y_{d-1} bottom up for e = -1 (the quotient y is self + s*y)."""
+        alphabet, bound, n = self.alphabet, self.truncation, len(self.alphabet)
+        keys, shift = alphabet.keys, alphabet.shift
+        parts: list[dict[int, Scalar]] = [{} for _ in range(bound + 1)]
+        for mono, c in self.terms.items():
+            parts[keys[mono] >> shift][keys[mono]] = c
+        for names, e in factors:
+            steps = [keys[tuple(int(j == i) for j in range(n))] for i in map(alphabet.index, names)]
+            if e not in (1, -1) or any(step >> shift != 1 for step in steps):  # degree = weight
+                raise InputError(f"factor {names}, {e}: not weight-1 variables with e = +-1")
+            for d in range(bound, 0, -1) if e == 1 else range(1, bound + 1):
+                part, below = parts[d], parts[d - 1].items()
+                for step in steps:
+                    for k, c in below:
+                        k += step
+                        v = part.get(k, 0) - e * c
+                        if v:
+                            part[k] = v
+                        else:
+                            del part[k]
+        monomials = alphabet.monomials
+        terms = {monomials[k]: _exact(c) for part in parts for k, c in part.items()}
         return GradedPolynomial._normal(alphabet, bound, terms)
 
     def power(self, k: int) -> "GradedPolynomial":

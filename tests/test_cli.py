@@ -423,6 +423,34 @@ class TestExitCodes:
         assert (out, err) == ("", "interrupted\n")
 
 
+class TestDegreeBounds:
+    """Low degrees run and pass; a negative or non-integer --max-degree is a
+    usage error with nothing on stdout, in verify and in gen."""
+
+    @pytest.mark.parametrize("degree", ["0", "1", "2"])
+    @pytest.mark.parametrize("target", ["immersion-todd-decomposition", "series-identities"])
+    def test_low_degree_passes(self, target, degree, capsys):
+        assert main(["verify", target, "--max-degree", degree]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(json.loads(line)["verdict"] == "pass" for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "integrality", "--max-degree", "-3"],
+            ["verify", "series-identities", "--max-degree", "-1"],
+            ["verify", "exp-sum-product", "--max-degree", "-1"],
+            ["verify", "integrality", "--max-degree", "three"],
+            ["gen", "ct", "--degree", "3", "--max-degree", "-5"],
+            ["gen", "tm", "--m", "4", "--max-degree", "-1"],
+        ],
+    )
+    def test_negative_max_degree_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--max-degree" in err
+
+
 class TestVerifyAll:
     def test_two_runs_byte_identical_and_green(self, capsys):
         code = main(["verify", "all"])

@@ -203,6 +203,40 @@ class TestProductTable:
         assert t.unit_chow().terms == {(0, 0, 0): 1}
 
 
+class TestDivisorChow:
+    """divisor_chow skips the rewrite when every xi_k it uses sits on a level
+    of rank >= 1; it must still equal the rewritten class, also where a
+    rank-0 level turns xi_k into the divisor of its line."""
+
+    TOWERS = TestProductTable.TOWERS + [
+        [[(), ()], [(2,)]],
+        [[(), ()], [(-1,)], [(1, 1), (0, 3)]],
+    ]
+
+    @pytest.mark.parametrize("levels", TOWERS, ids=str)
+    def test_matches_the_rewritten_class(self, levels):
+        t = build_tower(levels)
+        for vec in product(range(-2, 3), repeat=t.n_levels):
+            raw = {
+                tuple(int(p == k) for p in range(t.n_levels)): c
+                for k, c in enumerate(vec)
+                if c
+            }
+            d = t.divisor_chow(vec)
+            assert d == ChowClass(t, raw) and scalar_types(d) <= {int}, vec
+
+    def test_no_rewrite_above_rank_zero(self, monkeypatch):
+        t = build_tower(TestProductTable.TOWERS[-1])  # ranks 2, 0, 2
+
+        def rewrite(*args):
+            raise AssertionError("normal form computed")
+
+        monkeypatch.setattr(t, "_normal_form", rewrite)
+        assert t.divisor_chow((3, 0, -1)).terms == {(1, 0, 0): 3, (0, 0, 1): -1}
+        with pytest.raises(AssertionError):
+            t.divisor_chow((0, 1, 0))
+
+
 class TestPushPull:
     def test_p2_to_point(self):
         p2 = projective_space(2)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -39,8 +40,6 @@ from grrcheck.series import (
     universal_todd,
 )
 from grrcheck.identities import (
-    _divide_by_one_minus,
-    _times_one_minus,
     howe_claims,
     howe_reduce,
     verify_series_identity,
@@ -432,19 +431,18 @@ class TestIdentities:
 
     @staticmethod
     def wedge_steps():
-        """(running total, roots of S as unit vectors, s = sum_S x) for every
+        """(running total, names of the roots in S, s = sum_S x) for every
         step of the wedge identity, g = 1..5, with the generic products."""
         for g in range(1, 6):
             al = root_alphabet("x", g)
             one = GradedPolynomial.constant(al, g, 1)
             total = one
             for size in range(1, g + 1):
-                for subset in combinations(range(g), size):
-                    units = [tuple(int(i == j) for j in range(g)) for i in subset]
+                for subset in combinations(al.names(), size):
                     s = GradedPolynomial.zero(al, g)
-                    for i in subset:
-                        s = s + GradedPolynomial.variable(al, g, f"x{i + 1}")
-                    yield total, units, s
+                    for name in subset:
+                        s = s + GradedPolynomial.variable(al, g, name)
+                    yield total, subset, s
                     if size % 2 == 0:
                         total = total * (one - s)
                     else:
@@ -452,14 +450,78 @@ class TestIdentities:
 
     def test_degree_by_degree_quotient(self):
         # against the product with 1/(1 - s) = sum s^k
-        for total, units, s in self.wedge_steps():
+        for total, names, s in self.wedge_steps():
             inverse = apply_series([Fraction(1)] * (total.truncation + 1), s)
-            assert _divide_by_one_minus(total, units) == total * inverse, units
+            assert total.times_one_minus([(names, -1)]) == total * inverse, names
 
     def test_shifted_product(self):
-        for total, units, s in self.wedge_steps():
+        for total, names, s in self.wedge_steps():
             one = GradedPolynomial.constant(total.alphabet, total.truncation, 1)
-            assert _times_one_minus(total, units) == total * (one - s), units
+            assert total.times_one_minus([(names, 1)]) == total * (one - s), names
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_random_factors_against_the_generic_product(self, g):
+        # random p with int and Fraction coefficients, every truncation up to
+        # g + 1, random (S, e) factors in both orders
+        rng = random.Random(f"times-one-minus:{g}")
+        al = root_alphabet("x", g)
+        names = al.names()
+        for bound in range(g + 2):
+            one = GradedPolynomial.constant(al, bound, 1)
+            for _ in range(6):
+                terms = {}
+                for _ in range(rng.randint(0, 6)):
+                    mono = tuple(rng.randint(0, 2) for _ in range(g))
+                    terms[mono] = rng.choice(
+                        [rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 3))]
+                    )
+                p = GradedPolynomial(al, bound, terms)
+                factors = []
+                expected = p
+                for _ in range(rng.randint(0, 5)):
+                    subset = tuple(rng.sample(names, rng.randint(1, g)))
+                    e = rng.choice([1, -1])
+                    factors.append((subset, e))
+                    s = GradedPolynomial.zero(al, bound)
+                    for name in subset:
+                        s = s + GradedPolynomial.variable(al, bound, name)
+                    if e == 1:
+                        expected = expected * (one - s)
+                    else:
+                        expected = expected * apply_series([1] * (bound + 1), s)
+                for order in (factors, factors[::-1]):
+                    got = p.times_one_minus(order)
+                    assert got == expected and got.truncation == bound, (terms, order)
+                    assert all(c.denominator != 1 or type(c) is int for _, c in got)
+
+    def test_rejects_weights_other_than_one_and_other_exponents(self):
+        from grrcheck.arith import InputError
+
+        al = weighted_alphabet("c", 2)
+        p = GradedPolynomial.constant(al, 3, 1)
+        assert p.times_one_minus([(("c1",), -1)]).coefficient(c1=3) == 1
+        with pytest.raises(InputError, match="weight-1"):
+            p.times_one_minus([(("c1", "c2"), 1)])
+        with pytest.raises(InputError, match="weight-1"):
+            p.times_one_minus([(("c1",), 2)])
+
+    def test_substituted_ranks_stay_int(self, monkeypatch):
+        # the rank variable r is substituted by an int, so every coefficient
+        # of the substituted Chern character and combined classes is an int
+        calls = []
+        substitute = GradedPolynomial.substitute
+
+        def spy(self, images, *args, **kwargs):
+            result = substitute(self, images, *args, **kwargs)
+            if "r" in images:
+                calls.append((images["r"], result))
+            return result
+
+        monkeypatch.setattr(GradedPolynomial, "substitute", spy)
+        for name in ("top-chern-from-wedges", "divisor-todd-vs-ct", "chern-multiplicativity"):
+            assert verify_series_identity(name, 4).passed
+        assert {type(r) for r, _ in calls} == {int}
+        assert all(type(c) is int for _, result in calls for _, c in result)
 
     def test_unknown_name(self):
         from grrcheck.arith import InputError
