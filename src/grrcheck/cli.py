@@ -308,6 +308,10 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--cut":  # the next word is the value, even a dash-led -3*xi1
+            argv[i : i + 2] = [f"--cut={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

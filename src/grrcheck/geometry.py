@@ -35,6 +35,9 @@ Every sum of term maps here (Chow and K sums, scalings and products, the
 rewrite step, twists and the K-pushforward) is grrcheck.poly.accumulate,
 which drops cancelled terms and stores integral values as ints.
 
+A class's canonical text is the polynomial text form of its normal-form
+terms (grrcheck.poly.serialize_terms), in xi1..xiK or in l1..lK.
+
 Towers are immutable after build apart from their lazy caches, whose entries
 are functions of the tower alone; all class operations are pure, so one tower
 may be shared read-only by concurrent verification jobs.
@@ -48,7 +51,7 @@ from math import prod
 from typing import Mapping, Sequence
 
 from .arith import InputError
-from .poly import Alphabet, GradedPolynomial, Monomial, Scalar, accumulate, root_alphabet
+from .poly import Alphabet, Monomial, Scalar, accumulate, root_alphabet, serialize_terms
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
 # One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
@@ -184,7 +187,7 @@ class Tower:
     def prefix(self, n_levels: int) -> "Tower":
         """The partial tower consisting of the first n_levels levels."""
         if not 0 <= n_levels <= self.n_levels:
-            raise InputError(f"prefix {n_levels} out of range")
+            raise InputError(f"base levels {n_levels} outside 0..{self.n_levels}")
         tower = self
         for _ in range(self.n_levels - n_levels):
             tower = tower.base
@@ -348,17 +351,11 @@ class ChowClass:
     def __hash__(self):
         raise TypeError("ChowClass is not hashable")
 
-    def as_polynomial(self) -> GradedPolynomial:
-        return GradedPolynomial(self.tower.alphabet, max(self.tower.dim, 0), self.terms)
-
     def serialize(self) -> str:
-        return self.as_polynomial().serialize()
-
-    def pretty(self) -> str:
-        return self.as_polynomial().pretty()
+        return serialize_terms(self.tower.alphabet, self.terms)
 
     def __repr__(self) -> str:
-        return f"ChowClass({self.pretty()})"
+        return f"ChowClass({self.serialize()!r})"
 
 
 def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
@@ -501,8 +498,7 @@ class KClass:
     def serialize(self) -> str:
         """Canonical text of the class in normal form, one line per basis
         symbol: the polynomial text form in l1..lK, each of weight 1."""
-        alphabet = root_alphabet("l", self.tower.n_levels)
-        return GradedPolynomial(alphabet, self.tower.dim, self.normal_form()).serialize()
+        return serialize_terms(root_alphabet("l", self.tower.n_levels), self.normal_form())
 
     def __repr__(self) -> str:
         return f"KClass({self.line_terms})"

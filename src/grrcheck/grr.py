@@ -2,11 +2,11 @@
 
 Every checker assembles both sides of one exact identity in the integer Chow
 ring of a tower (or in a free symbol ring for formal fibrations), serializes
-them canonically, and reports byte-equality.  All scalar ratios of Todd
-denominators are performed as checked exact integer divisions; a failed
-division is a falsification, not a rounding issue.  Each T_a/(j! T_b) is
-grrcheck.arith.todd_ratio; only the T_a/(T_b T_c) of decomposition_rhs is
-spelled out with exact_ratio.
+them through grrcheck.poly.serialize_terms, and reports byte-equality.  All
+scalar ratios of Todd denominators are performed as checked exact integer
+divisions; a failed division is a falsification, not a rounding issue.  Each
+T_a/(j! T_b) is grrcheck.arith.todd_ratio; only the T_a/(T_b T_c) of
+decomposition_rhs is spelled out with exact_ratio.
 
 Every universal polynomial is evaluated by the one substitution loop over its
 monomials, grrcheck.poly.substitute_terms: on a tower with Chow classes as
@@ -34,7 +34,7 @@ main-theorem-decomposition stays an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping
@@ -147,23 +147,22 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
 @dataclass(frozen=True)
 class MorphismDatum:
     """A structure morphism from a tower (or a cut-out locus in one) to a
-    lower level of the same tower (possibly the point)."""
+    lower level of the same tower (possibly the point).  Construction fixes
+    the ambient tower, the target and the relative dimension."""
 
     source: Tower | VirtualCompleteIntersection
     base_levels: int
     label: str = ""
+    ambient: Tower = field(init=False, repr=False, compare=False)
+    target: Tower = field(init=False, repr=False, compare=False)
+    relative_dimension: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def ambient(self) -> Tower:
-        return self.source if isinstance(self.source, Tower) else self.source.ambient
-
-    @property
-    def target(self) -> Tower:
-        return self.ambient.prefix(self.base_levels)
-
-    @property
-    def relative_dimension(self) -> int:
-        return self.source.dim - self.target.dim
+    def __post_init__(self):
+        ambient = self.source if isinstance(self.source, Tower) else self.source.ambient
+        target = ambient.prefix(self.base_levels)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "relative_dimension", self.source.dim - target.dim)
 
     def describe(self) -> str:
         return self.label or repr(self.source)

@@ -36,7 +36,9 @@ clean; the public constructor checks and normalises arbitrary input.
 Canonical text serialization (bit-exact, used for golden files): one term per
 line, ``<num>/<den> <var>^<exp> ...`` with variables in alphabet order and
 exponents always written; terms sorted ascending by (weighted degree, exponent
-vector).  The zero polynomial serializes to the empty string.
+vector), which is packed-key order.  The zero polynomial serializes to the
+empty string.  serialize_terms writes it for polynomials and for the Chow and
+K classes of grrcheck.geometry, from monomial texts each Alphabet keeps.
 
 substitute_terms is the one loop over the monomials of a universal
 polynomial, for every ring the package evaluates in: GradedPolynomial.substitute
@@ -62,9 +64,9 @@ each expansion by its cleared denominator first) eliminates entirely in int
 arithmetic, and one that is not integral leaves a Fraction in the result.
 
 Polynomials are immutable after construction and may share their term dicts;
-the expansion and lowering memo tables, the key memos and the alphabet table
-are insert-only maps of immutable values (safe to share across threads in
-CPython, or keep per task).
+the expansion and lowering memo tables, the key memos, the monomial texts and
+the alphabet table are insert-only maps of immutable values (safe to share
+across threads in CPython, or keep per task).
 """
 
 from __future__ import annotations
@@ -175,10 +177,10 @@ _ALPHABETS: dict[tuple[tuple[str, int], ...], "Alphabet"] = {}
 class Alphabet:
     """Ordered list of uniquely named variables with non-negative integer
     weights.  There is one instance per list: Alphabet(...) returns it, so its
-    key memos stay warm for every polynomial over the list, and alphabets are
-    equal exactly when they are the same object."""
+    key memos and monomial texts stay warm for every polynomial over the list,
+    and alphabets are equal exactly when they are the same object."""
 
-    __slots__ = ("variables", "weights", "shift", "keys", "monomials", "_index")
+    __slots__ = ("variables", "weights", "shift", "keys", "monomials", "texts", "_index")
 
     def __new__(cls, variables: Iterable[tuple[str, int]]) -> "Alphabet":
         variables = tuple((str(n), int(w)) for n, w in variables)
@@ -196,6 +198,7 @@ class Alphabet:
         self._index = {n: i for i, n in enumerate(names)}
         self.keys = _Keys(self.weights)
         self.shift, self.monomials = self.keys.shift, self.keys.monomials
+        self.texts: dict[int, str] = {}  # packed key -> factor text, see serialize_terms
         return _ALPHABETS.setdefault(variables, self)
 
     def index(self, name: str) -> int:
@@ -508,13 +511,7 @@ class GradedPolynomial:
     # -- text forms ------------------------------------------------------
 
     def serialize(self) -> str:
-        names = self.alphabet.names()
-        lines = []
-        for mono, coeff in self.sorted_terms():
-            parts = [f"{coeff.numerator}/{coeff.denominator}"]
-            parts.extend(f"{names[i]}^{e}" for i, e in enumerate(mono) if e > 0)
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
+        return serialize_terms(self.alphabet, self.terms)
 
     def pretty(self) -> str:
         """Human-oriented single-line rendering, e.g. ``c1^2 + c2``."""
@@ -545,6 +542,19 @@ class GradedPolynomial:
 
     def __repr__(self) -> str:
         return f"GradedPolynomial({self.pretty()})"
+
+
+def serialize_terms(alphabet: Alphabet, terms: Mapping[Monomial, Scalar]) -> str:
+    """The canonical text of a term map without zero coefficients, in
+    packed-key order: per term "<num>/<den>" and the monomial's factor text,
+    one " <var>^<exp>" per nonzero exponent, built once per alphabet."""
+    keys, texts, lines = alphabet.keys, alphabet.texts, []
+    for key, c in sorted([(keys[m], c) for m, c in terms.items()]):  # keys are distinct
+        if key not in texts:
+            exponents = zip(alphabet.names(), alphabet.monomials[key])
+            texts[key] = "".join([f" {n}^{e}" for n, e in exponents if e])
+        lines.append(f"{c.numerator}/{c.denominator}{texts[key]}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ A report's verdict is "pass" exactly when the two sides' canonical
 serializations are byte-identical; the first differing line is recorded as
 the discrepancy.  Timing is kept out of the default JSON encoding so that
 report streams are byte-identical across runs (see the CLI --timing flag).
+
+A report's JSON line is byte for byte json.dumps(payload, separators=(",",
+":")) of "schema" and then its fields in declaration order, notes only when
+set; to_json fills a fixed template, each string through json's ASCII escaper.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 
 class FalsificationError(AssertionError):
@@ -63,19 +67,15 @@ class VerificationReport:
         return VerificationReport(identity, instance, "", "", "fail", message, None, notes)
 
     def to_json(self, timing: bool = False) -> str:
-        payload = {
-            "schema": "1",
-            "identity": self.identity,
-            "instance": self.instance,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "discrepancy": self.discrepancy,
-            "millis": self.millis if timing else None,
-        }
-        if self.notes is not None:
-            payload["notes"] = self.notes
-        return json.dumps(payload, sort_keys=False, separators=(",", ":"))
+        discrepancy = "null" if self.discrepancy is None else _quote(self.discrepancy)
+        millis = "null" if self.millis is None or not timing else self.millis
+        notes = "" if self.notes is None else f',"notes":{_quote(self.notes)}'
+        return (
+            f'{{"schema":"1","identity":{_quote(self.identity)},'
+            f'"instance":{_quote(self.instance)},"lhs":{_quote(self.lhs)},'
+            f'"rhs":{_quote(self.rhs)},"verdict":{_quote(self.verdict)},'
+            f'"discrepancy":{discrepancy},"millis":{millis}{notes}}}'
+        )
 
 
 def timed(thunk) -> list[VerificationReport]:

@@ -254,6 +254,24 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_dash_led_cut_value(self, capsys):
+        argv = ["verify", "main-theorem", "--geometry",
+                "P(trivial 3) over P(trivial 2) over point", "--base-levels", "1",
+                "--sheaf", "O(xi2)", "-n", "1"]
+        assert main(argv + ["--cut", "-3*xi1"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(argv + ["--cut=-3*xi1"]) == 0
+        assert capsys.readouterr().out == spaced
+        assert json.loads(spaced.splitlines()[0])["lhs"] == "-108/1 xi1^1"
+
+    @pytest.mark.parametrize("levels", ["5", "-1"])
+    def test_base_levels_out_of_range(self, levels, capsys):
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+                "--base-levels", levels]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: base levels {levels} outside 0..1\n"
+
     def test_determinism_two_runs(self, capsys):
         main(["verify", "surface-det"])
         first = capsys.readouterr().out

@@ -79,6 +79,16 @@ class TestGrrError:
             lhs, rhs = main_sides(f, t.line((1, -1)), n)
             assert lhs == rhs
 
+    def test_morphism_geometry_is_fixed_at_construction(self):
+        t = build_tower([[(), ()], [(0,), (1,)]])
+        z = VirtualCompleteIntersection(t, ((1, 1),))
+        for source, d in ((t, 1), (z, 0)):
+            f = MorphismDatum(source, 1)
+            assert (f.ambient, f.target, f.relative_dimension) == (t, t.prefix(1), d)
+        for levels in (-1, 3):
+            with pytest.raises(InputError, match=f"base levels {levels} outside 0..2"):
+                MorphismDatum(z, levels)
+
     def test_negative_relative_dimension_routes_through_shift(self):
         p3 = projective_space(3)
         z = VirtualCompleteIntersection(p3, ((1,),))
