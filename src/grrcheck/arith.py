@@ -252,5 +252,7 @@ def exact_ratio(numer: int, denom: int) -> int:
 
 
 def todd_ratio(m: int, j: int, k: int) -> int:
-    """The integer T_m / (j! * T_k), asserted exact (requires j + k <= m)."""
+    """The integer T_m / (j! * T_k), asserted exact.  The divisibility lemma
+    makes it exact for j + k <= m, and for j + k = m + 1 when j >= 1 (the
+    factor j! is the lemma's factorial part j - 1)."""
     return exact_ratio(todd_denominator(m).value, factorial(j) * todd_denominator(k).value)

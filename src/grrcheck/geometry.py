@@ -265,7 +265,7 @@ class ChowClass:
     zero coefficients.
 
     Coefficients are ints.  A Fraction occurs only where a value is not an
-    integer: the rational series parts that rational_grr_cross_check
+    integer: the rational series parts that the tests' rational reference
     evaluates, or a universal polynomial carrying a Fraction mutation delta;
     the constructor, sums, scalings and products store an integral value as
     an int (poly.accumulate).

@@ -11,8 +11,8 @@ decomposition_rhs is spelled out with exact_ratio.
 Every universal polynomial is evaluated by the one substitution loop over its
 monomials, grrcheck.poly.substitute_terms: on a tower with Chow classes as
 images and the tower's unit class as one, in a formal fibration through
-GradedPolynomial.substitute.  The combined class runs through it only to
-fill ct_on_tower's caches; each call then walks a Horner scheme
+GradedPolynomial.substitute.  The combined class runs through it once per
+entry of ct_on_tower's cache; each call then walks a Horner scheme
 (grrcheck.poly.horner_eval).
 
 Work that depends only on the tower is cached in the tower's _cache.  Where
@@ -21,8 +21,7 @@ hashes by identity), so a class rebuilt under a mutation never meets work
 done with the clean one, and this module need not know that mutations exist:
 
     ("tangent-chern", tangent)                c(tangent): absolute, fiberwise, cut-out
-    (universal_ct(m), tangent)                ct_m, tangent substituted
-    (universal_ct(m), tangent, rank, live)    its Horner scheme in the live cp_i
+    (universal_ct(m), tangent, rank, live)    ct_m as a Horner scheme in the live cp_i
     universal_todd(j)                         Td-numerator_j(T_tower)
     ("relative-tangent", base levels, cuts)   T_X - f^*T_S on the ambient
 
@@ -106,37 +105,29 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
     the zero class; the check comes after universal_ct(m), which raises for
     a non-integral mutated class.
 
-    Two cache levels on the tower.  (universal_ct(m), tangent) holds the
-    numerator with the tangent Chern classes substituted, grouped by the
-    exponents of r, cp1..cpm.  That key plus (rank, live), live the
-    names of the nonzero cp_i, holds the compiled class: r set to the rank
-    and the other cp_i to 0, stored as a Horner scheme in the live cp_i.
-    Each call walks that scheme at the live classes.
+    One cache entry per (universal_ct(m), tangent, rank, live), live the
+    names of the nonzero cp_i: the compiled class, a Horner scheme in the
+    live cp_i.  One substitute_terms pass fills it, over the numerator terms
+    in no zero cp_i (and free of r at rank 0), with the tangent Chern classes
+    and the rank substituted.  Each call walks that scheme at the live
+    classes.
     """
     ct = universal_ct(m)
     if m > tower.dim:
         return tower.zero_chow()
     sheaf_names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
-    key = (ct, frozenset(tangent.line_terms.items()))
-    if key not in tower._cache:
-        tower._cache[key] = substitute_terms(
-            ct.numerator.terms,
-            ct.numerator.alphabet.names(),
-            _chern_images(_tangent_chern(tangent), m),
-            tower.unit_chow(),
-            keep=sheaf_names,
-        )
     live = tuple(name for name in sheaf_names[1:] if not sheaf[name].is_zero())
-    compiled = key + (sheaf["r"], live)
-    if compiled not in tower._cache:
-        fixed = dict.fromkeys(sheaf_names, 0) | {"r": sheaf["r"]}
-        grouped = substitute_terms(
-            tower._cache[key], sheaf_names, fixed, tower.unit_chow(), keep=live
-        )
+    key = (ct, frozenset(tangent.line_terms.items()), sheaf["r"], live)
+    if key not in tower._cache:
+        names = ct.numerator.alphabet.names()
+        fixed = {name: 0 for name in sheaf_names if name not in live} | {"r": sheaf["r"]}
+        zero = [pos for pos, name in enumerate(names) if fixed.get(name) == 0]
+        terms = {e: c for e, c in ct.numerator.terms.items() if not any(e[p] for p in zero)}
+        images = _chern_images(_tangent_chern(tangent), m) | fixed
+        grouped = substitute_terms(terms, names, images, tower.unit_chow(), keep=live)
         grouped = {e: c for e, c in grouped.items() if not c.is_zero()}
-        zero = {(0,) * len(live): tower.zero_chow()}
-        tower._cache[compiled] = horner_scheme(grouped or zero)
-    return horner_eval(tower._cache[compiled], [sheaf[name] for name in live])
+        tower._cache[key] = horner_scheme(grouped or {(0,) * len(live): tower.zero_chow()})
+    return horner_eval(tower._cache[key], [sheaf[name] for name in live])
 
 
 # ---------------------------------------------------------------------------
@@ -417,47 +408,51 @@ def check_divisor_calculus(
     def cut(c: int) -> tuple:
         return ((c,) + (0,) * (w.n_levels - 1),)
 
+    # each side below is evaluated once and read by every report that needs it
     da, db = h.scale(a), h.scale(b)
+    td_a, td_b, td_sum = (_divisor_td(w, m, d) for d in (da, db, da + db))
+    restricted_a = _restricted_td(w, cut(a), m - 1)
+    restricted_b = _restricted_td(w, cut(b), m - 1)
+    # the codimension-2 term of the two-divisor decomposition
+    both = w.zero_chow()
+    if m >= 2:
+        both = _restricted_td(w, cut(a) + cut(b), m - 2).scale(todd_ratio(m - 1, 0, m - 2))
+    off_a, off_b, off_sum = (w.structure_sheaf() - line(-c) for c in (a, b, a + b))
+
     # (a): restriction form for a single divisor class
-    lhs = _divisor_td(w, m, da)
-    rhs = _restricted_td(w, cut(a), m - 1)
     reports.append(
         VerificationReport.compare(
-            "divisor-restriction", f"{name}/D={a}h/m={m}", lhs.serialize(), rhs.serialize()
+            "divisor-restriction",
+            f"{name}/D={a}h/m={m}",
+            td_a.serialize(),
+            restricted_a.serialize(),
         )
     )
 
     # combined-class linkage for the same divisor
-    scalar = todd_ratio(m, 0, m - 1)
-    virt = w.structure_sheaf() - line(-a)
-    linked = ct_on_tower(w, w.tangent_class(), _sheaf_images(virt, m), m)
+    linked = ct_on_tower(w, w.tangent_class(), _sheaf_images(off_a, m), m)
     reports.append(
         VerificationReport.compare(
             "divisor-ct-linkage",
             f"{name}/D={a}h/m={m}",
-            _divisor_td(w, m, da).scale(scalar).serialize(),
+            td_a.scale(todd_ratio(m, 0, m - 1)).serialize(),
             linked.serialize(),
         )
     )
 
     # (b): sum of two divisors
-    lhs_sum = _divisor_td(w, m, da + db)
-    rhs_sum = _restricted_td(w, cut(a), m - 1) + _restricted_td(w, cut(b), m - 1)
-    if m >= 2:
-        scalar2 = todd_ratio(m - 1, 0, m - 2)
-        rhs_sum = rhs_sum - _restricted_td(w, cut(a) + cut(b), m - 2).scale(scalar2)
     reports.append(
         VerificationReport.compare(
             "divisor-two-term",
             f"{name}/D1={a}h/D2={b}h/m={m}",
-            lhs_sum.serialize(),
-            rhs_sum.serialize(),
+            td_sum.serialize(),
+            (restricted_a + restricted_b - both).serialize(),
         )
     )
 
     # (c): difference of two divisors, with the cutoff min(m-1, delta)
     lhs_diff = _divisor_td(w, m, da - db)
-    rhs_diff = _restricted_td(w, cut(a), m - 1) - _restricted_td(w, cut(b), m - 1)
+    rhs_diff = restricted_a - restricted_b
     kmax = min(m - 1, delta)
     for k in range(1, kmax + 1):
         sc = todd_ratio(m - 1, 0, m - 1 - k)
@@ -479,14 +474,12 @@ def check_divisor_calculus(
     koszul_a = VirtualCompleteIntersection(w, cut(a)).koszul_class()
     koszul_b = VirtualCompleteIntersection(w, cut(b)).koszul_class()
     koszul_ab = VirtualCompleteIntersection(w, cut(a) + cut(b)).koszul_class()
-    lhs_k = w.structure_sheaf() - line(-(a + b))
-    rhs_k = koszul_a + koszul_b - koszul_ab
     reports.append(
         VerificationReport.compare(
             "divisor-k-two-term",
             f"{name}/D1={a}h/D2={b}h",
-            lhs_k.serialize(),
-            rhs_k.serialize(),
+            off_sum.serialize(),
+            (koszul_a + koszul_b - koszul_ab).serialize(),
         )
     )
 
@@ -507,32 +500,20 @@ def check_divisor_calculus(
 
     # additivity defect bookkeeping: the same codimension-2 coefficient (-1)
     # appears on the cycle side and the K side
-    defect_chow = (
-        _divisor_td(w, m, da + db) - _divisor_td(w, m, da) - _divisor_td(w, m, db)
-    )
-    expected_chow = w.zero_chow()
-    if m >= 2:
-        sc = todd_ratio(m - 1, 0, m - 2)
-        expected_chow = _restricted_td(w, cut(a) + cut(b), m - 2).scale(-sc)
     reports.append(
         VerificationReport.compare(
             "divisor-defect-cycles",
             f"{name}/D={a}h/D'={b}h/m={m}",
-            defect_chow.serialize(),
-            expected_chow.serialize(),
+            (td_sum - td_a - td_b).serialize(),
+            both.scale(-1).serialize(),
             notes="codimension-2 defect coefficient -1",
         )
-    )
-    defect_k = (
-        (w.structure_sheaf() - line(-(a + b)))
-        - (w.structure_sheaf() - line(-a))
-        - (w.structure_sheaf() - line(-b))
     )
     reports.append(
         VerificationReport.compare(
             "divisor-defect-k",
             f"{name}/D={a}h/D'={b}h",
-            defect_k.serialize(),
+            (off_sum - off_a - off_b).serialize(),
             koszul_ab.scale(-1).serialize(),
             notes="matches the cycle-side defect coefficient -1 in codimension 2",
         )
@@ -724,33 +705,3 @@ def euler_characteristic_via_chow(tower: Tower, F: KClass) -> Fraction:
         tower, tower.tangent_class(), _sheaf_images(F, tower.dim), tower.dim
     )
     return Fraction(chow_degree(top), todd_denominator(tower.dim).value)
-
-
-def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
-    """Classical rational Riemann-Roch computed independently with Fractions:
-    ch_n(f_*[F]) = f_*((ch(F) td(T_X) td(f^* T_S)^{-1})_{d+n}).
-
-    This is the torsion-free shadow of the integral statement; agreement here
-    plus agreement of the integral sides pins both computations.
-    """
-    d = f.relative_dimension
-    if d < 0:
-        raise InputError("rational cross-check implemented for d >= 0")
-    if isinstance(f.source, VirtualCompleteIntersection):
-        raise InputError("rational cross-check implemented for tower sources")
-    target = f.target
-    pushed, source = _instance_images(f, F, n)
-    lhs = evaluate_universal(universal_chern_character(n).series_part, target, pushed)
-    ambient = f.ambient
-    rel_tangent = _source_relative_tangent(f)
-    td_rel_chern = _chern_images(_tangent_chern(rel_tangent), d + n)
-    total = ambient.zero_chow()
-    for j in range(d + n + 1):
-        ch_j = evaluate_universal(universal_chern_character(j).series_part, ambient, source)
-        td_j = evaluate_universal(
-            universal_todd(d + n - j).series_part, ambient, td_rel_chern
-        )
-        total = total + ch_j * td_j
-    total = total.graded_part(d + n)
-    rhs = _chow_pushforward(f, total)
-    return lhs == rhs

@@ -286,20 +286,22 @@ def divisor_alphabet(m: int) -> Alphabet:
 
 def q_poly(m: int) -> UniversalClass:
     """The divisor-side polynomial: T_{m-1} times the degree-m part of
-    (1 - e^{-x}) * Td, in c1..c_{m-1} and the divisor variable x."""
+    (1 - e^{-x}) * Td, in c1..c_{m-1} and the divisor variable x.
+
+    Summed on integers: the x^j coefficient of 1 - e^{-x} is (-1)^(j+1)/j!,
+    so Q_m = sum_{k<m} (-1)^(m-k+1) todd_ratio(m-1, m-k, k) x^(m-k)
+    Td-numerator_k."""
     if m < 1:
         raise InputError("degree must be >= 1")
 
     def build() -> UniversalClass:
         alph = divisor_alphabet(m)
-        x = GradedPolynomial.variable(alph, m, "x")
-        factor = apply_series(one_minus_exp_neg_series(m), x)
-        td_total = GradedPolynomial.constant(alph, m, 1)
-        for k in range(1, m):
-            td_total = td_total + universal_todd(k).series_part.embed(alph).with_bound(m)
-        series = (factor * td_total).graded_part(m)
-        tm1 = todd_denominator(m - 1).value
-        return _finish("q", "q", m, series.scale(tm1), tm1)
+        total = GradedPolynomial.zero(alph, m)
+        for k in range(m):  # x is the last of the m variables
+            ratio = (-1) ** (m - k + 1) * todd_ratio(m - 1, m - k, k)
+            x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): ratio})
+            total = total + x_part * universal_todd(k).numerator.embed(alph).with_bound(m)
+        return _finish("q", "q", m, total, todd_denominator(m - 1).value)
 
     return _cached(("q", m), build)
 

@@ -450,54 +450,3 @@ def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:
     if isinstance(ast, ClassTwist):
         return evaluate_class(ast.inner, scope).twist(scope.divisor_vector(ast.divisor))
     raise InputError(f"unhandled class node {ast!r}")
-
-
-# -- pretty printers (parse . pretty == identity on canonical forms) -----------
-
-
-def divisor_text(div: DivisorExpr) -> str:
-    if not div.terms:
-        return "0"
-    parts: list[str] = []
-    for i, (coeff, name) in enumerate(div.terms):
-        body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
-        if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
-
-
-def geometry_text(ast: GeomAST) -> str:
-    if isinstance(ast, GeomPoint):
-        return "point"
-    bundle = ast.bundle
-    if isinstance(bundle, TrivialBundle):
-        inner = f"trivial {bundle.count}"
-    else:
-        inner = "[" + ", ".join(divisor_text(d) for d in bundle.divisors) + "]"
-    alias = f" as {ast.alias}" if ast.alias else ""
-    base = geometry_text(ast.base)
-    if isinstance(ast.base, GeomBundle):
-        base = f"({base})"
-    return f"P({inner}){alias} over {base}"
-
-
-def class_text(ast: ClassAST) -> str:
-    if isinstance(ast, ClassO):
-        return "O" if ast.divisor is None else f"O({divisor_text(ast.divisor)})"
-    if isinstance(ast, ClassSum):
-        op = "+" if ast.sign > 0 else "-"
-        right = class_text(ast.right)
-        if isinstance(ast.right, ClassSum):
-            right = f"({right})"
-        return f"{class_text(ast.left)} {op} {right}"
-    if isinstance(ast, ClassDual):
-        return f"dual({class_text(ast.inner)})"
-    if isinstance(ast, ClassWedge):
-        return f"wedge({ast.index}, {class_text(ast.inner)})"
-    if isinstance(ast, ClassSym):
-        return f"sym({ast.index}, {class_text(ast.inner)})"
-    if isinstance(ast, ClassTwist):
-        return f"twist({divisor_text(ast.divisor)}, {class_text(ast.inner)})"
-    raise InputError(f"unhandled class node {ast!r}")

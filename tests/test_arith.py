@@ -204,6 +204,20 @@ class TestHelpers:
         assert todd_ratio(2, 1, 1) == 6
         assert todd_ratio(3, 0, 2) == 2
 
+    def test_todd_ratio_one_past_the_degree(self):
+        # j + k = m + 1 with j >= 1 is exact too (the ratios series.q_poly
+        # reads), and matches the lemma's quotient with factorial part j - 1
+        for m in range(0, 25):
+            for j in range(1, m + 2):
+                k = m + 1 - j
+                ratio = Fraction(todd_denominator(m).value, factorial(j) * todd_denominator(k).value)
+                assert ratio.denominator == 1 and todd_ratio(m, j, k) == ratio, (m, j)
+                if m >= 1:
+                    parts = ([j - 1] if j > 1 else [], [k] if k else [])
+                    assert check_divisibility_lemma(*parts, m) == (True, ratio), (m, j)
+        with pytest.raises(AssertionError):
+            todd_ratio(2, 0, 3)  # j = 0 one past the degree: T_2 / T_3
+
     def test_factored_integer_validation(self):
         with pytest.raises(InputError):
             FactoredInteger(6, ((2, 1),))

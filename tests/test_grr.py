@@ -36,7 +36,6 @@ from grrcheck.grr import (
     euler_characteristic_via_chow,
     evaluate_universal,
     grr_error,
-    rational_grr_cross_check,
 )
 from grrcheck.poly import substitute_terms
 from grrcheck.report import FalsificationError
@@ -44,6 +43,7 @@ from grrcheck.series import Mutation, set_mutation, universal_chern_character, u
 from grrcheck.suites import MODEL_TOWERS, model_tower
 
 from chern_reference import factor_total_chern
+from rational_reference import rational_grr_cross_check
 
 
 def all_pass(reports):
@@ -220,6 +220,22 @@ class TestCompiledCt:
                 for m in range(0, 6):
                     assert_compiled_matches(tower, tower.tangent_class(), _sheaf_images(F, m), m)
 
+    def test_every_tangent_kind(self):
+        # absolute, fiberwise over each base and cut-out virtual tangents, at
+        # rank 0, a negative and a positive rank, on random and on K-class
+        # sheaf maps
+        rng = random.Random(11)
+        for tower, tangent, sheaves in tangent_sources():
+            for m in range(0, tower.dim + 1):
+                degrees = list(range(1, m + 1))
+                for rank in (0, -2, 3):
+                    for k in {0, len(degrees), rng.randint(0, len(degrees))}:
+                        live = set(rng.sample(degrees, k))
+                        sheaf = sheaf_map(rng, tower, m, rank, live)
+                        assert_compiled_matches(tower, tangent, sheaf, m)
+                for F in sheaves:
+                    assert_compiled_matches(tower, tangent, _sheaf_images(F, m), m)
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(MODEL_TOWERS), st.integers(0, 5), st.integers(-4, 4), st.data())
     def test_matches_two_pass_route(self, entry, m, rank, data):
@@ -388,7 +404,7 @@ class TestEulerConsistency:
         assert type(chow_degree(h * h)) in exact and type(chow_degree(h)) in exact
         chi = euler_characteristic_via_chow(p2, p2.line((1,)))
         assert type(chi) in exact and str(chi) == "3"
-        # the rational series parts rational_grr_cross_check evaluates
+        # the rational series parts the tests' rational_grr_cross_check evaluates
         p4 = projective_space(4)
         F = p4.line((1,)) + p4.line((3,))
         ch = evaluate_universal(

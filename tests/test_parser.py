@@ -5,13 +5,13 @@ from grrcheck.specparse import (
     ParseError,
     ScopeError,
     build_geometry,
-    class_text,
     evaluate_class,
-    geometry_text,
     parse_class,
     parse_divisor,
     parse_geometry,
 )
+
+from spec_printers import class_text, geometry_text
 
 
 class TestGeometryParsing:

@@ -46,6 +46,7 @@ from grrcheck.identities import (
 )
 from grrcheck.suites import suite_integrality, suite_projective_bundle
 
+from rational_reference import q_numerator_reference
 from symmetric_reference import elementary_reduce, howe_reduce_by_roots
 
 
@@ -286,6 +287,15 @@ class TestDivisorPolynomial:
             uc = q_poly(m)
             assert uc.numerator.is_integral()
             assert q_oracle(m) == uc.numerator, m
+
+    def test_integer_sum_against_the_rational_product(self):
+        # the construction q_poly replaced: the full product of 1 - e^{-x}
+        # and the rational Td in Fractions, scaled by T_{m-1}
+        for m in range(1, 14):
+            numerator, reference = q_poly(m).numerator, q_numerator_reference(m)
+            assert numerator == reference, m
+            assert numerator.serialize() == reference.serialize(), m
+            assert {type(c) for c in numerator.terms.values()} == {int}, m
 
 
 def full_exp_route(per_root, m, n_vars):

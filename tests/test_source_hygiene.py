@@ -1,33 +1,133 @@
-"""Every function and method in the package is reached from the package
-itself, and every module uses the names it imports.
+"""Every method in the package is entered by a run of the program, every
+function is reached from it, and every module uses the names it imports.
 
-A name scan over the sources: a module-level function counts as reached when
-its name appears (as a name or an attribute) somewhere in ``src/grrcheck``
-outside its own definition, a method when its name appears there as an
-attribute.  Helpers only tests call are flagged, so tests exercise the code
-paths the program runs.  An imported name counts as used when it appears as a
-name in its module; a deletion that leaves an import behind is flagged.
+Methods and functions are checked against a traced run.  A fixed list of
+program calls runs under sys.setprofile: every suite at a small size, every
+gen kind as text and as JSON, single-instance queries with a cut, a rank-0
+level and an alias, parse, scope and usage errors, and --mutate runs.  The
+calls run in a fresh interpreter (this file run as a script), because the
+package memoises universal classes and model towers: a process that other
+tests have warmed would skip their builders.
+
+- A method (a function defined in a class body, dunders aside) must be
+  entered by the traced run.  Sharing its name with an attribute read
+  elsewhere no longer counts.
+- A module-level function must be entered, or named inside a function or
+  method the traced run entered: suite_all, for one, runs only under verify
+  all, which the run leaves out for time, and cmd_verify names it.
+
+Helpers only tests call are flagged, so tests exercise the code paths the
+program runs.  An imported name counts as used when it appears as a name in
+its module; a deletion that leaves an import behind is flagged.
 """
 
 import ast
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from functools import cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grrcheck"
 
-# Deliberate entry points that nothing in the package calls, with the reason.
+# Deliberate entry points that nothing in the traced run enters or names,
+# with the reason.
 ALLOWED_UNREACHED = {
-    "rational_grr_cross_check": "reference route: classical rational "
-    "Riemann-Roch that tests compare the integral sides against",
-    "geometry_text": "printer inverse to parse_geometry; tests round-trip "
-    "generated geometries through it",
-    "class_text": "printer inverse to parse_class; tests round-trip generated "
-    "class expressions through it",
+    "entrypoint": "the console script of pyproject.toml; it only hands "
+    "sys.argv to main, which the traced run calls directly",
 }
+
+QUERY = ["verify", "main-theorem", "--geometry"]
+GEN_KINDS = [
+    ["todd", "--degree", "3"],
+    ["ch", "--degree", "3"],
+    ["ct", "--degree", "3"],
+    ["q", "--degree", "3"],
+    ["toddinv", "--degree", "4", "--rank", "2"],
+    ["tm", "--m", "4"],
+    ["bernoulli", "--n", "4"],
+    ["D", "--g", "2"],
+    ["L", "--n", "3"],
+]
+# (argv of cli.main, its exit code)
+CLI_CALLS = [
+    (["verify", "series-identities", "--max-degree", "3"], 0),
+    (["verify", "integrality", "--max-degree", "4", "--timing"], 0),
+    (["verify", "todd-additivity", "--max-degree", "3"], 0),
+    (["verify", "projective-bundle"], 0),
+    (["verify", "immersion"], 0),
+    (["verify", "divisor-calculus"], 0),
+    (["verify", "kappa"], 0),
+    (["verify", "surface-det"], 0),
+    (["verify", "number-theory"], 0),
+    *[(["gen", *kind, *form], 0) for kind in GEN_KINDS for form in ([], ["--json"])],
+    (QUERY + ["P(trivial 4) over point", "--cut", "h", "-n", "1"], 0),
+    (QUERY + ["P([0]) over P(trivial 3) over point", "--sheaf", "O(xi2) + O(h)",
+              "--base-levels", "1", "-n", "1"], 0),
+    (QUERY + ["P([0, h]) as F over P(trivial 2) over point", "--base-levels", "1",
+              "--sheaf", "twist(F, dual(O(F)) + sym(2, O(h)) - wedge(2, O + O(h)))"], 0),
+    (QUERY + ["P(trivial 2) over point", "--mutate", "ct:2:0:1/2"], 1),
+    (["verify", "integrality", "--max-degree", "3", "--mutate", "todd:2:0:1"], 1),
+    (QUERY + ["P(trivial 2 over point"], 2),
+    (QUERY + ["P(trivial 2) over point", "--sheaf", "O(zz)"], 2),
+    (["verify", "kappa", "--max-degree", "3"], 2),
+    (["gen", "todd"], 2),
+    (["gen", "nope"], 2),
+]
+# (suite, size): main-theorem runs through cli.main only at its full size
+SUITE_CALLS = [("main-theorem", 0)]
+
+
+def traced_run() -> dict:
+    """Run the program calls under sys.setprofile; return the (file, first
+    line) of every package code object entered and the calls whose exit
+    code differed."""
+    from grrcheck import cli, suites
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    wrong = []
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv, code in CLI_CALLS:
+                got = cli.main(argv)
+                if got != code:
+                    wrong.append([argv, got, code])
+            for name, size in SUITE_CALLS:
+                suites.SUITES[name](size)
+    finally:
+        sys.setprofile(None)
+    places = {
+        (Path(c.co_filename).name, c.co_firstlineno)
+        for c in entered
+        if Path(c.co_filename).resolve().parent == SRC
+    }
+    return {"entered": sorted(places), "wrong_exit_codes": wrong}
+
+
+@cache
+def _traced() -> tuple[set, list]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    return {tuple(place) for place in result["entered"]}, result["wrong_exit_codes"]
 
 
 def _definitions_and_uses():
     defs = []  # (file, qualified name, short name, is method, first line, last line)
-    uses = []  # (file, name, is attribute, line)
+    uses = []  # (file, name, line)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -39,33 +139,37 @@ def _definitions_and_uses():
                     if isinstance(item, ast.FunctionDef)
                 ]
             for qualname, fn in members:
-                is_method = "." in qualname
-                defs.append((path.name, qualname, fn.name, is_method, fn.lineno, fn.end_lineno))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.append((path.name, node.id, False, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                uses.append((path.name, node.attr, True, node.lineno))
+                # a code object's first line is that of its first decorator
+                first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                defs.append((path.name, qualname, fn.name, "." in qualname, first, fn.end_lineno))
+        uses += [(path.name, n.id, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Name)]
     return defs, uses
 
 
+def test_the_traced_calls_exit_as_expected():
+    _, wrong = _traced()
+    assert not wrong, f"[argv, exit code, expected]: {wrong}"
+
+
 def test_every_function_is_reached_from_the_package():
+    entered, _ = _traced()
     defs, uses = _definitions_and_uses()
+    spans = [(file, first, last) for file, _, _, _, first, last in defs if (file, first) in entered]
     unreached = []
     for file, qualname, name, is_method, first, last in defs:
         if name.startswith("__") and name.endswith("__"):
             continue  # dunder methods are called by the interpreter
-        if name in ALLOWED_UNREACHED:
+        if (file, first) in entered or name in ALLOWED_UNREACHED:
             continue
-        reached = any(
+        named = not is_method and any(
             used == name
-            and (is_attribute or not is_method)
             and not (used_file == file and first <= line <= last)
-            for used_file, used, is_attribute, line in uses
+            and any(used_file == f and lo <= line <= hi for f, lo, hi in spans)
+            for used_file, used, line in uses
         )
-        if not reached:
+        if not named:
             unreached.append(f"{file}: {qualname}")
-    assert not unreached, "nothing in src/grrcheck reaches: " + ", ".join(unreached)
+    assert not unreached, "the traced program run never reaches: " + ", ".join(unreached)
 
 
 def test_allowlist_names_exist():
@@ -92,3 +196,7 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+if __name__ == "__main__":
+    print(json.dumps(traced_run()))
