@@ -8,8 +8,11 @@ stderr).  ``verify`` emits one JSON object per report, ordered by
 (identity, instance); the stream is byte-identical across runs unless
 --timing is given (timing is the only nondeterministic field: each report's
 millis is the wall time of the check that produced it, stamped on its first
-report, with 0 on the others).  ``gen`` prints text by default and a JSON
-object with --json.
+report, with 0 on the others).  Every check runs through report.run_check,
+as in the suites: a single-instance query (``verify main-theorem
+--geometry ...``) runs each n as its own check, so a falsified n is one
+failed report and the other n still print.  ``gen`` prints text by default
+and a JSON object with --json.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .arith import (
 from .geometry import VirtualCompleteIntersection
 from .grr import MorphismDatum, check_main_theorem
 from .identities import IDENTITY_CHECKS, verify_series_identity
-from .report import FalsificationError, VerificationReport, timed
+from .report import FalsificationError, VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES, Mutation, set_mutation
 from .specparse import (
     ParseError,
@@ -43,7 +46,7 @@ from .specparse import (
     parse_divisor,
     parse_geometry,
 )
-from .suites import SUITES, _guard, suite_all
+from .suites import SUITES, suite_all
 
 DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_DIM = 6
@@ -232,7 +235,10 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     n_values = [args.n] if args.n is not None else list(range(0, 4))
     reports: list[VerificationReport] = []
     for n in n_values:
-        reports.extend(timed(lambda n=n: check_main_theorem(morphism, sheaf, n, sheaf_text)))
+        instance = f"{morphism.describe()}/sheaf={sheaf_text}/n={n}"
+        reports.extend(
+            run_check("main-theorem", instance, check_main_theorem, morphism, sheaf, n, sheaf_text)
+        )
     return reports
 
 
@@ -274,9 +280,7 @@ def cmd_verify(args) -> int:
             reports = suite() if args.max_degree is None else suite(args.max_degree)
         else:
             max_degree = args.max_degree if args.max_degree is not None else 8
-            reports = _guard(
-                args.suite, "", lambda: verify_series_identity(args.suite, max_degree)
-            )
+            reports = run_check(args.suite, "", verify_series_identity, args.suite, max_degree)
     finally:
         set_mutation(None)
 

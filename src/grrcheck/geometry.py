@@ -89,9 +89,8 @@ class Tower:
         # per level (above, below) rules; the Chow ring has no negative exponents
         self._chow_rules: list[tuple[Rule, Rule]] = []
         self._k_rules: list[tuple[Rule, Rule]] = []
-        self._sym_images: tuple[dict[DivisorVector, int], ...] = ()
-        # a -> pi_* l^a on the base for the top level's line class l, filled
-        # outward from the symmetric powers by _pushed_power
+        # a -> pi_* l^a on the base for the top level's line class l: seeded
+        # with Sym^a E for 0 <= a <= r, filled outward by _pushed_power
         self._pushed: dict[int, dict[DivisorVector, int]] = {}
         if self.base is None:
             return
@@ -133,8 +132,7 @@ class Tower:
             for v, c in wedges[j].twist(tuple(-x for x in det)).line_terms.items()
         }
         self._k_rules.append((k_above, k_below))
-        self._sym_images = tuple(bundle.sym(a).line_terms for a in range(r + 1))
-        self._pushed = dict(enumerate(self._sym_images))
+        self._pushed = {a: bundle.sym(a).line_terms for a in range(r + 1)}
 
     def _pad(self, vec: DivisorVector) -> DivisorVector:
         return vec + (0,) * (self.n_levels - len(vec))

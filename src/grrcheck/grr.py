@@ -138,8 +138,10 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
 @dataclass(frozen=True)
 class MorphismDatum:
     """A structure morphism from a tower (or a cut-out locus in one) to a
-    lower level of the same tower (possibly the point).  Construction fixes
-    the ambient tower, the target and the relative dimension."""
+    lower level of the same tower (possibly the point), or the closed
+    immersion of a cut-out locus into its ambient tower (base_levels all the
+    levels, relative dimension -codim).  Construction fixes the ambient
+    tower, the target and the relative dimension."""
 
     source: Tower | VirtualCompleteIntersection
     base_levels: int
@@ -312,21 +314,22 @@ def check_immersion(
     w: Tower, z: VirtualCompleteIntersection, F: KClass, n: int, label: str = ""
 ) -> list[VerificationReport]:
     """Codimension-shift identity for a cut-out locus, plus the vanishing and
-    decomposition of the character numerator of the pushed-forward class."""
+    decomposition of the character numerator of the pushed-forward class.
+
+    The shift identity is the main theorem for the closed immersion of the
+    locus into its ambient tower (target the ambient, relative dimension
+    -codim): grr_error's d < 0 branch with its two sides swapped,
+    (T_n/T_{n-r}) i_*(ct_{n-r}(F, Z))  vs  ct_n(i_*[F], W).  The character
+    side reads the same images: those of the Koszul class i_*[F] up to degree
+    n, and those of F up to degree n - r."""
     if z.ambient is not w:
         raise InputError("locus does not live in the given tower")
     r = z.codim
     instance = f"{label or repr(w)}/cuts={z.cuts}/F={F.line_terms}/n={n}"
-    reports = []
-
-    koszul = z.koszul_class(F)
-    rhs = ct_on_tower(w, w.tangent_class(), _sheaf_images(koszul, n), n)
-    if n >= r:
-        lhs = ct_on_tower(w, z.tangent_class(), _sheaf_images(F, n - r), n - r)
-        lhs = (lhs * z.cut_product()).scale(todd_ratio(n, 0, n - r))
-    else:
-        lhs = w.zero_chow()
-    reports.append(
+    immersion = MorphismDatum(z, w.n_levels)
+    pushed, source = _instance_images(immersion, F, n)
+    rhs, lhs = grr_error(immersion, n, pushed, source)
+    reports = [
         VerificationReport.compare(
             "immersion-shift",
             instance,
@@ -334,31 +337,24 @@ def check_immersion(
             rhs.serialize(),
             notes="below the codimension both sides vanish" if n < r else None,
         )
-    )
+    ]
 
     # character-numerator pushforward: vanishing below codim, explicit sum above
-    normal = z.normal_class()
-    normal_chern = _chern_images(normal.total_chern(), n - r)
-    f_images = _sheaf_images(F, n)
+    normal_chern = _chern_images(z.normal_class().total_chern(), n - r)
+    cut = z.cut_product()
     for m in range(0, n + 1):
-        lhs_m = evaluate_universal(
-            universal_chern_character(m).numerator, w, _sheaf_images(koszul, m)
-        )
+        lhs_m = evaluate_universal(universal_chern_character(m).numerator, w, pushed)
         rhs_m = w.zero_chow()  # the sum is empty below the codimension
         for l in range(r, m + 1):
-            s_part = evaluate_universal(
-                universal_chern_character(m - l).numerator, w, f_images
-            )
-            inv = todd_inverse_numerator(l, r).numerator
-            inv_part = evaluate_universal(inv, w, normal_chern)
+            s_part = evaluate_universal(universal_chern_character(m - l).numerator, w, source)
+            inv_part = evaluate_universal(todd_inverse_numerator(l, r).numerator, w, normal_chern)
             rhs_m = rhs_m + (s_part * inv_part).scale(comb(m, l))
-        rhs_m = rhs_m * z.cut_product()
         reports.append(
             VerificationReport.compare(
                 "immersion-character-pushforward",
                 f"{instance}/degree={m}",
                 lhs_m.serialize(),
-                rhs_m.serialize(),
+                (rhs_m * cut).serialize(),
                 notes="vanishing below the codimension" if m < r else None,
             )
         )
@@ -559,10 +555,12 @@ class FormalFibration:
         return FormalFibration(1, fiber, {1: minus_k}, symbols, table, truncation)
 
     @staticmethod
-    def relative_surface(truncation: int = 3) -> "FormalFibration":
-        """d = 2; w is the first Chern class of the relative dualizing sheaf
-        (tangent c1 = -w) and c2 the second tangent Chern class.  The degree-3
-        pushforwards get the symbols s_w3 = f_*(w^3) and s_wc2 = f_*(w*c2)."""
+    def relative_surface() -> "FormalFibration":
+        """d = 2, truncated above degree 3; w is the first Chern class of the
+        relative dualizing sheaf (tangent c1 = -w) and c2 the second tangent
+        Chern class.  The degree-3 pushforwards get the symbols
+        s_w3 = f_*(w^3) and s_wc2 = f_*(w*c2)."""
+        truncation = 3
         fiber = Alphabet([("w", 1), ("c2f", 2)])
         symbols = Alphabet([("s_w3", 1), ("s_wc2", 1)])
         w = GradedPolynomial.variable(fiber, truncation, "w")

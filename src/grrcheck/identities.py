@@ -319,13 +319,14 @@ def check_restriction_substitution(max_degree: int) -> VerificationReport:
     )
 
 
-def check_immersion_todd_decomposition(max_degree: int, max_r: int = 3) -> VerificationReport:
+def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
     """T_m/T_{m-r} * Td-numerator of the source tangent decomposes through the
     inverse-Todd numerators of the normal class and the restricted ambient
-    tangent, for split tangent (y-roots) and normal (z-roots) classes."""
+    tangent, for split tangent (y-roots) and normal (z-roots) classes, at
+    normal ranks r = 1..3."""
     parts_l: list[tuple[str, GradedPolynomial]] = []
     parts_r: list[tuple[str, GradedPolynomial]] = []
-    for r in range(1, min(max_r, max_degree) + 1):
+    for r in range(1, min(3, max_degree) + 1):
         s_roots = max(1, min(3, max_degree - r))
         al = join_alphabets(root_alphabet("y", s_roots), root_alphabet("z", r))
         y_names = [f"y{i}" for i in range(1, s_roots + 1)]
@@ -355,7 +356,7 @@ def check_immersion_todd_decomposition(max_degree: int, max_r: int = 3) -> Verif
             parts_r.append((label, rhs))
     return VerificationReport.compare(
         "immersion-todd-decomposition",
-        f"ranks 1..{max_r}, degrees up to {max_degree}",
+        f"ranks 1..3, degrees up to {max_degree}",
         _blocks(parts_l),
         _blocks(parts_r),
         notes="scalars T_m/((j+r)! T_{m-r-j}) asserted integral",

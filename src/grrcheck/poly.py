@@ -220,9 +220,9 @@ class Alphabet:
         return "Alphabet(" + ", ".join(f"{n}:{w}" for n, w in self.variables) + ")"
 
 
-def weighted_alphabet(prefix: str, count: int, *, start_weight: int = 1) -> Alphabet:
-    """Variables prefix1..prefixN with weights start_weight, start_weight+1, ..."""
-    return Alphabet([(f"{prefix}{i}", start_weight + i - 1) for i in range(1, count + 1)])
+def weighted_alphabet(prefix: str, count: int) -> Alphabet:
+    """Variables prefix1..prefixN with weights 1, 2, ..., N."""
+    return Alphabet([(f"{prefix}{i}", i) for i in range(1, count + 1)])
 
 
 def root_alphabet(prefix: str, count: int) -> Alphabet:
@@ -454,7 +454,7 @@ class GradedPolynomial:
     def substitute(
         self,
         images: Mapping[str, "GradedPolynomial | Scalar"],
-        target: Alphabet | None = None,
+        target: Alphabet,
         truncation: int | None = None,
     ) -> "GradedPolynomial":
         """Substitute variables by polynomials (or scalars) over a target alphabet.
@@ -469,10 +469,6 @@ class GradedPolynomial:
             [self.truncation if truncation is None else truncation]
             + [p.truncation for p in polys]
         )
-        if target is None:
-            if not polys:
-                raise InputError("cannot infer target alphabet from scalar-only substitution")
-            target = polys[0].alphabet
         if any(p.alphabet != target for p in polys):
             raise InputError("substitution images live in different alphabets")
         full: dict[str, GradedPolynomial | Scalar] = {}

@@ -2,8 +2,10 @@
 
 A report's verdict is "pass" exactly when the two sides' canonical
 serializations are byte-identical; the first differing line is recorded as
-the discrepancy.  Timing is kept out of the default JSON encoding so that
-report streams are byte-identical across runs (see the CLI --timing flag).
+the discrepancy.  Every check of the suites and the CLI runs through
+run_check, so a falsification is one failed report and the caller keeps the
+rest.  Timing is kept out of the default JSON encoding so that report
+streams are byte-identical across runs (see the CLI --timing flag).
 
 A report's JSON line is byte for byte json.dumps(payload, separators=(",",
 ":")) of "schema" and then its fields in declaration order, notes only when
@@ -21,8 +23,8 @@ class FalsificationError(AssertionError):
     """An identity or integrality claim asserted by the theory failed.
 
     This is raised where a failure is fatal for the surrounding computation
-    (e.g. a non-exact scalar division); verification suites catch it and turn
-    it into a failed report.
+    (e.g. a non-exact scalar division); run_check catches it and turns it
+    into a failed report.
     """
 
     def __init__(self, message: str, *, identity: str = "", instance: str = ""):
@@ -78,11 +80,18 @@ class VerificationReport:
         )
 
 
-def timed(thunk) -> list[VerificationReport]:
-    """Run a thunk that returns one report or a list of them; stamp its wall
-    time in milliseconds as millis on the first report and 0 on the rest."""
+def run_check(identity: str, instance: str, check, *args) -> list[VerificationReport]:
+    """Run check(*args), which returns one report or a list of them; a
+    FalsificationError becomes one failed report (under the error's identity
+    and instance where it names them).  The wall time in milliseconds is
+    stamped as millis on the first report and 0 on the rest."""
     started = time.monotonic()
-    result = thunk()
+    try:
+        result = check(*args)
+    except FalsificationError as exc:
+        result = VerificationReport.failure(
+            exc.identity or identity, exc.instance or instance, str(exc)
+        )
     reports = result if isinstance(result, list) else [result]
     elapsed_ms = int((time.monotonic() - started) * 1000)
     for i, rep in enumerate(reports):

@@ -210,15 +210,15 @@ def _cached(key: tuple, builder) -> UniversalClass:
     return got
 
 
-def universal_todd(m: int, n_roots: int | None = None) -> UniversalClass:
+def universal_todd(m: int) -> UniversalClass:
     """The degree-m Todd polynomial Td_m and its numerator T_m * Td_m.
 
-    Generated by expanding the per-root series over n_roots (default m) roots,
+    Generated by expanding the per-root series over m roots (one at m = 0),
     scaling by T_m and reducing to elementary symmetric (Chern) variables.
     """
     if m < 0:
         raise InputError("degree must be >= 0")
-    n = max(m, 1) if n_roots is None else n_roots
+    n = max(m, 1)
 
     def build() -> UniversalClass:
         tm = todd_denominator(m).value
@@ -227,7 +227,7 @@ def universal_todd(m: int, n_roots: int | None = None) -> UniversalClass:
         numerator = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
         return _finish("todd", "todd", m, numerator, tm)
 
-    return _cached(("todd", m, n), build)
+    return _cached(("todd", m), build)
 
 
 def universal_chern_character(m: int) -> UniversalClass:

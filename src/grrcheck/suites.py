@@ -6,24 +6,22 @@ bundle with divisor coefficients in [-2, 2] and every meaningful codimension
 n <= 3 (codimensions beyond dim(base)+1 carry no content on these bases and
 are skipped; the first vacuous one is kept as a vanishing check).
 
-Suites never raise on a falsified identity: fatal falsifications inside the
-engine are caught and converted into failed reports, so the caller always
-receives the full stream and the exit-code contract stays simple.
+Suites never raise on a falsified identity: every check runs through
+report.run_check with the check function and its arguments, which turns a
+fatal falsification inside the engine into one failed report, so the caller
+always receives the full stream and the exit-code contract stays simple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
 
 from .arith import (
-    bernoulli,
     bernoulli_akiyama_tanigawa,
     check_divisibility_lemma,
     check_ekedahl_divisibility,
     fulton_macpherson_L,
-    todd_denominator,
     todd_ratio,
     von_staudt_D,
 )
@@ -44,27 +42,11 @@ from .grr import (
     check_main_theorem,
     check_surface_det_identity,
     euler_characteristic_via_chow,
+    kappa_expected,
 )
 from .identities import IDENTITY_CHECKS, howe_claims, verify_series_identity
-from .report import FalsificationError, VerificationReport, timed
+from .report import VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES
-
-
-def _guard(identity: str, instance: str, thunk) -> list[VerificationReport]:
-    """Run a report-producing thunk, turning falsifications into failed reports.
-
-    The thunk's wall time is stamped on its reports as by report.timed.
-    """
-
-    def run():
-        try:
-            return thunk()
-        except FalsificationError as exc:
-            return VerificationReport.failure(
-                exc.identity or identity, exc.instance or instance, str(exc)
-            )
-
-    return timed(run)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +97,126 @@ def _is_product_tower(levels: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# checks: module-level functions, each run by run_check with its arguments
+# ---------------------------------------------------------------------------
+
+
+def _class_integrality(kind: str, instance: str, args: tuple) -> list[VerificationReport]:
+    """An integer numerator for one generated class, and agreement of its two
+    generation routes."""
+    builder, oracle = UNIVERSAL_CLASSES[kind]
+    uc = builder(*args)
+    rep_int = VerificationReport.compare(
+        f"integrality:{kind}",
+        instance,
+        "integral" if uc.numerator.is_integral() else "non-integral",
+        "integral",
+    )
+    rep_agree = VerificationReport.compare(
+        f"route-agreement:{kind}",
+        instance,
+        uc.numerator.serialize(),
+        oracle(*args).serialize(),
+    )
+    return [rep_int, rep_agree]
+
+
+def _scalar_ratios(max_degree: int) -> VerificationReport:
+    """Exactness of every Todd-denominator ratio through max_degree."""
+    bad: list[str] = []
+    # j! T_{m-j} | T_m and T_{m-j} | T_m by the divisibility lemma, the
+    # factor j! as the part j - 1; every ratio at m = 0 is T_0/T_0 = 1
+    for m in range(1, max_degree + 1):
+        for j in range(0, m + 1):
+            todd_part = [m - j] * (m > j)
+            if not check_divisibility_lemma([j - 1] * (j > 1), todd_part, m)[0]:
+                bad.append(f"T_{m}/({j}!*T_{m - j})")
+            if not check_divisibility_lemma([], todd_part, m)[0]:
+                bad.append(f"T_{m}/T_{m - j}")
+    return VerificationReport.compare(
+        "integrality:scalars",
+        f"all ratios through degree {max_degree}",
+        "; ".join(bad) if bad else "all integral",
+        "all integral",
+    )
+
+
+def _pushes_to(identity: str, instance: str, line, expected: str) -> VerificationReport:
+    """Push one line bundle down one level and compare with expected."""
+    return VerificationReport.compare(
+        identity, instance, pushforward_k(line, 1).serialize(), expected
+    )
+
+
+def _euler_binomial(
+    tower: Tower, coeffs: tuple, fiber_dims: list[int], instance: str
+) -> VerificationReport:
+    """The Euler characteristic of a line bundle on a product tower against
+    the binomial-product oracle."""
+    chi = euler_characteristic(tower.line(coeffs))
+    expected = 1
+    for dim_f, a in zip(fiber_dims, coeffs):
+        expected *= chi_projective_space_oracle(dim_f, a)
+    return VerificationReport.compare(
+        "euler-binomial-oracle", instance, str(chi), str(expected)
+    )
+
+
+def _euler_hirzebruch(tower: Tower, F, instance: str) -> VerificationReport:
+    """The cycle-side degree of the top combined class against the K-side
+    Euler characteristic."""
+    return VerificationReport.compare(
+        "euler-hirzebruch-consistency",
+        instance,
+        str(euler_characteristic_via_chow(tower, F)),
+        str(Fraction(euler_characteristic(F))),
+    )
+
+
+def _kappa_coefficients(max_n: int) -> list[VerificationReport]:
+    """The tautological coefficient T_{2m} B_{2m} / (2m)! of kappa_expected
+    is an integer for every odd degree 2m - 1 <= max_n."""
+    out = []
+    for m in range(2, (max_n + 1) // 2 + 1):
+        coeff = kappa_expected(2 * m - 1)[0]
+        out.append(
+            VerificationReport.compare(
+                "kappa-coefficient-integrality",
+                f"m={m}",
+                "integer" if coeff.denominator == 1 else f"denominator {coeff.denominator}",
+                "integer",
+            )
+        )
+    return out
+
+
+def _von_staudt(g: int) -> tuple[str, str]:
+    denominator = (bernoulli_akiyama_tanigawa(2 * g) / (2 * g)).denominator
+    return str(von_staudt_D(g).value), str(denominator)
+
+
+def _hodge_torsion(g: int) -> tuple[str, str]:
+    ok, witness = check_ekedahl_divisibility(g)
+    if ok:
+        return f"quotient {witness}", f"quotient {witness}"
+    return f"failed at prime {witness}", "exact division"
+
+
+def _covering_defect(n: int) -> tuple[str, str]:
+    ln = fulton_macpherson_L(n)
+    defect = todd_ratio(n, n, 0)
+    divisible = defect % ln.value == 0
+    radical_ok = all(defect % p == 0 for p, _ in ln.factorization)
+    claim = f"L={ln.value} divides defect {defect}"
+    return f"{claim}: {divisible and radical_ok}", f"{claim}: True"
+
+
+def _compare_sides(identity: str, instance: str, sides, i: int) -> VerificationReport:
+    """Compare the two sides that sides(i) returns."""
+    return VerificationReport.compare(identity, instance, *sides(i))
+
+
+# ---------------------------------------------------------------------------
 # the suites
 # ---------------------------------------------------------------------------
 
@@ -122,8 +224,8 @@ def _is_product_tower(levels: list) -> bool:
 def suite_series_identities(max_degree: int = 8) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for name in sorted(IDENTITY_CHECKS):
-        reports.extend(
-            _guard(name, f"max degree {max_degree}", lambda n=name: verify_series_identity(n, max_degree))
+        reports += run_check(
+            name, f"max degree {max_degree}", verify_series_identity, name, max_degree
         )
     return reports
 
@@ -141,49 +243,12 @@ def suite_integrality(max_degree: int = 12) -> list[VerificationReport]:
         ("toddinv", [(m, r) for r in range(1, 5) for m in range(r, max(top, r) + 1)]),
     ]
     for kind, arg_lists in plans:
-        builder, oracle = UNIVERSAL_CLASSES[kind]
         for args in arg_lists:
             instance = f"degree {args[0]}" + "".join(f" rank {r}" for r in args[1:])
-
-            def run(kind=kind, args=args, instance=instance, builder=builder, oracle=oracle):
-                uc = builder(*args)
-                rep_int = VerificationReport.compare(
-                    f"integrality:{kind}",
-                    instance,
-                    "integral" if uc.numerator.is_integral() else "non-integral",
-                    "integral",
-                )
-                rep_agree = VerificationReport.compare(
-                    f"route-agreement:{kind}",
-                    instance,
-                    uc.numerator.serialize(),
-                    oracle(*args).serialize(),
-                )
-                return [rep_int, rep_agree]
-
-            reports.extend(_guard(f"integrality:{kind}", instance, run))
-
-    def scalars():
-        bad: list[str] = []
-        # j! T_{m-j} | T_m and T_{m-j} | T_m by the divisibility lemma, the
-        # factor j! as the part j - 1; every ratio at m = 0 is T_0/T_0 = 1
-        for m in range(1, max_degree + 1):
-            for j in range(0, m + 1):
-                todd_part = [m - j] * (m > j)
-                if not check_divisibility_lemma([j - 1] * (j > 1), todd_part, m)[0]:
-                    bad.append(f"T_{m}/({j}!*T_{m - j})")
-                if not check_divisibility_lemma([], todd_part, m)[0]:
-                    bad.append(f"T_{m}/T_{m - j}")
-        return [
-            VerificationReport.compare(
-                "integrality:scalars",
-                f"all ratios through degree {max_degree}",
-                "; ".join(bad) if bad else "all integral",
-                "all integral",
+            reports += run_check(
+                f"integrality:{kind}", instance, _class_integrality, kind, instance, args
             )
-        ]
-
-    reports.extend(_guard("integrality:scalars", "ratios", scalars))
+    reports += run_check("integrality:scalars", "ratios", _scalar_ratios, max_degree)
     return reports
 
 
@@ -192,33 +257,18 @@ def suite_projective_bundle(max_rank: int = 4) -> list[VerificationReport]:
     and structure-sheaf pushforward facts on model bundles."""
     reports: list[VerificationReport] = []
     for r in range(1, max_rank + 1):
-        reports.extend(
-            _guard(
-                "bundle-series-reduction",
-                f"r={r}",
-                lambda r=r: howe_claims(r, r + 4),
-            )
-        )
-
-    def pushes_to(identity: str, instance: str, line, expected: str) -> None:
-        """Check that pushing one line bundle down one level gives expected."""
-        reports.extend(
-            _guard(
-                identity,
-                instance,
-                lambda: VerificationReport.compare(
-                    identity, instance, pushforward_k(line, 1).serialize(), expected
-                ),
-            )
-        )
-
+        reports += run_check("bundle-series-reduction", f"r={r}", howe_claims, r, r + 4)
+    # (identity, instance, line bundle, its pushforward one level down)
+    pushes = []
     for r in range(1, max_rank):
         pr = projective_space(r)
         for a in range(-r, 0):
-            pushes_to("bundle-twist-vanishing", f"P{r}, twist {a}", pr.line((a,)), "")
-        pushes_to("bundle-structure-pushforward", f"P{r}", pr.structure_sheaf(), "1/1")
+            pushes.append(("bundle-twist-vanishing", f"P{r}, twist {a}", pr.line((a,)), ""))
+        pushes.append(("bundle-structure-pushforward", f"P{r}", pr.structure_sheaf(), "1/1"))
     twisted = model_tower("F1")
-    pushes_to("bundle-twist-vanishing", "F1, twist -1", twisted.line((0, -1)), "")
+    pushes.append(("bundle-twist-vanishing", "F1, twist -1", twisted.line((0, -1)), ""))
+    for identity, instance, line, expected in pushes:
+        reports += run_check(identity, instance, _pushes_to, identity, instance, line, expected)
     return reports
 
 
@@ -237,81 +287,46 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
                 F = tower.line(coeffs)
                 label = "O(" + ",".join(map(str, coeffs)) + ")"
                 for n in n_values:
-                    reports.extend(
-                        _guard(
-                            "main-theorem",
-                            f"{f.describe()}/sheaf={label}/n={n}",
-                            lambda f=f, F=F, n=n, label=label: check_main_theorem(
-                                f, F, n, label
-                            ),
-                        )
+                    instance = f"{f.describe()}/sheaf={label}/n={n}"
+                    reports += run_check(
+                        "main-theorem", instance, check_main_theorem, f, F, n, label
                     )
         # identity morphism: no levels collapsed, the error is zero by shape
         ident = MorphismDatum(tower, tower.n_levels, f"{name}->self")
         probe = tower.line((1,) * tower.n_levels)
         for n in range(0, min(3, tower.dim) + 1):
-            reports.extend(
-                _guard(
-                    "main-theorem",
-                    f"{ident.describe()}/n={n}",
-                    lambda f=ident, F=probe, n=n: check_main_theorem(f, F, n, "O(1,..)"),
-                )
+            reports += run_check(
+                "main-theorem", f"{ident.describe()}/n={n}",
+                check_main_theorem, ident, probe, n, "O(1,..)",
             )
         # Euler characteristic against the binomial-product oracle
         if _is_product_tower(levels):
             fiber_dims = [len(level) - 1 for level in levels]
             for coeffs in _sheaf_vectors(tower.n_levels, coefficient_bound):
                 instance = f"{name}/O({','.join(map(str, coeffs))})"
-
-                def oracle(tower=tower, coeffs=coeffs, instance=instance, dims=fiber_dims):
-                    chi = euler_characteristic(tower.line(coeffs))
-                    expected = 1
-                    for dim_f, a in zip(dims, coeffs):
-                        expected *= chi_projective_space_oracle(dim_f, a)
-                    return VerificationReport.compare(
-                        "euler-binomial-oracle", instance, str(chi), str(expected)
-                    )
-
-                reports.extend(_guard("euler-binomial-oracle", instance, oracle))
+                reports += run_check(
+                    "euler-binomial-oracle", instance,
+                    _euler_binomial, tower, coeffs, fiber_dims, instance,
+                )
         # cycle-side degree against the K-side Euler characteristic
         for coeffs in _sheaf_vectors(tower.n_levels, 1):
-            F = tower.line(coeffs)
-
-            def run(tower=tower, F=F, name=name, coeffs=coeffs):
-                via_chow = euler_characteristic_via_chow(tower, F)
-                return [
-                    VerificationReport.compare(
-                        "euler-hirzebruch-consistency",
-                        f"{name}/O({','.join(map(str, coeffs))})",
-                        str(via_chow),
-                        str(Fraction(euler_characteristic(F))),
-                    )
-                ]
-
-            reports.extend(_guard("euler-hirzebruch-consistency", name, run))
+            instance = f"{name}/O({','.join(map(str, coeffs))})"
+            reports += run_check(
+                "euler-hirzebruch-consistency", name,
+                _euler_hirzebruch, tower, tower.line(coeffs), instance,
+            )
 
     # cut-out loci over a base: composite pushforward instances
     p3p2 = build_tower([[()] * 4, [(0,)] * 3])
-    vci = VirtualCompleteIntersection(p3p2, ((1, 0),))
-    fv = MorphismDatum(vci, 1, "hyperplane-in-P3;P2->P3")
-    for n in range(0, 3):
-        reports.extend(
-            _guard(
-                "main-theorem",
-                f"{fv.describe()}/n={n}",
-                lambda n=n: check_main_theorem(fv, p3p2.structure_sheaf(), n, "O"),
+    for cuts, label, F, sheaf_label in [
+        (((1, 0),), "hyperplane-in-P3;P2->P3", p3p2.structure_sheaf(), "O"),
+        (((1, 1),), "bidegree-hyperplane-in-P3;P2->P3", p3p2.line((1, 0)), "O(1,0)"),
+    ]:
+        f = MorphismDatum(VirtualCompleteIntersection(p3p2, cuts), 1, label)
+        for n in range(0, 3):
+            reports += run_check(
+                "main-theorem", f"{label}/n={n}", check_main_theorem, f, F, n, sheaf_label
             )
-        )
-    vci2 = VirtualCompleteIntersection(p3p2, ((1, 1),))
-    fv2 = MorphismDatum(vci2, 1, "bidegree-hyperplane-in-P3;P2->P3")
-    for n in range(0, 3):
-        reports.extend(
-            _guard(
-                "main-theorem",
-                f"{fv2.describe()}/n={n}",
-                lambda n=n: check_main_theorem(fv2, p3p2.line((1, 0)), n, "O(1,0)"),
-            )
-        )
     return reports
 
 
@@ -333,14 +348,8 @@ def suite_immersion() -> list[VerificationReport]:
     for w, cuts, F, label in cases:
         z = VirtualCompleteIntersection(w, cuts)
         for n in range(0, 4):
-            reports.extend(
-                _guard(
-                    "immersion-shift",
-                    f"{label}/n={n}",
-                    lambda w=w, z=z, F=F, n=n, label=label: check_immersion(
-                        w, z, F, n, label
-                    ),
-                )
+            reports += run_check(
+                "immersion-shift", f"{label}/n={n}", check_immersion, w, z, F, n, label
             )
     return reports
 
@@ -350,12 +359,9 @@ def suite_divisor_calculus(max_m: int = 3) -> list[VerificationReport]:
     p3 = projective_space(3)
     for a, b in [(1, 1), (1, 2), (2, 1), (2, 3)]:
         for m in range(1, max_m + 1):
-            reports.extend(
-                _guard(
-                    "divisor-restriction",
-                    f"P3/a={a}/b={b}/m={m}",
-                    lambda a=a, b=b, m=m: check_divisor_calculus(p3, a, b, m, "P3"),
-                )
+            reports += run_check(
+                "divisor-restriction", f"P3/a={a}/b={b}/m={m}",
+                check_divisor_calculus, p3, a, b, m, "P3",
             )
     return reports
 
@@ -363,84 +369,33 @@ def suite_divisor_calculus(max_m: int = 3) -> list[VerificationReport]:
 def suite_kappa(max_n: int = 9) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for n in range(1, max_n + 1):
-        reports.extend(
-            _guard("kappa-multiple", f"n={n}", lambda n=n: check_kappa_identity(n))
-        )
-
-    def coefficients():
-        out = []
-        for m in range(2, (max_n + 1) // 2 + 1):
-            coeff = (
-                Fraction(todd_denominator(2 * m).value)
-                * bernoulli(2 * m)
-                / factorial(2 * m)
-            )
-            out.append(
-                VerificationReport.compare(
-                    "kappa-coefficient-integrality",
-                    f"m={m}",
-                    "integer" if coeff.denominator == 1 else f"denominator {coeff.denominator}",
-                    "integer",
-                )
-            )
-        return out
-
-    reports.extend(_guard("kappa-coefficient-integrality", "range", coefficients))
+        reports += run_check("kappa-multiple", f"n={n}", check_kappa_identity, n)
+    reports += run_check("kappa-coefficient-integrality", "range", _kappa_coefficients, max_n)
     return reports
 
 
 def suite_surface_det(max_m: int = 6) -> list[VerificationReport]:
-    return [
-        rep
-        for m in range(0, max_m + 1)
-        for rep in _guard(
-            "surface-determinant-exponent",
-            f"m={m}",
-            lambda m=m: check_surface_det_identity(m),
+    reports: list[VerificationReport] = []
+    for m in range(0, max_m + 1):
+        reports += run_check(
+            "surface-determinant-exponent", f"m={m}", check_surface_det_identity, m
         )
-    ]
+    return reports
 
 
 def suite_number_theory() -> list[VerificationReport]:
     """The divisibility corollaries: vanishing-order denominators, the
     factorial-multiple divisibility, and the covering-map defect radicals."""
-
-    def von_staudt(g: int) -> tuple[str, str]:
-        denominator = (bernoulli_akiyama_tanigawa(2 * g) / (2 * g)).denominator
-        return str(von_staudt_D(g).value), str(denominator)
-
-    def hodge_torsion(g: int) -> tuple[str, str]:
-        ok, witness = check_ekedahl_divisibility(g)
-        if ok:
-            return f"quotient {witness}", f"quotient {witness}"
-        return f"failed at prime {witness}", "exact division"
-
-    def covering_defect(n: int) -> tuple[str, str]:
-        ln = fulton_macpherson_L(n)
-        defect = todd_ratio(n, n, 0)
-        divisible = defect % ln.value == 0
-        radical_ok = all(defect % p == 0 for p, _ in ln.factorization)
-        claim = f"L={ln.value} divides defect {defect}"
-        return f"{claim}: {divisible and radical_ok}", f"{claim}: True"
-
     plans = [
-        ("von-staudt-denominator", "g", range(1, 21), von_staudt),
-        ("hodge-torsion-divisibility", "g", range(2, 16), hodge_torsion),
-        ("covering-defect-radical", "n", range(1, 13), covering_defect),
+        ("von-staudt-denominator", "g", range(1, 21), _von_staudt),
+        ("hodge-torsion-divisibility", "g", range(2, 16), _hodge_torsion),
+        ("covering-defect-radical", "n", range(1, 13), _covering_defect),
     ]
     reports: list[VerificationReport] = []
     for identity, index, values, sides in plans:
         for i in values:
             instance = f"{index}={i}"
-            reports.extend(
-                _guard(
-                    identity,
-                    instance,
-                    lambda identity=identity, instance=instance, sides=sides, i=i: (
-                        VerificationReport.compare(identity, instance, *sides(i))
-                    ),
-                )
-            )
+            reports += run_check(identity, instance, _compare_sides, identity, instance, sides, i)
     return reports
 
 

