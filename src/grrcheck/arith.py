@@ -50,9 +50,6 @@ class FactoredInteger:
     def exponents(self) -> dict[int, int]:
         return dict(self.factorization)
 
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         if not self.factorization:
             return str(self.value)

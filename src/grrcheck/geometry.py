@@ -8,17 +8,22 @@ bundle,
 
     Chow relation   sum_j (-1)^j c_j(E) xi^{r+1-j} = 0
     K relation      sum_j (-1)^j [wedge^j E] l^{r+1-j} = 0
-    K pushforward   pi_* l^a = Sym^a E  for 0 <= a <= r.
+    K pushforward   pi_* l^a = Sym^a E                               a >= 0
+                             = 0                                     -r <= a < 0
+                             = (-1)^r det(E)^{-1} Sym^{-a-r-1}(E^*)  a < -r
 
-So the Chow ring is the integer polynomial ring on xi1..xiK modulo one
-relation per level, with monomial basis { prod xi_k^{a_k} : 0 <= a_k <= r_k },
-and the K-group is free on the same exponent range in the line classes l_k.
-Negative powers of l are rewritten through l^{-1}, which the K relation
-gives as (det E)^{-1} times a polynomial in l, so every K class stays an
-integer combination of line symbols.  The pushforward of l^a for an a outside
-[0, r] comes from the same relation: each tower keeps pi_* l^a in a table
-grown one exponent at a time outward from the symmetric powers, so a twist by
-a costs |a| steps.
+(the last by Serre duality on the fibres).  So the Chow ring is the integer
+polynomial ring on xi1..xiK modulo one relation per level, with monomial basis
+{ prod xi_k^{a_k} : 0 <= a_k <= r_k }, and the K-group is free on the same
+exponent range in the line classes l_k.  Negative powers of l are rewritten
+through l^{-1}, which the K relation gives as (det E)^{-1} times a polynomial
+in l, so every K class stays an integer combination of line symbols.  Each
+tower keeps pi_* l^a for the exponents it has been asked for, each read from
+the closed form above.
+
+The exterior and symmetric powers of a virtual class sum_L m_L L are the t^n
+coefficients of prod_L (1 + s L t)^(s m_L), s = 1 for wedge and s = -1 for
+sym; the coefficient of L^a in one factor is s^a binom(s m_L, a).
 
 Conventions (validated by the binomial oracle and the twist-vanishing checks):
 the bundle is the Proj of the symmetric algebra and the hyperplane class is
@@ -32,8 +37,9 @@ vanish.  Sums, differences, scalings, graded parts and pushforwards keep
 normal form and build their results without a rewrite.
 
 Every sum of term maps here (Chow and K sums, scalings and products, the
-rewrite step, twists and the K-pushforward) is grrcheck.poly.accumulate,
-which drops cancelled terms and stores integral values as ints.
+rewrite step, twists, the lambda operations and the K-pushforward) is
+grrcheck.poly.accumulate, which drops cancelled terms and stores integral
+values as ints.
 
 A class's canonical text is the polynomial text form of its normal-form
 terms (grrcheck.poly.serialize_terms), in xi1..xiK or in l1..lK.
@@ -46,8 +52,8 @@ may be shared read-only by concurrent verification jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from math import prod
+from math import comb, prod
+from operator import add
 from typing import Mapping, Sequence
 
 from .arith import InputError
@@ -60,6 +66,11 @@ DivisorVector = tuple[int, ...]  # one integer per tower level
 Rule = dict[Monomial, int]
 
 
+def _binomial(n: int, a: int) -> int:
+    """binom(n, a) for every integer n and a >= 0."""
+    return comb(n, a) if n >= 0 else (-1) ** a * comb(a - n - 1, a)
+
+
 def _padded(rule: Rule) -> Rule:
     return {m + (0,): c for m, c in rule.items()}
 
@@ -69,7 +80,8 @@ class Tower:
 
     E is the split bundle of the top level's line summands, a KClass on the
     base; its total Chern class gives the Chow relation, its exterior powers
-    the K relation and its symmetric powers the K-pushforward images.
+    the K relation, and the symmetric powers of E and of its dual the
+    K-pushforward images.
     """
 
     def __init__(self, levels: Sequence[Sequence[DivisorVector]]):
@@ -89,8 +101,8 @@ class Tower:
         # per level (above, below) rules; the Chow ring has no negative exponents
         self._chow_rules: list[tuple[Rule, Rule]] = []
         self._k_rules: list[tuple[Rule, Rule]] = []
-        # a -> pi_* l^a on the base for the top level's line class l: seeded
-        # with Sym^a E for 0 <= a <= r, filled outward by _pushed_power
+        # a -> pi_* l^a on the base for the top level's line class l, filled
+        # by _pushed_power for the exponents asked for
         self._pushed: dict[int, dict[DivisorVector, int]] = {}
         if self.base is None:
             return
@@ -119,20 +131,19 @@ class Tower:
         self._chow_rules.append((chow_above, {}))
         # l^{r+1} -> sum_{j>=1} (-1)^{j+1} wedge^j E l^{r+1-j}, and multiplying
         # the relation by l^{-1}: l^{-1} -> sum_{j<=r} (-1)^{r+j} wedge^j E det(E)^{-1} l^{r-j}
-        wedges = [bundle.wedge(j) for j in range(r + 2)]
-        (det,) = wedges[r + 1].line_terms
+        wedges = bundle._lambda_terms(r + 1, 1, False)  # wedge^j E for every j, in one pass
+        (det,) = wedges[r + 1]
+        self._bundle, self._dual_bundle = bundle, bundle.dual()
+        self._det_inverse = tuple(-x for x in det)
         k_above = {
-            v + (-j,): c if j % 2 else -c
-            for j in range(1, r + 2)
-            for v, c in wedges[j].line_terms.items()
+            v + (-j,): c if j % 2 else -c for j in range(1, r + 2) for v, c in wedges[j].items()
         }
         k_below = {
-            v + (r + 1 - j,): c if (r + j) % 2 == 0 else -c
+            tuple(map(add, v, self._det_inverse)) + (r + 1 - j,): c if (r + j) % 2 == 0 else -c
             for j in range(r + 1)
-            for v, c in wedges[j].twist(tuple(-x for x in det)).line_terms.items()
+            for v, c in wedges[j].items()
         }
         self._k_rules.append((k_above, k_below))
-        self._pushed = {a: bundle.sym(a).line_terms for a in range(r + 1)}
 
     def _pad(self, vec: DivisorVector) -> DivisorVector:
         return vec + (0,) * (self.n_levels - len(vec))
@@ -158,26 +169,17 @@ class Tower:
 
     def _pushed_power(self, a: int) -> dict[DivisorVector, int]:
         """pi_* l^a on the base, for the top level's line class l and any
-        integer a.  The table starts at Sym^a E for 0 <= a <= r and grows one
-        exponent at a time away from it: the K rule that rewrites l^a (above
-        r, or below 0) into terms c * L * l^b with b nearer the range gives
-        pi_* l^a = sum c * L * pi_* l^b by the projection formula.  This is
-        the remainder of l^a modulo the monic K relation, unique because its
-        constant term det(E) is a unit, so the result equals banding l^a
-        into [0, r] first; each new exponent costs one pass over the rule."""
+        integer a, from the closed form of the module docstring."""
         table = self._pushed
         if a not in table:
-            above, below = self._k_rules[-1]
-            if a > 0:
-                rule, todo = above, range(max(table) + 1, a + 1)
+            r = self.ranks[-1]
+            if a >= 0:
+                table[a] = self._bundle.sym(a).line_terms
+            elif a >= -r:
+                table[a] = {}
             else:
-                rule, todo = below, range(min(table) - 1, a - 1, -1)
-            steps = [(o[-1], c, o[:-1] if any(o[:-1]) else None) for o, c in rule.items()]
-            for b in todo:
-                out: dict[DivisorVector, int] = {}
-                for step, c, shift in steps:
-                    accumulate(out, table[b + step], c, shift)
-                table[b] = out
+                sym = self._dual_bundle.sym(-a - r - 1).line_terms
+                table[a] = accumulate({}, sym, -1 if r % 2 else 1, self._det_inverse)
         return table[a]
 
     # -- public structure -------------------------------------------------
@@ -346,9 +348,6 @@ class ChowClass:
             return NotImplemented
         return self.tower is other.tower and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("ChowClass is not hashable")
-
     def serialize(self) -> str:
         return serialize_terms(self.tower.alphabet, self.terms)
 
@@ -425,36 +424,35 @@ class KClass:
         vec = self.tower._pad(tuple(vec))
         return KClass(self.tower, accumulate({}, self.line_terms, 1, vec))
 
-    def _effective_symbols(self) -> list[DivisorVector]:
-        symbols: list[DivisorVector] = []
-        for v, c in sorted(self.line_terms.items()):
-            if c < 0:
-                raise InputError(
-                    "wedge/sym require an effective class; "
-                    f"symbol {v} has multiplicity {c}"
-                )
-            symbols.extend([v] * c)
-        return symbols
-
-    def _power(self, n: int, kind: str, choose) -> "KClass":
-        """The n-th exterior (choose = combinations) or symmetric (choose =
-        combinations_with_replacement) power of an effective class."""
-        symbols = self._effective_symbols()
+    def _lambda_terms(self, n: int, s: int, only_n: bool) -> dict[int, dict[DivisorVector, int]]:
+        """t-degree d -> terms of the t^d coefficient of prod_L (1 + s L t)^(s m_L)
+        over the line symbols L with multiplicity m_L, for d <= n (only d = n
+        when only_n): wedge^d for s = 1, Sym^d for s = -1.  The coefficient
+        of L^a in one factor is s^a binom(s m_L, a), a polynomial in m_L, so
+        this holds for every virtual class.  The product is taken one symbol
+        at a time; with only_n the last symbol only tops each degree up to n."""
         if n < 0:
-            raise InputError(f"{kind} index must be >= 0")
-        out: dict[DivisorVector, int] = {}
-        for picked in choose(symbols, n):
-            key = tuple(sum(col) for col in zip(*picked)) if picked else (0,) * self.tower.n_levels
-            out[key] = out.get(key, 0) + 1
-        return KClass(self.tower, out)
+            raise InputError(f"{'wedge' if s > 0 else 'sym'} index must be >= 0")
+        parts = {0: {(0,) * self.tower.n_levels: 1}}
+        items = sorted(self.line_terms.items())
+        for i, (vec, m) in enumerate(items):
+            top = s * m if s * m >= 0 else n  # binom(s m, a) = 0 for a > s m >= 0
+            out: dict[int, dict[DivisorVector, int]] = {}
+            for d, terms in parts.items():
+                low = n - d if only_n and i == len(items) - 1 else 0
+                for a in range(low, min(n - d, top) + 1):
+                    shift = tuple(a * x for x in vec) if a else None
+                    accumulate(out.setdefault(d + a, {}), terms, s**a * _binomial(s * m, a), shift)
+            parts = out
+        return parts
 
     def wedge(self, i: int) -> "KClass":
-        """i-th exterior power of an effective class (multiset semantics)."""
-        return self._power(i, "wedge", combinations)
+        """i-th exterior power."""
+        return KClass(self.tower, self._lambda_terms(i, 1, True).get(i, {}))
 
     def sym(self, a: int) -> "KClass":
-        """a-th symmetric power of an effective class."""
-        return self._power(a, "sym", combinations_with_replacement)
+        """a-th symmetric power."""
+        return KClass(self.tower, self._lambda_terms(a, -1, True).get(a, {}))
 
     def total_chern(self) -> ChowClass:
         """prod (1 + D)^m over the line symbols, each factor taken into the
@@ -465,9 +463,9 @@ class KClass:
         total = tower.unit_chow()
         for vec, mult in sorted(self.line_terms.items()):
             d = tower.divisor_chow(vec)
-            power, binom = total, 1
+            power = total
             for i in range(1, tower.dim + 1):
-                binom = binom * (mult - i + 1) // i  # exact: binom(m, i)
+                binom = _binomial(mult, i)
                 if not binom:
                     break
                 power = power * d
@@ -489,9 +487,6 @@ class KClass:
         if self.line_terms == other.line_terms:
             return True
         return self.normal_form() == other.normal_form()
-
-    def __hash__(self):
-        raise TypeError("KClass is not hashable")
 
     def serialize(self) -> str:
         """Canonical text of the class in normal form, one line per basis

@@ -40,8 +40,15 @@ from .series import (
 )
 
 
-def _blocks(parts: list[tuple[str, GradedPolynomial]]) -> str:
-    return "\n".join(f"# {label}\n{p.serialize()}" for label, p in parts)
+Row = tuple[str, GradedPolynomial, GradedPolynomial]  # (label, lhs, rhs) of one block
+
+
+def _compare_blocks(
+    identity: str, instance: str, rows: list[Row], notes: str | None = None
+) -> VerificationReport:
+    """Compare the two sides, each one "# label" block per row."""
+    lhs, rhs = ("\n".join(f"# {row[0]}\n{row[i].serialize()}" for row in rows) for i in (1, 2))
+    return VerificationReport.compare(identity, instance, lhs, rhs, notes)
 
 
 def _substituted_chern_numerator(m: int, rank, cp_values, target, bound: int) -> GradedPolynomial:
@@ -145,8 +152,7 @@ def _root_configs(max_degree: int) -> list[tuple[int, int, int]]:
 
 
 def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
-    parts_l: list[tuple[str, GradedPolynomial]] = []
-    parts_r: list[tuple[str, GradedPolynomial]] = []
+    rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
         al = join_alphabets(root_alphabet("u", p), root_alphabet("v", q))
         u_names = [f"u{i}" for i in range(1, p + 1)]
@@ -170,20 +176,17 @@ def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
             rhs_m = GradedPolynomial.zero(al, cap)
             for i in range(m + 1):
                 rhs_m = rhs_m + (s_a[i] * s_b[m - i]).scale(comb(m, i))
-            parts_l.append((label, lhs_m))
-            parts_r.append((label, rhs_m))
-    return VerificationReport.compare(
+            rows.append((label, lhs_m, rhs_m))
+    return _compare_blocks(
         "chern-multiplicativity",
         "tensor product of split classes",
-        _blocks(parts_l),
-        _blocks(parts_r),
+        rows,
         notes="binomial scalars m!/(i!(m-i)!) are integers by construction",
     )
 
 
 def check_todd_additivity(max_degree: int) -> VerificationReport:
-    parts_l: list[tuple[str, GradedPolynomial]] = []
-    parts_r: list[tuple[str, GradedPolynomial]] = []
+    rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
         al = join_alphabets(root_alphabet("u", p), root_alphabet("v", q))
         u_names = [f"u{i}" for i in range(1, p + 1)]
@@ -204,13 +207,11 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
                     tm, todd_denominator(i).value * todd_denominator(m - i).value
                 )
                 rhs_m = rhs_m + (td_a[i] * td_b[m - i]).scale(scalar)
-            parts_l.append((label, lhs_m))
-            parts_r.append((label, rhs_m))
-    return VerificationReport.compare(
+            rows.append((label, lhs_m, rhs_m))
+    return _compare_blocks(
         "todd-additivity",
         "direct sum of split classes",
-        _blocks(parts_l),
-        _blocks(parts_r),
+        rows,
         notes="scalars T_m/(T_i*T_{m-i}) asserted integral",
     )
 
@@ -224,8 +225,7 @@ def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
     """
     from itertools import combinations
 
-    parts_l: list[tuple[str, GradedPolynomial]] = []
-    parts_r: list[tuple[str, GradedPolynomial]] = []
+    rows: list[Row] = []
     for g in range(1, max_g + 1):
         al = root_alphabet("x", g)
         names = al.names()
@@ -241,13 +241,11 @@ def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
         cp_values = {i: total.graded_part(i) for i in range(1, g + 1)}
         lhs = _substituted_chern_numerator(g, 0, cp_values, al, g)
         rhs = elementary_symmetric(al, names, g, g).scale(factorial(g))
-        parts_l.append((f"g={g}", lhs))
-        parts_r.append((f"g={g}", rhs))
-    return VerificationReport.compare(
+        rows.append((f"g={g}", lhs, rhs))
+    return _compare_blocks(
         "top-chern-from-wedges",
         f"split rank g, g=1..{max_g}",
-        _blocks(parts_l),
-        _blocks(parts_r),
+        rows,
         notes="virtual rank 0 substituted for the rank variable",
     )
 
@@ -258,8 +256,7 @@ def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
     The virtual class [O]-[O(-D)] has rank 0 and total Chern class
     1/(1 - x), i.e. cp_i -> x^i.
     """
-    parts_l: list[tuple[str, GradedPolynomial]] = []
-    parts_r: list[tuple[str, GradedPolynomial]] = []
+    rows: list[Row] = []
     for m in range(1, max_degree + 1):
         al = join_alphabets(tangent_alphabet(m), Alphabet([("x", 1)]))
         x = GradedPolynomial.variable(al, m, "x")
@@ -268,13 +265,11 @@ def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
         for i in range(1, m + 1):
             images[f"cp{i}"] = x.power(i)
         rhs = universal_ct(m).numerator.substitute(images, al)
-        parts_l.append((f"degree {m}", lhs))
-        parts_r.append((f"degree {m}", rhs))
-    return VerificationReport.compare(
+        rows.append((f"degree {m}", lhs, rhs))
+    return _compare_blocks(
         "divisor-todd-vs-ct",
         f"degrees 1..{max_degree}",
-        _blocks(parts_l),
-        _blocks(parts_r),
+        rows,
         notes="scalars T_m/T_{m-1} asserted integral",
     )
 
@@ -284,8 +279,7 @@ def check_restriction_substitution(max_degree: int) -> VerificationReport:
     c_i -> c_i + x*c_{i-1} (with c_0 = 1)."""
     from .series import todd_inverse_root_series
 
-    parts_l: list[tuple[str, GradedPolynomial]] = []
-    parts_r: list[tuple[str, GradedPolynomial]] = []
+    rows: list[Row] = []
     for m in range(0, max_degree + 1):
         al = join_alphabets(tangent_alphabet(m), Alphabet([("x", 1)]))
         x = GradedPolynomial.variable(al, m, "x")
@@ -309,14 +303,8 @@ def check_restriction_substitution(max_degree: int) -> VerificationReport:
             if m
             else GradedPolynomial.constant(al, 0, 1)
         )
-        parts_l.append((f"degree {m}", lhs))
-        parts_r.append((f"degree {m}", rhs))
-    return VerificationReport.compare(
-        "todd-restriction-substitution",
-        f"degrees 0..{max_degree}",
-        _blocks(parts_l),
-        _blocks(parts_r),
-    )
+        rows.append((f"degree {m}", lhs, rhs))
+    return _compare_blocks("todd-restriction-substitution", f"degrees 0..{max_degree}", rows)
 
 
 def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
@@ -324,8 +312,7 @@ def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
     inverse-Todd numerators of the normal class and the restricted ambient
     tangent, for split tangent (y-roots) and normal (z-roots) classes, at
     normal ranks r = 1..3."""
-    parts_l: list[tuple[str, GradedPolynomial]] = []
-    parts_r: list[tuple[str, GradedPolynomial]] = []
+    rows: list[Row] = []
     for r in range(1, min(3, max_degree) + 1):
         s_roots = max(1, min(3, max_degree - r))
         al = join_alphabets(root_alphabet("y", s_roots), root_alphabet("z", r))
@@ -352,13 +339,11 @@ def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
             for j in range(m - r + 1):
                 coef = todd_ratio(m, j + r, m - r - j)
                 rhs = rhs + (inv[j] * td_all[m - r - j]).scale(coef)
-            parts_l.append((label, lhs))
-            parts_r.append((label, rhs))
-    return VerificationReport.compare(
+            rows.append((label, lhs, rhs))
+    return _compare_blocks(
         "immersion-todd-decomposition",
         f"ranks 1..3, degrees up to {max_degree}",
-        _blocks(parts_l),
-        _blocks(parts_r),
+        rows,
         notes="scalars T_m/((j+r)! T_{m-r-j}) asserted integral",
     )
 

@@ -76,7 +76,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, mul
 from struct import Struct
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .arith import InputError
 
@@ -213,9 +213,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.variables)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __repr__(self) -> str:
         return "Alphabet(" + ", ".join(f"{n}:{w}" for n, w in self.variables) + ")"
 
@@ -312,20 +309,11 @@ class GradedPolynomial:
         keys = self.alphabet.keys
         return sorted(self.terms.items(), key=lambda kv: keys[kv[0]])
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
-        return iter(self.terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other: object) -> bool:
         """Equality of alphabet and terms (truncation bound not compared)."""
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         return self.alphabet == other.alphabet and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("GradedPolynomial is not hashable")
 
     # -- arithmetic ----------------------------------------------------
 

@@ -82,16 +82,17 @@ class VerificationReport:
 
 def run_check(identity: str, instance: str, check, *args) -> list[VerificationReport]:
     """Run check(*args), which returns one report or a list of them; a
-    FalsificationError becomes one failed report (under the error's identity
-    and instance where it names them).  The wall time in milliseconds is
-    stamped as millis on the first report and 0 on the rest."""
+    FalsificationError becomes one failed report under this check's identity
+    and instance, its discrepancy led by the claim the error names where that
+    is another one.  The wall time in milliseconds is stamped as millis on
+    the first report and 0 on the rest."""
     started = time.monotonic()
     try:
         result = check(*args)
     except FalsificationError as exc:
-        result = VerificationReport.failure(
-            exc.identity or identity, exc.instance or instance, str(exc)
-        )
+        named = (exc.identity or identity, exc.instance or instance)
+        claim = "" if named == (identity, instance) else " ".join(filter(None, named)) + ": "
+        result = VerificationReport.failure(identity, instance, f"{claim}{exc}")
     reports = result if isinstance(result, list) else [result]
     elapsed_ms = int((time.monotonic() - started) * 1000)
     for i, rep in enumerate(reports):

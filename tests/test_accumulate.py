@@ -219,7 +219,7 @@ def test_k_classes():
                 k = current.n_levels - 1
                 banded = ref_normal_form(current, pushed, current._k_rules, levels=(k,))
                 pushed = ref_add(
-                    *((current._pushed[v[k]], c, v[:k]) for v, c in banded.items())
+                    *((current._pushed_power(v[k]), c, v[:k]) for v, c in banded.items())
                 )
                 current = current.base
             result = pushforward_k(f, n)

@@ -228,10 +228,21 @@ class TestVerify:
         assert code == 0 and lines
         assert all(json.loads(line)["verdict"] == "pass" for line in lines)
 
+    @pytest.mark.parametrize("sheaf", ["sym(2000, O(h)+O(h)+O(h))", "wedge(2, O(h) - O)"])
+    def test_lambda_operations_of_any_class(self, sheaf, capsys):
+        # one symbol's Sym^2000 is a single binomial coefficient, and the
+        # exterior powers of a virtual class are defined
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+                "--sheaf", sheaf]
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == 12
+        assert all(json.loads(line)["verdict"] == "pass" for line in lines)
+
     @pytest.mark.parametrize("a", [100000, -100000])
     def test_large_twist(self, a, capsys):
-        # pi_* O(a*h) is built one exponent at a time from the K relation,
-        # so a twist of 10^5 costs 10^5 steps, not a banding quadratic in a
+        # pi_* O(a*h) is one symmetric power read in closed form, not a
+        # banding quadratic in a
         argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
                 "--sheaf", f"O({a}*h)", "-n", "1"]
         code = main(argv)
@@ -312,7 +323,8 @@ class TestVerify:
 
     def test_fractional_ct_mutation_above_the_dimension_exit_one(self, capsys):
         # ct_2 on P1 is zero above the dimension, but the mutated class is
-        # still built first, so its integrality failure is reported
+        # still built first, so its integrality failure is reported, under
+        # the instance it falsified
         code = main(
             [
                 "verify", "main-theorem", "--geometry", "P(trivial 2) over point",
@@ -322,14 +334,16 @@ class TestVerify:
         )
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert code == 1
-        assert any(
-            r["identity"] == "integrality:ct" and r["verdict"] == "fail" for r in lines
-        )
+        assert [(r["identity"], r["instance"], r["verdict"]) for r in lines] == [
+            ("main-theorem", "P(trivial 2) over point/sheaf=O(xi1)/n=1", "fail")
+        ]
+        assert lines[0]["discrepancy"].startswith("integrality:ct degree 2: ct: ")
 
     def test_falsified_n_keeps_the_other_n(self, capsys):
         # without -n the query runs n = 0..3, each as its own check: the
-        # mutated ct_2 falsifies n = 1 and 2, one failed report each, and the
-        # reports of n = 0 and 3 still print
+        # mutated ct_2 falsifies n = 1 and 2, one failed report each under its
+        # own instance, naming the class that failed, and the reports of n = 0
+        # and 3 still print
         code = main(
             [
                 "verify", "main-theorem", "--geometry", "P(trivial 2) over point",
@@ -345,8 +359,11 @@ class TestVerify:
                              "main-theorem-decomposition")
             for n in (0, 3)
         }
-        failed = [(r["identity"], r["instance"]) for r in lines if r["verdict"] == "fail"]
-        assert failed == [("integrality:ct", "degree 2")] * 2
+        failed = [r for r in lines if r["verdict"] == "fail"]
+        assert [(r["identity"], r["instance"]) for r in failed] == [
+            ("main-theorem", f"P(trivial 2) over point/sheaf=O/n={n}") for n in (1, 2)
+        ]
+        assert all(r["discrepancy"].startswith("integrality:ct degree 2: ct: ") for r in failed)
 
     def test_timing_flag_adds_millis(self, capsys):
         main(["verify", "surface-det", "--timing"])

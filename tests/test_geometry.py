@@ -420,16 +420,26 @@ class TestLambdaOps:
         f = t.line((2, -1)) + t.line((0, 1)).scale(3)
         assert f.dual().dual() == f
 
-    def test_virtual_rejected(self):
+    def test_virtual_class(self):
+        # lambda_t(L - O) = (1 + L t)/(1 + t) and sigma_t(L - O) = (1 - t)/(1 - L t)
         p2 = projective_space(2)
         virt = p2.line((1,)) - p2.structure_sheaf()
+        assert virt.wedge(1) == virt
+        assert virt.wedge(2).line_terms == {(0,): 1, (1,): -1}
+        assert virt.sym(2).line_terms == {(2,): 1, (1,): -1}
         with pytest.raises(InputError):
-            virt.wedge(1)
-        with pytest.raises(InputError):
-            virt.sym(2)
+            virt.sym(-1)
 
 
 class TestKPushforward:
+    def test_large_twist_keeps_only_the_exponent_asked_for(self):
+        # pi_* l^a = Sym^a(O + O(h)) = sum_{b <= a} O(b h) on P1, of Euler
+        # characteristic sum_{b <= a} (b + 1)
+        t = hirzebruch()
+        a = 8000
+        assert euler_characteristic(t.line((0, a))) == (a + 1) * (a + 2) // 2
+        assert list(t._pushed) == [a]
+
     def test_positive_twists_match_binomial_oracle(self):
         for n in range(1, 5):
             pn = projective_space(n)

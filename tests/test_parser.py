@@ -1,6 +1,5 @@
 import pytest
 
-from grrcheck.arith import InputError
 from grrcheck.specparse import (
     ParseError,
     ScopeError,
@@ -127,9 +126,9 @@ class TestClassParsing:
         g = evaluate_class(parse_class("dual(O(2*h))"), self.scope)
         assert g.line_terms == {(-2,): 1}
 
-    def test_wedge_on_virtual_rejected(self):
-        with pytest.raises(InputError):
-            evaluate_class(parse_class("wedge(1, O - O(h))"), self.scope)
+    def test_wedge_on_virtual(self):
+        f = evaluate_class(parse_class("wedge(1, O - O(h))"), self.scope)
+        assert f.line_terms == {(0,): 1, (1,): -1}
 
     def test_unknown_name(self):
         with pytest.raises(ScopeError):

@@ -114,7 +114,7 @@ class TestGradedPolynomial:
         q = p.embed(big)
         assert q.coefficient(x2=1) == 1
         r = p.rename({"x2": "z"})
-        assert "z" in r.alphabet
+        assert "z" in r.alphabet.names()
 
 
 def _random_polynomial(rng, alphabet, truncation, n_terms):

@@ -490,7 +490,7 @@ class TestIdentities:
                 for order in (factors, factors[::-1]):
                     got = p.times_one_minus(order)
                     assert got == expected and got.truncation == bound, (terms, order)
-                    assert all(c.denominator != 1 or type(c) is int for _, c in got)
+                    assert all(c.denominator != 1 or type(c) is int for _, c in got.terms.items())
 
     def test_rejects_weights_other_than_one_and_other_exponents(self):
         from grrcheck.arith import InputError
@@ -519,7 +519,7 @@ class TestIdentities:
         for name in ("top-chern-from-wedges", "divisor-todd-vs-ct", "chern-multiplicativity"):
             assert verify_series_identity(name, 4).passed
         assert {type(r) for r, _ in calls} == {int}
-        assert all(type(c) is int for _, result in calls for _, c in result)
+        assert all(type(c) is int for _, result in calls for _, c in result.terms.items())
 
     def test_unknown_name(self):
         from grrcheck.arith import InputError
