@@ -30,16 +30,17 @@ the bundle is the Proj of the symmetric algebra and the hyperplane class is
 the first Chern class of its tautological quotient line bundle.
 
 Chow classes have integer coefficients on that basis.  Each tower keeps the
-normal form of every product of two basis monomials it has been asked for, so
-a product of classes is a sum of table entries and never runs the rewrite
-loop; the table is filled lazily and skips pairs above the dimension, which
-vanish.  Sums, differences, scalings, graded parts and pushforwards keep
-normal form and build their results without a rewrite.
+normal form of every product of two basis monomials it has been asked for,
+one row per left monomial, each entry a tuple of (monomial, coefficient)
+pairs filled on first use; a pair above the dimension is the empty entry,
+stored without a rewrite.  A product of classes sums raw table entries and
+normalises once at the end.  Sums, differences, scalings, graded parts and
+pushforwards keep normal form without a rewrite.
 
-Every sum of term maps here (Chow and K sums, scalings and products, the
-rewrite step, twists, the lambda operations and the K-pushforward) is
-grrcheck.poly.accumulate, which drops cancelled terms and stores integral
-values as ints.
+Every other sum of term maps here (Chow and K sums and scalings, the final
+normalisation of a Chow product, K products, the rewrite step, twists, the
+lambda operations and the K-pushforward) is grrcheck.poly.accumulate, which
+drops cancelled terms and stores integral values as ints.
 
 A class's canonical text is the polynomial text form of its normal-form
 terms (grrcheck.poly.serialize_terms), in xi1..xiK or in l1..lK.
@@ -94,8 +95,8 @@ class Tower:
         self.dim: int = sum(self.ranks)
         self.alphabet = Alphabet([(f"xi{k + 1}", 1) for k in range(self.n_levels)])
         self._cache: dict = {}
-        # normal form of the product of two basis monomials, filled by __mul__
-        self._products: dict[tuple[Monomial, Monomial], dict[Monomial, int]] = {}
+        # the product table of __mul__: row ma, entry mb, see _product_entry
+        self._products: dict[Monomial, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
         self._zero = ChowClass._normal(self, {})
         self._unit = ChowClass._normal(self, {(0,) * self.n_levels: 1})
         # per level (above, below) rules; the Chow ring has no negative exponents
@@ -166,6 +167,14 @@ class Tower:
                 for m, c in bad:
                     accumulate(out, above if m[k] > r else below, c, m)
         return out
+
+    def _product_entry(self, ma: Monomial, mb: Monomial) -> tuple[tuple[Monomial, int], ...]:
+        """ma * mb in normal form as (monomial, coefficient) pairs; empty above
+        the dimension, where it vanishes, without a rewrite."""
+        if sum(ma) + sum(mb) > self.dim:
+            return ()
+        raw = {tuple(map(add, ma, mb)): 1}
+        return tuple(self._normal_form(raw, self._chow_rules).items())
 
     def _pushed_power(self, a: int) -> dict[DivisorVector, int]:
         """pi_* l^a on the base, for the top level's line class l and any
@@ -274,7 +283,7 @@ class ChowClass:
     other result is built by _normal from terms already in normal form: the
     linear operations and the push and pull maps preserve it, and a product
     sums c_a * c_b times the tower's table entry for each pair of basis
-    monomials (computed on first use, skipped above the dimension).
+    monomials (computed on first use, empty above the dimension).
     """
 
     __slots__ = ("tower", "terms")
@@ -319,21 +328,21 @@ class ChowClass:
         if not self.terms or not other.terms:
             return tower.zero_chow()  # zero images are common in substitutions
         table = tower._products
-        dim = tower.dim
-        right = [(mb, cb, sum(mb)) for mb, cb in other.terms.items()]
         out: dict[Monomial, Scalar] = {}
+        get = out.get
         for ma, ca in self.terms.items():
-            room = dim - sum(ma)
-            for mb, cb, degree in right:
-                if degree > room:
-                    continue  # above the dimension: the product vanishes
-                entry = table.get((ma, mb))
+            row = table.get(ma)
+            if row is None:
+                row = table[ma] = {}
+            for mb, cb in other.terms.items():
+                entry = row.get(mb)
                 if entry is None:
-                    raw = {tuple(x + y for x, y in zip(ma, mb)): 1}
-                    entry = table[ma, mb] = tower._normal_form(raw, tower._chow_rules)
-                if entry:  # a third of the entries vanish by a level's relation
-                    accumulate(out, entry, ca * cb)
-        return ChowClass._normal(tower, out)
+                    entry = row[mb] = tower._product_entry(ma, mb)
+                if entry:  # empty above the dimension or by a level's relation
+                    c = ca * cb
+                    for m, t in entry:
+                        out[m] = get(m, 0) + c * t
+        return ChowClass._normal(tower, accumulate({}, out))
 
     def graded_part(self, m: int) -> "ChowClass":
         return ChowClass._normal(

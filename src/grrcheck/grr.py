@@ -15,6 +15,12 @@ GradedPolynomial.substitute.  The combined class runs through it once per
 entry of ct_on_tower's cache; each call then walks a Horner scheme
 (grrcheck.poly.horner_eval).
 
+Degree rule: above a tower's dimension a class is zero.  ct_on_tower (m >
+dim) and check_main_theorem (n > dim S: no pushforward, images or
+evaluation) return zero classes, but still read every universal class the
+full path reads, in its order, so a non-integral mutation fails the same
+way: ct_m, and reading ct_m reads ch_0..ch_m and Td_0..Td_m.
+
 Work that depends only on the tower is cached in the tower's _cache.  Where
 a universal class is read, the key holds that class itself (UniversalClass
 hashes by identity), so a class rebuilt under a mutation never meets work
@@ -25,10 +31,11 @@ done with the clean one, and this module need not know that mutations exist:
     universal_todd(j)                         Td-numerator_j(T_tower)
     ("relative-tangent", base levels, cuts)   T_X - f^*T_S on the ambient
 
-One main-theorem instance pushes its sheaf forward once and builds the Chern
-images of the sheaf and of its pushforward once, for all three of its checks.
-The combined class is never assembled from the ch * td factorisation, so
-main-theorem-decomposition stays an independent check.
+One main-theorem instance at n <= dim S pushes its sheaf forward once and
+builds the Chern images of the sheaf and of its pushforward once, for all
+three of its checks; check_immersion reads the same images, with no degree
+skip.  The combined class is never assembled from the ch * td
+factorisation, so main-theorem-decomposition stays an independent check.
 """
 
 from __future__ import annotations
@@ -280,28 +287,35 @@ def check_main_theorem(
 
     f_*[F], the Chern images of F and f_*[F] and s_n(f_*[F]) are built once
     here and shared by the three checks; the tangent-side classes come from
-    the per-tower caches."""
-    pushed, source = _instance_images(f, F, n)
+    the per-tower caches.  Above the base's dimension CH^n(S) = 0 and every
+    side is the zero class: the instance reads ct_n and ct_{d+n}, which read
+    ch_0..ch_n and Td_0..Td_n as the full path does, then compares the zero
+    class with itself without pushing F forward or evaluating anything."""
     instance = f"{f.describe()}/sheaf={sheaf_label or F.line_terms}/n={n}"
-    lhs, rhs = grr_error(f, n, pushed, source)
+    d = f.relative_dimension
+    if n > f.target.dim:
+        universal_ct(n)
+        if d + n >= 0:
+            universal_ct(d + n)
+        lhs = rhs = cl = cr = dr = f.target.zero_chow()
+    else:
+        pushed, source = _instance_images(f, F, n)
+        lhs, rhs = grr_error(f, n, pushed, source)
+        if d >= 0:
+            s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+            cl, cr = corollary_sides(f, n, s_n, source)
+            dr = decomposition_rhs(f, n, pushed, s_n)
     lhs_text = lhs.serialize()
-    reports = [
-        VerificationReport.compare("main-theorem", instance, lhs_text, rhs.serialize())
-    ]
-    if f.relative_dimension >= 0:
-        s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
-        cl, cr = corollary_sides(f, n, s_n, source)
-        reports.append(
+    reports = [VerificationReport.compare("main-theorem", instance, lhs_text, rhs.serialize())]
+    if d >= 0:
+        reports += [
             VerificationReport.compare(
                 "main-theorem-corollary", instance, cl.serialize(), cr.serialize()
-            )
-        )
-        dr = decomposition_rhs(f, n, pushed, s_n)
-        reports.append(
+            ),
             VerificationReport.compare(
                 "main-theorem-decomposition", instance, lhs_text, dr.serialize()
-            )
-        )
+            ),
+        ]
     return reports
 
 

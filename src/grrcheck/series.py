@@ -157,18 +157,15 @@ def set_mutation(mutation: Mutation | None) -> None:
 
 
 def _finish(
-    name: str,
-    kind: str,
-    degree: int,
-    numerator: GradedPolynomial,
-    scale: int,
+    kind: str, degree: int, numerator: GradedPolynomial, scale: int, rank: int = 0
 ) -> UniversalClass:
     """The class with the given numerator (scale times the class, computed
-    as such) after the mutation hook, certified integral."""
+    as such) after the mutation hook, certified integral; a failure names the
+    instance suites.suite_integrality runs, "degree m" or "degree m rank r"."""
     if _MUTATION is not None and _MUTATION.kind == kind and _MUTATION.degree == degree:
         terms = numerator.sorted_terms()
         if not 0 <= _MUTATION.index < len(terms):
-            raise InputError(f"mutation index {_MUTATION.index} out of range for {name}")
+            raise InputError(f"mutation index {_MUTATION.index} out of range for {kind}")
         mono, coeff = terms[_MUTATION.index]
         mutated = dict(numerator.terms)
         mutated[mono] = coeff + _MUTATION.delta
@@ -178,11 +175,11 @@ def _finish(
             (m, c) for m, c in numerator.sorted_terms() if c.denominator != 1
         )
         raise FalsificationError(
-            f"{name}: numerator coefficient {bad[1]} at {bad[0]} is not an integer",
+            f"{kind}: numerator coefficient {bad[1]} at {bad[0]} is not an integer",
             identity=f"integrality:{kind}",
-            instance=f"degree {degree}",
+            instance=f"degree {degree}" + (f" rank {rank}" if rank else ""),
         )
-    return UniversalClass(name, degree, numerator, scale)
+    return UniversalClass(kind, degree, numerator, scale)
 
 
 def _chern_exponents(
@@ -225,7 +222,7 @@ def universal_todd(m: int) -> UniversalClass:
         orbit = orbit_from_product(todd_root_series(m), n, m, tm)
         reduced = reduce_orbit_to_elementary(orbit, n)
         numerator = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
-        return _finish("todd", "todd", m, numerator, tm)
+        return _finish("todd", m, numerator, tm)
 
     return _cached(("todd", m), build)
 
@@ -242,12 +239,12 @@ def universal_chern_character(m: int) -> UniversalClass:
     def build() -> UniversalClass:
         alph = sheaf_alphabet(m)
         if m == 0:
-            return _finish("ch", "ch", 0, GradedPolynomial.variable(alph, 0, "r"), 1)
+            return _finish("ch", 0, GradedPolynomial.variable(alph, 0, "r"), 1)
         # ch_m = p_m / m! and p_m is the single orbit m_(m)
         reduced = reduce_orbit_to_elementary({(m,): 1}, m)
         # position 0 is the rank variable
         numerator = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
-        out = _finish("ch", "ch", m, numerator, factorial(m))
+        out = _finish("ch", m, numerator, factorial(m))
         if _MUTATION is None and out.numerator != chern_character_oracle(m):
             raise FalsificationError(
                 f"ch numerator of degree {m} differs from the Newton power sum",
@@ -275,7 +272,7 @@ def universal_ct(m: int) -> UniversalClass:
             s_j = universal_chern_character(j).numerator.embed(alph).with_bound(m)
             td_part = universal_todd(m - j).numerator.embed(alph).with_bound(m)
             total = total + (s_j * td_part).scale(scalar)
-        return _finish("ct", "ct", m, total, todd_denominator(m).value)
+        return _finish("ct", m, total, todd_denominator(m).value)
 
     return _cached(("ct", m), build)
 
@@ -301,7 +298,7 @@ def q_poly(m: int) -> UniversalClass:
             ratio = (-1) ** (m - k + 1) * todd_ratio(m - 1, m - k, k)
             x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): ratio})
             total = total + x_part * universal_todd(k).numerator.embed(alph).with_bound(m)
-        return _finish("q", "q", m, total, todd_denominator(m - 1).value)
+        return _finish("q", m, total, todd_denominator(m - 1).value)
 
     return _cached(("q", m), build)
 
@@ -317,7 +314,7 @@ def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
         orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg, factorial(m))
         reduced = reduce_orbit_to_elementary(orbit, r)
         numerator = GradedPolynomial(weighted_alphabet("c", r), deg, _chern_exponents(reduced, r))
-        return _finish("toddinv", "toddinv", m, numerator, factorial(m))
+        return _finish("toddinv", m, numerator, factorial(m), r)
 
     return _cached(("toddinv", m, r), build)
 

@@ -365,6 +365,32 @@ class TestVerify:
         ]
         assert all(r["discrepancy"].startswith("integrality:ct degree 2: ct: ") for r in failed)
 
+    @pytest.mark.parametrize("mutation", ["", "ct:2:0:1/2", "ch:2:0:1/2", "todd:2:0:1/2", "ct:3:0:1/2"])
+    def test_above_the_base_dimension_is_pinned(self, mutation, capsys):
+        # n = 2 over P1: every side is zero, yet each class the full path
+        # reads is still read in its order, so a mutation fails the same way
+        pinned = json.loads((GOLDEN / "main_theorem_above_base.json").read_text())[mutation]
+        argv = [
+            "verify", "main-theorem", "--geometry", "P(trivial 2) over P(trivial 2) over point",
+            "--base-levels", "1", "--sheaf", "O(xi2) + O(-xi1)", "-n", "2",
+        ]
+        code = main(argv + (["--mutate", mutation] if mutation else []))
+        assert (code, capsys.readouterr().out) == (pinned["exit"], pinned["stdout"])
+
+    def test_toddinv_falsification_names_its_rank(self, capsys):
+        # the error names the instance the integrality suite runs, so the
+        # discrepancy carries no lead naming another claim
+        code = main(
+            ["verify", "integrality", "--max-degree", "6", "--mutate", "toddinv:3:0:1/2"]
+        )
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        failed = [r for r in lines if r["verdict"] == "fail"]
+        assert code == 1
+        assert [(r["identity"], r["instance"]) for r in failed] == [
+            ("integrality:toddinv", f"degree 3 rank {r}") for r in (1, 2, 3)
+        ]
+        assert all(r["discrepancy"].startswith("toddinv: numerator coefficient ") for r in failed)
+
     def test_timing_flag_adds_millis(self, capsys):
         main(["verify", "surface-det", "--timing"])
         lines = capsys.readouterr().out.splitlines()

@@ -160,9 +160,16 @@ class TestProductTable:
         return terms
 
     @pytest.mark.parametrize("levels", TOWERS, ids=str)
-    def test_table_product_matches_rewrite_of_naive_product(self, levels):
+    def test_table_product_matches_rewrite_of_naive_product(self, levels, monkeypatch):
         rng = random.Random(f"product-table:{levels}")
         t = build_tower(levels)
+        rewritten = []
+        normal_form = Tower._normal_form
+
+        def spy(tower, terms, rules):
+            rewritten.extend(terms)
+            return normal_form(tower, terms, rules)
+
         for _ in range(30):
             a = ChowClass(t, self.random_terms(rng, t))
             b = ChowClass(t, self.random_terms(rng, t))
@@ -171,8 +178,12 @@ class TestProductTable:
                 for mb, cb in b.terms.items():
                     key = tuple(x + y for x, y in zip(ma, mb))
                     naive[key] = naive.get(key, 0) + ca * cb
-            assert a * b == ChowClass(t, naive)
-        assert all(sum(ma) + sum(mb) <= t.dim for ma, mb in t._products)
+            monkeypatch.setattr(Tower, "_normal_form", spy)
+            product = a * b
+            monkeypatch.undo()
+            assert product == ChowClass(t, naive)
+        # the table rewrites no pair above the dimension: it vanishes unread
+        assert all(sum(m) <= t.dim for m in rewritten)
 
     def test_integer_classes_stay_integer(self):
         t = build_tower(self.TOWERS[-1])

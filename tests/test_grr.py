@@ -325,6 +325,79 @@ class TestTangentChern:
         assert calls == [tangent]
 
 
+def main_theorem_sides(f, F, n):
+    """Every side the full path of check_main_theorem compares, by hand."""
+    pushed, source = _instance_images(f, F, n)
+    sides = list(grr_error(f, n, pushed, source))
+    if f.relative_dimension >= 0:
+        s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+        sides += corollary_sides(f, n, s_n, source)
+        sides.append(decomposition_rhs(f, n, pushed, s_n))
+    return sides
+
+
+class TestMainTheoremAboveTheBase:
+    """CH^n(S) = 0 for n > dim S: check_main_theorem pushes nothing forward,
+    builds no Chern class and multiplies nothing, and reports the zero class
+    against itself, as the full path would."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def spy(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(KClass, "total_chern", spy("total_chern", KClass.total_chern))
+        monkeypatch.setattr(grr, "pushforward_k", spy("pushforward_k", grr.pushforward_k))
+        monkeypatch.setattr(ChowClass, "__mul__", spy("mul", ChowClass.__mul__))
+        return calls
+
+    @pytest.mark.parametrize(
+        "name, bases", [(name, bases) for name, _, bases in MODEL_TOWERS],
+        ids=[name for name, _, _ in MODEL_TOWERS],
+    )
+    def test_no_work_above_the_base(self, name, bases, monkeypatch):
+        tower = model_tower(name)
+        F = tower.line(tuple(range(1, tower.n_levels + 1)))
+        for base in bases:
+            f = MorphismDatum(tower, base, f"{name}->prefix{base}")
+            n = f.target.dim + 1
+            assert all(side.is_zero() for side in main_theorem_sides(f, F, n))
+            calls = self.counted(monkeypatch)
+            reports = check_main_theorem(f, F, n, "F")
+            assert calls == []
+            instance = f"{name}->prefix{base}/sheaf=F/n={n}"
+            shapes = ["main-theorem", "main-theorem-corollary", "main-theorem-decomposition"]
+            assert [(r.identity, r.instance, r.lhs, r.rhs, r.verdict) for r in reports] == [
+                (shape, instance, "", "", "pass") for shape in shapes
+            ]
+            # at n <= dim S the instance pushes F forward and builds its classes
+            for m in range(n):
+                all_pass(check_main_theorem(f, F, m, "F"))
+                assert {"pushforward_k", "total_chern", "mul"} <= set(calls), m
+                calls.clear()
+            monkeypatch.undo()
+
+    def test_non_integral_mutation_raises_above_the_base(self):
+        # ct_{d+n} is read before the zero reports, as the full path reads it
+        p1p1 = model_tower("P1xP1")
+        f = MorphismDatum(p1p1, 1, "P1xP1->prefix1")
+        for kind, degree in (("ct", 2), ("ct", 3), ("ch", 2), ("todd", 2)):
+            set_mutation(Mutation(kind, degree, 0, Fraction(1, 2)))
+            try:
+                with pytest.raises(FalsificationError) as raised:
+                    check_main_theorem(f, p1p1.line((0, 1)), 2)
+            finally:
+                set_mutation(None)
+            assert raised.value.identity == f"integrality:{kind}"
+            assert raised.value.instance == f"degree {degree}"
+
+
 class TestCheckMainTheorem:
     def test_tower_cache_follows_the_mutation(self):
         p4 = projective_space(4)
