@@ -223,6 +223,12 @@ def _single_instance_reports(args) -> list[VerificationReport]:
             f"geometry dimension {dim} exceeds the guard {args.max_dim}; "
             "raise it with --max-dim"
         )
+    # every n above dim S + 1 is vacuous, and dim S <= --max-dim
+    if args.n is not None and args.n > args.max_dim + 1:
+        raise InputError(
+            f"codimension {args.n} exceeds the guard {args.max_dim + 1} (--max-dim + 1); "
+            "raise it with --max-dim"
+        )
     scope = build_geometry(geometry)
     sheaf_text = args.sheaf or "O"
     sheaf = evaluate_class(parse_class(sheaf_text), scope)

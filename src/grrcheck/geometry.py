@@ -254,20 +254,6 @@ class Tower:
         return f"Tower(dim={self.dim}: {sig})"
 
 
-def build_tower(levels: Sequence[Sequence[Sequence[int]]]) -> Tower:
-    """Build a tower from per-level lists of summand coefficient vectors."""
-    return Tower([[tuple(vec) for vec in level] for level in levels])
-
-
-def projective_space(n: int) -> Tower:
-    """The n-dimensional projective space as a one-level trivial tower."""
-    if n < 0:
-        raise InputError("dimension must be >= 0")
-    if n == 0:
-        return Tower([])
-    return Tower([[()] * (n + 1)])
-
-
 class ChowClass:
     """A cycle class on a tower: a sparse vector on the monomial basis
     prod xi_k^{a_k}, 0 <= a_k <= r_k, keyed by the exponent tuple, with no
@@ -524,7 +510,7 @@ def pushforward_k(f: KClass, n_collapse: int = 1) -> KClass:
 
 def pullback_k(f: KClass, tower: Tower) -> KClass:
     k = f.tower.n_levels
-    if tower.prefix(k) is not f.tower and tower.prefix(k).levels != f.tower.levels:
+    if tower.prefix(k) is not f.tower:
         raise InputError("source is not a prefix of the target tower")
     pad = tower.n_levels - k
     return KClass(tower, {v + (0,) * pad: c for v, c in f.line_terms.items()})

@@ -20,10 +20,11 @@ Grammar (whitespace-insensitive, LL(1)):
 
 Levels are numbered from the base up; the innermost geometry is level 1.
 Hyperplane names are auto-generated as xi1, xi2, ... (the spelling "ξ1" is
-accepted and normalized); a level's name may be aliased with "as NAME".  The
-bare name "h" resolves to the first hyperplane when nothing else binds it,
-matching the conventional usage on projective space.  Syntax errors carry
-line and column; scope errors name the unknown symbol.
+accepted and normalized); a level's name may be aliased with "as NAME".  An
+alias spelled xi<k> must sit on level k, so that no alias rebinds another
+level's name.  The bare name "h" resolves to the first hyperplane when
+nothing else binds it, matching the conventional usage on projective space.
+Syntax errors carry line and column; scope errors name the unknown symbol.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from .arith import InputError
-from .geometry import KClass, Tower, build_tower
+from .geometry import KClass, Tower
 
 
 class ParseError(ValueError):
@@ -409,11 +410,15 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
             levels.append([(0,) * below] * bundle.count)
         else:
             levels.append([_divisor_vector(d, names, below) for d in bundle.divisors])
-        if bundle_node.alias:
-            if bundle_node.alias in names:
-                raise InputError(f"alias {bundle_node.alias!r} bound twice")
-            names[bundle_node.alias] = below + 1
-    return GeometryScope(build_tower(levels), names)
+        alias = bundle_node.alias
+        if alias:
+            if alias in names:
+                raise InputError(f"alias {alias!r} bound twice")
+            m = re.fullmatch(r"xi(\d+)", alias)
+            if m and int(m.group(1)) != below + 1:
+                raise InputError(f"alias {alias!r} on level {below + 1} is another level's name")
+            names[alias] = below + 1
+    return GeometryScope(Tower(levels), names)
 
 
 def geometry_dim(ast: GeomAST) -> int:

@@ -4,7 +4,10 @@ The registered model geometries are the towers of dimension <= 4 over bases
 of dimension <= 2 on which the main identity is exercised for every line
 bundle with divisor coefficients in [-2, 2] and every meaningful codimension
 n <= 3 (codimensions beyond dim(base)+1 carry no content on these bases and
-are skipped; the first vacuous one is kept as a vanishing check).
+are skipped; the first vacuous one is kept as a vanishing check).  Each
+is written in the CLI's geometry language, and every tower a suite uses is
+built from such text by geometry_tower, one cache keyed by the text: a
+catalogue report reruns as one `verify main-theorem --geometry` query.
 
 Suites never raise on a falsified identity: every check runs through
 report.run_check with the check function and its arguments, which turns a
@@ -15,6 +18,7 @@ always receives the full stream and the exit-code contract stays simple.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .arith import (
@@ -28,10 +32,8 @@ from .arith import (
 from .geometry import (
     Tower,
     VirtualCompleteIntersection,
-    build_tower,
     chi_projective_space_oracle,
     euler_characteristic,
-    projective_space,
     pushforward_k,
 )
 from .grr import (
@@ -47,53 +49,49 @@ from .grr import (
 from .identities import IDENTITY_CHECKS, howe_claims, verify_series_identity
 from .report import VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES
+from .specparse import build_geometry, parse_geometry
 
 
 # ---------------------------------------------------------------------------
 # registered geometries
 # ---------------------------------------------------------------------------
 
-# (name, levels, base level counts); bases are prefixes of the level list
-MODEL_TOWERS: list[tuple[str, list, list[int]]] = [
-    ("P1", [[(), ()]], [0]),
-    ("P2", [[(), (), ()]], [0]),
-    ("P3", [[()] * 4], [0]),
-    ("P4", [[()] * 5], [0]),
-    ("P1xP1", [[(), ()], [(0,), (0,)]], [0, 1]),
-    ("P1;P2", [[(), ()], [(0,), (0,), (0,)]], [0, 1]),
-    ("P2;P1", [[(), (), ()], [(0,), (0,)]], [0, 1]),
-    ("P2;P2", [[(), (), ()], [(0,), (0,), (0,)]], [0, 1]),
-    ("P1;P3", [[(), ()], [(0,)] * 4], [0, 1]),
-    ("P3;P1", [[()] * 4, [(0,), (0,)]], [0, 1]),
-    ("F1", [[(), ()], [(0,), (1,)]], [0, 1]),
-    ("F2", [[(), ()], [(0,), (2,)]], [0, 1]),
-    ("P2;P(O+O(h))", [[(), (), ()], [(0,), (1,)]], [0, 1]),
-    ("P2;P(O+O(h)+O(2h))", [[(), (), ()], [(0,), (1,), (2,)]], [0, 1]),
-    ("P1;P1;P1", [[(), ()], [(0,)] * 2, [(0, 0)] * 2], [0, 1, 2]),
-    ("P1;F;twist", [[(), ()], [(0,), (1,)], [(0, 1), (0, 0)]], [0, 1, 2]),
-    ("P1^4", [[(), ()], [(0,)] * 2, [(0, 0)] * 2, [(0, 0, 0)] * 2], [0, 1, 2]),
+# (name, geometry text, base level counts); bases are prefixes of the level
+# list, and the text is what `verify main-theorem --geometry` reads
+MODEL_TOWERS: list[tuple[str, str, list[int]]] = [
+    ("P1", "P(trivial 2) over point", [0]),
+    ("P2", "P(trivial 3) over point", [0]),
+    ("P3", "P(trivial 4) over point", [0]),
+    ("P4", "P(trivial 5) over point", [0]),
+    ("P1xP1", "P(trivial 2) over P(trivial 2) over point", [0, 1]),
+    ("P1;P2", "P(trivial 3) over P(trivial 2) over point", [0, 1]),
+    ("P2;P1", "P(trivial 2) over P(trivial 3) over point", [0, 1]),
+    ("P2;P2", "P(trivial 3) over P(trivial 3) over point", [0, 1]),
+    ("P1;P3", "P(trivial 4) over P(trivial 2) over point", [0, 1]),
+    ("P3;P1", "P(trivial 2) over P(trivial 4) over point", [0, 1]),
+    ("F1", "P([0, xi1]) over P(trivial 2) over point", [0, 1]),
+    ("F2", "P([0, 2*xi1]) over P(trivial 2) over point", [0, 1]),
+    ("P2;P(O+O(h))", "P([0, xi1]) over P(trivial 3) over point", [0, 1]),
+    ("P2;P(O+O(h)+O(2h))", "P([0, xi1, 2*xi1]) over P(trivial 3) over point", [0, 1]),
+    ("P1;P1;P1", "P(trivial 2) over P(trivial 2) over P(trivial 2) over point", [0, 1, 2]),
+    ("P1;F;twist", "P([xi2, 0]) over P([0, xi1]) over P(trivial 2) over point", [0, 1, 2]),
+    ("P1^4", "P(trivial 2) over P(trivial 2) over P(trivial 2) over P(trivial 2) over point",
+     [0, 1, 2]),
 ]
 
-_TOWER_CACHE: dict[str, Tower] = {}
+
+@cache
+def geometry_tower(text: str) -> Tower:
+    """The tower that geometry text names, built once per text."""
+    return build_geometry(parse_geometry(text)).tower
 
 
 def model_tower(name: str) -> Tower:
-    if name not in _TOWER_CACHE:
-        for n, levels, _ in MODEL_TOWERS:
-            if n == name:
-                _TOWER_CACHE[name] = build_tower(levels)
-                break
-        else:
-            raise KeyError(name)
-    return _TOWER_CACHE[name]
+    return geometry_tower({n: text for n, text, _ in MODEL_TOWERS}[name])
 
 
 def _sheaf_vectors(n_levels: int, bound: int = 2):
     return product(*(range(-bound, bound + 1) for _ in range(n_levels)))
-
-
-def _is_product_tower(levels: list) -> bool:
-    return all(all(all(c == 0 for c in vec) for vec in level) for level in levels)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +146,12 @@ def _pushes_to(identity: str, instance: str, line, expected: str) -> Verificatio
     )
 
 
-def _euler_binomial(
-    tower: Tower, coeffs: tuple, fiber_dims: list[int], instance: str
-) -> VerificationReport:
+def _euler_binomial(tower: Tower, coeffs: tuple, instance: str) -> VerificationReport:
     """The Euler characteristic of a line bundle on a product tower against
     the binomial-product oracle."""
     chi = euler_characteristic(tower.line(coeffs))
     expected = 1
-    for dim_f, a in zip(fiber_dims, coeffs):
+    for dim_f, a in zip(tower.ranks, coeffs):
         expected *= chi_projective_space_oracle(dim_f, a)
     return VerificationReport.compare(
         "euler-binomial-oracle", instance, str(chi), str(expected)
@@ -261,7 +257,7 @@ def suite_projective_bundle(max_rank: int = 4) -> list[VerificationReport]:
     # (identity, instance, line bundle, its pushforward one level down)
     pushes = []
     for r in range(1, max_rank):
-        pr = projective_space(r)
+        pr = geometry_tower(f"P(trivial {r + 1}) over point")
         for a in range(-r, 0):
             pushes.append(("bundle-twist-vanishing", f"P{r}, twist {a}", pr.line((a,)), ""))
         pushes.append(("bundle-structure-pushforward", f"P{r}", pr.structure_sheaf(), "1/1"))
@@ -277,8 +273,8 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
     registered instance, identity morphisms, the dimension <= 4 base cases,
     and the binomial-product Euler-characteristic cross-check."""
     reports: list[VerificationReport] = []
-    for name, levels, bases in MODEL_TOWERS:
-        tower = model_tower(name)
+    for name, text, bases in MODEL_TOWERS:
+        tower = geometry_tower(text)
         for base_levels in bases:
             dim_base = tower.prefix(base_levels).dim
             n_values = range(0, min(3, dim_base + 1) + 1)
@@ -299,14 +295,13 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
                 "main-theorem", f"{ident.describe()}/n={n}",
                 check_main_theorem, ident, probe, n, "O(1,..)",
             )
-        # Euler characteristic against the binomial-product oracle
-        if _is_product_tower(levels):
-            fiber_dims = [len(level) - 1 for level in levels]
+        # on a product tower, Euler characteristic against the binomial-product oracle
+        if not any(any(vec) for level in tower.levels for vec in level):
             for coeffs in _sheaf_vectors(tower.n_levels, coefficient_bound):
                 instance = f"{name}/O({','.join(map(str, coeffs))})"
                 reports += run_check(
                     "euler-binomial-oracle", instance,
-                    _euler_binomial, tower, coeffs, fiber_dims, instance,
+                    _euler_binomial, tower, coeffs, instance,
                 )
         # cycle-side degree against the K-side Euler characteristic
         for coeffs in _sheaf_vectors(tower.n_levels, 1):
@@ -317,7 +312,7 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
             )
 
     # cut-out loci over a base: composite pushforward instances
-    p3p2 = build_tower([[()] * 4, [(0,)] * 3])
+    p3p2 = geometry_tower("P(trivial 3) over P(trivial 4) over point")
     for cuts, label, F, sheaf_label in [
         (((1, 0),), "hyperplane-in-P3;P2->P3", p3p2.structure_sheaf(), "O"),
         (((1, 1),), "bidegree-hyperplane-in-P3;P2->P3", p3p2.line((1, 0)), "O(1,0)"),
@@ -332,7 +327,7 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
 
 def suite_immersion() -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    p3 = projective_space(3)
+    p3 = geometry_tower("P(trivial 4) over point")
     cases = [
         (p3, ((1,),), p3.structure_sheaf(), "P3/hyperplane/O"),
         (p3, ((2,),), p3.structure_sheaf(), "P3/quadric-class/O"),
@@ -340,7 +335,7 @@ def suite_immersion() -> list[VerificationReport]:
         (p3, ((1,), (1,)), p3.line((1,)), "P3/line/O(h)"),
         (p3, ((1,), (2,)), p3.line((1,)), "P3/degree-2-curve/O(h)"),
     ]
-    two_level = build_tower([[(), ()], [(0,), (0,), (0,)]])  # P1 x P2 model
+    two_level = geometry_tower("P(trivial 3) over P(trivial 2) over point")
     cases += [
         (two_level, ((1, 1),), two_level.structure_sheaf(), "P1;P2/bidegree-divisor/O"),
         (two_level, ((1, 0), (0, 1)), two_level.line((0, 1)), "P1;P2/codim2/O(xi2)"),
@@ -356,7 +351,7 @@ def suite_immersion() -> list[VerificationReport]:
 
 def suite_divisor_calculus(max_m: int = 3) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    p3 = projective_space(3)
+    p3 = geometry_tower("P(trivial 4) over point")
     for a, b in [(1, 1), (1, 2), (2, 1), (2, 3)]:
         for m in range(1, max_m + 1):
             reports += run_check(

@@ -20,7 +20,7 @@ from grrcheck.arith import (
     todd_denominator,
     von_staudt_D,
 )
-from grrcheck.geometry import projective_space
+from grrcheck.geometry import Tower
 from grrcheck.grr import MorphismDatum, check_kappa_identity, check_main_theorem
 from grrcheck.report import FalsificationError
 from grrcheck.series import (
@@ -191,7 +191,7 @@ def test_criterion_12_falsifiability():
         clean = universal_todd(4).numerator
         n_coefficients = len(clean.sorted_terms())
         assert n_coefficients == 5
-        p4 = projective_space(4)
+        p4 = Tower([[()] * 5])
         try:
             for index in range(n_coefficients):
                 for delta in (Fraction(1), Fraction(1, 2)):

@@ -13,18 +13,17 @@ from itertools import product
 from grrcheck.geometry import (
     ChowClass,
     KClass,
-    build_tower,
-    projective_space,
+    Tower,
     pushforward_chow,
     pushforward_k,
 )
 from grrcheck.poly import Alphabet, GradedPolynomial, accumulate
 
 TOWERS = [
-    projective_space(2),
-    build_tower([[(), ()], [(0,), (1,)]]),
-    build_tower([[(), (), ()], [(0,), (1,)]]),
-    build_tower([[(), ()], [(0,), (-1,), (2,)], [(0, 0), (1, -1)]]),
+    Tower([[()] * 3]),
+    Tower([[(), ()], [(0,), (1,)]]),
+    Tower([[(), (), ()], [(0,), (1,)]]),
+    Tower([[(), ()], [(0,), (-1,), (2,)], [(0, 0), (1, -1)]]),
 ]
 
 

@@ -1,15 +1,17 @@
 import hashlib
 import io
 import json
+import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from grrcheck import cli
+from grrcheck import cli, grr
 from grrcheck.cli import main
 from grrcheck.report import FalsificationError
-from grrcheck.suites import suite_main_theorem
+from grrcheck.suites import MODEL_TOWERS, model_tower, suite_main_theorem
 from grrcheck.series import (
     q_poly,
     todd_inverse_numerator,
@@ -208,6 +210,37 @@ class TestVerify:
         )
         assert code == 2
         assert "geometry dimension 29 exceeds the guard 6" in capsys.readouterr().err
+
+    def test_codimension_guard_runs_before_the_build(self, monkeypatch, capsys):
+        # every n above dim S + 1 is vacuous; ct_22 alone takes seconds
+        def ct(m):
+            raise AssertionError("a universal class was built before the guard")
+
+        monkeypatch.setattr(grr, "universal_ct", ct)
+        code = main(
+            ["verify", "main-theorem", "--geometry", "P(trivial 2) over point", "-n", "22"]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "codimension 22 exceeds the guard 7" in err
+
+    def test_codimension_guard_follows_max_dim(self, capsys):
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 2) over point"]
+        assert main(argv + ["--max-dim", "1", "-n", "2"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--max-dim", "1", "-n", "3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_alias_spelled_as_another_levels_name_is_usage_error(self, capsys):
+        # "as xi2" on level 1 once made O(xi2) read as O(xi1): lhs 2/1
+        argv = ["verify", "main-theorem", "--sheaf", "O(xi2)", "--base-levels", "1", "-n", "0"]
+        aliased = "P(trivial 2) over P(trivial 2) as xi2 over point"
+        assert main(argv + ["--geometry", aliased]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "alias 'xi2'" in err
+        plain = "P(trivial 2) over P(trivial 2) over point"
+        assert main(argv + ["--geometry", plain]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["lhs"] == "4/1"
 
     def test_large_symmetric_power(self, capsys):
         # the pushed class has multiplicities of order binom(62, 2); the
@@ -548,3 +581,65 @@ class TestVerifyAll:
         recorded = json.loads(REFERENCE.read_text())["baseline"]["verify_all"]
         assert first.count("\n") == recorded["reports"]
         assert hashlib.sha256(first.encode()).hexdigest() == recorded["sha256"]
+
+
+def _twist_text(coeffs) -> str:
+    """O(a*xi1+...) for a twist vector, as `--sheaf` reads it."""
+    terms = "".join(f"{'-' if a < 0 else '+'}{abs(a)}*xi{k}" for k, a in enumerate(coeffs, 1))
+    return f"O({terms.lstrip('+')})"
+
+
+class TestCatalogueReproduction:
+    """Every catalogue report reruns as one CLI query on the entry's geometry
+    text: same identities, sides and verdicts; the instances differ only by
+    label."""
+
+    @pytest.fixture(scope="class")
+    def suite_reports(self):
+        by_instance = {}
+        for rep in suite_main_theorem():
+            by_instance.setdefault(rep.instance, []).append(rep)
+        return by_instance
+
+    @staticmethod
+    def assert_query_reproduces(capsys, suite_reps, argv, instance):
+        assert main(argv) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert {line["instance"] for line in lines} == {instance}
+        got = sorted((x["identity"], x["lhs"], x["rhs"], x["verdict"]) for x in lines)
+        want = sorted((r.identity, r.lhs, r.rhs, r.verdict) for r in suite_reps)
+        assert got == want, argv
+
+    @pytest.mark.parametrize(
+        "name, text, bases", MODEL_TOWERS, ids=[name for name, _, _ in MODEL_TOWERS]
+    )
+    def test_catalogue_tower(self, suite_reports, capsys, name, text, bases):
+        n_levels = model_tower(name).n_levels
+        for base in bases:
+            rng = random.Random(f"reproduce:{name}:{base}")
+            for coeffs in rng.sample(list(product(range(-2, 3), repeat=n_levels)), 4):
+                label = "O(" + ",".join(map(str, coeffs)) + ")"
+                prefix = f"{name}->prefix{base}/sheaf={label}/n="
+                n_values = [int(k[len(prefix):]) for k in suite_reports if k.startswith(prefix)]
+                assert n_values
+                sheaf = _twist_text(coeffs)
+                for n in n_values:
+                    argv = ["verify", "main-theorem", "--geometry", text, "--sheaf", sheaf,
+                            "--base-levels", str(base), "-n", str(n)]
+                    self.assert_query_reproduces(
+                        capsys, suite_reports[f"{prefix}{n}"], argv, f"{text}/sheaf={sheaf}/n={n}"
+                    )
+
+    @pytest.mark.parametrize(
+        "label, sheaf, cut",
+        [("hyperplane-in-P3;P2->P3/sheaf=O", "O", "xi1"),
+         ("bidegree-hyperplane-in-P3;P2->P3/sheaf=O(1,0)", "O(xi1)", "xi1 + xi2")],
+    )
+    def test_cut_out_source(self, suite_reports, capsys, label, sheaf, cut):
+        text = "P(trivial 3) over P(trivial 4) over point"
+        for n in range(0, 3):
+            argv = ["verify", "main-theorem", "--geometry", text, "--sheaf", sheaf,
+                    "--base-levels", "1", "-n", str(n), "--cut", cut]
+            self.assert_query_reproduces(
+                capsys, suite_reports[f"{label}/n={n}"], argv, f"{text}/sheaf={sheaf}/n={n}"
+            )

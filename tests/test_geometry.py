@@ -10,14 +10,12 @@ from grrcheck.geometry import (
     KClass,
     Tower,
     VirtualCompleteIntersection,
-    build_tower,
     chi_projective_space_oracle,
     euler_characteristic,
-    projective_space,
     pushforward_chow,
     pushforward_k,
 )
-from grrcheck.suites import MODEL_TOWERS
+from grrcheck.suites import MODEL_TOWERS, geometry_tower
 
 from chern_reference import factor_total_chern
 
@@ -32,23 +30,23 @@ def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
 
 def hirzebruch(twist: int = 1) -> Tower:
     # P(O + O(twist*h)) over the projective line
-    return build_tower([[(), ()], [(0,), (twist,)]])
+    return Tower([[(), ()], [(0,), (twist,)]])
 
 
 def p_by_p(a: int, b: int) -> Tower:
-    return build_tower([[()] * (a + 1), [(0,) * 1] * (b + 1)])
+    return Tower([[()] * (a + 1), [(0,) * 1] * (b + 1)])
 
 
 class TestTowerConstruction:
     def test_projective_space(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         assert p2.dim == 2 and p2.ranks == (2,)
         h = p2.hyperplane(1)
         assert (h * h * h).is_zero()
         assert not (h * h).is_zero()
 
     def test_point(self):
-        pt = projective_space(0)
+        pt = Tower([])
         assert pt.dim == 0
         assert pt.unit_chow().serialize() == "1/1"
 
@@ -65,12 +63,12 @@ class TestTowerConstruction:
 
     def test_malformed_level(self):
         with pytest.raises(InputError):
-            build_tower([[(0,), ()]])
+            Tower([[(0,), ()]])
         with pytest.raises(InputError):
-            build_tower([[]])
+            Tower([[]])
 
     def test_tower_mismatch(self):
-        a, b = projective_space(2), projective_space(2)
+        a, b = Tower([[()] * 3]), Tower([[()] * 3])
         with pytest.raises(InputError):
             _ = a.hyperplane(1) + b.hyperplane(1)
 
@@ -79,7 +77,7 @@ class TestNormalForm:
     def test_confluence_random_orders(self):
         # reducing a random product in two association orders agrees
         rng = random.Random(7)
-        t = build_tower([[(), (), ()], [(1,), (0,)], [(1, 1), (0, 0)]])
+        t = Tower([[(), (), ()], [(1,), (0,)], [(1, 1), (0, 0)]])
         classes = [t.hyperplane(k) for k in (1, 2, 3)]
         for _ in range(40):
             picks = [rng.choice(classes) for _ in range(rng.randint(2, 6))]
@@ -102,7 +100,7 @@ class TestNormalForm:
         # an independent rewriter that fires rules in random order must land
         # on the same normal form as the level-ordered implementation
         rng = random.Random(99)
-        t = build_tower([[(), (), ()], [(1,), (0,)], [(1, 1), (0, 0)]])
+        t = Tower([[(), (), ()], [(1,), (0,)], [(1, 1), (0, 0)]])
 
         def alt_reduce(terms):
             work = {m: Fraction(c) for m, c in terms.items() if c}
@@ -141,9 +139,11 @@ def scalar_types(alpha: ChowClass) -> set:
 
 
 class TestProductTable:
-    # the catalogue towers, plus one with a rank-0 level (xi2 = h) under a
-    # twisted level
-    TOWERS = [levels for _, levels, _ in MODEL_TOWERS] + [
+    # the catalogue towers as level lists (the ids and seeds below print
+    # them), plus one with a rank-0 level (xi2 = h) under a twisted level
+    TOWERS = [
+        [list(level) for level in geometry_tower(text).levels] for _, text, _ in MODEL_TOWERS
+    ] + [
         [[(), (), ()], [(1,)], [(2, -1), (0, 1), (1, 1)]],
     ]
 
@@ -162,7 +162,7 @@ class TestProductTable:
     @pytest.mark.parametrize("levels", TOWERS, ids=str)
     def test_table_product_matches_rewrite_of_naive_product(self, levels, monkeypatch):
         rng = random.Random(f"product-table:{levels}")
-        t = build_tower(levels)
+        t = Tower(levels)
         rewritten = []
         normal_form = Tower._normal_form
 
@@ -186,7 +186,7 @@ class TestProductTable:
         assert all(sum(m) <= t.dim for m in rewritten)
 
     def test_integer_classes_stay_integer(self):
-        t = build_tower(self.TOWERS[-1])
+        t = Tower(self.TOWERS[-1])
         x = t.hyperplane(1).scale(Fraction(3)) - t.hyperplane(3)
         for alpha in (x * x, x.scale(-2), x + x, pushforward_chow(x * x * x, 1)):
             assert scalar_types(alpha) <= {int}, alpha
@@ -195,7 +195,7 @@ class TestProductTable:
         assert (half * x.scale(2)) == x * x
 
     def test_integral_results_of_rational_classes_are_int(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         half = ChowClass(p2, {(1,): Fraction(1, 2)})
         assert (half + half).terms == {(1,): 1}
         assert scalar_types(half + half) == {int}
@@ -205,7 +205,7 @@ class TestProductTable:
         assert scalar_types(half + half + half) == {Fraction}
 
     def test_unit_is_built_once(self):
-        t = build_tower(self.TOWERS[-1])
+        t = Tower(self.TOWERS[-1])
         assert t.unit_chow() is t.unit_chow()
         assert t.zero_chow() is t.zero_chow()
         x = t.hyperplane(2) * t.hyperplane(3) - t.hyperplane(1).scale(4)
@@ -226,7 +226,7 @@ class TestDivisorChow:
 
     @pytest.mark.parametrize("levels", TOWERS, ids=str)
     def test_matches_the_rewritten_class(self, levels):
-        t = build_tower(levels)
+        t = Tower(levels)
         for vec in product(range(-2, 3), repeat=t.n_levels):
             raw = {
                 tuple(int(p == k) for p in range(t.n_levels)): c
@@ -237,7 +237,7 @@ class TestDivisorChow:
             assert d == ChowClass(t, raw) and scalar_types(d) <= {int}, vec
 
     def test_no_rewrite_above_rank_zero(self, monkeypatch):
-        t = build_tower(TestProductTable.TOWERS[-1])  # ranks 2, 0, 2
+        t = Tower(TestProductTable.TOWERS[-1])  # ranks 2, 0, 2
 
         def rewrite(*args):
             raise AssertionError("normal form computed")
@@ -250,7 +250,7 @@ class TestDivisorChow:
 
 class TestPushPull:
     def test_p2_to_point(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         h = p2.hyperplane(1)
         assert pushforward_chow(h * h, 1).serialize() == "1/1"
         assert pushforward_chow(h, 1).is_zero()
@@ -260,7 +260,7 @@ class TestPushPull:
         t = p_by_p(2, 1)
         x1, x2 = t.hyperplane(1), t.hyperplane(2)
         down = pushforward_chow(x1 * x2, 1)  # collapse the fiber line
-        assert down == projective_space(2).hyperplane(1).__class__(
+        assert down == Tower([[()] * 3]).hyperplane(1).__class__(
             t.prefix(1), {(1,): Fraction(1)}
         )
 
@@ -273,7 +273,7 @@ class TestPushPull:
         assert pushforward_chow(lifted, 1).is_zero()
 
     def test_projection_formula_exhaustive(self):
-        t = build_tower([[(), ()], [(1,), (0,)], [(0, 1), (1, 0)]])
+        t = Tower([[(), ()], [(1,), (0,)], [(0, 1), (1, 0)]])
         base = t.prefix(2)
         fiber_monos = [m for m in product(*(range(r + 1) for r in t.ranks))]
         base_monos = [m for m in product(*(range(r + 1) for r in base.ranks))]
@@ -286,7 +286,7 @@ class TestPushPull:
                 assert lhs == rhs, (am, bm)
 
     def test_functoriality_stepwise_vs_at_once(self):
-        t = build_tower([[(), ()], [(1,), (0,)], [(0, 1), (1, 0)]])
+        t = Tower([[(), ()], [(1,), (0,)], [(0, 1), (1, 0)]])
         for mono in product(*(range(r + 1) for r in t.ranks)):
             alpha = ChowClass(t, {mono: Fraction(1)})
             assert pushforward_chow(pushforward_chow(alpha, 1), 1) == pushforward_chow(
@@ -300,20 +300,20 @@ class TestPushPull:
 
 class TestChern:
     def test_line_bundle(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         f = p2.line((1,))
         assert f.total_chern().graded_part(1) == p2.hyperplane(1)
         assert f.total_chern().graded_part(2).is_zero()
 
     def test_virtual_pair(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         f = p2.line((1,)) + p2.line((-1,))
         h = p2.hyperplane(1)
         assert f.total_chern().graded_part(1).is_zero()
         assert f.total_chern().graded_part(2) == (h * h).scale(-1)
 
     def test_virtual_rank(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         assert (p2.line((1,)) - p2.structure_sheaf()).rank() == 0
 
     def test_whitney_on_samples(self):
@@ -323,12 +323,12 @@ class TestChern:
         assert (f + g).total_chern() == f.total_chern() * g.total_chern()
 
     def test_tangent_projective_spaces(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         h = p2.hyperplane(1)
         ct = p2.tangent_class().total_chern()
         assert ct.graded_part(1) == h.scale(3)
         assert ct.graded_part(2) == (h * h).scale(3)
-        p1 = projective_space(1)
+        p1 = Tower([[()] * 2])
         assert p1.tangent_class().total_chern().graded_part(1) == p1.hyperplane(1).scale(2)
 
     def test_tangent_additive_across_levels(self):
@@ -360,13 +360,13 @@ class TestBinomialTotalChern:
 
     @pytest.mark.parametrize("mult", range(-6, 7))
     def test_single_symbol_matches_product(self, mult):
-        t = build_tower(self.TOWER)
+        t = Tower(self.TOWER)
         for vec in [(1, 0, 0), (0, 1, -1), (2, -1, 1), (-1, 1, 1), (0, 0, 0)]:
             f = KClass(t, {vec: mult})
             assert f.total_chern() == reference_total_chern(f), (vec, mult)
 
     def test_mixed_class_matches_product(self):
-        t = build_tower(self.TOWER)
+        t = Tower(self.TOWER)
         f = KClass(t, {(1, 0, 0): 5, (0, 1, -1): -6, (2, -1, 1): -3, (-1, 1, 1): 4})
         assert f.total_chern() == reference_total_chern(f)
 
@@ -379,7 +379,7 @@ class TestRunningProductTotalChern:
     @pytest.mark.parametrize("levels", TestProductTable.TOWERS, ids=str)
     def test_random_classes_match_factor_product(self, levels):
         rng = random.Random(f"running-chern:{levels}")
-        t = build_tower(levels)
+        t = Tower(levels)
         for _ in range(25):
             terms = {}
             for _ in range(rng.randint(1, 4)):
@@ -391,21 +391,21 @@ class TestRunningProductTotalChern:
 
 class TestTowerChain:
     def test_prefix_of_prefix_is_the_same_tower(self):
-        t = build_tower([[(), (), ()], [(1,), (0,)], [(1, -1), (0, 2)]])
+        t = Tower([[(), (), ()], [(1,), (0,)], [(1, -1), (0, 2)]])
         for k in range(t.n_levels + 1):
             for j in range(k + 1):
                 assert t.prefix(k).prefix(j) is t.prefix(j)
         assert t.base is t.prefix(2) and t.prefix(0).base is None
 
     def test_pushforward_lands_on_the_base(self):
-        t = build_tower([[(), (), ()], [(1,), (0,)], [(1, -1), (0, 2)]])
+        t = Tower([[(), (), ()], [(1,), (0,)], [(1, -1), (0, 2)]])
         f = KClass(t, {(1, -1, 2): 3, (0, 1, -3): -1})
         assert pushforward_k(f, 1).tower is t.prefix(t.n_levels - 1)
         assert pushforward_chow(t.hyperplane(3), 1).tower is t.base
 
     def test_levels_come_from_the_bundle(self):
         # xi^2 = c1(E) xi - c2(E) on P(E) with E = O(h) + O(2h) over P2
-        t = build_tower([[(), (), ()], [(1,), (2,)]])
+        t = Tower([[(), (), ()], [(1,), (2,)]])
         h, xi = t.hyperplane(1), t.hyperplane(2)
         assert xi * xi == h.scale(3) * xi - (h * h).scale(2)
         # l^2 = [E] l - det E in K, and pi_* l = E
@@ -416,12 +416,12 @@ class TestTowerChain:
 
 class TestLambdaOps:
     def test_top_wedge(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         f = p2.line((1,)) + p2.line((2,))
         assert f.wedge(2) == p2.line((3,))
 
     def test_sym_square(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         f = p2.structure_sheaf() + p2.line((1,))
         expected = p2.structure_sheaf() + p2.line((1,)) + p2.line((2,))
         assert f.sym(2) == expected
@@ -433,7 +433,7 @@ class TestLambdaOps:
 
     def test_virtual_class(self):
         # lambda_t(L - O) = (1 + L t)/(1 + t) and sigma_t(L - O) = (1 - t)/(1 - L t)
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         virt = p2.line((1,)) - p2.structure_sheaf()
         assert virt.wedge(1) == virt
         assert virt.wedge(2).line_terms == {(0,): 1, (1,): -1}
@@ -453,38 +453,38 @@ class TestKPushforward:
 
     def test_positive_twists_match_binomial_oracle(self):
         for n in range(1, 5):
-            pn = projective_space(n)
+            pn = Tower([[()] * (n + 1)])
             for a in range(0, 5):
                 got = euler_characteristic(pn.line((a,)))
                 assert got == chi_projective_space_oracle(n, a), (n, a)
 
     def test_vanishing_band(self):
         for n in range(1, 5):
-            pn = projective_space(n)
+            pn = Tower([[()] * (n + 1)])
             for a in range(-n, 0):
                 pushed = pushforward_k(pn.line((a,)), 1)
                 assert not pushed.line_terms, (n, a)
 
     def test_negative_twists_match_oracle(self):
         for n in range(1, 5):
-            pn = projective_space(n)
+            pn = Tower([[()] * (n + 1)])
             for a in range(-6, 0):
                 assert euler_characteristic(pn.line((a,))) == chi_projective_space_oracle(
                     n, a
                 ), (n, a)
 
     def test_large_twists_match_oracle(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         for a in (100000, -100000):
             assert euler_characteristic(p3.line((a,))) == chi_projective_space_oracle(3, a), a
 
     def test_serre_example(self):
-        p1 = projective_space(1)
+        p1 = Tower([[()] * 2])
         pushed = pushforward_k(p1.line((-2,)), 1)
         assert pushed == p1.prefix(0).structure_sheaf().scale(-1)
 
     def test_structure_sheaf_pushes_to_structure_sheaf(self):
-        t = build_tower([[(), ()], [(1,), (0,)]])
+        t = Tower([[(), ()], [(1,), (0,)]])
         assert pushforward_k(t.structure_sheaf(), 1) == t.prefix(1).structure_sheaf()
 
     def test_product_chi(self):
@@ -510,7 +510,7 @@ class TestKPushforward:
 
 class TestKNormalForm:
     def test_relation_holds(self):
-        p1 = projective_space(1)
+        p1 = Tower([[()] * 2])
         # (1 - [O(-1)])^2 = 0 on the line
         u = p1.structure_sheaf() - p1.line((-1,))
         assert (u * u).normal_form() == {}
@@ -522,39 +522,39 @@ class TestKNormalForm:
             assert 0 <= vec[0] <= t.ranks[0] and 0 <= vec[1] <= t.ranks[1]
 
     def test_equality_modulo_relations(self):
-        p1 = projective_space(1)
+        p1 = Tower([[()] * 2])
         lhs = p1.line((2,))
         rhs = p1.line((1,)).scale(2) - p1.structure_sheaf()
         assert lhs == rhs  # l^2 = 2l - 1 on the line
 
     def test_serialize_prints_normal_form(self):
-        p1 = projective_space(1)
+        p1 = Tower([[()] * 2])
         assert p1.line((2,)).serialize() == "-1/1\n2/1 l1^1"
 
 
 class TestVCI:
     def test_dimensions(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (2,)))
         assert z.codim == 2 and z.dim == 1
 
     def test_koszul_class(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((2,),))
         expected = p3.structure_sheaf() - p3.line((-2,))
         assert z.koszul_class() == expected
 
     def test_cut_product(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (2,)))
         h = p3.hyperplane(1)
         assert z.cut_product() == (h * h).scale(2)
 
     def test_tangent_rank(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,),))
         assert z.tangent_class().rank() == 2
 
     def test_too_many_cuts(self):
         with pytest.raises(InputError):
-            VirtualCompleteIntersection(projective_space(1), ((1,), (1,)))
+            VirtualCompleteIntersection(Tower([[()] * 2]), ((1,), (1,)))

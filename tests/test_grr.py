@@ -9,10 +9,9 @@ from grrcheck.arith import InputError, bernoulli, todd_denominator
 from grrcheck.geometry import (
     ChowClass,
     KClass,
+    Tower,
     VirtualCompleteIntersection,
-    build_tower,
     euler_characteristic,
-    projective_space,
 )
 from grrcheck import grr
 from grrcheck.grr import (
@@ -41,7 +40,7 @@ from grrcheck.grr import (
 from grrcheck.poly import substitute_terms
 from grrcheck.report import FalsificationError
 from grrcheck.series import Mutation, set_mutation, universal_chern_character, universal_ct
-from grrcheck.suites import MODEL_TOWERS, model_tower, suite_immersion
+from grrcheck.suites import MODEL_TOWERS, geometry_tower, model_tower, suite_immersion
 
 from chern_reference import factor_total_chern
 from rational_reference import rational_grr_cross_check
@@ -58,7 +57,7 @@ def main_sides(f, F, n):
 
 class TestGrrError:
     def test_p2_twist_both_sides_36(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         f = MorphismDatum(p2, 0, "P2->pt")
         lhs, rhs = main_sides(f, p2.line((1,)), 0)
         assert lhs.serialize() == "36/1"
@@ -66,7 +65,7 @@ class TestGrrError:
 
     def test_hirzebruch_base_cases(self):
         for d in range(0, 5):
-            pd = projective_space(d)
+            pd = Tower([[()] * (d + 1)])
             f = MorphismDatum(pd, 0)
             lhs, rhs = main_sides(f, pd.structure_sheaf(), 0)
             assert lhs == rhs
@@ -74,14 +73,14 @@ class TestGrrError:
             assert lhs.serialize() == f"{todd_denominator(d).value}/1"
 
     def test_identity_morphism(self):
-        t = build_tower([[(), ()], [(0,), (1,)]])
+        t = Tower([[(), ()], [(0,), (1,)]])
         f = MorphismDatum(t, t.n_levels, "id")
         for n in range(0, 3):
             lhs, rhs = main_sides(f, t.line((1, -1)), n)
             assert lhs == rhs
 
     def test_morphism_geometry_is_fixed_at_construction(self):
-        t = build_tower([[(), ()], [(0,), (1,)]])
+        t = Tower([[(), ()], [(0,), (1,)]])
         z = VirtualCompleteIntersection(t, ((1, 1),))
         for source, d in ((t, 1), (z, 0)):
             f = MorphismDatum(source, 1)
@@ -91,7 +90,7 @@ class TestGrrError:
                 MorphismDatum(z, levels)
 
     def test_negative_relative_dimension_routes_through_shift(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,),))
         f = MorphismDatum(z, 1, "hyperplane->P3")
         for n in range(0, 4):
@@ -99,7 +98,7 @@ class TestGrrError:
             assert lhs == rhs, n
 
     def test_corollary_and_decomposition(self):
-        t = build_tower([[(), (), ()], [(0,), (1,)]])
+        t = Tower([[(), (), ()], [(0,), (1,)]])
         f = MorphismDatum(t, 1, "bundle->P2")
         F = t.line((1, 1))
         for n in range(0, 3):
@@ -112,14 +111,14 @@ class TestGrrError:
             assert dl == dr, n
 
     def test_rational_shadow(self):
-        t = build_tower([[(), ()], [(0,), (2,)]])
+        t = Tower([[(), ()], [(0,), (2,)]])
         f = MorphismDatum(t, 1)
         for coeffs in [(0, 0), (1, -1), (-2, 2)]:
             assert rational_grr_cross_check(f, t.line(coeffs), 1)
 
     def test_twisting_stability(self):
         # once the identity holds for F, it holds for F twisted by a pullback
-        t = build_tower([[(), ()], [(0,), (1,)]])
+        t = Tower([[(), ()], [(0,), (1,)]])
         f = MorphismDatum(t, 1)
         F = t.line((0, 1))
         for n in range(0, 2):
@@ -131,13 +130,13 @@ class TestGrrError:
 
 class TestCtClass:
     def test_degree_zero_is_rank_times_fundamental_class(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         f = p2.line((1,)) + p2.structure_sheaf().scale(2)
         value = _source_ct(MorphismDatum(p2, 0), _sheaf_images(f, 0), 0, relative=False)
         assert value == p2.unit_chow().scale(3)
 
     def test_degree_one_structure_sheaf_on_line(self):
-        p1 = projective_space(1)
+        p1 = Tower([[()] * 2])
         value = _source_ct(
             MorphismDatum(p1, 0), _sheaf_images(p1.structure_sheaf(), 1), 1, relative=False
         )
@@ -146,7 +145,7 @@ class TestCtClass:
     def test_relative_on_trivial_family_matches_fiber(self):
         # fiberwise tangent difference of a product equals the fiber's
         # tangent, so relative and fiber-absolute classes agree
-        t = build_tower([[(), ()], [(0,), (0,), (0,)]])  # plane fibers over a line
+        t = Tower([[(), ()], [(0,), (0,), (0,)]])  # plane fibers over a line
         f = MorphismDatum(t, 1)
         rel = _source_relative_tangent(f)
         expected_c1 = t.hyperplane(2).scale(3)
@@ -200,8 +199,8 @@ class TestCompiledCt:
 
     def test_catalogue_towers_seeded(self):
         rng = random.Random(7)
-        for name, levels, _ in MODEL_TOWERS:
-            tower = model_tower(name)
+        for _, text, _ in MODEL_TOWERS:
+            tower = geometry_tower(text)
             tangents = [tower.tangent_class(), tower.tangent_class() - tower.line((1,))]
             for m in range(0, 6):
                 degrees = list(range(1, min(m, tower.dim) + 1))
@@ -213,8 +212,8 @@ class TestCompiledCt:
                             assert_compiled_matches(tower, tangent, sheaf, m)
 
     def test_sheaves_of_every_rank_sign(self):
-        for name, levels, _ in MODEL_TOWERS:
-            tower = model_tower(name)
+        for _, text, _ in MODEL_TOWERS:
+            tower = geometry_tower(text)
             a = tower.line((1,) + (-1,) * (tower.n_levels - 1))
             b = tower.line((-2,) + (1,) * (tower.n_levels - 1))
             for F in (a - b, a.scale(-1) - b, a + b + tower.structure_sheaf(), b.scale(-3)):
@@ -253,8 +252,8 @@ def tangent_sources():
     absolute tangent and the fiberwise one over each base, plus a cut-out
     source: a hyperplane of the P3 factor in P3 x P2 with its virtual tangent
     and Koszul sheaves."""
-    for _, levels, bases in MODEL_TOWERS:
-        t = build_tower(levels)
+    for _, text, bases in MODEL_TOWERS:
+        t = Tower(geometry_tower(text).levels)
         a = t.line((1,) + (-1,) * (t.n_levels - 1))
         b = t.line((-2,) + (1,) * (t.n_levels - 1))
         sheaves = [t.structure_sheaf(), a - b, b.scale(-3) + a]
@@ -262,7 +261,7 @@ def tangent_sources():
         for base in bases:
             if base:
                 yield t, _source_relative_tangent(MorphismDatum(t, base)), sheaves
-    t = build_tower([[()] * 4, [(0,)] * 3])
+    t = Tower([[()] * 4, [(0,)] * 3])
     z = VirtualCompleteIntersection(t, ((1, 0),))
     sheaves = [z.koszul_class(), z.koszul_class(t.line((2, -1)))]
     yield t, z.tangent_class(), sheaves
@@ -285,7 +284,7 @@ class TestZeroAboveDimension:
     def test_non_integral_mutation_still_raises(self):
         # the mutation is checked when universal_ct(m) is built, before the
         # degree check
-        p1 = projective_space(1)
+        p1 = Tower([[()] * 2])
         set_mutation(Mutation("ct", 2, 0, Fraction(1, 2)))
         try:
             with pytest.raises(FalsificationError):
@@ -315,7 +314,7 @@ class TestTangentChern:
             return total_chern(self)
 
         monkeypatch.setattr(KClass, "total_chern", counted)
-        t = build_tower([[(), (), ()], [(0,), (1,)]])
+        t = Tower([[(), (), ()], [(0,), (1,)]])
         tangent = frozenset(t.tangent_class().line_terms.items())
         sheaf = _sheaf_images(t.structure_sheaf(), t.dim)
         calls.clear()
@@ -400,7 +399,7 @@ class TestMainTheoremAboveTheBase:
 
 class TestCheckMainTheorem:
     def test_tower_cache_follows_the_mutation(self):
-        p4 = projective_space(4)
+        p4 = Tower([[()] * 5])
         f = MorphismDatum(p4, 0, "P4->pt")
         all_pass(check_main_theorem(f, p4.structure_sheaf(), 0))
         set_mutation(Mutation("todd", 4, 0, Fraction(1)))
@@ -414,7 +413,7 @@ class TestCheckMainTheorem:
     def test_todd_mutation_reaches_the_memoised_todd_parts(self):
         # a Todd mutation moves ct and the Todd parts alike, so the report's
         # two sides agree under it; against the clean left side it must fail
-        t = build_tower([[(), (), ()], [(0,), (1,)]])
+        t = Tower([[(), (), ()], [(0,), (1,)]])
         f = MorphismDatum(t, 1, "bundle->P2")
         n = 2
         pushed, source = _instance_images(f, t.line((1, 1)), n)
@@ -434,8 +433,8 @@ class TestCheckMainTheorem:
 
     def test_bundles_over_bases(self):
         cases = [
-            (build_tower([[(), ()], [(0,), (1,)]]), 1, (0, 1)),
-            (build_tower([[(), (), ()], [(0,), (0,)]]), 1, (1, -2)),
+            (Tower([[(), ()], [(0,), (1,)]]), 1, (0, 1)),
+            (Tower([[(), (), ()], [(0,), (0,)]]), 1, (1, -2)),
         ]
         for tower, base, coeffs in cases:
             f = MorphismDatum(tower, base)
@@ -443,7 +442,7 @@ class TestCheckMainTheorem:
                 all_pass(check_main_theorem(f, tower.line(coeffs), n))
 
     def test_vci_over_base(self):
-        t = build_tower([[()] * 4, [(0,)] * 3])
+        t = Tower([[()] * 4, [(0,)] * 3])
         z = VirtualCompleteIntersection(t, ((1, 0),))
         f = MorphismDatum(z, 1, "hyperplane->P3")
         for n in range(0, 3):
@@ -453,10 +452,10 @@ class TestCheckMainTheorem:
 class TestEulerConsistency:
     def test_chow_equals_k_side(self):
         towers = [
-            projective_space(2),
-            projective_space(4),
-            build_tower([[(), ()], [(0,), (1,)]]),
-            build_tower([[(), (), ()], [(0,), (1,), (2,)]]),
+            Tower([[()] * 3]),
+            Tower([[()] * 5]),
+            Tower([[(), ()], [(0,), (1,)]]),
+            Tower([[(), (), ()], [(0,), (1,), (2,)]]),
         ]
         for t in towers:
             for coeffs in [(0,) * t.n_levels, (1,) * t.n_levels, (-1, 2)[: t.n_levels]]:
@@ -466,20 +465,20 @@ class TestEulerConsistency:
                 )
 
     def test_chow_degree(self):
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         h = p2.hyperplane(1)
         assert chow_degree(h * h) == 1
         assert chow_degree(h) == 0
 
     def test_exact_scalars_never_floats(self):
         exact = {int, Fraction}
-        p2 = projective_space(2)
+        p2 = Tower([[()] * 3])
         h = p2.hyperplane(1)
         assert type(chow_degree(h * h)) in exact and type(chow_degree(h)) in exact
         chi = euler_characteristic_via_chow(p2, p2.line((1,)))
         assert type(chi) in exact and str(chi) == "3"
         # the rational series parts the tests' rational_grr_cross_check evaluates
-        p4 = projective_space(4)
+        p4 = Tower([[()] * 5])
         F = p4.line((1,)) + p4.line((3,))
         ch = evaluate_universal(
             universal_chern_character(2).series_part, p4, _sheaf_images(F, 2)
@@ -494,19 +493,19 @@ class TestEulerConsistency:
 
 class TestImmersion:
     def test_hyperplane_in_p3(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,),))
         for n in range(0, 4):
             all_pass(check_immersion(p3, z, p3.structure_sheaf(), n))
 
     def test_linear_line_in_p3_with_twist(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (1,)))
         for n in range(0, 4):
             all_pass(check_immersion(p3, z, p3.line((1,)), n))
 
     def test_character_vanishes_below_codim(self):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (1,)))
         reports = check_immersion(p3, z, p3.structure_sheaf(), 1)
         below = [
@@ -539,8 +538,8 @@ class TestImmersion:
             assert rep.passed
 
     def test_wrong_tower_rejected(self):
-        p3 = projective_space(3)
-        other = projective_space(3)
+        p3 = Tower([[()] * 4])
+        other = Tower([[()] * 4])
         z = VirtualCompleteIntersection(other, ((1,),))
         with pytest.raises(InputError):
             check_immersion(p3, z, p3.structure_sheaf(), 1)
@@ -549,12 +548,12 @@ class TestImmersion:
 class TestDivisorCalculus:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_p3_single_and_double(self, m):
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         all_pass(check_divisor_calculus(p3, 1, 2, m))
 
     def test_k_side_square_example(self):
         # [O]-[O(-2h)] = 2([O]-[O(-h)]) - ([O]-[O(-h)])^2
-        p3 = projective_space(3)
+        p3 = Tower([[()] * 4])
         u = p3.structure_sheaf() - p3.line((-1,))
         lhs = p3.structure_sheaf() - p3.line((-2,))
         rhs = u.scale(2) - u * u
@@ -607,7 +606,7 @@ class TestSurfaceDeterminant:
 class TestCompositionConsistency:
     def test_stepwise_assembly_matches_composite(self):
         # two-level tower X -> Y -> S=pt; both relative dimensions >= 0
-        t = build_tower([[(), (), ()], [(0,), (1,)]])
+        t = Tower([[(), (), ()], [(0,), (1,)]])
         y = t.prefix(1)
         composite = MorphismDatum(t, 0)
         top = MorphismDatum(t, 1)
@@ -654,9 +653,9 @@ class TestDeterminantFormulaDegreeOne:
         from math import factorial
 
         towers = [
-            build_tower([[(), ()], [(0,), (0,)]]),
-            build_tower([[(), ()], [(0,), (1,)]]),
-            build_tower([[(), (), ()], [(0,), (2,)]]),
+            Tower([[(), ()], [(0,), (0,)]]),
+            Tower([[(), ()], [(0,), (1,)]]),
+            Tower([[(), (), ()], [(0,), (2,)]]),
         ]
         t2 = todd_denominator(2).value
         for t in towers:
@@ -691,10 +690,10 @@ class TestHirzebruchConsistencyWideCoefficients:
         from itertools import product as iproduct
 
         towers = [
-            projective_space(4),
-            build_tower([[(), (), ()], [(0,), (0,), (0,)]]),
-            build_tower([[(), ()], [(0,), (2,)]]),
-            build_tower([[(), (), ()], [(0,), (1,), (2,)]]),
+            Tower([[()] * 5]),
+            Tower([[(), (), ()], [(0,), (0,), (0,)]]),
+            Tower([[(), ()], [(0,), (2,)]]),
+            Tower([[(), (), ()], [(0,), (1,), (2,)]]),
         ]
         for t in towers:
             for coeffs in iproduct(*(range(-3, 4) for _ in range(t.n_levels))):

@@ -14,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grrcheck.geometry import KClass, build_tower
-from grrcheck.suites import MODEL_TOWERS
+from grrcheck.geometry import KClass, Tower
+from grrcheck.suites import MODEL_TOWERS, geometry_tower
 
 from lambda_reference import multiset_power, outward_pushed_powers
 
-# the catalogue, then two towers whose twists are larger or negative
-TOWER_LEVELS = [levels for _, levels, _ in MODEL_TOWERS] + [
+# the catalogue's level lists, then two towers whose twists are larger or
+# negative; each test builds its own towers, with no pushforward table filled
+TOWER_LEVELS = [
+    [list(level) for level in geometry_tower(text).levels] for _, text, _ in MODEL_TOWERS
+] + [
     [[(), ()], [(0,), (3,)]],
     [[(), (), ()], [(1,), (-2,), (0,)], [(1, 1), (0, -1)]],
 ]
@@ -28,7 +31,7 @@ TOWER_LEVELS = [levels for _, levels, _ in MODEL_TOWERS] + [
 
 def test_powers_of_effective_classes_match_the_enumeration():
     rng = random.Random(19)
-    towers = [build_tower(levels) for levels in TOWER_LEVELS]
+    towers = [Tower(levels) for levels in TOWER_LEVELS]
     for _ in range(300):
         tower = rng.choice(towers)
         terms = {
@@ -43,7 +46,7 @@ def test_powers_of_effective_classes_match_the_enumeration():
 
 @pytest.mark.parametrize("levels", TOWER_LEVELS, ids=str)
 def test_closed_form_pushforward_matches_the_recurrence(levels):
-    current = build_tower(levels)
+    current = Tower(levels)
     while current.base is not None:
         table = outward_pushed_powers(current, -15, 15)
         for a in range(-15, 16):
@@ -53,7 +56,7 @@ def test_closed_form_pushforward_matches_the_recurrence(levels):
 
 
 # a two-level tower, so that line symbols are vectors
-TOWER = build_tower([[(), (), ()], [(0,), (1,)]])
+TOWER = Tower([[(), (), ()], [(0,), (1,)]])
 VIRTUAL = st.dictionaries(
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3), max_size=3
 ).map(lambda terms: KClass(TOWER, terms))

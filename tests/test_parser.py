@@ -1,5 +1,6 @@
 import pytest
 
+from grrcheck.arith import InputError
 from grrcheck.specparse import (
     ParseError,
     ScopeError,
@@ -40,6 +41,24 @@ class TestGeometryParsing:
         )
         assert scope.names == {"y": 1}
         assert scope.tower.levels[1] == ((0,), (2,))
+
+    @pytest.mark.parametrize("alias", ["xi2", "ξ2", "xi3"])
+    def test_alias_spelled_as_another_levels_name_rejected(self, alias):
+        # "as xi2" on level 1 would make xi2 read as xi1
+        text = f"P(trivial 2) over P(trivial 2) as {alias} over point"
+        with pytest.raises(InputError, match="another level.s name"):
+            build_geometry(parse_geometry(text))
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("P(trivial 2) over P(trivial 2) as xi1 over point", {"xi1": 1}),
+            ("P(trivial 2) as ξ2 over P(trivial 2) over point", {"xi2": 2}),
+            ("P(trivial 2) as h over P(trivial 2) over point", {"h": 2}),
+        ],
+    )
+    def test_alias_h_and_own_name_allowed(self, text, names):
+        assert build_geometry(parse_geometry(text)).names == names
 
     def test_unicode_hyperplane_names(self):
         scope = build_geometry(
