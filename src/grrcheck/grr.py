@@ -8,28 +8,32 @@ divisions; a failed division is a falsification, not a rounding issue.  Each
 T_a/(j! T_b) is grrcheck.arith.todd_ratio; only the T_a/(T_b T_c) of
 decomposition_rhs is spelled out with exact_ratio.
 
-Every universal polynomial is evaluated by the one substitution loop over its
-monomials, grrcheck.poly.substitute_terms: on a tower with Chow classes as
-images and the tower's unit class as one, in a formal fibration through
-GradedPolynomial.substitute.  The combined class runs through it once per
-entry of ct_on_tower's cache; each call then walks a Horner scheme
-(grrcheck.poly.horner_eval).
+Every universal class on a tower, ch, Td, the combined class ct, Q_m and
+the inverse Todd numerators alike, is evaluated by evaluate_universal(uc,
+tower, c_side, sheaf): each c<i> is c_i of the c-side (an absolute,
+fiberwise or cut-out tangent, or a cut-out's normal class), r the sheaf's
+rank and every other variable (cp<i>, x) a Chow class of the sheaf map.
+One pass of the one substitution loop over the class's monomials,
+grrcheck.poly.substitute_terms, fills each entry of its cache; each call
+then walks a Horner scheme (grrcheck.poly.horner_eval).  In a formal
+fibration the loop runs through GradedPolynomial.substitute.
 
-Degree rule: above a tower's dimension a class is zero.  ct_on_tower (m >
-dim) and check_main_theorem (n > dim S: no pushforward, images or
-evaluation) return zero classes, but still read every universal class the
-full path reads, in its order, so a non-integral mutation fails the same
-way: ct_m, and reading ct_m reads ch_0..ch_m and Td_0..Td_m.
+Degree rule: above a tower's dimension a class is zero.  evaluate_universal
+(a numerator of degree above dim) and check_main_theorem (n > dim S: no
+pushforward, images or evaluation) return zero classes, but still read
+every universal class the full path reads, in its order, so a non-integral
+mutation fails the same way: ct_m, and reading ct_m reads ch_0..ch_m and
+Td_0..Td_m.
 
 Work that depends only on the tower is cached in the tower's _cache.  Where
 a universal class is read, the key holds that class itself (UniversalClass
 hashes by identity), so a class rebuilt under a mutation never meets work
 done with the clean one, and this module need not know that mutations exist:
 
-    ("tangent-chern", tangent)                c(tangent): absolute, fiberwise, cut-out
-    (universal_ct(m), tangent, rank, live)    ct_m as a Horner scheme in the live cp_i
-    universal_todd(j)                         Td-numerator_j(T_tower)
-    ("relative-tangent", base levels, cuts)   T_X - f^*T_S on the ambient
+    ("tangent-chern", c-side)                c(c-side): a tangent or normal class
+    (uc, c-side, rank, live)                 uc as a Horner scheme in the live
+                                             sheaf classes
+    ("relative-tangent", base levels, cuts)  T_X - f^*T_S on the ambient
 
 One main-theorem instance at n <= dim S pushes its sheaf forward once and
 builds the Chern images of the sheaf and of its pushforward once, for all
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Mapping
 
@@ -58,6 +63,7 @@ from .geometry import (
 from .poly import Alphabet, GradedPolynomial, horner_eval, horner_scheme, substitute_terms
 from .report import FalsificationError, VerificationReport
 from .series import (
+    UniversalClass,
     q_poly,
     todd_inverse_numerator,
     universal_chern_character,
@@ -71,70 +77,76 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
-def _chern_images(total: ChowClass, upto: int, prefix: str = "c") -> dict[str, ChowClass]:
-    """{prefix1: c_1, ..., prefix<upto>: c_upto} of a total Chern class."""
-    return {f"{prefix}{i}": total.graded_part(i) for i in range(1, upto + 1)}
-
-
-def _tangent_chern(tangent: KClass) -> ChowClass:
-    """The total Chern class of a tangent class, cached on its tower per
+def _tangent_chern(c_side: KClass) -> ChowClass:
+    """The total Chern class of a c-side class, cached on its tower per
     ("tangent-chern", line terms): one entry serves an absolute, fiberwise
-    or cut-out tangent and every degree read from it."""
-    key = ("tangent-chern", frozenset(tangent.line_terms.items()))
-    if key not in tangent.tower._cache:
-        tangent.tower._cache[key] = tangent.total_chern()
-    return tangent.tower._cache[key]
+    or cut-out tangent, or a normal class, and every degree read from it."""
+    key = ("tangent-chern", frozenset(c_side.line_terms.items()))
+    if key not in c_side.tower._cache:
+        c_side.tower._cache[key] = c_side.total_chern()
+    return c_side.tower._cache[key]
 
 
 def _sheaf_images(F: KClass, upto: int) -> dict[str, ChowClass | int]:
     """The sheaf-side variables r, cp1..cp<upto> at F."""
-    # no total Chern class to build below degree 1 (e.g. every n = 0 instance)
-    chern = _chern_images(F.total_chern(), upto, "cp") if upto > 0 else {}
-    return {"r": F.rank(), **chern}
+    images = {"r": F.rank()}
+    if upto > 0:  # no total Chern class to build below degree 1 (e.g. every n = 0 instance)
+        total = F.total_chern()
+        images |= {f"cp{i}": total.graded_part(i) for i in range(1, upto + 1)}
+    return images
+
+
+@lru_cache(maxsize=None)
+def _roles(alphabet: Alphabet) -> tuple[dict[str, int], tuple[str, ...]]:
+    """The variables of a universal class's alphabet by role, once per
+    alphabet: {c<i>: i}, read from the c-side's total Chern class, and the
+    names other than r (cp<i>, x), read from the sheaf map."""
+    names = alphabet.names()
+    chern = {name: int(name[1:]) for name in names if name[0] == "c" and name[1:].isdigit()}
+    return chern, tuple(name for name in names if name not in chern and name != "r")
 
 
 def evaluate_universal(
-    poly: GradedPolynomial,
-    tower: Tower,
-    images: Mapping[str, ChowClass | int | Fraction],
+    uc: UniversalClass, tower: Tower, c_side: KClass | None = None, sheaf: Mapping = {}
 ) -> ChowClass:
-    """Evaluate a universal polynomial at tower classes and scalars, one image
-    per variable name (e.g. {"r": rank, "cp1": c_1(F), ...}).  Exact."""
-    grouped = substitute_terms(poly.terms, poly.alphabet.names(), images, tower.unit_chow())
-    return grouped.get((), tower.zero_chow())
+    """A universal class's numerator on the tower: each c<i> is c_i of the
+    c-side class (a tangent or a normal class), r the int sheaf["r"], and
+    each other variable (cp<i>, x) the Chow class sheaf[name].
+
+    The numerator is homogeneous of the degree its bound gives, so above the
+    tower's dimension it is the zero class; the check comes after uc was
+    read, which raises for a non-integral mutated class.
+
+    One cache entry per (uc, c-side line terms, rank, live), live the names
+    of the nonzero sheaf classes: uc compiled to a Horner scheme in the live
+    classes by one substitute_terms pass over the numerator terms in no zero
+    sheaf class (and free of r at rank 0), with the c_i and the rank
+    substituted.  Each call walks that scheme at the live classes.
+    """
+    numerator = uc.numerator
+    if numerator.truncation > tower.dim:
+        return tower.zero_chow()
+    chern, others = _roles(numerator.alphabet)
+    live = tuple(name for name in others if not sheaf[name].is_zero())
+    key = (uc, frozenset(c_side.line_terms.items()) if chern else None, sheaf.get("r"), live)
+    if key not in tower._cache:
+        names = numerator.alphabet.names()
+        fixed = {name: 0 for name in others if name not in live} | {"r": sheaf.get("r")}
+        zero = [pos for pos, name in enumerate(names) if fixed.get(name) == 0]
+        terms = {e: c for e, c in numerator.terms.items() if not any(e[p] for p in zero)}
+        if chern:
+            total = _tangent_chern(c_side)
+            fixed |= {name: total.graded_part(i) for name, i in chern.items()}
+        grouped = substitute_terms(terms, names, fixed, tower.unit_chow(), keep=live)
+        grouped = {e: c for e, c in grouped.items() if not c.is_zero()}
+        tower._cache[key] = horner_scheme(grouped or {(0,) * len(live): tower.zero_chow()})
+    return horner_eval(tower._cache[key], [sheaf[name] for name in live])
 
 
 def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowClass:
     """The degree-m combined-class numerator on the tower, at the tangent
-    class and the sheaf map {"r": rank, "cp1": ..., "cp<m>": ...}.
-
-    ct_m is homogeneous of degree m, so above the tower's dimension it is
-    the zero class; the check comes after universal_ct(m), which raises for
-    a non-integral mutated class.
-
-    One cache entry per (universal_ct(m), tangent, rank, live), live the
-    names of the nonzero cp_i: the compiled class, a Horner scheme in the
-    live cp_i.  One substitute_terms pass fills it, over the numerator terms
-    in no zero cp_i (and free of r at rank 0), with the tangent Chern classes
-    and the rank substituted.  Each call walks that scheme at the live
-    classes.
-    """
-    ct = universal_ct(m)
-    if m > tower.dim:
-        return tower.zero_chow()
-    sheaf_names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
-    live = tuple(name for name in sheaf_names[1:] if not sheaf[name].is_zero())
-    key = (ct, frozenset(tangent.line_terms.items()), sheaf["r"], live)
-    if key not in tower._cache:
-        names = ct.numerator.alphabet.names()
-        fixed = {name: 0 for name in sheaf_names if name not in live} | {"r": sheaf["r"]}
-        zero = [pos for pos, name in enumerate(names) if fixed.get(name) == 0]
-        terms = {e: c for e, c in ct.numerator.terms.items() if not any(e[p] for p in zero)}
-        images = _chern_images(_tangent_chern(tangent), m) | fixed
-        grouped = substitute_terms(terms, names, images, tower.unit_chow(), keep=live)
-        grouped = {e: c for e, c in grouped.items() if not c.is_zero()}
-        tower._cache[key] = horner_scheme(grouped or {(0,) * len(live): tower.zero_chow()})
-    return horner_eval(tower._cache[key], [sheaf[name] for name in live])
+    class and the sheaf map {"r": rank, "cp1": ..., "cp<m>": ...}."""
+    return evaluate_universal(universal_ct(m), tower, tangent, sheaf)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +259,6 @@ def corollary_sides(
     return s_n.scale(todd_ratio(d + n, n, 0)), rhs
 
 
-def _todd_part(tower: Tower, j: int) -> ChowClass:
-    """Td-numerator_j at the tower's tangent class, cached on the tower under
-    the class universal_todd(j)."""
-    todd = universal_todd(j)
-    if todd not in tower._cache:
-        tangent_chern = _chern_images(_tangent_chern(tower.tangent_class()), j)
-        tower._cache[todd] = evaluate_universal(todd.numerator, tower, tangent_chern)
-    return tower._cache[todd]
-
-
 def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping, s_n: ChowClass) -> ChowClass:
     """Target-side regrouping that links the two statement shapes: the main
     theorem's left side (T_{d+n}/T_n) ct_n(f_*F, S) equals
@@ -273,9 +275,10 @@ def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping, s_n: ChowClass)
         )
         inner = todd_ratio(d + n - j, n - j, 0)
         s_part = s_n if j == 0 else evaluate_universal(
-            universal_chern_character(n - j).numerator, target, pushed
+            universal_chern_character(n - j), target, sheaf=pushed
         )
-        rhs = rhs + (s_part * _todd_part(target, j)).scale(outer * inner)
+        todd_part = evaluate_universal(universal_todd(j), target, target.tangent_class())
+        rhs = rhs + (s_part * todd_part).scale(outer * inner)
     return rhs
 
 
@@ -302,7 +305,7 @@ def check_main_theorem(
         pushed, source = _instance_images(f, F, n)
         lhs, rhs = grr_error(f, n, pushed, source)
         if d >= 0:
-            s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+            s_n = evaluate_universal(universal_chern_character(n), f.target, sheaf=pushed)
             cl, cr = corollary_sides(f, n, s_n, source)
             dr = decomposition_rhs(f, n, pushed, s_n)
     lhs_text = lhs.serialize()
@@ -354,14 +357,14 @@ def check_immersion(
     ]
 
     # character-numerator pushforward: vanishing below codim, explicit sum above
-    normal_chern = _chern_images(z.normal_class().total_chern(), n - r)
+    normal = z.normal_class()
     cut = z.cut_product()
     for m in range(0, n + 1):
-        lhs_m = evaluate_universal(universal_chern_character(m).numerator, w, pushed)
+        lhs_m = evaluate_universal(universal_chern_character(m), w, sheaf=pushed)
         rhs_m = w.zero_chow()  # the sum is empty below the codimension
         for l in range(r, m + 1):
-            s_part = evaluate_universal(universal_chern_character(m - l).numerator, w, source)
-            inv_part = evaluate_universal(todd_inverse_numerator(l, r).numerator, w, normal_chern)
+            s_part = evaluate_universal(universal_chern_character(m - l), w, sheaf=source)
+            inv_part = evaluate_universal(todd_inverse_numerator(l, r), w, normal)
             rhs_m = rhs_m + (s_part * inv_part).scale(comb(m, l))
         reports.append(
             VerificationReport.compare(
@@ -380,23 +383,11 @@ def check_immersion(
 # ---------------------------------------------------------------------------
 
 
-def _divisor_td(w: Tower, m: int, divisor: ChowClass) -> ChowClass:
-    """Q_m evaluated at the tangent Chern classes of the tower and the divisor."""
-    if m < 1:
-        raise InputError("divisor polynomial starts in degree 1")
-    images = {**_chern_images(_tangent_chern(w.tangent_class()), m - 1), "x": divisor}
-    return evaluate_universal(q_poly(m).numerator, w, images)
-
-
 def _restricted_td(w: Tower, cuts: tuple, m: int) -> ChowClass:
     """Pushforward of the degree-m Todd numerator of the cut-out locus:
     Td-numerator_m(virtual tangent) times the product of the cuts."""
     z = VirtualCompleteIntersection(w, cuts)
-    if m < 0:
-        return w.zero_chow()
-    chern = _chern_images(_tangent_chern(z.tangent_class()), m)
-    value = evaluate_universal(universal_todd(m).numerator, w, chern)
-    return value * z.cut_product()
+    return evaluate_universal(universal_todd(m), w, z.tangent_class()) * z.cut_product()
 
 
 def check_divisor_calculus(
@@ -418,9 +409,13 @@ def check_divisor_calculus(
     def cut(c: int) -> tuple:
         return ((c,) + (0,) * (w.n_levels - 1),)
 
-    # each side below is evaluated once and read by every report that needs it
+    # each side below is evaluated once and read by every report that needs it;
+    # Q_m at the tangent Chern classes and at a*h, b*h, their sum and difference
     da, db = h.scale(a), h.scale(b)
-    td_a, td_b, td_sum = (_divisor_td(w, m, d) for d in (da, db, da + db))
+    td_a, td_b, td_sum, lhs_diff = (
+        evaluate_universal(q_poly(m), w, w.tangent_class(), {"x": d})
+        for d in (da, db, da + db, da - db)
+    )
     restricted_a = _restricted_td(w, cut(a), m - 1)
     restricted_b = _restricted_td(w, cut(b), m - 1)
     # the codimension-2 term of the two-divisor decomposition
@@ -461,7 +456,6 @@ def check_divisor_calculus(
     )
 
     # (c): difference of two divisors, with the cutoff min(m-1, delta)
-    lhs_diff = _divisor_td(w, m, da - db)
     rhs_diff = restricted_a - restricted_b
     kmax = min(m - 1, delta)
     for k in range(1, kmax + 1):

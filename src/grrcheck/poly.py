@@ -45,7 +45,8 @@ polynomial, for every ring the package evaluates in: GradedPolynomial.substitute
 (formal root rings) and the tower evaluations of grrcheck.grr (Chow rings)
 both call it.  horner_scheme nests a grouped result by variable so that
 horner_eval evaluates it many times over with one product per exponent step;
-grrcheck.grr compiles the combined class on a tower that way.
+grrcheck.grr.evaluate_universal compiles every universal class on a tower
+that way.
 
 The symmetric-function reduction implements the classical fundamental-theorem
 algorithm (lexicographic leading-term elimination).  Internally symmetric

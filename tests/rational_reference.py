@@ -4,7 +4,8 @@ grrcheck checks its integral statements on integer numerators.  The routes
 here are the classical rational ones, which the tests compare it against:
 
 - rational_grr_cross_check: rational Riemann-Roch on a tower morphism, from
-  the series parts (numerator / scale) of ch and Td;
+  the series parts (numerator / scale) of ch and Td, each substituted in
+  one substitute_terms pass (substitute_on_tower);
 - q_numerator_reference: the numerator of Q_m as T_{m-1} times the degree-m
   part of the full product (1 - e^{-x}) * (1 + Td_1 + ... + Td_{m-1}), with
   the rational Td_k; grrcheck.series.q_poly sums the integer terms
@@ -14,17 +15,15 @@ here are the classical rational ones, which the tests compare it against:
 from __future__ import annotations
 
 from grrcheck.arith import InputError, todd_denominator
-from grrcheck.geometry import KClass, VirtualCompleteIntersection
+from grrcheck.geometry import ChowClass, KClass, Tower, VirtualCompleteIntersection
 from grrcheck.grr import (
     MorphismDatum,
-    _chern_images,
     _chow_pushforward,
     _instance_images,
     _source_relative_tangent,
     _tangent_chern,
-    evaluate_universal,
 )
-from grrcheck.poly import GradedPolynomial
+from grrcheck.poly import GradedPolynomial, substitute_terms
 from grrcheck.series import (
     apply_series,
     divisor_alphabet,
@@ -32,6 +31,14 @@ from grrcheck.series import (
     universal_chern_character,
     universal_todd,
 )
+
+
+def substitute_on_tower(poly: GradedPolynomial, tower: Tower, images: dict) -> ChowClass:
+    """A polynomial with Fraction coefficients (a series part) at tower
+    classes and scalars, one image per variable, by one substitute_terms
+    pass; grrcheck.grr.evaluate_universal reads only integral numerators."""
+    grouped = substitute_terms(poly.terms, poly.alphabet.names(), images, tower.unit_chow())
+    return grouped.get((), tower.zero_chow())
 
 
 def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
@@ -48,14 +55,14 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
         raise InputError("rational cross-check implemented for tower sources")
     target = f.target
     pushed, source = _instance_images(f, F, n)
-    lhs = evaluate_universal(universal_chern_character(n).series_part, target, pushed)
+    lhs = substitute_on_tower(universal_chern_character(n).series_part, target, pushed)
     ambient = f.ambient
-    rel_tangent = _source_relative_tangent(f)
-    td_rel_chern = _chern_images(_tangent_chern(rel_tangent), d + n)
+    rel_chern = _tangent_chern(_source_relative_tangent(f))
+    td_rel_chern = {f"c{i}": rel_chern.graded_part(i) for i in range(1, d + n + 1)}
     total = ambient.zero_chow()
     for j in range(d + n + 1):
-        ch_j = evaluate_universal(universal_chern_character(j).series_part, ambient, source)
-        td_j = evaluate_universal(
+        ch_j = substitute_on_tower(universal_chern_character(j).series_part, ambient, source)
+        td_j = substitute_on_tower(
             universal_todd(d + n - j).series_part, ambient, td_rel_chern
         )
         total = total + ch_j * td_j

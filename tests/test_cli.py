@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grrcheck import cli, grr
 from grrcheck.cli import main
@@ -410,6 +412,16 @@ class TestVerify:
         code = main(argv + (["--mutate", mutation] if mutation else []))
         assert (code, capsys.readouterr().out) == (pinned["exit"], pinned["stdout"])
 
+    @pytest.mark.parametrize(
+        "suite, spec", [("divisor-calculus", "q:2:0:1"), ("immersion", "toddinv:3:0:1")]
+    )
+    def test_q_and_toddinv_mutations_turn_their_suite_red(self, suite, spec, capsys):
+        # an integral wrong coefficient of Q_2 or of the inverse Todd
+        # numerator of degree 3 is caught by the geometry suite that reads it
+        assert main(["verify", suite, "--mutate", spec]) == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert any(r["verdict"] == "fail" for r in lines)
+
     def test_toddinv_falsification_names_its_rank(self, capsys):
         # the error names the instance the integrality suite runs, so the
         # discrepancy carries no lead naming another claim
@@ -501,6 +513,60 @@ class TestParserReuse:
         assert not args.timing and args.mutate is None
 
 
+def _divisor_text(draw, names):
+    """A random divisor over the given level names, "0" when it is zero."""
+    text = ""
+    for name in names:
+        c = draw(st.integers(-2, 2))
+        if c:
+            sign = "-" if c < 0 else ("+" if text else "")
+            text += f" {sign} " if text else sign
+            text += name if abs(c) == 1 else f"{abs(c)}*{name}"
+    return text or "0"
+
+
+def _class_text(draw, names, depth):
+    """A random class expression: line bundles, sums, virtual differences,
+    dual, wedge, sym and twist, nested at most depth deep."""
+    kinds = ["O", "+", "-", "dual", "wedge", "sym", "twist"] if depth else ["O"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "O":
+        return draw(st.sampled_from(["O", f"O({_divisor_text(draw, names)})"]))
+    inner = _class_text(draw, names, depth - 1)
+    if kind in "+-":
+        return f"{inner} {kind} ({_class_text(draw, names, depth - 1)})"
+    if kind == "dual":
+        return f"dual({inner})"
+    if kind == "twist":
+        return f"twist({_divisor_text(draw, names)}, {inner})"
+    return f"{kind}({draw(st.integers(0, 3))}, {inner})"
+
+
+@st.composite
+def single_instance_queries(draw):
+    """The argv of a random main-theorem query: a tower of one to three
+    levels and dimension at most 5, trivial or twisted levels, a random
+    class, up to two cuts, a random base and n <= 3."""
+    levels, dim = [], 0
+    for k in range(1, draw(st.integers(1, 3)) + 1):
+        rank = draw(st.integers(0, min(3, 5 - dim)))
+        dim += rank
+        below = [f"xi{i}" for i in range(1, k)]
+        if below and draw(st.booleans()):
+            bundle = "[" + ", ".join(_divisor_text(draw, below) for _ in range(rank + 1)) + "]"
+        else:
+            bundle = f"trivial {rank + 1}"
+        levels.append(f"P({bundle}) over ")
+    names = [f"xi{i}" for i in range(1, len(levels) + 1)]
+    argv = ["verify", "main-theorem", "--geometry", "".join(reversed(levels)) + "point"]
+    argv += ["--sheaf", _class_text(draw, names, 2)]
+    argv += ["--base-levels", str(draw(st.integers(0, len(levels))))]
+    argv += ["-n", str(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        argv += ["--cut", _divisor_text(draw, names)]
+    return argv
+
+
 class TestExitCodes:
     def test_closed_stdout_exits_three_quietly(self, monkeypatch, capsys):
         class ClosedPipe(io.StringIO):
@@ -537,6 +603,21 @@ class TestExitCodes:
         assert main(["verify", "integrality", "--max-degree", "3"]) == 130
         out, err = capsys.readouterr()
         assert (out, err) == ("", "interrupted\n")
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(single_instance_queries())
+    def test_random_queries_pass_or_are_refused(self, argv):
+        # every single-instance query exits 0 with every report passing, or
+        # 2 with nothing on stdout: never 1, 3 or an uncaught exception
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, out.getvalue(), err.getvalue())
+        if code == 0:
+            lines = [json.loads(line) for line in out.getvalue().splitlines()]
+            assert lines and all(r["verdict"] == "pass" for r in lines), argv
+        else:
+            assert out.getvalue() == "", argv
 
 
 class TestDegreeBounds:

@@ -14,16 +14,15 @@ from grrcheck.geometry import (
     euler_characteristic,
 )
 from grrcheck import grr
+from grrcheck.cli import _parse_mutation
 from grrcheck.grr import (
     FormalFibration,
     MorphismDatum,
-    _chern_images,
     _instance_images,
     _sheaf_images,
     _source_ct,
     _source_relative_tangent,
     _tangent_chern,
-    _todd_part,
     check_divisor_calculus,
     check_immersion,
     check_kappa_identity,
@@ -38,12 +37,26 @@ from grrcheck.grr import (
     grr_error,
 )
 from grrcheck.poly import substitute_terms
-from grrcheck.report import FalsificationError
-from grrcheck.series import Mutation, set_mutation, universal_chern_character, universal_ct
-from grrcheck.suites import MODEL_TOWERS, geometry_tower, model_tower, suite_immersion
+from grrcheck.report import FalsificationError, run_check
+from grrcheck.series import (
+    Mutation,
+    q_poly,
+    set_mutation,
+    todd_inverse_numerator,
+    universal_chern_character,
+    universal_ct,
+    universal_todd,
+)
+from grrcheck.suites import (
+    MODEL_TOWERS,
+    geometry_tower,
+    model_tower,
+    suite_divisor_calculus,
+    suite_immersion,
+)
 
 from chern_reference import factor_total_chern
-from rational_reference import rational_grr_cross_check
+from rational_reference import rational_grr_cross_check, substitute_on_tower
 
 
 def all_pass(reports):
@@ -103,7 +116,7 @@ class TestGrrError:
         F = t.line((1, 1))
         for n in range(0, 3):
             pushed, source = _instance_images(f, F, n)
-            s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+            s_n = evaluate_universal(universal_chern_character(n), f.target, sheaf=pushed)
             cl, cr = corollary_sides(f, n, s_n, source)
             assert cl == cr, n
             dl, _ = grr_error(f, n, pushed, source)
@@ -156,19 +169,18 @@ class TestCtClass:
         assert value == absolute_fiber  # twelve times the fiber point class
 
 
-def two_pass_ct(tower, tangent, sheaf, m):
-    """The combined class by two substitution passes over its monomials, the
-    tangent classes first and then every sheaf variable, with no cache."""
-    names = ["r"] + [f"cp{i}" for i in range(1, m + 1)]
-    numerator = universal_ct(m).numerator
-    partial = substitute_terms(
-        numerator.terms,
-        numerator.alphabet.names(),
-        _chern_images(tangent.total_chern(), m),
-        tower.unit_chow(),
-        keep=names,
-    )
-    grouped = substitute_terms(partial, names, sheaf, tower.unit_chow())
+def two_pass(uc, tower, c_side, sheaf):
+    """A universal class on the tower by two substitution passes over its
+    monomials, the c_i of the c-side first and then every other variable,
+    with no cache and no degree rule."""
+    numerator = uc.numerator
+    names = numerator.alphabet.names()
+    chern = [name for name in names if name[0] == "c" and name[1:].isdigit()]
+    rest = [name for name in names if name not in chern]
+    total = c_side.total_chern() if chern else None
+    images = {name: total.graded_part(int(name[1:])) for name in chern}
+    partial = substitute_terms(numerator.terms, names, images, tower.unit_chow(), keep=rest)
+    grouped = substitute_terms(partial, rest, sheaf, tower.unit_chow())
     return grouped.get((), tower.zero_chow())
 
 
@@ -190,12 +202,68 @@ def sheaf_map(rng, tower, m, rank, live):
     return images
 
 
-def assert_compiled_matches(tower, tangent, sheaf, m):
-    assert ct_on_tower(tower, tangent, sheaf, m) == two_pass_ct(tower, tangent, sheaf, m)
+def assert_compiled_matches(uc, tower, c_side, sheaf):
+    assert evaluate_universal(uc, tower, c_side, sheaf) == two_pass(uc, tower, c_side, sheaf), (
+        uc.name, uc.degree, tower, sheaf
+    )
+
+
+KINDS = ("ct", "todd", "ch", "q", "toddinv")
+
+
+def random_sheaves(rng, tower, m):
+    """Sheaf maps up to degree m at ranks 0, -2 and 3, with all, none and a
+    random set of the cp_i of degree at most the dimension nonzero."""
+    degrees = list(range(1, min(m, tower.dim) + 1))
+    for rank in (0, -2, 3):
+        for k in {0, len(degrees), rng.randint(0, len(degrees))}:
+            yield sheaf_map(rng, tower, m, rank, set(rng.sample(degrees, k)))
+
+
+def normal_sources(rng):
+    """(tower, normal class) of cut-outs by one and by two random nonzero
+    divisors on fresh copies of the model towers."""
+    for _, text, _ in MODEL_TOWERS:
+        t = Tower(geometry_tower(text).levels)
+        for codim in range(1, min(2, t.dim) + 1):
+            cuts = []
+            while len(cuts) < codim:
+                cut = tuple(rng.randint(-2, 2) for _ in range(t.n_levels))
+                if any(cut):
+                    cuts.append(cut)
+            yield t, VirtualCompleteIntersection(t, tuple(cuts)).normal_class()
+
+
+def kind_inputs(kind, rng, degrees):
+    """(uc, tower, c_side, sheaf) of one universal kind at every degree that
+    degrees(tower) lists: Todd and ct at every c-side of tangent_sources, ch
+    and ct at random sheaf maps and the K-class ones, Q_m with x a random
+    divisor class or zero, and the inverse Todd numerators at the normal
+    class of a cut-out, degrees counted from the codimension."""
+    if kind == "toddinv":
+        for tower, normal in normal_sources(rng):
+            r = normal.rank()
+            for m in degrees(tower):
+                yield todd_inverse_numerator(m + r, r), tower, normal, {}
+        return
+    for tower, tangent, sheaves in tangent_sources():
+        for m in degrees(tower):
+            if kind == "todd":
+                yield universal_todd(m), tower, tangent, {}
+            elif kind == "q" and m >= 1:
+                for x in (random_class(rng, tower, 1), tower.zero_chow()):
+                    yield q_poly(m), tower, tangent, {"x": x}
+            elif kind in ("ct", "ch"):
+                uc = universal_ct(m) if kind == "ct" else universal_chern_character(m)
+                maps = list(random_sheaves(rng, tower, m))
+                maps += [_sheaf_images(F, m) for F in sheaves]
+                for sheaf in maps:
+                    yield uc, tower, tangent, sheaf
 
 
 class TestCompiledCt:
-    """ct_on_tower's Horner scheme per (rank, live cp_i) against two_pass_ct."""
+    """evaluate_universal's Horner scheme per (class, c-side, rank, live
+    sheaf classes) against two_pass, for every universal kind."""
 
     def test_catalogue_towers_seeded(self):
         rng = random.Random(7)
@@ -209,7 +277,7 @@ class TestCompiledCt:
                         live = set(rng.sample(degrees, k))
                         sheaf = sheaf_map(rng, tower, m, rank, live)
                         for tangent in tangents:
-                            assert_compiled_matches(tower, tangent, sheaf, m)
+                            assert_compiled_matches(universal_ct(m), tower, tangent, sheaf)
 
     def test_sheaves_of_every_rank_sign(self):
         for _, text, _ in MODEL_TOWERS:
@@ -218,33 +286,49 @@ class TestCompiledCt:
             b = tower.line((-2,) + (1,) * (tower.n_levels - 1))
             for F in (a - b, a.scale(-1) - b, a + b + tower.structure_sheaf(), b.scale(-3)):
                 for m in range(0, 6):
-                    assert_compiled_matches(tower, tower.tangent_class(), _sheaf_images(F, m), m)
+                    sheaf = _sheaf_images(F, m)
+                    assert_compiled_matches(universal_ct(m), tower, tower.tangent_class(), sheaf)
 
     def test_every_tangent_kind(self):
-        # absolute, fiberwise over each base and cut-out virtual tangents, at
-        # rank 0, a negative and a positive rank, on random and on K-class
-        # sheaf maps
+        # every universal kind, at every degree up to dim + 2 (so the degree
+        # rule is crossed too): ct and Td at the absolute, fiberwise and
+        # cut-out tangents, ct and ch at ranks 0, -2 and 3 on random and on
+        # K-class sheaf maps, Q_m at a random or zero divisor, and the
+        # inverse Todd numerators at the normal classes of random cut-outs
         rng = random.Random(11)
-        for tower, tangent, sheaves in tangent_sources():
-            for m in range(0, tower.dim + 1):
-                degrees = list(range(1, m + 1))
-                for rank in (0, -2, 3):
-                    for k in {0, len(degrees), rng.randint(0, len(degrees))}:
-                        live = set(rng.sample(degrees, k))
-                        sheaf = sheaf_map(rng, tower, m, rank, live)
-                        assert_compiled_matches(tower, tangent, sheaf, m)
-                for F in sheaves:
-                    assert_compiled_matches(tower, tangent, _sheaf_images(F, m), m)
+        for kind in KINDS:
+            for uc, tower, c_side, sheaf in kind_inputs(kind, rng, lambda t: range(t.dim + 3)):
+                assert_compiled_matches(uc, tower, c_side, sheaf)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(MODEL_TOWERS), st.integers(0, 5), st.integers(-4, 4), st.data())
-    def test_matches_two_pass_route(self, entry, m, rank, data):
+    @given(
+        st.sampled_from(MODEL_TOWERS),
+        st.sampled_from(KINDS),
+        st.integers(0, 5),
+        st.integers(-4, 4),
+        st.data(),
+    )
+    def test_matches_two_pass_route(self, entry, kind, m, rank, data):
         tower = model_tower(entry[0])
         degrees = list(range(1, min(m, tower.dim) + 1))
         live = data.draw(st.sets(st.sampled_from(degrees), max_size=4) if degrees else st.just(set()))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         sheaf = sheaf_map(rng, tower, m, rank, live)
-        assert_compiled_matches(tower, tower.tangent_class(), sheaf, m)
+        tangent = tower.tangent_class()
+        if kind == "ct":
+            assert_compiled_matches(universal_ct(m), tower, tangent, sheaf)
+        elif kind == "ch":
+            assert_compiled_matches(universal_chern_character(m), tower, None, sheaf)
+        elif kind == "todd":
+            assert_compiled_matches(universal_todd(m), tower, tangent, {})
+        elif kind == "q" and m >= 1:
+            x = random_class(rng, tower, 1) if live else tower.zero_chow()
+            assert_compiled_matches(q_poly(m), tower, tangent, {"x": x})
+        elif kind == "toddinv":
+            codim = data.draw(st.integers(1, min(2, tower.dim)))
+            cuts = tuple((1 + i,) + (0,) * (tower.n_levels - 1) for i in range(codim))
+            normal = VirtualCompleteIntersection(tower, cuts).normal_class()
+            assert_compiled_matches(todd_inverse_numerator(m + codim, codim), tower, normal, {})
 
 
 def tangent_sources():
@@ -268,29 +352,46 @@ def tangent_sources():
 
 
 class TestZeroAboveDimension:
-    """ct_on_tower returns the zero class for m above the tower's dimension;
-    the monomial-by-monomial evaluation it skips gives that class too."""
+    """evaluate_universal returns the zero class for every universal kind
+    whose numerator's degree is above the tower's dimension; the
+    monomial-by-monomial evaluation it skips gives that class too."""
 
     def test_skipped_evaluation_is_zero(self):
-        for tower, tangent, sheaves in tangent_sources():
-            for m in (tower.dim + 1, tower.dim + 2):
-                for F in sheaves:
-                    sheaf = _sheaf_images(F, m)
-                    images = {**_chern_images(tangent.total_chern(), m), **sheaf}
-                    unguarded = evaluate_universal(universal_ct(m).numerator, tower, images)
-                    assert unguarded == tower.zero_chow(), (tower, m)
-                    assert ct_on_tower(tower, tangent, sheaf, m) == unguarded
+        rng = random.Random(17)
+        for kind in KINDS:
+            above = kind_inputs(kind, rng, lambda t: (t.dim + 1, t.dim + 2))
+            for uc, tower, c_side, sheaf in above:
+                unguarded = two_pass(uc, tower, c_side, sheaf)
+                assert unguarded == tower.zero_chow(), (kind, tower, uc.degree)
+                assert evaluate_universal(uc, tower, c_side, sheaf) == unguarded
 
     def test_non_integral_mutation_still_raises(self):
-        # the mutation is checked when universal_ct(m) is built, before the
-        # degree check
+        # the mutation is checked when the class is built, before the degree
+        # check: every kind above the line's dimension, ct_2 through ct_on_tower
         p1 = Tower([[()] * 2])
-        set_mutation(Mutation("ct", 2, 0, Fraction(1, 2)))
-        try:
-            with pytest.raises(FalsificationError):
-                ct_on_tower(p1, p1.tangent_class(), _sheaf_images(p1.line((1,)), 2), 2)
-        finally:
-            set_mutation(None)
+        readers = [
+            ("ct", lambda: ct_on_tower(
+                p1, p1.tangent_class(), _sheaf_images(p1.line((1,)), 2), 2
+            )),
+            ("ch", lambda: evaluate_universal(
+                universal_chern_character(2), p1, sheaf=_sheaf_images(p1.line((1,)), 2)
+            )),
+            ("todd", lambda: evaluate_universal(universal_todd(2), p1, p1.tangent_class())),
+            ("q", lambda: evaluate_universal(
+                q_poly(2), p1, p1.tangent_class(), {"x": p1.hyperplane(1)}
+            )),
+            ("toddinv", lambda: evaluate_universal(
+                todd_inverse_numerator(3, 1), p1, p1.line((1,)), {}
+            )),
+        ]
+        for kind, read in readers:
+            set_mutation(Mutation(kind, 3 if kind == "toddinv" else 2, 0, Fraction(1, 2)))
+            try:
+                with pytest.raises(FalsificationError) as raised:
+                    read()
+            finally:
+                set_mutation(None)
+            assert raised.value.identity == f"integrality:{kind}"
 
 
 class TestTangentChern:
@@ -320,7 +421,7 @@ class TestTangentChern:
         calls.clear()
         for m in range(1, t.dim + 1):
             ct_on_tower(t, t.tangent_class(), sheaf, m)
-            _todd_part(t, m)
+            evaluate_universal(universal_todd(m), t, t.tangent_class())
         assert calls == [tangent]
 
 
@@ -329,7 +430,7 @@ def main_theorem_sides(f, F, n):
     pushed, source = _instance_images(f, F, n)
     sides = list(grr_error(f, n, pushed, source))
     if f.relative_dimension >= 0:
-        s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+        s_n = evaluate_universal(universal_chern_character(n), f.target, sheaf=pushed)
         sides += corollary_sides(f, n, s_n, source)
         sides.append(decomposition_rhs(f, n, pushed, s_n))
     return sides
@@ -418,7 +519,7 @@ class TestCheckMainTheorem:
         n = 2
         pushed, source = _instance_images(f, t.line((1, 1)), n)
         clean, _ = grr_error(f, n, pushed, source)
-        s_n = evaluate_universal(universal_chern_character(n).numerator, f.target, pushed)
+        s_n = evaluate_universal(universal_chern_character(n), f.target, sheaf=pushed)
         assert decomposition_rhs(f, n, pushed, s_n) == clean
         for j in range(1, n + 1):
             set_mutation(Mutation("todd", j, 0, Fraction(1)))
@@ -447,6 +548,59 @@ class TestCheckMainTheorem:
         f = MorphismDatum(z, 1, "hyperplane->P3")
         for n in range(0, 3):
             all_pass(check_main_theorem(f, t.structure_sheaf(), n))
+
+
+def main_theorem_on_p2_f1_and_twist():
+    """check_main_theorem at every base and n the main-theorem suite runs, on
+    the suites' cached P2, F1 and P1;F;twist, for O(D) and O(D) + O(1,..,1)
+    with D of coefficients in [-1, 1]: the rank-2 sums make cp_2 nonzero,
+    which no line bundle does (ct:3:1:1 is the cp1*cp2 coefficient)."""
+    reports = []
+    for name, text, bases in MODEL_TOWERS:
+        if name not in ("P2", "F1", "P1;F;twist"):
+            continue
+        tower = geometry_tower(text)
+        ones = tower.line((1,) * tower.n_levels)
+        for base in bases:
+            f = MorphismDatum(tower, base, f"{name}->prefix{base}")
+            for coeffs in product(range(-1, 2), repeat=tower.n_levels):
+                line = tower.line(coeffs)
+                for label, F in ((f"O{coeffs}", line), (f"O{coeffs}+O(1,..)", line + ones)):
+                    for n in range(0, min(3, f.target.dim + 1) + 1):
+                        instance = f"{f.describe()}/sheaf={label}/n={n}"
+                        reports += run_check(
+                            "main-theorem", instance, check_main_theorem, f, F, n
+                        )
+    return reports
+
+
+class TestCacheFollowsEachMutation:
+    """One universal kind at a time, in one process: a clean run, a mutated
+    run with at least one failed report, and a clean run byte-identical to
+    the first, all on the suites' cached towers, so no compiled class of one
+    run may serve another."""
+
+    @pytest.mark.parametrize(
+        "spec, run",
+        [
+            ("ch:2:0:1", main_theorem_on_p2_f1_and_twist),
+            ("todd:2:0:1", main_theorem_on_p2_f1_and_twist),
+            ("ct:3:1:1", main_theorem_on_p2_f1_and_twist),
+            ("q:2:0:1", suite_divisor_calculus),
+            ("toddinv:3:0:1", suite_immersion),
+        ],
+        ids=["ch", "todd", "ct", "q", "toddinv"],
+    )
+    def test_clean_mutated_clean(self, spec, run):
+        clean = run()
+        all_pass(clean)
+        set_mutation(_parse_mutation(spec))
+        try:
+            mutated = run()
+        finally:
+            set_mutation(None)
+        assert any(not r.passed for r in mutated), spec
+        assert [r.to_json() for r in run()] == [r.to_json() for r in clean]
 
 
 class TestEulerConsistency:
@@ -480,7 +634,7 @@ class TestEulerConsistency:
         # the rational series parts the tests' rational_grr_cross_check evaluates
         p4 = Tower([[()] * 5])
         F = p4.line((1,)) + p4.line((3,))
-        ch = evaluate_universal(
+        ch = substitute_on_tower(
             universal_chern_character(2).series_part, p4, _sheaf_images(F, 2)
         )
         for alpha in (ch, ch * ch, ch.scale(3), ch.scale(Fraction(1, 3))):
@@ -648,7 +802,6 @@ class TestDeterminantFormulaDegreeOne:
         # d = 1 models: T_2 s_1(f_*F) =
         #   -rank(f_*F) (T_2/2) c1(T_S) + sum_m T_2/(m! T_{2-m}) f_*(s_m(F) Td-num_{2-m}(T_X))
         from grrcheck.geometry import pushforward_k, pushforward_chow
-        from grrcheck.series import universal_todd
         from grrcheck.arith import exact_ratio
         from math import factorial
 
@@ -661,14 +814,11 @@ class TestDeterminantFormulaDegreeOne:
         for t in towers:
             base = t.prefix(1)
             c1_s = base.tangent_class().total_chern().graded_part(1)
-            x_chern = _chern_images(t.tangent_class().total_chern(), 2)
             for coeffs in [(0,) * t.n_levels, (1, 1), (-1, 2), (2, -2)]:
                 F = t.line(coeffs)
                 pushed = pushforward_k(F, 1)
                 lhs = evaluate_universal(
-                    universal_chern_character(1).numerator,
-                    base,
-                    _sheaf_images(pushed, 1),
+                    universal_chern_character(1), base, sheaf=_sheaf_images(pushed, 1)
                 ).scale(t2)
                 rhs = c1_s.scale(Fraction(-pushed.rank() * t2, 2))
                 for m in range(0, 3):
@@ -676,11 +826,9 @@ class TestDeterminantFormulaDegreeOne:
                         t2, factorial(m) * todd_denominator(2 - m).value
                     )
                     s_m = evaluate_universal(
-                        universal_chern_character(m).numerator, t, _sheaf_images(F, m)
+                        universal_chern_character(m), t, sheaf=_sheaf_images(F, m)
                     )
-                    td_part = evaluate_universal(
-                        universal_todd(2 - m).numerator, t, x_chern
-                    )
+                    td_part = evaluate_universal(universal_todd(2 - m), t, t.tangent_class())
                     rhs = rhs + pushforward_chow(s_m * td_part, 1).scale(scalar)
                 assert lhs == rhs, (t, coeffs)
 
