@@ -11,33 +11,33 @@ values, which is safe under concurrent read/insert in CPython.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .report import FalsificationError
+from .report import FalsificationError, Record
 
 
 class InputError(ValueError):
     """A precondition on the inputs is violated (not a falsified identity)."""
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(Record):
     """A positive integer together with its prime factorization."""
 
-    value: int
-    factorization: tuple[tuple[int, int], ...]  # sorted (prime, exponent), exponent >= 1
+    __slots__ = ("value", "factorization")
 
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise InputError(f"FactoredInteger must be positive, got {self.value}")
-        if self.value != prod(p**e for p, e in self.factorization):
+    def __init__(self, value: int, factorization: tuple[tuple[int, int], ...]):
+        # factorization: sorted (prime, exponent), exponent >= 1
+        if value <= 0:
+            raise InputError(f"FactoredInteger must be positive, got {value}")
+        if value != prod(p**e for p, e in factorization):
             raise InputError("factorization does not multiply out to value")
-        for p, e in self.factorization:
+        for p, e in factorization:
             if e < 1 or not _is_prime(p):
                 raise InputError(f"bad factor {p}^{e}")
+        self.value = value
+        self.factorization = factorization
 
     @staticmethod
     def from_exponents(exps: dict[int, int]) -> "FactoredInteger":

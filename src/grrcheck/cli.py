@@ -165,10 +165,10 @@ def _gen_number(kind: str, args) -> tuple[dict, str]:
     if kind == "bernoulli":
         if args.n is None:
             raise InputError("--n is required for bernoulli")
-        b = bernoulli(args.n)
+        value = _decimal(kind, bernoulli(args.n))
         return (
-            {"schema": "1", "kind": "bernoulli", "n": args.n, "value": str(b)},
-            f"B_{args.n} = {b}",
+            {"schema": "1", "kind": "bernoulli", "n": args.n, "value": value},
+            f"B_{args.n} = {value}",
         )
     flag, generator = FACTORED_NUMBERS[kind]
     index = getattr(args, flag)
@@ -180,11 +180,20 @@ def _gen_number(kind: str, args) -> tuple[dict, str]:
             "schema": "1",
             "kind": kind,
             flag: index,
-            "value": str(fi.value),
+            "value": _decimal(kind, fi.value),
             "factorization": {str(p): e for p, e in fi.factorization},
         },
         str(fi),
     )
+
+
+def _decimal(kind: str, number: int | Fraction) -> str:
+    """number as decimal text, which Python refuses past its int-digit limit."""
+    try:
+        return str(number)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"{kind} value exceeds the {limit}-digit limit of decimal text") from None
 
 
 def cmd_gen(args) -> int:

@@ -52,13 +52,13 @@ may be shared read-only by concurrent verification jobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 from operator import add
 from typing import Mapping, Sequence
 
 from .arith import InputError
 from .poly import Alphabet, Monomial, Scalar, accumulate, root_alphabet, serialize_terms
+from .report import Record
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
 # One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
@@ -533,20 +533,18 @@ def chi_projective_space_oracle(n: int, a: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class VirtualCompleteIntersection:
+class VirtualCompleteIntersection(Record):
     """r divisor cuts in an ambient tower; all computations stay in the ambient
-    ring via the Koszul class, the restriction product, and virtual tangents."""
+    ring via the Koszul class, the restriction product, and virtual tangents.
+    The cuts are stored padded to the ambient's levels."""
 
-    ambient: Tower
-    cuts: tuple[DivisorVector, ...]
+    __slots__ = ("ambient", "cuts")
 
-    def __post_init__(self):
-        if len(self.cuts) > self.ambient.dim:
+    def __init__(self, ambient: Tower, cuts: tuple[DivisorVector, ...]):
+        if len(cuts) > ambient.dim:
             raise InputError("more cuts than the ambient dimension")
-        object.__setattr__(
-            self, "cuts", tuple(self.ambient._pad(tuple(c)) for c in self.cuts)
-        )
+        self.ambient = ambient
+        self.cuts = tuple(ambient._pad(tuple(c)) for c in cuts)
 
     @property
     def codim(self) -> int:

@@ -44,7 +44,6 @@ factorisation, so main-theorem-decomposition stays an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -154,7 +153,6 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MorphismDatum:
     """A structure morphism from a tower (or a cut-out locus in one) to a
     lower level of the same tower (possibly the point), or the closed
@@ -162,19 +160,17 @@ class MorphismDatum:
     levels, relative dimension -codim).  Construction fixes the ambient
     tower, the target and the relative dimension."""
 
-    source: Tower | VirtualCompleteIntersection
-    base_levels: int
-    label: str = ""
-    ambient: Tower = field(init=False, repr=False, compare=False)
-    target: Tower = field(init=False, repr=False, compare=False)
-    relative_dimension: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "base_levels", "label", "ambient", "target", "relative_dimension")
 
-    def __post_init__(self):
-        ambient = self.source if isinstance(self.source, Tower) else self.source.ambient
-        target = ambient.prefix(self.base_levels)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "relative_dimension", self.source.dim - target.dim)
+    def __init__(
+        self, source: Tower | VirtualCompleteIntersection, base_levels: int, label: str = ""
+    ):
+        self.source = source
+        self.base_levels = base_levels
+        self.label = label
+        self.ambient = source if isinstance(source, Tower) else source.ambient
+        self.target = self.ambient.prefix(base_levels)
+        self.relative_dimension = source.dim - self.target.dim
 
     def describe(self) -> str:
         return self.label or repr(self.source)

@@ -10,12 +10,16 @@ streams are byte-identical across runs (see the CLI --timing flag).
 A report's JSON line is byte for byte json.dumps(payload, separators=(",",
 ":")) of "schema" and then its fields in declaration order, notes only when
 set; to_json fills a fixed template, each string through json's ASCII escaper.
+
+Record is the package's one base for value records (reports, parser nodes,
+complete intersections, ...): plain classes with __slots__ and an explicit
+__init__, equal when of one type with equal fields.  It replaces dataclasses,
+whose import and generated methods took most of the package's import time.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 
@@ -33,16 +37,50 @@ class FalsificationError(AssertionError):
         self.instance = instance
 
 
-@dataclass
-class VerificationReport:
-    identity: str
-    instance: str
-    lhs: str
-    rhs: str
-    verdict: str  # "pass" | "fail"
-    discrepancy: str | None = None
-    millis: int | None = None
-    notes: str | None = None
+class Record:
+    """Equality, hash and repr from the fields a subclass lists in __slots__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class VerificationReport(Record):
+    __slots__ = ("identity", "instance", "lhs", "rhs", "verdict", "discrepancy", "millis", "notes")
+    __hash__ = None  # millis is stamped after construction
+
+    def __init__(
+        self,
+        identity: str,
+        instance: str,
+        lhs: str,
+        rhs: str,
+        verdict: str,  # "pass" | "fail"
+        discrepancy: str | None = None,
+        millis: int | None = None,
+        notes: str | None = None,
+    ):
+        self.identity = identity
+        self.instance = instance
+        self.lhs = lhs
+        self.rhs = rhs
+        self.verdict = verdict
+        self.discrepancy = discrepancy
+        self.millis = millis
+        self.notes = notes
 
     @property
     def passed(self) -> bool:

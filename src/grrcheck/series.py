@@ -35,7 +35,6 @@ a class is a distinct object per mutation, and caches elsewhere key on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
@@ -52,7 +51,7 @@ from .poly import (
     series_log,
     weighted_alphabet,
 )
-from .report import FalsificationError
+from .report import FalsificationError, Record
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,6 @@ def apply_series(coeffs: list[Fraction], p: GradedPolynomial) -> GradedPolynomia
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class UniversalClass:
     """A degree-m universal class: its certified integral numerator over its
     scale.
@@ -126,10 +124,13 @@ class UniversalClass:
     the memo (mutation included), so grrcheck.grr keys its per-tower work on
     the class it read."""
 
-    name: str
-    degree: int
-    numerator: GradedPolynomial  # scale times the class, integer coefficients
-    scale: int  # the cleared denominator (T_m, m!, ...)
+    __slots__ = ("name", "degree", "numerator", "scale", "__dict__")  # __dict__ caches series_part
+
+    def __init__(self, name: str, degree: int, numerator: GradedPolynomial, scale: int):
+        self.name = name
+        self.degree = degree
+        self.numerator = numerator  # scale times the class, integer coefficients
+        self.scale = scale  # the cleared denominator (T_m, m!, ...)
 
     @cached_property
     def series_part(self) -> GradedPolynomial:
@@ -137,14 +138,16 @@ class UniversalClass:
         return self.numerator.scale(Fraction(1, self.scale))
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(Record):
     """Deliberate corruption of one generated coefficient (test harness only)."""
 
-    kind: str  # todd | ch | ct | q | toddinv
-    degree: int
-    index: int  # position in the numerator's canonical term order
-    delta: Fraction
+    __slots__ = ("kind", "degree", "index", "delta")
+
+    def __init__(self, kind: str, degree: int, index: int, delta: Fraction):
+        self.kind = kind  # todd | ch | ct | q | toddinv
+        self.degree = degree
+        self.index = index  # position in the numerator's canonical term order
+        self.delta = delta
 
 
 _MUTATION: Mutation | None = None

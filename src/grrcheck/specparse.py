@@ -25,22 +25,27 @@ alias spelled xi<k> must sit on level k, so that no alias rebinds another
 level's name.  The bare name "h" resolves to the first hyperplane when
 nothing else binds it, matching the conventional usage on projective space.
 Syntax errors carry line and column; scope errors name the unknown symbol.
+
+The AST nodes are report.Record values, equal when of one node type with
+equal fields, so parse(text(ast)) == ast.  Tokens are (kind, text, offset)
+tuples; a syntax error works out its line and column from the offset.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 
 from .arith import InputError
 from .geometry import KClass, Tower
+from .report import Record
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.column = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
 class ScopeError(ValueError):
@@ -53,70 +58,88 @@ class ScopeError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorExpr:
-    # ((coefficient, name), ...); the empty tuple is the zero divisor
-    terms: tuple[tuple[int, str], ...]
+class DivisorExpr(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, str], ...]):
+        self.terms = terms  # ((coefficient, name), ...); () is the zero divisor
 
 
-@dataclass(frozen=True)
-class TrivialBundle:
-    count: int
+class TrivialBundle(Record):
+    __slots__ = ("count",)
+
+    def __init__(self, count: int):
+        self.count = count
 
 
-@dataclass(frozen=True)
-class SummandBundle:
-    divisors: tuple[DivisorExpr, ...]
+class SummandBundle(Record):
+    __slots__ = ("divisors",)
+
+    def __init__(self, divisors: tuple[DivisorExpr, ...]):
+        self.divisors = divisors
 
 
-@dataclass(frozen=True)
-class GeomPoint:
-    pass
+class GeomPoint(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GeomBundle:
-    bundle: TrivialBundle | SummandBundle
-    alias: str | None
-    base: "GeomAST"
+class GeomBundle(Record):
+    __slots__ = ("bundle", "alias", "base")
+
+    def __init__(self, bundle: TrivialBundle | SummandBundle, alias: str | None, base: GeomAST):
+        self.bundle = bundle
+        self.alias = alias
+        self.base = base
 
 
 GeomAST = GeomPoint | GeomBundle
 
 
-@dataclass(frozen=True)
-class ClassO:
-    divisor: DivisorExpr | None
+class ClassO(Record):
+    __slots__ = ("divisor",)
+
+    def __init__(self, divisor: DivisorExpr | None):
+        self.divisor = divisor
 
 
-@dataclass(frozen=True)
-class ClassSum:
-    left: "ClassAST"
-    sign: int
-    right: "ClassAST"
+class ClassSum(Record):
+    __slots__ = ("left", "sign", "right")
+
+    def __init__(self, left: ClassAST, sign: int, right: ClassAST):
+        self.left = left
+        self.sign = sign
+        self.right = right
 
 
-@dataclass(frozen=True)
-class ClassDual:
-    inner: "ClassAST"
+class ClassDual(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: ClassAST):
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class ClassWedge:
-    index: int
-    inner: "ClassAST"
+class ClassWedge(Record):
+    __slots__ = ("index", "inner")
+
+    def __init__(self, index: int, inner: ClassAST):
+        self.index = index
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class ClassSym:
-    index: int
-    inner: "ClassAST"
+class ClassSym(Record):
+    __slots__ = ("index", "inner")
+
+    def __init__(self, index: int, inner: ClassAST):
+        self.index = index
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class ClassTwist:
-    divisor: DivisorExpr
-    inner: "ClassAST"
+class ClassTwist(Record):
+    __slots__ = ("divisor", "inner")
+
+    def __init__(self, divisor: DivisorExpr, inner: ClassAST):
+        self.divisor = divisor
+        self.inner = inner
 
 
 ClassAST = ClassO | ClassSum | ClassDual | ClassWedge | ClassSym | ClassTwist
@@ -124,160 +147,135 @@ ClassAST = ClassO | ClassSum | ClassDual | ClassWedge | ClassSym | ClassTwist
 
 # -- tokenizer ---------------------------------------------------------------
 
+# One token after any whitespace; the kind is the name of the group matched.
 _TOKEN_RE = re.compile(
-    r"\s*(?P<int>\d+)|\s*(?P<name>[A-Za-z_ξ][A-Za-z_0-9ξ]*)|\s*(?P<punct>[()\[\],*+\-])"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_ξ][A-Za-z_0-9ξ]*)|(?P<punct>[()\[\],*+\-])|(?P<end>\Z))"
 )
 
 
-@dataclass
-class Token:
-    kind: str  # int | name | punct | end
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, kind int | name | punct, then one end."""
+    tokens = []
     pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        while pos < len(text) and text[pos] in " \t\r\n":
-            if text[pos] == "\n":
-                line += 1
-                line_start = pos + 1
-            pos += 1
-        if pos >= len(text):
-            break
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.start() != pos:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        column = pos - line_start + 1
-        if m.lastgroup == "int":
-            tokens.append(Token("int", m.group("int").strip(), line, column))
-        elif m.lastgroup == "name":
-            # accept the Greek spelling of xi
-            tokens.append(Token("name", m.group("name").replace("ξ", "xi"), line, column))
-        else:
-            tokens.append(Token("punct", m.group("punct").strip(), line, column))
+        if m is None:
+            offset = len(text) - len(text[pos:].lstrip())
+            raise ParseError(f"unexpected character {text[offset]!r}", text, offset)
+        kind = m.lastgroup
+        word = m[kind]
+        if kind == "int":
+            try:
+                int(word)
+            except ValueError:  # past the interpreter's int-digit limit
+                limit = sys.get_int_max_str_digits()
+                message = f"integer of {len(word)} digits exceeds the {limit}-digit limit"
+                raise ParseError(message, text, m.start(kind)) from None
+        elif kind == "name":
+            word = word.replace("ξ", "xi")  # accept the Greek spelling of xi
+        tokens.append((kind, word, m.start(kind)))
+        if kind == "end":
+            return tokens
         pos = m.end()
-    tokens.append(Token("end", "", line, len(text) - line_start + 1))
-    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: tuple[str, str, int] | None = None) -> ParseError:
+        """A ParseError at tok, by default the current token."""
+        return ParseError(message, self.text, (tok or self.tokens[self.pos])[2])
 
-    def advance(self) -> Token:
-        tok = self.cur
+    def found(self) -> str:
+        return repr(self.tokens[self.pos][1] or "end")
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.cur
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end'!r}", tok.line, tok.column)
+    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            raise self.error(f"expected {text or kind!r}, found {self.found()}")
         return self.advance()
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        return self.cur.kind == kind and (text is None or self.cur.text == text)
+    def accept(self, text: str) -> bool:
+        """Consume the current token if it reads text (the kinds' texts are disjoint)."""
+        if self.tokens[self.pos][1] != text:
+            return False
+        self.pos += 1
+        return True
 
-    def done(self) -> None:
-        if self.cur.kind != "end":
-            raise ParseError(
-                f"trailing input {self.cur.text!r}", self.cur.line, self.cur.column
-            )
+    def whole(self, rule):
+        """The AST of the whole text under rule, a parsing method."""
+        ast = rule(self)
+        if self.tokens[self.pos][0] != "end":
+            raise self.error(f"trailing input {self.tokens[self.pos][1]!r}")
+        return ast
 
     # -- divisors ------------------------------------------------------
 
     def divisor(self) -> DivisorExpr:
-        tok = self.cur
-        if tok.kind == "int":
-            value = int(self.advance().text)
-            if self.at("punct", "*"):
-                self.advance()
-                name = self.expect("name").text
-                terms = [(value, name)]
+        tok = self.tokens[self.pos]
+        if tok[0] == "int":
+            value = int(self.advance()[1])
+            if self.accept("*"):
+                terms = [(value, self.expect("name")[1])]
+            elif value != 0:
+                raise self.error(
+                    "an integer divisor must be 0 (write k*name for multiples)", tok
+                )
             else:
-                if value != 0:
-                    raise ParseError(
-                        "an integer divisor must be 0 (write k*name for multiples)",
-                        tok.line,
-                        tok.column,
-                    )
                 terms = []
         else:
-            sign = 1
-            if self.at("punct", "-"):
-                self.advance()
-                sign = -1
-            elif self.at("punct", "+"):
-                self.advance()
+            sign = -1 if self.accept("-") else 1
+            if sign > 0:
+                self.accept("+")
             terms = [self._term(sign)]
-        while self.at("punct", "+") or self.at("punct", "-"):
-            sign = 1 if self.advance().text == "+" else -1
+        while self.tokens[self.pos][1] in ("+", "-"):
+            sign = 1 if self.advance()[1] == "+" else -1
             terms.append(self._term(sign))
         return DivisorExpr(tuple(terms))
 
     def _term(self, sign: int) -> tuple[int, str]:
-        if self.cur.kind == "int":
-            value = int(self.advance().text)
+        if self.tokens[self.pos][0] == "int":
+            value = int(self.advance()[1])
             self.expect("punct", "*")
-            name = self.expect("name").text
-            return (sign * value, name)
-        name = self.expect("name").text
-        return (sign, name)
+            return (sign * value, self.expect("name")[1])
+        return (sign, self.expect("name")[1])
 
     # -- geometry ------------------------------------------------------
 
     def geometry(self) -> GeomAST:
-        if self.at("name", "point"):
-            self.advance()
+        if self.accept("point"):
             return GeomPoint()
-        if self.at("punct", "("):
-            self.advance()
+        if self.accept("("):
             inner = self.geometry()
             self.expect("punct", ")")
             return inner
-        if self.at("name", "P"):
-            self.advance()
+        if self.accept("P"):
             self.expect("punct", "(")
             bundle = self._bundle()
             self.expect("punct", ")")
-            alias = None
-            if self.at("name", "as"):
-                self.advance()
-                alias = self.expect("name").text
+            alias = self.expect("name")[1] if self.accept("as") else None
             self.expect("name", "over")
-            base = self.geometry()
-            return GeomBundle(bundle, alias, base)
-        tok = self.cur
-        raise ParseError(
-            f"expected a geometry, found {tok.text or 'end'!r}", tok.line, tok.column
-        )
+            return GeomBundle(bundle, alias, self.geometry())
+        raise self.error(f"expected a geometry, found {self.found()}")
 
     def _bundle(self) -> TrivialBundle | SummandBundle:
-        if self.at("name", "trivial"):
-            self.advance()
+        if self.accept("trivial"):
             tok = self.expect("int")
-            count = int(tok.text)
+            count = int(tok[1])
             if count < 1:
-                raise ParseError("trivial bundle needs at least one summand", tok.line, tok.column)
+                raise self.error("trivial bundle needs at least one summand", tok)
             return TrivialBundle(count)
         self.expect("punct", "[")
         divisors = [self.divisor()]
-        while self.at("punct", ","):
-            self.advance()
+        while self.accept(","):
             divisors.append(self.divisor())
         self.expect("punct", "]")
         return SummandBundle(tuple(divisors))
@@ -286,80 +284,58 @@ class _Parser:
 
     def class_expr(self) -> ClassAST:
         left = self._class_atom()
-        while self.at("punct", "+") or self.at("punct", "-"):
-            sign = 1 if self.advance().text == "+" else -1
-            right = self._class_atom()
-            left = ClassSum(left, sign, right)
+        while self.tokens[self.pos][1] in ("+", "-"):
+            sign = 1 if self.advance()[1] == "+" else -1
+            left = ClassSum(left, sign, self._class_atom())
         return left
 
     def _class_atom(self) -> ClassAST:
-        if self.at("punct", "("):
-            self.advance()
+        if self.accept("("):
             inner = self.class_expr()
             self.expect("punct", ")")
             return inner
-        if self.at("name", "O"):
-            self.advance()
-            if self.at("punct", "("):
-                self.advance()
-                div = self.divisor()
-                self.expect("punct", ")")
-                return ClassO(div)
-            return ClassO(None)
-        for keyword, node in (("dual", ClassDual),):
-            if self.at("name", keyword):
-                self.advance()
-                self.expect("punct", "(")
-                inner = self.class_expr()
-                self.expect("punct", ")")
-                return node(inner)
+        if self.accept("O"):
+            if not self.accept("("):
+                return ClassO(None)
+            div = self.divisor()
+            self.expect("punct", ")")
+            return ClassO(div)
+        if self.accept("dual"):
+            self.expect("punct", "(")
+            inner = self.class_expr()
+            self.expect("punct", ")")
+            return ClassDual(inner)
         for keyword, node in (("wedge", ClassWedge), ("sym", ClassSym)):
-            if self.at("name", keyword):
-                self.advance()
+            if self.accept(keyword):
                 self.expect("punct", "(")
-                idx = int(self.expect("int").text)
+                idx = int(self.expect("int")[1])
                 self.expect("punct", ",")
                 inner = self.class_expr()
                 self.expect("punct", ")")
                 return node(idx, inner)
-        if self.at("name", "twist"):
-            self.advance()
+        if self.accept("twist"):
             self.expect("punct", "(")
             div = self.divisor()
             self.expect("punct", ",")
             inner = self.class_expr()
             self.expect("punct", ")")
             return ClassTwist(div, inner)
-        tok = self.cur
-        raise ParseError(
-            f"expected a class expression, found {tok.text or 'end'!r}",
-            tok.line,
-            tok.column,
-        )
+        raise self.error(f"expected a class expression, found {self.found()}")
 
 
 # -- public API ---------------------------------------------------------------
 
 
 def parse_geometry(text: str) -> GeomAST:
-    parser = _Parser(text)
-    ast = parser.geometry()
-    parser.done()
-    return ast
+    return _Parser(text).whole(_Parser.geometry)
 
 
 def parse_class(text: str) -> ClassAST:
-    parser = _Parser(text)
-    ast = parser.class_expr()
-    parser.done()
-    return ast
+    return _Parser(text).whole(_Parser.class_expr)
 
 
 def parse_divisor(text: str) -> DivisorExpr:
-    parser = _Parser(text)
-    div = parser.divisor()
-    parser.done()
-    return div
+    return _Parser(text).whole(_Parser.divisor)
 
 
 def _divisor_vector(div: DivisorExpr, names: dict[str, int], n_levels: int) -> tuple[int, ...]:
@@ -380,10 +356,12 @@ def _divisor_vector(div: DivisorExpr, names: dict[str, int], n_levels: int) -> t
     return tuple(vec)
 
 
-@dataclass
 class GeometryScope:
-    tower: Tower
-    names: dict[str, int]  # symbol -> 1-based level
+    __slots__ = ("tower", "names")
+
+    def __init__(self, tower: Tower, names: dict[str, int]):
+        self.tower = tower
+        self.names = names  # symbol -> 1-based level
 
     def divisor_vector(self, div: DivisorExpr) -> tuple[int, ...]:
         return _divisor_vector(div, self.names, self.tower.n_levels)

@@ -604,6 +604,23 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "interrupted\n")
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["gen", "tm", "--m", "1750"], "error: tm value exceeds the 4300-digit limit"),
+            (
+                ["verify", "main-theorem", "--geometry", "P(trivial 2) over point",
+                 "--sheaf", f"O({'9' * 5000}*h)", "-n", "0"],
+                "error: integer of 5000 digits exceeds the 4300-digit limit (line 1, column 3)",
+            ),
+        ],
+    )
+    def test_past_the_int_digit_limit_is_an_input_error(self, argv, error, capsys):
+        # Python refuses int <-> decimal text past 4300 digits by default
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error)
+
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(single_instance_queries())
     def test_random_queries_pass_or_are_refused(self, argv):

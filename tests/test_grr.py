@@ -685,7 +685,7 @@ class TestImmersion:
         assert len(reports) == len(calls) == 28
         for rep, (f, lhs, rhs) in zip(reports, calls):
             assert isinstance(f.source, VirtualCompleteIntersection)
-            assert f == MorphismDatum(f.source, f.ambient.n_levels)
+            assert (f.base_levels, f.label) == (f.ambient.n_levels, "")
             assert f.target is f.ambient
             assert f.relative_dimension == -f.source.codim < 0
             assert (rep.lhs, rep.rhs) == (rhs.serialize(), lhs.serialize())

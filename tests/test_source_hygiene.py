@@ -172,6 +172,16 @@ def test_every_function_is_reached_from_the_package():
     assert not unreached, "the traced program run never reaches: " + ", ".join(unreached)
 
 
+def test_the_import_leaves_dataclasses_out():
+    # -S: no site hook may import dataclasses first and hide a regression
+    code = "import sys, grrcheck.cli, grrcheck.suites; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=SRC.parent, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
+
+
 def test_allowlist_names_exist():
     defs, _ = _definitions_and_uses()
     assert set(ALLOWED_UNREACHED) <= {name for _, _, name, _, _, _ in defs}
