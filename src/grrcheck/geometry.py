@@ -19,7 +19,9 @@ exponent range in the line classes l_k.  Negative powers of l are rewritten
 through l^{-1}, which the K relation gives as (det E)^{-1} times a polynomial
 in l, so every K class stays an integer combination of line symbols.  Each
 tower keeps pi_* l^a for the exponents it has been asked for, each read from
-the closed form above.
+the closed form above, with det(E) the line of the summands' sum.  No
+pushforward reads the K relation: a level builds its K rules, and its
+base's, on the first K normal form.
 
 The exterior and symmetric powers of a virtual class sum_L m_L L are the t^n
 coefficients of prod_L (1 + s L t)^(s m_L), s = 1 for wedge and s = -1 for
@@ -32,10 +34,12 @@ the first Chern class of its tautological quotient line bundle.
 Chow classes have integer coefficients on that basis.  Each tower keeps the
 normal form of every product of two basis monomials it has been asked for,
 one row per left monomial, each entry a tuple of (monomial, coefficient)
-pairs filled on first use; a pair above the dimension is the empty entry,
-stored without a rewrite.  A product of classes sums raw table entries and
-normalises once at the end.  Sums, differences, scalings, graded parts and
-pushforwards keep normal form without a rewrite.
+pairs filled on first use from a memo keyed by the raw monomial ma + mb, so
+the pairs with one sum share one rewrite; a sum above the dimension is the
+empty entry and a basis monomial its own, both without a rewrite.  A product
+of classes sums raw table entries and normalises once at the end.  Sums,
+differences, scalings, graded parts and pushforwards keep normal form
+without a rewrite.
 
 Every other sum of term maps here (Chow and K sums and scalings, the final
 normalisation of a Chow product, K products, the rewrite step, twists, the
@@ -45,15 +49,17 @@ drops cancelled terms and stores integral values as ints.
 A class's canonical text is the polynomial text form of its normal-form
 terms (grrcheck.poly.serialize_terms), in xi1..xiK or in l1..lK.
 
-Towers are immutable after build apart from their lazy caches, whose entries
-are functions of the tower alone; all class operations are pure, so one tower
+Towers are immutable after build apart from their lazy caches (the product
+table and its raw-monomial memo, the pushforward table, and in _cache the K
+rules, the tangent class and grrcheck.grr's entries), whose entries are
+functions of the tower alone; all class operations are pure, so one tower
 may be shared read-only by concurrent verification jobs.
 """
 
 from __future__ import annotations
 
 from math import comb, prod
-from operator import add
+from operator import add, le
 from typing import Mapping, Sequence
 
 from .arith import InputError
@@ -95,13 +101,14 @@ class Tower:
         self.dim: int = sum(self.ranks)
         self.alphabet = Alphabet([(f"xi{k + 1}", 1) for k in range(self.n_levels)])
         self._cache: dict = {}
-        # the product table of __mul__: row ma, entry mb, see _product_entry
+        # the product table of __mul__ (row ma, entry mb) and the normal forms
+        # of the raw monomials ma + mb its entries read, see _product_entry
         self._products: dict[Monomial, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
+        self._raw_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
         self._zero = ChowClass._normal(self, {})
         self._unit = ChowClass._normal(self, {(0,) * self.n_levels: 1})
         # per level (above, below) rules; the Chow ring has no negative exponents
         self._chow_rules: list[tuple[Rule, Rule]] = []
-        self._k_rules: list[tuple[Rule, Rule]] = []
         # a -> pi_* l^a on the base for the top level's line class l, filled
         # by _pushed_power for the exponents asked for
         self._pushed: dict[int, dict[DivisorVector, int]] = {}
@@ -119,10 +126,7 @@ class Tower:
                 )
         base = self.base
         self._chow_rules = [(_padded(a), _padded(b)) for a, b in base._chow_rules]
-        self._k_rules = [(_padded(a), _padded(b)) for a, b in base._k_rules]
-
-        r = self.ranks[k]
-        bundle = KClass(base, {vec: top.count(vec) for vec in top})
+        self._bundle = bundle = KClass(base, {vec: top.count(vec) for vec in top})
         # xi^{r+1} -> sum_{j>=1} (-1)^{j+1} c_j(E) xi^{r+1-j}
         chow_above = {
             m + (-sum(m),): c if sum(m) % 2 else -c
@@ -130,21 +134,8 @@ class Tower:
             if sum(m)
         }
         self._chow_rules.append((chow_above, {}))
-        # l^{r+1} -> sum_{j>=1} (-1)^{j+1} wedge^j E l^{r+1-j}, and multiplying
-        # the relation by l^{-1}: l^{-1} -> sum_{j<=r} (-1)^{r+j} wedge^j E det(E)^{-1} l^{r-j}
-        wedges = bundle._lambda_terms(r + 1, 1, False)  # wedge^j E for every j, in one pass
-        (det,) = wedges[r + 1]
-        self._bundle, self._dual_bundle = bundle, bundle.dual()
-        self._det_inverse = tuple(-x for x in det)
-        k_above = {
-            v + (-j,): c if j % 2 else -c for j in range(1, r + 2) for v, c in wedges[j].items()
-        }
-        k_below = {
-            tuple(map(add, v, self._det_inverse)) + (r + 1 - j,): c if (r + j) % 2 == 0 else -c
-            for j in range(r + 1)
-            for v, c in wedges[j].items()
-        }
-        self._k_rules.append((k_above, k_below))
+        # det(E) = wedge^{r+1} E is the line of the summands' sum
+        self._det_inverse = tuple(-sum(x) for x in zip(*top))
 
     def _pad(self, vec: DivisorVector) -> DivisorVector:
         return vec + (0,) * (self.n_levels - len(vec))
@@ -168,13 +159,38 @@ class Tower:
                     accumulate(out, above if m[k] > r else below, c, m)
         return out
 
+    def _k_rules(self) -> list[tuple[Rule, Rule]]:
+        """Per level (above, below) K rules, built with the base's on the
+        first K normal form; the pushforward reads none of them."""
+        if self.base is None or "k_rules" in self._cache:
+            return self._cache.get("k_rules", [])
+        # l^{r+1} -> sum_{j>=1} (-1)^{j+1} wedge^j E l^{r+1-j}, and multiplying
+        # the relation by l^{-1}: l^{-1} -> sum_{j<=r} (-1)^{r+j} wedge^j E det(E)^{-1} l^{r-j}
+        r, det_inverse = self.ranks[-1], self._det_inverse
+        wedges = self._bundle._lambda_terms(r + 1, 1, False)  # every wedge^j E in one pass
+        above = {
+            v + (-j,): c if j % 2 else -c for j in range(1, r + 2) for v, c in wedges[j].items()
+        }
+        below = {
+            tuple(map(add, v, det_inverse)) + (r + 1 - j,): c if (r + j) % 2 == 0 else -c
+            for j in range(r + 1)
+            for v, c in wedges[j].items()
+        }
+        rules = [(_padded(a), _padded(b)) for a, b in self.base._k_rules()] + [(above, below)]
+        self._cache["k_rules"] = rules
+        return rules
+
     def _product_entry(self, ma: Monomial, mb: Monomial) -> tuple[tuple[Monomial, int], ...]:
-        """ma * mb in normal form as (monomial, coefficient) pairs; empty above
-        the dimension, where it vanishes, without a rewrite."""
-        if sum(ma) + sum(mb) > self.dim:
-            return ()
-        raw = {tuple(map(add, ma, mb)): 1}
-        return tuple(self._normal_form(raw, self._chow_rules).items())
+        """ma * mb in normal form as (monomial, coefficient) pairs: the
+        normal form of the raw monomial ma + mb, rewritten once for every
+        pair with that sum, and empty above the dimension without a rewrite."""
+        m = tuple(map(add, ma, mb))
+        if m not in self._raw_forms:
+            normal = {} if sum(m) > self.dim else {m: 1}
+            if normal and not all(map(le, m, self.ranks)):  # not a basis monomial yet
+                normal = self._normal_form(normal, self._chow_rules)
+            self._raw_forms[m] = tuple(normal.items())
+        return self._raw_forms[m]
 
     def _pushed_power(self, a: int) -> dict[DivisorVector, int]:
         """pi_* l^a on the base, for the top level's line class l and any
@@ -187,7 +203,7 @@ class Tower:
             elif a >= -r:
                 table[a] = {}
             else:
-                sym = self._dual_bundle.sym(-a - r - 1).line_terms
+                sym = self._bundle.dual().sym(-a - r - 1).line_terms
                 table[a] = accumulate({}, sym, -1 if r % 2 else 1, self._det_inverse)
         return table[a]
 
@@ -471,7 +487,7 @@ class KClass:
 
     def normal_form(self) -> dict[DivisorVector, int]:
         """Coordinates in the monomial basis of the K-group (exponents in [0, r_k])."""
-        return self.tower._normal_form(self.line_terms, self.tower._k_rules)
+        return self.tower._normal_form(self.line_terms, self.tower._k_rules())
 
     def __eq__(self, other: object) -> bool:
         """Equality as K-theory classes (compared in normal form)."""

@@ -72,6 +72,7 @@ across threads in CPython, or keep per task).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -532,13 +533,18 @@ class GradedPolynomial:
 def serialize_terms(alphabet: Alphabet, terms: Mapping[Monomial, Scalar]) -> str:
     """The canonical text of a term map without zero coefficients, in
     packed-key order: per term "<num>/<den>" and the monomial's factor text,
-    one " <var>^<exp>" per nonzero exponent, built once per alphabet."""
+    one " <var>^<exp>" per nonzero exponent, built once per alphabet.  A
+    coefficient past Python's int-digit limit is an InputError."""
     keys, texts, lines = alphabet.keys, alphabet.texts, []
-    for key, c in sorted([(keys[m], c) for m, c in terms.items()]):  # keys are distinct
-        if key not in texts:
-            exponents = zip(alphabet.names(), alphabet.monomials[key])
-            texts[key] = "".join([f" {n}^{e}" for n, e in exponents if e])
-        lines.append(f"{c.numerator}/{c.denominator}{texts[key]}")
+    try:
+        for key, c in sorted([(keys[m], c) for m, c in terms.items()]):  # keys are distinct
+            if key not in texts:
+                exponents = zip(alphabet.names(), alphabet.monomials[key])
+                texts[key] = "".join([f" {n}^{e}" for n, e in exponents if e])
+            lines.append(f"{c.numerator}/{c.denominator}{texts[key]}")
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"class text exceeds the {limit}-digit limit of decimal text") from None
     return "\n".join(lines)
 
 
@@ -602,27 +608,30 @@ def substitute_terms(
 def horner_scheme(grouped: Mapping[Monomial, Any]) -> Any:
     """Nest a nonempty map {exponent tuple: coefficient} as a Horner scheme:
     the coefficient itself for the empty tuple, otherwise the pairs
-    (exponent of the first variable, scheme of the rest), exponents
-    descending (Pena and Sauer, "On the multivariate Horner scheme", 2000)."""
+    (step, scheme of the rest) for the exponents e of the first variable,
+    descending, where step is e minus the next lower exponent (or 0) (Pena
+    and Sauer, "On the multivariate Horner scheme", 2000)."""
     if () in grouped:
         return grouped[()]
     rest: dict[int, dict[Monomial, Any]] = {}
     for mono, coeff in grouped.items():
         rest.setdefault(mono[0], {})[mono[1:]] = coeff
-    return tuple((e, horner_scheme(rest[e])) for e in sorted(rest, reverse=True))
+    exps = sorted(rest, reverse=True)
+    return tuple((e - low, horner_scheme(rest[e])) for e, low in zip(exps, exps[1:] + [0]))
 
 
 def horner_eval(scheme: Any, values: Sequence[Any]) -> Any:
-    """A horner_scheme at one ring element per variable: one product per
-    exponent step of each variable, and no powers or monomials."""
+    """A horner_scheme at one ring element per variable: each pair adds its
+    inner value and multiplies by the variable step times, so one product
+    per exponent step of each variable, and no powers, monomials or lists."""
     if not values:
         return scheme
     x, values = values[0], values[1:]
     acc = None
-    for (e, inner), low in zip(scheme, [e for e, _ in scheme[1:]] + [0]):
-        value = horner_eval(inner, values)
+    for step, inner in scheme:
+        value = horner_eval(inner, values) if values else inner
         acc = value if acc is None else acc + value
-        for _ in range(e - low):
+        for _ in range(step):
             acc = acc * x
     return acc
 

@@ -78,6 +78,7 @@ MODEL_TOWERS: list[tuple[str, str, list[int]]] = [
     ("P1^4", "P(trivial 2) over P(trivial 2) over P(trivial 2) over P(trivial 2) over point",
      [0, 1, 2]),
 ]
+_MODEL_TOWER_TEXT = {name: text for name, text, _ in MODEL_TOWERS}
 
 
 @cache
@@ -87,7 +88,7 @@ def geometry_tower(text: str) -> Tower:
 
 
 def model_tower(name: str) -> Tower:
-    return geometry_tower({n: text for n, text, _ in MODEL_TOWERS}[name])
+    return geometry_tower(_MODEL_TOWER_TEXT[name])
 
 
 def _sheaf_vectors(n_levels: int, bound: int = 2):

@@ -210,13 +210,13 @@ def test_k_classes():
         vec = tuple(rng.randint(-2, 2) for _ in range(tower.n_levels))
         assert f.twist(vec).line_terms == ref_add((a, 1, vec))
         assert KClass(tower, f.normal_form()) == f
-        assert f.normal_form() == ref_normal_form(tower, a, tower._k_rules)
+        assert f.normal_form() == ref_normal_form(tower, a, tower._k_rules())
         for n in range(tower.n_levels + 1):
             pushed = dict(a)
             current = tower
             for _ in range(n):
                 k = current.n_levels - 1
-                banded = ref_normal_form(current, pushed, current._k_rules, levels=(k,))
+                banded = ref_normal_form(current, pushed, current._k_rules(), levels=(k,))
                 pushed = ref_add(
                     *((current._pushed_power(v[k]), c, v[:k]) for v, c in banded.items())
                 )

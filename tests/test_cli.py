@@ -613,6 +613,11 @@ class TestExitCodes:
                  "--sheaf", f"O({'9' * 5000}*h)", "-n", "0"],
                 "error: integer of 5000 digits exceeds the 4300-digit limit (line 1, column 3)",
             ),
+            (  # a literal under the limit whose class text is over it
+                ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+                 "--sheaf", f"O({'9' * 4000}*h)", "-n", "0"],
+                "error: class text exceeds the 4300-digit limit of decimal text",
+            ),
         ],
     )
     def test_past_the_int_digit_limit_is_an_input_error(self, argv, error, capsys):

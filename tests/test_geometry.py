@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -15,9 +16,11 @@ from grrcheck.geometry import (
     pushforward_chow,
     pushforward_k,
 )
+from grrcheck.grr import MorphismDatum, check_main_theorem
 from grrcheck.suites import MODEL_TOWERS, geometry_tower
 
 from chern_reference import factor_total_chern
+from lambda_reference import eager_k_rules
 
 
 def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
@@ -212,6 +215,26 @@ class TestProductTable:
         assert t.unit_chow() * x == x == x * t.unit_chow()
         assert (t.zero_chow() * x).is_zero()
         assert t.unit_chow().terms == {(0, 0, 0): 1}
+
+    @pytest.mark.parametrize("levels", TOWERS, ids=str)
+    def test_each_raw_product_monomial_is_rewritten_once(self, levels, monkeypatch):
+        t = Tower(levels)
+        basis = list(product(*(range(r + 1) for r in t.ranks)))
+        rewritten = []
+        normal_form = Tower._normal_form
+
+        def spy(tower, terms, rules):
+            rewritten.extend(terms)
+            return normal_form(tower, terms, rules)
+
+        monkeypatch.setattr(Tower, "_normal_form", spy)
+        entries = {(ma, mb): t._product_entry(ma, mb) for ma in basis for mb in basis}
+        monkeypatch.undo()
+        assert len(rewritten) == len(set(rewritten))
+        for (ma, mb), entry in entries.items():
+            raw = tuple(map(add, ma, mb))
+            want = t._normal_form({raw: 1}, t._chow_rules) if sum(raw) <= t.dim else {}
+            assert dict(entry) == want, (ma, mb)
 
 
 class TestDivisorChow:
@@ -530,6 +553,57 @@ class TestKNormalForm:
     def test_serialize_prints_normal_form(self):
         p1 = Tower([[()] * 2])
         assert p1.line((2,)).serialize() == "-1/1\n2/1 l1^1"
+
+
+def random_twisted_levels(rng: random.Random) -> list[list[tuple[int, ...]]]:
+    return [
+        [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(rng.randint(1, 3))]
+        for k in range(rng.randint(1, 4))
+    ]
+
+
+class TestLazyKRelation:
+    """A level's K rules are built on the first K normal form, with det(E)
+    read from the sum of the summands; a main-theorem check reads none."""
+
+    LEVELS = TestProductTable.TOWERS + [
+        random_twisted_levels(random.Random(f"twisted:{i}")) for i in range(12)
+    ]
+
+    @pytest.mark.parametrize("levels", LEVELS, ids=str)
+    def test_rules_match_the_eager_reference(self, levels):
+        t = Tower(levels)
+        assert t._k_rules() == eager_k_rules(t)
+        assert t._k_rules() is t._k_rules()
+
+    @pytest.mark.parametrize("levels", LEVELS, ids=str)
+    def test_det_from_the_summands_is_the_top_wedge(self, levels):
+        t = Tower(levels)
+        for level in (t.prefix(k) for k in range(1, t.n_levels + 1)):
+            det = level.base.line(tuple(-x for x in level._det_inverse))
+            assert det.line_terms == level._bundle.wedge(level.ranks[-1] + 1).line_terms
+
+    def test_built_on_the_first_normal_form_only(self, monkeypatch):
+        built = []
+        lambda_terms = KClass._lambda_terms
+
+        def spy(f, n, s, only_n):
+            if not only_n:  # every wedge^j E at once: one level's K relation
+                built.append(f.tower)
+            return lambda_terms(f, n, s, only_n)
+
+        monkeypatch.setattr(KClass, "_lambda_terms", spy)
+        t = Tower([[(), ()], [(0,), (1,)], [(1, -1), (0, 2)]])
+        F = t.line((1, -3, -4)) + t.line((0, 2, 1)).scale(2) - t.line((-1, 0, 5)).wedge(1)
+        for base in range(t.n_levels):
+            for n in range(t.prefix(base).dim + 2):
+                assert all(rep.passed for rep in check_main_theorem(MorphismDatum(t, base), F, n))
+        assert built == []
+        F.normal_form()
+        # once per level: the relation of each level's bundle on its base
+        assert sorted(map(id, built)) == sorted(id(t.prefix(k)) for k in range(t.n_levels))
+        F.twist((0, 1, -2)).serialize()
+        assert len(built) == t.n_levels
 
 
 class TestVCI:

@@ -24,6 +24,7 @@ from grrcheck.poly import (
     series_invert,
     series_log,
     series_mul,
+    substitute_terms,
 )
 
 from symmetric_reference import SymmetryError, elementary_reduce
@@ -745,6 +746,9 @@ class TestHornerScheme:
         scheme = horner_scheme({(2, 0): "a", (0, 1): "b", (0, 0): "c"})
         assert scheme == ((2, ((0, "a"),)), (0, ((1, "b"), (0, "c"))))
         assert horner_scheme({(): "k"}) == "k"
+        # each pair steps down to the next lower exponent, the last one to 0
+        assert horner_scheme({(5,): "a", (2,): "b", (0,): "c"}) == ((3, "a"), (2, "b"), (0, "c"))
+        assert horner_scheme({(4,): "a", (1,): "b"}) == ((3, "a"), (1, "b"))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -757,6 +761,30 @@ class TestHornerScheme:
         x, y, z = point
         direct = sum(c * x**a * y**b * z**d for (a, b, d), c in terms.items())
         assert horner_eval(horner_scheme(terms), point) == direct
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from([0, 2, 5]), st.sampled_from([0, 1, 4, 6])),
+            st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2), st.integers(-4, 4), max_size=3),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(
+            st.dictionaries(st.tuples(*[st.integers(0, 1)] * 2), st.integers(-3, 3), max_size=3),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_matches_substitute_terms_with_exponent_gaps(self, grouped, point):
+        # coefficients and values in a ring: polynomials in u1, u2 cut above degree 9
+        ring = root_alphabet("u", 2)
+        coeffs = {e: GradedPolynomial(ring, 9, terms) for e, terms in grouped.items()}
+        values = [GradedPolynomial(ring, 9, terms) for terms in point]
+        one = GradedPolynomial.constant(ring, 9, 1)
+        want = substitute_terms(coeffs, ["x", "y"], dict(zip("xy", values)), one)
+        got = horner_eval(horner_scheme(coeffs), values)
+        assert got == want.get((), GradedPolynomial.zero(ring, 9))
 
     def test_one_product_per_exponent_step(self):
         products = []
