@@ -126,7 +126,7 @@ class Tower:
                 )
         base = self.base
         self._chow_rules = [(_padded(a), _padded(b)) for a, b in base._chow_rules]
-        self._bundle = bundle = KClass(base, {vec: top.count(vec) for vec in top})
+        self._bundle = bundle = KClass._normal(base, {vec: top.count(vec) for vec in top})
         # xi^{r+1} -> sum_{j>=1} (-1)^{j+1} c_j(E) xi^{r+1-j}
         chow_above = {
             m + (-sum(m),): c if sum(m) % 2 else -c
@@ -241,10 +241,13 @@ class Tower:
         return (ChowClass._normal if reduced else ChowClass)(self, out)
 
     def line(self, vec: DivisorVector) -> "KClass":
-        return KClass(self, {self._pad(tuple(vec)): 1})
+        vec = self._pad(tuple(vec))
+        if len(vec) != self.n_levels:
+            raise InputError("line symbol has wrong arity for the tower")
+        return KClass._normal(self, {vec: 1})
 
     def structure_sheaf(self) -> "KClass":
-        return KClass(self, {(0,) * self.n_levels: 1})
+        return KClass._normal(self, {(0,) * self.n_levels: 1})
 
     def tangent_class(self) -> "KClass":
         """Split model of the tangent class from the per-level Euler sequences."""
@@ -260,7 +263,7 @@ class Tower:
                     sym_t = tuple(sym)
                     terms[sym_t] = terms.get(sym_t, 0) + 1
                 terms[zero] = terms.get(zero, 0) - 1
-            self._cache[key] = KClass(self, {v: c for v, c in terms.items() if c})
+            self._cache[key] = KClass._normal(self, {v: c for v, c in terms.items() if c})
         return self._cache[key]
 
     def __repr__(self) -> str:
@@ -384,7 +387,10 @@ def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
 
 
 class KClass:
-    """A virtual integer combination of line-bundle symbols on a tower."""
+    """A virtual integer combination of line-bundle symbols on a tower.
+
+    KClass(tower, terms) checks and cleans arbitrary terms.  Every result of
+    an operation on classes is built by _normal from terms already clean."""
 
     __slots__ = ("tower", "line_terms")
 
@@ -397,6 +403,15 @@ class KClass:
             if len(vec) != tower.n_levels:
                 raise InputError("line symbol has wrong arity for the tower")
 
+    @classmethod
+    def _normal(cls, tower: Tower, line_terms: dict[DivisorVector, int]) -> "KClass":
+        """The class with the given terms, already clean: symbols of the
+        tower's arity and nonzero int multiplicities.  The dict is taken over."""
+        f = object.__new__(cls)
+        f.tower = tower
+        f.line_terms = line_terms
+        return f
+
     def _check(self, other: "KClass") -> None:
         if self.tower is not other.tower:
             raise InputError("classes live on different towers")
@@ -406,34 +421,35 @@ class KClass:
 
     def __add__(self, other: "KClass") -> "KClass":
         self._check(other)
-        return KClass(self.tower, accumulate(dict(self.line_terms), other.line_terms))
+        return KClass._normal(self.tower, accumulate(dict(self.line_terms), other.line_terms))
 
     def __sub__(self, other: "KClass") -> "KClass":
         self._check(other)
-        return KClass(self.tower, accumulate(dict(self.line_terms), other.line_terms, -1))
+        return KClass._normal(self.tower, accumulate(dict(self.line_terms), other.line_terms, -1))
 
     def __neg__(self) -> "KClass":
-        return KClass(self.tower, {v: -c for v, c in self.line_terms.items()})
+        return KClass._normal(self.tower, {v: -c for v, c in self.line_terms.items()})
 
     def scale(self, n: int) -> "KClass":
-        return KClass(self.tower, {v: n * c for v, c in self.line_terms.items()})
+        terms = {v: n * c for v, c in self.line_terms.items()} if n else {}
+        return KClass._normal(self.tower, terms)
 
     def __mul__(self, other: "KClass") -> "KClass":
         self._check(other)
         out: dict[DivisorVector, int] = {}
         for va, ca in self.line_terms.items():
             accumulate(out, other.line_terms, ca, va)
-        return KClass(self.tower, out)
+        return KClass._normal(self.tower, out)
 
     def dual(self) -> "KClass":
-        return KClass(
+        return KClass._normal(
             self.tower, {tuple(-x for x in v): c for v, c in self.line_terms.items()}
         )
 
     def twist(self, vec: DivisorVector) -> "KClass":
         """Tensor with the line bundle of the given divisor vector."""
         vec = self.tower._pad(tuple(vec))
-        return KClass(self.tower, accumulate({}, self.line_terms, 1, vec))
+        return KClass._normal(self.tower, accumulate({}, self.line_terms, 1, vec))
 
     def _lambda_terms(self, n: int, s: int, only_n: bool) -> dict[int, dict[DivisorVector, int]]:
         """t-degree d -> terms of the t^d coefficient of prod_L (1 + s L t)^(s m_L)
@@ -459,11 +475,11 @@ class KClass:
 
     def wedge(self, i: int) -> "KClass":
         """i-th exterior power."""
-        return KClass(self.tower, self._lambda_terms(i, 1, True).get(i, {}))
+        return KClass._normal(self.tower, self._lambda_terms(i, 1, True).get(i, {}))
 
     def sym(self, a: int) -> "KClass":
         """a-th symmetric power."""
-        return KClass(self.tower, self._lambda_terms(a, -1, True).get(a, {}))
+        return KClass._normal(self.tower, self._lambda_terms(a, -1, True).get(a, {}))
 
     def total_chern(self) -> ChowClass:
         """prod (1 + D)^m over the line symbols, each factor taken into the
@@ -514,14 +530,14 @@ def pushforward_k(f: KClass, n_collapse: int = 1) -> KClass:
     if not 0 <= n_collapse <= tower.n_levels:
         raise InputError("cannot collapse more levels than the tower has")
     current = tower
-    terms: Mapping[DivisorVector, int] = f.line_terms
+    terms: dict[DivisorVector, int] = f.line_terms
     for _ in range(n_collapse):
         # L * l^a pushes to L * pi_* l^a (projection formula)
         pushed: dict[DivisorVector, int] = {}
         for vec, c in terms.items():
             accumulate(pushed, current._pushed_power(vec[-1]), c, vec[:-1])
         terms, current = pushed, current.base
-    return KClass(current, terms)
+    return KClass._normal(current, terms)
 
 
 def pullback_k(f: KClass, tower: Tower) -> KClass:
@@ -529,7 +545,7 @@ def pullback_k(f: KClass, tower: Tower) -> KClass:
     if tower.prefix(k) is not f.tower:
         raise InputError("source is not a prefix of the target tower")
     pad = tower.n_levels - k
-    return KClass(tower, {v + (0,) * pad: c for v, c in f.line_terms.items()})
+    return KClass._normal(tower, {v + (0,) * pad: c for v, c in f.line_terms.items()})
 
 
 def euler_characteristic(f: KClass) -> int:
@@ -591,7 +607,7 @@ class VirtualCompleteIntersection(Record):
         terms: dict[DivisorVector, int] = {}
         for c in self.cuts:
             terms[c] = terms.get(c, 0) + 1
-        return KClass(self.ambient, terms)
+        return KClass._normal(self.ambient, terms)
 
     def tangent_class(self) -> KClass:
         """Virtual restriction of the ambient tangent minus the normal class."""

@@ -10,10 +10,11 @@ A stored coefficient is never zero and never a float: it is an int when it is
 integral and a Fraction otherwise, so the integral numerators the theory
 predicts are computed in int arithmetic.  accumulate (out += c * terms, each
 key optionally shifted by a monomial) is the one kernel that adds exact term
-maps under that rule.  The sums and the symmetric elimination here go through
-it, and so do the Chow and K classes of grrcheck.geometry (sums, scalings,
-products, rewrites, twists and the K-pushforward).  Only the two loops on
-packed keys below keep their own accumulation and normalise once at the end.
+maps under that rule, whatever their keys.  The sums of polynomials and the
+symmetric elimination here go through it, and so do the Chow and K classes
+of grrcheck.geometry (sums, scalings, products, rewrites, twists and the
+K-pushforward).  Only the product and times_one_minus keep their own
+accumulation and normalise once at the end.
 
 Alphabet(...) returns one interned instance per variable list, and each
 Alphabet packs every exponent tuple it meets into an int once, in a memo
@@ -21,24 +22,32 @@ that maps both ways: the weighted degree in the top field, then 16 bits per
 exponent in alphabet order (after Monagan and Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Int
 order is (degree, exponent tuple) order, the degree is key >> shift, and the
-key of a product of monomials is the sum of their keys: every exponent is
-checked to be below half its field, so a sum never carries.  Term maps stay
-keyed by tuples; two loops run on the packed keys and unpack each result key
-through the memo.  The product groups the right factor's terms by degree,
-ascending, and meets each left term only with the groups that fit under the
-bound.  times_one_minus multiplies by factors (1 - s)^{+-1}, s a sum of
-weight-1 variables, on slices of one degree each: a variable's key moves a
-slice up one degree, so each factor is one in-place pass of key additions,
-and the product stays packed from the first factor to the last.  Results of
-the ring operations are built by GradedPolynomial._normal from terms already
-clean; the public constructor checks and normalises arbitrary input.
+key of a product of monomials is the sum of their keys.  Packed keys are the
+stored form of a GradedPolynomial: its terms are {packed key: coefficient},
+and every ring operation (sums, scalings, products, truncations, graded
+parts, equality, the canonical text) reads and writes keys without packing
+or unpacking.  The map keyed by exponent tuples, .terms, is derived through
+the memo on its first read and kept, for the callers that walk exponents
+(substitution, and the compiles of grrcheck.grr among others).  embed moves
+whole blocks of exponent fields.  Every exponent stays below half its
+16-bit field: the constructor checks each tuple it packs, and a key made by
+adding keys is tested against the alphabet's mask of those top bits, so no
+sum of two stored keys ever carries.  The product groups the right factor's
+terms by degree, ascending, and meets each left term only with the groups
+that fit under the bound.  times_one_minus multiplies by factors
+(1 - s)^{+-1}, s a sum of weight-1 variables, on slices of one degree each:
+a variable's key moves a slice up one degree, so each factor is one in-place
+pass of key additions.  Results of the ring operations are built by
+GradedPolynomial._normal from packed terms already clean; the public
+constructor checks and normalises arbitrary input keyed by tuples.
 
 Canonical text serialization (bit-exact, used for golden files): one term per
 line, ``<num>/<den> <var>^<exp> ...`` with variables in alphabet order and
 exponents always written; terms sorted ascending by (weighted degree, exponent
 vector), which is packed-key order.  The zero polynomial serializes to the
-empty string.  serialize_terms writes it for polynomials and for the Chow and
-K classes of grrcheck.geometry, from monomial texts each Alphabet keeps.
+empty string.  A polynomial writes it from its packed terms, and
+serialize_terms writes it for the tuple-keyed Chow and K classes of
+grrcheck.geometry, both from monomial texts each Alphabet keeps.
 
 substitute_terms is the one loop over the monomials of a universal
 polynomial, for every ring the package evaluates in: GradedPolynomial.substitute
@@ -64,7 +73,8 @@ unitriangular, so an orbit with integer coefficients (grrcheck.series scales
 each expansion by its cleared denominator first) eliminates entirely in int
 arithmetic, and one that is not integral leaves a Fraction in the result.
 
-Polynomials are immutable after construction and may share their term dicts;
+Polynomials are immutable after construction (the tuple view is written
+once, on its first read) and may share their term dicts;
 the expansion and lowering memo tables, the key memos, the monomial texts and
 the alphabet table are insert-only maps of immutable values (safe to share
 across threads in CPython, or keep per task).
@@ -74,9 +84,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
-from operator import add, mul
+from operator import add, mul, or_
 from struct import Struct
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -137,15 +147,18 @@ class _Keys(dict):
     """Exponent tuple -> packed key for one weight vector, each packed once:
     the degree, then exponent 0, 1, ... 16 bits each, so keys compare as
     (degree, exponent tuple) and the degree is key >> shift.  .monomials is
-    the reverse map, filled at the same time."""
+    the reverse map, filled at the same time.  .overflow has bit 15 of every
+    exponent field set: a key made by adding keys has an exponent out of the
+    packed range exactly when it meets that mask."""
 
-    __slots__ = ("weights", "shift", "fields", "monomials")
+    __slots__ = ("weights", "shift", "fields", "monomials", "overflow")
 
     def __init__(self, weights: tuple[int, ...]):
         super().__init__()
         self.weights, self.shift = weights, 16 * len(weights)
         self.fields = Struct(f">{len(weights)}H")
         self.monomials = _Monomials(self)
+        self.overflow = sum(_HALF << 16 * i for i in range(len(weights)))
 
     def __missing__(self, mono: Monomial) -> int:
         _check_packable(mono)
@@ -153,6 +166,12 @@ class _Keys(dict):
         key = self[mono] = degree << self.shift | int.from_bytes(self.fields.pack(*mono), "big")
         self.monomials[key] = mono
         return key
+
+    def check(self, keys: Iterable[int]) -> None:
+        """The guard on keys made by adding keys: every exponent stays below
+        half its field, so the next sum cannot carry either."""
+        if reduce(or_, keys, 0) & self.overflow:
+            raise AssertionError(f"an exponent of a product outside the packed range [0, {_HALF})")
 
 
 class _Monomials(dict):
@@ -167,7 +186,6 @@ class _Monomials(dict):
 
     def __missing__(self, key: int) -> Monomial:
         mono = self.keys.fields.unpack((key & self.mask).to_bytes(self.size, "big"))
-        _check_packable(mono)
         self[key], self.keys[mono] = mono, key
         return mono
 
@@ -182,20 +200,20 @@ class Alphabet:
     key memos and monomial texts stay warm for every polynomial over the list,
     and alphabets are equal exactly when they are the same object."""
 
-    __slots__ = ("variables", "weights", "shift", "keys", "monomials", "texts", "_index")
+    __slots__ = ("variables", "weights", "shift", "keys", "monomials", "texts", "_index", "_names")
 
     def __new__(cls, variables: Iterable[tuple[str, int]]) -> "Alphabet":
         variables = tuple((str(n), int(w)) for n, w in variables)
         got = _ALPHABETS.get(variables)
         if got is not None:
             return got
-        names = [n for n, _ in variables]
+        names = tuple(n for n, _ in variables)
         if len(set(names)) != len(names):
-            raise InputError(f"duplicate variable names in alphabet: {names}")
+            raise InputError(f"duplicate variable names in alphabet: {list(names)}")
         if any(w < 0 for _, w in variables):
             raise InputError("variable weights must be >= 0")
         self = object.__new__(cls)
-        self.variables = variables
+        self.variables, self._names = variables, names
         self.weights = tuple(w for _, w in variables)
         self._index = {n: i for i, n in enumerate(names)}
         self.keys = _Keys(self.weights)
@@ -210,7 +228,7 @@ class Alphabet:
             raise InputError(f"unknown variable {name!r}") from None
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.variables)
+        return self._names
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -237,7 +255,11 @@ def join_alphabets(*parts: Alphabet) -> Alphabet:
 
 
 class GradedPolynomial:
-    __slots__ = ("alphabet", "truncation", "terms")
+    """Terms are stored as {packed key: coefficient} over the alphabet's key
+    memo; .terms, the map keyed by exponent tuples, is derived on its first
+    read and kept."""
+
+    __slots__ = ("alphabet", "truncation", "packed", "_terms")
 
     def __init__(
         self,
@@ -249,29 +271,39 @@ class GradedPolynomial:
             raise InputError("truncation bound must be >= 0")
         self.alphabet = alphabet
         self.truncation = truncation
-        clean: dict[Monomial, Scalar] = {}
+        self._terms = None
+        clean: dict[int, Scalar] = {}
         if terms:
-            keys, shift = alphabet.keys, alphabet.shift
+            keys, limit = alphabet.keys, (truncation + 1) << alphabet.shift
             nvars = len(alphabet.weights)
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
                     raise InputError(f"monomial {mono} has wrong arity for {alphabet!r}")
                 c = _scalar(coeff)
-                if c and keys[mono] >> shift <= truncation:
-                    clean[mono] = c
-        self.terms = clean
+                if c and keys[mono] < limit:
+                    clean[keys[mono]] = c
+        self.packed = clean
 
     @classmethod
     def _normal(
-        cls, alphabet: Alphabet, truncation: int, terms: dict[Monomial, Scalar]
+        cls, alphabet: Alphabet, truncation: int, packed: dict[int, Scalar]
     ) -> "GradedPolynomial":
-        """The polynomial with the given terms, already clean: in the bound,
-        non-zero and normalised.  The dict is taken over, not copied."""
+        """The polynomial with the given packed terms, already clean: in the
+        bound, non-zero and normalised.  The dict is taken over, not copied."""
         p = object.__new__(cls)
         p.alphabet = alphabet
         p.truncation = truncation
-        p.terms = terms
+        p.packed = packed
+        p._terms = None
         return p
+
+    @property
+    def terms(self) -> dict[Monomial, Scalar]:
+        """{exponent tuple: coefficient}, for the callers that walk exponents."""
+        if self._terms is None:
+            monomials = self.alphabet.monomials
+            self._terms = {monomials[k]: c for k, c in self.packed.items()}
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -295,27 +327,27 @@ class GradedPolynomial:
         return self.alphabet.keys[mono] >> self.alphabet.shift
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return all(type(c) is int for c in self.packed.values())
 
     def coefficient(self, **exps: int) -> Scalar:
         """Coefficient of the monomial given by keyword exponents (others 0)."""
         mono = [0] * len(self.alphabet)
         for name, e in exps.items():
             mono[self.alphabet.index(name)] = e
-        return self.terms.get(tuple(mono), 0)
+        return self.packed.get(self.alphabet.keys[tuple(mono)], 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        keys = self.alphabet.keys
-        return sorted(self.terms.items(), key=lambda kv: keys[kv[0]])
+        monomials = self.alphabet.monomials
+        return [(monomials[k], c) for k, c in sorted(self.packed.items())]
 
     def __eq__(self, other: object) -> bool:
         """Equality of alphabet and terms (truncation bound not compared)."""
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
+        return self.alphabet is other.alphabet and self.packed == other.packed
 
     # -- arithmetic ----------------------------------------------------
 
@@ -327,10 +359,10 @@ class GradedPolynomial:
     def _linear(self, other: "GradedPolynomial", sign: int) -> "GradedPolynomial":
         """self + sign * other."""
         bound = self._check_compatible(other)
-        out = accumulate(dict(self.terms), other.terms, sign)
+        out = accumulate(dict(self.packed), other.packed, sign)
         if bound < max(self.truncation, other.truncation):
-            keys, shift = self.alphabet.keys, self.alphabet.shift
-            out = {m: c for m, c in out.items() if keys[m] >> shift <= bound}
+            limit = (bound + 1) << self.alphabet.shift
+            out = {k: c for k, c in out.items() if k < limit}
         return GradedPolynomial._normal(self.alphabet, bound, out)
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
@@ -344,26 +376,24 @@ class GradedPolynomial:
 
     def scale(self, r: Scalar) -> "GradedPolynomial":
         r = _scalar(r)
-        terms = {m: _exact(c * r) for m, c in self.terms.items()} if r else {}
-        return GradedPolynomial._normal(self.alphabet, self.truncation, terms)
+        packed = {k: _exact(c * r) for k, c in self.packed.items()} if r else {}
+        return GradedPolynomial._normal(self.alphabet, self.truncation, packed)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        """Product truncated to the smaller bound, on packed keys: the key of
-        a product of monomials is the sum of their keys.  other's terms are
-        grouped by degree, ascending, so each term of self meets only the
-        groups that fit under the bound."""
+        """Product truncated to the smaller bound: the key of a product of
+        monomials is the sum of their keys.  other's terms are grouped by
+        degree, ascending, so each term of self meets only the groups that
+        fit under the bound."""
         bound = self._check_compatible(other)
         alphabet = self.alphabet
-        keys, shift = alphabet.keys, alphabet.shift
+        shift = alphabet.shift
         groups: dict[int, list[tuple[int, Scalar]]] = {}
-        for mb, cb in other.terms.items():
-            kb = keys[mb]
+        for kb, cb in other.packed.items():
             groups.setdefault(kb >> shift, []).append((kb, cb))
         buckets = sorted(groups.items())
         out: dict[int, Scalar] = {}
         get = out.get
-        for ma, ca in self.terms.items():
-            ka = keys[ma]
+        for ka, ca in self.packed.items():
             room = bound - (ka >> shift)
             for db, group in buckets:
                 if db > room:
@@ -371,20 +401,22 @@ class GradedPolynomial:
                 for kb, cb in group:
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-        monomials = alphabet.monomials
-        terms = {monomials[k]: _exact(c) for k, c in out.items() if c}
-        return GradedPolynomial._normal(alphabet, bound, terms)
+        alphabet.keys.check(out)
+        packed = {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
+        return GradedPolynomial._normal(alphabet, bound, packed)
 
     def times_one_minus(self, factors: Iterable[tuple[Sequence[str], int]]) -> "GradedPolynomial":
         """self * prod (1 - sum_{v in S} v)^e over the (S, e) factors, each S a
         set of weight-1 variables and e = 1 or -1, on per-degree slices of
         packed keys: y_d -= sum_S v*y_{d-1} top down for e = 1, and y_d +=
-        sum_S v*y_{d-1} bottom up for e = -1 (the quotient y is self + s*y)."""
+        sum_S v*y_{d-1} bottom up for e = -1 (the quotient y is self + s*y).
+        An exponent of a weight-1 variable is at most the bound, so only a
+        bound past the packed range needs the guard, on each slice it fills."""
         alphabet, bound, n = self.alphabet, self.truncation, len(self.alphabet)
         keys, shift = alphabet.keys, alphabet.shift
         parts: list[dict[int, Scalar]] = [{} for _ in range(bound + 1)]
-        for mono, c in self.terms.items():
-            parts[keys[mono] >> shift][keys[mono]] = c
+        for k, c in self.packed.items():
+            parts[k >> shift][k] = c
         for names, e in factors:
             steps = [keys[tuple(int(j == i) for j in range(n))] for i in map(alphabet.index, names)]
             if e not in (1, -1) or any(step >> shift != 1 for step in steps):  # degree = weight
@@ -399,9 +431,10 @@ class GradedPolynomial:
                             part[k] = v
                         else:
                             del part[k]
-        monomials = alphabet.monomials
-        terms = {monomials[k]: _exact(c) for part in parts for k, c in part.items()}
-        return GradedPolynomial._normal(alphabet, bound, terms)
+                if bound >= _HALF:
+                    keys.check(part)
+        packed = {k: _exact(c) for part in parts for k, c in part.items()}
+        return GradedPolynomial._normal(alphabet, bound, packed)
 
     def power(self, k: int) -> "GradedPolynomial":
         if k < 0:
@@ -417,9 +450,10 @@ class GradedPolynomial:
         return result
 
     def graded_part(self, m: int) -> "GradedPolynomial":
-        keys, shift = self.alphabet.keys, self.alphabet.shift
-        terms = {mono: c for mono, c in self.terms.items() if keys[mono] >> shift == m}
-        return GradedPolynomial._normal(self.alphabet, self.truncation, terms)
+        shift = self.alphabet.shift
+        low, high = m << shift, (m + 1) << shift
+        packed = {k: c for k, c in self.packed.items() if low <= k < high}
+        return GradedPolynomial._normal(self.alphabet, self.truncation, packed)
 
     def truncate(self, bound: int) -> "GradedPolynomial":
         return self.with_bound(min(bound, self.truncation))
@@ -433,11 +467,11 @@ class GradedPolynomial:
         """
         if bound < 0:
             raise InputError("truncation bound must be >= 0")
-        terms = self.terms
+        packed = self.packed
         if bound < self.truncation:
-            keys, shift = self.alphabet.keys, self.alphabet.shift
-            terms = {m: c for m, c in terms.items() if keys[m] >> shift <= bound}
-        return GradedPolynomial._normal(self.alphabet, bound, terms)
+            limit = (bound + 1) << self.alphabet.shift
+            packed = {k: c for k, c in packed.items() if k < limit}
+        return GradedPolynomial._normal(self.alphabet, bound, packed)
 
     # -- structure maps -------------------------------------------------
 
@@ -459,49 +493,58 @@ class GradedPolynomial:
             [self.truncation if truncation is None else truncation]
             + [p.truncation for p in polys]
         )
-        if any(p.alphabet != target for p in polys):
+        if any(p.alphabet is not target for p in polys):
             raise InputError("substitution images live in different alphabets")
+        names = self.alphabet.names()
         full: dict[str, GradedPolynomial | Scalar] = {}
-        for name in self.alphabet.names():
+        for name in names:
             if name in images:
                 img = images[name]
             else:
                 img = GradedPolynomial.variable(target, bound, name)
             full[name] = img.truncate(bound) if isinstance(img, GradedPolynomial) else img
         one = GradedPolynomial.constant(target, bound, 1)
-        grouped = substitute_terms(self.terms, self.alphabet.names(), full, one)
+        grouped = substitute_terms(self.terms, names, full, one)
         return grouped.get((), GradedPolynomial.zero(target, bound))
 
     def embed(self, target: Alphabet) -> "GradedPolynomial":
-        """Reinterpret over a larger alphabet containing all current names (same weights)."""
-        positions = []
-        for name, w in self.alphabet.variables:
+        """Reinterpret over a larger alphabet containing all current names
+        (same weights).  The degree stays, so each run of variables that
+        stays adjacent moves its exponent fields as one block of bits."""
+        if target is self.alphabet:
+            return self
+        n, runs = len(self.alphabet), []  # [source offset, fields, target offset]
+        for i, (name, w) in enumerate(self.alphabet.variables):
             j = target.index(name)
             if target.weights[j] != w:
                 raise InputError(f"weight mismatch embedding {name}")
-            positions.append(j)
-        n = len(target)
-        out: dict[Monomial, Scalar] = {}
-        for mono, c in self.terms.items():
-            new = [0] * n
-            for pos, e in zip(positions, mono):
-                new[pos] = e
-            out[tuple(new)] = c
+            low, high = 16 * (n - 1 - i), 16 * (len(target) - 1 - j)
+            if runs and runs[-1][2] == high + 16:
+                runs[-1] = [low, runs[-1][1] + 1, high]
+            else:
+                runs.append([low, 1, high])
+        moves = [(low, (1 << 16 * fields) - 1, high) for low, fields, high in runs]
+        shift, out = self.alphabet.shift, {}
+        for k, c in self.packed.items():
+            new = k >> shift << target.shift
+            for low, mask, high in moves:
+                new |= (k >> low & mask) << high
+            out[new] = c
         return GradedPolynomial._normal(target, self.truncation, out)
 
     def rename(self, mapping: Mapping[str, str]) -> "GradedPolynomial":
-        """Rename variables in place (same order and weights)."""
+        """Rename variables in place (same order and weights, so the same keys)."""
         target = Alphabet([(mapping.get(n, n), w) for n, w in self.alphabet.variables])
-        return GradedPolynomial._normal(target, self.truncation, self.terms)
+        return GradedPolynomial._normal(target, self.truncation, self.packed)
 
     # -- text forms ------------------------------------------------------
 
     def serialize(self) -> str:
-        return serialize_terms(self.alphabet, self.terms)
+        return _serialize_keyed(self.alphabet, self.packed.items())
 
     def pretty(self) -> str:
         """Human-oriented single-line rendering, e.g. ``c1^2 + c2``."""
-        if not self.terms:
+        if not self.packed:
             return "0"
         names = self.alphabet.names()
         chunks: list[str] = []
@@ -531,13 +574,20 @@ class GradedPolynomial:
 
 
 def serialize_terms(alphabet: Alphabet, terms: Mapping[Monomial, Scalar]) -> str:
-    """The canonical text of a term map without zero coefficients, in
-    packed-key order: per term "<num>/<den>" and the monomial's factor text,
-    one " <var>^<exp>" per nonzero exponent, built once per alphabet.  A
-    coefficient past Python's int-digit limit is an InputError."""
-    keys, texts, lines = alphabet.keys, alphabet.texts, []
+    """The canonical text of a term map keyed by exponent tuples, without zero
+    coefficients (see _serialize_keyed)."""
+    keys = alphabet.keys
+    return _serialize_keyed(alphabet, [(keys[m], c) for m, c in terms.items()])
+
+
+def _serialize_keyed(alphabet: Alphabet, items: Iterable[tuple[int, Scalar]]) -> str:
+    """The canonical text of (packed key, coefficient) pairs with distinct
+    keys, in packed-key order: per term "<num>/<den>" and the monomial's
+    factor text, one " <var>^<exp>" per nonzero exponent, built once per
+    alphabet.  A coefficient past Python's int-digit limit is an InputError."""
+    texts, lines = alphabet.texts, []
     try:
-        for key, c in sorted([(keys[m], c) for m, c in terms.items()]):  # keys are distinct
+        for key, c in sorted(items):  # keys are distinct
             if key not in texts:
                 exponents = zip(alphabet.names(), alphabet.monomials[key])
                 texts[key] = "".join([f" {n}^{e}" for n, e in exponents if e])

@@ -24,7 +24,11 @@ generation fails loudly (FalsificationError) otherwise.
 An independent generation route through power sums (Newton's identities and
 log/exp of the defining series) returns the same numerator for every family;
 the integrality suite compares the two as they are.  That route works on
-integer polynomials and scales once per series, at the end.  The mutation
+integer polynomials, and each of its series (Todd, and inverse Todd per
+rank) is built once per process: one list of parts, extended when a higher
+degree is asked for, and read per degree by one exact scaling (an extension
+replaces the list and its denominator one after the other, so the power-sum
+route is not safe to run from two threads at once).  The mutation
 hook deliberately corrupts a generated class so the test harness can confirm
 that suites really fail when a coefficient is wrong.
 
@@ -340,48 +344,99 @@ def _power_sum_in_chern(k: int, n_vars: int) -> GradedPolynomial:
     return GradedPolynomial(weighted_alphabet("c", n_vars), k, terms)
 
 
-def _multiplicative_series_oracle(
-    per_root: list[Fraction], m: int, n_vars: int, scale: int
-) -> GradedPolynomial:
-    """scale times the degree-m part of prod_roots f(x_j) in c-variables, via
-    exp(sum l_k p_k).
+class _PowerSumSeries:
+    """The power-sum route for one multiplicative series prod_roots f(x_j) in
+    c-variables, via exp(sum l_k p_k), built once per process and extended on
+    demand.
 
     Independent of the elimination algorithm: uses the logarithm l of the
     per-root series and Newton's power-sum polynomials p_k.  The exponential
     E = exp(u), u = sum l_k p_k, is taken degree by degree (Knuth, TAOCP
     vol. 2, 4.7: E_0 = 1 and d E_d = sum_{k=1..d} k l_k p_k E_{d-k}), so no
     power of u is formed, and on integer polynomials: with D the lcm of the
-    denominators of the k l_k, G_d = D^d d! E_d has G_0 = 1 and
+    denominators of the k l_k up to the top degree built, the parts
+    G_d = D^d d! E_d have G_0 = 1 and
 
         G_d = sum_{k=1..d} [D^k k l_k (d-1)!/(d-k)!] p_k G_{d-k},
 
-    every bracket an integer.  The one rational step is the exact scaling
-    scale * E_m = G_m * scale / (D^m m!).
-    """
-    alph = weighted_alphabet("c", n_vars)
-    logs = series_log(per_root, m)
-    den = lcm(*(Fraction(k * logs[k]).denominator for k in range(1, m + 1)))
-    k_u = {  # k -> D^k k l_k p_k, for the nonzero l_k
-        k: _power_sum_in_chern(k, n_vars).with_bound(m).scale(den**k * k * logs[k])
-        for k in range(1, m + 1)
-        if logs[k]
-    }
-    parts = [GradedPolynomial.constant(alph, m, 1)]
-    for d in range(1, m + 1):
-        total = GradedPolynomial.zero(alph, m)
+    every bracket an integer.  A higher top degree can only make D a
+    multiple q D, and then each G_d built so far is rescaled by q^d.  The
+    one rational step is the exact scaling scale * E_m = G_m * scale /
+    (D^m m!), when degree m is read.
+
+    n_vars is the number of c-variables, or None for as many as the top
+    degree (the Todd series, whose parts are widened when the top grows)."""
+
+    __slots__ = ("root_series", "n_vars", "den", "parts")
+
+    def __init__(self, root_series, n_vars: int | None = None):
+        self.root_series = root_series  # n -> the per-root series to degree n
+        self.n_vars = n_vars
+        self.den = 1
+        self.parts: list[GradedPolynomial] = []  # G_0, G_1, ... up to the top degree
+
+    def read(self, m: int, scale: int) -> GradedPolynomial:
+        """scale times E_m, over c1..c<n_vars> (c1..cm for the Todd series),
+        with the bound m."""
+        if m >= len(self.parts):
+            self._extend(m)
+        part, n_vars = self.parts[m], m if self.n_vars is None else self.n_vars
+        alph = weighted_alphabet("c", n_vars)
+        if part.alphabet is not alph:  # a Todd part below the top: E_m is in c1..cm
+            part = GradedPolynomial(alph, m, {mono[:n_vars]: c for mono, c in part.terms.items()})
+        return part.with_bound(m).scale(Fraction(scale, self.den**m * factorial(m)))
+
+    def _extend(self, top: int) -> None:
+        """Build the parts up to degree top, over the c-alphabet of that top."""
+        n_vars = top if self.n_vars is None else self.n_vars
+        alph = weighted_alphabet("c", n_vars)
+        logs = series_log(self.root_series(top), top)
+        den = lcm(*(Fraction(k * logs[k]).denominator for k in range(1, top + 1)))
+        ratio = den // self.den  # an lcm over more degrees is a multiple
+        parts = [
+            (part if ratio == 1 else part.scale(ratio**d)).embed(alph).with_bound(top)
+            for d, part in enumerate(self.parts)
+        ]
+        k_u = {  # k -> D^k k l_k p_k, for the nonzero l_k
+            k: _power_sum_in_chern(k, n_vars).with_bound(top).scale(den**k * k * logs[k])
+            for k in range(1, top + 1)
+            if logs[k]
+        }
+        for d in range(len(parts), top + 1):
+            parts.append(self._part(parts, d, k_u, alph, top))
+        self.parts, self.den = parts, den
+
+    def _part(
+        self,
+        parts: list[GradedPolynomial],
+        d: int,
+        k_u: dict[int, GradedPolynomial],
+        alph: Alphabet,
+        top: int,
+    ) -> GradedPolynomial:
+        """G_d from the parts below it."""
+        if d == 0:
+            return GradedPolynomial.constant(alph, top, 1)
+        total = GradedPolynomial.zero(alph, top)
         for k, part in k_u.items():
             if k <= d:
                 falling = factorial(d - 1) // factorial(d - k)
                 total = total + part.scale(falling) * parts[d - k]
-        parts.append(total)
-    return parts[m].scale(Fraction(scale, den**m * factorial(m)))
+        return total
+
+
+# the Todd series x/(1 - e^{-x}) per root, and rank r -> the inverse-Todd
+# series (1 - e^{-x})/x over r roots
+_TODD_SERIES = _PowerSumSeries(todd_root_series)
+_TODD_INVERSE_SERIES: dict[int, _PowerSumSeries] = {}
 
 
 @lru_cache(maxsize=None)
 def todd_series_oracle(m: int) -> GradedPolynomial:
     """T_m * Td_m by the power-sum route (cross-check for universal_todd),
-    built once per degree: it reads no mutation, unlike the primary classes."""
-    return _multiplicative_series_oracle(todd_root_series(m), m, m, todd_denominator(m).value)
+    read from the one Todd series once per degree: it reads no mutation,
+    unlike the primary classes."""
+    return _TODD_SERIES.read(m, todd_denominator(m).value)
 
 
 def chern_character_oracle(m: int) -> GradedPolynomial:
@@ -426,7 +481,10 @@ def q_oracle(m: int) -> GradedPolynomial:
 def todd_inverse_oracle(m: int, r: int) -> GradedPolynomial:
     """m! times the degree (m-r) part of prod_{i<=r} (1-e^{-x_i})/x_i by the
     power-sum route."""
-    return _multiplicative_series_oracle(todd_inverse_root_series(m - r), m - r, r, factorial(m))
+    series = _TODD_INVERSE_SERIES.get(r)
+    if series is None:
+        series = _TODD_INVERSE_SERIES[r] = _PowerSumSeries(todd_inverse_root_series, r)
+    return series.read(m - r, factorial(m))
 
 
 # class kind -> (builder, power-sum oracle), both called with the class's

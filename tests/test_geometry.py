@@ -13,6 +13,7 @@ from grrcheck.geometry import (
     VirtualCompleteIntersection,
     chi_projective_space_oracle,
     euler_characteristic,
+    pullback_k,
     pushforward_chow,
     pushforward_k,
 )
@@ -553,6 +554,48 @@ class TestKNormalForm:
     def test_serialize_prints_normal_form(self):
         p1 = Tower([[()] * 2])
         assert p1.line((2,)).serialize() == "-1/1\n2/1 l1^1"
+
+
+class TestKClassNormal:
+    """Operations on K classes build their results by KClass._normal from
+    terms already clean; only the public constructor checks and cleans."""
+
+    def test_operations_never_run_the_validating_constructor(self, monkeypatch):
+        t = Tower([[(), ()], [(0,), (1,)], [(1, -1), (0, 2)]])
+        f = KClass(t, {(1, -3, -4): 1, (0, 2, 1): 2, (-1, 0, 5): -1})
+        g = KClass(t, {(0, 1, 0): 3, (1, -3, -4): -1})
+        base = t.prefix(2)
+        h = KClass(base, {(1, 2): 1, (0, -1): -2})
+
+        calls = []
+        init = KClass.__init__
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(KClass, "__init__", spy)
+        fresh = Tower(t.levels)  # its tangent class is not cached yet
+        results = {
+            "add": f + g, "sub": f - g, "neg": -f, "scale": f.scale(-3),
+            "scale 0": f.scale(0), "mul": f * g, "dual": f.dual(),
+            "twist": f.twist((1, 0, -1)), "sym": g.sym(2), "wedge": f.wedge(2),
+            "push": pushforward_k(f), "push 0": pushforward_k(f, 0),
+            "pull": pullback_k(h, t), "line": t.line((2, -1)),
+            "structure": t.structure_sheaf(), "tangent": fresh.tangent_class(),
+        }
+        monkeypatch.undo()
+        assert calls == []
+        for name, value in results.items():
+            # clean: the validating constructor would store the same terms
+            assert KClass(value.tower, value.line_terms).line_terms == value.line_terms, name
+            assert all(type(c) is int and c for c in value.line_terms.values()), name
+        assert results["scale 0"].line_terms == {}
+        # the public constructor and line still refuse a wrong-arity symbol
+        with pytest.raises(InputError, match="wrong arity"):
+            KClass(t, {(1, 2): 1})
+        with pytest.raises(InputError, match="wrong arity"):
+            t.line((1, 2, 3, 4))
 
 
 def random_twisted_levels(rng: random.Random) -> list[list[tuple[int, ...]]]:

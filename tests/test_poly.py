@@ -27,6 +27,7 @@ from grrcheck.poly import (
     substitute_terms,
 )
 
+import tuple_ring_reference as ref
 from symmetric_reference import SymmetryError, elementary_reduce
 
 
@@ -487,6 +488,10 @@ class TestPackedKeys:
             with pytest.raises(AssertionError, match="packed range"):
                 GradedPolynomial(al, 10**6, {bad: 1})
 
+    def test_names_built_once(self):
+        al = Alphabet([("r", 0), ("a", 1), ("b", 2)])
+        assert al.names() == ("r", "a", "b") and al.names() is al.names()
+
     def test_one_alphabet_per_variable_list(self):
         from grrcheck import poly
 
@@ -502,6 +507,84 @@ class TestPackedKeys:
             with pytest.raises(InputError):
                 Alphabet(bad)
             assert tuple(bad) not in poly._ALPHABETS
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-3, 3).map(lambda n: Fraction(2 * n, 2)),  # integral Fractions
+)
+
+
+@st.composite
+def graded_terms(draw, alphabet):
+    """(bound, terms): exponents up to 2, and for a weight-0 variable also
+    2^14 - 1, which the packed range still holds in a product."""
+    small, large = st.integers(0, 2), st.integers(0, 2) | st.just(2**14 - 1)
+    monomial = st.tuples(*[large if w == 0 else small for w in alphabet.weights])
+    bound = draw(st.integers(0, 12))
+    return bound, draw(st.dictionaries(monomial, COEFFICIENTS, max_size=6))
+
+
+class TestPackedRingAgainstTuples:
+    """Every ring operation on packed keys gives the terms, the coefficient
+    types, the bound and the text that tests/tuple_ring_reference.py gets on
+    exponent tuples."""
+
+    @staticmethod
+    def check(poly, alphabet, terms, bound):
+        variables = list(alphabet.variables)
+        assert poly.alphabet is alphabet and poly.truncation == bound
+        assert poly.terms == terms
+        assert poly.packed == {alphabet.keys[m]: c for m, c in terms.items()}
+        for c in poly.terms.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+        assert poly.serialize() == ref.serialize(variables, terms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ring_operations(self, data):
+        al = data.draw(st.sampled_from(TestPackedKeys.ALPHABETS))
+        var = list(al.variables)
+        (bp, p_terms), (bq, q_terms) = data.draw(graded_terms(al)), data.draw(graded_terms(al))
+        p, q = GradedPolynomial(al, bp, p_terms), GradedPolynomial(al, bq, q_terms)
+        P, Q = ref.clean(var, bp, p_terms), ref.clean(var, bq, q_terms)
+        self.check(p, al, P, bp)
+        low = min(bp, bq)
+        self.check(p * q, al, ref.product(var, low, P, Q), low)
+        self.check(p + q, al, ref.linear(var, low, P, Q, 1), low)
+        self.check(p - q, al, ref.linear(var, low, P, Q, -1), low)
+        r = data.draw(COEFFICIENTS)
+        self.check(p.scale(r), al, ref.scale(P, r), bp)
+        m, b = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+        self.check(p.graded_part(m), al, ref.graded_part(var, P, m), bp)
+        self.check(p.with_bound(b), al, ref.with_bound(var, P, b), b)
+        extras = data.draw(st.lists(st.sampled_from([("y", 0), ("z", 1), ("w", 2)]), unique=True))
+        target = data.draw(st.permutations(var + extras))
+        self.check(p.embed(Alphabet(target)), Alphabet(target), ref.embed(var, target, P), bp)
+        renamed = Alphabet([(f"{name}_", w) for name, w in var])
+        self.check(p.rename({name: f"{name}_" for name, _ in var}), renamed, P, bp)
+        singles = [name for name, w in var if w == 1]
+        if singles:
+            subset = st.lists(st.sampled_from(singles), min_size=1, max_size=2, unique=True)
+            factors = data.draw(st.lists(st.tuples(subset, st.sampled_from([1, -1])), max_size=3))
+            expected = ref.times_one_minus(var, bp, P, factors)
+            self.check(p.times_one_minus(factors), al, expected, bp)
+
+    def test_times_one_minus_past_the_packed_range(self):
+        # an exponent of a weight-1 variable is at most the bound, so only a
+        # bound of 2^15 or more lets a factor push one out of the packed range
+        half = 1 << 15
+        al = Alphabet([("a", 1), ("b", 1)])
+        near = GradedPolynomial(al, half, {(half - 2, 0): 1})
+        assert near.times_one_minus([(["a"], 1)]).terms == {(half - 2, 0): 1, (half - 1, 0): -1}
+        edge = GradedPolynomial(al, half, {(half - 1, 0): 1})
+        assert edge.times_one_minus([(["b"], 1)]).terms == {(half - 1, 0): 1, (half - 1, 1): -1}
+        for e in (1, -1):
+            with pytest.raises(AssertionError, match="packed range"):
+                edge.times_one_minus([(["a"], e)])
+            with pytest.raises(AssertionError, match="packed range"):
+                near.times_one_minus([(["a", "b"], e), (["a"], e)])
 
 
 class TestPartitions:

@@ -19,7 +19,7 @@ from grrcheck.poly import (
 from grrcheck.report import FalsificationError
 from grrcheck.series import (
     Mutation,
-    _multiplicative_series_oracle,
+    _PowerSumSeries,
     _power_sum_in_chern,
     apply_series,
     chern_character_oracle,
@@ -183,22 +183,58 @@ class TestHomogeneityAllFamilies:
         for m in range(0, 13):
             assert todd_series_oracle(m) == universal_todd(m).numerator, m
 
-    def test_oracle_built_once_per_degree(self, monkeypatch):
+    def test_each_part_of_each_series_built_once(self, monkeypatch):
+        # across the integrality suite every part G_d of the Todd series and
+        # of each inverse-Todd rank is built once, however often its degree
+        # is read (ct and Q read every Todd degree below theirs)
         from grrcheck import series
 
         built = Counter()
-        inner = series._multiplicative_series_oracle
+        inner = series._PowerSumSeries._part
 
-        def counting(per_root, m, n_vars, scale):
-            built[m] += 1
-            return inner(per_root, m, n_vars, scale)
+        def counting(self, parts, d, *args):
+            built[self.n_vars, d] += 1
+            return inner(self, parts, d, *args)
 
-        monkeypatch.setattr(series, "_multiplicative_series_oracle", counting)
+        monkeypatch.setattr(series._PowerSumSeries, "_part", counting)
+        monkeypatch.setattr(series, "_TODD_SERIES", _PowerSumSeries(todd_root_series))
+        monkeypatch.setattr(series, "_TODD_INVERSE_SERIES", {})
         todd_series_oracle.cache_clear()
-        for m in range(1, 7):
-            ct_oracle(m)
-            q_oracle(m)
-        assert built == {m: 1 for m in range(0, 7)}
+        try:
+            reports = suite_integrality(13)
+        finally:
+            todd_series_oracle.cache_clear()
+        assert all(r.passed for r in reports)
+        todd = {(None, d): 1 for d in range(0, 14)}
+        inverse = {(r, d): 1 for r in range(1, 5) for d in range(0, 12 - r)}
+        assert built == todd | inverse
+
+    def test_degrees_read_out_of_order_equal_fresh_builds(self, monkeypatch):
+        from grrcheck import series
+
+        def refuse(*args):
+            raise AssertionError("the power-sum route ran the elimination route")
+
+        # every read below runs with the elimination route switched off
+        monkeypatch.setattr(series, "orbit_from_product", refuse)
+        monkeypatch.setattr(series, "reduce_orbit_to_elementary", refuse)
+        reads = []  # (read from the shared series, fresh build, class builder, its args)
+        todd = _PowerSumSeries(todd_root_series)
+        for m in (13, 5, 14, 0, 14, 9):
+            tm = todd_denominator(m).value
+            fresh = _PowerSumSeries(todd_root_series).read(m, tm)
+            reads.append((todd.read(m, tm), fresh, universal_todd, (m,)))
+        ranks = {}
+        for m, r in [(9, 3), (4, 1), (12, 3), (6, 4), (5, 3), (13, 1), (4, 4), (11, 2)]:
+            shared = ranks.setdefault(r, _PowerSumSeries(todd_inverse_root_series, r))
+            fresh = _PowerSumSeries(todd_inverse_root_series, r).read(m - r, factorial(m))
+            reads.append((shared.read(m - r, factorial(m)), fresh, todd_inverse_numerator, (m, r)))
+        monkeypatch.undo()
+        for got, fresh, builder, args in reads:
+            assert got == fresh and got.alphabet is fresh.alphabet, args
+            assert got.truncation == fresh.truncation == builder(*args).numerator.truncation
+            assert all(type(c) is int for p in (got, fresh) for c in p.packed.values()), args
+            assert got == builder(*args).numerator, args
 
 
 class TestChernCharacter:
@@ -299,11 +335,11 @@ def full_exp_route(per_root, m, n_vars):
 class TestGradedExp:
     def test_against_the_full_exp_series(self):
         for m in range(0, 10):
-            for per_root, n_vars in [(todd_root_series(m), m)] + [
-                (todd_inverse_root_series(m), r) for r in (1, 2, 3)
+            for root_series, n_vars, width in [(todd_root_series, m, None)] + [
+                (todd_inverse_root_series, r, r) for r in (1, 2, 3)
             ]:
-                got = _multiplicative_series_oracle(per_root, m, n_vars, 1)
-                assert got == full_exp_route(per_root, m, n_vars), (m, n_vars)
+                got = _PowerSumSeries(root_series, width).read(m, 1)
+                assert got == full_exp_route(root_series(m), m, n_vars), (m, n_vars)
                 assert got.truncation == m
 
 
