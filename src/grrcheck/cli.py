@@ -241,11 +241,8 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     scope = build_geometry(geometry)
     sheaf_text = args.sheaf or "O"
     sheaf = evaluate_class(parse_class(sheaf_text), scope)
-    if args.cut:
-        cuts = tuple(scope.divisor_vector(parse_divisor(c)) for c in args.cut)
-        source = VirtualCompleteIntersection(scope.tower, cuts)
-    else:
-        source = scope.tower
+    cuts = tuple(scope.divisor_vector(parse_divisor(c)) for c in args.cut)
+    source = VirtualCompleteIntersection(scope.tower, cuts)
     morphism = MorphismDatum(source, args.base_levels, args.geometry)
     n_values = [args.n] if args.n is not None else list(range(0, 4))
     reports: list[VerificationReport] = []

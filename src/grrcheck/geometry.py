@@ -51,9 +51,10 @@ terms (grrcheck.poly.serialize_terms), in xi1..xiK or in l1..lK.
 
 Towers are immutable after build apart from their lazy caches (the product
 table and its raw-monomial memo, the pushforward table, and in _cache the K
-rules, the tangent class and grrcheck.grr's entries), whose entries are
-functions of the tower alone; all class operations are pure, so one tower
-may be shared read-only by concurrent verification jobs.
+rules, the tangent class, each cut-out's tangent and grrcheck.grr's entries),
+whose entries are functions of the tower (and cuts) alone; all class
+operations are pure, so one tower may be shared read-only by concurrent
+verification jobs.
 """
 
 from __future__ import annotations
@@ -251,20 +252,16 @@ class Tower:
 
     def tangent_class(self) -> "KClass":
         """Split model of the tangent class from the per-level Euler sequences."""
-        key = "tangent"
-        if key not in self._cache:
-            terms: dict[DivisorVector, int] = {}
-            zero = (0,) * self.n_levels
+        if "tangent" not in self._cache:
+            # level k: O(xi_k - L) for each summand L, minus O
+            terms: dict[DivisorVector, int] = {(0,) * self.n_levels: -self.n_levels}
             for k, level in enumerate(self.levels):
                 for vec in level:
-                    padded = list(self._pad(vec))
-                    sym = [-v for v in padded]
+                    sym = [-v for v in self._pad(vec)]
                     sym[k] += 1
-                    sym_t = tuple(sym)
-                    terms[sym_t] = terms.get(sym_t, 0) + 1
-                terms[zero] = terms.get(zero, 0) - 1
-            self._cache[key] = KClass._normal(self, {v: c for v, c in terms.items() if c})
-        return self._cache[key]
+                    terms[tuple(sym)] = terms.get(tuple(sym), 0) + 1
+            self._cache["tangent"] = KClass._normal(self, {v: c for v, c in terms.items() if c})
+        return self._cache["tangent"]
 
     def __repr__(self) -> str:
         sig = "; ".join(
@@ -566,9 +563,10 @@ def chi_projective_space_oracle(n: int, a: int) -> int:
 
 
 class VirtualCompleteIntersection(Record):
-    """r divisor cuts in an ambient tower; all computations stay in the ambient
-    ring via the Koszul class, the restriction product, and virtual tangents.
-    The cuts are stored padded to the ambient's levels."""
+    """The one kind of source: r divisor cuts in an ambient tower, the tower
+    itself when r = 0.  Its two maps into the ambient ring, koszul_class on K
+    classes and push on Chow classes, are i_*(-|_Z), each the identity when
+    there are no cuts.  The cuts are stored padded to the ambient's levels."""
 
     __slots__ = ("ambient", "cuts")
 
@@ -586,29 +584,31 @@ class VirtualCompleteIntersection(Record):
     def dim(self) -> int:
         return self.ambient.dim - len(self.cuts)
 
-    def cut_product(self) -> ChowClass:
-        """The class implementing pushforward-of-restriction: prod of the cuts."""
-        total = self.ambient.unit_chow()
+    def push(self, alpha: ChowClass) -> ChowClass:
+        """i_*(alpha|_Z) for an ambient class alpha: alpha times each cut in
+        turn, alpha itself when there are none."""
         for c in self.cuts:
-            total = total * self.ambient.divisor_chow(c)
-        return total
+            alpha = alpha * self.ambient.divisor_chow(c)
+        return alpha
 
     def koszul_class(self, f: KClass | None = None) -> KClass:
-        """[O_Z] (or i_*[F|_Z]) as prod (1 - [O(-cut)]) times the ambient class."""
-        total = self.ambient.structure_sheaf()
+        """i_*[F|_Z] (i_*[O_Z] for F None): F times prod (1 - [O(-cut)]), F
+        itself when there are no cuts."""
+        ambient = self.ambient
+        total = ambient.structure_sheaf() if f is None else f
         for c in self.cuts:
-            minus = self.ambient.line(tuple(-x for x in c))
-            total = total * (self.ambient.structure_sheaf() - minus)
-        if f is not None:
-            total = total * f
+            total = total * (ambient.structure_sheaf() - ambient.line(tuple(-x for x in c)))
         return total
 
     def normal_class(self) -> KClass:
-        terms: dict[DivisorVector, int] = {}
-        for c in self.cuts:
-            terms[c] = terms.get(c, 0) + 1
-        return KClass._normal(self.ambient, terms)
+        return KClass._normal(self.ambient, {c: self.cuts.count(c) for c in self.cuts})
 
     def tangent_class(self) -> KClass:
-        """Virtual restriction of the ambient tangent minus the normal class."""
-        return self.ambient.tangent_class() - self.normal_class()
+        """The ambient tangent minus the normal class, cached per cuts."""
+        key = ("tangent", self.cuts)
+        if key not in self.ambient._cache:
+            self.ambient._cache[key] = self.ambient.tangent_class() - self.normal_class()
+        return self.ambient._cache[key]
+
+    def __repr__(self) -> str:
+        return super().__repr__() if self.cuts else repr(self.ambient)

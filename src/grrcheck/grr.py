@@ -154,21 +154,24 @@ def ct_on_tower(tower: Tower, tangent: KClass, sheaf: Mapping, m: int) -> ChowCl
 
 
 class MorphismDatum:
-    """A structure morphism from a tower (or a cut-out locus in one) to a
-    lower level of the same tower (possibly the point), or the closed
-    immersion of a cut-out locus into its ambient tower (base_levels all the
-    levels, relative dimension -codim).  Construction fixes the ambient
-    tower, the target and the relative dimension."""
+    """A structure morphism from a source, a cut-out locus in a tower, to a
+    lower level of the tower (possibly the point), or the closed immersion
+    of the locus into its tower (base_levels all the levels, relative
+    dimension -codim).  A bare Tower is the cut-out with no cuts: it is
+    wrapped here, the one place that reads the kind of source.  Construction
+    fixes the ambient tower, the target and the relative dimension."""
 
     __slots__ = ("source", "base_levels", "label", "ambient", "target", "relative_dimension")
 
     def __init__(
         self, source: Tower | VirtualCompleteIntersection, base_levels: int, label: str = ""
     ):
+        if isinstance(source, Tower):
+            source = VirtualCompleteIntersection(source, ())
         self.source = source
         self.base_levels = base_levels
         self.label = label
-        self.ambient = source if isinstance(source, Tower) else source.ambient
+        self.ambient = source.ambient
         self.target = self.ambient.prefix(base_levels)
         self.relative_dimension = source.dim - self.target.dim
 
@@ -179,8 +182,7 @@ class MorphismDatum:
 def _source_relative_tangent(f: MorphismDatum) -> KClass:
     """The fiberwise tangent difference T_X - f^*T_S of the source, cached on
     the ambient tower per ("relative-tangent", base levels, cuts)."""
-    cuts = f.source.cuts if isinstance(f.source, VirtualCompleteIntersection) else None
-    key = ("relative-tangent", f.base_levels, cuts)
+    key = ("relative-tangent", f.base_levels, f.source.cuts)
     cache = f.ambient._cache
     if key not in cache:
         tangent = f.source.tangent_class()
@@ -191,14 +193,11 @@ def _source_relative_tangent(f: MorphismDatum) -> KClass:
 def _source_ct(
     f: MorphismDatum, source: Mapping[str, ChowClass | int], m: int, relative: bool
 ) -> ChowClass:
-    """ct_m(F, source) pushed into the ambient ring (times the cut product for
-    a cut-out source), using the absolute or fiberwise tangent; source holds
-    F's ambient sheaf images up to degree at least m."""
+    """ct_m(F, source) pushed into the ambient ring (f.source.push), using the
+    absolute or fiberwise tangent; source holds F's ambient sheaf images up
+    to degree at least m."""
     tangent = _source_relative_tangent(f) if relative else f.source.tangent_class()
-    value = ct_on_tower(f.ambient, tangent, source, m)
-    if isinstance(f.source, VirtualCompleteIntersection):
-        value = value * f.source.cut_product()
-    return value
+    return f.source.push(ct_on_tower(f.ambient, tangent, source, m))
 
 
 def _chow_pushforward(f: MorphismDatum, alpha: ChowClass) -> ChowClass:
@@ -213,8 +212,7 @@ def _instance_images(
     degree n and source those of F on the ambient up to degree d+n."""
     if n < 0:
         raise InputError("codimension must be >= 0")
-    ambient_class = F if isinstance(f.source, Tower) else f.source.koszul_class(F)
-    pushed = pushforward_k(ambient_class, f.ambient.n_levels - f.base_levels)
+    pushed = pushforward_k(f.source.koszul_class(F), f.ambient.n_levels - f.base_levels)
     return _sheaf_images(pushed, n), _sheaf_images(F, max(f.relative_dimension + n, 0))
 
 
@@ -324,7 +322,7 @@ def check_main_theorem(
 
 
 def check_immersion(
-    w: Tower, z: VirtualCompleteIntersection, F: KClass, n: int, label: str = ""
+    z: VirtualCompleteIntersection, F: KClass, n: int, label: str = ""
 ) -> list[VerificationReport]:
     """Codimension-shift identity for a cut-out locus, plus the vanishing and
     decomposition of the character numerator of the pushed-forward class.
@@ -335,9 +333,7 @@ def check_immersion(
     (T_n/T_{n-r}) i_*(ct_{n-r}(F, Z))  vs  ct_n(i_*[F], W).  The character
     side reads the same images: those of the Koszul class i_*[F] up to degree
     n, and those of F up to degree n - r."""
-    if z.ambient is not w:
-        raise InputError("locus does not live in the given tower")
-    r = z.codim
+    w, r = z.ambient, z.codim
     instance = f"{label or repr(w)}/cuts={z.cuts}/F={F.line_terms}/n={n}"
     immersion = MorphismDatum(z, w.n_levels)
     pushed, source = _instance_images(immersion, F, n)
@@ -354,7 +350,6 @@ def check_immersion(
 
     # character-numerator pushforward: vanishing below codim, explicit sum above
     normal = z.normal_class()
-    cut = z.cut_product()
     for m in range(0, n + 1):
         lhs_m = evaluate_universal(universal_chern_character(m), w, sheaf=pushed)
         rhs_m = w.zero_chow()  # the sum is empty below the codimension
@@ -367,7 +362,7 @@ def check_immersion(
                 "immersion-character-pushforward",
                 f"{instance}/degree={m}",
                 lhs_m.serialize(),
-                (rhs_m * cut).serialize(),
+                z.push(rhs_m).serialize(),
                 notes="vanishing below the codimension" if m < r else None,
             )
         )
@@ -383,7 +378,7 @@ def _restricted_td(w: Tower, cuts: tuple, m: int) -> ChowClass:
     """Pushforward of the degree-m Todd numerator of the cut-out locus:
     Td-numerator_m(virtual tangent) times the product of the cuts."""
     z = VirtualCompleteIntersection(w, cuts)
-    return evaluate_universal(universal_todd(m), w, z.tangent_class()) * z.cut_product()
+    return z.push(evaluate_universal(universal_todd(m), w, z.tangent_class()))
 
 
 def check_divisor_calculus(
@@ -395,15 +390,10 @@ def check_divisor_calculus(
     and the matching additivity-defect bookkeeping on both sides."""
     h = w.hyperplane(1)
     name = label or repr(w)
-    reports = []
     delta = w.dim - 1
 
-    def line(c: int) -> KClass:
-        vec = (c,) + (0,) * (w.n_levels - 1)
-        return w.line(vec)
-
     def cut(c: int) -> tuple:
-        return ((c,) + (0,) * (w.n_levels - 1),)
+        return ((c,),)  # one cut c*h, padded to the levels by VirtualCompleteIntersection
 
     # each side below is evaluated once and read by every report that needs it;
     # Q_m at the tangent Chern classes and at a*h, b*h, their sum and difference
@@ -418,107 +408,51 @@ def check_divisor_calculus(
     both = w.zero_chow()
     if m >= 2:
         both = _restricted_td(w, cut(a) + cut(b), m - 2).scale(todd_ratio(m - 1, 0, m - 2))
-    off_a, off_b, off_sum = (w.structure_sheaf() - line(-c) for c in (a, b, a + b))
-
-    # (a): restriction form for a single divisor class
-    reports.append(
-        VerificationReport.compare(
-            "divisor-restriction",
-            f"{name}/D={a}h/m={m}",
-            td_a.serialize(),
-            restricted_a.serialize(),
-        )
-    )
-
-    # combined-class linkage for the same divisor
+    off_a, off_b, off_sum = (w.structure_sheaf() - w.line((-c,)) for c in (a, b, a + b))
     linked = ct_on_tower(w, w.tangent_class(), _sheaf_images(off_a, m), m)
-    reports.append(
-        VerificationReport.compare(
-            "divisor-ct-linkage",
-            f"{name}/D={a}h/m={m}",
-            td_a.scale(todd_ratio(m, 0, m - 1)).serialize(),
-            linked.serialize(),
-        )
-    )
 
-    # (b): sum of two divisors
-    reports.append(
-        VerificationReport.compare(
-            "divisor-two-term",
-            f"{name}/D1={a}h/D2={b}h/m={m}",
-            td_sum.serialize(),
-            (restricted_a + restricted_b - both).serialize(),
-        )
-    )
-
-    # (c): difference of two divisors, with the cutoff min(m-1, delta)
+    # the difference of two divisors, with the cutoff min(m-1, delta)
     rhs_diff = restricted_a - restricted_b
-    kmax = min(m - 1, delta)
-    for k in range(1, kmax + 1):
-        sc = todd_ratio(m - 1, 0, m - 1 - k)
+    for k in range(1, min(m - 1, delta) + 1):
         with_x = _restricted_td(w, cut(b) * k + cut(a), m - 1 - k)
         with_y = _restricted_td(w, cut(b) * k + cut(b), m - 1 - k)
-        rhs_diff = rhs_diff + (with_x - with_y).scale(sc)
-    reports.append(
-        VerificationReport.compare(
-            "divisor-difference",
-            f"{name}/D={a}h-{b}h/m={m}",
-            lhs_diff.serialize(),
-            rhs_diff.serialize(),
-            notes=f"correction sum cut at min(m-1, {delta}); higher terms vanish "
-            "by degree on the left, geometrically on the right",
-        )
-    )
+        rhs_diff = rhs_diff + (with_x - with_y).scale(todd_ratio(m - 1, 0, m - 1 - k))
 
     # K-side decompositions
     koszul_a = VirtualCompleteIntersection(w, cut(a)).koszul_class()
     koszul_b = VirtualCompleteIntersection(w, cut(b)).koszul_class()
     koszul_ab = VirtualCompleteIntersection(w, cut(a) + cut(b)).koszul_class()
-    reports.append(
-        VerificationReport.compare(
-            "divisor-k-two-term",
-            f"{name}/D1={a}h/D2={b}h",
-            off_sum.serialize(),
-            (koszul_a + koszul_b - koszul_ab).serialize(),
-        )
-    )
-
-    lhs_kd = w.structure_sheaf() - line(b - a)
+    lhs_kd = w.structure_sheaf() - w.line((b - a,))
     rhs_kd = koszul_a - koszul_b
     for k in range(1, delta + 1):
         with_x = VirtualCompleteIntersection(w, cut(b) * k + cut(a)).koszul_class()
         with_y = VirtualCompleteIntersection(w, cut(b) * k + cut(b)).koszul_class()
         rhs_kd = rhs_kd + with_x - with_y
-    reports.append(
-        VerificationReport.compare(
-            "divisor-k-difference",
-            f"{name}/D={a}h-{b}h",
-            lhs_kd.serialize(),
-            rhs_kd.serialize(),
-        )
-    )
 
-    # additivity defect bookkeeping: the same codimension-2 coefficient (-1)
-    # appears on the cycle side and the K side
-    reports.append(
-        VerificationReport.compare(
-            "divisor-defect-cycles",
-            f"{name}/D={a}h/D'={b}h/m={m}",
-            (td_sum - td_a - td_b).serialize(),
-            both.scale(-1).serialize(),
-            notes="codimension-2 defect coefficient -1",
-        )
-    )
-    reports.append(
-        VerificationReport.compare(
-            "divisor-defect-k",
-            f"{name}/D={a}h/D'={b}h",
-            (off_sum - off_a - off_b).serialize(),
-            koszul_ab.scale(-1).serialize(),
-            notes="matches the cycle-side defect coefficient -1 in codimension 2",
-        )
-    )
-    return reports
+    one, two = f"{name}/D={a}h", f"{name}/D1={a}h/D2={b}h"
+    diff, defect = f"{name}/D={a}h-{b}h", f"{name}/D={a}h/D'={b}h"
+    sides = [  # (identity, instance, lhs, rhs, notes)
+        # (a) the restriction form for a single divisor, and its combined-class linkage
+        ("divisor-restriction", f"{one}/m={m}", td_a, restricted_a, None),
+        ("divisor-ct-linkage", f"{one}/m={m}", td_a.scale(todd_ratio(m, 0, m - 1)), linked, None),
+        # (b) the sum of two divisors, and (c) their difference
+        ("divisor-two-term", f"{two}/m={m}", td_sum, restricted_a + restricted_b - both, None),
+        ("divisor-difference", f"{diff}/m={m}", lhs_diff, rhs_diff,
+         f"correction sum cut at min(m-1, {delta}); higher terms vanish by degree on the "
+         "left, geometrically on the right"),
+        ("divisor-k-two-term", two, off_sum, koszul_a + koszul_b - koszul_ab, None),
+        ("divisor-k-difference", diff, lhs_kd, rhs_kd, None),
+        # additivity defect bookkeeping: the same codimension-2 coefficient (-1)
+        # appears on the cycle side and the K side
+        ("divisor-defect-cycles", f"{defect}/m={m}", td_sum - td_a - td_b, both.scale(-1),
+         "codimension-2 defect coefficient -1"),
+        ("divisor-defect-k", defect, off_sum - off_a - off_b, koszul_ab.scale(-1),
+         "matches the cycle-side defect coefficient -1 in codimension 2"),
+    ]
+    return [
+        VerificationReport.compare(identity, instance, lhs.serialize(), rhs.serialize(), notes)
+        for identity, instance, lhs, rhs, notes in sides
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +632,15 @@ def chow_degree(alpha: ChowClass) -> int | Fraction:
     return collapsed.terms.get((), 0)
 
 
-def euler_characteristic_via_chow(tower: Tower, F: KClass) -> Fraction:
-    """deg of the top combined class divided by the top Todd denominator;
-    equals the K-theoretic Euler characteristic when the theory holds."""
-    if F.tower is not tower:
+def euler_characteristic_via_chow(
+    source: Tower | VirtualCompleteIntersection, F: KClass
+) -> Fraction:
+    """deg of the source's top combined class of F over the top Todd
+    denominator; equals the Euler characteristic of F on the source, the K
+    side's chi(koszul_class(F)), when the theory holds."""
+    f = MorphismDatum(source, 0)
+    if F.tower is not f.ambient:
         raise InputError("class does not live on the given tower")
-    top = ct_on_tower(
-        tower, tower.tangent_class(), _sheaf_images(F, tower.dim), tower.dim
-    )
-    return Fraction(chow_degree(top), todd_denominator(tower.dim).value)
+    dim = f.source.dim
+    top = _source_ct(f, _sheaf_images(F, dim), dim, relative=False)
+    return Fraction(chow_degree(top), todd_denominator(dim).value)

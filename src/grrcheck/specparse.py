@@ -25,6 +25,9 @@ alias spelled xi<k> must sit on level k, so that no alias rebinds another
 level's name.  The bare name "h" resolves to the first hyperplane when
 nothing else binds it, matching the conventional usage on projective space.
 Syntax errors carry line and column; scope errors name the unknown symbol.
+Nesting past MAX_NESTING levels (brackets or geometry levels) is a syntax
+error at the first opener too deep, before any recursion limit; a flat sum of
+any length is parsed and evaluated in a loop.
 
 The AST nodes are report.Record values, equal when of one node type with
 equal fields, so parse(text(ast)) == ast.  Tokens are (kind, text, offset)
@@ -39,6 +42,8 @@ import sys
 from .arith import InputError
 from .geometry import KClass, Tower
 from .report import Record
+
+MAX_NESTING = 100  # levels of brackets or of a geometry that a text may nest
 
 
 class ParseError(ValueError):
@@ -184,6 +189,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, tok: tuple[str, str, int] | None = None) -> ParseError:
         """A ParseError at tok, by default the current token."""
@@ -209,6 +215,15 @@ class _Parser:
             return False
         self.pos += 1
         return True
+
+    def nested(self, rule, tok: tuple[str, str, int]):
+        """rule's AST one nesting level below the one tok opens."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+        ast = rule()
+        self.depth -= 1
+        return ast
 
     def whole(self, rule):
         """The AST of the whole text under rule, a parsing method."""
@@ -251,10 +266,11 @@ class _Parser:
     # -- geometry ------------------------------------------------------
 
     def geometry(self) -> GeomAST:
+        tok = self.tokens[self.pos]
         if self.accept("point"):
             return GeomPoint()
         if self.accept("("):
-            inner = self.geometry()
+            inner = self.nested(self.geometry, tok)
             self.expect("punct", ")")
             return inner
         if self.accept("P"):
@@ -263,7 +279,7 @@ class _Parser:
             self.expect("punct", ")")
             alias = self.expect("name")[1] if self.accept("as") else None
             self.expect("name", "over")
-            return GeomBundle(bundle, alias, self.geometry())
+            return GeomBundle(bundle, alias, self.nested(self.geometry, tok))
         raise self.error(f"expected a geometry, found {self.found()}")
 
     def _bundle(self) -> TrivialBundle | SummandBundle:
@@ -290,8 +306,9 @@ class _Parser:
         return left
 
     def _class_atom(self) -> ClassAST:
+        tok = self.tokens[self.pos]
         if self.accept("("):
-            inner = self.class_expr()
+            inner = self.nested(self.class_expr, tok)
             self.expect("punct", ")")
             return inner
         if self.accept("O"):
@@ -302,7 +319,7 @@ class _Parser:
             return ClassO(div)
         if self.accept("dual"):
             self.expect("punct", "(")
-            inner = self.class_expr()
+            inner = self.nested(self.class_expr, tok)
             self.expect("punct", ")")
             return ClassDual(inner)
         for keyword, node in (("wedge", ClassWedge), ("sym", ClassSym)):
@@ -310,14 +327,14 @@ class _Parser:
                 self.expect("punct", "(")
                 idx = int(self.expect("int")[1])
                 self.expect("punct", ",")
-                inner = self.class_expr()
+                inner = self.nested(self.class_expr, tok)
                 self.expect("punct", ")")
                 return node(idx, inner)
         if self.accept("twist"):
             self.expect("punct", "(")
             div = self.divisor()
             self.expect("punct", ",")
-            inner = self.class_expr()
+            inner = self.nested(self.class_expr, tok)
             self.expect("punct", ")")
             return ClassTwist(div, inner)
         raise self.error(f"expected a class expression, found {self.found()}")
@@ -412,24 +429,27 @@ def geometry_dim(ast: GeomAST) -> int:
 
 
 def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:
-    tower = scope.tower
+    """The class the AST names on the scope's tower.  The left-nested spine
+    of a sum, one node per term, is walked in a loop; the other nodes recurse
+    at most MAX_NESTING deep."""
+    spine = []
+    while isinstance(ast, ClassSum):
+        spine.append((ast.sign, ast.right))
+        ast = ast.left
     if isinstance(ast, ClassO):
-        vec = (
-            scope.divisor_vector(ast.divisor)
-            if ast.divisor is not None
-            else (0,) * tower.n_levels
-        )
-        return tower.line(vec)
-    if isinstance(ast, ClassSum):
-        left = evaluate_class(ast.left, scope)
-        right = evaluate_class(ast.right, scope)
-        return left + right if ast.sign > 0 else left - right
-    if isinstance(ast, ClassDual):
-        return evaluate_class(ast.inner, scope).dual()
-    if isinstance(ast, ClassWedge):
-        return evaluate_class(ast.inner, scope).wedge(ast.index)
-    if isinstance(ast, ClassSym):
-        return evaluate_class(ast.inner, scope).sym(ast.index)
-    if isinstance(ast, ClassTwist):
-        return evaluate_class(ast.inner, scope).twist(scope.divisor_vector(ast.divisor))
-    raise InputError(f"unhandled class node {ast!r}")
+        vec = () if ast.divisor is None else scope.divisor_vector(ast.divisor)
+        total = scope.tower.line(vec)
+    elif isinstance(ast, ClassTwist):
+        total = evaluate_class(ast.inner, scope).twist(scope.divisor_vector(ast.divisor))
+    elif isinstance(ast, ClassDual):
+        total = evaluate_class(ast.inner, scope).dual()
+    elif isinstance(ast, ClassWedge):
+        total = evaluate_class(ast.inner, scope).wedge(ast.index)
+    elif isinstance(ast, ClassSym):
+        total = evaluate_class(ast.inner, scope).sym(ast.index)
+    else:
+        raise InputError(f"unhandled class node {ast!r}")
+    for sign, right in reversed(spine):
+        value = evaluate_class(right, scope)
+        total = total + value if sign > 0 else total - value
+    return total

@@ -159,14 +159,14 @@ def _euler_binomial(tower: Tower, coeffs: tuple, instance: str) -> VerificationR
     )
 
 
-def _euler_hirzebruch(tower: Tower, F, instance: str) -> VerificationReport:
-    """The cycle-side degree of the top combined class against the K-side
-    Euler characteristic."""
+def _euler_hirzebruch(source: VirtualCompleteIntersection, F, instance: str) -> VerificationReport:
+    """The cycle-side degree of the source's top combined class of F against
+    the K-side Euler characteristic of its Koszul class."""
     return VerificationReport.compare(
         "euler-hirzebruch-consistency",
         instance,
-        str(euler_characteristic_via_chow(tower, F)),
-        str(Fraction(euler_characteristic(F))),
+        str(euler_characteristic_via_chow(source, F)),
+        str(Fraction(euler_characteristic(source.koszul_class(F)))),
     )
 
 
@@ -308,8 +308,8 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
         for coeffs in _sheaf_vectors(tower.n_levels, 1):
             instance = f"{name}/O({','.join(map(str, coeffs))})"
             reports += run_check(
-                "euler-hirzebruch-consistency", name,
-                _euler_hirzebruch, tower, tower.line(coeffs), instance,
+                "euler-hirzebruch-consistency", name, _euler_hirzebruch,
+                VirtualCompleteIntersection(tower, ()), tower.line(coeffs), instance,
             )
 
     # cut-out loci over a base: composite pushforward instances
@@ -345,7 +345,7 @@ def suite_immersion() -> list[VerificationReport]:
         z = VirtualCompleteIntersection(w, cuts)
         for n in range(0, 4):
             reports += run_check(
-                "immersion-shift", f"{label}/n={n}", check_immersion, w, z, F, n, label
+                "immersion-shift", f"{label}/n={n}", check_immersion, z, F, n, label
             )
     return reports
 

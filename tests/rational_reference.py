@@ -3,9 +3,10 @@
 grrcheck checks its integral statements on integer numerators.  The routes
 here are the classical rational ones, which the tests compare it against:
 
-- rational_grr_cross_check: rational Riemann-Roch on a tower morphism, from
-  the series parts (numerator / scale) of ch and Td, each substituted in
-  one substitute_terms pass (substitute_on_tower);
+- rational_grr_cross_check: rational Riemann-Roch on a morphism from a
+  cut-out source (a tower is the one with no cuts), from the series parts
+  (numerator / scale) of ch and Td, each substituted in one substitute_terms
+  pass (substitute_on_tower);
 - q_numerator_reference: the numerator of Q_m as T_{m-1} times the degree-m
   part of the full product (1 - e^{-x}) * (1 + Td_1 + ... + Td_{m-1}), with
   the rational Td_k; grrcheck.series.q_poly sums the integer terms
@@ -15,7 +16,7 @@ here are the classical rational ones, which the tests compare it against:
 from __future__ import annotations
 
 from grrcheck.arith import InputError, todd_denominator
-from grrcheck.geometry import ChowClass, KClass, Tower, VirtualCompleteIntersection
+from grrcheck.geometry import ChowClass, KClass, Tower
 from grrcheck.grr import (
     MorphismDatum,
     _chow_pushforward,
@@ -43,7 +44,9 @@ def substitute_on_tower(poly: GradedPolynomial, tower: Tower, images: dict) -> C
 
 def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
     """Classical rational Riemann-Roch computed independently with Fractions:
-    ch_n(f_*[F]) = f_*((ch(F) td(T_X) td(f^* T_S)^{-1})_{d+n}).
+    ch_n(f_*[F]) = f_*((ch(F) td(T_X) td(f^* T_S)^{-1})_{d+n}),
+    with X the source, a cut-out in a tower (the tower itself when there are
+    no cuts), its classes pushed into the tower's ring by f.source.push.
 
     This is the torsion-free shadow of the integral statement; agreement here
     plus agreement of the integral sides pins both computations.
@@ -51,8 +54,6 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
     d = f.relative_dimension
     if d < 0:
         raise InputError("rational cross-check implemented for d >= 0")
-    if isinstance(f.source, VirtualCompleteIntersection):
-        raise InputError("rational cross-check implemented for tower sources")
     target = f.target
     pushed, source = _instance_images(f, F, n)
     lhs = substitute_on_tower(universal_chern_character(n).series_part, target, pushed)
@@ -66,8 +67,7 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
             universal_todd(d + n - j).series_part, ambient, td_rel_chern
         )
         total = total + ch_j * td_j
-    total = total.graded_part(d + n)
-    rhs = _chow_pushforward(f, total)
+    rhs = _chow_pushforward(f, f.source.push(total.graded_part(d + n)))
     return lhs == rhs
 
 

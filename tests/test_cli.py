@@ -542,11 +542,29 @@ def _class_text(draw, names, depth):
     return f"{kind}({draw(st.integers(0, 3))}, {inner})"
 
 
+def _stressed_class_text(draw, names):
+    """A random class text as it is, nested up to 150 levels deep in
+    brackets or dual(...), or as one term of a flat sum of up to 2,000 line
+    bundles."""
+    text = _class_text(draw, names, 2)
+    shape = draw(st.sampled_from(["as is", "brackets", "dual", "long sum"]))
+    depth = draw(st.integers(1, 150))
+    if shape == "brackets":
+        return "(" * depth + text + ")" * depth
+    if shape == "dual":
+        return "dual(" * depth + text + ")" * depth
+    if shape == "long sum":
+        lines = [f"O({_divisor_text(draw, names)})" for _ in range(draw(st.integers(1, 5)))]
+        return " + ".join([text, *lines * draw(st.integers(1, 400))])
+    return text
+
+
 @st.composite
 def single_instance_queries(draw):
     """The argv of a random main-theorem query: a tower of one to three
     levels and dimension at most 5, trivial or twisted levels, a random
-    class, up to two cuts, a random base and n <= 3."""
+    class (deeply nested or a long sum at times), up to two cuts, a random
+    base and n <= 3."""
     levels, dim = [], 0
     for k in range(1, draw(st.integers(1, 3)) + 1):
         rank = draw(st.integers(0, min(3, 5 - dim)))
@@ -559,7 +577,7 @@ def single_instance_queries(draw):
         levels.append(f"P({bundle}) over ")
     names = [f"xi{i}" for i in range(1, len(levels) + 1)]
     argv = ["verify", "main-theorem", "--geometry", "".join(reversed(levels)) + "point"]
-    argv += ["--sheaf", _class_text(draw, names, 2)]
+    argv += ["--sheaf", _stressed_class_text(draw, names)]
     argv += ["--base-levels", str(draw(st.integers(0, len(levels))))]
     argv += ["-n", str(draw(st.integers(0, 3)))]
     for _ in range(draw(st.integers(0, 2))):
@@ -625,6 +643,30 @@ class TestExitCodes:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(error)
+
+    @pytest.mark.parametrize(
+        "geometry,sheaf,error",
+        [
+            ("P(trivial 2) over point", "(" * 600 + "O(h)" + ")" * 600, "column 101"),
+            ("P(trivial 2) over point", "dual(" * 2000 + "O(h)" + ")" * 2000, "column 501"),
+            ("P(trivial 2) over point", "+".join(["O(h)"] * 1500), None),
+            ("P(trivial 1) over " * 1200 + "point", "O", "column 1801"),
+            ("(" * 1200 + "point" + ")" * 1200, "O", "column 101"),
+        ],
+        ids=["brackets-600", "dual-2000", "flat-sum-1500", "levels-1200", "geometry-brackets-1200"],
+    )
+    def test_long_or_nested_text_passes_or_is_refused(self, geometry, sheaf, error, capsys):
+        # nesting past the parser's limit exits 2 at the first opener too
+        # deep, before any recursion limit; a flat sum of any length passes
+        argv = ["verify", "main-theorem", "--geometry", geometry, "--sheaf", sheaf, "-n", "0"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if error is None:
+            assert (code, err) == (0, "")
+            assert [json.loads(line)["verdict"] for line in out.splitlines()] == ["pass"] * 3
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: nesting deeper than 100 levels (line 1, {error})\n"
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(single_instance_queries())

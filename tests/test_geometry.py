@@ -661,11 +661,23 @@ class TestVCI:
         expected = p3.structure_sheaf() - p3.line((-2,))
         assert z.koszul_class() == expected
 
-    def test_cut_product(self):
+    def test_push(self):
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (2,)))
         h = p3.hyperplane(1)
-        assert z.cut_product() == (h * h).scale(2)
+        assert z.push(p3.unit_chow()) == (h * h).scale(2)
+        assert z.push(h) == (h * h * h).scale(2)
+
+    def test_no_cuts_is_the_tower_with_no_work(self):
+        t = Tower([[(), ()], [(0,), (1,)]])
+        z = VirtualCompleteIntersection(t, ())
+        F, alpha = t.line((1, -1)), t.hyperplane(2)
+        assert z.koszul_class(F) is F and z.push(alpha) is alpha
+        assert z.koszul_class() == t.structure_sheaf()
+        assert z.tangent_class() is z.tangent_class() == t.tangent_class()
+        assert (z.dim, z.codim, repr(z)) == (t.dim, 0, repr(t))
+        cut = VirtualCompleteIntersection(t, ((1, 1),))
+        assert repr(cut) == "VirtualCompleteIntersection(ambient=" + repr(t) + ", cuts=((1, 1),))"
 
     def test_tangent_rank(self):
         p3 = Tower([[()] * 4])

@@ -2,6 +2,7 @@ import pytest
 
 from grrcheck.arith import InputError
 from grrcheck.specparse import (
+    MAX_NESTING,
     ParseError,
     ScopeError,
     build_geometry,
@@ -122,6 +123,14 @@ class TestGeometryParsing:
         with pytest.raises(ParseError):
             parse_divisor("3")
 
+    def test_geometry_nesting_past_the_limit_is_a_syntax_error(self):
+        levels = "P(trivial 1) over " * MAX_NESTING
+        assert build_geometry(parse_geometry(levels + "point")).tower.n_levels == MAX_NESTING
+        with pytest.raises(ParseError, match=f"column {len(levels) + 1}\\)"):
+            parse_geometry(levels + "P(trivial 2) over point")
+        with pytest.raises(ParseError, match=f"column {MAX_NESTING + 1}\\)"):
+            parse_geometry("(" * (MAX_NESTING + 1) + "point" + ")" * (MAX_NESTING + 1))
+
 
 class TestClassParsing:
     def setup_method(self):
@@ -156,6 +165,28 @@ class TestClassParsing:
     def test_scaled_divisor(self):
         f = evaluate_class(parse_class("O(2*h - h)"), self.scope)
         assert f.line_terms == {(1,): 1}
+
+    @pytest.mark.parametrize(
+        "opener,width",
+        [("(", 1), ("dual(", 5), ("sym(1, ", 7), ("wedge(1, ", 9), ("twist(0, ", 9)],
+    )
+    def test_nesting_past_the_limit_is_a_syntax_error(self, opener, width):
+        # MAX_NESTING levels parse and evaluate; the next opener is refused
+        for depth in (MAX_NESTING, MAX_NESTING + 1):
+            text = opener * depth + "O(h)" + ")" * depth
+            if depth == MAX_NESTING:
+                assert evaluate_class(parse_class(text), self.scope).rank() == 1
+                continue
+            with pytest.raises(ParseError) as info:
+                parse_class(text)
+            message = f"nesting deeper than {MAX_NESTING} levels"
+            assert str(info.value) == f"{message} (line 1, column {MAX_NESTING * width + 1})"
+
+    def test_flat_sum_of_any_length_evaluates_in_a_loop(self):
+        terms = ["O(h)", "O", "O(-h)"] * 5000
+        text = "O(2*h) - " + " + ".join(terms)
+        f = evaluate_class(parse_class(text), self.scope)
+        assert f.line_terms == {(2,): 1, (1,): -1 + 4999, (0,): 5000, (-1,): 5000}
 
 
 GOLDEN_GEOMETRIES = [
