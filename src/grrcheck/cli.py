@@ -1,10 +1,10 @@
 """Command line front end: generators and verification suites.
 
 Exit codes: 0 all checks pass, 1 at least one identity falsified, 2 usage or
-input error (including a flag the chosen suite does not read), 3 stdout closed
-before the output was written (e.g. piped into ``head``) or an internal
-invariant failed, 130 interrupted (SIGINT; one ``interrupted`` line on
-stderr).  ``verify`` emits one JSON object per report, ordered by
+input error (including a flag the chosen suite or gen kind does not read), 3
+stdout closed before the output was written (e.g. piped into ``head``) or an
+internal invariant failed, 130 interrupted (SIGINT; one ``interrupted`` line
+on stderr).  ``verify`` emits one JSON object per report, ordered by
 (identity, instance); the stream is byte-identical across runs unless
 --timing is given (timing is the only nondeterministic field: each report's
 millis is the wall time of the check that produced it, stamped on its first
@@ -197,7 +197,19 @@ def _decimal(kind: str, number: int | Fraction) -> str:
 
 
 def cmd_gen(args) -> int:
-    if args.kind in UNIVERSAL_CLASSES:
+    universal = args.kind in UNIVERSAL_CLASSES
+    _refuse_unread(
+        f"gen {args.kind}",
+        {
+            "--degree": (args.degree is not None, universal),
+            "--rank": (args.rank is not None, args.kind == "toddinv"),
+            "--m": (args.m is not None, args.kind == "tm"),
+            "--n": (args.n is not None, args.kind in ("bernoulli", "L")),
+            "--g": (args.g is not None, args.kind == "D"),
+            "--max-degree": (args.max_degree != DEFAULT_MAX_DEGREE, universal),
+        },
+    )
+    if universal:
         payload, text = _gen_universal(args.kind, args)
     else:
         payload, text = _gen_number(args.kind, args)
@@ -254,6 +266,14 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     return reports
 
 
+def _refuse_unread(command: str, flags: dict[str, tuple[bool, bool]]) -> None:
+    """Reject every flag given to the command that it does not read; flags
+    maps each flag to (given, read)."""
+    ignored = [flag for flag, (given, read) in flags.items() if given and not read]
+    if ignored:
+        raise InputError(f"{', '.join(ignored)} not used by {command}")
+
+
 def _check_target(args) -> None:
     """Reject an unknown target, and any flag the target would not read (a
     flag counts as given when its value differs from the default)."""
@@ -273,9 +293,7 @@ def _check_target(args) -> None:
         "--base-levels": (args.base_levels != 0, single),
         "--cut": (bool(args.cut), single),
     }
-    ignored = [flag for flag, (given, read) in flags.items() if given and not read]
-    if ignored:
-        raise InputError(f"{', '.join(ignored)} not used by verify {args.suite}")
+    _refuse_unread(f"verify {args.suite}", flags)
 
 
 def cmd_verify(args) -> int:

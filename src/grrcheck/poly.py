@@ -906,18 +906,8 @@ def newton_power_sum(k: int) -> "GradedPolynomial":
 
 
 # ---------------------------------------------------------------------------
-# univariate exact series helpers (lists of ints and Fractions, index = degree)
+# univariate exact series inversion (a list of ints and Fractions, index = degree)
 # ---------------------------------------------------------------------------
-
-
-def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
-    out: list[Scalar] = [0] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            out[i + j] += ai * bj
-    return out
 
 
 def series_invert(a: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -930,17 +920,4 @@ def series_invert(a: Sequence[Scalar], n: int) -> list[Scalar]:
         for j in range(1, min(k, len(a) - 1) + 1):
             s += a[j] * out[k - j]
         out[k] = -inv0 * s
-    return out
-
-
-def series_log(a: Sequence[Scalar], n: int) -> list[Scalar]:
-    """log of a series with constant term 1, via  (log a)' = a'/a."""
-    if a[0] != 1:
-        raise InputError("series_log needs constant term 1")
-    da = [k * a[k] for k in range(1, min(len(a), n + 1))]
-    da += [0] * (n - len(da))
-    quot = series_mul(da, series_invert(list(a), n), n - 1) if n >= 1 else []
-    out: list[Scalar] = [Fraction(0)] * (n + 1)
-    for k in range(1, n + 1):
-        out[k] = Fraction(quot[k - 1], k)
     return out

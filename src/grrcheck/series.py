@@ -25,10 +25,12 @@ An independent generation route through power sums (Newton's identities and
 log/exp of the defining series) returns the same numerator for every family;
 the integrality suite compares the two as they are.  That route works on
 integer polynomials, and each of its series (Todd, and inverse Todd per
-rank) is built once per process: one list of parts, extended when a higher
-degree is asked for, and read per degree by one exact scaling (an extension
-replaces the list and its denominator one after the other, so the power-sum
-route is not safe to run from two threads at once).  The mutation
+rank) is built once per process: a list of parts G_d = s_d E_d, each over
+its own alphabet and normalised by s_d = d! L_1 ... L_d (L_j the lcm of the
+denominators of k l_k for k <= j, the k l_k taken from the per-root series
+f by n f_n = sum_k k l_k f_{n-k}).  A higher degree only appends parts, and
+degree m is read by one exact scaling by scale / s_m (appending is not safe
+from two threads at once).  The mutation
 hook deliberately corrupts a generated class so the test harness can confirm
 that suites really fail when a coefficient is wrong.
 
@@ -52,7 +54,6 @@ from .poly import (
     orbit_from_product,
     reduce_orbit_to_elementary,
     series_invert,
-    series_log,
     weighted_alphabet,
 )
 from .report import FalsificationError, Record
@@ -350,78 +351,59 @@ class _PowerSumSeries:
     demand.
 
     Independent of the elimination algorithm: uses the logarithm l of the
-    per-root series and Newton's power-sum polynomials p_k.  The exponential
-    E = exp(u), u = sum l_k p_k, is taken degree by degree (Knuth, TAOCP
-    vol. 2, 4.7: E_0 = 1 and d E_d = sum_{k=1..d} k l_k p_k E_{d-k}), so no
-    power of u is formed, and on integer polynomials: with D the lcm of the
-    denominators of the k l_k up to the top degree built, the parts
-    G_d = D^d d! E_d have G_0 = 1 and
+    per-root series f and Newton's power-sum polynomials p_k.  The k l_k come
+    from f by their own recurrence, n f_n = sum_{k=1..n} k l_k f_{n-k}
+    (f_0 = 1), one entry per new degree.  The exponential E = exp(u),
+    u = sum l_k p_k, is taken degree by degree (Knuth, TAOCP vol. 2, 4.7:
+    E_0 = 1 and d E_d = sum_{k=1..d} k l_k p_k E_{d-k}), so no power of u is
+    formed, and on integer polynomials: with L_j the lcm of the denominators
+    of the k l_k for k <= j and s_d = d! L_1 ... L_d, the parts
+    G_d = s_d E_d have G_0 = 1 and
 
-        G_d = sum_{k=1..d} [D^k k l_k (d-1)!/(d-k)!] p_k G_{d-k},
+        G_d = sum_{k=1..d} [k l_k (d-1)!/(d-k)! L_{d-k+1} ... L_d] p_k G_{d-k},
 
-    every bracket an integer.  A higher top degree can only make D a
-    multiple q D, and then each G_d built so far is rescaled by q^d.  The
-    one rational step is the exact scaling scale * E_m = G_m * scale /
-    (D^m m!), when degree m is read.
+    every bracket an integer, as L_d is one of its factors.  s_d depends on
+    d alone, so a part once built is never touched again: a higher degree
+    appends parts.  The one rational step is the exact scaling
+    scale * E_m = G_m * scale / s_m, when degree m is read.  Appending is
+    not safe from two threads at once: both could append the same degree.
 
-    n_vars is the number of c-variables, or None for as many as the top
-    degree (the Todd series, whose parts are widened when the top grows)."""
+    n_vars is the number of c-variables, or None for the Todd series, whose
+    part G_d is in c1..cd."""
 
-    __slots__ = ("root_series", "n_vars", "den", "parts")
+    __slots__ = ("root_series", "n_vars", "kl", "scales", "parts")
 
     def __init__(self, root_series, n_vars: int | None = None):
         self.root_series = root_series  # n -> the per-root series to degree n
         self.n_vars = n_vars
-        self.den = 1
-        self.parts: list[GradedPolynomial] = []  # G_0, G_1, ... up to the top degree
+        self.kl = [Fraction(0)]  # k -> k l_k, from k = 1 (a 0 at k = 0)
+        self.scales = [1]  # d -> s_d
+        self.parts: list[GradedPolynomial] = []  # d -> G_d
 
     def read(self, m: int, scale: int) -> GradedPolynomial:
         """scale times E_m, over c1..c<n_vars> (c1..cm for the Todd series),
         with the bound m."""
         if m >= len(self.parts):
-            self._extend(m)
-        part, n_vars = self.parts[m], m if self.n_vars is None else self.n_vars
-        alph = weighted_alphabet("c", n_vars)
-        if part.alphabet is not alph:  # a Todd part below the top: E_m is in c1..cm
-            part = GradedPolynomial(alph, m, {mono[:n_vars]: c for mono, c in part.terms.items()})
-        return part.with_bound(m).scale(Fraction(scale, self.den**m * factorial(m)))
+            f, kl = self.root_series(m), self.kl
+            for d in range(len(kl), m + 1):
+                kl.append(d * f[d] - sum(kl[k] * f[d - k] for k in range(1, d)))
+                self.scales.append(self.scales[-1] * d * lcm(*(a.denominator for a in kl)))
+            for d in range(len(self.parts), m + 1):
+                self.parts.append(self._part(d))
+        return self.parts[m].scale(Fraction(scale, self.scales[m]))
 
-    def _extend(self, top: int) -> None:
-        """Build the parts up to degree top, over the c-alphabet of that top."""
-        n_vars = top if self.n_vars is None else self.n_vars
-        alph = weighted_alphabet("c", n_vars)
-        logs = series_log(self.root_series(top), top)
-        den = lcm(*(Fraction(k * logs[k]).denominator for k in range(1, top + 1)))
-        ratio = den // self.den  # an lcm over more degrees is a multiple
-        parts = [
-            (part if ratio == 1 else part.scale(ratio**d)).embed(alph).with_bound(top)
-            for d, part in enumerate(self.parts)
-        ]
-        k_u = {  # k -> D^k k l_k p_k, for the nonzero l_k
-            k: _power_sum_in_chern(k, n_vars).with_bound(top).scale(den**k * k * logs[k])
-            for k in range(1, top + 1)
-            if logs[k]
-        }
-        for d in range(len(parts), top + 1):
-            parts.append(self._part(parts, d, k_u, alph, top))
-        self.parts, self.den = parts, den
-
-    def _part(
-        self,
-        parts: list[GradedPolynomial],
-        d: int,
-        k_u: dict[int, GradedPolynomial],
-        alph: Alphabet,
-        top: int,
-    ) -> GradedPolynomial:
-        """G_d from the parts below it."""
+    def _part(self, d: int) -> GradedPolynomial:
+        """G_d from the parts below it, over c1..cd for the Todd series."""
+        alph = weighted_alphabet("c", d if self.n_vars is None else self.n_vars)
         if d == 0:
-            return GradedPolynomial.constant(alph, top, 1)
-        total = GradedPolynomial.zero(alph, top)
-        for k, part in k_u.items():
-            if k <= d:
-                falling = factorial(d - 1) // factorial(d - k)
-                total = total + part.scale(falling) * parts[d - k]
+            return GradedPolynomial.constant(alph, 0, 1)
+        s_d, total = self.scales[d], GradedPolynomial.zero(alph, d)
+        for k in range(1, d + 1):
+            a = self.kl[k]
+            if a:
+                bracket = a.numerator * (s_d // (d * self.scales[d - k]) // a.denominator)
+                p_k = _power_sum_in_chern(k, len(alph)).with_bound(d).scale(bracket)
+                total = total + p_k * self.parts[d - k].embed(alph).with_bound(d)
         return total
 
 

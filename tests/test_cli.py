@@ -132,6 +132,20 @@ class TestGen:
         assert main(["gen", kind]) == 2
         assert f"{flag} is required for {kind}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["todd", "--degree", "3", "--rank", "2"], "--rank"),
+            (["bernoulli", "--n", "4", "--g", "3"], "--g"),
+            (["tm", "--m", "4", "--degree", "3"], "--degree"),
+            (["tm", "--m", "4", "--max-degree", "13"], "--max-degree"),
+        ],
+    )
+    def test_flag_the_kind_does_not_read_is_refused(self, argv, flag, capsys):
+        assert main(["gen", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} not used by gen {argv[0]}" in err
+
 
 class TestVerify:
     def test_single_instance_p2(self, capsys):

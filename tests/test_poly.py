@@ -22,12 +22,17 @@ from grrcheck.poly import (
     reduce_orbit_to_elementary,
     root_alphabet,
     series_invert,
-    series_log,
-    series_mul,
     substitute_terms,
+)
+from grrcheck.series import (
+    _PowerSumSeries,
+    exp_series,
+    todd_inverse_root_series,
+    todd_root_series,
 )
 
 import tuple_ring_reference as ref
+from series_reference import series_log
 from symmetric_reference import SymmetryError, elementary_reduce
 
 
@@ -885,33 +890,44 @@ class TestHornerScheme:
         assert len(products) == 5
 
 
+def log_terms(root_series, n):
+    """k l_k for k = 1..n, as the power-sum route takes them from the per-root
+    series by n f_n = sum_k k l_k f_{n-k}."""
+    series = _PowerSumSeries(root_series, 1)
+    series.read(n, 1)
+    return series.kl[1:]
+
+
 class TestSeriesHelpers:
     def test_invert(self):
         # 1/(1 - x) = sum x^k
         a = [Fraction(1), Fraction(-1)]
         assert series_invert(a, 5) == [Fraction(1)] * 6
 
-    def test_mul(self):
-        a = [Fraction(1), Fraction(1)]
-        assert series_mul(a, a, 2) == [Fraction(1), Fraction(2), Fraction(1)]
-
     def test_int_series_give_exact_entries(self):
-        results = [
-            series_invert([1, 1], 3),
-            series_invert([2, 1, 3], 4),
-            series_log([1, 1], 4),
-            series_log([1, 0, 2], 5),
-            series_mul([1, 2], [3, 4, 5], 3),
-        ]
+        results = [series_invert([1, 1], 3), series_invert([2, 1, 3], 4)]
         for values in results:
             assert all(type(v) in (int, Fraction) for v in values), values
         assert series_invert([1, 1], 3) == [1, -1, 1, -1]
         assert series_invert([2], 1) == [Fraction(1, 2), 0]
-        assert series_log([1, 1], 4) == [0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)]
-        assert series_mul([1, 2], [3, 4, 5], 3) == [3, 10, 13, 10]
 
-    def test_log_exp_consistency(self):
+    def test_log_terms_of_the_geometric_series(self):
         # log(1/(1-x)) = sum x^k / k
-        geo = series_invert([Fraction(1), Fraction(-1)], 6)
-        lg = series_log(geo, 6)
-        assert lg == [Fraction(0)] + [Fraction(1, k) for k in range(1, 7)]
+        assert log_terms(lambda n: series_invert([Fraction(1), Fraction(-1)], n), 12) == [1] * 12
+
+    def test_log_terms_of_one_plus_x(self):
+        # log(1 + x) = sum (-1)^(k+1) x^k / k
+        def one_plus_x(n):
+            return [Fraction(1), Fraction(1)] + [Fraction(0)] * (n - 1)
+
+        assert log_terms(one_plus_x, 12) == [(-1) ** (k + 1) for k in range(1, 13)]
+
+    @pytest.mark.parametrize("a", [1, 3, Fraction(-2, 5)])
+    def test_log_terms_of_an_exponential(self, a):
+        assert log_terms(lambda n: exp_series(n, a), 10) == [a] + [0] * 9
+
+    @pytest.mark.parametrize("root_series", [todd_root_series, todd_inverse_root_series])
+    def test_log_terms_against_the_reference_log(self, root_series):
+        got = log_terms(root_series, 20)
+        assert all(type(v) is Fraction for v in got)
+        assert got == [k * l for k, l in enumerate(series_log(root_series(20), 20)) if k]

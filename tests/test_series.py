@@ -13,7 +13,6 @@ from grrcheck.poly import (
     orbit_from_product,
     reduce_orbit_to_elementary,
     root_alphabet,
-    series_log,
     weighted_alphabet,
 )
 from grrcheck.report import FalsificationError
@@ -47,6 +46,7 @@ from grrcheck.identities import (
 from grrcheck.suites import suite_integrality, suite_projective_bundle
 
 from rational_reference import q_numerator_reference
+from series_reference import series_log
 from symmetric_reference import brute_force_todd, howe_reduce_by_roots
 
 
@@ -192,9 +192,9 @@ class TestHomogeneityAllFamilies:
         built = Counter()
         inner = series._PowerSumSeries._part
 
-        def counting(self, parts, d, *args):
+        def counting(self, d):
             built[self.n_vars, d] += 1
-            return inner(self, parts, d, *args)
+            return inner(self, d)
 
         monkeypatch.setattr(series._PowerSumSeries, "_part", counting)
         monkeypatch.setattr(series, "_TODD_SERIES", _PowerSumSeries(todd_root_series))
@@ -235,6 +235,29 @@ class TestHomogeneityAllFamilies:
             assert got.truncation == fresh.truncation == builder(*args).numerator.truncation
             assert all(type(c) is int for p in (got, fresh) for c in p.packed.values()), args
             assert got == builder(*args).numerator, args
+
+    def test_parts_are_append_only(self):
+        # a read of any degree leaves every part built before it, and its s_d,
+        # as they were: the same objects, the same normalisations
+        def reads(series, degrees, scale):
+            seen = []
+            for m in degrees:
+                series.read(m, scale(m))
+                for d, (part, s_d) in enumerate(seen):
+                    assert series.parts[d] is part and series.scales[d] == s_d, (m, d)
+                seen = list(zip(series.parts, series.scales))
+                assert all(type(c) is int for p in series.parts for c in p.packed.values())
+            return seen
+
+        todd = reads(
+            _PowerSumSeries(todd_root_series), (13, 5, 14, 0, 20), lambda m: todd_denominator(m).value
+        )
+        assert [part.alphabet for part, _ in todd] == [weighted_alphabet("c", d) for d in range(21)]
+        for r in (3, 1, 4, 2):
+            rank = reads(
+                _PowerSumSeries(todd_inverse_root_series, r), (6, 2, 9, 0, 11), factorial
+            )
+            assert {part.alphabet for part, _ in rank} == {weighted_alphabet("c", r)}
 
 
 class TestChernCharacter:
