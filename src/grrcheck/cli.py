@@ -259,7 +259,7 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     n_values = [args.n] if args.n is not None else list(range(0, 4))
     reports: list[VerificationReport] = []
     for n in n_values:
-        instance = f"{morphism.describe()}/sheaf={sheaf_text}/n={n}"
+        instance = morphism.instance(sheaf_text, n)
         reports.extend(
             run_check("main-theorem", instance, check_main_theorem, morphism, sheaf, n, sheaf_text)
         )

@@ -31,6 +31,10 @@ Conventions (validated by the binomial oracle and the twist-vanishing checks):
 the bundle is the Proj of the symmetric algebra and the hyperplane class is
 the first Chern class of its tautological quotient line bundle.
 
+Each class constructor takes over terms already clean (see the classes).
+Outside input reaches the rings only through Tower.line, which checks the
+arity, and the class operations, each of which keeps its result clean.
+
 Chow classes have integer coefficients on that basis.  Each tower keeps the
 normal form of every product of two basis monomials it has been asked for,
 one row per left monomial, each entry a tuple of (monomial, coefficient)
@@ -106,8 +110,8 @@ class Tower:
         # of the raw monomials ma + mb its entries read, see _product_entry
         self._products: dict[Monomial, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
         self._raw_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
-        self._zero = ChowClass._normal(self, {})
-        self._unit = ChowClass._normal(self, {(0,) * self.n_levels: 1})
+        self._zero = ChowClass(self, {})
+        self._unit = ChowClass(self, {(0,) * self.n_levels: 1})
         # per level (above, below) rules; the Chow ring has no negative exponents
         self._chow_rules: list[tuple[Rule, Rule]] = []
         # a -> pi_* l^a on the base for the top level's line class l, filled
@@ -127,7 +131,7 @@ class Tower:
                 )
         base = self.base
         self._chow_rules = [(_padded(a), _padded(b)) for a, b in base._chow_rules]
-        self._bundle = bundle = KClass._normal(base, {vec: top.count(vec) for vec in top})
+        self._bundle = bundle = KClass(base, {vec: top.count(vec) for vec in top})
         # xi^{r+1} -> sum_{j>=1} (-1)^{j+1} c_j(E) xi^{r+1-j}
         chow_above = {
             m + (-sum(m),): c if sum(m) % 2 else -c
@@ -238,17 +242,18 @@ class Tower:
                 mono[kpos] = 1
                 out[tuple(mono)] = c
         # xi_k is in normal form unless level k has rank 0, where xi = D
-        reduced = all(r for r, c in zip(self.ranks, vec) if c)
-        return (ChowClass._normal if reduced else ChowClass)(self, out)
+        if not all(r for r, c in zip(self.ranks, vec) if c):
+            out = self._normal_form(out, self._chow_rules)
+        return ChowClass(self, out)
 
     def line(self, vec: DivisorVector) -> "KClass":
         vec = self._pad(tuple(vec))
         if len(vec) != self.n_levels:
             raise InputError("line symbol has wrong arity for the tower")
-        return KClass._normal(self, {vec: 1})
+        return KClass(self, {vec: 1})
 
     def structure_sheaf(self) -> "KClass":
-        return KClass._normal(self, {(0,) * self.n_levels: 1})
+        return KClass(self, {(0,) * self.n_levels: 1})
 
     def tangent_class(self) -> "KClass":
         """Split model of the tangent class from the per-level Euler sequences."""
@@ -260,7 +265,7 @@ class Tower:
                     sym = [-v for v in self._pad(vec)]
                     sym[k] += 1
                     terms[tuple(sym)] = terms.get(tuple(sym), 0) + 1
-            self._cache["tangent"] = KClass._normal(self, {v: c for v, c in terms.items() if c})
+            self._cache["tangent"] = KClass(self, {v: c for v, c in terms.items() if c})
         return self._cache["tangent"]
 
     def __repr__(self) -> str:
@@ -278,29 +283,22 @@ class ChowClass:
     Coefficients are ints.  A Fraction occurs only where a value is not an
     integer: the rational series parts that the tests' rational reference
     evaluates, or a universal polynomial carrying a Fraction mutation delta;
-    the constructor, sums, scalings and products store an integral value as
+    the normal form, sums, scalings and products store an integral value as
     an int (poly.accumulate).
 
-    ChowClass(tower, terms) reduces raw terms with the Chow relations.  Every
-    other result is built by _normal from terms already in normal form: the
-    linear operations and the push and pull maps preserve it, and a product
-    sums c_a * c_b times the tower's table entry for each pair of basis
-    monomials (computed on first use, empty above the dimension).
+    ChowClass(tower, terms) takes over terms already in normal form without
+    zeros, as Tower._normal_form with the Chow rules returns them.  Every
+    operation keeps normal form: the linear operations and the push and pull
+    maps preserve it, and a product sums c_a * c_b times the tower's table
+    entry for each pair of basis monomials (computed on first use, empty
+    above the dimension).
     """
 
     __slots__ = ("tower", "terms")
 
-    def __init__(self, tower: Tower, terms: Mapping[Monomial, Scalar]):
+    def __init__(self, tower: Tower, terms: dict[Monomial, Scalar]):
         self.tower = tower
-        self.terms: dict[Monomial, Scalar] = tower._normal_form(terms, tower._chow_rules)
-
-    @classmethod
-    def _normal(cls, tower: Tower, terms: dict[Monomial, Scalar]) -> "ChowClass":
-        """The class with the given terms, already in normal form without zeros."""
-        alpha = object.__new__(cls)
-        alpha.tower = tower
-        alpha.terms = terms
-        return alpha
+        self.terms = terms
 
     def _check(self, other: "ChowClass") -> None:
         if self.tower is not other.tower:
@@ -308,7 +306,7 @@ class ChowClass:
 
     def _combine(self, other: "ChowClass", sign: int) -> "ChowClass":
         self._check(other)
-        return ChowClass._normal(self.tower, accumulate(dict(self.terms), other.terms, sign))
+        return ChowClass(self.tower, accumulate(dict(self.terms), other.terms, sign))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         return self._combine(other, 1)
@@ -316,13 +314,10 @@ class ChowClass:
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self._combine(other, -1)
 
-    def __neg__(self) -> "ChowClass":
-        return self.scale(-1)
-
     def scale(self, r: Scalar) -> "ChowClass":
         if not r:
             return self.tower.zero_chow()
-        return ChowClass._normal(self.tower, accumulate({}, self.terms, r))
+        return ChowClass(self.tower, accumulate({}, self.terms, r))
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
@@ -344,10 +339,10 @@ class ChowClass:
                     c = ca * cb
                     for m, t in entry:
                         out[m] = get(m, 0) + c * t
-        return ChowClass._normal(tower, accumulate({}, out))
+        return ChowClass(tower, accumulate({}, out))
 
     def graded_part(self, m: int) -> "ChowClass":
-        return ChowClass._normal(
+        return ChowClass(
             self.tower, {mono: c for mono, c in self.terms.items() if sum(mono) == m}
         )
 
@@ -380,34 +375,20 @@ def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
         k = current.n_levels - 1
         terms = {m[:k]: c for m, c in terms.items() if m[k] == current.ranks[k]}
         current = current.base
-    return ChowClass._normal(current, terms)
+    return ChowClass(current, terms)
 
 
 class KClass:
     """A virtual integer combination of line-bundle symbols on a tower.
 
-    KClass(tower, terms) checks and cleans arbitrary terms.  Every result of
-    an operation on classes is built by _normal from terms already clean."""
+    KClass(tower, line_terms) takes over terms already clean: symbols of the
+    tower's arity and nonzero int multiplicities."""
 
     __slots__ = ("tower", "line_terms")
 
-    def __init__(self, tower: Tower, line_terms: Mapping[DivisorVector, int]):
+    def __init__(self, tower: Tower, line_terms: dict[DivisorVector, int]):
         self.tower = tower
-        self.line_terms: dict[DivisorVector, int] = {
-            tuple(v): int(c) for v, c in line_terms.items() if c
-        }
-        for vec in self.line_terms:
-            if len(vec) != tower.n_levels:
-                raise InputError("line symbol has wrong arity for the tower")
-
-    @classmethod
-    def _normal(cls, tower: Tower, line_terms: dict[DivisorVector, int]) -> "KClass":
-        """The class with the given terms, already clean: symbols of the
-        tower's arity and nonzero int multiplicities.  The dict is taken over."""
-        f = object.__new__(cls)
-        f.tower = tower
-        f.line_terms = line_terms
-        return f
+        self.line_terms = line_terms
 
     def _check(self, other: "KClass") -> None:
         if self.tower is not other.tower:
@@ -418,35 +399,32 @@ class KClass:
 
     def __add__(self, other: "KClass") -> "KClass":
         self._check(other)
-        return KClass._normal(self.tower, accumulate(dict(self.line_terms), other.line_terms))
+        return KClass(self.tower, accumulate(dict(self.line_terms), other.line_terms))
 
     def __sub__(self, other: "KClass") -> "KClass":
         self._check(other)
-        return KClass._normal(self.tower, accumulate(dict(self.line_terms), other.line_terms, -1))
-
-    def __neg__(self) -> "KClass":
-        return KClass._normal(self.tower, {v: -c for v, c in self.line_terms.items()})
+        return KClass(self.tower, accumulate(dict(self.line_terms), other.line_terms, -1))
 
     def scale(self, n: int) -> "KClass":
         terms = {v: n * c for v, c in self.line_terms.items()} if n else {}
-        return KClass._normal(self.tower, terms)
+        return KClass(self.tower, terms)
 
     def __mul__(self, other: "KClass") -> "KClass":
         self._check(other)
         out: dict[DivisorVector, int] = {}
         for va, ca in self.line_terms.items():
             accumulate(out, other.line_terms, ca, va)
-        return KClass._normal(self.tower, out)
+        return KClass(self.tower, out)
 
     def dual(self) -> "KClass":
-        return KClass._normal(
+        return KClass(
             self.tower, {tuple(-x for x in v): c for v, c in self.line_terms.items()}
         )
 
     def twist(self, vec: DivisorVector) -> "KClass":
         """Tensor with the line bundle of the given divisor vector."""
         vec = self.tower._pad(tuple(vec))
-        return KClass._normal(self.tower, accumulate({}, self.line_terms, 1, vec))
+        return KClass(self.tower, accumulate({}, self.line_terms, 1, vec))
 
     def _lambda_terms(self, n: int, s: int, only_n: bool) -> dict[int, dict[DivisorVector, int]]:
         """t-degree d -> terms of the t^d coefficient of prod_L (1 + s L t)^(s m_L)
@@ -472,11 +450,11 @@ class KClass:
 
     def wedge(self, i: int) -> "KClass":
         """i-th exterior power."""
-        return KClass._normal(self.tower, self._lambda_terms(i, 1, True).get(i, {}))
+        return KClass(self.tower, self._lambda_terms(i, 1, True).get(i, {}))
 
     def sym(self, a: int) -> "KClass":
         """a-th symmetric power."""
-        return KClass._normal(self.tower, self._lambda_terms(a, -1, True).get(a, {}))
+        return KClass(self.tower, self._lambda_terms(a, -1, True).get(a, {}))
 
     def total_chern(self) -> ChowClass:
         """prod (1 + D)^m over the line symbols, each factor taken into the
@@ -534,7 +512,7 @@ def pushforward_k(f: KClass, n_collapse: int = 1) -> KClass:
         for vec, c in terms.items():
             accumulate(pushed, current._pushed_power(vec[-1]), c, vec[:-1])
         terms, current = pushed, current.base
-    return KClass._normal(current, terms)
+    return KClass(current, terms)
 
 
 def pullback_k(f: KClass, tower: Tower) -> KClass:
@@ -542,7 +520,7 @@ def pullback_k(f: KClass, tower: Tower) -> KClass:
     if tower.prefix(k) is not f.tower:
         raise InputError("source is not a prefix of the target tower")
     pad = tower.n_levels - k
-    return KClass._normal(tower, {v + (0,) * pad: c for v, c in f.line_terms.items()})
+    return KClass(tower, {v + (0,) * pad: c for v, c in f.line_terms.items()})
 
 
 def euler_characteristic(f: KClass) -> int:
@@ -601,7 +579,7 @@ class VirtualCompleteIntersection(Record):
         return total
 
     def normal_class(self) -> KClass:
-        return KClass._normal(self.ambient, {c: self.cuts.count(c) for c in self.cuts})
+        return KClass(self.ambient, {c: self.cuts.count(c) for c in self.cuts})
 
     def tangent_class(self) -> KClass:
         """The ambient tangent minus the normal class, cached per cuts."""

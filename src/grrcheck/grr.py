@@ -60,7 +60,7 @@ from .geometry import (
     pushforward_k,
 )
 from .poly import Alphabet, GradedPolynomial, horner_eval, horner_scheme, substitute_terms
-from .report import FalsificationError, VerificationReport
+from .report import FalsificationError, Record, VerificationReport
 from .series import (
     UniversalClass,
     q_poly,
@@ -178,6 +178,10 @@ class MorphismDatum:
     def describe(self) -> str:
         return self.label or repr(self.source)
 
+    def instance(self, sheaf_label: str, n: int) -> str:
+        """The instance text of a main-theorem check, passing or failed."""
+        return f"{self.describe()}/sheaf={sheaf_label}/n={n}"
+
 
 def _source_relative_tangent(f: MorphismDatum) -> KClass:
     """The fiberwise tangent difference T_X - f^*T_S of the source, cached on
@@ -288,7 +292,7 @@ def check_main_theorem(
     side is the zero class: the instance reads ct_n and ct_{d+n}, which read
     ch_0..ch_n and Td_0..Td_n as the full path does, then compares the zero
     class with itself without pushing F forward or evaluating anything."""
-    instance = f"{f.describe()}/sheaf={sheaf_label or F.line_terms}/n={n}"
+    instance = f.instance(sheaf_label or str(F.line_terms), n)
     d = f.relative_dimension
     if n > f.target.dim:
         universal_ct(n)
@@ -460,26 +464,14 @@ def check_divisor_calculus(
 # ---------------------------------------------------------------------------
 
 
-class FormalFibration:
+class FormalFibration(Record):
     """A relative curve or surface with symbolic fiber classes and a formal
     pushforward table; pushforward kills relative degree < d and maps each
-    higher monomial to a free symbol (no relations are imposed on symbols)."""
+    higher monomial to a free symbol (no relations are imposed on symbols).
+    tangent_chern maps i to the i-th tangent Chern class on the fiber
+    alphabet, table a fiber monomial to its symbol's name."""
 
-    def __init__(
-        self,
-        d: int,
-        fiber: Alphabet,
-        tangent_chern: dict[int, GradedPolynomial],
-        symbols: Alphabet,
-        table: dict[tuple[int, ...], str],
-        truncation: int,
-    ):
-        self.d = d
-        self.fiber = fiber
-        self.tangent_chern = tangent_chern
-        self.symbols = symbols
-        self.table = table
-        self.truncation = truncation
+    __slots__ = ("d", "fiber", "tangent_chern", "symbols", "table", "truncation")
 
     @staticmethod
     def relative_curve(truncation: int) -> "FormalFibration":

@@ -12,9 +12,11 @@ A report's JSON line is byte for byte json.dumps(payload, separators=(",",
 set; to_json fills a fixed template, each string through json's ASCII escaper.
 
 Record is the package's one base for value records (reports, parser nodes,
-complete intersections, ...): plain classes with __slots__ and an explicit
-__init__, equal when of one type with equal fields.  It replaces dataclasses,
-whose import and generated methods took most of the package's import time.
+complete intersections, ...): plain classes with __slots__, equal when of one
+type with equal fields.  Its constructor stores one value per field, in
+__slots__ order; a record that does more (defaults, validation, derived
+fields) writes its own.  It replaces dataclasses, whose import and generated
+methods took most of the package's import time.
 """
 
 from __future__ import annotations
@@ -38,9 +40,18 @@ class FalsificationError(AssertionError):
 
 
 class Record:
-    """Equality, hash and repr from the fields a subclass lists in __slots__."""
+    """Construction, equality, hash and repr from the fields a subclass
+    lists in __slots__."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}"
+            )
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

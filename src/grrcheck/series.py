@@ -146,13 +146,9 @@ class UniversalClass:
 class Mutation(Record):
     """Deliberate corruption of one generated coefficient (test harness only)."""
 
+    # kind: todd | ch | ct | q | toddinv; index: position in the numerator's
+    # canonical term order; delta: the Fraction added there
     __slots__ = ("kind", "degree", "index", "delta")
-
-    def __init__(self, kind: str, degree: int, index: int, delta: Fraction):
-        self.kind = kind  # todd | ch | ct | q | toddinv
-        self.degree = degree
-        self.index = index  # position in the numerator's canonical term order
-        self.delta = delta
 
 
 _MUTATION: Mutation | None = None

@@ -64,24 +64,15 @@ class ScopeError(ValueError):
 
 
 class DivisorExpr(Record):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[int, str], ...]):
-        self.terms = terms  # ((coefficient, name), ...); () is the zero divisor
+    __slots__ = ("terms",)  # ((coefficient, name), ...); () is the zero divisor
 
 
 class TrivialBundle(Record):
     __slots__ = ("count",)
 
-    def __init__(self, count: int):
-        self.count = count
-
 
 class SummandBundle(Record):
     __slots__ = ("divisors",)
-
-    def __init__(self, divisors: tuple[DivisorExpr, ...]):
-        self.divisors = divisors
 
 
 class GeomPoint(Record):
@@ -91,11 +82,6 @@ class GeomPoint(Record):
 class GeomBundle(Record):
     __slots__ = ("bundle", "alias", "base")
 
-    def __init__(self, bundle: TrivialBundle | SummandBundle, alias: str | None, base: GeomAST):
-        self.bundle = bundle
-        self.alias = alias
-        self.base = base
-
 
 GeomAST = GeomPoint | GeomBundle
 
@@ -103,48 +89,25 @@ GeomAST = GeomPoint | GeomBundle
 class ClassO(Record):
     __slots__ = ("divisor",)
 
-    def __init__(self, divisor: DivisorExpr | None):
-        self.divisor = divisor
-
 
 class ClassSum(Record):
     __slots__ = ("left", "sign", "right")
-
-    def __init__(self, left: ClassAST, sign: int, right: ClassAST):
-        self.left = left
-        self.sign = sign
-        self.right = right
 
 
 class ClassDual(Record):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: ClassAST):
-        self.inner = inner
-
 
 class ClassWedge(Record):
     __slots__ = ("index", "inner")
-
-    def __init__(self, index: int, inner: ClassAST):
-        self.index = index
-        self.inner = inner
 
 
 class ClassSym(Record):
     __slots__ = ("index", "inner")
 
-    def __init__(self, index: int, inner: ClassAST):
-        self.index = index
-        self.inner = inner
-
 
 class ClassTwist(Record):
     __slots__ = ("divisor", "inner")
-
-    def __init__(self, divisor: DivisorExpr, inner: ClassAST):
-        self.divisor = divisor
-        self.inner = inner
 
 
 ClassAST = ClassO | ClassSum | ClassDual | ClassWedge | ClassSym | ClassTwist
@@ -373,12 +336,8 @@ def _divisor_vector(div: DivisorExpr, names: dict[str, int], n_levels: int) -> t
     return tuple(vec)
 
 
-class GeometryScope:
-    __slots__ = ("tower", "names")
-
-    def __init__(self, tower: Tower, names: dict[str, int]):
-        self.tower = tower
-        self.names = names  # symbol -> 1-based level
+class GeometryScope(Record):
+    __slots__ = ("tower", "names")  # names: symbol -> 1-based level
 
     def divisor_vector(self, div: DivisorExpr) -> tuple[int, ...]:
         return _divisor_vector(div, self.names, self.tower.n_levels)

@@ -284,16 +284,15 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
                 F = tower.line(coeffs)
                 label = "O(" + ",".join(map(str, coeffs)) + ")"
                 for n in n_values:
-                    instance = f"{f.describe()}/sheaf={label}/n={n}"
                     reports += run_check(
-                        "main-theorem", instance, check_main_theorem, f, F, n, label
+                        "main-theorem", f.instance(label, n), check_main_theorem, f, F, n, label
                     )
         # identity morphism: no levels collapsed, the error is zero by shape
         ident = MorphismDatum(tower, tower.n_levels, f"{name}->self")
         probe = tower.line((1,) * tower.n_levels)
         for n in range(0, min(3, tower.dim) + 1):
             reports += run_check(
-                "main-theorem", f"{ident.describe()}/n={n}",
+                "main-theorem", ident.instance("O(1,..)", n),
                 check_main_theorem, ident, probe, n, "O(1,..)",
             )
         # on a product tower, Euler characteristic against the binomial-product oracle
@@ -308,7 +307,7 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
         for coeffs in _sheaf_vectors(tower.n_levels, 1):
             instance = f"{name}/O({','.join(map(str, coeffs))})"
             reports += run_check(
-                "euler-hirzebruch-consistency", name, _euler_hirzebruch,
+                "euler-hirzebruch-consistency", instance, _euler_hirzebruch,
                 VirtualCompleteIntersection(tower, ()), tower.line(coeffs), instance,
             )
 
@@ -321,7 +320,8 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
         f = MorphismDatum(VirtualCompleteIntersection(p3p2, cuts), 1, label)
         for n in range(0, 3):
             reports += run_check(
-                "main-theorem", f"{label}/n={n}", check_main_theorem, f, F, n, sheaf_label
+                "main-theorem", f.instance(sheaf_label, n),
+                check_main_theorem, f, F, n, sheaf_label,
             )
     return reports
 

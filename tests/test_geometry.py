@@ -21,6 +21,7 @@ from grrcheck.grr import MorphismDatum, check_main_theorem
 from grrcheck.suites import MODEL_TOWERS, geometry_tower
 
 from chern_reference import factor_total_chern
+from chow_reference import chow_class
 from lambda_reference import eager_k_rules
 
 
@@ -134,7 +135,7 @@ class TestNormalForm:
                 mono = tuple(rng.randint(0, 3) for _ in range(t.n_levels))
                 if sum(mono) <= 6:
                     raw[mono] = Fraction(rng.randint(-4, 4))
-            expected = ChowClass(t, raw).terms
+            expected = chow_class(t, raw).terms
             assert alt_reduce(raw) == expected
 
 
@@ -175,8 +176,8 @@ class TestProductTable:
             return normal_form(tower, terms, rules)
 
         for _ in range(30):
-            a = ChowClass(t, self.random_terms(rng, t))
-            b = ChowClass(t, self.random_terms(rng, t))
+            a = chow_class(t, self.random_terms(rng, t))
+            b = chow_class(t, self.random_terms(rng, t))
             naive = {}
             for ma, ca in a.terms.items():
                 for mb, cb in b.terms.items():
@@ -185,7 +186,7 @@ class TestProductTable:
             monkeypatch.setattr(Tower, "_normal_form", spy)
             product = a * b
             monkeypatch.undo()
-            assert product == ChowClass(t, naive)
+            assert product == chow_class(t, naive)
         # the table rewrites no pair above the dimension: it vanishes unread
         assert all(sum(m) <= t.dim for m in rewritten)
 
@@ -258,7 +259,7 @@ class TestDivisorChow:
                 if c
             }
             d = t.divisor_chow(vec)
-            assert d == ChowClass(t, raw) and scalar_types(d) <= {int}, vec
+            assert d == chow_class(t, raw) and scalar_types(d) <= {int}, vec
 
     def test_no_rewrite_above_rank_zero(self, monkeypatch):
         t = Tower(TestProductTable.TOWERS[-1])  # ranks 2, 0, 2
@@ -284,9 +285,7 @@ class TestPushPull:
         t = p_by_p(2, 1)
         x1, x2 = t.hyperplane(1), t.hyperplane(2)
         down = pushforward_chow(x1 * x2, 1)  # collapse the fiber line
-        assert down == Tower([[()] * 3]).hyperplane(1).__class__(
-            t.prefix(1), {(1,): Fraction(1)}
-        )
+        assert down == chow_class(t.prefix(1), {(1,): Fraction(1)})
 
     def test_pullback_then_push(self):
         t = p_by_p(1, 2)
@@ -302,9 +301,9 @@ class TestPushPull:
         fiber_monos = [m for m in product(*(range(r + 1) for r in t.ranks))]
         base_monos = [m for m in product(*(range(r + 1) for r in base.ranks))]
         for am in fiber_monos:
-            alpha = ChowClass(t, {am: Fraction(1)})
+            alpha = chow_class(t, {am: Fraction(1)})
             for bm in base_monos:
-                beta = ChowClass(base, {bm: Fraction(1)})
+                beta = chow_class(base, {bm: Fraction(1)})
                 lhs = pushforward_chow(alpha * pullback_chow(beta, t), 1)
                 rhs = pushforward_chow(alpha, 1) * beta
                 assert lhs == rhs, (am, bm)
@@ -312,7 +311,7 @@ class TestPushPull:
     def test_functoriality_stepwise_vs_at_once(self):
         t = Tower([[(), ()], [(1,), (0,)], [(0, 1), (1, 0)]])
         for mono in product(*(range(r + 1) for r in t.ranks)):
-            alpha = ChowClass(t, {mono: Fraction(1)})
+            alpha = chow_class(t, {mono: Fraction(1)})
             assert pushforward_chow(pushforward_chow(alpha, 1), 1) == pushforward_chow(
                 alpha, 2
             )
@@ -557,43 +556,47 @@ class TestKNormalForm:
 
 
 class TestKClassNormal:
-    """Operations on K classes build their results by KClass._normal from
-    terms already clean; only the public constructor checks and cleans."""
+    """Every operation builds its result from terms already clean: for K
+    classes nonzero int multiplicities of line symbols of the tower's arity,
+    for Chow classes normal-form terms without zeros.  Outside input reaches
+    the K ring through Tower.line, which refuses a symbol of the wrong arity."""
 
-    def test_operations_never_run_the_validating_constructor(self, monkeypatch):
+    def test_operation_results_are_clean(self):
         t = Tower([[(), ()], [(0,), (1,)], [(1, -1), (0, 2)]])
         f = KClass(t, {(1, -3, -4): 1, (0, 2, 1): 2, (-1, 0, 5): -1})
         g = KClass(t, {(0, 1, 0): 3, (1, -3, -4): -1})
         base = t.prefix(2)
         h = KClass(base, {(1, 2): 1, (0, -1): -2})
-
-        calls = []
-        init = KClass.__init__
-
-        def spy(self, *args, **kwargs):
-            calls.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(KClass, "__init__", spy)
         fresh = Tower(t.levels)  # its tangent class is not cached yet
-        results = {
-            "add": f + g, "sub": f - g, "neg": -f, "scale": f.scale(-3),
+        k_results = {
+            "add": f + g, "sub": f - g, "cancel": f - f, "scale": f.scale(-3),
             "scale 0": f.scale(0), "mul": f * g, "dual": f.dual(),
             "twist": f.twist((1, 0, -1)), "sym": g.sym(2), "wedge": f.wedge(2),
             "push": pushforward_k(f), "push 0": pushforward_k(f, 0),
             "pull": pullback_k(h, t), "line": t.line((2, -1)),
             "structure": t.structure_sheaf(), "tangent": fresh.tangent_class(),
         }
-        monkeypatch.undo()
-        assert calls == []
-        for name, value in results.items():
-            # clean: the validating constructor would store the same terms
-            assert KClass(value.tower, value.line_terms).line_terms == value.line_terms, name
+        for name, value in k_results.items():
+            n_levels = value.tower.n_levels
+            assert all(len(v) == n_levels for v in value.line_terms), name
             assert all(type(c) is int and c for c in value.line_terms.values()), name
-        assert results["scale 0"].line_terms == {}
-        # the public constructor and line still refuse a wrong-arity symbol
-        with pytest.raises(InputError, match="wrong arity"):
-            KClass(t, {(1, 2): 1})
+        assert k_results["scale 0"].line_terms == k_results["cancel"].line_terms == {}
+
+        rank_zero = Tower(TestProductTable.TOWERS[-1])  # ranks 2, 0, 2
+        x, y = f.total_chern(), g.total_chern()
+        chow_results = {
+            "chern": x, "add": x + y, "sub": x - y, "cancel": x - x,
+            "scale": x.scale(-2), "scale 0": x.scale(0), "mul": x * y,
+            "graded": x.graded_part(2), "push": pushforward_chow(x * y, 2),
+            "hyperplane": t.hyperplane(3), "divisor": t.divisor_chow((1, -2, 3)),
+            "rank 0": rank_zero.divisor_chow((1, 2, -1)), "unit": t.unit_chow(),
+        }
+        for name, value in chow_results.items():
+            tower = value.tower
+            assert value.terms == tower._normal_form(value.terms, tower._chow_rules), name
+            assert all(type(c) is int and c for c in value.terms.values()), name
+        assert chow_results["scale 0"].is_zero() and chow_results["cancel"].is_zero()
+
         with pytest.raises(InputError, match="wrong arity"):
             t.line((1, 2, 3, 4))
 

@@ -55,9 +55,11 @@ from grrcheck.suites import (
     model_tower,
     suite_divisor_calculus,
     suite_immersion,
+    suite_main_theorem,
 )
 
 from chern_reference import factor_total_chern
+from chow_reference import chow_class
 from rational_reference import rational_grr_cross_check, substitute_on_tower
 
 
@@ -223,7 +225,7 @@ def random_class(rng, tower, degree):
     ]
     terms = {mono: rng.randint(-3, 3) for mono in rng.sample(basis, rng.randint(1, len(basis)))}
     terms[rng.choice(basis)] = rng.choice([-2, -1, 1, 2])
-    return ChowClass(tower, terms)  # basis terms, one of them nonzero
+    return chow_class(tower, terms)  # basis terms, one of them nonzero
 
 
 def sheaf_map(rng, tower, m, rank, live):
@@ -542,6 +544,19 @@ class TestCheckMainTheorem:
             set_mutation(None)
         assert any(r.verdict != "pass" for r in reports)
         all_pass(check_main_theorem(f, p4.structure_sheaf(), 0))
+
+    def test_failed_reports_name_the_passing_instances(self):
+        # a check that fails by a FalsificationError is reported under the
+        # identity and instance its passing reports carry
+        clean = {(r.identity, r.instance) for r in suite_main_theorem()}
+        set_mutation(Mutation("ct", 2, 0, Fraction(1, 2)))
+        try:
+            failed = [r for r in suite_main_theorem() if not r.passed]
+        finally:
+            set_mutation(None)
+        assert failed
+        assert {(r.identity, r.instance) for r in failed} <= clean
+        assert {r.identity for r in failed} >= {"main-theorem", "euler-hirzebruch-consistency"}
 
     def test_todd_mutation_reaches_the_memoised_todd_parts(self):
         # a Todd mutation moves ct and the Todd parts alike, so the report's

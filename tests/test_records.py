@@ -1,8 +1,9 @@
 """Value semantics of the package's record types.
 
 Parser nodes, complete intersections, factored integers, mutations and
-reports compare by type and fields; universal classes by identity.  Parse
-error positions are pinned on multi-line texts.
+reports compare by type and fields; universal classes by identity.  Every
+record that only stores its fields is built by Record's one constructor.
+Parse error positions are pinned on multi-line texts.
 """
 
 from fractions import Fraction
@@ -11,20 +12,110 @@ import pytest
 
 from grrcheck import series
 from grrcheck.arith import FactoredInteger
-from grrcheck.geometry import VirtualCompleteIntersection
-from grrcheck.report import VerificationReport
+from grrcheck.geometry import Tower, VirtualCompleteIntersection
+from grrcheck.grr import FormalFibration
+from grrcheck.poly import Alphabet
+from grrcheck.report import Record, VerificationReport
 from grrcheck.series import Mutation, UniversalClass, set_mutation, universal_todd
 from grrcheck.specparse import (
     ClassDual,
     ClassO,
+    ClassSum,
     ClassSym,
+    ClassTwist,
     ClassWedge,
     DivisorExpr,
+    GeomBundle,
+    GeometryScope,
+    GeomPoint,
     ParseError,
+    SummandBundle,
+    TrivialBundle,
     build_geometry,
     parse_class,
     parse_geometry,
 )
+
+
+def _plain_records() -> dict[type, tuple]:
+    """Each record built by Record.__init__, with one value per field."""
+    h, o = DivisorExpr(((1, "h"),)), ClassO(None)
+    return {
+        DivisorExpr: (((2, "h"), (-1, "xi2")),),
+        TrivialBundle: (3,),
+        SummandBundle: ((DivisorExpr(()), h),),
+        GeomPoint: (),
+        GeomBundle: (TrivialBundle(2), "F", GeomPoint()),
+        ClassO: (h,),
+        ClassSum: (o, -1, ClassO(h)),
+        ClassDual: (o,),
+        ClassWedge: (2, o),
+        ClassSym: (3, o),
+        ClassTwist: (h, o),
+        GeometryScope: (Tower([[(), ()]]), {"F": 1}),
+        Mutation: ("ct", 2, 0, Fraction(1, 2)),
+        FormalFibration: (1, Alphabet([("K", 1)]), {}, Alphabet([("kappa0", 0)]), {}, 2),
+    }
+
+
+PLAIN_RECORDS = _plain_records()
+BY_CLASS = pytest.mark.parametrize(
+    "cls, values", PLAIN_RECORDS.items(), ids=[cls.__name__ for cls in PLAIN_RECORDS]
+)
+
+
+def _records_of_the_package() -> set[type]:
+    """Every subclass of Record in grrcheck (each module that defines one is
+    imported above)."""
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("grrcheck."):
+                found.add(sub)
+    return found
+
+
+class TestRecordConstructor:
+    def test_only_records_that_do_more_write_their_own(self):
+        own = {cls for cls in _records_of_the_package() if "__init__" in vars(cls)}
+        # defaults and keywords; validation; validation and padding
+        assert own == {VerificationReport, FactoredInteger, VirtualCompleteIntersection}
+        assert _records_of_the_package() - own == set(PLAIN_RECORDS)
+
+    @BY_CLASS
+    def test_positional_fields_in_slot_order(self, cls, values):
+        record = cls(*values)
+        assert len(values) == len(cls.__slots__)
+        for name, value in zip(cls.__slots__, values):
+            assert getattr(record, name) is value, name
+
+    @BY_CLASS
+    def test_a_wrong_count_is_a_type_error(self, cls, values):
+        with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(values)} fields"):
+            cls(*values, None)
+        if values:
+            with pytest.raises(TypeError, match=f"got {len(values) - 1}"):
+                cls(*values[:-1])
+            with pytest.raises(TypeError):
+                cls(**dict(zip(cls.__slots__, values)))
+
+    @BY_CLASS
+    def test_equality_hash_and_repr_from_the_fields(self, cls, values):
+        first, second = cls(*values), cls(*values)
+        assert first is not second and first == second
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, values))
+        assert repr(first) == f"{cls.__name__}({shown})"
+        try:
+            hash(values)
+        except TypeError:  # a dict among the fields
+            with pytest.raises(TypeError):
+                hash(first)
+        else:
+            assert hash(first) == hash(second) == hash(values)
+        if values:
+            other = cls(*values[:-1], object())
+            assert first != other
 
 
 class TestParserNodes:

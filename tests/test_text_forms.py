@@ -8,11 +8,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from grrcheck.geometry import ChowClass, KClass
+from grrcheck.geometry import KClass
 from grrcheck.poly import Alphabet, GradedPolynomial, root_alphabet, serialize_terms
 from grrcheck.report import VerificationReport
 from grrcheck.suites import MODEL_TOWERS, model_tower
 
+from chow_reference import chow_class
 from text_reference import report_json_reference, serialize_reference
 
 ALPHABETS = [
@@ -57,7 +58,7 @@ class TestSerializeTerms:
         n = tower.n_levels
         mono = st.tuples(*[st.integers(0, 3) for _ in range(n)])
         raw = data.draw(st.dictionaries(mono, st.integers(-50, 50), max_size=8))
-        alpha = ChowClass(tower, raw)
+        alpha = chow_class(tower, raw)
         if data.draw(st.booleans()):
             alpha = alpha.scale(data.draw(st.fractions(min_value=-5, max_value=5)))
         expected = serialize_reference(tower.alphabet, alpha.terms)
