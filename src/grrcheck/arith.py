@@ -23,27 +23,15 @@ class InputError(ValueError):
 
 
 class FactoredInteger(Record):
-    """A positive integer together with its prime factorization."""
+    """A positive integer and its prime factorization, sorted (prime,
+    exponent) pairs with every exponent >= 1; from_exponents builds each one
+    from prime exponents >= 0."""
 
     __slots__ = ("value", "factorization")
-
-    def __init__(self, value: int, factorization: tuple[tuple[int, int], ...]):
-        # factorization: sorted (prime, exponent), exponent >= 1
-        if value <= 0:
-            raise InputError(f"FactoredInteger must be positive, got {value}")
-        if value != prod(p**e for p, e in factorization):
-            raise InputError("factorization does not multiply out to value")
-        for p, e in factorization:
-            if e < 1 or not _is_prime(p):
-                raise InputError(f"bad factor {p}^{e}")
-        self.value = value
-        self.factorization = factorization
 
     @staticmethod
     def from_exponents(exps: dict[int, int]) -> "FactoredInteger":
         clean = {p: e for p, e in exps.items() if e != 0}
-        if any(e < 0 for e in clean.values()):
-            raise InputError("negative exponent in factorization")
         value = prod(p**e for p, e in clean.items())
         return FactoredInteger(value, tuple(sorted(clean.items())))
 
@@ -69,11 +57,6 @@ def primes_up_to(n: int) -> list[int]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
         p += 1
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-@lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:
-    return p >= 2 and p in set(primes_up_to(p))
 
 
 @lru_cache(maxsize=None)

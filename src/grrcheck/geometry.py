@@ -315,8 +315,6 @@ class ChowClass:
         return self._combine(other, -1)
 
     def scale(self, r: Scalar) -> "ChowClass":
-        if not r:
-            return self.tower.zero_chow()
         return ChowClass(self.tower, accumulate({}, self.terms, r))
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
@@ -361,7 +359,7 @@ class ChowClass:
         return f"ChowClass({self.serialize()!r})"
 
 
-def pushforward_chow(alpha: ChowClass, n_collapse: int = 1) -> ChowClass:
+def pushforward_chow(alpha: ChowClass, n_collapse: int) -> ChowClass:
     """Push forward along the structure morphism collapsing the top n levels."""
     tower = alpha.tower
     if not 0 <= n_collapse <= tower.n_levels:
@@ -499,7 +497,7 @@ class KClass:
         return f"KClass({self.line_terms})"
 
 
-def pushforward_k(f: KClass, n_collapse: int = 1) -> KClass:
+def pushforward_k(f: KClass, n_collapse: int) -> KClass:
     """K-theoretic pushforward collapsing the top n levels of the tower."""
     tower = f.tower
     if not 0 <= n_collapse <= tower.n_levels:
@@ -587,6 +585,3 @@ class VirtualCompleteIntersection(Record):
         if key not in self.ambient._cache:
             self.ambient._cache[key] = self.ambient.tangent_class() - self.normal_class()
         return self.ambient._cache[key]
-
-    def __repr__(self) -> str:
-        return super().__repr__() if self.cuts else repr(self.ambient)

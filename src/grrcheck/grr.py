@@ -18,12 +18,13 @@ grrcheck.poly.substitute_terms, fills each entry of its cache; each call
 then walks a Horner scheme (grrcheck.poly.horner_eval).  In a formal
 fibration the loop runs through GradedPolynomial.substitute.
 
-Degree rule: above a tower's dimension a class is zero.  evaluate_universal
-(a numerator of degree above dim) and check_main_theorem (n > dim S: no
-pushforward, images or evaluation) return zero classes, but still read
-every universal class the full path reads, in its order, so a non-integral
-mutation fails the same way: ct_m, and reading ct_m reads ch_0..ch_m and
-Td_0..Td_m.
+Degree rule: above a tower's dimension a class is zero.  Only
+check_main_theorem meets such a degree (n > dim S); it returns zero classes
+with no pushforward, images or evaluation, but still reads every universal
+class the full path reads, in its order, so a non-integral mutation fails
+the same way: ct_m, and reading ct_m reads ch_0..ch_m and Td_0..Td_m.  Every
+other caller evaluates a class of degree at most its tower's dimension, so
+evaluate_universal has no degree branch.
 
 Work that depends only on the tower is cached in the tower's _cache.  Where
 a universal class is read, the key holds that class itself (UniversalClass
@@ -110,11 +111,8 @@ def evaluate_universal(
 ) -> ChowClass:
     """A universal class's numerator on the tower: each c<i> is c_i of the
     c-side class (a tangent or a normal class), r the int sheaf["r"], and
-    each other variable (cp<i>, x) the Chow class sheaf[name].
-
-    The numerator is homogeneous of the degree its bound gives, so above the
-    tower's dimension it is the zero class; the check comes after uc was
-    read, which raises for a non-integral mutated class.
+    each other variable (cp<i>, x) the Chow class sheaf[name].  Every
+    caller reads a class of degree at most the tower's dimension.
 
     One cache entry per (uc, c-side line terms, rank, live), live the names
     of the nonzero sheaf classes: uc compiled to a Horner scheme in the live
@@ -123,8 +121,6 @@ def evaluate_universal(
     substituted.  Each call walks that scheme at the live classes.
     """
     numerator = uc.numerator
-    if numerator.truncation > tower.dim:
-        return tower.zero_chow()
     chern, others = _roles(numerator.alphabet)
     live = tuple(name for name in others if not sheaf[name].is_zero())
     key = (uc, frozenset(c_side.line_terms.items()) if chern else None, sheaf.get("r"), live)
@@ -175,12 +171,9 @@ class MorphismDatum:
         self.target = self.ambient.prefix(base_levels)
         self.relative_dimension = source.dim - self.target.dim
 
-    def describe(self) -> str:
-        return self.label or repr(self.source)
-
     def instance(self, sheaf_label: str, n: int) -> str:
         """The instance text of a main-theorem check, passing or failed."""
-        return f"{self.describe()}/sheaf={sheaf_label}/n={n}"
+        return f"{self.label}/sheaf={sheaf_label}/n={n}"
 
 
 def _source_relative_tangent(f: MorphismDatum) -> KClass:
@@ -281,7 +274,7 @@ def decomposition_rhs(f: MorphismDatum, n: int, pushed: Mapping, s_n: ChowClass)
 
 
 def check_main_theorem(
-    f: MorphismDatum, F: KClass, n: int, sheaf_label: str = ""
+    f: MorphismDatum, F: KClass, n: int, sheaf_label: str
 ) -> list[VerificationReport]:
     """The main identity, the numerator-corollary form (when applicable), and
     the scalar regrouping that connects them, on one geometry instance.
@@ -292,7 +285,7 @@ def check_main_theorem(
     side is the zero class: the instance reads ct_n and ct_{d+n}, which read
     ch_0..ch_n and Td_0..Td_n as the full path does, then compares the zero
     class with itself without pushing F forward or evaluating anything."""
-    instance = f.instance(sheaf_label or str(F.line_terms), n)
+    instance = f.instance(sheaf_label, n)
     d = f.relative_dimension
     if n > f.target.dim:
         universal_ct(n)
@@ -325,8 +318,13 @@ def check_main_theorem(
 # ---------------------------------------------------------------------------
 
 
+def immersion_instance(label: str, z: VirtualCompleteIntersection, F: KClass, n: int) -> str:
+    """The instance text of check_immersion's first report, passing or failed."""
+    return f"{label}/cuts={z.cuts}/F={F.line_terms}/n={n}"
+
+
 def check_immersion(
-    z: VirtualCompleteIntersection, F: KClass, n: int, label: str = ""
+    z: VirtualCompleteIntersection, F: KClass, n: int, label: str
 ) -> list[VerificationReport]:
     """Codimension-shift identity for a cut-out locus, plus the vanishing and
     decomposition of the character numerator of the pushed-forward class.
@@ -338,7 +336,7 @@ def check_immersion(
     side reads the same images: those of the Koszul class i_*[F] up to degree
     n, and those of F up to degree n - r."""
     w, r = z.ambient, z.codim
-    instance = f"{label or repr(w)}/cuts={z.cuts}/F={F.line_terms}/n={n}"
+    instance = immersion_instance(label, z, F, n)
     immersion = MorphismDatum(z, w.n_levels)
     pushed, source = _instance_images(immersion, F, n)
     rhs, lhs = grr_error(immersion, n, pushed, source)
@@ -385,15 +383,19 @@ def _restricted_td(w: Tower, cuts: tuple, m: int) -> ChowClass:
     return z.push(evaluate_universal(universal_todd(m), w, z.tangent_class()))
 
 
+def divisor_instance(label: str, a: int, m: int) -> str:
+    """The instance text of check_divisor_calculus's first report, passing or failed."""
+    return f"{label}/D={a}h/m={m}"
+
+
 def check_divisor_calculus(
-    w: Tower, a: int, b: int, m: int, label: str = ""
+    w: Tower, a: int, b: int, m: int, label: str
 ) -> list[VerificationReport]:
     """Divisor calculus on a tower with multiples a*h and b*h of the first
     hyperplane: single-divisor restriction, the two-divisor decomposition,
     the difference decomposition with its cutoff, the combined-class linkage,
     and the matching additivity-defect bookkeeping on both sides."""
     h = w.hyperplane(1)
-    name = label or repr(w)
     delta = w.dim - 1
 
     def cut(c: int) -> tuple:
@@ -433,12 +435,12 @@ def check_divisor_calculus(
         with_y = VirtualCompleteIntersection(w, cut(b) * k + cut(b)).koszul_class()
         rhs_kd = rhs_kd + with_x - with_y
 
-    one, two = f"{name}/D={a}h", f"{name}/D1={a}h/D2={b}h"
-    diff, defect = f"{name}/D={a}h-{b}h", f"{name}/D={a}h/D'={b}h"
+    one, two = divisor_instance(label, a, m), f"{label}/D1={a}h/D2={b}h"
+    diff, defect = f"{label}/D={a}h-{b}h", f"{label}/D={a}h/D'={b}h"
     sides = [  # (identity, instance, lhs, rhs, notes)
         # (a) the restriction form for a single divisor, and its combined-class linkage
-        ("divisor-restriction", f"{one}/m={m}", td_a, restricted_a, None),
-        ("divisor-ct-linkage", f"{one}/m={m}", td_a.scale(todd_ratio(m, 0, m - 1)), linked, None),
+        ("divisor-restriction", one, td_a, restricted_a, None),
+        ("divisor-ct-linkage", one, td_a.scale(todd_ratio(m, 0, m - 1)), linked, None),
         # (b) the sum of two divisors, and (c) their difference
         ("divisor-two-term", f"{two}/m={m}", td_sum, restricted_a + restricted_b - both, None),
         ("divisor-difference", f"{diff}/m={m}", lhs_diff, rhs_diff,

@@ -455,9 +455,6 @@ class GradedPolynomial:
         packed = {k: c for k, c in self.packed.items() if low <= k < high}
         return GradedPolynomial._normal(self.alphabet, self.truncation, packed)
 
-    def truncate(self, bound: int) -> "GradedPolynomial":
-        return self.with_bound(min(bound, self.truncation))
-
     def with_bound(self, bound: int) -> "GradedPolynomial":
         """Rebuild with an explicit truncation bound.
 
@@ -502,7 +499,7 @@ class GradedPolynomial:
                 img = images[name]
             else:
                 img = GradedPolynomial.variable(target, bound, name)
-            full[name] = img.truncate(bound) if isinstance(img, GradedPolynomial) else img
+            full[name] = img.with_bound(bound) if isinstance(img, GradedPolynomial) else img
         one = GradedPolynomial.constant(target, bound, 1)
         grouped = substitute_terms(self.terms, names, full, one)
         return grouped.get((), GradedPolynomial.zero(target, bound))
@@ -692,14 +689,8 @@ def horner_eval(scheme: Any, values: Sequence[Any]) -> Any:
 
 
 @lru_cache(maxsize=None)
-def partitions(n: int, max_part: int | None = None, max_len: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of n with bounded part size and length, lex-descending."""
-    if n < 0:
-        return ()
-    if max_part is None:
-        max_part = n
-    if max_len is None:
-        max_len = n
+def partitions(n: int, max_part: int, max_len: int) -> tuple[Partition, ...]:
+    """All partitions of n >= 0 with bounded part size and length, lex-descending."""
     if n == 0:
         return ((),)
     if max_len == 0 or max_part == 0:
@@ -793,11 +784,9 @@ def multiply_by_elementary(
     f*e_a is the sum over ways of decrementing a entries of gamma (grouped by
     equal-value blocks, with binomial multiplicity) of f's coefficient at the
     resulting partition.  The lowerings of each (gamma, a) are built once.
+    The one caller passes 1 <= a <= n_roots: a is a part of a conjugate
+    partition whose first part is at most n_roots.
     """
-    if a == 0:
-        return dict(f)
-    if a > n_roots:
-        return {}
     degrees: dict[int, int] = {}
     for lam in f:
         d = sum(lam)

@@ -14,9 +14,10 @@ set; to_json fills a fixed template, each string through json's ASCII escaper.
 Record is the package's one base for value records (reports, parser nodes,
 complete intersections, ...): plain classes with __slots__, equal when of one
 type with equal fields.  Its constructor stores one value per field, in
-__slots__ order; a record that does more (defaults, validation, derived
-fields) writes its own.  It replaces dataclasses, whose import and generated
-methods took most of the package's import time.
+__slots__ order; a record that does more (validation, derived fields), or
+one built on a hot path (one report per report of the stream), writes its
+own.  It replaces dataclasses, whose import and generated methods took most
+of the package's import time.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ class VerificationReport(Record):
         lhs: str,
         rhs: str,
         verdict: str,  # "pass" | "fail"
-        discrepancy: str | None = None,
-        millis: int | None = None,
-        notes: str | None = None,
+        discrepancy: str | None,
+        millis: int | None,
+        notes: str | None,
     ):
         self.identity = identity
         self.instance = instance
@@ -112,10 +113,8 @@ class VerificationReport(Record):
         )
 
     @staticmethod
-    def failure(
-        identity: str, instance: str, message: str, notes: str | None = None
-    ) -> "VerificationReport":
-        return VerificationReport(identity, instance, "", "", "fail", message, None, notes)
+    def failure(identity: str, instance: str, message: str) -> "VerificationReport":
+        return VerificationReport(identity, instance, "", "", "fail", message, None, None)
 
     def to_json(self, timing: bool = False) -> str:
         discrepancy = "null" if self.discrepancy is None else _quote(self.discrepancy)

@@ -54,9 +54,8 @@ class ParseError(ValueError):
 
 
 class ScopeError(ValueError):
-    def __init__(self, name: str, line: int = 0, column: int = 0):
-        where = f" (line {line}, column {column})" if line else ""
-        super().__init__(f"unknown symbol {name!r}{where}")
+    def __init__(self, name: str):
+        super().__init__(f"unknown symbol {name!r}")
         self.name = name
 
 

@@ -43,7 +43,9 @@ from .grr import (
     check_kappa_identity,
     check_main_theorem,
     check_surface_det_identity,
+    divisor_instance,
     euler_characteristic_via_chow,
+    immersion_instance,
     kappa_expected,
 )
 from .identities import IDENTITY_CHECKS, howe_claims, verify_series_identity
@@ -91,7 +93,7 @@ def model_tower(name: str) -> Tower:
     return geometry_tower(_MODEL_TOWER_TEXT[name])
 
 
-def _sheaf_vectors(n_levels: int, bound: int = 2):
+def _sheaf_vectors(n_levels: int, bound: int):
     return product(*(range(-bound, bound + 1) for _ in range(n_levels)))
 
 
@@ -249,15 +251,15 @@ def suite_integrality(max_degree: int = 12) -> list[VerificationReport]:
     return reports
 
 
-def suite_projective_bundle(max_rank: int = 4) -> list[VerificationReport]:
+def suite_projective_bundle() -> list[VerificationReport]:
     """The reduction claims for the bundle series, plus the twist-vanishing
     and structure-sheaf pushforward facts on model bundles."""
     reports: list[VerificationReport] = []
-    for r in range(1, max_rank + 1):
+    for r in range(1, 5):
         reports += run_check("bundle-series-reduction", f"r={r}", howe_claims, r, r + 4)
     # (identity, instance, line bundle, its pushforward one level down)
     pushes = []
-    for r in range(1, max_rank):
+    for r in range(1, 4):
         pr = geometry_tower(f"P(trivial {r + 1}) over point")
         for a in range(-r, 0):
             pushes.append(("bundle-twist-vanishing", f"P{r}, twist {a}", pr.line((a,)), ""))
@@ -344,35 +346,34 @@ def suite_immersion() -> list[VerificationReport]:
     for w, cuts, F, label in cases:
         z = VirtualCompleteIntersection(w, cuts)
         for n in range(0, 4):
-            reports += run_check(
-                "immersion-shift", f"{label}/n={n}", check_immersion, z, F, n, label
-            )
+            instance = immersion_instance(label, z, F, n)
+            reports += run_check("immersion-shift", instance, check_immersion, z, F, n, label)
     return reports
 
 
-def suite_divisor_calculus(max_m: int = 3) -> list[VerificationReport]:
+def suite_divisor_calculus() -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     p3 = geometry_tower("P(trivial 4) over point")
     for a, b in [(1, 1), (1, 2), (2, 1), (2, 3)]:
-        for m in range(1, max_m + 1):
+        for m in range(1, 4):
             reports += run_check(
-                "divisor-restriction", f"P3/a={a}/b={b}/m={m}",
+                "divisor-restriction", divisor_instance("P3", a, m),
                 check_divisor_calculus, p3, a, b, m, "P3",
             )
     return reports
 
 
-def suite_kappa(max_n: int = 9) -> list[VerificationReport]:
+def suite_kappa() -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 10):
         reports += run_check("kappa-multiple", f"n={n}", check_kappa_identity, n)
-    reports += run_check("kappa-coefficient-integrality", "range", _kappa_coefficients, max_n)
+    reports += run_check("kappa-coefficient-integrality", "range", _kappa_coefficients, 9)
     return reports
 
 
-def suite_surface_det(max_m: int = 6) -> list[VerificationReport]:
+def suite_surface_det() -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    for m in range(0, max_m + 1):
+    for m in range(0, 7):
         reports += run_check(
             "surface-determinant-exponent", f"m={m}", check_surface_det_identity, m
         )

@@ -118,7 +118,7 @@ def test_criterion_04_formal_identity_suite():
 
 def test_criterion_05_bundle_reduction():
     with criterion(5, "bundle-series reduction claims, ranks 1..4", 60.0):
-        assert_all_pass(suite_projective_bundle(4))
+        assert_all_pass(suite_projective_bundle())
 
 
 def test_criterion_06_model_main_theorem():
@@ -133,7 +133,7 @@ def test_criterion_07_immersion_suite():
 
 def test_criterion_08_divisor_calculus():
     with criterion(8, "divisor calculus with matching defect bookkeeping", 60.0):
-        assert_all_pass(suite_divisor_calculus(3))
+        assert_all_pass(suite_divisor_calculus())
 
 
 def test_criterion_09_kappa_identity():
@@ -177,7 +177,7 @@ def test_criterion_10_number_theory():
 
 def test_criterion_11_surface_determinant():
     with criterion(11, "surface determinant exponents", 10.0):
-        reports = suite_surface_det(6)
+        reports = suite_surface_det()
         assert_all_pass(reports)
         by_m = {r.instance: r for r in reports if r.identity == "surface-determinant-exponent"}
         for m in range(0, 7):

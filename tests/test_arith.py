@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grrcheck.arith import (
-    FactoredInteger,
     InputError,
     bernoulli,
     bernoulli_akiyama_tanigawa,
@@ -219,8 +218,4 @@ class TestHelpers:
             todd_ratio(2, 0, 3)  # j = 0 one past the degree: T_2 / T_3
 
     def test_factored_integer_validation(self):
-        with pytest.raises(InputError):
-            FactoredInteger(6, ((2, 1),))
-        with pytest.raises(InputError):
-            FactoredInteger(4, ((4, 1),))
         assert str(todd_denominator(4)) == "720 = 2^4 * 3^2 * 5"

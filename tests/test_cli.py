@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from grrcheck import cli, grr
 from grrcheck.cli import main
 from grrcheck.report import FalsificationError
-from grrcheck.suites import MODEL_TOWERS, model_tower, suite_main_theorem
+from grrcheck.suites import MODEL_TOWERS, SUITES, model_tower, suite_main_theorem
 from grrcheck.series import (
     q_poly,
     todd_inverse_numerator,
@@ -724,6 +725,21 @@ class TestDegreeBounds:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--max-degree" in err
+
+    def test_only_the_suites_the_cli_sizes_take_a_parameter(self):
+        # --max-degree reaches integrality and series-identities; the
+        # main-theorem suite keeps its coefficient bound for the hygiene
+        # test's traced run; every other suite has its one size
+        sized = {
+            name: list(inspect.signature(suite).parameters)
+            for name, suite in SUITES.items()
+            if inspect.signature(suite).parameters
+        }
+        assert sized == {
+            "integrality": ["max_degree"],
+            "series-identities": ["max_degree"],
+            "main-theorem": ["coefficient_bound"],
+        }
 
 
 class TestVerifyAll:

@@ -407,7 +407,7 @@ class TestRunningProductTotalChern:
             terms = {}
             for _ in range(rng.randint(1, 4)):
                 vec = tuple(rng.randint(-2, 2) for _ in range(t.n_levels))
-                terms[vec] = rng.randint(-3, 3)
+                terms[vec] = rng.choice((-3, -2, -1, 1, 2, 3))  # nonzero, as KClass takes them
             f = KClass(t, terms)
             assert f.total_chern() == factor_total_chern(f), terms
 
@@ -572,7 +572,7 @@ class TestKClassNormal:
             "add": f + g, "sub": f - g, "cancel": f - f, "scale": f.scale(-3),
             "scale 0": f.scale(0), "mul": f * g, "dual": f.dual(),
             "twist": f.twist((1, 0, -1)), "sym": g.sym(2), "wedge": f.wedge(2),
-            "push": pushforward_k(f), "push 0": pushforward_k(f, 0),
+            "push": pushforward_k(f, 1), "push 0": pushforward_k(f, 0),
             "pull": pullback_k(h, t), "line": t.line((2, -1)),
             "structure": t.structure_sheaf(), "tangent": fresh.tangent_class(),
         }
@@ -643,7 +643,8 @@ class TestLazyKRelation:
         F = t.line((1, -3, -4)) + t.line((0, 2, 1)).scale(2) - t.line((-1, 0, 5)).wedge(1)
         for base in range(t.n_levels):
             for n in range(t.prefix(base).dim + 2):
-                assert all(rep.passed for rep in check_main_theorem(MorphismDatum(t, base), F, n))
+                reports = check_main_theorem(MorphismDatum(t, base, "t"), F, n, "F")
+                assert all(rep.passed for rep in reports)
         assert built == []
         F.normal_form()
         # once per level: the relation of each level's bundle on its base
@@ -678,7 +679,7 @@ class TestVCI:
         assert z.koszul_class(F) is F and z.push(alpha) is alpha
         assert z.koszul_class() == t.structure_sheaf()
         assert z.tangent_class() is z.tangent_class() == t.tangent_class()
-        assert (z.dim, z.codim, repr(z)) == (t.dim, 0, repr(t))
+        assert (z.dim, z.codim) == (t.dim, 0)
         cut = VirtualCompleteIntersection(t, ((1, 1),))
         assert repr(cut) == "VirtualCompleteIntersection(ambient=" + repr(t) + ", cuts=((1, 1),))"
 

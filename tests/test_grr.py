@@ -525,7 +525,7 @@ class TestMainTheoremAboveTheBase:
             set_mutation(Mutation(kind, degree, 0, Fraction(1, 2)))
             try:
                 with pytest.raises(FalsificationError) as raised:
-                    check_main_theorem(f, p1p1.line((0, 1)), 2)
+                    check_main_theorem(f, p1p1.line((0, 1)), 2, "O(0,1)")
             finally:
                 set_mutation(None)
             assert raised.value.identity == f"integrality:{kind}"
@@ -536,14 +536,14 @@ class TestCheckMainTheorem:
     def test_tower_cache_follows_the_mutation(self):
         p4 = Tower([[()] * 5])
         f = MorphismDatum(p4, 0, "P4->pt")
-        all_pass(check_main_theorem(f, p4.structure_sheaf(), 0))
+        all_pass(check_main_theorem(f, p4.structure_sheaf(), 0, "O"))
         set_mutation(Mutation("todd", 4, 0, Fraction(1)))
         try:
-            reports = check_main_theorem(f, p4.structure_sheaf(), 0)
+            reports = check_main_theorem(f, p4.structure_sheaf(), 0, "O")
         finally:
             set_mutation(None)
         assert any(r.verdict != "pass" for r in reports)
-        all_pass(check_main_theorem(f, p4.structure_sheaf(), 0))
+        all_pass(check_main_theorem(f, p4.structure_sheaf(), 0, "O"))
 
     def test_failed_reports_name_the_passing_instances(self):
         # a check that fails by a FalsificationError is reported under the
@@ -557,6 +557,19 @@ class TestCheckMainTheorem:
         assert failed
         assert {(r.identity, r.instance) for r in failed} <= clean
         assert {r.identity for r in failed} >= {"main-theorem", "euler-hirzebruch-consistency"}
+
+    @pytest.mark.parametrize("suite", [suite_immersion, suite_divisor_calculus])
+    @pytest.mark.parametrize("kind", ["ct", "ch"])
+    def test_failed_geometry_reports_name_the_passing_instances(self, suite, kind):
+        # run_check is handed the instance of the check's first report
+        clean = {(r.identity, r.instance) for r in suite()}
+        set_mutation(Mutation(kind, 2, 0, Fraction(1, 2)))
+        try:
+            failed = [r for r in suite() if not r.passed]
+        finally:
+            set_mutation(None)
+        assert failed
+        assert {(r.identity, r.instance) for r in failed} <= clean
 
     def test_todd_mutation_reaches_the_memoised_todd_parts(self):
         # a Todd mutation moves ct and the Todd parts alike, so the report's
@@ -585,16 +598,16 @@ class TestCheckMainTheorem:
             (Tower([[(), (), ()], [(0,), (0,)]]), 1, (1, -2)),
         ]
         for tower, base, coeffs in cases:
-            f = MorphismDatum(tower, base)
+            f = MorphismDatum(tower, base, "bundle")
             for n in range(0, 3):
-                all_pass(check_main_theorem(f, tower.line(coeffs), n))
+                all_pass(check_main_theorem(f, tower.line(coeffs), n, "F"))
 
     def test_vci_over_base(self):
         t = Tower([[()] * 4, [(0,)] * 3])
         z = VirtualCompleteIntersection(t, ((1, 0),))
         f = MorphismDatum(z, 1, "hyperplane->P3")
         for n in range(0, 3):
-            all_pass(check_main_theorem(f, t.structure_sheaf(), n))
+            all_pass(check_main_theorem(f, t.structure_sheaf(), n, "O"))
 
 
 def main_theorem_on_p2_f1_and_twist():
@@ -614,9 +627,9 @@ def main_theorem_on_p2_f1_and_twist():
                 line = tower.line(coeffs)
                 for label, F in ((f"O{coeffs}", line), (f"O{coeffs}+O(1,..)", line + ones)):
                     for n in range(0, min(3, f.target.dim + 1) + 1):
-                        instance = f"{f.describe()}/sheaf={label}/n={n}"
                         reports += run_check(
-                            "main-theorem", instance, check_main_theorem, f, F, n
+                            "main-theorem", f.instance(label, n),
+                            check_main_theorem, f, F, n, label,
                         )
     return reports
 
@@ -750,20 +763,10 @@ class TestOneSourceType:
         F = t.line((1, -1, 2)) + t.line((0, 1, 0))
         for base in range(t.n_levels):
             for n in range(t.prefix(base).dim + 2):
-                all_pass(check_main_theorem(MorphismDatum(t, base), F, n))
+                all_pass(check_main_theorem(MorphismDatum(t, base, "t"), F, n, "F"))
         assert counts == {ChowClass: 127, KClass: 0}
         euler_characteristic_via_chow(t, F)
         assert counts == {ChowClass: 134, KClass: 0}
-
-    def test_instance_text_of_unlabelled_sources(self):
-        t = Tower([[(), (), ()], [(0,), (1,)]])
-        tower_text = "Tower(dim=3: (),(),(); (0,),(1,))"
-        cut_text = f"VirtualCompleteIntersection(ambient={tower_text}, cuts=((1, 0),))"
-        for source, text in ((t, tower_text), (VirtualCompleteIntersection(t, ((1,),)), cut_text)):
-            f = MorphismDatum(source, 1)
-            assert f.describe() == text
-            reports = check_main_theorem(f, t.line((1, -1)), 1)
-            assert {r.instance for r in reports} == {f"{text}/sheaf={{(1, -1): 1}}/n=1"}
 
 
 class TestImmersion:
@@ -771,18 +774,18 @@ class TestImmersion:
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,),))
         for n in range(0, 4):
-            all_pass(check_immersion(z, p3.structure_sheaf(), n))
+            all_pass(check_immersion(z, p3.structure_sheaf(), n, "P3"))
 
     def test_linear_line_in_p3_with_twist(self):
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (1,)))
         for n in range(0, 4):
-            all_pass(check_immersion(z, p3.line((1,)), n))
+            all_pass(check_immersion(z, p3.line((1,)), n, "P3"))
 
     def test_character_vanishes_below_codim(self):
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (1,)))
-        reports = check_immersion(z, p3.structure_sheaf(), 1)
+        reports = check_immersion(z, p3.structure_sheaf(), 1, "P3")
         below = [
             r
             for r in reports
@@ -817,14 +820,14 @@ class TestImmersion:
         other = Tower([[()] * 4])
         z = VirtualCompleteIntersection(other, ((1,),))
         with pytest.raises(InputError):
-            check_immersion(z, p3.structure_sheaf(), 1)
+            check_immersion(z, p3.structure_sheaf(), 1, "P3")
 
 
 class TestDivisorCalculus:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_p3_single_and_double(self, m):
         p3 = Tower([[()] * 4])
-        all_pass(check_divisor_calculus(p3, 1, 2, m))
+        all_pass(check_divisor_calculus(p3, 1, 2, m, "P3"))
 
     def test_k_side_square_example(self):
         # [O]-[O(-2h)] = 2([O]-[O(-h)]) - ([O]-[O(-h)])^2

@@ -55,6 +55,7 @@ def _plain_records() -> dict[type, tuple]:
         GeometryScope: (Tower([[(), ()]]), {"F": 1}),
         Mutation: ("ct", 2, 0, Fraction(1, 2)),
         FormalFibration: (1, Alphabet([("K", 1)]), {}, Alphabet([("kappa0", 0)]), {}, 2),
+        FactoredInteger: (12, ((2, 2), (3, 1))),
     }
 
 
@@ -79,8 +80,9 @@ def _records_of_the_package() -> set[type]:
 class TestRecordConstructor:
     def test_only_records_that_do_more_write_their_own(self):
         own = {cls for cls in _records_of_the_package() if "__init__" in vars(cls)}
-        # defaults and keywords; validation; validation and padding
-        assert own == {VerificationReport, FactoredInteger, VirtualCompleteIntersection}
+        # keywords, and one assignment per field on the stream's hot path;
+        # validation and padding
+        assert own == {VerificationReport, VirtualCompleteIntersection}
         assert _records_of_the_package() - own == set(PLAIN_RECORDS)
 
     @BY_CLASS
@@ -209,7 +211,8 @@ class TestUniversalClass:
 class TestVerificationReport:
     def test_keyword_construction_and_field_equality(self):
         by_keyword = VerificationReport(
-            identity="id", instance="inst", lhs="1/1", rhs="1/1", verdict="pass"
+            identity="id", instance="inst", lhs="1/1", rhs="1/1", verdict="pass",
+            discrepancy=None, millis=None, notes=None,
         )
         by_position = VerificationReport("id", "inst", "1/1", "1/1", "pass", None, None, None)
         assert by_keyword == by_position
@@ -221,4 +224,4 @@ class TestVerificationReport:
     def test_reports_are_unhashable(self):
         # millis is stamped after construction, so a field hash would move
         with pytest.raises(TypeError):
-            hash(VerificationReport("id", "inst", "", "", "fail"))
+            hash(VerificationReport("id", "inst", "", "", "fail", "sides differ", None, None))
