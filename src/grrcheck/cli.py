@@ -33,7 +33,7 @@ from .arith import (
 )
 from .geometry import VirtualCompleteIntersection
 from .grr import MorphismDatum, check_main_theorem
-from .identities import IDENTITY_CHECKS, verify_series_identity
+from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, verify_series_identity
 from .report import FalsificationError, VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES, Mutation, set_mutation
 from .specparse import (
@@ -310,7 +310,8 @@ def cmd_verify(args) -> int:
             reports = suite() if args.max_degree is None else suite(args.max_degree)
         else:
             max_degree = args.max_degree if args.max_degree is not None else 8
-            reports = run_check(args.suite, "", verify_series_identity, args.suite, max_degree)
+            name, instance = args.suite, IDENTITY_INSTANCES[args.suite](max_degree)
+            reports = run_check(name, instance, verify_series_identity, name, max_degree)
     finally:
         set_mutation(None)
 

@@ -35,40 +35,40 @@ Each class constructor takes over terms already clean (see the classes).
 Outside input reaches the rings only through Tower.line, which checks the
 arity, and the class operations, each of which keeps its result clean.
 
-Chow classes have integer coefficients on that basis.  Each tower keeps the
-normal form of every product of two basis monomials it has been asked for,
-one row per left monomial, each entry a tuple of (monomial, coefficient)
-pairs filled on first use from a memo keyed by the raw monomial ma + mb, so
-the pairs with one sum share one rewrite; a sum above the dimension is the
-empty entry and a basis monomial its own, both without a rewrite.  A product
-of classes sums raw table entries and normalises once at the end.  Sums,
-differences, scalings, graded parts and pushforwards keep normal form
-without a rewrite.
+Chow classes have integer coefficients on that basis, stored as a
+GradedPolynomial's: {packed key: coefficient} over the tower's alphabet
+xi1..xiK (grrcheck.poly).  Each tower keeps one product memo, raw key
+ka + kb -> the normal form of its monomial as (key, coefficient) pairs,
+empty above the dimension, so each raw monomial is rewritten once (the
+rewrite and the Chow rules alone walk exponent tuples), and a product of
+classes does one key addition and one lookup per pair of terms.  Sums,
+scalings, graded parts (key >> shift) and pushforwards (the top exponent
+is a key's lowest field) keep normal form.  A level's rank is below 2^14
+(Tower refuses more), so no sum of two keys carries.  Every other sum of
+term maps here (Chow and K sums and scalings, the final normalisation of a
+Chow product, K products, the rewrite step, twists, the lambda operations
+and the K-pushforward) is grrcheck.poly.accumulate, which drops cancelled
+terms and stores integral values as ints.
 
-Every other sum of term maps here (Chow and K sums and scalings, the final
-normalisation of a Chow product, K products, the rewrite step, twists, the
-lambda operations and the K-pushforward) is grrcheck.poly.accumulate, which
-drops cancelled terms and stores integral values as ints.
-
-A class's canonical text is the polynomial text form of its normal-form
-terms (grrcheck.poly.serialize_terms), in xi1..xiK or in l1..lK.
+A class's canonical text is grrcheck.poly.serialize_keyed of its packed
+normal-form terms, in xi1..xiK or in l1..lK.  K classes keep exponent
+tuples (a line symbol has negative entries) and pack only their normal form.
 
 Towers are immutable after build apart from their lazy caches (the product
-table and its raw-monomial memo, the pushforward table, and in _cache the K
-rules, the tangent class, each cut-out's tangent and grrcheck.grr's entries),
-whose entries are functions of the tower (and cuts) alone; all class
-operations are pure, so one tower may be shared read-only by concurrent
-verification jobs.
+memo, the pushforward table, and in _cache the K rules, the tangent class,
+each cut-out's tangent and grrcheck.grr's entries), whose entries are
+functions of the tower (and cuts) alone; all class operations are pure, so
+one tower may be shared read-only by concurrent verification jobs.
 """
 
 from __future__ import annotations
 
 from math import comb, prod
-from operator import add, le
+from operator import add
 from typing import Mapping, Sequence
 
 from .arith import InputError
-from .poly import Alphabet, Monomial, Scalar, accumulate, root_alphabet, serialize_terms
+from .poly import Alphabet, Monomial, Scalar, accumulate, root_alphabet, serialize_keyed
 from .report import Record
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
@@ -106,12 +106,10 @@ class Tower:
         self.dim: int = sum(self.ranks)
         self.alphabet = Alphabet([(f"xi{k + 1}", 1) for k in range(self.n_levels)])
         self._cache: dict = {}
-        # the product table of __mul__ (row ma, entry mb) and the normal forms
-        # of the raw monomials ma + mb its entries read, see _product_entry
-        self._products: dict[Monomial, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
-        self._raw_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
+        # raw key ka + kb -> its normal form as (key, coefficient) pairs, see _product
+        self._products: dict[int, tuple[tuple[int, int], ...]] = {}
         self._zero = ChowClass(self, {})
-        self._unit = ChowClass(self, {(0,) * self.n_levels: 1})
+        self._unit = ChowClass(self, {0: 1})  # key 0 is the empty monomial
         # per level (above, below) rules; the Chow ring has no negative exponents
         self._chow_rules: list[tuple[Rule, Rule]] = []
         # a -> pi_* l^a on the base for the top level's line class l, filled
@@ -123,6 +121,8 @@ class Tower:
         top = self.levels[k]
         if not top:
             raise InputError(f"level {k + 1} has no line summands")
+        if self.ranks[k] >= 1 << 14:  # so that no sum of two Chow keys carries
+            raise InputError(f"level {k + 1} has rank {self.ranks[k]}; a rank must be below 16384")
         for vec in top:
             if len(vec) != k:
                 raise InputError(
@@ -132,11 +132,12 @@ class Tower:
         base = self.base
         self._chow_rules = [(_padded(a), _padded(b)) for a, b in base._chow_rules]
         self._bundle = bundle = KClass(base, {vec: top.count(vec) for vec in top})
-        # xi^{r+1} -> sum_{j>=1} (-1)^{j+1} c_j(E) xi^{r+1-j}
+        # xi^{r+1} -> sum_{j>=1} (-1)^{j+1} c_j(E) xi^{r+1-j}, c_j(E) the degree-j keys
+        monomials, shift = base.alphabet.monomials, base.alphabet.shift
         chow_above = {
-            m + (-sum(m),): c if sum(m) % 2 else -c
-            for m, c in bundle.total_chern().terms.items()
-            if sum(m)
+            monomials[key] + (-(key >> shift),): c if (key >> shift) % 2 else -c
+            for key, c in bundle.total_chern().terms.items()
+            if key
         }
         self._chow_rules.append((chow_above, {}))
         # det(E) = wedge^{r+1} E is the line of the summands' sum
@@ -185,17 +186,15 @@ class Tower:
         self._cache["k_rules"] = rules
         return rules
 
-    def _product_entry(self, ma: Monomial, mb: Monomial) -> tuple[tuple[Monomial, int], ...]:
-        """ma * mb in normal form as (monomial, coefficient) pairs: the
-        normal form of the raw monomial ma + mb, rewritten once for every
-        pair with that sum, and empty above the dimension without a rewrite."""
-        m = tuple(map(add, ma, mb))
-        if m not in self._raw_forms:
-            normal = {} if sum(m) > self.dim else {m: 1}
-            if normal and not all(map(le, m, self.ranks)):  # not a basis monomial yet
-                normal = self._normal_form(normal, self._chow_rules)
-            self._raw_forms[m] = tuple(normal.items())
-        return self._raw_forms[m]
+    def _product(self, key: int) -> tuple[tuple[int, int], ...]:
+        """The product memo's entry at the raw key ka + kb: the normal form
+        of its monomial as (key, coefficient) pairs, empty above the dimension."""
+        alphabet, entry = self.alphabet, ()
+        if key >> alphabet.shift <= self.dim:
+            normal = self._normal_form({alphabet.monomials[key]: 1}, self._chow_rules)
+            entry = tuple((alphabet.keys[m], c) for m, c in normal.items())
+        self._products[key] = entry
+        return entry
 
     def _pushed_power(self, a: int) -> dict[DivisorVector, int]:
         """pi_* l^a on the base, for the top level's line class l and any
@@ -244,7 +243,8 @@ class Tower:
         # xi_k is in normal form unless level k has rank 0, where xi = D
         if not all(r for r, c in zip(self.ranks, vec) if c):
             out = self._normal_form(out, self._chow_rules)
-        return ChowClass(self, out)
+        keys = self.alphabet.keys
+        return ChowClass(self, {keys[m]: c for m, c in out.items()})
 
     def line(self, vec: DivisorVector) -> "KClass":
         vec = self._pad(tuple(vec))
@@ -277,8 +277,8 @@ class Tower:
 
 class ChowClass:
     """A cycle class on a tower: a sparse vector on the monomial basis
-    prod xi_k^{a_k}, 0 <= a_k <= r_k, keyed by the exponent tuple, with no
-    zero coefficients.
+    prod xi_k^{a_k}, 0 <= a_k <= r_k, keyed by the monomial's packed key
+    over tower.alphabet, with no zero coefficients.
 
     Coefficients are ints.  A Fraction occurs only where a value is not an
     integer: the rational series parts that the tests' rational reference
@@ -286,17 +286,16 @@ class ChowClass:
     the normal form, sums, scalings and products store an integral value as
     an int (poly.accumulate).
 
-    ChowClass(tower, terms) takes over terms already in normal form without
-    zeros, as Tower._normal_form with the Chow rules returns them.  Every
-    operation keeps normal form: the linear operations and the push and pull
-    maps preserve it, and a product sums c_a * c_b times the tower's table
-    entry for each pair of basis monomials (computed on first use, empty
-    above the dimension).
+    ChowClass(tower, terms) takes over packed terms already in normal form
+    without zeros.  Every operation keeps normal form: the linear operations
+    and the pushforward preserve it, and a product sums c_a * c_b times the
+    tower's product memo entry at ka + kb for each pair of terms (computed
+    on first use, empty above the dimension).
     """
 
     __slots__ = ("tower", "terms")
 
-    def __init__(self, tower: Tower, terms: dict[Monomial, Scalar]):
+    def __init__(self, tower: Tower, terms: dict[int, Scalar]):
         self.tower = tower
         self.terms = terms
 
@@ -322,27 +321,23 @@ class ChowClass:
         tower = self.tower
         if not self.terms or not other.terms:
             return tower.zero_chow()  # zero images are common in substitutions
-        table = tower._products
-        out: dict[Monomial, Scalar] = {}
+        products = tower._products
+        out: dict[int, Scalar] = {}
         get = out.get
-        for ma, ca in self.terms.items():
-            row = table.get(ma)
-            if row is None:
-                row = table[ma] = {}
-            for mb, cb in other.terms.items():
-                entry = row.get(mb)
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                entry = products.get(ka + kb)
                 if entry is None:
-                    entry = row[mb] = tower._product_entry(ma, mb)
+                    entry = tower._product(ka + kb)
                 if entry:  # empty above the dimension or by a level's relation
                     c = ca * cb
-                    for m, t in entry:
-                        out[m] = get(m, 0) + c * t
+                    for k, t in entry:
+                        out[k] = get(k, 0) + c * t
         return ChowClass(tower, accumulate({}, out))
 
     def graded_part(self, m: int) -> "ChowClass":
-        return ChowClass(
-            self.tower, {mono: c for mono, c in self.terms.items() if sum(mono) == m}
-        )
+        shift = self.tower.alphabet.shift
+        return ChowClass(self.tower, {k: c for k, c in self.terms.items() if k >> shift == m})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -353,7 +348,7 @@ class ChowClass:
         return self.tower is other.tower and self.terms == other.terms
 
     def serialize(self) -> str:
-        return serialize_terms(self.tower.alphabet, self.terms)
+        return serialize_keyed(self.tower.alphabet, self.terms.items())
 
     def __repr__(self) -> str:
         return f"ChowClass({self.serialize()!r})"
@@ -367,12 +362,14 @@ def pushforward_chow(alpha: ChowClass, n_collapse: int) -> ChowClass:
     terms = alpha.terms
     current = tower
     for _ in range(n_collapse):
-        # the top exponent at r_k is the fiber's point class; the rest of the
-        # monomial is a basis monomial of the base, distinct for distinct
-        # monomials, so no two terms collect
-        k = current.n_levels - 1
-        terms = {m[:k]: c for m, c in terms.items() if m[k] == current.ranks[k]}
-        current = current.base
+        # the top exponent (a key's lowest field) at r_k is the fiber's point
+        # class; the key shifted past that field, r_k degrees lower, is the
+        # base key of the rest, distinct for distinct keys, so none collect
+        base, r = current.base, current.ranks[-1]
+        field = current.alphabet.shift - base.alphabet.shift
+        low, drop = (1 << field) - 1, r << base.alphabet.shift
+        terms = {(k >> field) - drop: c for k, c in terms.items() if k & low == r}
+        current = base
     return ChowClass(current, terms)
 
 
@@ -491,7 +488,9 @@ class KClass:
     def serialize(self) -> str:
         """Canonical text of the class in normal form, one line per basis
         symbol: the polynomial text form in l1..lK, each of weight 1."""
-        return serialize_terms(root_alphabet("l", self.tower.n_levels), self.normal_form())
+        alphabet = root_alphabet("l", self.tower.n_levels)
+        keys = alphabet.keys
+        return serialize_keyed(alphabet, [(keys[m], c) for m, c in self.normal_form().items()])
 
     def __repr__(self) -> str:
         return f"KClass({self.line_terms})"

@@ -2,7 +2,7 @@
 
 Every checker assembles both sides of one exact identity in the integer Chow
 ring of a tower (or in a free symbol ring for formal fibrations), serializes
-them through grrcheck.poly.serialize_terms, and reports byte-equality.  All
+them through grrcheck.poly.serialize_keyed, and reports byte-equality.  All
 scalar ratios of Todd denominators are performed as checked exact integer
 divisions; a failed division is a falsification, not a rounding issue.  Each
 T_a/(j! T_b) is grrcheck.arith.todd_ratio; only the T_a/(T_b T_c) of
@@ -623,7 +623,7 @@ def check_surface_det_identity(m: int) -> VerificationReport:
 def chow_degree(alpha: ChowClass) -> int | Fraction:
     """Pushforward of a class on the full tower to the point."""
     collapsed = pushforward_chow(alpha, alpha.tower.n_levels)
-    return collapsed.terms.get((), 0)
+    return collapsed.terms.get(0, 0)  # key 0: the point class
 
 
 def euler_characteristic_via_chow(

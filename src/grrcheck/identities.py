@@ -43,12 +43,18 @@ from .series import (
 Row = tuple[str, GradedPolynomial, GradedPolynomial]  # (label, lhs, rhs) of one block
 
 
+def _report(identity: str, max_degree: int, lhs: str, rhs: str, notes=None) -> VerificationReport:
+    """Compare the two sides of an identity under its instance text."""
+    instance = IDENTITY_INSTANCES[identity](max_degree)
+    return VerificationReport.compare(identity, instance, lhs, rhs, notes)
+
+
 def _compare_blocks(
-    identity: str, instance: str, rows: list[Row], notes: str | None = None
+    identity: str, max_degree: int, rows: list[Row], notes: str | None = None
 ) -> VerificationReport:
     """Compare the two sides, each one "# label" block per row."""
     lhs, rhs = ("\n".join(f"# {row[0]}\n{row[i].serialize()}" for row in rows) for i in (1, 2))
-    return VerificationReport.compare(identity, instance, lhs, rhs, notes)
+    return _report(identity, max_degree, lhs, rhs, notes)
 
 
 def _substituted_chern_numerator(m: int, rank, cp_values, target, bound: int) -> GradedPolynomial:
@@ -88,12 +94,7 @@ def check_exp_sum_product(max_degree: int) -> VerificationReport:
     big_b = apply_series(coeffs, b)
     lhs = apply_series(coeffs, a + b)
     rhs = big_a + big_b - big_a * big_b
-    return VerificationReport.compare(
-        "exp-sum-product",
-        f"degrees 0..{max_degree}",
-        lhs.serialize(),
-        rhs.serialize(),
-    )
+    return _report("exp-sum-product", max_degree, lhs.serialize(), rhs.serialize())
 
 
 def check_exp_flip_series(max_degree: int) -> VerificationReport:
@@ -108,12 +109,7 @@ def check_exp_flip_series(max_degree: int) -> VerificationReport:
     for _ in range(1, max_degree + 1):
         power = power * big_b
         rhs = rhs - power
-    return VerificationReport.compare(
-        "exp-flip-series",
-        f"degrees 0..{max_degree}",
-        lhs.serialize(),
-        rhs.serialize(),
-    )
+    return _report("exp-flip-series", max_degree, lhs.serialize(), rhs.serialize())
 
 
 def check_exp_difference_series(max_degree: int) -> VerificationReport:
@@ -130,12 +126,7 @@ def check_exp_difference_series(max_degree: int) -> VerificationReport:
         next_power = power * big_b
         rhs = rhs + big_a * next_power - next_power * big_b
         power = next_power
-    return VerificationReport.compare(
-        "exp-difference-series",
-        f"degrees 0..{max_degree}",
-        lhs.serialize(),
-        rhs.serialize(),
-    )
+    return _report("exp-difference-series", max_degree, lhs.serialize(), rhs.serialize())
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +170,7 @@ def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
             rows.append((label, lhs_m, rhs_m))
     return _compare_blocks(
         "chern-multiplicativity",
-        "tensor product of split classes",
+        max_degree,
         rows,
         notes="binomial scalars m!/(i!(m-i)!) are integers by construction",
     )
@@ -210,14 +201,15 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
             rows.append((label, lhs_m, rhs_m))
     return _compare_blocks(
         "todd-additivity",
-        "direct sum of split classes",
+        max_degree,
         rows,
         notes="scalars T_m/(T_i*T_{m-i}) asserted integral",
     )
 
 
-def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
-    """s_g of the alternating sum of dual wedge powers equals g! * c_g.
+def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
+    """s_g of the alternating sum of dual wedge powers equals g! * c_g, for
+    g = 1..min(max_degree, _WEDGE_RANKS).
 
     The alternating sum sum_i (-1)^i [wedge^i E*] for split E of rank g has
     total Chern class prod over nonempty subsets S of the roots of
@@ -226,7 +218,7 @@ def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
     from itertools import combinations
 
     rows: list[Row] = []
-    for g in range(1, max_g + 1):
+    for g in range(1, min(max_degree, _WEDGE_RANKS) + 1):
         al = root_alphabet("x", g)
         names = al.names()
         # 1 - sum_S x is the total Chern class of the line O(-sum_S x); S goes by
@@ -244,7 +236,7 @@ def check_top_chern_from_wedges(max_g: int) -> VerificationReport:
         rows.append((f"g={g}", lhs, rhs))
     return _compare_blocks(
         "top-chern-from-wedges",
-        f"split rank g, g=1..{max_g}",
+        max_degree,
         rows,
         notes="virtual rank 0 substituted for the rank variable",
     )
@@ -268,7 +260,7 @@ def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
         rows.append((f"degree {m}", lhs, rhs))
     return _compare_blocks(
         "divisor-todd-vs-ct",
-        f"degrees 1..{max_degree}",
+        max_degree,
         rows,
         notes="scalars T_m/T_{m-1} asserted integral",
     )
@@ -304,7 +296,7 @@ def check_restriction_substitution(max_degree: int) -> VerificationReport:
             else GradedPolynomial.constant(al, 0, 1)
         )
         rows.append((f"degree {m}", lhs, rhs))
-    return _compare_blocks("todd-restriction-substitution", f"degrees 0..{max_degree}", rows)
+    return _compare_blocks("todd-restriction-substitution", max_degree, rows)
 
 
 def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
@@ -342,7 +334,7 @@ def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
             rows.append((label, lhs, rhs))
     return _compare_blocks(
         "immersion-todd-decomposition",
-        f"ranks 1..3, degrees up to {max_degree}",
+        max_degree,
         rows,
         notes="scalars T_m/((j+r)! T_{m-r-j}) asserted integral",
     )
@@ -441,20 +433,32 @@ IDENTITY_CHECKS = {
     "exp-difference-series": check_exp_difference_series,
     "chern-multiplicativity": check_chern_multiplicativity,
     "todd-additivity": check_todd_additivity,
-    "top-chern-from-wedges": lambda max_degree: check_top_chern_from_wedges(
-        min(max_degree, 6)
-    ),
+    "top-chern-from-wedges": check_top_chern_from_wedges,
     "divisor-todd-vs-ct": check_divisor_todd_vs_ct,
     "todd-restriction-substitution": check_restriction_substitution,
     "immersion-todd-decomposition": check_immersion_todd_decomposition,
 }
 
 
+_WEDGE_RANKS = 6  # the largest split rank top-chern-from-wedges checks
+
+# identity -> the instance text of its report through a max degree: the check
+# names its report by it, and so do the suite and the CLI when it is falsified
+IDENTITY_INSTANCES = {
+    "exp-sum-product": "degrees 0..{}".format,
+    "exp-flip-series": "degrees 0..{}".format,
+    "exp-difference-series": "degrees 0..{}".format,
+    "chern-multiplicativity": lambda _: "tensor product of split classes",
+    "todd-additivity": lambda _: "direct sum of split classes",
+    "top-chern-from-wedges": lambda d: f"split rank g, g=1..{min(d, _WEDGE_RANKS)}",
+    "divisor-todd-vs-ct": "degrees 1..{}".format,
+    "todd-restriction-substitution": "degrees 0..{}".format,
+    "immersion-todd-decomposition": "ranks 1..3, degrees up to {}".format,
+}
+
+
 def verify_series_identity(name: str, max_degree: int) -> VerificationReport:
     """Run one registered identity check through the given degree."""
-    try:
-        checker = IDENTITY_CHECKS[name]
-    except KeyError:
-        known = ", ".join(sorted(IDENTITY_CHECKS))
-        raise InputError(f"unknown identity {name!r}; known: {known}") from None
-    return checker(max_degree)
+    if name not in IDENTITY_CHECKS:
+        raise InputError(f"unknown identity {name!r}; known: {', '.join(sorted(IDENTITY_CHECKS))}")
+    return IDENTITY_CHECKS[name](max_degree)

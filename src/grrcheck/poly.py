@@ -13,7 +13,8 @@ key optionally shifted by a monomial) is the one kernel that adds exact term
 maps under that rule, whatever their keys.  The sums of polynomials and the
 symmetric elimination here go through it, and so do the Chow and K classes
 of grrcheck.geometry (sums, scalings, products, rewrites, twists and the
-K-pushforward).  Only the product and times_one_minus keep their own
+K-pushforward); the Chow classes store their terms under the same packed
+keys as a GradedPolynomial.  Only the product and times_one_minus keep their own
 accumulation and normalise once at the end.
 
 Alphabet(...) returns one interned instance per variable list, and each
@@ -45,9 +46,9 @@ Canonical text serialization (bit-exact, used for golden files): one term per
 line, ``<num>/<den> <var>^<exp> ...`` with variables in alphabet order and
 exponents always written; terms sorted ascending by (weighted degree, exponent
 vector), which is packed-key order.  The zero polynomial serializes to the
-empty string.  A polynomial writes it from its packed terms, and
-serialize_terms writes it for the tuple-keyed Chow and K classes of
-grrcheck.geometry, both from monomial texts each Alphabet keeps.
+empty string.  serialize_keyed writes it from packed terms, for a
+polynomial, a Chow class of grrcheck.geometry and the packed normal form of
+a K class alike, from monomial texts each Alphabet keeps.
 
 substitute_terms is the one loop over the monomials of a universal
 polynomial, for every ring the package evaluates in: GradedPolynomial.substitute
@@ -218,7 +219,7 @@ class Alphabet:
         self._index = {n: i for i, n in enumerate(names)}
         self.keys = _Keys(self.weights)
         self.shift, self.monomials = self.keys.shift, self.keys.monomials
-        self.texts: dict[int, str] = {}  # packed key -> factor text, see serialize_terms
+        self.texts: dict[int, str] = {}  # packed key -> factor text, see serialize_keyed
         return _ALPHABETS.setdefault(variables, self)
 
     def index(self, name: str) -> int:
@@ -537,7 +538,7 @@ class GradedPolynomial:
     # -- text forms ------------------------------------------------------
 
     def serialize(self) -> str:
-        return _serialize_keyed(self.alphabet, self.packed.items())
+        return serialize_keyed(self.alphabet, self.packed.items())
 
     def pretty(self) -> str:
         """Human-oriented single-line rendering, e.g. ``c1^2 + c2``."""
@@ -570,14 +571,7 @@ class GradedPolynomial:
         return f"GradedPolynomial({self.pretty()})"
 
 
-def serialize_terms(alphabet: Alphabet, terms: Mapping[Monomial, Scalar]) -> str:
-    """The canonical text of a term map keyed by exponent tuples, without zero
-    coefficients (see _serialize_keyed)."""
-    keys = alphabet.keys
-    return _serialize_keyed(alphabet, [(keys[m], c) for m, c in terms.items()])
-
-
-def _serialize_keyed(alphabet: Alphabet, items: Iterable[tuple[int, Scalar]]) -> str:
+def serialize_keyed(alphabet: Alphabet, items: Iterable[tuple[int, Scalar]]) -> str:
     """The canonical text of (packed key, coefficient) pairs with distinct
     keys, in packed-key order: per term "<num>/<den>" and the monomial's
     factor text, one " <var>^<exp>" per nonzero exponent, built once per

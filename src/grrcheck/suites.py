@@ -48,7 +48,7 @@ from .grr import (
     immersion_instance,
     kappa_expected,
 )
-from .identities import IDENTITY_CHECKS, howe_claims, verify_series_identity
+from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, howe_claims, verify_series_identity
 from .report import VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES
 from .specparse import build_geometry, parse_geometry
@@ -223,9 +223,8 @@ def _compare_sides(identity: str, instance: str, sides, i: int) -> VerificationR
 def suite_series_identities(max_degree: int = 8) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for name in sorted(IDENTITY_CHECKS):
-        reports += run_check(
-            name, f"max degree {max_degree}", verify_series_identity, name, max_degree
-        )
+        instance = IDENTITY_INSTANCES[name](max_degree)
+        reports += run_check(name, instance, verify_series_identity, name, max_degree)
     return reports
 
 

@@ -168,6 +168,27 @@ class TestVerify:
         assert first["lhs"] == "36/1" and first["rhs"] == "36/1"
         assert first["schema"] == "1"
 
+    @pytest.mark.parametrize(
+        "target,falsified",
+        [
+            ("series-identities", {"chern-multiplicativity", "divisor-todd-vs-ct",
+                                   "top-chern-from-wedges"}),
+            ("chern-multiplicativity", {"chern-multiplicativity"}),
+        ],
+    )
+    def test_failed_series_identities_name_the_passing_instances(self, target, falsified, capsys):
+        # the check, the suite and a single-identity query name a report
+        # through one formatter per identity, so a falsified check carries
+        # the instance of its passing report
+        assert main(["verify", target]) == 0
+        lines = map(json.loads, capsys.readouterr().out.splitlines())
+        clean = {(r["identity"], r["instance"]) for r in lines}
+        assert main(["verify", target, "--mutate", "ch:2:0:1/2"]) == 1
+        lines = map(json.loads, capsys.readouterr().out.splitlines())
+        failed = {(r["identity"], r["instance"]) for r in lines if r["verdict"] == "fail"}
+        assert {identity for identity, _ in failed} == falsified
+        assert failed <= clean
+
     def test_suite_exit_zero(self, capsys):
         assert main(["verify", "kappa"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -658,6 +679,15 @@ class TestExitCodes:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(error)
+
+    def test_a_rank_past_the_packed_range_is_refused(self, capsys):
+        # a Chow exponent stays below 2^14, so that no sum of two packed keys
+        # carries: a level of rank 2^14 exits 2 before its bundle is built
+        argv = ["verify", "main-theorem", "--max-dim", "20000",
+                "--geometry", "P(trivial 16385) over point", "-n", "0"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: level 1 has rank 16384; a rank must be below 16384\n"
 
     @pytest.mark.parametrize(
         "geometry,sheaf,error",

@@ -4,6 +4,7 @@ from itertools import product
 from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grrcheck.arith import InputError
 from grrcheck.geometry import (
@@ -17,11 +18,12 @@ from grrcheck.geometry import (
     pushforward_chow,
     pushforward_k,
 )
-from grrcheck.grr import MorphismDatum, check_main_theorem
+from grrcheck.grr import MorphismDatum, check_main_theorem, chow_degree
 from grrcheck.suites import MODEL_TOWERS, geometry_tower
 
+import chow_reference as tuple_ring
 from chern_reference import factor_total_chern
-from chow_reference import chow_class
+from chow_reference import chow_class, chow_terms
 from lambda_reference import eager_k_rules
 
 
@@ -29,8 +31,8 @@ def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
     """Pull back from a prefix tower (injection of the base polynomial)."""
     k = alpha.tower.n_levels
     assert tower.prefix(k).levels == alpha.tower.levels
-    pad = tower.n_levels - k
-    return ChowClass(tower, {m + (0,) * pad: c for m, c in alpha.terms.items()})
+    pad, keys = tower.n_levels - k, tower.alphabet.keys
+    return ChowClass(tower, {keys[m + (0,) * pad]: c for m, c in chow_terms(alpha).items()})
 
 
 def hirzebruch(twist: int = 1) -> Tower:
@@ -72,6 +74,21 @@ class TestTowerConstruction:
         with pytest.raises(InputError):
             Tower([[]])
 
+    def test_rank_past_the_packed_range_is_refused(self, monkeypatch):
+        # a basis exponent is at most its level's rank, so ranks below 2^14
+        # keep every sum of two Chow keys inside the packed range; a larger
+        # rank is refused before the level's bundle is built
+        init = KClass.__init__
+
+        def spy(f, tower, line_terms):
+            assert sum(line_terms.values()) <= 1 << 14, "the refused level's bundle built"
+            init(f, tower, line_terms)
+
+        monkeypatch.setattr(KClass, "__init__", spy)
+        for levels, level in [([[()] * 16385], 1), ([[(), ()], [(1,)] * 16386], 2)]:
+            with pytest.raises(InputError, match=f"level {level} has rank {len(levels[-1]) - 1};"):
+                Tower(levels)
+
     def test_tower_mismatch(self):
         a, b = Tower([[()] * 3]), Tower([[()] * 3])
         with pytest.raises(InputError):
@@ -98,7 +115,7 @@ class TestNormalForm:
         t = hirzebruch()
         xi = t.hyperplane(2)
         big = xi * xi * xi * xi * xi
-        for mono in big.terms:
+        for mono in chow_terms(big):
             assert mono[1] <= t.ranks[1]
 
     def test_confluence_against_random_order_rewriter(self):
@@ -135,7 +152,7 @@ class TestNormalForm:
                 mono = tuple(rng.randint(0, 3) for _ in range(t.n_levels))
                 if sum(mono) <= 6:
                     raw[mono] = Fraction(rng.randint(-4, 4))
-            expected = chow_class(t, raw).terms
+            expected = chow_terms(chow_class(t, raw))
             assert alt_reduce(raw) == expected
 
 
@@ -179,8 +196,8 @@ class TestProductTable:
             a = chow_class(t, self.random_terms(rng, t))
             b = chow_class(t, self.random_terms(rng, t))
             naive = {}
-            for ma, ca in a.terms.items():
-                for mb, cb in b.terms.items():
+            for ma, ca in chow_terms(a).items():
+                for mb, cb in chow_terms(b).items():
                     key = tuple(x + y for x, y in zip(ma, mb))
                     naive[key] = naive.get(key, 0) + ca * cb
             monkeypatch.setattr(Tower, "_normal_form", spy)
@@ -201,8 +218,8 @@ class TestProductTable:
 
     def test_integral_results_of_rational_classes_are_int(self):
         p2 = Tower([[()] * 3])
-        half = ChowClass(p2, {(1,): Fraction(1, 2)})
-        assert (half + half).terms == {(1,): 1}
+        half = chow_class(p2, {(1,): Fraction(1, 2)})
+        assert chow_terms(half + half) == {(1,): 1}
         assert scalar_types(half + half) == {int}
         assert scalar_types(half - half.scale(-1)) == {int}
         assert scalar_types(half.scale(2)) == {int}
@@ -216,12 +233,15 @@ class TestProductTable:
         x = t.hyperplane(2) * t.hyperplane(3) - t.hyperplane(1).scale(4)
         assert t.unit_chow() * x == x == x * t.unit_chow()
         assert (t.zero_chow() * x).is_zero()
-        assert t.unit_chow().terms == {(0, 0, 0): 1}
+        assert chow_terms(t.unit_chow()) == {(0, 0, 0): 1}
 
     @pytest.mark.parametrize("levels", TOWERS, ids=str)
     def test_each_raw_product_monomial_is_rewritten_once(self, levels, monkeypatch):
+        # the one product memo: keyed by the raw key ka + kb of every pair
+        # multiplied, each raw monomial rewritten once, whatever pair gave it
         t = Tower(levels)
         basis = list(product(*(range(r + 1) for r in t.ranks)))
+        keys = t.alphabet.keys
         rewritten = []
         normal_form = Tower._normal_form
 
@@ -229,14 +249,19 @@ class TestProductTable:
             rewritten.extend(terms)
             return normal_form(tower, terms, rules)
 
+        classes = [chow_class(t, {m: 1}) for m in basis]
         monkeypatch.setattr(Tower, "_normal_form", spy)
-        entries = {(ma, mb): t._product_entry(ma, mb) for ma in basis for mb in basis}
+        for a in classes:
+            for b in classes:
+                a * b
         monkeypatch.undo()
+        raws = {tuple(map(add, ma, mb)) for ma in basis for mb in basis}
+        assert set(t._products) == {keys[m] for m in raws}
         assert len(rewritten) == len(set(rewritten))
-        for (ma, mb), entry in entries.items():
-            raw = tuple(map(add, ma, mb))
+        assert all(sum(m) <= t.dim for m in rewritten)  # none above the dimension
+        for raw in raws:
             want = t._normal_form({raw: 1}, t._chow_rules) if sum(raw) <= t.dim else {}
-            assert dict(entry) == want, (ma, mb)
+            assert {t.alphabet.monomials[k]: c for k, c in t._products[keys[raw]]} == want, raw
 
 
 class TestDivisorChow:
@@ -268,7 +293,7 @@ class TestDivisorChow:
             raise AssertionError("normal form computed")
 
         monkeypatch.setattr(t, "_normal_form", rewrite)
-        assert t.divisor_chow((3, 0, -1)).terms == {(1, 0, 0): 3, (0, 0, 1): -1}
+        assert chow_terms(t.divisor_chow((3, 0, -1))) == {(1, 0, 0): 3, (0, 0, 1): -1}
         with pytest.raises(AssertionError):
             t.divisor_chow((0, 1, 0))
 
@@ -592,8 +617,8 @@ class TestKClassNormal:
             "rank 0": rank_zero.divisor_chow((1, 2, -1)), "unit": t.unit_chow(),
         }
         for name, value in chow_results.items():
-            tower = value.tower
-            assert value.terms == tower._normal_form(value.terms, tower._chow_rules), name
+            tower, terms = value.tower, chow_terms(value)
+            assert terms == tower._normal_form(terms, tower._chow_rules), name
             assert all(type(c) is int and c for c in value.terms.values()), name
         assert chow_results["scale 0"].is_zero() and chow_results["cancel"].is_zero()
 
@@ -651,6 +676,55 @@ class TestLazyKRelation:
         assert sorted(map(id, built)) == sorted(id(t.prefix(k)) for k in range(t.n_levels))
         F.twist((0, 1, -2)).serialize()
         assert len(built) == t.n_levels
+
+
+class TestPackedChowAgainstTuples:
+    """The Chow ring on packed keys against the ring on exponent tuples of
+    chow_reference, on the catalogue towers, towers with rank-0 levels and
+    seeded twisted towers: the terms, their keys, the text, and every
+    integral coefficient stored as an int."""
+
+    LEVELS = TestDivisorChow.TOWERS + [
+        random_twisted_levels(random.Random(f"packed:{i}")) for i in range(12)
+    ]
+    COEFFICIENTS = st.one_of(
+        st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(LEVELS), st.data())
+    def test_ring_operations(self, levels, data):
+        t = Tower(levels)
+        # exponents up to two past each rank, so the raw terms need the rewrite
+        mono = st.tuples(*[st.integers(0, r + 2) for r in t.ranks])
+        raw = [data.draw(st.dictionaries(mono, self.COEFFICIENTS, max_size=6)) for _ in "ab"]
+        a, b = (chow_class(t, r) for r in raw)
+        ta, tb = chow_terms(a), chow_terms(b)
+        n = data.draw(st.integers(-4, 4))
+        q = data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+        ab = tuple_ring.multiply(t, ta, tb)
+        cases = {
+            "mul": (a * b, ab),
+            "add": (a + b, tuple_ring.linear(ta, tb, 1)),
+            "sub": (a - b, tuple_ring.linear(ta, tb, -1)),
+            "scale int": (a.scale(n), tuple_ring.scale(ta, n)),
+            "scale Fraction": (a.scale(q), tuple_ring.scale(ta, q)),
+        }
+        for m in range(t.dim + 2):
+            cases[f"graded {m}"] = (a.graded_part(m), tuple_ring.graded_part(ta, m))
+        for k in range(t.n_levels + 1):
+            pushed = pushforward_chow(a * b, k)
+            base, terms = tuple_ring.pushforward(t, ab, k)
+            assert pushed.tower is base, k
+            cases[f"push {k}"] = (pushed, terms)
+        for name, (got, want) in cases.items():
+            keys = got.tower.alphabet.keys
+            assert got.terms == {keys[m]: c for m, c in want.items()}, name
+            assert all(type(c) is int for c in got.terms.values() if c.denominator == 1), name
+            assert got.serialize() == tuple_ring.text(got.tower, want), name
+        degree = chow_degree(a * b)
+        assert degree == tuple_ring.degree(t, ab)
+        assert type(degree) is int or degree.denominator != 1
 
 
 class TestVCI:

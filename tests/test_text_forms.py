@@ -1,6 +1,6 @@
 """The two text forms every verdict rests on, against their long-way
 references in text_reference: the canonical text of polynomials and of Chow
-and K classes (poly.serialize_terms), and a report's JSON line
+and K classes (poly.serialize_keyed), and a report's JSON line
 (VerificationReport.to_json)."""
 
 import json
@@ -9,11 +9,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from grrcheck.geometry import KClass
-from grrcheck.poly import Alphabet, GradedPolynomial, root_alphabet, serialize_terms
+from grrcheck.poly import Alphabet, GradedPolynomial, root_alphabet, serialize_keyed
 from grrcheck.report import VerificationReport
 from grrcheck.suites import MODEL_TOWERS, model_tower
 
-from chow_reference import chow_class
+from chow_reference import chow_class, chow_terms
 from text_reference import report_json_reference, serialize_reference
 
 ALPHABETS = [
@@ -38,12 +38,12 @@ class TestSerializeTerms:
         terms = data.draw(st.dictionaries(mono, COEFFICIENTS, max_size=12))
         p = GradedPolynomial(alphabet, bound, terms)
         expected = serialize_reference(alphabet, p.terms)
-        assert serialize_terms(alphabet, p.terms) == expected
+        assert serialize_keyed(alphabet, p.packed.items()) == expected
         assert p.serialize() == expected
 
     def test_zero_polynomial_is_empty(self):
         for alphabet in ALPHABETS:
-            assert serialize_terms(alphabet, {}) == ""
+            assert serialize_keyed(alphabet, []) == ""
             assert GradedPolynomial.zero(alphabet, 4).serialize() == ""
 
     def test_unit_and_fraction_lines(self):
@@ -61,7 +61,7 @@ class TestSerializeTerms:
         alpha = chow_class(tower, raw)
         if data.draw(st.booleans()):
             alpha = alpha.scale(data.draw(st.fractions(min_value=-5, max_value=5)))
-        expected = serialize_reference(tower.alphabet, alpha.terms)
+        expected = serialize_reference(tower.alphabet, chow_terms(alpha))
         assert alpha.serialize() == expected
         assert repr(alpha) == f"ChowClass({expected!r})"
 
@@ -71,7 +71,7 @@ class TestSerializeTerms:
         F = KClass(tower, data.draw(st.dictionaries(vec, mult, max_size=5)))
         assert F.serialize() == serialize_reference(root_alphabet("l", n), F.normal_form())
         chern = F.total_chern()
-        assert chern.serialize() == serialize_reference(tower.alphabet, chern.terms)
+        assert chern.serialize() == serialize_reference(tower.alphabet, chow_terms(chern))
 
 
 # arbitrary Unicode, with the characters JSON must escape drawn often:

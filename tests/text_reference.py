@@ -1,7 +1,7 @@
 """The canonical text forms written out the long way, kept as a test reference.
 
-grrcheck writes a term map through poly.serialize_terms, from each monomial's
-cached factor text and its packed key, and a report's JSON line from a fixed
+grrcheck writes packed terms through poly.serialize_keyed, from each
+monomial's cached factor text and its packed key, and a report's JSON line from a fixed
 template.  The routes here build each line from scratch instead: a term's
 text from the variable names and exponents, the term order from the
 (weighted degree, exponent tuple) of each monomial, and a report line through
