@@ -35,7 +35,7 @@ from .geometry import VirtualCompleteIntersection
 from .grr import MorphismDatum, check_main_theorem
 from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, verify_series_identity
 from .report import FalsificationError, VerificationReport, run_check
-from .series import UNIVERSAL_CLASSES, Mutation, set_mutation
+from .series import UNIVERSAL_CLASSES, Mutation, mutation_built, set_mutation
 from .specparse import (
     ParseError,
     ScopeError,
@@ -298,8 +298,8 @@ def _check_target(args) -> None:
 
 def cmd_verify(args) -> int:
     _check_target(args)
-    if args.mutate:
-        set_mutation(_parse_mutation(args.mutate))
+    mutation = _parse_mutation(args.mutate) if args.mutate else None
+    set_mutation(mutation)
     try:
         if args.suite == "all":
             reports = suite_all()
@@ -312,6 +312,12 @@ def cmd_verify(args) -> int:
             max_degree = args.max_degree if args.max_degree is not None else 8
             name, instance = args.suite, IDENTITY_INSTANCES[args.suite](max_degree)
             reports = run_check(name, instance, verify_series_identity, name, max_degree)
+        if mutation and not mutation_built(mutation):
+            print(
+                f"note: no check built {mutation.kind} of degree {mutation.degree}, "
+                f"so --mutate {args.mutate} changed nothing",
+                file=sys.stderr,
+            )
     finally:
         set_mutation(None)
 

@@ -13,10 +13,11 @@ the inverse Todd numerators alike, is evaluated by evaluate_universal(uc,
 tower, c_side, sheaf): each c<i> is c_i of the c-side (an absolute,
 fiberwise or cut-out tangent, or a cut-out's normal class), r the sheaf's
 rank and every other variable (cp<i>, x) a Chow class of the sheaf map.
-One pass of the one substitution loop over the class's monomials,
-grrcheck.poly.substitute_terms, fills each entry of its cache; each call
-then walks a Horner scheme (grrcheck.poly.horner_eval).  In a formal
-fibration the loop runs through GradedPolynomial.substitute.
+One pass of grrcheck.poly.substitute_terms over the class's monomials
+fills each entry of its cache; each call then walks a Horner scheme
+(grrcheck.poly.horner_eval).  In a formal fibration a class is evaluated by
+GradedPolynomial.substitute, which folds its one-term images into packed
+keys and walks a Horner scheme in the rest.
 
 Degree rule: above a tower's dimension a class is zero.  Only
 check_main_theorem meets such a degree (n > dim S); it returns zero classes

@@ -50,13 +50,16 @@ empty string.  serialize_keyed writes it from packed terms, for a
 polynomial, a Chow class of grrcheck.geometry and the packed normal form of
 a K class alike, from monomial texts each Alphabet keeps.
 
-substitute_terms is the one loop over the monomials of a universal
-polynomial, for every ring the package evaluates in: GradedPolynomial.substitute
-(formal root rings) and the tower evaluations of grrcheck.grr (Chow rings)
-both call it.  horner_scheme nests a grouped result by variable so that
-horner_eval evaluates it many times over with one product per exponent step;
-grrcheck.grr.evaluate_universal compiles every universal class on a tower
-that way.
+horner_scheme nests a map {exponent tuple: ring element} by variable so
+that horner_eval evaluates it with one product per exponent step (Pena and
+Sauer, "On the multivariate Horner scheme", 2000); it is the one evaluator
+of universal polynomials at multi-term images.  GradedPolynomial.substitute
+(formal root rings) folds every image of at most one term into the packed
+keys and coefficients of the terms, with the product rule for keys and the
+exponent-range guard of the product, and walks one scheme in the other
+images.  grrcheck.grr.evaluate_universal compiles every universal class on a
+tower (Chow rings) into a scheme by one substitute_terms pass, and walks it
+at each call's sheaf classes.
 
 The symmetric-function reduction implements the classical fundamental-theorem
 algorithm (lexicographic leading-term elimination).  Internally symmetric
@@ -86,7 +89,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, lcm
 from operator import add, mul, or_
 from struct import Struct
 from typing import Any, Iterable, Mapping, Sequence
@@ -485,6 +488,14 @@ class GradedPolynomial:
         themselves.  The bound is the given truncation, or else the minimum
         over self and the images; it never exceeds a polynomial image's own
         bound, and the result carries exactly this bound.
+
+        An image of at most one term in the bound (a scalar, zero, a
+        constant, every unmapped variable) is folded into each term: the
+        coefficient times value**e, the packed key plus e times the image's
+        key, a term past the bound dropped, and the folded keys tested by
+        the product's guard (a fold that could carry past it is refused).
+        The terms left are grouped by the exponents of the other images, and
+        one horner_scheme in those is walked over the common denominator.
         """
         polys = [img for img in images.values() if isinstance(img, GradedPolynomial)]
         bound = min(
@@ -493,17 +504,47 @@ class GradedPolynomial:
         )
         if any(p.alphabet is not target for p in polys):
             raise InputError("substitution images live in different alphabets")
-        names = self.alphabet.names()
-        full: dict[str, GradedPolynomial | Scalar] = {}
-        for name in names:
-            if name in images:
-                img = images[name]
-            else:
-                img = GradedPolynomial.variable(target, bound, name)
-            full[name] = img.with_bound(bound) if isinstance(img, GradedPolynomial) else img
-        one = GradedPolynomial.constant(target, bound, 1)
-        grouped = substitute_terms(self.terms, names, full, one)
-        return grouped.get((), GradedPolynomial.zero(target, bound))
+        terms, names = self.terms, self.alphabet.names()
+        tops = [max(column) for column in zip(*terms)] if terms else [0] * len(names)
+        limit, grouped = (bound + 1) << target.shift, {}
+        fold_keys, scalars, walked, values, reach = [0] * len(names), [], [], [], 0
+        for pos, name in enumerate(names):
+            img = images[name] if name in images else GradedPolynomial.variable(target, bound, name)
+            if isinstance(img, GradedPolynomial):
+                img = img.with_bound(bound)
+                if len(img.packed) > 1:
+                    walked.append(pos)
+                    values.append(img)
+                    continue
+                fold_keys[pos], img = next(iter(img.packed.items()), (0, 0))
+                reach += tops[pos] * max(target.monomials[fold_keys[pos]], default=0)
+            img = _scalar(img)
+            if not img:  # a zero image sends every term it divides past the bound
+                fold_keys[pos] = limit
+            elif img != 1:
+                scalars.append((pos, img))
+        # every exponent of a folded key is at most reach, so below 2^16 no
+        # field carries and the mask guard of the product sees every overflow
+        if reach >= 2 * _HALF:
+            raise AssertionError(f"folded exponents may leave the packed range [0, {_HALF})")
+        for mono, c in terms.items():
+            key = sum(map(mul, mono, fold_keys))
+            if key < limit:
+                for pos, value in scalars:
+                    if mono[pos]:
+                        c *= value ** mono[pos]
+                if c:
+                    part = grouped.setdefault(tuple(mono[pos] for pos in walked), {})
+                    part[key] = part.get(key, 0) + c
+        target.keys.check(key for part in grouped.values() for key in part)
+        if not grouped:
+            return GradedPolynomial.zero(target, bound)
+        den = lcm(*(c.denominator for part in grouped.values() for c in part.values()))
+        for e, part in grouped.items():  # the walk multiplies ints; den is divided out last
+            packed = {k: _exact(c * den) for k, c in part.items() if c}
+            grouped[e] = GradedPolynomial._normal(target, bound, packed)
+        value = horner_eval(horner_scheme(grouped), values)
+        return value if den == 1 else value.scale(Fraction(1, den))
 
     def embed(self, target: Alphabet) -> "GradedPolynomial":
         """Reinterpret over a larger alphabet containing all current names
@@ -590,27 +631,27 @@ def serialize_keyed(alphabet: Alphabet, items: Iterable[tuple[int, Scalar]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# the one substitution loop for universal polynomials
+# the tower compile's substitution loop and the Horner scheme
 # ---------------------------------------------------------------------------
 
 
 def substitute_terms(
-    terms: Mapping[Monomial, Any],
+    terms: Mapping[Monomial, Scalar],
     names: Sequence[str],
     images: Mapping[str, Any],
     one: Any,
     keep: Sequence[str] = (),
 ) -> dict[Monomial, Any]:
-    """Substitute ring elements and scalars for the variables of a term map.
+    """Substitute ring elements and scalars for the variables of a term map
+    with scalar coefficients: the compile of grrcheck.grr.evaluate_universal,
+    which feeds horner_scheme.
 
-    This is the only loop over the monomials of a universal polynomial; it
-    serves GradedPolynomial.substitute and the tower evaluations of
-    grrcheck.grr alike.  A coefficient or an image is a scalar (int or
-    Fraction) or a ring element with *, +, .scale and .is_zero(); one is the
-    ring's unit.  Variables named in keep stay symbolic: the result maps
-    their exponent tuple (in keep order) to the ring element collected from
-    every monomial with those exponents, so with nothing kept the only key
-    is ().  Powers of each image are computed once per call.
+    An image is a scalar (int or Fraction) or a ring element with *, +,
+    .scale and .is_zero(); one is the ring's unit.  Variables named in keep
+    stay symbolic: the result maps their exponent tuple (in keep order) to
+    the ring element collected from every monomial with those exponents, so
+    with nothing kept the only key is ().  Powers of each image are computed
+    once per call.
     """
     kept = [names.index(name) for name in keep]
     powers: dict[tuple[int, int], Any] = {}
@@ -623,8 +664,8 @@ def substitute_terms(
         return powers[pos, e]
 
     grouped: dict[Monomial, Any] = {}
-    for mono, coeff in terms.items():
-        acc, scalar = (None, coeff) if isinstance(coeff, (int, Fraction)) else (coeff, 1)
+    for mono, scalar in terms.items():
+        acc = None
         for pos, e in enumerate(mono):
             if not e or pos in kept:
                 continue

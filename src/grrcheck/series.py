@@ -160,6 +160,12 @@ def set_mutation(mutation: Mutation | None) -> None:
     _MUTATION = mutation
 
 
+def mutation_built(mutation: Mutation) -> bool:
+    """Whether this process built a class the mutation corrupts: the memo
+    keys each class by (kind, degree, ..., active mutation)."""
+    return any(key[:2] == (mutation.kind, mutation.degree) and key[-1] == mutation for key in _CACHE)
+
+
 def _finish(
     kind: str, degree: int, numerator: GradedPolynomial, scale: int, rank: int = 0
 ) -> UniversalClass:

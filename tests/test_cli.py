@@ -377,6 +377,21 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "integrality", "--max-degree", "5"]) == 0
 
+    def test_a_mutation_no_check_builds_is_noted(self, capsys):
+        # Td_9 lies past --max-degree 3, so no check builds it: the stream and
+        # the exit code are the clean run's, and one stderr line says so
+        argv = ["verify", "integrality", "--max-degree", "3"]
+        assert main(argv) == 0
+        clean = capsys.readouterr()
+        assert main(argv + ["--mutate", "todd:9:0:1"]) == 0
+        unread = capsys.readouterr()
+        assert unread.out == clean.out
+        assert unread.err == (
+            "note: no check built todd of degree 9, so --mutate todd:9:0:1 changed nothing\n"
+        )
+        assert main(argv + ["--mutate", "todd:3:0:1"]) == 1
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("spec", ["foo:1:0:1", "todd:-1:0:1", "todd:1:-1:1"])
     def test_bad_mutation_is_a_usage_error(self, spec, capsys):
         assert main(["verify", "kappa", "--mutate", spec]) == 2

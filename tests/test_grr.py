@@ -37,7 +37,6 @@ from grrcheck.grr import (
     evaluate_universal,
     grr_error,
 )
-from grrcheck.poly import substitute_terms
 from grrcheck.report import FalsificationError, run_check
 from grrcheck.series import (
     Mutation,
@@ -61,6 +60,7 @@ from grrcheck.suites import (
 from chern_reference import factor_total_chern
 from chow_reference import chow_class
 from rational_reference import rational_grr_cross_check, substitute_on_tower
+from substitution_reference import substitute_terms
 
 
 def all_pass(reports):

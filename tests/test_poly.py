@@ -22,7 +22,6 @@ from grrcheck.poly import (
     reduce_orbit_to_elementary,
     root_alphabet,
     series_invert,
-    substitute_terms,
 )
 from grrcheck.series import (
     _PowerSumSeries,
@@ -33,6 +32,7 @@ from grrcheck.series import (
 
 import tuple_ring_reference as ref
 from series_reference import series_log
+from substitution_reference import substitute_terms
 from symmetric_reference import SymmetryError, elementary_reduce
 
 
@@ -576,6 +576,71 @@ class TestPackedRingAgainstTuples:
             factors = data.draw(st.lists(st.tuples(subset, st.sampled_from([1, -1])), max_size=3))
             expected = ref.times_one_minus(var, bp, P, factors)
             self.check(p.times_one_minus(factors), al, expected, bp)
+
+    @staticmethod
+    @st.composite
+    def images(draw, names, target):
+        """One image per name, or none: a scalar (int, Fraction or 0), or a
+        polynomial over the target with its own bound: zero, a constant, one
+        term, or several terms (which the bound may cut to one or none)."""
+        bound = st.integers(0, 8)
+        monomial = st.tuples(*[st.integers(0, 2)] * len(target))
+        kinds = {
+            "scalar": st.one_of(COEFFICIENTS, st.just(0)),
+            "zero": bound.map(lambda b: GradedPolynomial.zero(target, b)),
+            "constant": st.builds(GradedPolynomial.constant, st.just(target), bound, COEFFICIENTS),
+            "terms": st.builds(
+                GradedPolynomial,
+                st.just(target),
+                bound,
+                st.dictionaries(monomial, COEFFICIENTS.filter(bool), min_size=1, max_size=4),
+            ),
+        }
+        out = {}
+        for name in names:
+            kind = draw(st.sampled_from(["unmapped", *kinds]))
+            if kind != "unmapped":
+                out[name] = draw(kinds[kind])
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_substitute(self, data):
+        # folded images (scalars, zero, constants, one term, unmapped names)
+        # and walked ones against the expand-and-multiply reference
+        al = data.draw(st.sampled_from(TestPackedKeys.ALPHABETS))
+        var = list(al.variables)
+        extras = data.draw(st.lists(st.sampled_from([("y", 0), ("z", 1), ("w", 2)]), unique=True))
+        target = Alphabet(data.draw(st.permutations(var + extras)))
+        monomial = st.tuples(*[st.integers(0, 2)] * len(al))
+        bp = data.draw(st.integers(0, 8))
+        p = GradedPolynomial(al, bp, data.draw(st.dictionaries(monomial, COEFFICIENTS, max_size=6)))
+        images = data.draw(self.images(al.names(), target))
+        truncation = data.draw(st.none() | st.integers(0, 10))
+        polys = [img for img in images.values() if isinstance(img, GradedPolynomial)]
+        bound = min([bp if truncation is None else truncation] + [q.truncation for q in polys])
+        reference = {
+            name: img.terms if isinstance(img, GradedPolynomial) else img
+            for name, img in images.items()
+        }
+        expected = ref.substitute(var, list(target.variables), bound, p.terms, reference)
+        self.check(p.substitute(images, target, truncation), target, expected, bound)
+
+    def test_substitute_past_the_packed_range(self):
+        # r^e -> s^2 folds to s^(2e): the mask guard refuses e = 2^14, the
+        # first past the packed range.  s^4 at e = 2^14 would fill the whole
+        # 16-bit field and carry into r's, where the mask sees nothing, so
+        # such a fold is refused before any key is made
+        half = 1 << 15
+        al = Alphabet([("r", 0), ("s", 0)])
+        s2, s4 = (GradedPolynomial(al, 0, {(0, e): 1}) for e in (2, 4))
+        edge = GradedPolynomial(al, 0, {(half // 2 - 1, 0): 1})
+        assert edge.substitute({"r": s2}, al).terms == {(0, half - 2): 1}
+        past = GradedPolynomial(al, 0, {(half // 2, 0): 1})
+        with pytest.raises(AssertionError, match="outside the packed range"):
+            past.substitute({"r": s2}, al)
+        with pytest.raises(AssertionError, match="may leave the packed range"):
+            past.substitute({"r": s4}, al)
 
     def test_times_one_minus_past_the_packed_range(self):
         # an exponent of a weight-1 variable is at most the bound, so only a

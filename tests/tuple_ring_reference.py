@@ -77,6 +77,25 @@ def embed(alphabet, target, terms):
     return out
 
 
+def substitute(alphabet, target, bound, terms, images):
+    """The terms at images over the target alphabet, expanded monomial by
+    monomial: each coefficient times its images, multiplied in one factor
+    per unit of each exponent, under the bound.  An image is a scalar or a
+    term map over the target; a name without one is its own variable there."""
+    names = [name for name, _ in target]
+    one = (0,) * len(target)
+    out = {}
+    for mono, c in terms.items():
+        value = {one: c}
+        for (name, _), e in zip(alphabet, mono):
+            image = images.get(name, {tuple(int(n == name) for n in names): 1})
+            factor = image if isinstance(image, dict) else {one: image}
+            for _ in range(e):
+                value = product(target, bound, value, factor)
+        out = linear(target, bound, out, value, 1)
+    return out
+
+
 def times_one_minus(alphabet, bound, terms, factors):
     """terms * prod (1 - sum_{v in S} v)^e, e = 1 or -1, as full products
     with 1 - s or with the geometric series sum_{j <= bound} s^j."""
