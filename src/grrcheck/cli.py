@@ -35,7 +35,7 @@ from .geometry import VirtualCompleteIntersection
 from .grr import MorphismDatum, check_main_theorem
 from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, verify_series_identity
 from .report import FalsificationError, VerificationReport, run_check
-from .series import UNIVERSAL_CLASSES, Mutation, mutation_built, set_mutation
+from .series import UNIVERSAL_CLASSES, Mutation, mutation_read, set_mutation
 from .specparse import (
     ParseError,
     ScopeError,
@@ -312,7 +312,7 @@ def cmd_verify(args) -> int:
             max_degree = args.max_degree if args.max_degree is not None else 8
             name, instance = args.suite, IDENTITY_INSTANCES[args.suite](max_degree)
             reports = run_check(name, instance, verify_series_identity, name, max_degree)
-        if mutation and not mutation_built(mutation):
+        if mutation and not mutation_read():
             print(
                 f"note: no check built {mutation.kind} of degree {mutation.degree}, "
                 f"so --mutate {args.mutate} changed nothing",

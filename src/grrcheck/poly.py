@@ -507,7 +507,8 @@ class GradedPolynomial:
         terms, names = self.terms, self.alphabet.names()
         tops = [max(column) for column in zip(*terms)] if terms else [0] * len(names)
         limit, grouped = (bound + 1) << target.shift, {}
-        fold_keys, scalars, walked, values, reach = [0] * len(names), [], [], [], 0
+        fold_keys, scalars, walked, values = [0] * len(names), [], [], []
+        reach = [0] * len(target)  # per target field, the largest folded exponent
         for pos, name in enumerate(names):
             img = images[name] if name in images else GradedPolynomial.variable(target, bound, name)
             if isinstance(img, GradedPolynomial):
@@ -517,15 +518,16 @@ class GradedPolynomial:
                     values.append(img)
                     continue
                 fold_keys[pos], img = next(iter(img.packed.items()), (0, 0))
-                reach += tops[pos] * max(target.monomials[fold_keys[pos]], default=0)
+                exps = target.monomials[fold_keys[pos]]
+                reach = [r + tops[pos] * e for r, e in zip(reach, exps)]
             img = _scalar(img)
             if not img:  # a zero image sends every term it divides past the bound
                 fold_keys[pos] = limit
             elif img != 1:
                 scalars.append((pos, img))
-        # every exponent of a folded key is at most reach, so below 2^16 no
+        # each field of a folded key is at most its reach, so below 2^16 no
         # field carries and the mask guard of the product sees every overflow
-        if reach >= 2 * _HALF:
+        if max(reach, default=0) >= 2 * _HALF:
             raise AssertionError(f"folded exponents may leave the packed range [0, {_HALF})")
         for mono, c in terms.items():
             key = sum(map(mul, mono, fold_keys))

@@ -152,18 +152,19 @@ class Mutation(Record):
 
 
 _MUTATION: Mutation | None = None
+_MUTATION_READ = False  # whether a class the active mutation corrupts was read
 _CACHE: dict[tuple, UniversalClass] = {}
 
 
 def set_mutation(mutation: Mutation | None) -> None:
-    global _MUTATION
-    _MUTATION = mutation
+    global _MUTATION, _MUTATION_READ
+    _MUTATION, _MUTATION_READ = mutation, False
 
 
-def mutation_built(mutation: Mutation) -> bool:
-    """Whether this process built a class the mutation corrupts: the memo
-    keys each class by (kind, degree, ..., active mutation)."""
-    return any(key[:2] == (mutation.kind, mutation.degree) and key[-1] == mutation for key in _CACHE)
+def mutation_read() -> bool:
+    """Whether a check asked for the class the active mutation corrupts since
+    set_mutation, whether built (its integrality failing or not) or memoized."""
+    return _MUTATION_READ
 
 
 def _finish(
@@ -209,6 +210,9 @@ def _chern_exponents(
 
 
 def _cached(key: tuple, builder) -> UniversalClass:
+    global _MUTATION_READ
+    if _MUTATION is not None and key[:2] == (_MUTATION.kind, _MUTATION.degree):
+        _MUTATION_READ = True
     key += (_MUTATION,)
     got = _CACHE.get(key)
     if got is None:

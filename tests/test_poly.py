@@ -642,6 +642,17 @@ class TestPackedRingAgainstTuples:
         with pytest.raises(AssertionError, match="may leave the packed range"):
             past.substitute({"r": s4}, al)
 
+    def test_substitute_folds_each_field_on_its_own(self):
+        # a carry needs one field to reach 2^16, so large exponents in
+        # different fields fold, the identity included; s -> t sums two of
+        # them in t's field, below 2^16, where the mask guard sees it
+        al = Alphabet([("r", 0), ("s", 0), ("t", 0)])
+        big = GradedPolynomial(al, 0, {(30000, 30000, 30000): 3})
+        assert big.substitute({}, al).terms == big.terms
+        t = GradedPolynomial.variable(al, 0, "t")
+        with pytest.raises(AssertionError, match="outside the packed range"):
+            big.substitute({"s": t}, al)
+
     def test_times_one_minus_past_the_packed_range(self):
         # an exponent of a weight-1 variable is at most the bound, so only a
         # bound of 2^15 or more lets a factor push one out of the packed range
