@@ -10,7 +10,8 @@ on stderr).  ``verify`` emits one JSON object per report, ordered by
 millis is the wall time of the check that produced it, stamped on its first
 report, with 0 on the others).  Every check runs through report.run_check,
 as in the suites: a single-instance query (``verify main-theorem
---geometry ...``) runs each n as its own check, so a falsified n is one
+--geometry ...``) is guarded, parsed, then run by the suite's own loop,
+suites.main_theorem_reports, each n its own check, so a falsified n is one
 failed report and the other n still print.  ``gen`` prints text by default
 and a JSON object with --json.
 """
@@ -32,7 +33,7 @@ from .arith import (
     von_staudt_D,
 )
 from .geometry import VirtualCompleteIntersection
-from .grr import MorphismDatum, check_main_theorem
+from .grr import MorphismDatum
 from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, verify_series_identity
 from .report import FalsificationError, VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES, Mutation, mutation_read, set_mutation
@@ -46,7 +47,7 @@ from .specparse import (
     parse_divisor,
     parse_geometry,
 )
-from .suites import SUITES, suite_all
+from .suites import SUITES, main_theorem_reports, suite_all
 
 DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_DIM = 6
@@ -256,14 +257,8 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     cuts = tuple(scope.divisor_vector(parse_divisor(c)) for c in args.cut)
     source = VirtualCompleteIntersection(scope.tower, cuts)
     morphism = MorphismDatum(source, args.base_levels, args.geometry)
-    n_values = [args.n] if args.n is not None else list(range(0, 4))
-    reports: list[VerificationReport] = []
-    for n in n_values:
-        instance = morphism.instance(sheaf_text, n)
-        reports.extend(
-            run_check("main-theorem", instance, check_main_theorem, morphism, sheaf, n, sheaf_text)
-        )
-    return reports
+    n_values = [args.n] if args.n is not None else range(0, 4)
+    return main_theorem_reports(morphism, [(sheaf_text, sheaf)], n_values)
 
 
 def _refuse_unread(command: str, flags: dict[str, tuple[bool, bool]]) -> None:

@@ -1,13 +1,13 @@
 """Named verification suites: deterministic lists of VerificationReports.
 
-The registered model geometries are the towers of dimension <= 4 over bases
-of dimension <= 2 on which the main identity is exercised for every line
-bundle with divisor coefficients in [-2, 2] and every meaningful codimension
-n <= 3 (codimensions beyond dim(base)+1 carry no content on these bases and
-are skipped; the first vacuous one is kept as a vanishing check).  Each
-is written in the CLI's geometry language, and every tower a suite uses is
-built from such text by geometry_tower, one cache keyed by the text: a
-catalogue report reruns as one `verify main-theorem --geometry` query.
+The main theorem runs over one table, main_theorem_rows, through one loop,
+main_theorem_reports, which the single-instance CLI query shares.  Each
+registered tower X (dim X <= 4) has a row per base prefix S (dim S <= 3), with
+every line bundle of divisor coefficients in [-2, 2] and n <= min(3, dim S + 1)
+(the first vacuous n kept as a vanishing check), and a row for its identity
+morphism; two cut-outs of P3;P2 over P3 close the table.  Every tower is built
+from geometry text by geometry_tower, one cache keyed by the text, so a row
+reruns as `verify main-theorem --geometry` queries.
 
 Suites never raise on a falsified identity: every check runs through
 report.run_check with the check function and its arguments, which turns a
@@ -95,6 +95,28 @@ def model_tower(name: str) -> Tower:
 
 def _sheaf_vectors(n_levels: int, bound: int):
     return product(*(range(-bound, bound + 1) for _ in range(n_levels)))
+
+
+def main_theorem_rows(coefficient_bound: int = 2) -> list[tuple]:
+    """One row per main-theorem source: (label, geometry text, cuts as divisor
+    vectors, base levels, sheaves as (label, twist vector), codimensions)."""
+    rows = []
+    for name, text, bases in MODEL_TOWERS:
+        tower = geometry_tower(text)
+        vecs = _sheaf_vectors(tower.n_levels, coefficient_bound)
+        twists = [("O(" + ",".join(map(str, vec)) + ")", vec) for vec in vecs]
+        for base in bases:
+            n_values = range(0, min(3, tower.prefix(base).dim + 1) + 1)
+            rows.append((f"{name}->prefix{base}", text, (), base, twists, n_values))
+        # identity morphism: no levels collapsed, the error is zero by shape
+        probe = [("O(1,..)", (1,) * tower.n_levels)]
+        n_values = range(0, min(3, tower.dim) + 1)
+        rows.append((f"{name}->self", text, (), tower.n_levels, probe, n_values))
+    p3p2 = "P(trivial 3) over P(trivial 4) over point"
+    return rows + [
+        ("hyperplane-in-P3;P2->P3", p3p2, ((1, 0),), 1, [("O", (0, 0))], range(0, 3)),
+        ("bidegree-hyperplane-in-P3;P2->P3", p3p2, ((1, 1),), 1, [("O(1,0)", (1, 0))], range(0, 3)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +292,27 @@ def suite_projective_bundle() -> list[VerificationReport]:
     return reports
 
 
+def main_theorem_reports(f: MorphismDatum, sheaves, n_values) -> list[VerificationReport]:
+    """The main identity for f on each (label, sheaf) of sheaves at each n,
+    each n its own run_check: the suite's rows and the CLI query alike."""
+    reports: list[VerificationReport] = []
+    for (label, F), n in product(sheaves, n_values):
+        instance = f.instance(label, n)
+        reports += run_check("main-theorem", instance, check_main_theorem, f, F, n, label)
+    return reports
+
+
 def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
     """The main identity (both statement shapes and their regrouping) on every
-    registered instance, identity morphisms, the dimension <= 4 base cases,
-    and the binomial-product Euler-characteristic cross-check."""
+    row of main_theorem_rows, then per registered tower the binomial-product
+    and the cycle-side Euler-characteristic cross-checks."""
     reports: list[VerificationReport] = []
-    for name, text, bases in MODEL_TOWERS:
+    for label, text, cuts, base_levels, twists, n_values in main_theorem_rows(coefficient_bound):
         tower = geometry_tower(text)
-        for base_levels in bases:
-            dim_base = tower.prefix(base_levels).dim
-            n_values = range(0, min(3, dim_base + 1) + 1)
-            f = MorphismDatum(tower, base_levels, f"{name}->prefix{base_levels}")
-            for coeffs in _sheaf_vectors(tower.n_levels, coefficient_bound):
-                F = tower.line(coeffs)
-                label = "O(" + ",".join(map(str, coeffs)) + ")"
-                for n in n_values:
-                    reports += run_check(
-                        "main-theorem", f.instance(label, n), check_main_theorem, f, F, n, label
-                    )
-        # identity morphism: no levels collapsed, the error is zero by shape
-        ident = MorphismDatum(tower, tower.n_levels, f"{name}->self")
-        probe = tower.line((1,) * tower.n_levels)
-        for n in range(0, min(3, tower.dim) + 1):
-            reports += run_check(
-                "main-theorem", ident.instance("O(1,..)", n),
-                check_main_theorem, ident, probe, n, "O(1,..)",
-            )
+        f = MorphismDatum(VirtualCompleteIntersection(tower, cuts), base_levels, label)
+        reports += main_theorem_reports(f, [(s, tower.line(v)) for s, v in twists], n_values)
+    for name, text, _ in MODEL_TOWERS:
+        tower = geometry_tower(text)
         # on a product tower, Euler characteristic against the binomial-product oracle
         if not any(any(vec) for level in tower.levels for vec in level):
             for coeffs in _sheaf_vectors(tower.n_levels, coefficient_bound):
@@ -304,25 +321,12 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
                     "euler-binomial-oracle", instance,
                     _euler_binomial, tower, coeffs, instance,
                 )
-        # cycle-side degree against the K-side Euler characteristic
+        # cycle-side degree against the K-side Euler characteristic, on [-1, 1]^k
         for coeffs in _sheaf_vectors(tower.n_levels, 1):
             instance = f"{name}/O({','.join(map(str, coeffs))})"
             reports += run_check(
                 "euler-hirzebruch-consistency", instance, _euler_hirzebruch,
                 VirtualCompleteIntersection(tower, ()), tower.line(coeffs), instance,
-            )
-
-    # cut-out loci over a base: composite pushforward instances
-    p3p2 = geometry_tower("P(trivial 3) over P(trivial 4) over point")
-    for cuts, label, F, sheaf_label in [
-        (((1, 0),), "hyperplane-in-P3;P2->P3", p3p2.structure_sheaf(), "O"),
-        (((1, 1),), "bidegree-hyperplane-in-P3;P2->P3", p3p2.line((1, 0)), "O(1,0)"),
-    ]:
-        f = MorphismDatum(VirtualCompleteIntersection(p3p2, cuts), 1, label)
-        for n in range(0, 3):
-            reports += run_check(
-                "main-theorem", f.instance(sheaf_label, n),
-                check_main_theorem, f, F, n, sheaf_label,
             )
     return reports
 

@@ -5,16 +5,15 @@ import io
 import json
 import random
 import sys
-from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grrcheck import cli, grr
+from grrcheck import cli, grr, suites
 from grrcheck.cli import main
 from grrcheck.report import FalsificationError
-from grrcheck.suites import MODEL_TOWERS, SUITES, model_tower, suite_main_theorem
+from grrcheck.suites import SUITES, main_theorem_rows, suite_main_theorem
 from grrcheck.series import (
     q_poly,
     todd_inverse_numerator,
@@ -24,8 +23,10 @@ from grrcheck.series import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-# the benchmark's recorded reference outputs, read only
-REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+# the benchmark's recorded reference outputs and catalogue digests, read only
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+REFERENCE = BENCH / "reference.json"
+CATALOGUE_DIGESTS = BENCH / "catalogue_digests.txt"
 
 
 class TestGoldenSerializations:
@@ -663,7 +664,7 @@ class TestExitCodes:
         def engine(*args):
             raise error
 
-        monkeypatch.setattr(cli, "check_main_theorem", engine)
+        monkeypatch.setattr(suites, "check_main_theorem", engine)
         argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point", "-n", "0"]
         assert main(argv) == code
         out, err = capsys.readouterr()
@@ -812,16 +813,19 @@ class TestVerifyAll:
         assert hashlib.sha256(first.encode()).hexdigest() == recorded["sha256"]
 
 
-def _twist_text(coeffs) -> str:
-    """O(a*xi1+...) for a twist vector, as `--sheaf` reads it."""
-    terms = "".join(f"{'-' if a < 0 else '+'}{abs(a)}*xi{k}" for k, a in enumerate(coeffs, 1))
-    return f"O({terms.lstrip('+')})"
+def _vector_text(vec) -> str:
+    """a*xi1+... for a divisor vector, as `--sheaf` and `--cut` read it."""
+    terms = "".join(f"{'-' if a < 0 else '+'}{abs(a)}*xi{k}" for k, a in enumerate(vec, 1))
+    return terms.lstrip("+")
+
+
+ROWS = main_theorem_rows()
 
 
 class TestCatalogueReproduction:
-    """Every catalogue report reruns as one CLI query on the entry's geometry
-    text: same identities, sides and verdicts; the instances differ only by
-    label."""
+    """Every main-theorem row reruns as CLI queries on the row's geometry
+    text, cuts and base levels: same identities, sides and verdicts; the
+    instances differ only by label."""
 
     @pytest.fixture(scope="class")
     def suite_reports(self):
@@ -839,36 +843,34 @@ class TestCatalogueReproduction:
         want = sorted((r.identity, r.lhs, r.rhs, r.verdict) for r in suite_reps)
         assert got == want, argv
 
-    @pytest.mark.parametrize(
-        "name, text, bases", MODEL_TOWERS, ids=[name for name, _, _ in MODEL_TOWERS]
-    )
-    def test_catalogue_tower(self, suite_reports, capsys, name, text, bases):
-        n_levels = model_tower(name).n_levels
-        for base in bases:
-            rng = random.Random(f"reproduce:{name}:{base}")
-            for coeffs in rng.sample(list(product(range(-2, 3), repeat=n_levels)), 4):
-                label = "O(" + ",".join(map(str, coeffs)) + ")"
-                prefix = f"{name}->prefix{base}/sheaf={label}/n="
-                n_values = [int(k[len(prefix):]) for k in suite_reports if k.startswith(prefix)]
-                assert n_values
-                sheaf = _twist_text(coeffs)
-                for n in n_values:
-                    argv = ["verify", "main-theorem", "--geometry", text, "--sheaf", sheaf,
-                            "--base-levels", str(base), "-n", str(n)]
-                    self.assert_query_reproduces(
-                        capsys, suite_reports[f"{prefix}{n}"], argv, f"{text}/sheaf={sheaf}/n={n}"
-                    )
+    def test_prefix_rows_are_the_benchmark_catalogue(self):
+        # the benchmark's catalogue digest file opens with sha256(repr(...)) of
+        # its instances (tower name, base, twist, n), in suite order
+        catalogue = [
+            (label.removesuffix(f"->prefix{base}"), base, vec, n)
+            for label, _, _, base, twists, n_values in ROWS
+            if label.endswith(f"->prefix{base}")
+            for _, vec in twists
+            for n in n_values
+        ]
+        assert len(catalogue) == 9290
+        header = CATALOGUE_DIGESTS.read_text().split()[0]
+        assert hashlib.sha256(repr(catalogue).encode()).hexdigest() == header
 
     @pytest.mark.parametrize(
-        "label, sheaf, cut",
-        [("hyperplane-in-P3;P2->P3/sheaf=O", "O", "xi1"),
-         ("bidegree-hyperplane-in-P3;P2->P3/sheaf=O(1,0)", "O(xi1)", "xi1 + xi2")],
+        "label, text, cuts, base, twists, n_values", ROWS, ids=[row[0] for row in ROWS]
     )
-    def test_cut_out_source(self, suite_reports, capsys, label, sheaf, cut):
-        text = "P(trivial 3) over P(trivial 4) over point"
-        for n in range(0, 3):
-            argv = ["verify", "main-theorem", "--geometry", text, "--sheaf", sheaf,
-                    "--base-levels", "1", "-n", str(n), "--cut", cut]
-            self.assert_query_reproduces(
-                capsys, suite_reports[f"{label}/n={n}"], argv, f"{text}/sheaf={sheaf}/n={n}"
-            )
+    def test_row(self, suite_reports, capsys, label, text, cuts, base, twists, n_values):
+        # four seeded twists of a prefix row; the one sheaf of any other row
+        rng = random.Random(f"reproduce:{label}")
+        for sheaf_label, vec in rng.sample(twists, min(4, len(twists))):
+            sheaf = f"O({_vector_text(vec)})"
+            for n in n_values:
+                argv = ["verify", "main-theorem", "--geometry", text, "--sheaf", sheaf,
+                        "--base-levels", str(base), "-n", str(n)]
+                for cut in cuts:
+                    argv += ["--cut", _vector_text(cut)]
+                self.assert_query_reproduces(
+                    capsys, suite_reports[f"{label}/sheaf={sheaf_label}/n={n}"], argv,
+                    f"{text}/sheaf={sheaf}/n={n}",
+                )

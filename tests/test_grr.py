@@ -37,7 +37,7 @@ from grrcheck.grr import (
     evaluate_universal,
     grr_error,
 )
-from grrcheck.report import FalsificationError, run_check
+from grrcheck.report import FalsificationError
 from grrcheck.series import (
     Mutation,
     q_poly,
@@ -51,6 +51,7 @@ from grrcheck.suites import (
     MODEL_TOWERS,
     _euler_hirzebruch,
     geometry_tower,
+    main_theorem_reports,
     model_tower,
     suite_divisor_calculus,
     suite_immersion,
@@ -625,12 +626,8 @@ def main_theorem_on_p2_f1_and_twist():
             f = MorphismDatum(tower, base, f"{name}->prefix{base}")
             for coeffs in product(range(-1, 2), repeat=tower.n_levels):
                 line = tower.line(coeffs)
-                for label, F in ((f"O{coeffs}", line), (f"O{coeffs}+O(1,..)", line + ones)):
-                    for n in range(0, min(3, f.target.dim + 1) + 1):
-                        reports += run_check(
-                            "main-theorem", f.instance(label, n),
-                            check_main_theorem, f, F, n, label,
-                        )
+                sheaves = [(f"O{coeffs}", line), (f"O{coeffs}+O(1,..)", line + ones)]
+                reports += main_theorem_reports(f, sheaves, range(0, min(3, f.target.dim + 1) + 1))
     return reports
 
 
