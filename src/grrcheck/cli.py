@@ -1,19 +1,20 @@
 """Command line front end: generators and verification suites.
 
 Exit codes: 0 all checks pass, 1 at least one identity falsified, 2 usage or
-input error (including a flag the chosen suite or gen kind does not read), 3
-stdout closed before the output was written (e.g. piped into ``head``) or an
-internal invariant failed, 130 interrupted (SIGINT; one ``interrupted`` line
-on stderr).  ``verify`` emits one JSON object per report, ordered by
-(identity, instance); the stream is byte-identical across runs unless
---timing is given (timing is the only nondeterministic field: each report's
-millis is the wall time of the check that produced it, stamped on its first
-report, with 0 on the others).  Every check runs through report.run_check,
-as in the suites: a single-instance query (``verify main-theorem
---geometry ...``) is guarded, parsed, then run by the suite's own loop,
-suites.main_theorem_reports, each n its own check, so a falsified n is one
-failed report and the other n still print.  ``gen`` prints text by default
-and a JSON object with --json.
+input error (an InputError, which only the CLI's input raises, including a
+flag the chosen suite or gen kind does not read), 3 stdout closed before the
+output was written (e.g. piped into ``head``) or any other failure, such as a
+broken invariant (one ``internal error:`` line on stderr), 130 interrupted
+(SIGINT; one ``interrupted`` line on stderr).  ``verify`` emits one JSON
+object per report, ordered by (identity, instance); the stream is
+byte-identical across runs unless --timing is given (timing is the only
+nondeterministic field: each report's millis is the wall time of the check
+that produced it, stamped on its first report, with 0 on the others).  Every
+check runs through report.run_check, as in the suites: a single-instance
+query (``verify main-theorem --geometry ...``) is guarded, parsed, then run
+by the suite's own loop, suites.main_theorem_reports, each n its own check,
+so a falsified n is one failed report and the other n still print.  ``gen``
+prints text by default and a JSON object with --json.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .arith import (
 )
 from .geometry import VirtualCompleteIntersection
 from .grr import MorphismDatum
-from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, verify_series_identity
+from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES
 from .report import FalsificationError, VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES, Mutation, mutation_read, set_mutation
 from .specparse import (
@@ -305,8 +306,8 @@ def cmd_verify(args) -> int:
             reports = suite() if args.max_degree is None else suite(args.max_degree)
         else:
             max_degree = args.max_degree if args.max_degree is not None else 8
-            name, instance = args.suite, IDENTITY_INSTANCES[args.suite](max_degree)
-            reports = run_check(name, instance, verify_series_identity, name, max_degree)
+            instance = IDENTITY_INSTANCES[args.suite](max_degree)
+            reports = run_check(args.suite, instance, IDENTITY_CHECKS[args.suite], max_degree)
         if mutation and not mutation_read():
             print(
                 f"note: no check built {mutation.kind} of degree {mutation.degree}, "
@@ -337,9 +338,6 @@ def _run(args) -> int:
             ).to_json()
         )
         return 1
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,6 +362,10 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
         except OSError:
             pass  # a stream without a descriptor holds nothing to flush at exit
+        return 3
+    except Exception as exc:  # neither usage nor falsification: _run handled those
+        prefix = "" if isinstance(exc, AssertionError) else f"{type(exc).__name__}: "
+        print(f"internal error: {prefix}{exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -32,7 +32,7 @@ the bundle is the Proj of the symmetric algebra and the hyperplane class is
 the first Chern class of its tautological quotient line bundle.
 
 Each class constructor takes over terms already clean (see the classes).
-Outside input reaches the rings only through Tower.line, which checks the
+Outside input reaches the rings only through Tower.line, which asserts the
 arity, and the class operations, each of which keeps its result clean.
 
 Chow classes have integer coefficients on that basis, stored as a
@@ -120,12 +120,12 @@ class Tower:
         k = self.n_levels - 1
         top = self.levels[k]
         if not top:
-            raise InputError(f"level {k + 1} has no line summands")
+            raise AssertionError(f"level {k + 1} has no line summands")
         if self.ranks[k] >= 1 << 14:  # so that no sum of two Chow keys carries
             raise InputError(f"level {k + 1} has rank {self.ranks[k]}; a rank must be below 16384")
         for vec in top:
             if len(vec) != k:
-                raise InputError(
+                raise AssertionError(
                     f"level {k + 1} summand {vec} must reference exactly the "
                     f"{k} earlier hyperplanes"
                 )
@@ -249,7 +249,7 @@ class Tower:
     def line(self, vec: DivisorVector) -> "KClass":
         vec = self._pad(tuple(vec))
         if len(vec) != self.n_levels:
-            raise InputError("line symbol has wrong arity for the tower")
+            raise AssertionError("line symbol has wrong arity for the tower")
         return KClass(self, {vec: 1})
 
     def structure_sheaf(self) -> "KClass":
@@ -301,7 +301,7 @@ class ChowClass:
 
     def _check(self, other: "ChowClass") -> None:
         if self.tower is not other.tower:
-            raise InputError("classes live on different towers")
+            raise AssertionError("classes live on different towers")
 
     def _combine(self, other: "ChowClass", sign: int) -> "ChowClass":
         self._check(other)
@@ -357,8 +357,6 @@ class ChowClass:
 def pushforward_chow(alpha: ChowClass, n_collapse: int) -> ChowClass:
     """Push forward along the structure morphism collapsing the top n levels."""
     tower = alpha.tower
-    if not 0 <= n_collapse <= tower.n_levels:
-        raise InputError("cannot collapse more levels than the tower has")
     terms = alpha.terms
     current = tower
     for _ in range(n_collapse):
@@ -387,7 +385,7 @@ class KClass:
 
     def _check(self, other: "KClass") -> None:
         if self.tower is not other.tower:
-            raise InputError("classes live on different towers")
+            raise AssertionError("classes live on different towers")
 
     def rank(self) -> int:
         return sum(self.line_terms.values())
@@ -428,8 +426,6 @@ class KClass:
         of L^a in one factor is s^a binom(s m_L, a), a polynomial in m_L, so
         this holds for every virtual class.  The product is taken one symbol
         at a time; with only_n the last symbol only tops each degree up to n."""
-        if n < 0:
-            raise InputError(f"{'wedge' if s > 0 else 'sym'} index must be >= 0")
         parts = {0: {(0,) * self.tower.n_levels: 1}}
         items = sorted(self.line_terms.items())
         for i, (vec, m) in enumerate(items):
@@ -499,8 +495,6 @@ class KClass:
 def pushforward_k(f: KClass, n_collapse: int) -> KClass:
     """K-theoretic pushforward collapsing the top n levels of the tower."""
     tower = f.tower
-    if not 0 <= n_collapse <= tower.n_levels:
-        raise InputError("cannot collapse more levels than the tower has")
     current = tower
     terms: dict[DivisorVector, int] = f.line_terms
     for _ in range(n_collapse):
@@ -515,7 +509,7 @@ def pushforward_k(f: KClass, n_collapse: int) -> KClass:
 def pullback_k(f: KClass, tower: Tower) -> KClass:
     k = f.tower.n_levels
     if tower.prefix(k) is not f.tower:
-        raise InputError("source is not a prefix of the target tower")
+        raise AssertionError("source is not a prefix of the target tower")
     pad = tower.n_levels - k
     return KClass(tower, {v + (0,) * pad: c for v, c in f.line_terms.items()})
 

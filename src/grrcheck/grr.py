@@ -245,8 +245,6 @@ def corollary_sides(
     tangent difference (relative-dimension >= 0 form), from s_n(f_*[F]) and
     the source images of _instance_images."""
     d = f.relative_dimension
-    if d < 0:
-        raise InputError("the corollary form needs relative dimension >= 0")
     rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=True))
     return s_n.scale(todd_ratio(d + n, n, 0)), rhs
 
@@ -522,13 +520,8 @@ class FormalFibration(Record):
             degree = p.degree_of(mono)
             if degree < self.d:
                 continue
-            name = self.table.get(mono)
-            if name is None:
-                raise InputError(
-                    f"no pushforward symbol registered for fiber monomial {mono}"
-                )
             out = out + GradedPolynomial.variable(
-                self.symbols, self.truncation, name
+                self.symbols, self.truncation, self.table[mono]
             ).scale(coeff)
         return out
 
@@ -537,8 +530,6 @@ def kappa_expected(n: int) -> tuple[Fraction, str]:
     """The displayed right side for the relative-curve identity in degree n:
     0 for even n >= 2, and the integer T_{n+1} B_{n+1} / (n+1)! times the
     tautological class for odd n."""
-    if n < 1:
-        raise InputError("degree must be >= 1")
     if n >= 2 and n % 2 == 0:
         return Fraction(0), ""
     coeff = (
@@ -635,7 +626,7 @@ def euler_characteristic_via_chow(
     side's chi(koszul_class(F)), when the theory holds."""
     f = MorphismDatum(source, 0)
     if F.tower is not f.ambient:
-        raise InputError("class does not live on the given tower")
+        raise AssertionError("class does not live on the given tower")
     dim = f.source.dim
     top = _source_ct(f, _sheaf_images(F, dim), dim, relative=False)
     return Fraction(chow_degree(top), todd_denominator(dim).value)

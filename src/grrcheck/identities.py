@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .arith import InputError, exact_ratio, todd_denominator, todd_ratio
+from .arith import exact_ratio, todd_denominator, todd_ratio
 from .poly import (
     Alphabet,
     GradedPolynomial,
@@ -355,16 +355,10 @@ def howe_reduce(r: int, a: int, degree_bound: int) -> list[GradedPolynomial]:
     classes, and the relation is the monic T^{r+1} = -sum_{j>=1} (-1)^j c_j
     T^{r+1-j}.
 
-    Returns [f_0, ..., f_r] with the reduced series equal to
-    sum_j f_j(c1..c_{r+1}) * T^j; the entry f_j is exact through total degree
-    degree_bound - j in the Chern classes of the bundle.
+    For r >= 1 and degree_bound >= r, returns [f_0, ..., f_r] with the reduced
+    series equal to sum_j f_j(c1..c_{r+1}) * T^j; the entry f_j is exact
+    through total degree degree_bound - j in the Chern classes of the bundle.
     """
-    if r < 1:
-        raise InputError("bundle rank parameter must be >= 1")
-    if degree_bound < r:
-        raise InputError(
-            f"degree bound {degree_bound} cannot determine the T^{r} coefficient"
-        )
     n, bound = r + 1, degree_bound
     al = join_alphabets(weighted_alphabet("c", n), Alphabet([("T", 1)]))
     t = GradedPolynomial.variable(al, bound, "T")
@@ -399,6 +393,11 @@ def howe_reduce(r: int, a: int, degree_bound: int) -> list[GradedPolynomial]:
     ]
 
 
+def howe_instance(r: int, a: int) -> str:
+    """The instance text of a howe_claims report; a = -r names the first."""
+    return f"rank parameter r={r}, twist a={a}"
+
+
 def howe_claims(r: int, degree_bound: int) -> list[VerificationReport]:
     """The leading-coefficient claims: f_r = 1 at twist 0, f_r = 0 at twists
     -r..-1, each through total degree degree_bound - r."""
@@ -414,7 +413,7 @@ def howe_claims(r: int, degree_bound: int) -> list[VerificationReport]:
         reports.append(
             VerificationReport.compare(
                 "bundle-series-reduction",
-                f"rank parameter r={r}, twist a={a}",
+                howe_instance(r, a),
                 fr.serialize(),
                 target.serialize(),
                 notes=f"leading coefficient exact through degree {degree_bound - r}",
@@ -455,10 +454,3 @@ IDENTITY_INSTANCES = {
     "todd-restriction-substitution": "degrees 0..{}".format,
     "immersion-todd-decomposition": "ranks 1..3, degrees up to {}".format,
 }
-
-
-def verify_series_identity(name: str, max_degree: int) -> VerificationReport:
-    """Run one registered identity check through the given degree."""
-    if name not in IDENTITY_CHECKS:
-        raise InputError(f"unknown identity {name!r}; known: {', '.join(sorted(IDENTITY_CHECKS))}")
-    return IDENTITY_CHECKS[name](max_degree)

@@ -213,9 +213,9 @@ class Alphabet:
             return got
         names = tuple(n for n, _ in variables)
         if len(set(names)) != len(names):
-            raise InputError(f"duplicate variable names in alphabet: {list(names)}")
+            raise AssertionError(f"duplicate variable names in alphabet: {list(names)}")
         if any(w < 0 for _, w in variables):
-            raise InputError("variable weights must be >= 0")
+            raise AssertionError("variable weights must be >= 0")
         self = object.__new__(cls)
         self.variables, self._names = variables, names
         self.weights = tuple(w for _, w in variables)
@@ -226,10 +226,7 @@ class Alphabet:
         return _ALPHABETS.setdefault(variables, self)
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise InputError(f"unknown variable {name!r}") from None
+        return self._index[name]
 
     def names(self) -> tuple[str, ...]:
         return self._names
@@ -272,7 +269,7 @@ class GradedPolynomial:
         terms: Mapping[Monomial, Scalar] | None = None,
     ):
         if truncation < 0:
-            raise InputError("truncation bound must be >= 0")
+            raise AssertionError("truncation bound must be >= 0")
         self.alphabet = alphabet
         self.truncation = truncation
         self._terms = None
@@ -282,7 +279,7 @@ class GradedPolynomial:
             nvars = len(alphabet.weights)
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
-                    raise InputError(f"monomial {mono} has wrong arity for {alphabet!r}")
+                    raise AssertionError(f"monomial {mono} has wrong arity for {alphabet!r}")
                 c = _scalar(coeff)
                 if c and keys[mono] < limit:
                     clean[keys[mono]] = c
@@ -357,7 +354,7 @@ class GradedPolynomial:
 
     def _check_compatible(self, other: "GradedPolynomial") -> int:
         if self.alphabet is not other.alphabet:
-            raise InputError("alphabet mismatch")
+            raise AssertionError("alphabet mismatch")
         return min(self.truncation, other.truncation)
 
     def _linear(self, other: "GradedPolynomial", sign: int) -> "GradedPolynomial":
@@ -424,7 +421,7 @@ class GradedPolynomial:
         for names, e in factors:
             steps = [keys[tuple(int(j == i) for j in range(n))] for i in map(alphabet.index, names)]
             if e not in (1, -1) or any(step >> shift != 1 for step in steps):  # degree = weight
-                raise InputError(f"factor {names}, {e}: not weight-1 variables with e = +-1")
+                raise AssertionError(f"factor {names}, {e}: not weight-1 variables with e = +-1")
             for d in range(bound, 0, -1) if e == 1 else range(1, bound + 1):
                 part, below = parts[d], parts[d - 1].items()
                 for step in steps:
@@ -442,7 +439,7 @@ class GradedPolynomial:
 
     def power(self, k: int) -> "GradedPolynomial":
         if k < 0:
-            raise InputError("negative power")
+            raise AssertionError("negative power")
         result = GradedPolynomial.constant(self.alphabet, self.truncation, 1)
         base = self
         while k:
@@ -467,7 +464,7 @@ class GradedPolynomial:
         polynomial is exact, not a truncated series.
         """
         if bound < 0:
-            raise InputError("truncation bound must be >= 0")
+            raise AssertionError("truncation bound must be >= 0")
         packed = self.packed
         if bound < self.truncation:
             limit = (bound + 1) << self.alphabet.shift
@@ -503,7 +500,7 @@ class GradedPolynomial:
             + [p.truncation for p in polys]
         )
         if any(p.alphabet is not target for p in polys):
-            raise InputError("substitution images live in different alphabets")
+            raise AssertionError("substitution images live in different alphabets")
         terms, names = self.terms, self.alphabet.names()
         tops = [max(column) for column in zip(*terms)] if terms else [0] * len(names)
         limit, grouped = (bound + 1) << target.shift, {}
@@ -558,7 +555,7 @@ class GradedPolynomial:
         for i, (name, w) in enumerate(self.alphabet.variables):
             j = target.index(name)
             if target.weights[j] != w:
-                raise InputError(f"weight mismatch embedding {name}")
+                raise AssertionError(f"weight mismatch embedding {name}")
             low, high = 16 * (n - 1 - i), 16 * (len(target) - 1 - j)
             if runs and runs[-1][2] == high + 16:
                 runs[-1] = [low, runs[-1][1] + 1, high]
@@ -642,7 +639,7 @@ def substitute_terms(
     names: Sequence[str],
     images: Mapping[str, Any],
     one: Any,
-    keep: Sequence[str] = (),
+    keep: Sequence[str],
 ) -> dict[Monomial, Any]:
     """Substitute ring elements and scalars for the variables of a term map
     with scalar coefficients: the compile of grrcheck.grr.evaluate_universal,
@@ -876,7 +873,7 @@ def reduce_orbit_to_elementary(
     while work:
         lam = max(work)
         if len(lam) > n_roots:
-            raise InputError(f"orbit {lam} impossible with {n_roots} roots")
+            raise AssertionError(f"orbit {lam} impossible with {n_roots} roots")
         if last is not None and lam >= last:
             # e_eta has leading orbit lam with coefficient 1, so lam must go
             raise AssertionError("elimination did not lower the leading orbit")
@@ -921,7 +918,7 @@ def newton_power_sum(k: int) -> "GradedPolynomial":
     """
     alph = weighted_alphabet("e", k)
     if k == 0:
-        raise InputError("power sums start at k = 1")
+        raise AssertionError("power sums start at k = 1")
     prev = [newton_power_sum(j).embed(alph).with_bound(k) for j in range(1, k)]
     total = GradedPolynomial.zero(alph, k)
     for i in range(1, k):
@@ -937,8 +934,6 @@ def newton_power_sum(k: int) -> "GradedPolynomial":
 
 
 def series_invert(a: Sequence[Scalar], n: int) -> list[Scalar]:
-    if a[0] == 0:
-        raise InputError("series is not invertible (zero constant term)")
     inv0 = Fraction(1, a[0])
     out = [inv0] + [Fraction(0)] * n
     for k in range(1, n + 1):

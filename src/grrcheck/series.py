@@ -104,7 +104,7 @@ def exp_series(n: int, a: int | Fraction = 1) -> list[Fraction]:
 def apply_series(coeffs: list[Fraction], p: GradedPolynomial) -> GradedPolynomial:
     """sum coeffs[k] * p^k for a polynomial p with zero constant term."""
     if p.coefficient() != 0:
-        raise InputError("series composition needs zero constant term")
+        raise AssertionError("series composition needs zero constant term")
     total = GradedPolynomial.constant(p.alphabet, p.truncation, coeffs[0])
     power = GradedPolynomial.constant(p.alphabet, p.truncation, 1)
     for k in range(1, min(len(coeffs) - 1, p.truncation) + 1):

@@ -403,10 +403,8 @@ def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:
         total = evaluate_class(ast.inner, scope).dual()
     elif isinstance(ast, ClassWedge):
         total = evaluate_class(ast.inner, scope).wedge(ast.index)
-    elif isinstance(ast, ClassSym):
+    else:  # ClassSym, the last of the closed set of node types
         total = evaluate_class(ast.inner, scope).sym(ast.index)
-    else:
-        raise InputError(f"unhandled class node {ast!r}")
     for sign, right in reversed(spine):
         value = evaluate_class(right, scope)
         total = total + value if sign > 0 else total - value

@@ -48,7 +48,7 @@ from .grr import (
     immersion_instance,
     kappa_expected,
 )
-from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, howe_claims, verify_series_identity
+from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, howe_claims, howe_instance
 from .report import VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES
 from .specparse import build_geometry, parse_geometry
@@ -246,7 +246,7 @@ def suite_series_identities(max_degree: int = 8) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for name in sorted(IDENTITY_CHECKS):
         instance = IDENTITY_INSTANCES[name](max_degree)
-        reports += run_check(name, instance, verify_series_identity, name, max_degree)
+        reports += run_check(name, instance, IDENTITY_CHECKS[name], max_degree)
     return reports
 
 
@@ -277,7 +277,7 @@ def suite_projective_bundle() -> list[VerificationReport]:
     and structure-sheaf pushforward facts on model bundles."""
     reports: list[VerificationReport] = []
     for r in range(1, 5):
-        reports += run_check("bundle-series-reduction", f"r={r}", howe_claims, r, r + 4)
+        reports += run_check("bundle-series-reduction", howe_instance(r, -r), howe_claims, r, r + 4)
     # (identity, instance, line bundle, its pushforward one level down)
     pushes = []
     for r in range(1, 4):

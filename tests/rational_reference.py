@@ -38,7 +38,9 @@ def substitute_on_tower(poly: GradedPolynomial, tower: Tower, images: dict) -> C
     """A polynomial with Fraction coefficients (a series part) at tower
     classes and scalars, one image per variable, by one substitute_terms
     pass; grrcheck.grr.evaluate_universal reads only integral numerators."""
-    grouped = substitute_terms(poly.terms, poly.alphabet.names(), images, tower.unit_chow())
+    grouped = substitute_terms(
+        poly.terms, poly.alphabet.names(), images, tower.unit_chow(), keep=()
+    )
     return grouped.get((), tower.zero_chow())
 
 

@@ -95,12 +95,6 @@ class TestDivisibilityLemma:
                         denom *= todd_denominator(x).value
                     assert q * denom == todd_denominator(m).value
 
-    def test_precondition(self):
-        with pytest.raises(InputError):
-            check_divisibility_lemma([3], [3], 5)
-        with pytest.raises(InputError):
-            check_divisibility_lemma([0], [], 3)
-
     @given(st.lists(st.integers(1, 6), min_size=0, max_size=4), st.data())
     def test_random_compositions(self, todds, data):
         total = sum(todds)

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 REFERENCE = BENCH / "reference.json"
 CATALOGUE_DIGESTS = BENCH / "catalogue_digests.txt"
+SRC = Path(__file__).resolve().parent.parent / "src" / "grrcheck"
 
 
 class TestGoldenSerializations:
@@ -170,21 +172,25 @@ class TestVerify:
         assert first["schema"] == "1"
 
     @pytest.mark.parametrize(
-        "target,falsified",
+        "target,spec,falsified",
         [
-            ("series-identities", {"chern-multiplicativity", "divisor-todd-vs-ct",
-                                   "top-chern-from-wedges"}),
-            ("chern-multiplicativity", {"chern-multiplicativity"}),
+            ("series-identities", "ch:2:0:1/2", {"chern-multiplicativity", "divisor-todd-vs-ct",
+                                                 "top-chern-from-wedges"}),
+            ("chern-multiplicativity", "ch:2:0:1/2", {"chern-multiplicativity"}),
+            # howe_claims and the suite both name a report by howe_instance
+            ("projective-bundle", "todd:2:0:1/2", {"bundle-series-reduction"}),
         ],
     )
-    def test_failed_series_identities_name_the_passing_instances(self, target, falsified, capsys):
+    def test_failed_series_identities_name_the_passing_instances(
+        self, target, spec, falsified, capsys
+    ):
         # the check, the suite and a single-identity query name a report
         # through one formatter per identity, so a falsified check carries
         # the instance of its passing report
         assert main(["verify", target]) == 0
         lines = map(json.loads, capsys.readouterr().out.splitlines())
         clean = {(r["identity"], r["instance"]) for r in lines}
-        assert main(["verify", target, "--mutate", "ch:2:0:1/2"]) == 1
+        assert main(["verify", target, "--mutate", spec]) == 1
         lines = map(json.loads, capsys.readouterr().out.splitlines())
         failed = {(r["identity"], r["instance"]) for r in lines if r["verdict"] == "fail"}
         assert {identity for identity, _ in failed} == falsified
@@ -657,10 +663,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "error,code",
-        [(AssertionError("invariant broken"), 3), (FalsificationError("claim broken"), 1)],
+        "error,code,message",
+        [
+            (AssertionError("invariant broken"), 3, "invariant broken"),
+            (KeyError("simulated"), 3, "KeyError: 'simulated'"),
+            (FalsificationError("claim broken"), 1, None),
+        ],
     )
-    def test_engine_error_exit_code(self, monkeypatch, capsys, error, code):
+    def test_engine_error_exit_code(self, monkeypatch, capsys, error, code, message):
         def engine(*args):
             raise error
 
@@ -669,7 +679,7 @@ class TestExitCodes:
         assert main(argv) == code
         out, err = capsys.readouterr()
         if code == 3:
-            assert (out, err) == ("", "internal error: invariant broken\n")
+            assert (out, err) == ("", f"internal error: {message}\n")
         else:
             assert json.loads(out)["verdict"] == "fail" and err == ""
 
@@ -752,6 +762,124 @@ class TestExitCodes:
             assert lines and all(r["verdict"] == "pass" for r in lines), argv
         else:
             assert out.getvalue() == "", argv
+
+
+QUERY = ["verify", "main-theorem", "--geometry"]
+P1 = "P(trivial 2) over point"
+# One cli.main call per usage-error site in src: each raise of InputError,
+# ParseError, ScopeError or argparse.ArgumentTypeError, and each syntax error
+# the parser raises (self.error).  (argv, the last line of stderr after
+# "error: ")
+USAGE_ERRORS = [
+    # arith
+    (["gen", "tm", "--m", "-1"], "degree must be >= 0, got -1"),
+    (["gen", "bernoulli", "--n", "-1"], "index must be >= 0, got -1"),
+    (["gen", "D", "--g", "0"], "g must be >= 1, got 0"),
+    (["gen", "L", "--n", "0"], "n must be >= 1, got 0"),
+    # cli
+    (["gen", "todd"], "--degree is required for this kind"),
+    (["gen", "todd", "--degree", "13"],
+     "degree 13 exceeds the resource guard; raise it with --max-degree"),
+    (["gen", "toddinv", "--degree", "3"], "--rank is required for toddinv"),
+    (["gen", "bernoulli"], "--n is required for bernoulli"),
+    (["gen", "tm"], "--m is required for tm"),
+    (["gen", "tm", "--m", "1750"], "tm value exceeds the 4300-digit limit of decimal text"),
+    (["verify", "kappa", "--mutate", "todd:2:0"],
+     "bad mutation spec 'todd:2:0': not enough values to unpack (expected 4, got 3)"),
+    (["verify", "kappa", "--mutate", "foo:1:0:1"],
+     "bad mutation spec 'foo:1:0:1': unknown kind 'foo' (known: todd, ch, ct, q, toddinv)"),
+    (["verify", "kappa", "--mutate", "todd:-1:0:1"],
+     "bad mutation spec 'todd:-1:0:1': degree and index must be >= 0"),
+    (QUERY + ["P(trivial 8) over point"],
+     "geometry dimension 7 exceeds the guard 6; raise it with --max-dim"),
+    (QUERY + [P1, "-n", "8"],
+     "codimension 8 exceeds the guard 7 (--max-dim + 1); raise it with --max-dim"),
+    (["verify", "kappa", "--max-degree", "3"], "--max-degree not used by verify kappa"),
+    (["verify", "nope"], "unknown suite or identity 'nope'; known: " + ", ".join(
+        sorted({*SUITES, *cli.IDENTITY_CHECKS, "all"}))),
+    (["verify", "integrality", "--max-degree", "-1"],
+     "argument --max-degree: expected an integer >= 0, got '-1'"),
+    # geometry
+    (["verify", "main-theorem", "--max-dim", "20000", "--geometry",
+      "P(trivial 16385) over point", "-n", "0"],
+     "level 1 has rank 16384; a rank must be below 16384"),
+    (QUERY + [P1, "--base-levels", "5"], "base levels 5 outside 0..1"),
+    (QUERY + [P1, "--cut", "h", "--cut", "h"], "more cuts than the ambient dimension"),
+    # grr
+    (QUERY + [P1, "-n", "-1"], "codimension must be >= 0"),
+    # poly: a literal under the int-digit limit whose class text is over it
+    (QUERY + ["P(trivial 3) over point", "--sheaf", f"O({'9' * 4000}*h)", "-n", "0"],
+     "class text exceeds the 4300-digit limit of decimal text"),
+    # series
+    (["verify", "kappa", "--mutate", "ct:2:99:1"], "mutation index 99 out of range for ct"),
+    (["gen", "todd", "--degree", "-1"], "degree must be >= 0"),
+    (["gen", "ch", "--degree", "-1"], "degree must be >= 0"),
+    (["gen", "ct", "--degree", "-1"], "degree must be >= 0"),
+    (["gen", "q", "--degree", "0"], "degree must be >= 1"),
+    (["gen", "toddinv", "--degree", "1", "--rank", "2"], "need m >= r >= 1"),
+    # specparse
+    (QUERY + [P1 + "!"], "unexpected character '!' (line 1, column 24)"),
+    (QUERY + [P1, "--sheaf", f"O({'9' * 5000}*h)"],
+     "integer of 5000 digits exceeds the 4300-digit limit (line 1, column 3)"),
+    (QUERY + ["P(trivial 2 over point"], "expected ')', found 'over' (line 1, column 13)"),
+    (QUERY + [P1, "--sheaf", "(" * 101 + "O" + ")" * 101],
+     "nesting deeper than 100 levels (line 1, column 101)"),
+    (QUERY + [P1 + " point"], "trailing input 'point' (line 1, column 25)"),
+    (QUERY + [P1, "--sheaf", "O(3)"],
+     "an integer divisor must be 0 (write k*name for multiples) (line 1, column 3)"),
+    (QUERY + ["nowhere"], "expected a geometry, found 'nowhere' (line 1, column 1)"),
+    (QUERY + ["P(trivial 0) over point"],
+     "trivial bundle needs at least one summand (line 1, column 11)"),
+    (QUERY + [P1, "--sheaf", "E"], "expected a class expression, found 'E' (line 1, column 1)"),
+    (QUERY + [P1, "--sheaf", "O(zz)"], "unknown symbol 'zz'"),
+    (QUERY + ["P(trivial 2) as F over P(trivial 2) as F over point"], "alias 'F' bound twice"),
+    (QUERY + ["P(trivial 2) as xi2 over point"],
+     "alias 'xi2' on level 1 is another level's name"),
+]
+# a usage-error site: a raise of an error that the CLI turns into exit 2
+USAGE_RAISE = re.compile(
+    r"raise (InputError|ParseError|ScopeError|self\.error|argparse\.ArgumentTypeError)\("
+)
+
+
+class TestUsageErrors:
+    """Every usage error comes from the command line: each site is reached by
+    one cli.main call of USAGE_ERRORS, which exits 2 with nothing on stdout
+    and the site's message on stderr."""
+
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+    def test_exits_two_with_its_message(self, argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: {message}\n"), err
+
+    def test_every_site_is_reached_by_the_table(self):
+        sites = {
+            (path.name, number)
+            for path in SRC.glob("*.py")
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if USAGE_RAISE.search(line)
+        }
+        executed = set()
+
+        def trace(frame, event, arg):
+            path = Path(frame.f_code.co_filename)
+            if path.parent.resolve() != SRC:
+                return None
+            if event == "line":
+                executed.add((path.name, frame.f_lineno))
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = [main(argv) for argv, _ in USAGE_ERRORS]
+        finally:
+            sys.settrace(previous)
+        assert codes == [2] * len(USAGE_ERRORS)
+        assert len(sites) == len(USAGE_ERRORS), sorted(sites)
+        assert sorted(sites - executed) == []
 
 
 class TestDegreeBounds:

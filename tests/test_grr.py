@@ -816,7 +816,7 @@ class TestImmersion:
         p3 = Tower([[()] * 4])
         other = Tower([[()] * 4])
         z = VirtualCompleteIntersection(other, ((1,),))
-        with pytest.raises(InputError):
+        with pytest.raises(AssertionError, match="classes live on different towers"):
             check_immersion(z, p3.structure_sheaf(), 1, "P3")
 
 
@@ -973,15 +973,6 @@ class TestHirzebruchConsistencyWideCoefficients:
 
 
 class TestFormalFibration:
-    def test_unregistered_monomial_rejected(self):
-        fib = FormalFibration.relative_surface()
-        from grrcheck.poly import GradedPolynomial
-
-        w = GradedPolynomial.variable(fib.fiber, fib.truncation, "w")
-        stray = w.power(2)  # degree 2 >= d with no registered symbol
-        with pytest.raises(InputError):
-            fib.pushforward(stray)
-
     def test_low_degrees_killed(self):
         fib = FormalFibration.relative_curve(4)
         from grrcheck.poly import GradedPolynomial
