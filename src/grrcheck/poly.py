@@ -70,16 +70,20 @@ e_eta of elementary functions counts the 0-1 matrices with row sums eta and
 column sums lambda (Macdonald, Symmetric Functions, I.6), and every lambda has
 at most |eta| parts; so all root counts n >= |eta| share one expansion, and a
 smaller n keeps only the lambda of length <= n.  Each expansion multiplies in
-its last factor e_a by the lowerings of every target orbit gamma, and those
-depend on (gamma, a) alone, so _LOWERINGS builds them once as a tuple.  The
+its last factor e_a forward: every term of the expansion without it is raised
+at a distinct entries, and those raisings depend on the term, a and the root
+count alone, so _RAISINGS builds them once as a tuple of places in the
+lex-descending list of partitions, where the sums are kept.  The elimination takes
+its leading orbits in turn from the lex-descending list of partitions.  The
 change of basis between the e-products and the orbits is integral and
-unitriangular, so an orbit with integer coefficients (grrcheck.series scales
-each expansion by its cleared denominator first) eliminates entirely in int
-arithmetic, and one that is not integral leaves a Fraction in the result.
+unitriangular, so an orbit with integer coefficients (orbit_from_product
+clears the per-root series' denominators once, and grrcheck.series scales by
+the class denominator) eliminates entirely in int arithmetic, and one that is
+not integral leaves a Fraction in the result.
 
 Polynomials are immutable after construction (the tuple view is written
 once, on its first read) and may share their term dicts;
-the expansion and lowering memo tables, the key memos, the monomial texts and
+the expansion and raising memo tables, the key memos, the monomial texts and
 the alphabet table are insert-only maps of immutable values (safe to share
 across threads in CPython, or keep per task).
 """
@@ -89,6 +93,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import groupby
 from math import comb, lcm
 from operator import add, mul, or_
 from struct import Struct
@@ -736,46 +741,54 @@ def partitions(n: int, max_part: int, max_len: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def conjugate_partition(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
 
 
-def _lowerings(gamma: Partition, a: int) -> tuple[tuple[Partition, int], ...]:
-    """Every partition reached by lowering a distinct entries of gamma by one,
-    with the number of position sets that reach it.  multiply_by_elementary
-    memoises the result per (gamma, a) in _LOWERINGS.
+@lru_cache(maxsize=None)
+def _places(d: int, n_roots: int) -> dict[Partition, int]:
+    """Each partition of d with at most n_roots parts -> its place in the
+    lex-descending partitions(d, d, n_roots)."""
+    return {lam: j for j, lam in enumerate(partitions(d, d, n_roots))}
 
-    Entries are chosen per block of equal values, k of a block of cnt in
-    comb(cnt, k) ways; a block of value v leaves cnt - k entries v and k
-    entries v - 1, so concatenating the blocks in order keeps the result
-    sorted.  A lowered 1 becomes a 0 and leaves the partition.
+
+def _raisings(sigma: Partition, a: int, n_roots: int) -> tuple[tuple[int, int], ...]:
+    """Every partition gamma reached by raising a distinct entries of sigma,
+    padded with zeros to n_roots entries, by one, as its place in
+    partitions(|gamma|, |gamma|, n_roots), with its backward multiplicity:
+    the number of a-sets of its entries whose lowering gives back sigma.
+    multiply_by_elementary memoises the result in _RAISINGS.
+
+    Entries are chosen per block of equal values, k of a block of cnt; a block
+    of value v leaves k entries v + 1 and cnt - k entries v, so concatenating
+    the blocks in order keeps the result sorted.  The k raised entries join
+    the entries v + 1 that the block above kept, g in all, and lowering k of
+    those g gives back the block: comb(g, k) ways.
     """
-    states: list[tuple[Partition, int, int]] = [((), 1, a)]
-    left = len(gamma)
-    for v, cnt in _blocks(gamma):
+    free = min(a, n_roots - len(sigma))
+    places = _places(sum(sigma) + a, n_roots)
+    out: list[tuple[int, int]] = []
+    states: list[tuple[Partition, int, int, int]] = [((), 1, a, 0)]
+    done, left, above = 0, len(sigma) + free, None
+    for v, cnt in [(v, len(list(run))) for v, run in groupby(sigma)] + [(0, free)]:
+        done += cnt
         left -= cnt
-        lowered = (v - 1,) if v > 1 else ()
         nxt = []
-        for head, mult, rem in states:
+        for head, mult, rem, kept in states:
+            kept = kept if above == v + 1 else 0
             # at least rem - left from this block, or the later ones cannot take the rest
             for k in range(max(0, rem - left), min(cnt, rem) + 1):
-                tail = (v,) * (cnt - k) + lowered * k
-                nxt.append((head + tail, mult * comb(cnt, k), rem - k))
-        states = nxt
-    return tuple((sigma, mult) for sigma, mult, _ in states)
-
-
-def _blocks(parts: Sequence[int]) -> list[tuple[int, int]]:
-    """Run-length encode a weakly decreasing vector as (value, count) blocks."""
-    blocks: list[tuple[int, int]] = []
-    for v in parts:
-        if blocks and blocks[-1][0] == v:
-            blocks[-1] = (v, blocks[-1][1] + 1)
-        else:
-            blocks.append((v, 1))
-    return blocks
+                head_k = head + (v + 1,) * k + (v,) * (cnt - k) if v else head + (1,) * k
+                mult_k = mult * comb(kept + k, k)
+                if k == rem:  # the later blocks stay as they are
+                    out.append((places[head_k + sigma[done:]], mult_k))
+                else:
+                    nxt.append((head_k, mult_k, rem - k, cnt - k))
+        states, above = nxt, v
+    return tuple(out)
 
 
 def orbit_from_product(
@@ -787,58 +800,59 @@ def orbit_from_product(
 
     Each variable occurs in exactly one factor, so the coefficient of the
     monomial-symmetric function m_lambda is prod_i coeffs[lambda_i] times
-    coeffs[0]^(n_roots - len(lambda)).
+    coeffs[0]^(n_roots - len(lambda)).  The coefficients are scaled to
+    integers by their common denominator D once, so each orbit coefficient is
+    an int product and one exact division by D^n_roots.
     """
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    # scale times the constant term to the power of each count of idle roots
+    idle = [scale * (ints[0] if ints else 0) ** k for k in range(n_roots + 1)]
+    total = den**n_roots
     out: dict[Partition, Scalar] = {}
-    top = len(coeffs) - 1
-    c0 = Fraction(coeffs[0]) if coeffs else Fraction(0)
-    for lam in partitions(degree, max_part=top, max_len=n_roots):
-        c = scale * c0 ** (n_roots - len(lam))
+    for lam in partitions(degree, max_part=len(ints) - 1, max_len=n_roots):
+        c = idle[n_roots - len(lam)]
         for part in lam:
-            c *= coeffs[part]
+            c *= ints[part]
             if not c:
                 break
         if c:
-            out[lam] = c
+            out[lam] = _exact(Fraction(c, total))
     return out
 
 
-# (gamma, a) -> _lowerings(gamma, a): the expansions meet the same pair many
-# times (13,336 lookups of 864 pairs in suite_integrality(13) followed by
-# suite_series_identities(8))
-_LOWERINGS: dict[tuple[Partition, int], tuple[tuple[Partition, int], ...]] = {}
+# (a, n_roots) -> {sigma: its raisings}: the expansions raise the same term
+# many times (6,615 term lookups of 565 entries in suite_integrality(13)
+# followed by suite_series_identities(8))
+_RAISINGS: dict[tuple[int, int], dict[Partition, tuple[tuple[int, int], ...]]] = {}
 
 
 def multiply_by_elementary(
-    f: dict[Partition, Scalar], a: int, n_roots: int
+    f: Mapping[Partition, Scalar], a: int, n_roots: int
 ) -> dict[Partition, Scalar]:
-    """Orbit-basis product f * e_a in n_roots variables.
+    """Orbit-basis product f * e_a in n_roots variables, f of one degree.
 
-    Uses the backward rule: the coefficient of the sorted monomial gamma in
-    f*e_a is the sum over ways of decrementing a entries of gamma (grouped by
-    equal-value blocks, with binomial multiplicity) of f's coefficient at the
-    resulting partition.  The lowerings of each (gamma, a) are built once.
-    The one caller passes 1 <= a <= n_roots: a is a part of a conjugate
-    partition whose first part is at most n_roots.
+    Uses the forward rule: each term sigma of f adds its coefficient, times
+    the backward multiplicity, at every partition gamma reached by raising a
+    distinct entries of sigma (padded with zeros to n_roots entries) by one.
+    The raisings of each (sigma, a, n_roots) are built once, and the sums are
+    kept in a list by each gamma's place in the partitions of its degree.
+    The one caller passes 1 <= a <= n_roots and an expansion: orbits of at
+    most n_roots parts.
     """
-    degrees: dict[int, int] = {}
-    for lam in f:
-        d = sum(lam)
-        degrees[d] = max(degrees.get(d, 0), lam[0] if lam else 0)
-    out: dict[Partition, Scalar] = {}
-    for d, max_part in degrees.items():
-        for gamma in partitions(d + a, max_part=max_part + 1, max_len=n_roots):
-            lowerings = _LOWERINGS.get((gamma, a))
-            if lowerings is None:
-                lowerings = _LOWERINGS[gamma, a] = _lowerings(gamma, a)
-            total = 0
-            for sigma, mult in lowerings:
-                c = f.get(sigma)
-                if c is not None:
-                    total += c * mult
-            if total:
-                out[gamma] = total
-    return out
+    if not f:
+        return {}
+    d = sum(next(iter(f))) + a
+    targets = partitions(d, d, n_roots)
+    sums = [0] * len(targets)
+    table = _RAISINGS.setdefault((a, n_roots), {})
+    for sigma, c in f.items():
+        raisings = table.get(sigma)
+        if raisings is None:
+            raisings = table[sigma] = _raisings(sigma, a, n_roots)
+        for j, mult in raisings:
+            sums[j] += c * mult
+    return {gamma: c for gamma, c in zip(targets, sums) if c}
 
 
 _ELEM_EXPANSION: dict[tuple[int, tuple[int, ...]], dict[Partition, int]] = {}
@@ -846,8 +860,8 @@ _ELEM_EXPANSION: dict[tuple[int, tuple[int, ...]], dict[Partition, int]] = {}
 
 def elementary_product_orbit(eta: tuple[int, ...], n_roots: int) -> dict[Partition, int]:
     """Orbit-basis expansion of the product e_{eta_1} * e_{eta_2} * ... (eta desc);
-    its coefficients are non-negative integers.  Every root count >= |eta|
-    gives the same expansion, so it is built and memoised once, at |eta|."""
+    its coefficients are positive integers.  Every root count >= |eta| gives
+    the same expansion, so it is built and memoised once, at |eta|."""
     if not eta:
         return {(): 1}
     n = min(n_roots, sum(eta))
@@ -865,22 +879,27 @@ def reduce_orbit_to_elementary(
     """Classical lex leading-term elimination on an orbit-basis symmetric polynomial.
 
     Returns a map from e-index multisets (desc tuples, index i meaning one
-    factor e_i) to coefficients.
+    factor e_i) to coefficients.  The leading orbits are taken per degree
+    from the lex-descending list of partitions with at most n_roots parts;
+    e_eta, eta the conjugate of the leading orbit lam, has leading orbit lam
+    with coefficient 1 and no lex-larger orbit, so subtracting it clears lam
+    and every orbit still in the work map is lex-smaller.
     """
     work = accumulate({}, f)
     out: dict[tuple[int, ...], Scalar] = {}
-    last = None
-    while work:
-        lam = max(work)
-        if len(lam) > n_roots:
-            raise AssertionError(f"orbit {lam} impossible with {n_roots} roots")
-        if last is not None and lam >= last:
-            # e_eta has leading orbit lam with coefficient 1, so lam must go
-            raise AssertionError("elimination did not lower the leading orbit")
-        last, coeff = lam, work[lam]
-        eta = conjugate_partition(lam)
-        out[eta] = coeff  # lam -> eta is one to one, so each eta comes once
-        accumulate(work, elementary_product_orbit(eta, n_roots), -coeff)
+    for d in sorted({sum(lam) for lam in work}, reverse=True):
+        for lam in partitions(d, d, n_roots):
+            coeff = work.get(lam)
+            if coeff is None:
+                continue
+            eta = conjugate_partition(lam)
+            out[eta] = coeff  # lam -> eta is one to one, so each eta comes once
+            accumulate(work, elementary_product_orbit(eta, n_roots), -coeff)
+            if lam in work:
+                raise AssertionError("elimination did not lower the leading orbit")
+    if work:
+        # more parts than roots, or an orbit an expansion raised above its lead
+        raise AssertionError(f"orbits {sorted(work, reverse=True)} left over with {n_roots} roots")
     return out
 
 

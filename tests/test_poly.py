@@ -754,28 +754,30 @@ class TestOrbitEngine:
         assert results[0] == results[1]
         assert results[0][10] == results[0][8] != results[0][5]
 
-    def test_lowerings_run_once_per_pair(self, monkeypatch):
+    def test_raisings_run_once_per_term(self, monkeypatch):
         from grrcheck import poly
 
         runs = Counter()
-        undecorated = poly._lowerings
+        undecorated = poly._raisings
 
-        def counted(gamma, a):
-            runs[gamma, a] += 1
-            return undecorated(gamma, a)
+        def counted(sigma, a, n_roots):
+            runs[sigma, a, n_roots] += 1
+            return undecorated(sigma, a, n_roots)
 
-        monkeypatch.setattr(poly, "_lowerings", counted)
-        monkeypatch.setattr(poly, "_LOWERINGS", {})
+        monkeypatch.setattr(poly, "_raisings", counted)
+        monkeypatch.setattr(poly, "_RAISINGS", {})
         monkeypatch.setattr(poly, "_ELEM_EXPANSION", {})
-        # every expansion up to degree 9, each last factor multiplied in by
-        # multiply_by_elementary (test_elementary_products_count_01_matrices
-        # checks their values)
+        # every expansion up to degree 9, at every root count from its first
+        # part up, each last factor multiplied in by multiply_by_elementary
+        # (test_elementary_products_count_01_matrices checks their values)
         for total in range(1, 10):
             for eta in partitions(total, total, total):
-                elementary_product_orbit(eta, total)
+                for n in range(eta[0], total + 1):
+                    elementary_product_orbit(eta, n)
         assert runs and max(runs.values()) == 1
-        assert set(runs) == set(poly._LOWERINGS)
-        assert all(type(lowerings) is tuple for lowerings in poly._LOWERINGS.values())
+        tables = poly._RAISINGS.items()
+        assert set(runs) == {(sigma, a, n) for (a, n), table in tables for sigma in table}
+        assert all(type(raisings) is tuple for _, table in tables for raisings in table.values())
 
     def test_multiply_by_elementary_against_brute(self):
         for n in (2, 3, 4):
@@ -785,6 +787,29 @@ class TestOrbitEngine:
                 expected = brute_elementary_product(tuple(sorted(eta, reverse=True)), n)
                 got = elementary_product_orbit(tuple(sorted(eta, reverse=True)), n)
                 assert {k: Fraction(v) for k, v in expected.items() if v} == got
+
+    @st.composite
+    def orbit_maps(draw):
+        """(orbit map, n): nonzero int coefficients on orbits of one or two
+        degrees <= 8, each with at most n <= 6 parts."""
+        n = draw(st.integers(1, 6))
+        degrees = draw(st.sets(st.integers(0, 8), min_size=1, max_size=2))
+        orbits = [lam for d in sorted(degrees) for lam in partitions(d, d, n)]
+        coeffs = st.integers(-9, 9).filter(bool)
+        return draw(st.dictionaries(st.sampled_from(orbits), coeffs, min_size=1)), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(orbit_maps())
+    def test_elimination_round_trips(self, case):
+        # expanding the result back by the brute-force 0-1 matrix count gives
+        # the input at every orbit the roots can carry
+        f, n = case
+        out = reduce_orbit_to_elementary(f, n)
+        assert all(eta[0] <= n for eta in out if eta)
+        for d in {sum(lam) for lam in f} | {sum(eta) for eta in out}:
+            for lam in partitions(d, d, n):
+                back = sum(b * count_01_matrices(eta, lam) for eta, b in out.items())
+                assert back == f.get(lam, 0), (lam, f, out)
 
     def test_reduce_power_sum(self):
         # p2 = e1^2 - 2 e2 in the orbit basis: p2 = m_(2)
