@@ -11,10 +11,14 @@ byte-identical across runs unless --timing is given (timing is the only
 nondeterministic field: each report's millis is the wall time of the check
 that produced it, stamped on its first report, with 0 on the others).  Every
 check runs through report.run_check, as in the suites: a single-instance
-query (``verify main-theorem --geometry ...``) is guarded, parsed, then run
-by the suite's own loop, suites.main_theorem_reports, each n its own check,
-so a falsified n is one failed report and the other n still print.  ``gen``
-prints text by default and a JSON object with --json.
+query (``verify main-theorem --geometry ...``) is one row of
+suites.main_theorem_rows' shape, built from the flags' text (the geometry
+text its label, the sheaf text its sheaf label).  Its guards read the parsed
+geometry before any tower is built; then the suite's own function,
+suites.main_theorem_reports, reads its cuts and sheaf on a tower built fresh
+for the query and runs each n as its own check, so a falsified n is one
+failed report and the other n still print.  ``gen`` prints text by default
+and a JSON object with --json.
 """
 
 from __future__ import annotations
@@ -26,28 +30,11 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .arith import (
-    InputError,
-    bernoulli,
-    fulton_macpherson_L,
-    todd_denominator,
-    von_staudt_D,
-)
-from .geometry import VirtualCompleteIntersection
-from .grr import MorphismDatum
+from .arith import InputError, bernoulli, fulton_macpherson_L, todd_denominator, von_staudt_D
 from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES
 from .report import FalsificationError, VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES, Mutation, mutation_read, set_mutation
-from .specparse import (
-    ParseError,
-    ScopeError,
-    build_geometry,
-    evaluate_class,
-    geometry_dim,
-    parse_class,
-    parse_divisor,
-    parse_geometry,
-)
+from .specparse import build_geometry, geometry_shape, parse_geometry
 from .suites import SUITES, main_theorem_reports, suite_all
 
 DEFAULT_MAX_DEGREE = 12
@@ -55,7 +42,7 @@ DEFAULT_MAX_DIM = 6
 
 
 def _degree(text: str) -> int:
-    """A --max-degree value, an int >= 0; argparse exits 2 on anything else."""
+    """A --max-degree or -n value, an int >= 0; argparse exits 2 on anything else."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
@@ -72,10 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="print a generated object")
-    gen.add_argument(
-        "kind",
-        choices=[*UNIVERSAL_CLASSES, "tm", "bernoulli", "D", "L"],
-    )
+    gen.add_argument("kind", choices=[*UNIVERSAL_CLASSES, "tm", "bernoulli", "D", "L"])
     gen.add_argument("--degree", type=int, help="degree for todd/ch/ct/q/toddinv")
     gen.add_argument("--rank", type=int, help="number of roots for toddinv")
     gen.add_argument("--m", type=int, help="index for tm")
@@ -90,26 +74,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="a suite name (%s), an identity name, or 'all'"
         % ", ".join(sorted(SUITES)),
     )
-    verify.add_argument("--max-degree", type=_degree, default=None)
+    verify.add_argument("--max-degree", type=_degree)
     verify.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
-    verify.add_argument("-n", type=int, default=None, help="target codimension")
-    verify.add_argument("--geometry", type=str, default=None)
-    verify.add_argument("--sheaf", type=str, default=None)
+    verify.add_argument("-n", type=_degree, help="target codimension")
+    verify.add_argument("--geometry")
+    verify.add_argument("--sheaf")
+    verify.add_argument("--base-levels", type=int, default=0, help="levels kept as the base")
     verify.add_argument(
-        "--base-levels", type=int, default=0, help="levels kept as the base"
-    )
-    verify.add_argument(
-        "--cut",
-        action="append",
-        default=[],
-        help="divisor expression cutting the source (repeatable)",
+        "--cut", action="append", default=[], help="divisor cutting the source (repeatable)"
     )
     verify.add_argument("--timing", action="store_true", help="include millis in JSON")
     verify.add_argument(
-        "--mutate",
-        type=str,
-        default=None,
-        help="test harness: corrupt a generated class, kind:degree:index:delta",
+        "--mutate", help="test harness: corrupt a generated class, kind:degree:index:delta"
     )
     return parser
 
@@ -240,7 +216,7 @@ def _parse_mutation(spec: str) -> Mutation:
 
 def _single_instance_reports(args) -> list[VerificationReport]:
     geometry = parse_geometry(args.geometry)
-    dim = geometry_dim(geometry)
+    n_levels, dim = geometry_shape(geometry)
     if dim > args.max_dim:
         raise InputError(
             f"geometry dimension {dim} exceeds the guard {args.max_dim}; "
@@ -252,14 +228,14 @@ def _single_instance_reports(args) -> list[VerificationReport]:
             f"codimension {args.n} exceeds the guard {args.max_dim + 1} (--max-dim + 1); "
             "raise it with --max-dim"
         )
-    scope = build_geometry(geometry)
-    sheaf_text = args.sheaf or "O"
-    sheaf = evaluate_class(parse_class(sheaf_text), scope)
-    cuts = tuple(scope.divisor_vector(parse_divisor(c)) for c in args.cut)
-    source = VirtualCompleteIntersection(scope.tower, cuts)
-    morphism = MorphismDatum(source, args.base_levels, args.geometry)
+    if not 0 <= args.base_levels <= n_levels:
+        raise InputError(f"base levels {args.base_levels} outside 0..{n_levels}")
+    if len(args.cut) > dim:
+        raise InputError(f"more cuts ({len(args.cut)}) than the geometry dimension {dim}")
+    sheaf = args.sheaf or "O"
     n_values = [args.n] if args.n is not None else range(0, 4)
-    return main_theorem_reports(morphism, [(sheaf_text, sheaf)], n_values)
+    row = (args.geometry, args.geometry, args.cut, args.base_levels, [(sheaf, sheaf)], n_values)
+    return main_theorem_reports(build_geometry(geometry), [row])
 
 
 def _refuse_unread(command: str, flags: dict[str, tuple[bool, bool]]) -> None:
@@ -328,7 +304,7 @@ def cmd_verify(args) -> int:
 def _run(args) -> int:
     try:
         return cmd_gen(args) if args.command == "gen" else cmd_verify(args)
-    except (InputError, ParseError, ScopeError) as exc:
+    except InputError as exc:  # a ParseError or ScopeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FalsificationError as exc:

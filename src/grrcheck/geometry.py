@@ -215,8 +215,6 @@ class Tower:
 
     def prefix(self, n_levels: int) -> "Tower":
         """The partial tower consisting of the first n_levels levels."""
-        if not 0 <= n_levels <= self.n_levels:
-            raise InputError(f"base levels {n_levels} outside 0..{self.n_levels}")
         tower = self
         for _ in range(self.n_levels - n_levels):
             tower = tower.base
@@ -540,8 +538,6 @@ class VirtualCompleteIntersection(Record):
     __slots__ = ("ambient", "cuts")
 
     def __init__(self, ambient: Tower, cuts: tuple[DivisorVector, ...]):
-        if len(cuts) > ambient.dim:
-            raise InputError("more cuts than the ambient dimension")
         self.ambient = ambient
         self.cuts = tuple(ambient._pad(tuple(c)) for c in cuts)
 

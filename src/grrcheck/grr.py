@@ -51,7 +51,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Mapping
 
-from .arith import InputError, bernoulli, exact_ratio, todd_denominator, todd_ratio
+from .arith import bernoulli, exact_ratio, todd_denominator, todd_ratio
 from .geometry import (
     ChowClass,
     KClass,
@@ -208,8 +208,6 @@ def _instance_images(
     """The sheaf images every side of one main-theorem instance reads, built
     once: (pushed, source) with pushed those of f_*[F] on the target up to
     degree n and source those of F on the ambient up to degree d+n."""
-    if n < 0:
-        raise InputError("codimension must be >= 0")
     pushed = pushforward_k(f.source.koszul_class(F), f.ambient.n_levels - f.base_levels)
     return _sheaf_images(pushed, n), _sheaf_images(F, max(f.relative_dimension + n, 0))
 

@@ -23,6 +23,7 @@ of the package's import time.
 from __future__ import annotations
 
 import time
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _quote
 
 
@@ -149,14 +150,9 @@ def run_check(identity: str, instance: str, check, *args) -> list[VerificationRe
 
 
 def first_discrepancy(lhs: str, rhs: str) -> str:
-    lhs_lines = lhs.splitlines()
-    rhs_lines = rhs.splitlines()
-    for i, (a, b) in enumerate(zip(lhs_lines, rhs_lines)):
+    """The first line where the sides differ, a side's missing line read as <absent>."""
+    lines = zip_longest(lhs.splitlines(), rhs.splitlines(), fillvalue="<absent>")
+    for i, (a, b) in enumerate(lines, 1):
         if a != b:
-            return f"line {i + 1}: lhs={a!r} rhs={b!r}"
-    if len(lhs_lines) != len(rhs_lines):
-        i = min(len(lhs_lines), len(rhs_lines))
-        a = lhs_lines[i] if i < len(lhs_lines) else "<absent>"
-        b = rhs_lines[i] if i < len(rhs_lines) else "<absent>"
-        return f"line {i + 1}: lhs={a!r} rhs={b!r}"
+            return f"line {i}: lhs={a!r} rhs={b!r}"
     return "sides differ"

@@ -167,13 +167,16 @@ def mutation_read() -> bool:
     return _MUTATION_READ
 
 
-def _finish(
-    kind: str, degree: int, numerator: GradedPolynomial, scale: int, rank: int = 0
-) -> UniversalClass:
-    """The class with the given numerator (scale times the class, computed
-    as such) after the mutation hook, certified integral; a failure names the
-    instance suites.suite_integrality runs, "degree m" or "degree m rank r"."""
-    if _MUTATION is not None and _MUTATION.kind == kind and _MUTATION.degree == degree:
+def integrality_instance(args: tuple[int, ...]) -> str:
+    """The instance text of a class of arguments (m,), or (m, r) for toddinv."""
+    return f"degree {args[0]}" + "".join(f" rank {r}" for r in args[1:])
+
+
+def _finish(kind: str, args: tuple, numerator: GradedPolynomial, scale: int) -> UniversalClass:
+    """The class of the arguments with the given numerator (scale times the
+    class, computed as such) after the mutation hook, certified integral; a
+    failure names the instance suites.suite_integrality runs."""
+    if _MUTATION is not None and _MUTATION.kind == kind and _MUTATION.degree == args[0]:
         terms = numerator.sorted_terms()
         if not 0 <= _MUTATION.index < len(terms):
             raise InputError(f"mutation index {_MUTATION.index} out of range for {kind}")
@@ -188,9 +191,9 @@ def _finish(
         raise FalsificationError(
             f"{kind}: numerator coefficient {bad[1]} at {bad[0]} is not an integer",
             identity=f"integrality:{kind}",
-            instance=f"degree {degree}" + (f" rank {rank}" if rank else ""),
+            instance=integrality_instance(args),
         )
-    return UniversalClass(kind, degree, numerator, scale)
+    return UniversalClass(kind, args[0], numerator, scale)
 
 
 def _chern_exponents(
@@ -236,7 +239,7 @@ def universal_todd(m: int) -> UniversalClass:
         orbit = orbit_from_product(todd_root_series(m), n, m, tm)
         reduced = reduce_orbit_to_elementary(orbit, n)
         numerator = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
-        return _finish("todd", m, numerator, tm)
+        return _finish("todd", (m,), numerator, tm)
 
     return _cached(("todd", m), build)
 
@@ -253,17 +256,17 @@ def universal_chern_character(m: int) -> UniversalClass:
     def build() -> UniversalClass:
         alph = sheaf_alphabet(m)
         if m == 0:
-            return _finish("ch", 0, GradedPolynomial.variable(alph, 0, "r"), 1)
+            return _finish("ch", (0,), GradedPolynomial.variable(alph, 0, "r"), 1)
         # ch_m = p_m / m! and p_m is the single orbit m_(m)
         reduced = reduce_orbit_to_elementary({(m,): 1}, m)
         # position 0 is the rank variable
         numerator = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
-        out = _finish("ch", m, numerator, factorial(m))
+        out = _finish("ch", (m,), numerator, factorial(m))
         if _MUTATION is None and out.numerator != chern_character_oracle(m):
             raise FalsificationError(
                 f"ch numerator of degree {m} differs from the Newton power sum",
                 identity="integrality:ch",
-                instance=f"degree {m}",
+                instance=integrality_instance((m,)),
             )
         return out
 
@@ -286,7 +289,7 @@ def universal_ct(m: int) -> UniversalClass:
             s_j = universal_chern_character(j).numerator.embed(alph).with_bound(m)
             td_part = universal_todd(m - j).numerator.embed(alph).with_bound(m)
             total = total + (s_j * td_part).scale(scalar)
-        return _finish("ct", m, total, todd_denominator(m).value)
+        return _finish("ct", (m,), total, todd_denominator(m).value)
 
     return _cached(("ct", m), build)
 
@@ -312,7 +315,7 @@ def q_poly(m: int) -> UniversalClass:
             ratio = (-1) ** (m - k + 1) * todd_ratio(m - 1, m - k, k)
             x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): ratio})
             total = total + x_part * universal_todd(k).numerator.embed(alph).with_bound(m)
-        return _finish("q", m, total, todd_denominator(m - 1).value)
+        return _finish("q", (m,), total, todd_denominator(m - 1).value)
 
     return _cached(("q", m), build)
 
@@ -328,7 +331,7 @@ def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
         orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg, factorial(m))
         reduced = reduce_orbit_to_elementary(orbit, r)
         numerator = GradedPolynomial(weighted_alphabet("c", r), deg, _chern_exponents(reduced, r))
-        return _finish("toddinv", m, numerator, factorial(m), r)
+        return _finish("toddinv", (m, r), numerator, factorial(m))
 
     return _cached(("toddinv", m, r), build)
 

@@ -46,14 +46,14 @@ from .report import Record
 MAX_NESTING = 100  # levels of brackets or of a geometry that a text may nest
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, text: str, offset: int):
         self.line = text.count("\n", 0, offset) + 1
         self.column = offset - text.rfind("\n", 0, offset)
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
-class ScopeError(ValueError):
+class ScopeError(InputError):
     def __init__(self, name: str):
         super().__init__(f"unknown symbol {name!r}")
         self.name = name
@@ -374,16 +374,15 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
     return GeometryScope(Tower(levels), names)
 
 
-def geometry_dim(ast: GeomAST) -> int:
-    """The dimension of the tower the AST describes, without building it:
-    each level adds its summand count minus one."""
-    dim = 0
+def geometry_shape(ast: GeomAST) -> tuple[int, int]:
+    """The level count and the dimension of the tower the AST describes,
+    without building it: each level adds its summand count minus one."""
+    counts = []
     while isinstance(ast, GeomBundle):
         bundle = ast.bundle
-        count = bundle.count if isinstance(bundle, TrivialBundle) else len(bundle.divisors)
-        dim += count - 1
+        counts.append(bundle.count if isinstance(bundle, TrivialBundle) else len(bundle.divisors))
         ast = ast.base
-    return dim
+    return len(counts), sum(counts) - len(counts)
 
 
 def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:

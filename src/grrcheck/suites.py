@@ -1,13 +1,13 @@
 """Named verification suites: deterministic lists of VerificationReports.
 
-The main theorem runs over one table, main_theorem_rows, through one loop,
-main_theorem_reports, which the single-instance CLI query shares.  Each
-registered tower X (dim X <= 4) has a row per base prefix S (dim S <= 3), with
-every line bundle of divisor coefficients in [-2, 2] and n <= min(3, dim S + 1)
-(the first vacuous n kept as a vanishing check), and a row for its identity
-morphism; two cut-outs of P3;P2 over P3 close the table.  Every tower is built
-from geometry text by geometry_tower, one cache keyed by the text, so a row
-reruns as `verify main-theorem --geometry` queries.
+The main theorem runs over one table, main_theorem_rows, whose rows hold the
+text `verify main-theorem` reads, through one function, main_theorem_reports,
+which the single-instance CLI query shares.  Each registered tower X
+(dim X <= 4) has a row per base prefix S (dim S <= 3), with every line bundle
+of divisor coefficients in [-2, 2] and n <= min(3, dim S + 1) (the first
+vacuous n kept as a vanishing check), and a row for its identity morphism;
+two cut-outs of P3;P2 over P3 close the table.  The suite reads each geometry
+text once, through geometry_scope; the CLI builds a fresh tower per query.
 
 Suites never raise on a falsified identity: every check runs through
 report.run_check with the check function and its arguments, which turns a
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import groupby, product
 
 from .arith import (
     bernoulli_akiyama_tanigawa,
@@ -50,8 +50,15 @@ from .grr import (
 )
 from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES, howe_claims, howe_instance
 from .report import VerificationReport, run_check
-from .series import UNIVERSAL_CLASSES
-from .specparse import build_geometry, parse_geometry
+from .series import UNIVERSAL_CLASSES, integrality_instance
+from .specparse import (
+    GeometryScope,
+    build_geometry,
+    evaluate_class,
+    parse_class,
+    parse_divisor,
+    parse_geometry,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -84,38 +91,51 @@ _MODEL_TOWER_TEXT = {name: text for name, text, _ in MODEL_TOWERS}
 
 
 @cache
-def geometry_tower(text: str) -> Tower:
-    """The tower that geometry text names, built once per text."""
-    return build_geometry(parse_geometry(text)).tower
+def geometry_scope(text: str) -> GeometryScope:
+    """The tower and name scope that geometry text names, built once per text."""
+    return build_geometry(parse_geometry(text))
 
 
 def model_tower(name: str) -> Tower:
-    return geometry_tower(_MODEL_TOWER_TEXT[name])
+    return geometry_scope(_MODEL_TOWER_TEXT[name]).tower
 
 
 def _sheaf_vectors(n_levels: int, bound: int):
     return product(*(range(-bound, bound + 1) for _ in range(n_levels)))
 
 
+def _twist_label(vec) -> str:
+    """The suites' label O(a,b,..) of the line bundle of a twist vector."""
+    return "O(" + ",".join(map(str, vec)) + ")"
+
+
+def _line_text(vec) -> str:
+    """The class text O(a*xi1+b*xi2..) of a twist vector's line bundle, or O."""
+    divisor = "".join(f"{a:+d}*xi{k}" for k, a in enumerate(vec, 1) if a).lstrip("+")
+    return f"O({divisor})" if divisor else "O"
+
+
 def main_theorem_rows(coefficient_bound: int = 2) -> list[tuple]:
-    """One row per main-theorem source: (label, geometry text, cuts as divisor
-    vectors, base levels, sheaves as (label, twist vector), codimensions)."""
+    """One row per main-theorem source, in the text `verify main-theorem`
+    reads, beside its labels: (label, geometry text, cut texts, base levels,
+    sheaves as (label, class text), codimensions); a geometry's rows are adjacent."""
     rows = []
     for name, text, bases in MODEL_TOWERS:
-        tower = geometry_tower(text)
+        tower = geometry_scope(text).tower
         vecs = _sheaf_vectors(tower.n_levels, coefficient_bound)
-        twists = [("O(" + ",".join(map(str, vec)) + ")", vec) for vec in vecs]
+        twists = [(_twist_label(vec), _line_text(vec)) for vec in vecs]
         for base in bases:
             n_values = range(0, min(3, tower.prefix(base).dim + 1) + 1)
             rows.append((f"{name}->prefix{base}", text, (), base, twists, n_values))
         # identity morphism: no levels collapsed, the error is zero by shape
-        probe = [("O(1,..)", (1,) * tower.n_levels)]
+        probe = [("O(1,..)", _line_text((1,) * tower.n_levels))]
         n_values = range(0, min(3, tower.dim) + 1)
         rows.append((f"{name}->self", text, (), tower.n_levels, probe, n_values))
     p3p2 = "P(trivial 3) over P(trivial 4) over point"
     return rows + [
-        ("hyperplane-in-P3;P2->P3", p3p2, ((1, 0),), 1, [("O", (0, 0))], range(0, 3)),
-        ("bidegree-hyperplane-in-P3;P2->P3", p3p2, ((1, 1),), 1, [("O(1,0)", (1, 0))], range(0, 3)),
+        ("hyperplane-in-P3;P2->P3", p3p2, ("xi1",), 1, [("O", "O")], range(0, 3)),
+        ("bidegree-hyperplane-in-P3;P2->P3", p3p2, ("xi1+xi2",), 1, [("O(1,0)", "O(xi1)")],
+         range(0, 3)),
     ]
 
 
@@ -264,7 +284,7 @@ def suite_integrality(max_degree: int = 12) -> list[VerificationReport]:
     ]
     for kind, arg_lists in plans:
         for args in arg_lists:
-            instance = f"degree {args[0]}" + "".join(f" rank {r}" for r in args[1:])
+            instance = integrality_instance(args)
             reports += run_check(
                 f"integrality:{kind}", instance, _class_integrality, kind, instance, args
             )
@@ -281,7 +301,7 @@ def suite_projective_bundle() -> list[VerificationReport]:
     # (identity, instance, line bundle, its pushforward one level down)
     pushes = []
     for r in range(1, 4):
-        pr = geometry_tower(f"P(trivial {r + 1}) over point")
+        pr = geometry_scope(f"P(trivial {r + 1}) over point").tower
         for a in range(-r, 0):
             pushes.append(("bundle-twist-vanishing", f"P{r}, twist {a}", pr.line((a,)), ""))
         pushes.append(("bundle-structure-pushforward", f"P{r}", pr.structure_sheaf(), "1/1"))
@@ -292,38 +312,45 @@ def suite_projective_bundle() -> list[VerificationReport]:
     return reports
 
 
-def main_theorem_reports(f: MorphismDatum, sheaves, n_values) -> list[VerificationReport]:
-    """The main identity for f on each (label, sheaf) of sheaves at each n,
-    each n its own run_check: the suite's rows and the CLI query alike."""
+def main_theorem_reports(scope: GeometryScope, rows) -> list[VerificationReport]:
+    """The main identity on rows of main_theorem_rows' shape, all over the
+    geometry of scope, for the suite and the CLI query alike: cuts and sheaves
+    read from their text on scope, each distinct sheaf text evaluated once,
+    before its row's checks, and each (sheaf, n) its own run_check."""
     reports: list[VerificationReport] = []
-    for (label, F), n in product(sheaves, n_values):
-        instance = f.instance(label, n)
-        reports += run_check("main-theorem", instance, check_main_theorem, f, F, n, label)
+    built = {}  # sheaf text -> its class on scope's tower
+    for label, _, cuts, base_levels, sheaves, n_values in rows:
+        cut_vectors = tuple(scope.divisor_vector(parse_divisor(cut)) for cut in cuts)
+        f = MorphismDatum(VirtualCompleteIntersection(scope.tower, cut_vectors), base_levels, label)
+        for _, text in sheaves:
+            if text not in built:
+                built[text] = evaluate_class(parse_class(text), scope)
+        for (sheaf, text), n in product(sheaves, n_values):
+            F, instance = built[text], f.instance(sheaf, n)
+            reports += run_check("main-theorem", instance, check_main_theorem, f, F, n, sheaf)
     return reports
 
 
 def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
-    """The main identity (both statement shapes and their regrouping) on every
-    row of main_theorem_rows, then per registered tower the binomial-product
-    and the cycle-side Euler-characteristic cross-checks."""
+    """The main identity (both statement shapes and their regrouping) on the
+    rows of main_theorem_rows, one geometry at a time, then per registered
+    tower the binomial-product and the cycle-side Euler-characteristic checks."""
     reports: list[VerificationReport] = []
-    for label, text, cuts, base_levels, twists, n_values in main_theorem_rows(coefficient_bound):
-        tower = geometry_tower(text)
-        f = MorphismDatum(VirtualCompleteIntersection(tower, cuts), base_levels, label)
-        reports += main_theorem_reports(f, [(s, tower.line(v)) for s, v in twists], n_values)
+    for text, rows in groupby(main_theorem_rows(coefficient_bound), key=lambda row: row[1]):
+        reports += main_theorem_reports(geometry_scope(text), rows)
     for name, text, _ in MODEL_TOWERS:
-        tower = geometry_tower(text)
+        tower = geometry_scope(text).tower
         # on a product tower, Euler characteristic against the binomial-product oracle
         if not any(any(vec) for level in tower.levels for vec in level):
             for coeffs in _sheaf_vectors(tower.n_levels, coefficient_bound):
-                instance = f"{name}/O({','.join(map(str, coeffs))})"
+                instance = f"{name}/{_twist_label(coeffs)}"
                 reports += run_check(
                     "euler-binomial-oracle", instance,
                     _euler_binomial, tower, coeffs, instance,
                 )
         # cycle-side degree against the K-side Euler characteristic, on [-1, 1]^k
         for coeffs in _sheaf_vectors(tower.n_levels, 1):
-            instance = f"{name}/O({','.join(map(str, coeffs))})"
+            instance = f"{name}/{_twist_label(coeffs)}"
             reports += run_check(
                 "euler-hirzebruch-consistency", instance, _euler_hirzebruch,
                 VirtualCompleteIntersection(tower, ()), tower.line(coeffs), instance,
@@ -333,7 +360,7 @@ def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
 
 def suite_immersion() -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    p3 = geometry_tower("P(trivial 4) over point")
+    p3 = geometry_scope("P(trivial 4) over point").tower
     cases = [
         (p3, ((1,),), p3.structure_sheaf(), "P3/hyperplane/O"),
         (p3, ((2,),), p3.structure_sheaf(), "P3/quadric-class/O"),
@@ -341,7 +368,7 @@ def suite_immersion() -> list[VerificationReport]:
         (p3, ((1,), (1,)), p3.line((1,)), "P3/line/O(h)"),
         (p3, ((1,), (2,)), p3.line((1,)), "P3/degree-2-curve/O(h)"),
     ]
-    two_level = geometry_tower("P(trivial 3) over P(trivial 2) over point")
+    two_level = geometry_scope("P(trivial 3) over P(trivial 2) over point").tower
     cases += [
         (two_level, ((1, 1),), two_level.structure_sheaf(), "P1;P2/bidegree-divisor/O"),
         (two_level, ((1, 0), (0, 1)), two_level.line((0, 1)), "P1;P2/codim2/O(xi2)"),
@@ -356,7 +383,7 @@ def suite_immersion() -> list[VerificationReport]:
 
 def suite_divisor_calculus() -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    p3 = geometry_tower("P(trivial 4) over point")
+    p3 = geometry_scope("P(trivial 4) over point").tower
     for a, b in [(1, 1), (1, 2), (2, 1), (2, 3)]:
         for m in range(1, 4):
             reports += run_check(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grrcheck import cli, grr, suites
+from grrcheck import cli, grr, specparse, suites
 from grrcheck.cli import main
 from grrcheck.report import FalsificationError
 from grrcheck.suites import SUITES, main_theorem_rows, suite_main_theorem
@@ -255,6 +255,46 @@ class TestVerify:
         )
         assert code == 2
         assert "geometry dimension 29 exceeds the guard 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,error",
+        [
+            (["--base-levels", "5"], "base levels 5 outside 0..1"),
+            (["-n", "-1"], "argument -n: expected an integer >= 0, got '-1'"),
+            (["--cut", "h"] * 3, "more cuts (3) than the geometry dimension 2"),
+        ],
+        ids=["base-levels", "negative-n", "three-cuts"],
+    )
+    def test_query_guards_run_before_the_build(self, monkeypatch, capsys, flags, error):
+        # this sheaf takes seconds to build, and each flag is refused from
+        # the parsed geometry before any tower or sheaf is built
+        def build(*args):
+            raise AssertionError("the tower or the sheaf was built before the guard")
+
+        monkeypatch.setattr(cli, "build_geometry", build)
+        monkeypatch.setattr(suites, "evaluate_class", build)
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+                "--sheaf", "sym(400, O(h)+O(2*h)+O(3*h)+O(4*h))"]
+        assert main(argv + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: {error}\n")
+
+    def test_each_query_builds_its_own_tower(self, monkeypatch, capsys):
+        # no tower outlives its query, so no query reads another's caches
+        scopes = []
+
+        def build(ast):
+            scopes.append(specparse.build_geometry(ast))
+            return scopes[-1]
+
+        monkeypatch.setattr(cli, "build_geometry", build)
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+                "--sheaf", "O(h)", "-n", "1"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(scopes) == 2 and scopes[0].tower is not scopes[1].tower
 
     def test_codimension_guard_runs_before_the_build(self, monkeypatch, capsys):
         # every n above dim S + 1 is vacuous; ct_22 alone takes seconds
@@ -799,14 +839,12 @@ USAGE_ERRORS = [
         sorted({*SUITES, *cli.IDENTITY_CHECKS, "all"}))),
     (["verify", "integrality", "--max-degree", "-1"],
      "argument --max-degree: expected an integer >= 0, got '-1'"),
+    (QUERY + [P1, "--base-levels", "5"], "base levels 5 outside 0..1"),
+    (QUERY + [P1, "--cut", "h", "--cut", "h"], "more cuts (2) than the geometry dimension 1"),
     # geometry
     (["verify", "main-theorem", "--max-dim", "20000", "--geometry",
       "P(trivial 16385) over point", "-n", "0"],
      "level 1 has rank 16384; a rank must be below 16384"),
-    (QUERY + [P1, "--base-levels", "5"], "base levels 5 outside 0..1"),
-    (QUERY + [P1, "--cut", "h", "--cut", "h"], "more cuts than the ambient dimension"),
-    # grr
-    (QUERY + [P1, "-n", "-1"], "codimension must be >= 0"),
     # poly: a literal under the int-digit limit whose class text is over it
     (QUERY + ["P(trivial 3) over point", "--sheaf", f"O({'9' * 4000}*h)", "-n", "0"],
      "class text exceeds the 4300-digit limit of decimal text"),
@@ -941,12 +979,6 @@ class TestVerifyAll:
         assert hashlib.sha256(first.encode()).hexdigest() == recorded["sha256"]
 
 
-def _vector_text(vec) -> str:
-    """a*xi1+... for a divisor vector, as `--sheaf` and `--cut` read it."""
-    terms = "".join(f"{'-' if a < 0 else '+'}{abs(a)}*xi{k}" for k, a in enumerate(vec, 1))
-    return terms.lstrip("+")
-
-
 ROWS = main_theorem_rows()
 
 
@@ -973,31 +1005,50 @@ class TestCatalogueReproduction:
 
     def test_prefix_rows_are_the_benchmark_catalogue(self):
         # the benchmark's catalogue digest file opens with sha256(repr(...)) of
-        # its instances (tower name, base, twist, n), in suite order
-        catalogue = [
-            (label.removesuffix(f"->prefix{base}"), base, vec, n)
-            for label, _, _, base, twists, n_values in ROWS
-            if label.endswith(f"->prefix{base}")
-            for _, vec in twists
-            for n in n_values
-        ]
+        # its instances (tower name, base, twist, n), in suite order; each
+        # twist is read off the row's class text, one line bundle that the
+        # row's label names
+        catalogue = []
+        for label, text, _, base, sheaves, n_values in ROWS:
+            if not label.endswith(f"->prefix{base}"):
+                continue
+            scope = specparse.build_geometry(specparse.parse_geometry(text))
+            for sheaf_label, sheaf in sheaves:
+                line = specparse.evaluate_class(specparse.parse_class(sheaf), scope)
+                ((vec, multiplicity),) = line.line_terms.items()
+                assert multiplicity == 1
+                assert sheaf_label == "O(" + ",".join(map(str, vec)) + ")"
+                name = label.removesuffix(f"->prefix{base}")
+                catalogue += [(name, base, vec, n) for n in n_values]
         assert len(catalogue) == 9290
         header = CATALOGUE_DIGESTS.read_text().split()[0]
         assert hashlib.sha256(repr(catalogue).encode()).hexdigest() == header
 
+    def test_each_sheaf_text_is_evaluated_once_per_geometry(self, monkeypatch):
+        calls = []
+
+        def evaluate(ast, scope):
+            calls.append((scope.tower, ast))
+            return specparse.evaluate_class(ast, scope)
+
+        monkeypatch.setattr(suites, "evaluate_class", evaluate)
+        suite_main_theorem()
+        pairs = {(text, sheaf) for _, text, _, _, sheaves, _ in ROWS for _, sheaf in sheaves}
+        assert len(calls) == len(set(calls)) == len(pairs) == 1147
+
     @pytest.mark.parametrize(
-        "label, text, cuts, base, twists, n_values", ROWS, ids=[row[0] for row in ROWS]
+        "label, text, cuts, base, sheaves, n_values", ROWS, ids=[row[0] for row in ROWS]
     )
-    def test_row(self, suite_reports, capsys, label, text, cuts, base, twists, n_values):
-        # four seeded twists of a prefix row; the one sheaf of any other row
+    def test_row(self, suite_reports, capsys, label, text, cuts, base, sheaves, n_values):
+        # the row's own text as flags: four seeded sheaves of a prefix row,
+        # the one sheaf of any other row
         rng = random.Random(f"reproduce:{label}")
-        for sheaf_label, vec in rng.sample(twists, min(4, len(twists))):
-            sheaf = f"O({_vector_text(vec)})"
+        for sheaf_label, sheaf in rng.sample(sheaves, min(4, len(sheaves))):
             for n in n_values:
                 argv = ["verify", "main-theorem", "--geometry", text, "--sheaf", sheaf,
                         "--base-levels", str(base), "-n", str(n)]
                 for cut in cuts:
-                    argv += ["--cut", _vector_text(cut)]
+                    argv += ["--cut", cut]
                 self.assert_query_reproduces(
                     capsys, suite_reports[f"{label}/sheaf={sheaf_label}/n={n}"], argv,
                     f"{text}/sheaf={sheaf}/n={n}",

@@ -19,7 +19,7 @@ from grrcheck.geometry import (
     pushforward_k,
 )
 from grrcheck.grr import MorphismDatum, check_main_theorem, chow_degree
-from grrcheck.suites import MODEL_TOWERS, geometry_tower
+from grrcheck.suites import MODEL_TOWERS, geometry_scope
 
 import chow_reference as tuple_ring
 from chern_reference import factor_total_chern
@@ -164,7 +164,7 @@ class TestProductTable:
     # the catalogue towers as level lists (the ids and seeds below print
     # them), plus one with a rank-0 level (xi2 = h) under a twisted level
     TOWERS = [
-        [list(level) for level in geometry_tower(text).levels] for _, text, _ in MODEL_TOWERS
+        [list(level) for level in geometry_scope(text).tower.levels] for _, text, _ in MODEL_TOWERS
     ] + [
         [[(), (), ()], [(1,)], [(2, -1), (0, 1), (1, 1)]],
     ]
@@ -759,7 +759,3 @@ class TestVCI:
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,),))
         assert z.tangent_class().rank() == 2
-
-    def test_too_many_cuts(self):
-        with pytest.raises(InputError):
-            VirtualCompleteIntersection(Tower([[()] * 2]), ((1,), (1,)))

@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grrcheck.geometry import KClass, Tower
-from grrcheck.suites import MODEL_TOWERS, geometry_tower
+from grrcheck.suites import MODEL_TOWERS, geometry_scope
 
 from lambda_reference import multiset_power, outward_pushed_powers
 
 # the catalogue's level lists, then two towers whose twists are larger or
 # negative; each test builds its own towers, with no pushforward table filled
 TOWER_LEVELS = [
-    [list(level) for level in geometry_tower(text).levels] for _, text, _ in MODEL_TOWERS
+    [list(level) for level in geometry_scope(text).tower.levels] for _, text, _ in MODEL_TOWERS
 ] + [
     [[(), ()], [(0,), (3,)]],
     [[(), (), ()], [(1,), (-2,), (0,)], [(1, 1), (0, -1)]],
