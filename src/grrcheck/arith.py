@@ -79,8 +79,6 @@ def todd_denominator(m: int) -> FactoredInteger:
 
     The product is over primes p <= m+1; larger primes get exponent 0.
     """
-    if m < 0:
-        raise InputError(f"degree must be >= 0, got {m}")
     exps = {p: m // (p - 1) for p in primes_up_to(m + 1)}
     return FactoredInteger.from_exponents(exps)
 
@@ -122,8 +120,6 @@ def check_divisibility_lemma(
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2 (generating function t/(e^t - 1))."""
-    if n < 0:
-        raise InputError(f"index must be >= 0, got {n}")
     return _bernoulli_list(n)[n]
 
 
@@ -160,8 +156,6 @@ def von_staudt_D(g: int) -> FactoredInteger:
     By the von Staudt-Clausen theorem this equals the denominator of
     B_{2g}/2g; that equality is asserted here as a self-check.
     """
-    if g < 1:
-        raise InputError(f"g must be >= 1, got {g}")
     n = 2 * g
     exps: dict[int, int] = {}
     for l in primes_up_to(n + 1):
@@ -183,8 +177,6 @@ def von_staudt_D(g: int) -> FactoredInteger:
 
 def fulton_macpherson_L(n: int) -> FactoredInteger:
     """Radical (product of distinct prime divisors) of the integer T_n / n!."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
     tn = todd_denominator(n).exponents()
     fact = dict(_factorial_exponents(n))
     leftover: dict[int, int] = {}

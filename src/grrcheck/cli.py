@@ -1,10 +1,10 @@
 """Command line front end: generators and verification suites.
 
 Exit codes: 0 all checks pass, 1 at least one identity falsified, 2 usage or
-input error (an InputError, which only the CLI's input raises, including a
-flag the chosen suite or gen kind does not read), 3 stdout closed before the
-output was written (e.g. piped into ``head``) or any other failure, such as a
-broken invariant (one ``internal error:`` line on stderr), 130 interrupted
+input error (an InputError: a flag's value, which only this module checks,
+or a flag the chosen suite or gen kind does not read), 3 stdout closed before
+the output was written (e.g. piped into ``head``) or any other failure, such
+as a broken invariant (one ``internal error:`` line on stderr), 130 interrupted
 (SIGINT; one ``interrupted`` line on stderr).  ``verify`` emits one JSON
 object per report, ordered by (identity, instance); the stream is
 byte-identical across runs unless --timing is given (timing is the only
@@ -14,9 +14,9 @@ check runs through report.run_check, as in the suites: a single-instance
 query (``verify main-theorem --geometry ...``) is one row of
 suites.main_theorem_rows' shape, built from the flags' text (the geometry
 text its label, the sheaf text its sheaf label).  Its guards read the parsed
-geometry before any tower is built; then the suite's own function,
-suites.main_theorem_reports, reads its cuts and sheaf on a tower built fresh
-for the query and runs each n as its own check, so a falsified n is one
+geometry before any tower is built, and its cuts on a tower built fresh for
+the query; then the suite's own function, suites.main_theorem_reports, reads
+its sheaf there and runs each n as its own check, so a falsified n is one
 failed report and the other n still print.  ``gen`` prints text by default
 and a JSON object with --json.
 """
@@ -34,23 +34,29 @@ from .arith import InputError, bernoulli, fulton_macpherson_L, todd_denominator,
 from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES
 from .report import FalsificationError, VerificationReport, run_check
 from .series import UNIVERSAL_CLASSES, Mutation, mutation_read, set_mutation
-from .specparse import build_geometry, geometry_shape, parse_geometry
+from .geometry import RANK_LIMIT
+from .specparse import build_geometry, geometry_shape, parse_divisor, parse_geometry
 from .suites import SUITES, main_theorem_reports, suite_all
 
 DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_DIM = 6
 
 
-def _degree(text: str) -> int:
-    """A --max-degree or -n value, an int >= 0; argparse exits 2 on anything else."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """The argparse type of an int >= low; argparse exits 2 on anything else."""
+
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use; parsing leaves it unchanged."""
+    natural, positive = _at_least(0), _at_least(1)  # ints >= 0 and >= 1
     parser = argparse.ArgumentParser(
         prog="grrcheck",
         description="Exact generators and verifiers for integral "
@@ -60,13 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="print a generated object")
     gen.add_argument("kind", choices=[*UNIVERSAL_CLASSES, "tm", "bernoulli", "D", "L"])
-    gen.add_argument("--degree", type=int, help="degree for todd/ch/ct/q/toddinv")
-    gen.add_argument("--rank", type=int, help="number of roots for toddinv")
-    gen.add_argument("--m", type=int, help="index for tm")
-    gen.add_argument("--n", type=int, help="index for bernoulli/L")
-    gen.add_argument("--g", type=int, help="index for D")
+    gen.add_argument("--degree", type=natural, help="degree for todd/ch/ct/q/toddinv")
+    gen.add_argument("--rank", type=positive, help="number of roots for toddinv")
+    gen.add_argument("--m", type=natural, help="index for tm")
+    gen.add_argument("--n", type=natural, help="index for bernoulli/L")
+    gen.add_argument("--g", type=positive, help="index for D")
     gen.add_argument("--json", action="store_true")
-    gen.add_argument("--max-degree", type=_degree, default=DEFAULT_MAX_DEGREE)
+    gen.add_argument("--max-degree", type=natural, default=DEFAULT_MAX_DEGREE)
 
     verify = sub.add_parser("verify", help="run a verification suite or identity")
     verify.add_argument(
@@ -74,12 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="a suite name (%s), an identity name, or 'all'"
         % ", ".join(sorted(SUITES)),
     )
-    verify.add_argument("--max-degree", type=_degree)
-    verify.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
-    verify.add_argument("-n", type=_degree, help="target codimension")
+    verify.add_argument("--max-degree", type=natural)
+    verify.add_argument("--max-dim", type=natural, default=DEFAULT_MAX_DIM)
+    verify.add_argument("-n", type=natural, help="target codimension")
     verify.add_argument("--geometry")
     verify.add_argument("--sheaf")
-    verify.add_argument("--base-levels", type=int, default=0, help="levels kept as the base")
+    verify.add_argument("--base-levels", type=natural, default=0, help="levels kept as the base")
     verify.add_argument(
         "--cut", action="append", default=[], help="divisor cutting the source (repeatable)"
     )
@@ -105,6 +111,10 @@ def _gen_universal(kind: str, args) -> tuple[dict, str]:
         )
     if kind == "toddinv" and args.rank is None:
         raise InputError("--rank is required for toddinv")
+    if kind == "toddinv" and args.rank > degree:
+        raise InputError(f"gen toddinv needs --rank <= --degree, got {args.rank} > {degree}")
+    if kind == "q" and degree < 1:
+        raise InputError(f"gen q needs --degree >= 1, got {degree}")
     builder, _ = UNIVERSAL_CLASSES[kind]
     uc = builder(degree, args.rank) if kind == "toddinv" else builder(degree)
     payload = {
@@ -152,6 +162,8 @@ def _gen_number(kind: str, args) -> tuple[dict, str]:
     index = getattr(args, flag)
     if index is None:
         raise InputError(f"--{flag} is required for {kind}")
+    if kind == "L" and index < 1:
+        raise InputError(f"gen L needs --n >= 1, got {index}")
     fi = generator(index)
     return (
         {
@@ -216,7 +228,8 @@ def _parse_mutation(spec: str) -> Mutation:
 
 def _single_instance_reports(args) -> list[VerificationReport]:
     geometry = parse_geometry(args.geometry)
-    n_levels, dim = geometry_shape(geometry)
+    ranks = geometry_shape(geometry)
+    dim = sum(ranks)
     if dim > args.max_dim:
         raise InputError(
             f"geometry dimension {dim} exceeds the guard {args.max_dim}; "
@@ -228,14 +241,21 @@ def _single_instance_reports(args) -> list[VerificationReport]:
             f"codimension {args.n} exceeds the guard {args.max_dim + 1} (--max-dim + 1); "
             "raise it with --max-dim"
         )
-    if not 0 <= args.base_levels <= n_levels:
-        raise InputError(f"base levels {args.base_levels} outside 0..{n_levels}")
+    for level, rank in enumerate(ranks, 1):
+        if rank >= RANK_LIMIT:
+            raise InputError(f"level {level} has rank {rank}; a rank must be below {RANK_LIMIT}")
+    if args.base_levels > len(ranks):
+        raise InputError(f"base levels {args.base_levels} outside 0..{len(ranks)}")
     if len(args.cut) > dim:
         raise InputError(f"more cuts ({len(args.cut)}) than the geometry dimension {dim}")
+    scope = build_geometry(geometry)
+    for cut in args.cut:  # a zero cut's Koszul factor 1 - O(0) is 0: every side would vanish
+        if not any(scope.divisor_vector(parse_divisor(cut))):
+            raise InputError(f"--cut {cut!r} is the zero divisor")
     sheaf = args.sheaf or "O"
     n_values = [args.n] if args.n is not None else range(0, 4)
     row = (args.geometry, args.geometry, args.cut, args.base_levels, [(sheaf, sheaf)], n_values)
-    return main_theorem_reports(build_geometry(geometry), [row])
+    return main_theorem_reports(scope, [row])
 
 
 def _refuse_unread(command: str, flags: dict[str, tuple[bool, bool]]) -> None:

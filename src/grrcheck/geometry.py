@@ -43,12 +43,12 @@ empty above the dimension, so each raw monomial is rewritten once (the
 rewrite and the Chow rules alone walk exponent tuples), and a product of
 classes does one key addition and one lookup per pair of terms.  Sums,
 scalings, graded parts (key >> shift) and pushforwards (the top exponent
-is a key's lowest field) keep normal form.  A level's rank is below 2^14
-(Tower refuses more), so no sum of two keys carries.  Every other sum of
-term maps here (Chow and K sums and scalings, the final normalisation of a
-Chow product, K products, the rewrite step, twists, the lambda operations
-and the K-pushforward) is grrcheck.poly.accumulate, which drops cancelled
-terms and stores integral values as ints.
+is a key's lowest field) keep normal form.  A level's rank is below
+RANK_LIMIT = 2^14 (Tower asserts it), so no sum of two keys carries.
+Every other sum of term maps here (Chow and K sums and scalings, the final
+normalisation of a Chow product, K products, the rewrite step, twists, the
+lambda operations and the K-pushforward) is grrcheck.poly.accumulate, which
+drops cancelled terms and stores integral values as ints.
 
 A class's canonical text is grrcheck.poly.serialize_keyed of its packed
 normal-form terms, in xi1..xiK or in l1..lK.  K classes keep exponent
@@ -67,11 +67,11 @@ from math import comb, prod
 from operator import add
 from typing import Mapping, Sequence
 
-from .arith import InputError
 from .poly import Alphabet, Monomial, Scalar, accumulate, root_alphabet, serialize_keyed
 from .report import Record
 
 DivisorVector = tuple[int, ...]  # one integer per tower level
+RANK_LIMIT = 1 << 14  # every level's rank is below it, so no sum of two Chow keys carries
 # One level's rewrite rules: (exponent above r_k, exponent below 0).  A rule
 # maps exponent offsets to integer coefficients; a term m rewrites to the
 # terms m + offset, so the offsets already subtract the exponent they replace.
@@ -121,8 +121,8 @@ class Tower:
         top = self.levels[k]
         if not top:
             raise AssertionError(f"level {k + 1} has no line summands")
-        if self.ranks[k] >= 1 << 14:  # so that no sum of two Chow keys carries
-            raise InputError(f"level {k + 1} has rank {self.ranks[k]}; a rank must be below 16384")
+        if self.ranks[k] >= RANK_LIMIT:
+            raise AssertionError(f"level {k + 1} has rank {self.ranks[k]}, past the packed range")
         for vec in top:
             if len(vec) != k:
                 raise AssertionError(

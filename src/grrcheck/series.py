@@ -230,8 +230,6 @@ def universal_todd(m: int) -> UniversalClass:
     Generated by expanding the per-root series over m roots (one at m = 0),
     scaling by T_m and reducing to elementary symmetric (Chern) variables.
     """
-    if m < 0:
-        raise InputError("degree must be >= 0")
     n = max(m, 1)
 
     def build() -> UniversalClass:
@@ -250,9 +248,6 @@ def universal_chern_character(m: int) -> UniversalClass:
     ch_0 is the rank variable; for m >= 1 the numerator is additionally
     asserted equal to the m-th Newton power sum in the primed variables.
     """
-    if m < 0:
-        raise InputError("degree must be >= 0")
-
     def build() -> UniversalClass:
         alph = sheaf_alphabet(m)
         if m == 0:
@@ -278,9 +273,6 @@ def universal_ct(m: int) -> UniversalClass:
 
     Every scalar ratio is a checked exact integer division.
     """
-    if m < 0:
-        raise InputError("degree must be >= 0")
-
     def build() -> UniversalClass:
         alph = ct_alphabet(m)
         total = GradedPolynomial.zero(alph, m)
@@ -305,9 +297,6 @@ def q_poly(m: int) -> UniversalClass:
     Summed on integers: the x^j coefficient of 1 - e^{-x} is (-1)^(j+1)/j!,
     so Q_m = sum_{k<m} (-1)^(m-k+1) todd_ratio(m-1, m-k, k) x^(m-k)
     Td-numerator_k."""
-    if m < 1:
-        raise InputError("degree must be >= 1")
-
     def build() -> UniversalClass:
         alph = divisor_alphabet(m)
         total = GradedPolynomial.zero(alph, m)
@@ -323,9 +312,6 @@ def q_poly(m: int) -> UniversalClass:
 def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
     """m! times the degree (m-r) part of prod_{i<=r} (1-e^{-x_i})/x_i, reduced
     to the elementary symmetric (Chern) variables c1..cr of the r roots."""
-    if not 1 <= r <= m:
-        raise InputError("need m >= r >= 1")
-
     def build() -> UniversalClass:
         deg = m - r
         orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg, factorial(m))

@@ -374,15 +374,16 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
     return GeometryScope(Tower(levels), names)
 
 
-def geometry_shape(ast: GeomAST) -> tuple[int, int]:
-    """The level count and the dimension of the tower the AST describes,
-    without building it: each level adds its summand count minus one."""
-    counts = []
+def geometry_shape(ast: GeomAST) -> tuple[int, ...]:
+    """The rank of each level, bottom first, of the tower the AST describes,
+    without building it: a level's rank is its summand count minus one."""
+    ranks = []
     while isinstance(ast, GeomBundle):
         bundle = ast.bundle
-        counts.append(bundle.count if isinstance(bundle, TrivialBundle) else len(bundle.divisors))
+        count = bundle.count if isinstance(bundle, TrivialBundle) else len(bundle.divisors)
+        ranks.append(count - 1)
         ast = ast.base
-    return len(counts), sum(counts) - len(counts)
+    return tuple(reversed(ranks))
 
 
 def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:

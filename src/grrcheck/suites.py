@@ -88,6 +88,7 @@ MODEL_TOWERS: list[tuple[str, str, list[int]]] = [
      [0, 1, 2]),
 ]
 _MODEL_TOWER_TEXT = {name: text for name, text, _ in MODEL_TOWERS}
+TWIST_BOUND = 2  # the main-theorem suite's twist vectors have entries in [-2, 2]
 
 
 @cache
@@ -115,14 +116,14 @@ def _line_text(vec) -> str:
     return f"O({divisor})" if divisor else "O"
 
 
-def main_theorem_rows(coefficient_bound: int = 2) -> list[tuple]:
+def main_theorem_rows() -> list[tuple]:
     """One row per main-theorem source, in the text `verify main-theorem`
     reads, beside its labels: (label, geometry text, cut texts, base levels,
     sheaves as (label, class text), codimensions); a geometry's rows are adjacent."""
     rows = []
     for name, text, bases in MODEL_TOWERS:
         tower = geometry_scope(text).tower
-        vecs = _sheaf_vectors(tower.n_levels, coefficient_bound)
+        vecs = _sheaf_vectors(tower.n_levels, TWIST_BOUND)
         twists = [(_twist_label(vec), _line_text(vec)) for vec in vecs]
         for base in bases:
             n_values = range(0, min(3, tower.prefix(base).dim + 1) + 1)
@@ -331,18 +332,18 @@ def main_theorem_reports(scope: GeometryScope, rows) -> list[VerificationReport]
     return reports
 
 
-def suite_main_theorem(coefficient_bound: int = 2) -> list[VerificationReport]:
+def suite_main_theorem() -> list[VerificationReport]:
     """The main identity (both statement shapes and their regrouping) on the
     rows of main_theorem_rows, one geometry at a time, then per registered
     tower the binomial-product and the cycle-side Euler-characteristic checks."""
     reports: list[VerificationReport] = []
-    for text, rows in groupby(main_theorem_rows(coefficient_bound), key=lambda row: row[1]):
+    for text, rows in groupby(main_theorem_rows(), key=lambda row: row[1]):
         reports += main_theorem_reports(geometry_scope(text), rows)
     for name, text, _ in MODEL_TOWERS:
         tower = geometry_scope(text).tower
         # on a product tower, Euler characteristic against the binomial-product oracle
         if not any(any(vec) for level in tower.levels for vec in level):
-            for coeffs in _sheaf_vectors(tower.n_levels, coefficient_bound):
+            for coeffs in _sheaf_vectors(tower.n_levels, TWIST_BOUND):
                 instance = f"{name}/{_twist_label(coeffs)}"
                 reports += run_check(
                     "euler-binomial-oracle", instance,

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grrcheck.arith import (
-    InputError,
     bernoulli,
     bernoulli_akiyama_tanigawa,
     check_divisibility_lemma,
@@ -57,10 +56,6 @@ class TestToddDenominator:
     def test_factorial_divides(self):
         for m in range(1, 31):
             assert todd_denominator(m).value % factorial(m) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            todd_denominator(-1)
 
 
 def compositions(total: int, smallest: int = 1):

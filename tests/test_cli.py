@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grrcheck import cli, grr, specparse, suites
+from grrcheck import cli, grr, series, specparse, suites
 from grrcheck.cli import main
 from grrcheck.report import FalsificationError
 from grrcheck.suites import SUITES, main_theorem_rows, suite_main_theorem
@@ -262,8 +262,10 @@ class TestVerify:
             (["--base-levels", "5"], "base levels 5 outside 0..1"),
             (["-n", "-1"], "argument -n: expected an integer >= 0, got '-1'"),
             (["--cut", "h"] * 3, "more cuts (3) than the geometry dimension 2"),
+            (["--base-levels", "-1"], "argument --base-levels: expected an integer >= 0, got '-1'"),
+            (["--max-dim", "-1"], "argument --max-dim: expected an integer >= 0, got '-1'"),
         ],
-        ids=["base-levels", "negative-n", "three-cuts"],
+        ids=["base-levels", "negative-n", "three-cuts", "negative-base-levels", "negative-max-dim"],
     )
     def test_query_guards_run_before_the_build(self, monkeypatch, capsys, flags, error):
         # this sheaf takes seconds to build, and each flag is refused from
@@ -278,6 +280,18 @@ class TestVerify:
         assert main(argv + flags) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.endswith(f"error: {error}\n")
+
+    def test_a_zero_cut_is_refused_before_the_sheaf(self, monkeypatch, capsys):
+        # the cut is read on the built tower; the sheaf is never evaluated
+        def evaluate(*args):
+            raise AssertionError("the sheaf was evaluated before the cut was refused")
+
+        monkeypatch.setattr(suites, "evaluate_class", evaluate)
+        argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
+                "--sheaf", "sym(400, O(h)+O(2*h)+O(3*h)+O(4*h))", "--cut", "2*h-h-h"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: --cut '2*h-h-h' is the zero divisor\n")
 
     def test_each_query_builds_its_own_tower(self, monkeypatch, capsys):
         # no tower outlives its query, so no query reads another's caches
@@ -393,13 +407,13 @@ class TestVerify:
         assert capsys.readouterr().out == spaced
         assert json.loads(spaced.splitlines()[0])["lhs"] == "-108/1 xi1^1"
 
-    @pytest.mark.parametrize("levels", ["5", "-1"])
-    def test_base_levels_out_of_range(self, levels, capsys):
+    def test_base_levels_out_of_range(self, capsys):
+        # a negative value is argparse's to refuse (RANGE_ERRORS)
         argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
-                "--base-levels", levels]
+                "--base-levels", "5"]
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: base levels {levels} outside 0..1\n"
+        assert out == "" and err == "error: base levels 5 outside 0..1\n"
 
     def test_determinism_two_runs(self, capsys):
         main(["verify", "surface-det"])
@@ -566,7 +580,7 @@ class TestVerify:
         assert all(type(v) is int and v >= 0 for v in values), values
 
     def test_timing_stamps_the_binomial_oracle_reports(self):
-        reports = suite_main_theorem(coefficient_bound=0)
+        reports = suite_main_theorem()
         assert any(r.identity == "euler-binomial-oracle" for r in reports)
         assert all(type(r.millis) is int for r in reports)
 
@@ -811,18 +825,17 @@ P1 = "P(trivial 2) over point"
 # the parser raises (self.error).  (argv, the last line of stderr after
 # "error: ")
 USAGE_ERRORS = [
-    # arith
-    (["gen", "tm", "--m", "-1"], "degree must be >= 0, got -1"),
-    (["gen", "bernoulli", "--n", "-1"], "index must be >= 0, got -1"),
-    (["gen", "D", "--g", "0"], "g must be >= 1, got 0"),
-    (["gen", "L", "--n", "0"], "n must be >= 1, got 0"),
     # cli
     (["gen", "todd"], "--degree is required for this kind"),
     (["gen", "todd", "--degree", "13"],
      "degree 13 exceeds the resource guard; raise it with --max-degree"),
     (["gen", "toddinv", "--degree", "3"], "--rank is required for toddinv"),
+    (["gen", "toddinv", "--degree", "1", "--rank", "2"],
+     "gen toddinv needs --rank <= --degree, got 2 > 1"),
+    (["gen", "q", "--degree", "0"], "gen q needs --degree >= 1, got 0"),
     (["gen", "bernoulli"], "--n is required for bernoulli"),
     (["gen", "tm"], "--m is required for tm"),
+    (["gen", "L", "--n", "0"], "gen L needs --n >= 1, got 0"),
     (["gen", "tm", "--m", "1750"], "tm value exceeds the 4300-digit limit of decimal text"),
     (["verify", "kappa", "--mutate", "todd:2:0"],
      "bad mutation spec 'todd:2:0': not enough values to unpack (expected 4, got 3)"),
@@ -839,22 +852,17 @@ USAGE_ERRORS = [
         sorted({*SUITES, *cli.IDENTITY_CHECKS, "all"}))),
     (["verify", "integrality", "--max-degree", "-1"],
      "argument --max-degree: expected an integer >= 0, got '-1'"),
-    (QUERY + [P1, "--base-levels", "5"], "base levels 5 outside 0..1"),
-    (QUERY + [P1, "--cut", "h", "--cut", "h"], "more cuts (2) than the geometry dimension 1"),
-    # geometry
     (["verify", "main-theorem", "--max-dim", "20000", "--geometry",
       "P(trivial 16385) over point", "-n", "0"],
      "level 1 has rank 16384; a rank must be below 16384"),
+    (QUERY + [P1, "--base-levels", "5"], "base levels 5 outside 0..1"),
+    (QUERY + [P1, "--cut", "h", "--cut", "h"], "more cuts (2) than the geometry dimension 1"),
+    (QUERY + [P1, "--cut", "0"], "--cut '0' is the zero divisor"),
     # poly: a literal under the int-digit limit whose class text is over it
     (QUERY + ["P(trivial 3) over point", "--sheaf", f"O({'9' * 4000}*h)", "-n", "0"],
      "class text exceeds the 4300-digit limit of decimal text"),
     # series
     (["verify", "kappa", "--mutate", "ct:2:99:1"], "mutation index 99 out of range for ct"),
-    (["gen", "todd", "--degree", "-1"], "degree must be >= 0"),
-    (["gen", "ch", "--degree", "-1"], "degree must be >= 0"),
-    (["gen", "ct", "--degree", "-1"], "degree must be >= 0"),
-    (["gen", "q", "--degree", "0"], "degree must be >= 1"),
-    (["gen", "toddinv", "--degree", "1", "--rank", "2"], "need m >= r >= 1"),
     # specparse
     (QUERY + [P1 + "!"], "unexpected character '!' (line 1, column 24)"),
     (QUERY + [P1, "--sheaf", f"O({'9' * 5000}*h)"],
@@ -874,6 +882,18 @@ USAGE_ERRORS = [
     (QUERY + ["P(trivial 2) as xi2 over point"],
      "alias 'xi2' on level 1 is another level's name"),
 ]
+# More gen values out of range, each reaching a site of USAGE_ERRORS again
+# and named by its flag (the query's are in TestVerify's guard tests)
+RANGE_ERRORS = [
+    (["gen", "tm", "--m", "-2"], "argument --m: expected an integer >= 0, got '-2'"),
+    (["gen", "bernoulli", "--n", "-1"], "argument --n: expected an integer >= 0, got '-1'"),
+    (["gen", "D", "--g", "0"], "argument --g: expected an integer >= 1, got '0'"),
+    (["gen", "todd", "--degree", "-1"], "argument --degree: expected an integer >= 0, got '-1'"),
+    (["gen", "ch", "--degree", "-1"], "argument --degree: expected an integer >= 0, got '-1'"),
+    (["gen", "ct", "--degree", "-1"], "argument --degree: expected an integer >= 0, got '-1'"),
+    (["gen", "toddinv", "--degree", "2", "--rank", "0"],
+     "argument --rank: expected an integer >= 1, got '0'"),
+]
 # a usage-error site: a raise of an error that the CLI turns into exit 2
 USAGE_RAISE = re.compile(
     r"raise (InputError|ParseError|ScopeError|self\.error|argparse\.ArgumentTypeError)\("
@@ -885,11 +905,37 @@ class TestUsageErrors:
     one cli.main call of USAGE_ERRORS, which exits 2 with nothing on stdout
     and the site's message on stderr."""
 
-    @pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS + RANGE_ERRORS)
     def test_exits_two_with_its_message(self, argv, message, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.endswith(f"error: {message}\n"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            argv
+            for argv, message in USAGE_ERRORS + RANGE_ERRORS
+            if argv[0] == "gen" and "digit limit" not in message
+        ],
+    )
+    def test_a_refused_gen_builds_nothing(self, argv, monkeypatch):
+        # every gen refusal but the digit limit's, which reads the computed
+        # value, comes before any universal class or arith generator is called
+        calls = []
+
+        def spy(name):
+            return lambda *args: calls.append((name, args))
+
+        for kind in series.UNIVERSAL_CLASSES:
+            monkeypatch.setitem(series.UNIVERSAL_CLASSES, kind, (spy(kind), spy(f"{kind} oracle")))
+        for kind, (flag, generator) in cli.FACTORED_NUMBERS.items():
+            monkeypatch.setitem(cli.FACTORED_NUMBERS, kind, (flag, spy(generator.__name__)))
+        for name in ("bernoulli", "todd_denominator"):
+            monkeypatch.setattr(cli, name, spy(name))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 2
+        assert calls == []
 
     def test_every_site_is_reached_by_the_table(self):
         sites = {
@@ -948,9 +994,8 @@ class TestDegreeBounds:
         assert out == "" and "--max-degree" in err
 
     def test_only_the_suites_the_cli_sizes_take_a_parameter(self):
-        # --max-degree reaches integrality and series-identities; the
-        # main-theorem suite keeps its coefficient bound for the hygiene
-        # test's traced run; every other suite has its one size
+        # --max-degree reaches integrality and series-identities; every
+        # other suite has its one size
         sized = {
             name: list(inspect.signature(suite).parameters)
             for name, suite in SUITES.items()
@@ -959,7 +1004,6 @@ class TestDegreeBounds:
         assert sized == {
             "integrality": ["max_degree"],
             "series-identities": ["max_degree"],
-            "main-theorem": ["coefficient_bound"],
         }
 
 

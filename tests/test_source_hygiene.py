@@ -2,8 +2,9 @@
 function is reached from it, and every module uses the names it imports.
 
 Methods and functions are checked against a traced run.  A fixed list of
-program calls runs under sys.setprofile: every suite at a small size, every
-gen kind as text and as JSON, single-instance queries with a cut, a rank-0
+program calls runs under sys.setprofile: every suite (at a small size where
+it takes one; main-theorem at its one size, about 3 s traced), every gen kind
+as text and as JSON, single-instance queries with a cut, a rank-0
 level and an alias, parse, scope and usage errors, and --mutate runs.  The
 calls run in a fresh interpreter (this file run as a script), because the
 package memoises universal classes and model towers: a process that other
@@ -63,6 +64,7 @@ CLI_CALLS = [
     (["verify", "kappa"], 0),
     (["verify", "surface-det"], 0),
     (["verify", "number-theory"], 0),
+    (["verify", "main-theorem"], 0),
     *[(["gen", *kind, *form], 0) for kind in GEN_KINDS for form in ([], ["--json"])],
     (QUERY + ["P(trivial 4) over point", "--cut", "h", "-n", "1"], 0),
     (QUERY + ["P([0]) over P(trivial 3) over point", "--sheaf", "O(xi2) + O(h)",
@@ -77,15 +79,13 @@ CLI_CALLS = [
     (["gen", "todd"], 2),
     (["gen", "nope"], 2),
 ]
-# (suite, size): main-theorem runs through cli.main only at its full size
-SUITE_CALLS = [("main-theorem", 0)]
 
 
 def traced_run() -> dict:
     """Run the program calls under sys.setprofile; return the (file, first
     line) of every package code object entered and the calls whose exit
     code differed."""
-    from grrcheck import cli, suites
+    from grrcheck import cli
 
     entered = set()
 
@@ -101,8 +101,6 @@ def traced_run() -> dict:
                 got = cli.main(argv)
                 if got != code:
                     wrong.append([argv, got, code])
-            for name, size in SUITE_CALLS:
-                suites.SUITES[name](size)
     finally:
         sys.setprofile(None)
     places = {
