@@ -2,10 +2,11 @@
 
 Exit codes: 0 all checks pass, 1 at least one identity falsified, 2 usage or
 input error (an InputError: a flag's value, which only this module checks,
-or a flag the chosen suite or gen kind does not read), 3 stdout closed before
-the output was written (e.g. piped into ``head``) or any other failure, such
-as a broken invariant (one ``internal error:`` line on stderr), 130 interrupted
-(SIGINT; one ``interrupted`` line on stderr).  ``verify`` emits one JSON
+or a flag the chosen suite or gen kind does not read, refused when typed at
+all, even at its default value), 3 stdout closed before the output was
+written (e.g. piped into ``head``) or any other failure, such as a broken
+invariant (one ``internal error:`` line on stderr), 130 interrupted (SIGINT;
+one ``interrupted`` line on stderr).  ``verify`` emits one JSON
 object per report, ordered by (identity, instance); the stream is
 byte-identical across runs unless --timing is given (timing is the only
 nondeterministic field: each report's millis is the wall time of the check
@@ -53,6 +54,17 @@ def _at_least(low: int):
     return parse
 
 
+class _Typed(argparse.Action):
+    """Store a flag's value (append it, for --cut's list) and add the flag to
+    the namespace's typed set: a flag typed at its default value is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if isinstance(self.default, list):
+            values = [*getattr(namespace, self.dest), values]
+        setattr(namespace, self.dest, values)
+        namespace.typed = getattr(namespace, "typed", frozenset()) | {self.option_strings[0]}
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use; parsing leaves it unchanged."""
@@ -66,13 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="print a generated object")
     gen.add_argument("kind", choices=[*UNIVERSAL_CLASSES, "tm", "bernoulli", "D", "L"])
-    gen.add_argument("--degree", type=natural, help="degree for todd/ch/ct/q/toddinv")
-    gen.add_argument("--rank", type=positive, help="number of roots for toddinv")
-    gen.add_argument("--m", type=natural, help="index for tm")
-    gen.add_argument("--n", type=natural, help="index for bernoulli/L")
-    gen.add_argument("--g", type=positive, help="index for D")
+    gen.add_argument("--degree", action=_Typed, type=natural, help="degree of a universal class")
+    gen.add_argument("--rank", action=_Typed, type=positive, help="number of roots for toddinv")
+    gen.add_argument("--m", action=_Typed, type=natural, help="index for tm")
+    gen.add_argument("--n", action=_Typed, type=natural, help="index for bernoulli/L")
+    gen.add_argument("--g", action=_Typed, type=positive, help="index for D")
     gen.add_argument("--json", action="store_true")
-    gen.add_argument("--max-degree", type=natural, default=DEFAULT_MAX_DEGREE)
+    gen.add_argument("--max-degree", action=_Typed, type=natural, default=DEFAULT_MAX_DEGREE)
 
     verify = sub.add_parser("verify", help="run a verification suite or identity")
     verify.add_argument(
@@ -80,14 +92,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="a suite name (%s), an identity name, or 'all'"
         % ", ".join(sorted(SUITES)),
     )
-    verify.add_argument("--max-degree", type=natural)
-    verify.add_argument("--max-dim", type=natural, default=DEFAULT_MAX_DIM)
-    verify.add_argument("-n", type=natural, help="target codimension")
-    verify.add_argument("--geometry")
-    verify.add_argument("--sheaf")
-    verify.add_argument("--base-levels", type=natural, default=0, help="levels kept as the base")
+    verify.add_argument("--max-degree", action=_Typed, type=natural)
+    verify.add_argument("--max-dim", action=_Typed, type=natural, default=DEFAULT_MAX_DIM)
+    verify.add_argument("-n", action=_Typed, type=natural, help="target codimension")
+    verify.add_argument("--geometry", action=_Typed)
+    verify.add_argument("--sheaf", action=_Typed)
     verify.add_argument(
-        "--cut", action="append", default=[], help="divisor cutting the source (repeatable)"
+        "--base-levels", action=_Typed, type=natural, default=0, help="levels kept as the base"
+    )
+    verify.add_argument(
+        "--cut", action=_Typed, default=[], help="divisor cutting the source (repeatable)"
     )
     verify.add_argument("--timing", action="store_true", help="include millis in JSON")
     verify.add_argument(
@@ -187,22 +201,15 @@ def _decimal(kind: str, number: int | Fraction) -> str:
 
 
 def cmd_gen(args) -> int:
-    universal = args.kind in UNIVERSAL_CLASSES
-    _refuse_unread(
-        f"gen {args.kind}",
-        {
-            "--degree": (args.degree is not None, universal),
-            "--rank": (args.rank is not None, args.kind == "toddinv"),
-            "--m": (args.m is not None, args.kind == "tm"),
-            "--n": (args.n is not None, args.kind in ("bernoulli", "L")),
-            "--g": (args.g is not None, args.kind == "D"),
-            "--max-degree": (args.max_degree != DEFAULT_MAX_DEGREE, universal),
-        },
-    )
+    kind = args.kind
+    universal = kind in UNIVERSAL_CLASSES
+    reads = {"--degree": universal, "--rank": kind == "toddinv", "--m": kind == "tm"}
+    reads |= {"--n": kind in ("bernoulli", "L"), "--g": kind == "D", "--max-degree": universal}
+    _refuse_unread(f"gen {kind}", args, reads)
     if universal:
-        payload, text = _gen_universal(args.kind, args)
+        payload, text = _gen_universal(kind, args)
     else:
-        payload, text = _gen_number(args.kind, args)
+        payload, text = _gen_number(kind, args)
     print(json.dumps(payload, sort_keys=False) if args.json else text)
     return 0
 
@@ -258,17 +265,18 @@ def _single_instance_reports(args) -> list[VerificationReport]:
     return main_theorem_reports(scope, [row])
 
 
-def _refuse_unread(command: str, flags: dict[str, tuple[bool, bool]]) -> None:
-    """Reject every flag given to the command that it does not read; flags
-    maps each flag to (given, read)."""
-    ignored = [flag for flag, (given, read) in flags.items() if given and not read]
+def _refuse_unread(command: str, args, reads: dict[str, bool]) -> None:
+    """Reject every flag typed for the command that it does not read; reads
+    maps each flag to whether the command reads it."""
+    typed = getattr(args, "typed", ())
+    ignored = [flag for flag, read in reads.items() if flag in typed and not read]
     if ignored:
         raise InputError(f"{', '.join(ignored)} not used by {command}")
 
 
 def _check_target(args) -> None:
-    """Reject an unknown target, and any flag the target would not read (a
-    flag counts as given when its value differs from the default)."""
+    """Reject an unknown target, and any flag typed for it that it would not
+    read, even at the flag's default value."""
     known = sorted({*SUITES, *IDENTITY_CHECKS, "all"})
     if args.suite not in known:
         raise InputError(
@@ -276,16 +284,9 @@ def _check_target(args) -> None:
         )
     single = args.suite == "main-theorem" and args.geometry is not None
     by_degree = args.suite in ("series-identities", "integrality", *IDENTITY_CHECKS)
-    flags = {
-        "--max-degree": (args.max_degree is not None, by_degree),
-        "--max-dim": (args.max_dim != DEFAULT_MAX_DIM, single),
-        "-n": (args.n is not None, single),
-        "--geometry": (args.geometry is not None, single),
-        "--sheaf": (args.sheaf is not None, single),
-        "--base-levels": (args.base_levels != 0, single),
-        "--cut": (bool(args.cut), single),
-    }
-    _refuse_unread(f"verify {args.suite}", flags)
+    query_flags = ("--max-dim", "-n", "--geometry", "--sheaf", "--base-levels", "--cut")
+    reads = {"--max-degree": by_degree, **dict.fromkeys(query_flags, single)}
+    _refuse_unread(f"verify {args.suite}", args, reads)
 
 
 def cmd_verify(args) -> int:

@@ -33,7 +33,9 @@ the first Chern class of its tautological quotient line bundle.
 
 Each class constructor takes over terms already clean (see the classes).
 Outside input reaches the rings only through Tower.line, which asserts the
-arity, and the class operations, each of which keeps its result clean.
+arity (as do divisor_chow, KClass.twist and VirtualCompleteIntersection:
+nothing pads a short vector), and the class operations, each of which
+keeps its result clean.
 
 Chow classes have integer coefficients on that basis, stored as a
 GradedPolynomial's: {packed key: coefficient} over the tower's alphabet
@@ -41,14 +43,15 @@ xi1..xiK (grrcheck.poly).  Each tower keeps one product memo, raw key
 ka + kb -> the normal form of its monomial as (key, coefficient) pairs,
 empty above the dimension, so each raw monomial is rewritten once (the
 rewrite and the Chow rules alone walk exponent tuples), and a product of
-classes does one key addition and one lookup per pair of terms.  Sums,
-scalings, graded parts (key >> shift) and pushforwards (the top exponent
-is a key's lowest field) keep normal form.  A level's rank is below
-RANK_LIMIT = 2^14 (Tower asserts it), so no sum of two keys carries.
-Every other sum of term maps here (Chow and K sums and scalings, the final
-normalisation of a Chow product, K products, the rewrite step, twists, the
-lambda operations and the K-pushforward) is grrcheck.poly.accumulate, which
-drops cancelled terms and stores integral values as ints.
+classes does one key addition and one lookup per pair of terms; a divisor
+sum_k a_k xi_k reads each xi_k's entry there too.  Sums, scalings, graded
+parts (key >> shift) and pushforwards (the top exponent is a key's lowest
+field) keep normal form.  A level's rank is below RANK_LIMIT = 2^14 (Tower
+asserts it), so no sum of two keys carries.  Every other sum of term maps
+here (Chow and K sums and scalings, the final normalisation of a Chow
+product and of a divisor, the rewrite step, twists, the lambda operations
+and the K-pushforward) is grrcheck.poly.accumulate, which drops cancelled
+terms and stores integral values as ints.
 
 A class's canonical text is grrcheck.poly.serialize_keyed of its packed
 normal-form terms, in xi1..xiK or in l1..lK.  K classes keep exponent
@@ -98,7 +101,7 @@ class Tower:
 
     def __init__(self, levels: Sequence[Sequence[DivisorVector]]):
         self.levels: tuple[tuple[DivisorVector, ...], ...] = tuple(
-            tuple(tuple(int(c) for c in vec) for vec in level) for level in levels
+            tuple(tuple(vec) for vec in level) for level in levels
         )
         self.n_levels: int = len(self.levels)
         self.base: Tower | None = Tower(self.levels[:-1]) if self.levels else None
@@ -143,8 +146,11 @@ class Tower:
         # det(E) = wedge^{r+1} E is the line of the summands' sum
         self._det_inverse = tuple(-sum(x) for x in zip(*top))
 
-    def _pad(self, vec: DivisorVector) -> DivisorVector:
-        return vec + (0,) * (self.n_levels - len(vec))
+    def _arity(self, vec: DivisorVector) -> DivisorVector:
+        """vec itself, asserted to hold one entry per level."""
+        if len(vec) != self.n_levels:
+            raise AssertionError(f"divisor vector {vec} has wrong arity for {self!r}")
+        return vec
 
     def _normal_form(
         self, terms: Mapping[Monomial, Scalar], rules: Sequence[tuple[Rule, Rule]]
@@ -231,24 +237,18 @@ class Tower:
         return self.divisor_chow(tuple(int(p == k - 1) for p in range(self.n_levels)))
 
     def divisor_chow(self, vec: DivisorVector) -> "ChowClass":
-        vec = self._pad(tuple(vec))
-        out: dict[Monomial, int] = {}
-        for kpos, c in enumerate(vec):
+        """sum_k vec_k xi_k, each xi_k's normal form read from the product memo."""
+        out: dict[int, Scalar] = {}
+        for k, c in enumerate(self._arity(vec)):
             if c:
-                mono = [0] * self.n_levels
-                mono[kpos] = 1
-                out[tuple(mono)] = c
-        # xi_k is in normal form unless level k has rank 0, where xi = D
-        if not all(r for r, c in zip(self.ranks, vec) if c):
-            out = self._normal_form(out, self._chow_rules)
-        keys = self.alphabet.keys
-        return ChowClass(self, {keys[m]: c for m, c in out.items()})
+                key = self.alphabet.keys[(0,) * k + (1,) + (0,) * (self.n_levels - k - 1)]
+                entry = self._products.get(key)
+                for term, t in self._product(key) if entry is None else entry:
+                    out[term] = out.get(term, 0) + c * t
+        return ChowClass(self, accumulate({}, out))
 
     def line(self, vec: DivisorVector) -> "KClass":
-        vec = self._pad(tuple(vec))
-        if len(vec) != self.n_levels:
-            raise AssertionError("line symbol has wrong arity for the tower")
-        return KClass(self, {vec: 1})
+        return KClass(self, {self._arity(vec): 1})
 
     def structure_sheaf(self) -> "KClass":
         return KClass(self, {(0,) * self.n_levels: 1})
@@ -256,13 +256,12 @@ class Tower:
     def tangent_class(self) -> "KClass":
         """Split model of the tangent class from the per-level Euler sequences."""
         if "tangent" not in self._cache:
-            # level k: O(xi_k - L) for each summand L, minus O
+            # level k: O(xi_k - L) for each summand L (entries on the k levels below), minus O
             terms: dict[DivisorVector, int] = {(0,) * self.n_levels: -self.n_levels}
             for k, level in enumerate(self.levels):
                 for vec in level:
-                    sym = [-v for v in self._pad(vec)]
-                    sym[k] += 1
-                    terms[tuple(sym)] = terms.get(tuple(sym), 0) + 1
+                    sym = (*(-v for v in vec), 1) + (0,) * (self.n_levels - k - 1)
+                    terms[sym] = terms.get(sym, 0) + 1
             self._cache["tangent"] = KClass(self, {v: c for v, c in terms.items() if c})
         return self._cache["tangent"]
 
@@ -400,13 +399,6 @@ class KClass:
         terms = {v: n * c for v, c in self.line_terms.items()} if n else {}
         return KClass(self.tower, terms)
 
-    def __mul__(self, other: "KClass") -> "KClass":
-        self._check(other)
-        out: dict[DivisorVector, int] = {}
-        for va, ca in self.line_terms.items():
-            accumulate(out, other.line_terms, ca, va)
-        return KClass(self.tower, out)
-
     def dual(self) -> "KClass":
         return KClass(
             self.tower, {tuple(-x for x in v): c for v, c in self.line_terms.items()}
@@ -414,8 +406,7 @@ class KClass:
 
     def twist(self, vec: DivisorVector) -> "KClass":
         """Tensor with the line bundle of the given divisor vector."""
-        vec = self.tower._pad(tuple(vec))
-        return KClass(self.tower, accumulate({}, self.line_terms, 1, vec))
+        return KClass(self.tower, accumulate({}, self.line_terms, 1, self.tower._arity(vec)))
 
     def _lambda_terms(self, n: int, s: int, only_n: bool) -> dict[int, dict[DivisorVector, int]]:
         """t-degree d -> terms of the t^d coefficient of prod_L (1 + s L t)^(s m_L)
@@ -533,13 +524,12 @@ class VirtualCompleteIntersection(Record):
     """The one kind of source: r divisor cuts in an ambient tower, the tower
     itself when r = 0.  Its two maps into the ambient ring, koszul_class on K
     classes and push on Chow classes, are i_*(-|_Z), each the identity when
-    there are no cuts.  The cuts are stored padded to the ambient's levels."""
+    there are no cuts.  Each cut has one entry per ambient level."""
 
     __slots__ = ("ambient", "cuts")
 
     def __init__(self, ambient: Tower, cuts: tuple[DivisorVector, ...]):
-        self.ambient = ambient
-        self.cuts = tuple(ambient._pad(tuple(c)) for c in cuts)
+        super().__init__(ambient, tuple(ambient._arity(c) for c in cuts))
 
     @property
     def codim(self) -> int:
@@ -556,13 +546,13 @@ class VirtualCompleteIntersection(Record):
             alpha = alpha * self.ambient.divisor_chow(c)
         return alpha
 
-    def koszul_class(self, f: KClass | None = None) -> KClass:
-        """i_*[F|_Z] (i_*[O_Z] for F None): F times prod (1 - [O(-cut)]), F
-        itself when there are no cuts."""
-        ambient = self.ambient
-        total = ambient.structure_sheaf() if f is None else f
+    def koszul_class(self, f: KClass) -> KClass:
+        """i_*[F|_Z]: per cut D, the Koszul resolution 0 -> O(-D) -> O -> O_D -> 0
+        turns the class so far into itself minus its twist by -D; F itself
+        when there are no cuts."""
+        total = f
         for c in self.cuts:
-            total = total * (ambient.structure_sheaf() - ambient.line(tuple(-x for x in c)))
+            total = total - total.twist(tuple(-x for x in c))
         return total
 
     def normal_class(self) -> KClass:

@@ -392,11 +392,11 @@ def check_divisor_calculus(
     hyperplane: single-divisor restriction, the two-divisor decomposition,
     the difference decomposition with its cutoff, the combined-class linkage,
     and the matching additivity-defect bookkeeping on both sides."""
-    h = w.hyperplane(1)
+    h, zeros = w.hyperplane(1), (0,) * (w.n_levels - 1)  # c*h is the vector (c, *zeros)
     delta = w.dim - 1
 
     def cut(c: int) -> tuple:
-        return ((c,),)  # one cut c*h, padded to the levels by VirtualCompleteIntersection
+        return ((c, *zeros),)
 
     # each side below is evaluated once and read by every report that needs it;
     # Q_m at the tangent Chern classes and at a*h, b*h, their sum and difference
@@ -411,7 +411,7 @@ def check_divisor_calculus(
     both = w.zero_chow()
     if m >= 2:
         both = _restricted_td(w, cut(a) + cut(b), m - 2).scale(todd_ratio(m - 1, 0, m - 2))
-    off_a, off_b, off_sum = (w.structure_sheaf() - w.line((-c,)) for c in (a, b, a + b))
+    off_a, off_b, off_sum = (w.structure_sheaf() - w.line((-c, *zeros)) for c in (a, b, a + b))
     linked = ct_on_tower(w, w.tangent_class(), _sheaf_images(off_a, m), m)
 
     # the difference of two divisors, with the cutoff min(m-1, delta)
@@ -422,14 +422,15 @@ def check_divisor_calculus(
         rhs_diff = rhs_diff + (with_x - with_y).scale(todd_ratio(m - 1, 0, m - 1 - k))
 
     # K-side decompositions
-    koszul_a = VirtualCompleteIntersection(w, cut(a)).koszul_class()
-    koszul_b = VirtualCompleteIntersection(w, cut(b)).koszul_class()
-    koszul_ab = VirtualCompleteIntersection(w, cut(a) + cut(b)).koszul_class()
-    lhs_kd = w.structure_sheaf() - w.line((b - a,))
+    def koszul(cuts: tuple) -> KClass:
+        return VirtualCompleteIntersection(w, cuts).koszul_class(w.structure_sheaf())
+
+    koszul_a, koszul_b, koszul_ab = koszul(cut(a)), koszul(cut(b)), koszul(cut(a) + cut(b))
+    lhs_kd = w.structure_sheaf() - w.line((b - a, *zeros))
     rhs_kd = koszul_a - koszul_b
     for k in range(1, delta + 1):
-        with_x = VirtualCompleteIntersection(w, cut(b) * k + cut(a)).koszul_class()
-        with_y = VirtualCompleteIntersection(w, cut(b) * k + cut(b)).koszul_class()
+        with_x = koszul(cut(b) * k + cut(a))
+        with_y = koszul(cut(b) * k + cut(b))
         rhs_kd = rhs_kd + with_x - with_y
 
     one, two = divisor_instance(label, a, m), f"{label}/D1={a}h/D2={b}h"
@@ -513,15 +514,15 @@ class FormalFibration(Record):
         return uc.numerator.substitute(images, self.fiber, truncation=self.truncation)
 
     def pushforward(self, p: GradedPolynomial) -> GradedPolynomial:
-        out = GradedPolynomial.zero(self.symbols, self.truncation)
-        for mono, coeff in p.terms.items():
-            degree = p.degree_of(mono)
-            if degree < self.d:
-                continue
-            out = out + GradedPolynomial.variable(
-                self.symbols, self.truncation, self.table[mono]
-            ).scale(coeff)
-        return out
+        """Each term of p of relative degree at least d as its coefficient
+        times the table's symbol, in one pass over p's packed keys."""
+        names, monomials, shift = self.symbols.names(), self.fiber.monomials, self.fiber.shift
+        terms = {
+            tuple(int(n == self.table[monomials[key]]) for n in names): coeff
+            for key, coeff in p.packed.items()
+            if key >> shift >= self.d
+        }
+        return GradedPolynomial(self.symbols, self.truncation, terms)
 
 
 def kappa_expected(n: int) -> tuple[Fraction, str]:

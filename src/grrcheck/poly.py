@@ -329,9 +329,6 @@ class GradedPolynomial:
 
     # -- basic queries -------------------------------------------------
 
-    def degree_of(self, mono: Monomial) -> int:
-        return self.alphabet.keys[mono] >> self.alphabet.shift
-
     def is_zero(self) -> bool:
         return not self.packed
 
@@ -574,11 +571,6 @@ class GradedPolynomial:
                 new |= (k >> low & mask) << high
             out[new] = c
         return GradedPolynomial._normal(target, self.truncation, out)
-
-    def rename(self, mapping: Mapping[str, str]) -> "GradedPolynomial":
-        """Rename variables in place (same order and weights, so the same keys)."""
-        target = Alphabet([(mapping.get(n, n), w) for n, w in self.alphabet.variables])
-        return GradedPolynomial._normal(target, self.truncation, self.packed)
 
     # -- text forms ------------------------------------------------------
 

@@ -417,12 +417,12 @@ def todd_series_oracle(m: int) -> GradedPolynomial:
 
 
 def chern_character_oracle(m: int) -> GradedPolynomial:
-    """m! * ch_m, the m-th Newton power sum in the primed variables (the rank
-    r at m = 0): the cross-check for the primary route."""
+    """m! * ch_m, the m-th Newton power sum with each e_i read as cp_i, the
+    rank r first (r itself at m = 0): the cross-check for the primary route."""
     alph = sheaf_alphabet(m)
     if m == 0:
         return GradedPolynomial.variable(alph, 0, "r")
-    return newton_power_sum(m).rename({f"e{i}": f"cp{i}" for i in range(1, m + 1)}).embed(alph)
+    return GradedPolynomial(alph, m, {(0,) + e: c for e, c in newton_power_sum(m).terms.items()})
 
 
 def ct_oracle(m: int) -> GradedPolynomial:

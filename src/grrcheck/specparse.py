@@ -394,9 +394,10 @@ def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:
     while isinstance(ast, ClassSum):
         spine.append((ast.sign, ast.right))
         ast = ast.left
-    if isinstance(ast, ClassO):
-        vec = () if ast.divisor is None else scope.divisor_vector(ast.divisor)
-        total = scope.tower.line(vec)
+    if isinstance(ast, ClassO) and ast.divisor is None:
+        total = scope.tower.structure_sheaf()
+    elif isinstance(ast, ClassO):
+        total = scope.tower.line(scope.divisor_vector(ast.divisor))
     elif isinstance(ast, ClassTwist):
         total = evaluate_class(ast.inner, scope).twist(scope.divisor_vector(ast.divisor))
     elif isinstance(ast, ClassDual):

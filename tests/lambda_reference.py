@@ -11,6 +11,10 @@ n-multisets of its symbols, the K rules of every level are built from those
 wedge powers, with det(E) = wedge^(r+1) E, and the pushforward table starts
 at the symmetric powers for 0 <= a <= r and grows one exponent at a time
 through the tower's K relation.
+
+The K-group of a tower has no product in grrcheck.geometry; line_product,
+the product of two classes' line terms in the group ring of line symbols,
+is the reference for the identities that need one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,17 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 from grrcheck.geometry import DivisorVector, KClass, Tower
+
+
+def line_product(a: dict, b: dict) -> dict[DivisorVector, int]:
+    """The product of two classes' line terms: symbols add, multiplicities
+    multiply, cancelled terms are dropped."""
+    out: dict[DivisorVector, int] = {}
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            v = tuple(x + y for x, y in zip(va, vb))
+            out[v] = out.get(v, 0) + ca * cb
+    return {v: c for v, c in out.items() if c}
 
 
 def multiset_power(f: KClass, n: int, kind: str) -> dict[DivisorVector, int]:

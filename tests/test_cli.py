@@ -894,6 +894,13 @@ RANGE_ERRORS = [
     (["gen", "toddinv", "--degree", "2", "--rank", "0"],
      "argument --rank: expected an integer >= 1, got '0'"),
 ]
+# Flags typed at their default value for a target that does not read them,
+# each reaching the unread-flag site of USAGE_ERRORS again: typed is given
+TYPED_AT_DEFAULT = [
+    (["verify", "kappa", "--max-dim", "6"], "--max-dim not used by verify kappa"),
+    (["verify", "kappa", "--base-levels", "0"], "--base-levels not used by verify kappa"),
+    (["gen", "tm", "--m", "4", "--max-degree", "12"], "--max-degree not used by gen tm"),
+]
 # a usage-error site: a raise of an error that the CLI turns into exit 2
 USAGE_RAISE = re.compile(
     r"raise (InputError|ParseError|ScopeError|self\.error|argparse\.ArgumentTypeError)\("
@@ -905,7 +912,7 @@ class TestUsageErrors:
     one cli.main call of USAGE_ERRORS, which exits 2 with nothing on stdout
     and the site's message on stderr."""
 
-    @pytest.mark.parametrize("argv,message", USAGE_ERRORS + RANGE_ERRORS)
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS + RANGE_ERRORS + TYPED_AT_DEFAULT)
     def test_exits_two_with_its_message(self, argv, message, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
@@ -915,7 +922,7 @@ class TestUsageErrors:
         "argv",
         [
             argv
-            for argv, message in USAGE_ERRORS + RANGE_ERRORS
+            for argv, message in USAGE_ERRORS + RANGE_ERRORS + TYPED_AT_DEFAULT
             if argv[0] == "gen" and "digit limit" not in message
         ],
     )

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -23,7 +24,7 @@ from grrcheck.suites import MODEL_TOWERS, geometry_scope
 import chow_reference as tuple_ring
 from chern_reference import factor_total_chern
 from chow_reference import chow_class, chow_terms
-from lambda_reference import eager_k_rules
+from lambda_reference import eager_k_rules, line_product
 
 
 def pullback_chow(alpha: ChowClass, tower: Tower) -> ChowClass:
@@ -267,13 +268,14 @@ class TestProductTable:
 
 
 class TestDivisorChow:
-    """divisor_chow skips the rewrite when every xi_k it uses sits on a level
-    of rank >= 1; it must still equal the rewritten class, also where a
-    rank-0 level turns xi_k into the divisor of its line."""
+    """divisor_chow reads each xi_k from the product memo, where it is
+    rewritten once; it must equal the rewritten class, also where a rank-0
+    level turns xi_k into the divisor of its line."""
 
     TOWERS = TestProductTable.TOWERS + [
         [[(), ()], [(2,)]],
         [[(), ()], [(-1,)], [(1, 1), (0, 3)]],
+        [[(), (), ()], [(1,), (0,)], [(1, -1)]],  # a rank-0 top level: xi3 = xi1 - xi2
     ]
 
     @pytest.mark.parametrize("levels", TOWERS, ids=str)
@@ -288,16 +290,18 @@ class TestDivisorChow:
             d = t.divisor_chow(vec)
             assert d == chow_class(t, raw) and scalar_types(d) <= {int}, vec
 
-    def test_no_rewrite_above_rank_zero(self, monkeypatch):
+    def test_each_hyperplane_is_rewritten_once(self, monkeypatch):
         t = Tower(TestProductTable.TOWERS[-1])  # ranks 2, 0, 2
+        first = t.divisor_chow((3, 1, -1))
 
         def rewrite(*args):
             raise AssertionError("normal form computed")
 
         monkeypatch.setattr(t, "_normal_form", rewrite)
-        assert chow_terms(t.divisor_chow((3, 0, -1))) == {(1, 0, 0): 3, (0, 0, 1): -1}
-        with pytest.raises(AssertionError):
-            t.divisor_chow((0, 1, 0))
+        assert t.divisor_chow((3, 1, -1)) == first
+        assert chow_terms(t.divisor_chow((1, 0, 2))) == {(1, 0, 0): 1, (0, 0, 1): 2}
+        with pytest.raises(AssertionError, match="normal form"):
+            t.hyperplane(1) * t.hyperplane(3)  # a raw key not yet in the memo
 
 
 class TestPushPull:
@@ -460,7 +464,7 @@ class TestTowerChain:
         assert xi * xi == h.scale(3) * xi - (h * h).scale(2)
         # l^2 = [E] l - det E in K, and pi_* l = E
         e = t.line((1, 0)) + t.line((2, 0))
-        assert t.line((0, 2)) == e * t.line((0, 1)) - t.line((3, 0))
+        assert t.line((0, 2)) == e.twist((0, 1)) - t.line((3, 0))
         assert pushforward_k(t.line((0, 1)), 1) == t.base.line((1,)) + t.base.line((2,))
 
 
@@ -561,7 +565,7 @@ class TestKNormalForm:
         p1 = Tower([[()] * 2])
         # (1 - [O(-1)])^2 = 0 on the line
         u = p1.structure_sheaf() - p1.line((-1,))
-        assert (u * u).normal_form() == {}
+        assert (u - u.twist((-1,))).normal_form() == {}
 
     def test_band(self):
         t = hirzebruch()
@@ -595,10 +599,11 @@ class TestKClassNormal:
         fresh = Tower(t.levels)  # its tangent class is not cached yet
         k_results = {
             "add": f + g, "sub": f - g, "cancel": f - f, "scale": f.scale(-3),
-            "scale 0": f.scale(0), "mul": f * g, "dual": f.dual(),
+            "scale 0": f.scale(0), "dual": f.dual(),
+            "koszul": VirtualCompleteIntersection(t, ((1, 0, -1), (0, 2, 1))).koszul_class(f),
             "twist": f.twist((1, 0, -1)), "sym": g.sym(2), "wedge": f.wedge(2),
             "push": pushforward_k(f, 1), "push 0": pushforward_k(f, 0),
-            "pull": pullback_k(h, t), "line": t.line((2, -1)),
+            "pull": pullback_k(h, t), "line": t.line((2, -1, 0)),
             "structure": t.structure_sheaf(), "tangent": fresh.tangent_class(),
         }
         for name, value in k_results.items():
@@ -622,8 +627,17 @@ class TestKClassNormal:
             assert all(type(c) is int and c for c in value.terms.values()), name
         assert chow_results["scale 0"].is_zero() and chow_results["cancel"].is_zero()
 
-        with pytest.raises(AssertionError, match="wrong arity"):
-            t.line((1, 2, 3, 4))
+    @pytest.mark.parametrize("vec", [(1, 2), (1, 2, 3, 4), ()], ids=str)
+    def test_every_stated_vector_has_one_entry_per_level(self, vec):
+        t = Tower([[(), ()], [(0,), (1,)], [(1, -1), (0, 2)]])
+        for build in (
+            t.line,
+            t.divisor_chow,
+            t.structure_sheaf().twist,
+            lambda v: VirtualCompleteIntersection(t, ((0, 0, 1), v)),
+        ):
+            with pytest.raises(AssertionError, match="wrong arity"):
+                build(vec)
 
 
 def random_twisted_levels(rng: random.Random) -> list[list[tuple[int, ...]]]:
@@ -680,9 +694,10 @@ class TestLazyKRelation:
 
 class TestPackedChowAgainstTuples:
     """The Chow ring on packed keys against the ring on exponent tuples of
-    chow_reference, on the catalogue towers, towers with rank-0 levels and
-    seeded twisted towers: the terms, their keys, the text, and every
-    integral coefficient stored as an int."""
+    chow_reference, on the catalogue towers, towers with rank-0 levels (the
+    top one too, where divisor_chow reads xi_k's rewrite from the product
+    memo) and seeded twisted towers: the terms, their keys, the text, and
+    every integral coefficient stored as an int."""
 
     LEVELS = TestDivisorChow.TOWERS + [
         random_twisted_levels(random.Random(f"packed:{i}")) for i in range(12)
@@ -702,8 +717,13 @@ class TestPackedChowAgainstTuples:
         ta, tb = chow_terms(a), chow_terms(b)
         n = data.draw(st.integers(-4, 4))
         q = data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+        vec = data.draw(st.tuples(*[st.integers(-3, 3)] * t.n_levels))
         ab = tuple_ring.multiply(t, ta, tb)
+        unit = (0,) * t.n_levels
+        # each xi_k as the raw monomial, rewritten by the reference product with 1
+        raw = {tuple(int(p == k) for p in range(t.n_levels)): c for k, c in enumerate(vec)}
         cases = {
+            "divisor": (t.divisor_chow(vec), tuple_ring.multiply(t, {unit: 1}, raw)),
             "mul": (a * b, ab),
             "add": (a + b, tuple_ring.linear(ta, tb, 1)),
             "sub": (a - b, tuple_ring.linear(ta, tb, -1)),
@@ -728,6 +748,22 @@ class TestPackedChowAgainstTuples:
 
 
 class TestVCI:
+    TOWERS = [random_twisted_levels(random.Random(f"koszul:{i}")) for i in range(12)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(TOWERS), st.data())
+    def test_koszul_class_is_the_product_of_its_factors(self, levels, data):
+        """koszul_class(F) = F * prod_D (1 - O(-D)) over 1-3 nonzero cuts D,
+        for F of rank >= 2, the product taken by line_product."""
+        t = Tower(levels)
+        vec = st.tuples(*[st.integers(-2, 2)] * t.n_levels)
+        F = KClass(t, dict(Counter(data.draw(st.lists(vec, min_size=2, max_size=4)))))
+        cuts = tuple(data.draw(st.lists(vec.filter(any), min_size=1, max_size=3)))
+        want = F.line_terms
+        for c in cuts:
+            want = line_product(want, {(0,) * t.n_levels: 1, tuple(-x for x in c): -1})
+        assert VirtualCompleteIntersection(t, cuts).koszul_class(F).line_terms == want
+
     def test_dimensions(self):
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (2,)))
@@ -737,7 +773,7 @@ class TestVCI:
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((2,),))
         expected = p3.structure_sheaf() - p3.line((-2,))
-        assert z.koszul_class() == expected
+        assert z.koszul_class(p3.structure_sheaf()) == expected
 
     def test_push(self):
         p3 = Tower([[()] * 4])
@@ -751,7 +787,6 @@ class TestVCI:
         z = VirtualCompleteIntersection(t, ())
         F, alpha = t.line((1, -1)), t.hyperplane(2)
         assert z.koszul_class(F) is F and z.push(alpha) is alpha
-        assert z.koszul_class() == t.structure_sheaf()
         assert z.tangent_class() is z.tangent_class() == t.tangent_class()
         assert (z.dim, z.codim) == (t.dim, 0)
         cut = VirtualCompleteIntersection(t, ((1, 1),))

@@ -5,7 +5,8 @@ enumeration on effective classes, the closed form of pi_* l^a with the
 outward recurrence through the K relation on every catalogue tower, and the
 powers of virtual classes with the lambda-ring identities
 lambda_t(x + y) = lambda_t(x) lambda_t(y) and sigma_t(x) lambda_{-t}(x) = 1,
-degree by degree, in the group ring of line symbols.
+degree by degree, in the group ring of line symbols (products by
+lambda_reference.line_product).
 """
 
 import random
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from grrcheck.geometry import KClass, Tower
 from grrcheck.suites import MODEL_TOWERS, geometry_scope
 
-from lambda_reference import multiset_power, outward_pushed_powers
+from lambda_reference import line_product, multiset_power, outward_pushed_powers
 
 # the catalogue's level lists, then two towers whose twists are larger or
 # negative; each test builds its own towers, with no pushforward table filled
@@ -62,6 +63,10 @@ VIRTUAL = st.dictionaries(
 ).map(lambda terms: KClass(TOWER, terms))
 
 
+def _product(f: KClass, g: KClass) -> KClass:
+    return KClass(TOWER, line_product(f.line_terms, g.line_terms))
+
+
 def _sum(classes) -> dict:
     total = KClass(TOWER, {})
     for f in classes:
@@ -72,11 +77,12 @@ def _sum(classes) -> dict:
 @settings(max_examples=80, deadline=None)
 @given(VIRTUAL, VIRTUAL, st.integers(0, 5))
 def test_wedge_of_a_sum_is_the_product(x, y, n):
-    assert (x + y).wedge(n).line_terms == _sum(x.wedge(i) * y.wedge(n - i) for i in range(n + 1))
+    products = (_product(x.wedge(i), y.wedge(n - i)) for i in range(n + 1))
+    assert (x + y).wedge(n).line_terms == _sum(products)
 
 
 @settings(max_examples=80, deadline=None)
 @given(VIRTUAL, st.integers(0, 6))
 def test_sym_inverts_the_alternating_wedge(x, n):
-    got = _sum((x.sym(i) * x.wedge(n - i)).scale((-1) ** (n - i)) for i in range(n + 1))
+    got = _sum(_product(x.sym(i), x.wedge(n - i)).scale((-1) ** (n - i)) for i in range(n + 1))
     assert got == ({(0, 0): 1} if n == 0 else {})

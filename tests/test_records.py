@@ -165,13 +165,14 @@ class TestParseErrorPositions:
 
 
 class TestCompleteIntersection:
-    def test_cuts_are_padded_before_comparison(self):
+    def test_cuts_have_one_entry_per_level(self):
         tower = build_geometry(parse_geometry("P(trivial 2) over P(trivial 2) over point")).tower
-        short = VirtualCompleteIntersection(tower, ((1,),))
-        padded = VirtualCompleteIntersection(tower, ((1, 0),))
-        assert short.cuts == ((1, 0),)
-        assert short == padded and hash(short) == hash(padded)
-        assert short != VirtualCompleteIntersection(tower, ((0, 1),))
+        one, same = (VirtualCompleteIntersection(tower, ((1, 0),)) for _ in "ab")
+        assert one.cuts == ((1, 0),)
+        assert one == same and hash(one) == hash(same)
+        assert one != VirtualCompleteIntersection(tower, ((0, 1),))
+        with pytest.raises(AssertionError, match="wrong arity"):
+            VirtualCompleteIntersection(tower, ((1,),))
 
 
 class TestFactoredInteger:
