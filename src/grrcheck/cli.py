@@ -119,9 +119,9 @@ def _gen_universal(kind: str, args) -> tuple[dict, str]:
     degree = args.degree
     if degree is None:
         raise InputError("--degree is required for this kind")
-    if degree > max(DEFAULT_MAX_DEGREE, args.max_degree):
+    if degree > args.max_degree:
         raise InputError(
-            f"degree {degree} exceeds the resource guard; raise it with --max-degree"
+            f"degree {degree} exceeds the guard {args.max_degree}; raise it with --max-degree"
         )
     if kind == "toddinv" and args.rank is None:
         raise InputError("--rank is required for toddinv")

@@ -13,8 +13,9 @@ the inverse Todd numerators alike, is evaluated by evaluate_universal(uc,
 tower, c_side, sheaf): each c<i> is c_i of the c-side (an absolute,
 fiberwise or cut-out tangent, or a cut-out's normal class), r the sheaf's
 rank and every other variable (cp<i>, x) a Chow class of the sheaf map.
-One pass of grrcheck.poly.substitute_terms over the class's monomials
-fills each entry of its cache; each call then walks a Horner scheme
+One pass over the class's monomials fills each entry of its cache with a
+Horner scheme in the nonzero sheaf classes, the rank folded into the int
+coefficients and the c_i multiplied out; each call then walks that scheme
 (grrcheck.poly.horner_eval).  In a formal fibration a class is evaluated by
 GradedPolynomial.substitute, which folds its one-term images into packed
 keys and walks a Horner scheme in the rest.
@@ -61,7 +62,7 @@ from .geometry import (
     pushforward_chow,
     pushforward_k,
 )
-from .poly import Alphabet, GradedPolynomial, horner_eval, horner_scheme, substitute_terms
+from .poly import Alphabet, GradedPolynomial, horner_eval, horner_scheme
 from .report import FalsificationError, Record, VerificationReport
 from .series import (
     UniversalClass,
@@ -117,23 +118,51 @@ def evaluate_universal(
 
     One cache entry per (uc, c-side line terms, rank, live), live the names
     of the nonzero sheaf classes: uc compiled to a Horner scheme in the live
-    classes by one substitute_terms pass over the numerator terms in no zero
-    sheaf class (and free of r at rank 0), with the c_i and the rank
-    substituted.  Each call walks that scheme at the live classes.
+    classes by one pass over the numerator terms: the rank's power scales a
+    term's int coefficient, a term in a zero sheaf class (or in r at rank 0)
+    is skipped, and the c-side factor is a product of powers of the c_i, each
+    power formed once per compile, the term skipped at a zero product; its
+    value is added under its exponents of the live classes.  Each call walks
+    that scheme at the live classes.
     """
     numerator = uc.numerator
     chern, others = _roles(numerator.alphabet)
     live = tuple(name for name in others if not sheaf[name].is_zero())
-    key = (uc, frozenset(c_side.line_terms.items()) if chern else None, sheaf.get("r"), live)
+    rank = sheaf.get("r")
+    key = (uc, frozenset(c_side.line_terms.items()) if chern else None, rank, live)
     if key not in tower._cache:
         names = numerator.alphabet.names()
-        fixed = {name: 0 for name in others if name not in live} | {"r": sheaf.get("r")}
-        zero = [pos for pos, name in enumerate(names) if fixed.get(name) == 0]
-        terms = {e: c for e, c in numerator.terms.items() if not any(e[p] for p in zero)}
-        if chern:
-            total = _tangent_chern(c_side)
-            fixed |= {name: total.graded_part(i) for name, i in chern.items()}
-        grouped = substitute_terms(terms, names, fixed, tower.unit_chow(), keep=live)
+        r = names.index("r") if "r" in names else None
+        dead = [names.index(name) for name in others if name not in live]
+        kept = [names.index(name) for name in live]
+        total = _tangent_chern(c_side) if chern else None
+        images = {names.index(name): total.graded_part(i) for name, i in chern.items()}
+        powers = {(pos, 1): image for pos, image in images.items()}
+
+        def power(pos: int, e: int) -> ChowClass:
+            if (pos, e) not in powers:
+                powers[pos, e] = power(pos, e - 1) * images[pos]
+            return powers[pos, e]
+
+        grouped: dict[tuple[int, ...], ChowClass] = {}
+        for mono, coeff in numerator.terms.items():
+            if r is not None:
+                coeff *= rank ** mono[r]  # zero for a term in r at rank 0
+            if not coeff or any(mono[pos] for pos in dead):
+                continue
+            value = None
+            for pos in images:
+                if mono[pos]:
+                    factor = power(pos, mono[pos])
+                    value = factor if value is None else value * factor
+                    if value.is_zero():
+                        break
+            else:
+                value = tower.unit_chow() if value is None else value
+                if coeff != 1:
+                    value = value.scale(coeff)
+                exps = tuple(mono[pos] for pos in kept)
+                grouped[exps] = grouped[exps] + value if exps in grouped else value
         grouped = {e: c for e, c in grouped.items() if not c.is_zero()}
         tower._cache[key] = horner_scheme(grouped or {(0,) * len(live): tower.zero_chow()})
     return horner_eval(tower._cache[key], [sheaf[name] for name in live])

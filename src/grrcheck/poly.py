@@ -29,7 +29,7 @@ and every ring operation (sums, scalings, products, truncations, graded
 parts, equality, the canonical text) reads and writes keys without packing
 or unpacking.  The map keyed by exponent tuples, .terms, is derived through
 the memo on its first read and kept, for the callers that walk exponents
-(substitution, and the compiles of grrcheck.grr among others).  embed moves
+(substitution, and the compile of grrcheck.grr among others).  embed moves
 whole blocks of exponent fields.  Every exponent stays below half its
 16-bit field: the constructor checks each tuple it packs, and a key made by
 adding keys is tested against the alphabet's mask of those top bits, so no
@@ -57,9 +57,8 @@ of universal polynomials at multi-term images.  GradedPolynomial.substitute
 (formal root rings) folds every image of at most one term into the packed
 keys and coefficients of the terms, with the product rule for keys and the
 exponent-range guard of the product, and walks one scheme in the other
-images.  grrcheck.grr.evaluate_universal compiles every universal class on a
-tower (Chow rings) into a scheme by one substitute_terms pass, and walks it
-at each call's sheaf classes.
+images.  The other caller, grrcheck.grr.evaluate_universal, fills its own
+schemes.
 
 The symmetric-function reduction implements the classical fundamental-theorem
 algorithm (lexicographic leading-term elimination).  Internally symmetric
@@ -627,60 +626,8 @@ def serialize_keyed(alphabet: Alphabet, items: Iterable[tuple[int, Scalar]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# the tower compile's substitution loop and the Horner scheme
+# the Horner scheme
 # ---------------------------------------------------------------------------
-
-
-def substitute_terms(
-    terms: Mapping[Monomial, Scalar],
-    names: Sequence[str],
-    images: Mapping[str, Any],
-    one: Any,
-    keep: Sequence[str],
-) -> dict[Monomial, Any]:
-    """Substitute ring elements and scalars for the variables of a term map
-    with scalar coefficients: the compile of grrcheck.grr.evaluate_universal,
-    which feeds horner_scheme.
-
-    An image is a scalar (int or Fraction) or a ring element with *, +,
-    .scale and .is_zero(); one is the ring's unit.  Variables named in keep
-    stay symbolic: the result maps their exponent tuple (in keep order) to
-    the ring element collected from every monomial with those exponents, so
-    with nothing kept the only key is ().  Powers of each image are computed
-    once per call.
-    """
-    kept = [names.index(name) for name in keep]
-    powers: dict[tuple[int, int], Any] = {}
-
-    def power(pos: int, e: int):
-        if e == 1:
-            return images[names[pos]]
-        if (pos, e) not in powers:
-            powers[pos, e] = power(pos, e - 1) * images[names[pos]]
-        return powers[pos, e]
-
-    grouped: dict[Monomial, Any] = {}
-    for mono, scalar in terms.items():
-        acc = None
-        for pos, e in enumerate(mono):
-            if not e or pos in kept:
-                continue
-            image = images[names[pos]]
-            if isinstance(image, (int, Fraction)):
-                scalar *= image**e
-                if not scalar:
-                    break
-            else:
-                acc = power(pos, e) if acc is None else acc * power(pos, e)
-                if acc.is_zero():
-                    break
-        else:
-            value = one if acc is None else acc
-            if scalar != 1:
-                value = value.scale(scalar)
-            key = tuple(mono[pos] for pos in kept)
-            grouped[key] = grouped[key] + value if key in grouped else value
-    return grouped
 
 
 def horner_scheme(grouped: Mapping[Monomial, Any]) -> Any:

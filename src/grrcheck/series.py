@@ -245,8 +245,9 @@ def universal_todd(m: int) -> UniversalClass:
 def universal_chern_character(m: int) -> UniversalClass:
     """The degree-m Chern character term ch_m and its numerator m! * ch_m.
 
-    ch_0 is the rank variable; for m >= 1 the numerator is additionally
-    asserted equal to the m-th Newton power sum in the primed variables.
+    ch_0 is the rank variable; for m >= 1 the numerator, before the
+    mutation hook of _finish, is asserted equal to the m-th Newton power sum
+    in the primed variables.
     """
     def build() -> UniversalClass:
         alph = sheaf_alphabet(m)
@@ -256,14 +257,13 @@ def universal_chern_character(m: int) -> UniversalClass:
         reduced = reduce_orbit_to_elementary({(m,): 1}, m)
         # position 0 is the rank variable
         numerator = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
-        out = _finish("ch", (m,), numerator, factorial(m))
-        if _MUTATION is None and out.numerator != chern_character_oracle(m):
+        if numerator != chern_character_oracle(m):
             raise FalsificationError(
                 f"ch numerator of degree {m} differs from the Newton power sum",
                 identity="integrality:ch",
                 instance=integrality_instance((m,)),
             )
-        return out
+        return _finish("ch", (m,), numerator, factorial(m))
 
     return _cached(("ch", m), build)
 

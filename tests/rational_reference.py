@@ -5,8 +5,8 @@ here are the classical rational ones, which the tests compare it against:
 
 - rational_grr_cross_check: rational Riemann-Roch on a morphism from a
   cut-out source (a tower is the one with no cuts), from the series parts
-  (numerator / scale) of ch and Td, each substituted in one substitute_terms
-  pass (substitute_on_tower);
+  (numerator / scale) of ch and Td, each substituted in one pass of the
+  general loop of tests/substitution_reference.py (substitute_on_tower);
 - q_numerator_reference: the numerator of Q_m as T_{m-1} times the degree-m
   part of the full product (1 - e^{-x}) * (1 + Td_1 + ... + Td_{m-1}), with
   the rational Td_k; grrcheck.series.q_poly sums the integer terms
@@ -24,7 +24,7 @@ from grrcheck.grr import (
     _source_relative_tangent,
     _tangent_chern,
 )
-from grrcheck.poly import GradedPolynomial, substitute_terms
+from grrcheck.poly import GradedPolynomial
 from grrcheck.series import (
     apply_series,
     divisor_alphabet,
@@ -32,15 +32,15 @@ from grrcheck.series import (
     universal_chern_character,
     universal_todd,
 )
+from substitution_reference import substitute_terms
 
 
 def substitute_on_tower(poly: GradedPolynomial, tower: Tower, images: dict) -> ChowClass:
     """A polynomial with Fraction coefficients (a series part) at tower
-    classes and scalars, one image per variable, by one substitute_terms
-    pass; grrcheck.grr.evaluate_universal reads only integral numerators."""
-    grouped = substitute_terms(
-        poly.terms, poly.alphabet.names(), images, tower.unit_chow(), keep=()
-    )
+    classes and scalars, one image per variable, by one pass of the
+    general substitution loop; grrcheck.grr.evaluate_universal reads only
+    integral numerators."""
+    grouped = substitute_terms(poly.terms, poly.alphabet.names(), images, tower.unit_chow())
     return grouped.get((), tower.zero_chow())
 
 

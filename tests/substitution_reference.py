@@ -1,11 +1,12 @@
-"""The substitution loop with ring-element coefficients, kept as a test reference.
+"""A general substitution loop over a term map, kept as a test reference.
 
-grrcheck.poly.substitute_terms takes scalar coefficients only: the one
-program caller, the tower compile of grrcheck.grr.evaluate_universal, hands
-it the integer numerator of a universal class.  The general form here also
-takes coefficients that are ring elements, which a second pass over the
-grouped result of a first pass needs (tests/test_grr.py::two_pass), and
-which the Horner scheme's tests compare horner_eval against.
+The program compiles a universal class on a tower in one pass of its own
+(grrcheck.grr.evaluate_universal), specialised to an int rank, Chow-class
+c_i and the live sheaf classes.  The general form here takes scalar or
+ring-element images and coefficients, which the tests need: a second pass
+over the grouped result of a first pass (tests/test_grr.py::two_pass), the
+Fraction series parts of tests/rational_reference.py, and the Horner
+scheme's tests, which compare horner_eval against it.
 """
 
 from __future__ import annotations

@@ -828,7 +828,7 @@ USAGE_ERRORS = [
     # cli
     (["gen", "todd"], "--degree is required for this kind"),
     (["gen", "todd", "--degree", "13"],
-     "degree 13 exceeds the resource guard; raise it with --max-degree"),
+     "degree 13 exceeds the guard 12; raise it with --max-degree"),
     (["gen", "toddinv", "--degree", "3"], "--rank is required for toddinv"),
     (["gen", "toddinv", "--degree", "1", "--rank", "2"],
      "gen toddinv needs --rank <= --degree, got 2 > 1"),
@@ -893,6 +893,10 @@ RANGE_ERRORS = [
     (["gen", "ct", "--degree", "-1"], "argument --degree: expected an integer >= 0, got '-1'"),
     (["gen", "toddinv", "--degree", "2", "--rank", "0"],
      "argument --rank: expected an integer >= 1, got '0'"),
+    (["gen", "todd", "--degree", "12", "--max-degree", "3"],
+     "degree 12 exceeds the guard 3; raise it with --max-degree"),
+    (["gen", "toddinv", "--degree", "4", "--rank", "2", "--max-degree", "3"],
+     "degree 4 exceeds the guard 3; raise it with --max-degree"),
 ]
 # Flags typed at their default value for a target that does not read them,
 # each reaching the unread-flag site of USAGE_ERRORS again: typed is given

@@ -658,6 +658,25 @@ class TestMutation:
         set_mutation(None)
         assert universal_todd(4).numerator == clean
 
+    def test_ch_is_checked_against_its_oracle_under_any_mutation(self, monkeypatch):
+        # a mutation of another class leaves the ch build's Newton power sum
+        # check on: a wrong ch numerator is still refused
+        from grrcheck import series
+
+        def corrupted(reduced, width, offset=1, _exponents=series._chern_exponents):
+            terms = _exponents(reduced, width, offset)
+            if offset == 0:  # the ch alphabet: the rank at position 0
+                first = min(terms)
+                terms[first] += 1
+            return terms
+
+        monkeypatch.setattr(series, "_chern_exponents", corrupted)
+        monkeypatch.setattr(series, "_CACHE", {})
+        set_mutation(Mutation("todd", 2, 0, Fraction(1)))
+        with pytest.raises(FalsificationError, match="differs from the Newton power sum") as info:
+            universal_chern_character(3)
+        assert info.value.identity == "integrality:ch"
+
     def test_mutation_propagates_to_ct(self):
         clean = universal_ct(4).numerator
         set_mutation(Mutation("todd", 4, 0, Fraction(1)))
