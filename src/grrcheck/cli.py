@@ -230,6 +230,8 @@ def _parse_mutation(spec: str) -> Mutation:
         raise InputError(f"bad mutation spec {spec!r}: unknown kind {kind!r} (known: {known})")
     if mutation.degree < 0 or mutation.index < 0:
         raise InputError(f"bad mutation spec {spec!r}: degree and index must be >= 0")
+    if mutation.delta == 0:
+        raise InputError(f"bad mutation spec {spec!r}: delta must be nonzero")
     return mutation
 
 

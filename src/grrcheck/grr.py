@@ -540,7 +540,7 @@ class FormalFibration(Record):
             images[f"cp{i}"] = Fraction(0)
         if sheaf_c1 is not None:
             images["cp1"] = sheaf_c1
-        return uc.numerator.substitute(images, self.fiber, truncation=self.truncation)
+        return uc.numerator.with_bound(self.truncation).substitute(images, self.fiber)
 
     def pushforward(self, p: GradedPolynomial) -> GradedPolynomial:
         """Each term of p of relative degree at least d as its coefficient

@@ -58,20 +58,16 @@ def _compare_blocks(
 
 
 def _substituted_chern_numerator(m: int, rank, cp_values, target, bound: int) -> GradedPolynomial:
-    """s_m numerator with r -> rank and cp_i -> cp_values[i], kept at bound."""
-    uc = universal_chern_character(m)
+    """s_m numerator with r -> rank and cp_i -> cp_values[i], at bound."""
     images = {"r": rank}
     for i in range(1, m + 1):
         images[f"cp{i}"] = cp_values[i]
-    return uc.numerator.substitute(images, target, truncation=bound)
+    return universal_chern_character(m).numerator.with_bound(bound).substitute(images, target)
 
 
 def _substituted_todd_numerator(m: int, c_values, target, bound: int) -> GradedPolynomial:
-    if m == 0:
-        return GradedPolynomial.constant(target, bound, 1)
-    uc = universal_todd(m)
     images = {f"c{i}": c_values[i] for i in range(1, m + 1)}
-    return uc.numerator.substitute(images, target, truncation=bound)
+    return universal_todd(m).numerator.with_bound(bound).substitute(images, target)
 
 
 def _elementary_table(alphabet, names, up_to, bound):
@@ -289,12 +285,8 @@ def check_restriction_substitution(max_degree: int) -> VerificationReport:
                 else GradedPolynomial.variable(al, m, f"c{i - 1}")
             )
             images[f"c{i}"] = ci + x * prev
-        lhs = mixed.substitute(images, al) if m else mixed
-        rhs = (
-            universal_todd(m).series_part.embed(al)
-            if m
-            else GradedPolynomial.constant(al, 0, 1)
-        )
+        lhs = mixed.substitute(images, al)
+        rhs = universal_todd(m).series_part.embed(al)
         rows.append((f"degree {m}", lhs, rhs))
     return _compare_blocks("todd-restriction-substitution", max_degree, rows)
 
@@ -317,7 +309,7 @@ def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
         z_images = {f"c{i}": c_z[i] for i in range(1, r + 1)}
         # inv[j] is the inverse-Todd numerator of degree j + r at the z-roots
         inv = [
-            todd_inverse_numerator(j + r, r).numerator.substitute(z_images, al, truncation=cap)
+            todd_inverse_numerator(j + r, r).numerator.with_bound(cap).substitute(z_images, al)
             for j in range(max_degree - r + 1)
         ]
         td_all = [
@@ -376,7 +368,7 @@ def howe_reduce(r: int, a: int, degree_bound: int) -> list[GradedPolynomial]:
             images[f"c{k}"] += term.scale((-1) ** j * comb(n - j, k - j))
     td = GradedPolynomial.constant(al, bound, 1)
     for k in range(1, bound + 1):
-        td += universal_todd(k).series_part.substitute(images, al, truncation=bound)
+        td += universal_todd(k).series_part.with_bound(bound).substitute(images, al)
     terms = dict((td * apply_series(exp_series(bound, a), t)).terms)
 
     # the relation, from the top power of T down: each rewrite lowers the power

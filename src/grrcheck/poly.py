@@ -3,8 +3,9 @@
 A GradedPolynomial is a sparse map from exponent vectors to exact scalars over
 a weighted Alphabet, carrying a hard truncation bound: terms of weighted degree
 above the bound are identically discarded, and all arithmetic agrees with
-untruncated arithmetic in degrees <= the bound.  Mixing two polynomials
-truncates to the minimum of their bounds, never extends.
+untruncated arithmetic in degrees <= the bound.  Polynomials combine (sums,
+products, a substitution and its images) only at one bound, which they all
+carry; with_bound raises a bound, and no operation lowers one.
 
 A stored coefficient is never zero and never a float: it is an int when it is
 integral and a Fraction otherwise, so the integral numerators the theory
@@ -25,8 +26,8 @@ using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Int
 order is (degree, exponent tuple) order, the degree is key >> shift, and the
 key of a product of monomials is the sum of their keys.  Packed keys are the
 stored form of a GradedPolynomial: its terms are {packed key: coefficient},
-and every ring operation (sums, scalings, products, truncations, graded
-parts, equality, the canonical text) reads and writes keys without packing
+and every ring operation (sums, scalings, products, graded parts,
+equality, the canonical text) reads and writes keys without packing
 or unpacking.  The map keyed by exponent tuples, .terms, is derived through
 the memo on its first read and kept, for the callers that walk exponents
 (substitution, and the compile of grrcheck.grr among others).  embed moves
@@ -354,17 +355,17 @@ class GradedPolynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other: "GradedPolynomial") -> int:
+        """The one bound of two polynomials over the same alphabet."""
         if self.alphabet is not other.alphabet:
             raise AssertionError("alphabet mismatch")
-        return min(self.truncation, other.truncation)
+        if self.truncation != other.truncation:
+            raise AssertionError(f"bound mismatch: {self.truncation} and {other.truncation}")
+        return self.truncation
 
     def _linear(self, other: "GradedPolynomial", sign: int) -> "GradedPolynomial":
         """self + sign * other."""
         bound = self._check_compatible(other)
         out = accumulate(dict(self.packed), other.packed, sign)
-        if bound < max(self.truncation, other.truncation):
-            limit = (bound + 1) << self.alphabet.shift
-            out = {k: c for k, c in out.items() if k < limit}
         return GradedPolynomial._normal(self.alphabet, bound, out)
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
@@ -382,7 +383,7 @@ class GradedPolynomial:
         return GradedPolynomial._normal(self.alphabet, self.truncation, packed)
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        """Product truncated to the smaller bound: the key of a product of
+        """Product at the operands' one bound: the key of a product of
         monomials is the sum of their keys.  other's terms are grouped by
         degree, ascending, so each term of self meets only the groups that
         fit under the bound."""
@@ -458,34 +459,27 @@ class GradedPolynomial:
         return GradedPolynomial._normal(self.alphabet, self.truncation, packed)
 
     def with_bound(self, bound: int) -> "GradedPolynomial":
-        """Rebuild with an explicit truncation bound.
-
-        Unlike arithmetic (which only ever lowers bounds), this is a fresh
-        construction: raising the bound is a claim by the caller that the
-        polynomial is exact, not a truncated series.
-        """
-        if bound < 0:
-            raise AssertionError("truncation bound must be >= 0")
-        packed = self.packed
+        """The same terms under a bound no lower than self's: a claim by the
+        caller that the polynomial is exact, not a truncated series.  The copy
+        shares the terms and, once built, the tuple view."""
         if bound < self.truncation:
-            limit = (bound + 1) << self.alphabet.shift
-            packed = {k: c for k, c in packed.items() if k < limit}
-        return GradedPolynomial._normal(self.alphabet, bound, packed)
+            raise AssertionError(f"with_bound would lower the bound {self.truncation} to {bound}")
+        p = GradedPolynomial._normal(self.alphabet, bound, self.packed)
+        p._terms = self._terms
+        return p
 
     # -- structure maps -------------------------------------------------
 
     def substitute(
-        self,
-        images: Mapping[str, "GradedPolynomial | Scalar"],
-        target: Alphabet,
-        truncation: int | None = None,
+        self, images: Mapping[str, "GradedPolynomial | Scalar"], target: Alphabet
     ) -> "GradedPolynomial":
-        """Substitute variables by polynomials (or scalars) over a target alphabet.
+        """Substitute variables by polynomials (or scalars) over a target alphabet,
+        at self's bound.
 
         Unmapped variables must exist by name in the target alphabet and map to
-        themselves.  The bound is the given truncation, or else the minimum
-        over self and the images; it never exceeds a polynomial image's own
-        bound, and the result carries exactly this bound.
+        themselves.  Every polynomial image carries self's bound, and so does
+        the result; a caller that wants a larger bound raises self's first,
+        with with_bound.
 
         An image of at most one term in the bound (a scalar, zero, a
         constant, every unmapped variable) is folded into each term: the
@@ -496,12 +490,11 @@ class GradedPolynomial:
         one horner_scheme in those is walked over the common denominator.
         """
         polys = [img for img in images.values() if isinstance(img, GradedPolynomial)]
-        bound = min(
-            [self.truncation if truncation is None else truncation]
-            + [p.truncation for p in polys]
-        )
+        bound = self.truncation
         if any(p.alphabet is not target for p in polys):
             raise AssertionError("substitution images live in different alphabets")
+        if any(p.truncation != bound for p in polys):
+            raise AssertionError(f"substitution images not at the bound {bound}")
         terms, names = self.terms, self.alphabet.names()
         tops = [max(column) for column in zip(*terms)] if terms else [0] * len(names)
         limit, grouped = (bound + 1) << target.shift, {}
@@ -510,7 +503,6 @@ class GradedPolynomial:
         for pos, name in enumerate(names):
             img = images[name] if name in images else GradedPolynomial.variable(target, bound, name)
             if isinstance(img, GradedPolynomial):
-                img = img.with_bound(bound)
                 if len(img.packed) > 1:
                     walked.append(pos)
                     values.append(img)
@@ -853,11 +845,7 @@ def elementary_symmetric(
     """The i-th elementary symmetric polynomial of the named roots."""
     from itertools import combinations
 
-    if i == 0:
-        return GradedPolynomial.constant(alphabet, truncation, 1)
     idx = [alphabet.index(n) for n in root_names]
-    if i > len(idx):
-        return GradedPolynomial.zero(alphabet, truncation)
     terms: dict[Monomial, Scalar] = {}
     n = len(alphabet)
     for subset in combinations(idx, i):

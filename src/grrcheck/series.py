@@ -82,8 +82,7 @@ def ct_alphabet(m: int) -> Alphabet:
 
 def todd_root_series(n: int) -> list[Fraction]:
     """x / (1 - e^{-x}) to degree n, by exact series inversion."""
-    denom = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
-    return series_invert(denom, n)
+    return series_invert(todd_inverse_root_series(n), n)
 
 
 def todd_inverse_root_series(n: int) -> list[Fraction]:

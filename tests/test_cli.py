@@ -843,6 +843,8 @@ USAGE_ERRORS = [
      "bad mutation spec 'foo:1:0:1': unknown kind 'foo' (known: todd, ch, ct, q, toddinv)"),
     (["verify", "kappa", "--mutate", "todd:-1:0:1"],
      "bad mutation spec 'todd:-1:0:1': degree and index must be >= 0"),
+    (["verify", "kappa", "--mutate", "todd:2:0:0"],
+     "bad mutation spec 'todd:2:0:0': delta must be nonzero"),
     (QUERY + ["P(trivial 8) over point"],
      "geometry dimension 7 exceeds the guard 6; raise it with --max-dim"),
     (QUERY + [P1, "-n", "8"],

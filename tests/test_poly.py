@@ -65,12 +65,25 @@ class TestGradedPolynomial:
         assert prod.coefficient(a=1, c=1) == 2
         assert prod.coefficient(c=2) == 0
 
-    def test_mixed_truncation_minimum(self):
+    def test_mixed_bounds_refused(self):
+        # two bounds are refused, not truncated to the smaller one
         al = basic_alphabet()
         p = GradedPolynomial.variable(al, 6, "a")
         q = GradedPolynomial.variable(al, 3, "a")
-        assert (p * q).truncation == 3
-        assert (p + q).truncation == 3
+        for op in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: q * p):
+            with pytest.raises(AssertionError, match="bound mismatch: [63] and [63]"):
+                op()
+        assert (p + q.with_bound(6)).truncation == 6
+
+    def test_with_bound_only_raises(self):
+        al = basic_alphabet()
+        p = GradedPolynomial(al, 3, {(1, 0, 0): 1, (0, 0, 1): 2})
+        assert p.terms  # the tuple view is built, and the raised copy keeps it
+        raised = p.with_bound(5)
+        assert raised.truncation == 5 and raised.packed is p.packed and raised.terms is p.terms
+        assert p.with_bound(3) == p and p.with_bound(3).truncation == 3
+        with pytest.raises(AssertionError, match="would lower the bound 3 to 2"):
+            p.with_bound(2)
 
     def test_power(self):
         al = basic_alphabet()
@@ -141,7 +154,7 @@ def _naive_substitute(p, images, target, bound):
                 image = GradedPolynomial.variable(target, bound, name)
             for _ in range(e):
                 if isinstance(image, GradedPolynomial):
-                    acc = acc * image  # the product keeps the smaller bound
+                    acc = acc * image  # every image carries the bound
                 else:
                     acc = acc.scale(image)
         total = total + acc
@@ -151,39 +164,32 @@ def _naive_substitute(p, images, target, bound):
 class TestSubstituteAgainstNaiveExpansion:
     """GradedPolynomial.substitute against a factor-by-factor expansion, with
     polynomial, int and Fraction (including zero) images, unmapped variables,
-    and given or inferred truncation bounds."""
+    and one bound per case: the polynomial's own, or one raised to."""
 
     SOURCE = Alphabet([("r", 0), ("a", 1), ("b", 2), ("c", 1)])
     TARGET = Alphabet([("x", 1), ("y", 2), ("c", 1)])
 
-    def _random_image(self, rng):
+    def _random_image(self, rng, bound):
         kind = rng.randrange(4)
         if kind == 0:
             return rng.randint(-2, 2)
         if kind == 1:
             return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        return _random_polynomial(rng, self.TARGET, rng.randint(1, 6), rng.randint(0, 4))
+        return _random_polynomial(rng, self.TARGET, bound, rng.randint(0, 4))
 
     def test_seeded_cases(self):
         rng = random.Random(20261018)
-        checked = {"given": 0, "inferred": 0, "zero scalar": 0, "unmapped": 0}
+        checked = {"raised": 0, "own bound": 0, "zero scalar": 0, "unmapped": 0}
         for _ in range(300):
-            p = _random_polynomial(rng, self.SOURCE, rng.randint(0, 6), rng.randint(0, 6))
+            bound = rng.randint(0, 7)
+            p = _random_polynomial(rng, self.SOURCE, rng.randint(0, bound), rng.randint(0, 6))
+            checked["raised" if p.truncation < bound else "own bound"] += 1
             images = {"r": rng.choice([0, 1, -2, Fraction(3, 2)])}
-            images["a"] = self._random_image(rng)
-            images["b"] = self._random_image(rng)
+            images["a"] = self._random_image(rng, bound)
+            images["b"] = self._random_image(rng, bound)
             if rng.random() < 0.7:
-                images["c"] = self._random_image(rng)
-            polys = [img for img in images.values() if isinstance(img, GradedPolynomial)]
-            if not polys or rng.random() < 0.5:
-                given = rng.randint(0, 7)
-                result = p.substitute(images, self.TARGET, truncation=given)
-                bound = min([given] + [q.truncation for q in polys])
-                checked["given"] += 1
-            else:
-                result = p.substitute(images, self.TARGET)
-                bound = min([p.truncation] + [q.truncation for q in polys])
-                checked["inferred"] += 1
+                images["c"] = self._random_image(rng, bound)
+            result = p.with_bound(bound).substitute(images, self.TARGET)
             checked["zero scalar"] += any(img == 0 for img in images.values()
                                           if not isinstance(img, GradedPolynomial))
             checked["unmapped"] += "c" not in images
@@ -203,6 +209,15 @@ class TestSubstituteAgainstNaiveExpansion:
         other = GradedPolynomial.variable(root_alphabet("x", 1), 3, "x1")
         with pytest.raises(AssertionError, match="images live in different alphabets"):
             p.substitute({"a": other}, self.TARGET)
+
+    def test_images_at_another_bound_rejected(self):
+        p = GradedPolynomial.variable(self.SOURCE, 6, "a")
+        for bound in (3, 7):
+            image = GradedPolynomial.variable(self.TARGET, bound, "x")
+            with pytest.raises(AssertionError, match="images not at the bound 6"):
+                p.substitute({"a": image}, self.TARGET)
+        image = GradedPolynomial.variable(self.TARGET, 7, "x")
+        assert p.with_bound(7).substitute({"r": 1, "a": image, "b": 0}, self.TARGET) == image
 
 
 # -- a naive dict-of-Fraction reference ring ----------------------------------
@@ -255,8 +270,9 @@ def _ref_substitute(source, terms, images, target, bound):
 class TestRingAgainstFractionReference:
     """Every ring operation against the naive reference, over a mixed-weight
     alphabet with a weight-0 variable: int, Fraction and integral-Fraction
-    coefficients, terms that cancel, and differing bounds.  Stored
-    coefficients must be ints exactly when integral, and never zero."""
+    coefficients, terms that cancel, and one bound per case, raised for the
+    substitution.  Stored coefficients must be ints exactly when integral,
+    and never zero."""
 
     AL = Alphabet([("r", 0), ("a", 1), ("b", 1), ("c", 2), ("d", 3)])
     TARGET = Alphabet([("x", 1), ("y", 2)])
@@ -292,52 +308,46 @@ class TestRingAgainstFractionReference:
     def test_seeded_cases(self):
         rng = random.Random(6)
         al = self.AL
-        seen = {"cancelled": 0, "integral": 0, "rational": 0, "bounds differ": 0}
+        seen = {"cancelled": 0, "integral": 0, "rational": 0, "bound raised": 0}
         for _ in range(320):
-            bp, bq = rng.randint(0, 6), rng.randint(0, 6)
+            b = rng.randint(0, 6)
             raw_p = self._raw_terms(rng, al, rng.randint(0, 7))
             # q cancels some of p's terms exactly
             raw_q = {m: -Fraction(c) for m, c in raw_p.items() if rng.random() < 0.4}
             raw_q.update(self._raw_terms(rng, al, rng.randint(0, 5)))
-            p, q = GradedPolynomial(al, bp, raw_p), GradedPolynomial(al, bq, raw_q)
-            ref_p, ref_q = _ref_clean(al, bp, raw_p), _ref_clean(al, bq, raw_q)
-            self._check(p, al, bp, ref_p)
-            self._check(q, al, bq, ref_q)
-            bound = min(bp, bq)
-            ref_sum = _ref_add(al, bound, ref_p, ref_q)
-            self._check(p + q, al, bound, ref_sum)
-            self._check(p - q, al, bound, _ref_add(al, bound, ref_p, ref_q, -1))
-            self._check(p * q, al, bound, _ref_mul(al, bound, ref_p, ref_q))
+            p, q = GradedPolynomial(al, b, raw_p), GradedPolynomial(al, b, raw_q)
+            ref_p, ref_q = _ref_clean(al, b, raw_p), _ref_clean(al, b, raw_q)
+            self._check(p, al, b, ref_p)
+            self._check(q, al, b, ref_q)
+            ref_sum = _ref_add(al, b, ref_p, ref_q)
+            self._check(p + q, al, b, ref_sum)
+            self._check(p - q, al, b, _ref_add(al, b, ref_p, ref_q, -1))
+            self._check(p * q, al, b, _ref_mul(al, b, ref_p, ref_q))
             for r in (0, Fraction(1, 3), rng.randint(-3, 3), Fraction(6, 3), Fraction(-3, 2)):
                 scaled = {m: c * r for m, c in ref_p.items()}
-                self._check(p.scale(r), al, bp, _ref_clean(al, bp, scaled))
+                self._check(p.scale(r), al, b, _ref_clean(al, b, scaled))
             k = rng.randint(0, 3)
-            ref_power = _ref_clean(al, bp, {(0,) * len(al): 1})
+            ref_power = _ref_clean(al, b, {(0,) * len(al): 1})
             for _ in range(k):
-                ref_power = _ref_mul(al, bp, ref_power, ref_p)
-            self._check(p.power(k), al, bp, ref_power)
-            m = rng.randint(0, bp + 1)
+                ref_power = _ref_mul(al, b, ref_power, ref_p)
+            self._check(p.power(k), al, b, ref_power)
+            m = rng.randint(0, b + 1)
             part = {mono: c for mono, c in ref_p.items() if _ref_degree(al, mono) == m}
-            self._check(p.graded_part(m), al, bp, part)
-            t = rng.randint(0, 7)
-            low = min(t, bp)
-            self._check(p.with_bound(low), al, low, _ref_clean(al, low, ref_p))
+            self._check(p.graded_part(m), al, b, part)
+            sb = rng.randint(b, 7)
+            self._check(p.with_bound(sb), al, sb, ref_p)
 
-            images, ref_images, bounds = {}, {}, []
+            images, ref_images = {}, {}
             for name, _ in al.variables:
                 if name != "r" and rng.random() < 0.6:
-                    ib = rng.randint(1, 6)
                     raw = self._raw_terms(rng, self.TARGET, rng.randint(0, 3))
-                    images[name] = GradedPolynomial(self.TARGET, ib, raw)
-                    ref_images[name] = (_ref_clean(self.TARGET, ib, raw), ib)
-                    bounds.append(ib)
+                    images[name] = GradedPolynomial(self.TARGET, sb, raw)
+                    ref_images[name] = (_ref_clean(self.TARGET, sb, raw), sb)
                 else:
                     images[name] = self._coefficient(rng)
                     ref_images[name] = Fraction(images[name])
-            given = rng.randint(0, 6)
-            sb = min([given] + bounds)
             self._check(
-                p.substitute(images, self.TARGET, truncation=given),
+                p.with_bound(sb).substitute(images, self.TARGET),
                 self.TARGET,
                 sb,
                 _ref_substitute(al, ref_p, ref_images, self.TARGET, sb),
@@ -346,7 +356,7 @@ class TestRingAgainstFractionReference:
             seen["cancelled"] += any(m not in ref_sum for m in ref_p if m in ref_q)
             seen["integral"] += bool(ref_p) and all(c.denominator == 1 for c in ref_p.values())
             seen["rational"] += any(c.denominator != 1 for c in ref_p.values())
-            seen["bounds differ"] += bp != bq
+            seen["bound raised"] += sb > b
         assert min(seen.values()) >= 30, seen
 
     def test_constructor_checks(self):
@@ -357,7 +367,7 @@ class TestRingAgainstFractionReference:
         p = GradedPolynomial(self.AL, 2, {(0, 0, 0, 1, 0): Fraction(4, 2), (0, 0, 0, 0, 1): 5,
                                           (3, 0, 0, 0, 0): 0})
         assert p.terms == {(0, 0, 0, 1, 0): 2} and type(p.terms[(0, 0, 0, 1, 0)]) is int
-        with pytest.raises(AssertionError, match="truncation bound must be >= 0"):
+        with pytest.raises(AssertionError, match="would lower the bound 2 to -1"):
             p.with_bound(-1)
 
     def test_elementary_product_orbits_are_non_negative_ints(self):
@@ -382,9 +392,9 @@ class TestRingAgainstFractionReference:
 def _tuple_product(p, q):
     """The product on exponent tuples, loop for loop as the packed kernel
     runs it: q's terms grouped by degree, ascending, each term of p meeting
-    the groups under the smaller bound.  Returns (terms, whether a sum
+    the groups under the one bound.  Returns (terms, whether a sum
     cancelled)."""
-    al, bound = p.alphabet, min(p.truncation, q.truncation)
+    al, bound = p.alphabet, p.truncation
 
     def degree(mono):
         return sum(e * w for e, w in zip(mono, al.weights))
@@ -436,22 +446,21 @@ class TestPackedKeys:
             al = rng.choice(self.ALPHABETS)
             # exponents below 2^14 keep every product inside the packed range
             top = rng.choice([2, 3, 2**14 - 1])
-            bp, bq = (rng.randint(0, 8), rng.randint(0, 8)) if top < 4 else (10**6, 10**6 - 1)
-            p = self._random(rng, al, bp, rng.randint(0, 8), top)
-            q = self._random(rng, al, bq, rng.randint(0, 8), top)
+            bound = rng.randint(0, 8) if top < 4 else 10**6
+            p = self._random(rng, al, bound, rng.randint(0, 8), top)
+            q = self._random(rng, al, bound, rng.randint(0, 8), top)
             if rng.random() < 0.3:  # p = A + B, q = A - B: the AB terms cancel
                 flip = {m: -c if rng.random() < 0.5 else c for m, c in p.terms.items()}
-                q = GradedPolynomial(al, bq, flip)
+                q = GradedPolynomial(al, bound, flip)
             expected, cancelled = _tuple_product(p, q)
             got = p * q
             assert list(got.terms.items()) == list(expected.items())
-            assert got.truncation == min(p.truncation, q.truncation)
+            assert got.truncation == bound
             for c in got.terms.values():
                 assert type(c) is (int if c.denominator == 1 else Fraction), c
             seen["weight 0"] += 0 in al.weights and any(got.terms)
             seen["rational"] += not got.is_integral()
             seen["cancelled"] += cancelled
-            seen["bounds differ"] += p.truncation != q.truncation
             seen["large exponents"] += top > 3 and bool(got.terms)
         assert min(seen.values()) >= 20, seen
 
@@ -517,14 +526,12 @@ COEFFICIENTS = st.one_of(
 )
 
 
-@st.composite
-def graded_terms(draw, alphabet):
-    """(bound, terms): exponents up to 2, and for a weight-0 variable also
+def graded_terms(alphabet):
+    """Terms with exponents up to 2, and for a weight-0 variable also
     2^14 - 1, which the packed range still holds in a product."""
     small, large = st.integers(0, 2), st.integers(0, 2) | st.just(2**14 - 1)
     monomial = st.tuples(*[large if w == 0 else small for w in alphabet.weights])
-    bound = draw(st.integers(0, 12))
-    return bound, draw(st.dictionaries(monomial, COEFFICIENTS, max_size=6))
+    return st.dictionaries(monomial, COEFFICIENTS, max_size=6)
 
 
 class TestPackedRingAgainstTuples:
@@ -547,17 +554,17 @@ class TestPackedRingAgainstTuples:
     def test_ring_operations(self, data):
         al = data.draw(st.sampled_from(TestPackedKeys.ALPHABETS))
         var = list(al.variables)
-        (bp, p_terms), (bq, q_terms) = data.draw(graded_terms(al)), data.draw(graded_terms(al))
-        p, q = GradedPolynomial(al, bp, p_terms), GradedPolynomial(al, bq, q_terms)
-        P, Q = ref.clean(var, bp, p_terms), ref.clean(var, bq, q_terms)
+        bp = data.draw(st.integers(0, 12))
+        p_terms, q_terms = data.draw(graded_terms(al)), data.draw(graded_terms(al))
+        p, q = GradedPolynomial(al, bp, p_terms), GradedPolynomial(al, bp, q_terms)
+        P, Q = ref.clean(var, bp, p_terms), ref.clean(var, bp, q_terms)
         self.check(p, al, P, bp)
-        low = min(bp, bq)
-        self.check(p * q, al, ref.product(var, low, P, Q), low)
-        self.check(p + q, al, ref.linear(var, low, P, Q, 1), low)
-        self.check(p - q, al, ref.linear(var, low, P, Q, -1), low)
+        self.check(p * q, al, ref.product(var, bp, P, Q), bp)
+        self.check(p + q, al, ref.linear(var, bp, P, Q, 1), bp)
+        self.check(p - q, al, ref.linear(var, bp, P, Q, -1), bp)
         r = data.draw(COEFFICIENTS)
         self.check(p.scale(r), al, ref.scale(P, r), bp)
-        m, b = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+        m, b = data.draw(st.integers(0, 12)), data.draw(st.integers(bp, 12))
         self.check(p.graded_part(m), al, ref.graded_part(var, P, m), bp)
         self.check(p.with_bound(b), al, ref.with_bound(var, P, b), b)
         extras = data.draw(st.lists(st.sampled_from([("y", 0), ("z", 1), ("w", 2)]), unique=True))
@@ -572,20 +579,21 @@ class TestPackedRingAgainstTuples:
 
     @staticmethod
     @st.composite
-    def images(draw, names, target):
+    def images(draw, names, target, bound):
         """One image per name, or none: a scalar (int, Fraction or 0), or a
-        polynomial over the target with its own bound: zero, a constant, one
-        term, or several terms (which the bound may cut to one or none)."""
-        bound = st.integers(0, 8)
+        polynomial over the target at the bound: zero, a constant, one term,
+        or several terms (which the bound may cut to one or none)."""
         monomial = st.tuples(*[st.integers(0, 2)] * len(target))
         kinds = {
             "scalar": st.one_of(COEFFICIENTS, st.just(0)),
-            "zero": bound.map(lambda b: GradedPolynomial.zero(target, b)),
-            "constant": st.builds(GradedPolynomial.constant, st.just(target), bound, COEFFICIENTS),
+            "zero": st.just(GradedPolynomial.zero(target, bound)),
+            "constant": st.builds(
+                GradedPolynomial.constant, st.just(target), st.just(bound), COEFFICIENTS
+            ),
             "terms": st.builds(
                 GradedPolynomial,
                 st.just(target),
-                bound,
+                st.just(bound),
                 st.dictionaries(monomial, COEFFICIENTS.filter(bool), min_size=1, max_size=4),
             ),
         }
@@ -608,16 +616,14 @@ class TestPackedRingAgainstTuples:
         monomial = st.tuples(*[st.integers(0, 2)] * len(al))
         bp = data.draw(st.integers(0, 8))
         p = GradedPolynomial(al, bp, data.draw(st.dictionaries(monomial, COEFFICIENTS, max_size=6)))
-        images = data.draw(self.images(al.names(), target))
-        truncation = data.draw(st.none() | st.integers(0, 10))
-        polys = [img for img in images.values() if isinstance(img, GradedPolynomial)]
-        bound = min([bp if truncation is None else truncation] + [q.truncation for q in polys])
+        bound = data.draw(st.integers(bp, 10))  # p's own bound, or one raised to
+        images = data.draw(self.images(al.names(), target, bound))
         reference = {
             name: img.terms if isinstance(img, GradedPolynomial) else img
             for name, img in images.items()
         }
         expected = ref.substitute(var, list(target.variables), bound, p.terms, reference)
-        self.check(p.substitute(images, target, truncation), target, expected, bound)
+        self.check(p.with_bound(bound).substitute(images, target), target, expected, bound)
 
     def test_substitute_past_the_packed_range(self):
         # r^e -> s^2 folds to s^(2e): the mask guard refuses e = 2^14, the
