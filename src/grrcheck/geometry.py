@@ -41,14 +41,14 @@ Chow classes have integer coefficients on that basis, stored as a
 GradedPolynomial's: {packed key: coefficient} over the tower's alphabet
 xi1..xiK (grrcheck.poly).  Each tower keeps one product memo, raw key
 ka + kb -> the normal form of its monomial as (key, coefficient) pairs,
-empty above the dimension, so each raw monomial is rewritten once (the
-rewrite and the Chow rules alone walk exponent tuples), and a product of
-classes does one key addition and one lookup per pair of terms; a divisor
-sum_k a_k xi_k reads each xi_k's entry there too.  Sums, scalings, graded
-parts (key >> shift) and pushforwards (the top exponent is a key's lowest
-field) keep normal form.  A level's rank is below RANK_LIMIT = 2^14 (Tower
-asserts it), so no sum of two keys carries.  Every other sum of term maps
-here (Chow and K sums and scalings, the final normalisation of a Chow
+empty above the dimension, so each raw monomial is unpacked and rewritten
+once (the rewrite and the Chow rules alone walk exponent tuples), and a
+product of classes does one key addition and one lookup per pair of terms; a
+divisor sum_k a_k xi_k reads each xi_k's entry there too.  Sums, scalings,
+graded parts (key >> shift) and pushforwards (the top exponent is a key's
+lowest field) keep normal form.  A level's rank is below RANK_LIMIT = 2^14
+(Tower asserts it), so no sum of two keys carries.  Every other sum of term
+maps here (Chow and K sums and scalings, the final normalisation of a Chow
 product and of a divisor, the rewrite step, twists, the lambda operations
 and the K-pushforward) is grrcheck.poly.accumulate, which drops cancelled
 terms and stores integral values as ints.
@@ -136,9 +136,9 @@ class Tower:
         self._chow_rules = [(_padded(a), _padded(b)) for a, b in base._chow_rules]
         self._bundle = bundle = KClass(base, {vec: top.count(vec) for vec in top})
         # xi^{r+1} -> sum_{j>=1} (-1)^{j+1} c_j(E) xi^{r+1-j}, c_j(E) the degree-j keys
-        monomials, shift = base.alphabet.monomials, base.alphabet.shift
+        monomial, shift = base.alphabet.monomial, base.alphabet.shift
         chow_above = {
-            monomials[key] + (-(key >> shift),): c if (key >> shift) % 2 else -c
+            monomial(key) + (-(key >> shift),): c if (key >> shift) % 2 else -c
             for key, c in bundle.total_chern().terms.items()
             if key
         }
@@ -197,7 +197,7 @@ class Tower:
         of its monomial as (key, coefficient) pairs, empty above the dimension."""
         alphabet, entry = self.alphabet, ()
         if key >> alphabet.shift <= self.dim:
-            normal = self._normal_form({alphabet.monomials[key]: 1}, self._chow_rules)
+            normal = self._normal_form({alphabet.monomial(key): 1}, self._chow_rules)
             entry = tuple((alphabet.keys[m], c) for m, c in normal.items())
         self._products[key] = entry
         return entry

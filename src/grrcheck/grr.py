@@ -545,9 +545,9 @@ class FormalFibration(Record):
     def pushforward(self, p: GradedPolynomial) -> GradedPolynomial:
         """Each term of p of relative degree at least d as its coefficient
         times the table's symbol, in one pass over p's packed keys."""
-        names, monomials, shift = self.symbols.names(), self.fiber.monomials, self.fiber.shift
+        names, monomial, shift = self.symbols.names(), self.fiber.monomial, self.fiber.shift
         terms = {
-            tuple(int(n == self.table[monomials[key]]) for n in names): coeff
+            tuple(int(n == self.table[monomial(key)]) for n in names): coeff
             for key, coeff in p.packed.items()
             if key >> shift >= self.d
         }

@@ -20,7 +20,7 @@ accumulation and normalise once at the end.
 
 Alphabet(...) returns one interned instance per variable list, and each
 Alphabet packs every exponent tuple it meets into an int once, in a memo
-that maps both ways: the weighted degree in the top field, then 16 bits per
+from tuples to keys: the weighted degree in the top field, then 16 bits per
 exponent in alphabet order (after Monagan and Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Int
 order is (degree, exponent tuple) order, the degree is key >> shift, and the
@@ -28,9 +28,11 @@ key of a product of monomials is the sum of their keys.  Packed keys are the
 stored form of a GradedPolynomial: its terms are {packed key: coefficient},
 and every ring operation (sums, scalings, products, graded parts,
 equality, the canonical text) reads and writes keys without packing
-or unpacking.  The map keyed by exponent tuples, .terms, is derived through
-the memo on its first read and kept, for the callers that walk exponents
-(substitution, and the compile of grrcheck.grr among others).  embed moves
+or unpacking.  A key is unpacked where it is read (Alphabet.monomial, one
+struct unpack) and nothing stores the reverse map: the readers that come
+back to a key keep what they made of it, in the monomial texts, the product
+memo of grrcheck.geometry and the map keyed by exponent tuples, .terms,
+unpacked on its first read for the callers that walk exponents.  embed moves
 whole blocks of exponent fields.  Every exponent stays below half its
 16-bit field: the constructor checks each tuple it packs, and a key made by
 adding keys is tested against the alphabet's mask of those top bits, so no
@@ -83,9 +85,9 @@ not integral leaves a Fraction in the result.
 
 Polynomials are immutable after construction (the tuple view is written
 once, on its first read) and may share their term dicts;
-the expansion and raising memo tables, the key memos, the monomial texts and
-the alphabet table are insert-only maps of immutable values (safe to share
-across threads in CPython, or keep per task).
+the expansion and raising memo tables, the key memo (tuple -> key), the
+monomial texts and the alphabet table are insert-only maps of immutable
+values (safe to share across threads in CPython, or keep per task).
 """
 
 from __future__ import annotations
@@ -155,48 +157,35 @@ def _check_packable(mono: Monomial) -> None:
 class _Keys(dict):
     """Exponent tuple -> packed key for one weight vector, each packed once:
     the degree, then exponent 0, 1, ... 16 bits each, so keys compare as
-    (degree, exponent tuple) and the degree is key >> shift.  .monomials is
-    the reverse map, filled at the same time.  .overflow has bit 15 of every
-    exponent field set: a key made by adding keys has an exponent out of the
-    packed range exactly when it meets that mask."""
+    (degree, exponent tuple) and the degree is key >> shift.  unpack reads a
+    key's exponent tuple back from its fields and stores nothing.  .overflow
+    has bit 15 of every exponent field set: a key made by adding keys has an
+    exponent out of the packed range exactly when it meets that mask."""
 
-    __slots__ = ("weights", "shift", "fields", "monomials", "overflow")
+    __slots__ = ("weights", "shift", "fields", "size", "mask", "overflow")
 
     def __init__(self, weights: tuple[int, ...]):
         super().__init__()
         self.weights, self.shift = weights, 16 * len(weights)
-        self.fields = Struct(f">{len(weights)}H")
-        self.monomials = _Monomials(self)
+        self.fields, self.size = Struct(f">{len(weights)}H"), 2 * len(weights)
+        self.mask = (1 << self.shift) - 1
         self.overflow = sum(_HALF << 16 * i for i in range(len(weights)))
 
     def __missing__(self, mono: Monomial) -> int:
         _check_packable(mono)
         degree = sum(map(mul, mono, self.weights))
         key = self[mono] = degree << self.shift | int.from_bytes(self.fields.pack(*mono), "big")
-        self.monomials[key] = mono
         return key
+
+    def unpack(self, key: int) -> Monomial:
+        """The exponent tuple of a packed key (a sum of keys too), not stored."""
+        return self.fields.unpack((key & self.mask).to_bytes(self.size, "big"))
 
     def check(self, keys: Iterable[int]) -> None:
         """The guard on keys made by adding keys: every exponent stays below
         half its field, so the next sum cannot carry either."""
         if reduce(or_, keys, 0) & self.overflow:
             raise AssertionError(f"an exponent of a product outside the packed range [0, {_HALF})")
-
-
-class _Monomials(dict):
-    """Packed key -> exponent tuple.  A key no tuple was packed into (a sum of
-    two keys) is unpacked once."""
-
-    __slots__ = ("keys", "size", "mask")
-
-    def __init__(self, keys: _Keys):
-        super().__init__()
-        self.keys, self.size, self.mask = keys, keys.shift // 8, (1 << keys.shift) - 1
-
-    def __missing__(self, key: int) -> Monomial:
-        mono = self.keys.fields.unpack((key & self.mask).to_bytes(self.size, "big"))
-        self[key], self.keys[mono] = mono, key
-        return mono
 
 
 # variable list -> its one Alphabet
@@ -206,10 +195,11 @@ _ALPHABETS: dict[tuple[tuple[str, int], ...], "Alphabet"] = {}
 class Alphabet:
     """Ordered list of uniquely named variables with non-negative integer
     weights.  There is one instance per list: Alphabet(...) returns it, so its
-    key memos and monomial texts stay warm for every polynomial over the list,
-    and alphabets are equal exactly when they are the same object."""
+    key memo (tuple -> key) and monomial texts stay warm for every polynomial
+    over the list, and alphabets are equal exactly when they are the same
+    object.  monomial(key) unpacks a key on each read and stores nothing."""
 
-    __slots__ = ("variables", "weights", "shift", "keys", "monomials", "texts", "_index", "_names")
+    __slots__ = ("variables", "weights", "shift", "keys", "monomial", "texts", "_index", "_names")
 
     def __new__(cls, variables: Iterable[tuple[str, int]]) -> "Alphabet":
         variables = tuple((str(n), int(w)) for n, w in variables)
@@ -226,7 +216,7 @@ class Alphabet:
         self.weights = tuple(w for _, w in variables)
         self._index = {n: i for i, n in enumerate(names)}
         self.keys = _Keys(self.weights)
-        self.shift, self.monomials = self.keys.shift, self.keys.monomials
+        self.shift, self.monomial = self.keys.shift, self.keys.unpack
         self.texts: dict[int, str] = {}  # packed key -> factor text, see serialize_keyed
         return _ALPHABETS.setdefault(variables, self)
 
@@ -262,7 +252,7 @@ def join_alphabets(*parts: Alphabet) -> Alphabet:
 
 class GradedPolynomial:
     """Terms are stored as {packed key: coefficient} over the alphabet's key
-    memo; .terms, the map keyed by exponent tuples, is derived on its first
+    memo; .terms, the map keyed by exponent tuples, is unpacked on its first
     read and kept."""
 
     __slots__ = ("alphabet", "truncation", "packed", "_terms")
@@ -307,8 +297,8 @@ class GradedPolynomial:
     def terms(self) -> dict[Monomial, Scalar]:
         """{exponent tuple: coefficient}, for the callers that walk exponents."""
         if self._terms is None:
-            monomials = self.alphabet.monomials
-            self._terms = {monomials[k]: c for k, c in self.packed.items()}
+            monomial = self.alphabet.monomial
+            self._terms = {monomial(k): c for k, c in self.packed.items()}
         return self._terms
 
     # -- constructors -------------------------------------------------
@@ -343,8 +333,8 @@ class GradedPolynomial:
         return self.packed.get(self.alphabet.keys[tuple(mono)], 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        monomials = self.alphabet.monomials
-        return [(monomials[k], c) for k, c in sorted(self.packed.items())]
+        monomial = self.alphabet.monomial
+        return [(monomial(k), c) for k, c in sorted(self.packed.items())]
 
     def __eq__(self, other: object) -> bool:
         """Equality of alphabet and terms (truncation bound not compared)."""
@@ -508,7 +498,7 @@ class GradedPolynomial:
                     values.append(img)
                     continue
                 fold_keys[pos], img = next(iter(img.packed.items()), (0, 0))
-                exps = target.monomials[fold_keys[pos]]
+                exps = target.monomial(fold_keys[pos])
                 reach = [r + tops[pos] * e for r, e in zip(reach, exps)]
             img = _scalar(img)
             if not img:  # a zero image sends every term it divides past the bound
@@ -608,7 +598,7 @@ def serialize_keyed(alphabet: Alphabet, items: Iterable[tuple[int, Scalar]]) -> 
     try:
         for key, c in sorted(items):  # keys are distinct
             if key not in texts:
-                exponents = zip(alphabet.names(), alphabet.monomials[key])
+                exponents = zip(alphabet.names(), alphabet.monomial(key))
                 texts[key] = "".join([f" {n}^{e}" for n, e in exponents if e])
             lines.append(f"{c.numerator}/{c.denominator}{texts[key]}")
     except ValueError:

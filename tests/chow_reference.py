@@ -40,8 +40,8 @@ def chow_class(tower: Tower, raw: Mapping[Monomial, Scalar]) -> ChowClass:
 
 def chow_terms(alpha: ChowClass) -> dict[Monomial, Scalar]:
     """The class's terms keyed by exponent tuples."""
-    monomials = alpha.tower.alphabet.monomials
-    return {monomials[k]: c for k, c in alpha.terms.items()}
+    monomial = alpha.tower.alphabet.monomial
+    return {monomial(k): c for k, c in alpha.terms.items()}
 
 
 # -- the Chow ring on exponent tuples -------------------------------------

@@ -264,7 +264,7 @@ class TestProductTable:
         assert all(sum(m) <= t.dim for m in rewritten)  # none above the dimension
         for raw in raws:
             want = t._normal_form({raw: 1}, t._chow_rules) if sum(raw) <= t.dim else {}
-            assert {t.alphabet.monomials[k]: c for k, c in t._products[keys[raw]]} == want, raw
+            assert {t.alphabet.monomial(k): c for k, c in t._products[keys[raw]]} == want, raw
 
 
 class TestDivisorChow:

@@ -500,6 +500,26 @@ class TestPackedKeys:
             with pytest.raises(AssertionError, match="packed range"):
                 GradedPolynomial(al, 10**6, {bad: 1})
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reading_a_key_stores_nothing(self, data):
+        """A sum of two keys unpacks to the entrywise sum of their tuples, and
+        unpacking it, the canonical text and the tuple view of a polynomial
+        that holds it add no entry to the alphabet's key memo."""
+        half = 1 << 15
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        al = Alphabet([(f"u{i}", w) for i, w in enumerate(weights)])
+        monomial = st.tuples(*[st.integers(0, half - 1)] * len(weights))
+        a, b = data.draw(monomial), data.draw(monomial)
+        key = al.keys[a] + al.keys[b]
+        total = tuple(x + y for x, y in zip(a, b))
+        size = len(al.keys)
+        assert al.monomial(key) == total
+        p = GradedPolynomial._normal(al, key >> al.shift, {key: 1})
+        assert p.serialize() == "1/1" + "".join(f" u{i}^{e}" for i, e in enumerate(total) if e)
+        assert p.terms == {total: 1}
+        assert len(al.keys) == size
+
     def test_names_built_once(self):
         al = Alphabet([("r", 0), ("a", 1), ("b", 2)])
         assert al.names() == ("r", "a", "b") and al.names() is al.names()
