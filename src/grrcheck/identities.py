@@ -1,9 +1,15 @@
 """Formal power-series identities, verified coefficient by coefficient.
 
 Each checker expands both sides of one identity as GradedPolynomials over an
-explicit alphabet (disjoint root sets where the identity is about two
-classes), serializes them canonically per checked degree, and returns a
-VerificationReport whose verdict is byte-equality of the two sides.
+explicit alphabet, serializes them canonically per checked degree, and returns
+a VerificationReport whose verdict is byte-equality of the two sides.  Two
+helpers build the shared setup: _root_tables the alphabet of named root sets
+(disjoint where the identity is about two classes) with the elementary
+classes of each set and, where read, of their union, and _divisors the
+weight-1 divisors of the exponential identities, each beside its 1 - e^{-x}
+(exp-flip-series builds its 1 - e^{b} from e^x, which ties that series to
+e^{-x}).  A check that wants the powers of one polynomial takes them as
+running products.
 
 Identity names are content-descriptive and stable; they are the names the CLI
 accepts.  Root-set sizes are chosen so the full registry stays well inside
@@ -13,8 +19,10 @@ demands; each report records the root configuration it used.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 from .arith import exact_ratio, todd_denominator, todd_ratio
 from .poly import (
@@ -70,10 +78,26 @@ def _substituted_todd_numerator(m: int, c_values, target, bound: int) -> GradedP
     return universal_todd(m).numerator.with_bound(bound).substitute(images, target)
 
 
-def _elementary_table(alphabet, names, up_to, bound):
-    return {
-        i: elementary_symmetric(alphabet, names, i, bound) for i in range(0, up_to + 1)
-    }
+def _root_tables(cap: int, *root_sets: tuple[str, int], union: bool = False):
+    """The alphabet of the root sets (prefix, count), in order, and the
+    elementary classes e_0..e_cap of each set, then, with union, of all the
+    roots."""
+    al = join_alphabets(*(root_alphabet(prefix, count) for prefix, count in root_sets))
+    sets = [[f"{prefix}{i}" for i in range(1, count + 1)] for prefix, count in root_sets]
+    if union:
+        sets.append(al.names())
+    return al, *(
+        [elementary_symmetric(al, roots, i, cap) for i in range(cap + 1)] for roots in sets
+    )
+
+
+def _divisors(max_degree: int, *names: str):
+    """The alphabet of the weight-1 divisors named, the coefficients of
+    1 - e^{-x} through max_degree, and each divisor x beside its 1 - e^{-x}."""
+    al = Alphabet([(name, 1) for name in names])
+    coeffs = one_minus_exp_neg_series(max_degree)
+    xs = (GradedPolynomial.variable(al, max_degree, name) for name in names)
+    return al, coeffs, [(x, apply_series(coeffs, x)) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -82,46 +106,29 @@ def _elementary_table(alphabet, names, up_to, bound):
 
 
 def check_exp_sum_product(max_degree: int) -> VerificationReport:
-    al = Alphabet([("a", 1), ("b", 1)])
-    a = GradedPolynomial.variable(al, max_degree, "a")
-    b = GradedPolynomial.variable(al, max_degree, "b")
-    coeffs = one_minus_exp_neg_series(max_degree)
-    big_a = apply_series(coeffs, a)
-    big_b = apply_series(coeffs, b)
+    _, coeffs, ((a, big_a), (b, big_b)) = _divisors(max_degree, "a", "b")
     lhs = apply_series(coeffs, a + b)
     rhs = big_a + big_b - big_a * big_b
     return _report("exp-sum-product", max_degree, lhs.serialize(), rhs.serialize())
 
 
 def check_exp_flip_series(max_degree: int) -> VerificationReport:
-    al = Alphabet([("b", 1)])
-    b = GradedPolynomial.variable(al, max_degree, "b")
+    al, _, ((b, big_b),) = _divisors(max_degree, "b")
     lhs = apply_series([-c for c in exp_series(max_degree)], b) + GradedPolynomial.constant(
         al, max_degree, 1
     )  # 1 - e^{b}
-    big_b = apply_series(one_minus_exp_neg_series(max_degree), b)
     rhs = GradedPolynomial.zero(al, max_degree)
-    power = GradedPolynomial.constant(al, max_degree, 1)
-    for _ in range(1, max_degree + 1):
-        power = power * big_b
+    for power in itertools.accumulate([big_b] * max_degree, mul):
         rhs = rhs - power
     return _report("exp-flip-series", max_degree, lhs.serialize(), rhs.serialize())
 
 
 def check_exp_difference_series(max_degree: int) -> VerificationReport:
-    al = Alphabet([("a", 1), ("b", 1)])
-    a = GradedPolynomial.variable(al, max_degree, "a")
-    b = GradedPolynomial.variable(al, max_degree, "b")
-    coeffs = one_minus_exp_neg_series(max_degree)
-    big_a = apply_series(coeffs, a)
-    big_b = apply_series(coeffs, b)
+    _, coeffs, ((a, big_a), (b, big_b)) = _divisors(max_degree, "a", "b")
     lhs = apply_series(coeffs, a - b)
     rhs = big_a - big_b
-    power = GradedPolynomial.constant(al, max_degree, 1)
-    for _ in range(1, max_degree + 1):
-        next_power = power * big_b
-        rhs = rhs + big_a * next_power - next_power * big_b
-        power = next_power
+    for power in itertools.accumulate([big_b] * max_degree, mul):
+        rhs = rhs + big_a * power - power * big_b
     return _report("exp-difference-series", max_degree, lhs.serialize(), rhs.serialize())
 
 
@@ -141,20 +148,14 @@ def _root_configs(max_degree: int) -> list[tuple[int, int, int]]:
 def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
     rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
-        al = join_alphabets(root_alphabet("u", p), root_alphabet("v", q))
-        u_names = [f"u{i}" for i in range(1, p + 1)]
-        v_names = [f"v{i}" for i in range(1, q + 1)]
+        al, c_a, c_b = _root_tables(cap, ("u", p), ("v", q))
         one = GradedPolynomial.constant(al, cap, 1)
+        roots = [GradedPolynomial.variable(al, cap, name) for name in al.names()]
         total = one
-        for un in u_names:
-            for vn in v_names:
-                s = GradedPolynomial.variable(al, cap, un) + GradedPolynomial.variable(
-                    al, cap, vn
-                )
-                total = total * (one + s)
+        for u in roots[:p]:
+            for v in roots[p:]:
+                total = total * (one + u + v)
         c_tensor = {i: total.graded_part(i) for i in range(1, cap + 1)}
-        c_a = _elementary_table(al, u_names, cap, cap)
-        c_b = _elementary_table(al, v_names, cap, cap)
         s_a = [_substituted_chern_numerator(i, p, c_a, al, cap) for i in range(cap + 1)]
         s_b = [_substituted_chern_numerator(i, q, c_b, al, cap) for i in range(cap + 1)]
         for m in range(1, cap + 1):
@@ -175,13 +176,7 @@ def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
 def check_todd_additivity(max_degree: int) -> VerificationReport:
     rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
-        al = join_alphabets(root_alphabet("u", p), root_alphabet("v", q))
-        u_names = [f"u{i}" for i in range(1, p + 1)]
-        v_names = [f"v{i}" for i in range(1, q + 1)]
-        all_names = u_names + v_names
-        c_all = _elementary_table(al, all_names, cap, cap)
-        c_a = _elementary_table(al, u_names, cap, cap)
-        c_b = _elementary_table(al, v_names, cap, cap)
+        al, c_a, c_b, c_all = _root_tables(cap, ("u", p), ("v", q), union=True)
         td_a = [_substituted_todd_numerator(i, c_a, al, cap) for i in range(cap + 1)]
         td_b = [_substituted_todd_numerator(i, c_b, al, cap) for i in range(cap + 1)]
         for m in range(1, cap + 1):
@@ -215,7 +210,7 @@ def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
 
     rows: list[Row] = []
     for g in range(1, min(max_degree, _WEDGE_RANKS) + 1):
-        al = root_alphabet("x", g)
+        al, c_x = _root_tables(g, ("x", g))
         names = al.names()
         # 1 - sum_S x is the total Chern class of the line O(-sum_S x); S goes by
         # its largest root, so the running product stays in the roots met so far
@@ -228,7 +223,7 @@ def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
         total = GradedPolynomial.constant(al, g, 1).times_one_minus(factors)
         cp_values = {i: total.graded_part(i) for i in range(1, g + 1)}
         lhs = _substituted_chern_numerator(g, 0, cp_values, al, g)
-        rhs = elementary_symmetric(al, names, g, g).scale(factorial(g))
+        rhs = c_x[g].scale(factorial(g))
         rows.append((f"g={g}", lhs, rhs))
     return _compare_blocks(
         "top-chern-from-wedges",
@@ -250,8 +245,8 @@ def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
         x = GradedPolynomial.variable(al, m, "x")
         lhs = q_poly(m).numerator.embed(al).scale(todd_ratio(m, 0, m - 1))
         images: dict[str, GradedPolynomial | int] = {"r": 0}
-        for i in range(1, m + 1):
-            images[f"cp{i}"] = x.power(i)
+        for i, power in enumerate(itertools.accumulate([x] * m, mul), 1):  # x^1..x^m
+            images[f"cp{i}"] = power
         rhs = universal_ct(m).numerator.substitute(images, al)
         rows.append((f"degree {m}", lhs, rhs))
     return _compare_blocks(
@@ -299,13 +294,8 @@ def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
     rows: list[Row] = []
     for r in range(1, min(3, max_degree) + 1):
         s_roots = max(1, min(3, max_degree - r))
-        al = join_alphabets(root_alphabet("y", s_roots), root_alphabet("z", r))
-        y_names = [f"y{i}" for i in range(1, s_roots + 1)]
-        z_names = [f"z{i}" for i in range(1, r + 1)]
         cap = max_degree
-        c_y = _elementary_table(al, y_names, cap, cap)
-        c_z = _elementary_table(al, z_names, cap, cap)
-        c_all = _elementary_table(al, y_names + z_names, cap, cap)
+        al, c_y, c_z, c_all = _root_tables(cap, ("y", s_roots), ("z", r), union=True)
         z_images = {f"c{i}": c_z[i] for i in range(1, r + 1)}
         # inv[j] is the inverse-Todd numerator of degree j + r at the z-roots
         inv = [
@@ -357,6 +347,7 @@ def howe_reduce(r: int, a: int, degree_bound: int) -> list[GradedPolynomial]:
     c = [GradedPolynomial.constant(al, bound, 1)] + [
         GradedPolynomial.variable(al, bound, f"c{j}") for j in range(1, n + 1)
     ]
+    t_powers = list(itertools.accumulate([t] * n, mul, initial=c[0]))  # T^0..T^n
     # the Chern classes of the roots T - x_i, zero above the rank r + 1
     images: dict[str, GradedPolynomial | int] = {
         f"c{k}": 0 for k in range(n + 1, bound + 1)
@@ -364,7 +355,7 @@ def howe_reduce(r: int, a: int, degree_bound: int) -> list[GradedPolynomial]:
     for k in range(1, n + 1):
         images[f"c{k}"] = GradedPolynomial.zero(al, bound)
         for j in range(k + 1):
-            term = c[j] * t.power(k - j)
+            term = c[j] * t_powers[k - j]
             images[f"c{k}"] += term.scale((-1) ** j * comb(n - j, k - j))
     td = GradedPolynomial.constant(al, bound, 1)
     for k in range(1, bound + 1):

@@ -429,19 +429,6 @@ class GradedPolynomial:
         packed = {k: _exact(c) for part in parts for k, c in part.items()}
         return GradedPolynomial._normal(alphabet, bound, packed)
 
-    def power(self, k: int) -> "GradedPolynomial":
-        if k < 0:
-            raise AssertionError("negative power")
-        result = GradedPolynomial.constant(self.alphabet, self.truncation, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def graded_part(self, m: int) -> "GradedPolynomial":
         shift = self.alphabet.shift
         low, high = m << shift, (m + 1) << shift

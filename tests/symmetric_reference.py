@@ -117,10 +117,11 @@ def howe_reduce_by_roots(r: int, a: int, degree_bound: int) -> list[GradedPolyno
         total = total * apply_series(td, t - xi)
 
     # relation: T^{r+1} = T^{r+1} - prod(T - x_i), a polynomial of T-degree <= r
-    rel = GradedPolynomial.constant(al, bound, 1)
+    rel = t_n = GradedPolynomial.constant(al, bound, 1)
     for i in range(1, n + 1):
         rel = rel * (t - GradedPolynomial.variable(al, bound, f"x{i}"))
-    remainder = t.power(n) - rel
+        t_n = t_n * t
+    remainder = t_n - rel
 
     while True:
         keep: dict[Monomial, Fraction] = {}

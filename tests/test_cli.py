@@ -177,6 +177,15 @@ class TestVerify:
             ("series-identities", "ch:2:0:1/2", {"chern-multiplicativity", "divisor-todd-vs-ct",
                                                  "top-chern-from-wedges"}),
             ("chern-multiplicativity", "ch:2:0:1/2", {"chern-multiplicativity"}),
+            # each class an identity reads falsifies it: a shared setup that
+            # stopped reading one would leave its identity passing
+            ("series-identities", "todd:2:0:1/2", {"divisor-todd-vs-ct",
+                                                   "immersion-todd-decomposition",
+                                                   "todd-additivity",
+                                                   "todd-restriction-substitution"}),
+            ("series-identities", "ct:2:0:1/2", {"divisor-todd-vs-ct"}),
+            ("series-identities", "q:2:0:1/2", {"divisor-todd-vs-ct"}),
+            ("series-identities", "toddinv:3:0:1/2", {"immersion-todd-decomposition"}),
             # howe_claims and the suite both name a report by howe_instance
             ("projective-bundle", "todd:2:0:1/2", {"bundle-series-reduction"}),
         ],
@@ -1005,6 +1014,27 @@ class TestDegreeBounds:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--max-degree" in err
+
+    @pytest.mark.parametrize(
+        "degree,digest",
+        [
+            (0, "8f8e9a2ba8b6b162c1e1b613f6307c230a0fe4db4a9e2c50843ebcc3a26765f5"),
+            (1, "10fb2ed5d3cb895fd449b049b645c8662c6d8a168da61608ad3448bb1980c7f3"),
+            (2, "55d55c430601dd592153126b047238c1d7cda93e4f473b5360aea33306b32398"),
+            (3, "1558e6d25256d90a67af198dae0203b5041c7867d3172be9775d339f05e8cd2c"),
+            (4, "abd75611a464207da0bc2ed3df56eb06ae016e7347df4ba7ea5a98da2ce53b5b"),
+            (5, "baec5961845795b3662c2b60bc6bf1e7933c5b97ab336298e9d54fc5aa6cb85a"),
+            (6, "3cadc87e90eefde3c386c7b51bb45c17c4677b8502ac7b0bc47d0669b3edc5ca"),
+            (7, "89839663b06440e85e893384c3c731ae6826475da786854cd1d6c00f44f681d4"),
+            (10, "00ce2e36d96104674a7ae536cca94d78d5559687bcb43a51a1476aafeda44d8c"),
+        ],
+    )
+    def test_series_identities_text_is_pinned(self, degree, digest, capsys):
+        # the sha256 of each low degree's stream, so that the identities'
+        # text is pinned below the degree 8 of `verify all`; at 7 the 2+2-root
+        # configuration of the split-root identities joins the 3+3 one
+        assert main(["verify", "series-identities", "--max-degree", str(degree)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_only_the_suites_the_cli_sizes_take_a_parameter(self):
         # --max-degree reaches integrality and series-identities; every

@@ -38,6 +38,7 @@ from grrcheck.series import (
     universal_ct,
     universal_todd,
 )
+from grrcheck import identities
 from grrcheck.identities import IDENTITY_CHECKS, howe_claims, howe_reduce
 from grrcheck.suites import suite_integrality, suite_projective_bundle
 
@@ -479,6 +480,19 @@ class TestIdentities:
 
     def test_wedge_identity(self):
         assert IDENTITY_CHECKS["top-chern-from-wedges"](6).passed
+
+    @pytest.mark.parametrize("c", [2, -1])
+    def test_exp_flip_pins_the_series_to_e_minus_x(self, c, monkeypatch):
+        # g(a+b) = g(a)g(b) and g(a-b) = g(a)/g(b) hold for every g = e^{-cx},
+        # so exp-flip-series, whose 1 - e^{b} is built from e^x, is the check
+        # that fails when 1 - e^{-x} is read as 1 - e^{-cx}
+        def wrong(n):
+            return [int(k == 0) - e for k, e in enumerate(exp_series(n, -c))]
+
+        monkeypatch.setattr(identities, "one_minus_exp_neg_series", wrong)
+        assert IDENTITY_CHECKS["exp-sum-product"](8).passed
+        assert IDENTITY_CHECKS["exp-difference-series"](8).passed
+        assert not IDENTITY_CHECKS["exp-flip-series"](8).passed
 
     @staticmethod
     def wedge_steps():
