@@ -1,7 +1,7 @@
 """Two-sided Riemann-Roch checks on model geometries and formal fibrations.
 
 Every checker assembles both sides of one exact identity in the integer Chow
-ring of a tower (or in a free symbol ring for formal fibrations), serializes
+ring of a tower (or over a formal fibration's fiber classes), serializes
 them through grrcheck.poly.serialize_keyed, and reports byte-equality.  All
 scalar ratios of Todd denominators are performed as checked exact integer
 divisions; a failed division is a falsification, not a rounding issue.  Each
@@ -16,9 +16,10 @@ rank and every other variable (cp<i>, x) a Chow class of the sheaf map.
 One pass over the class's monomials fills each entry of its cache with a
 Horner scheme in the nonzero sheaf classes, the rank folded into the int
 coefficients and the c_i multiplied out; each call then walks that scheme
-(grrcheck.poly.horner_eval).  In a formal fibration a class is evaluated by
-GradedPolynomial.substitute, which folds its one-term images into packed
-keys and walks a Horner scheme in the rest.
+(grrcheck.poly.horner_eval).  On a formal relative curve or surface,
+_fiber_ct evaluates ct_m over the fiber classes by GradedPolynomial.substitute,
+which folds its one-term images into packed keys and walks a Horner scheme in
+the rest; f_* of a fiber monomial is its coefficient, read by the check.
 
 Degree rule: above a tower's dimension a class is zero.  Only
 check_main_theorem meets such a degree (n > dim S); it returns zero classes
@@ -63,7 +64,7 @@ from .geometry import (
     pushforward_k,
 )
 from .poly import Alphabet, GradedPolynomial, horner_eval, horner_scheme
-from .report import FalsificationError, Record, VerificationReport
+from .report import FalsificationError, VerificationReport
 from .series import (
     UniversalClass,
     q_poly,
@@ -493,99 +494,53 @@ def check_divisor_calculus(
 # ---------------------------------------------------------------------------
 
 
-class FormalFibration(Record):
-    """A relative curve or surface with symbolic fiber classes and a formal
-    pushforward table; pushforward kills relative degree < d and maps each
-    higher monomial to a free symbol (no relations are imposed on symbols).
-    tangent_chern maps i to the i-th tangent Chern class on the fiber
-    alphabet, table a fiber monomial to its symbol's name."""
-
-    __slots__ = ("d", "fiber", "tangent_chern", "symbols", "table", "truncation")
-
-    @staticmethod
-    def relative_curve(truncation: int) -> "FormalFibration":
-        """d = 1; the fiber variable K is the first Chern class of the relative
-        cotangent sheaf, so the relative tangent has c1 = -K.  Pushforward
-        maps K^(i+1) to the tautological symbol kappa<i>."""
-        fiber = Alphabet([("K", 1)])
-        symbols = Alphabet([(f"kappa{i}", i) for i in range(0, truncation)])
-        minus_k = GradedPolynomial.variable(fiber, truncation, "K").scale(-1)
-        table = {(i + 1,): f"kappa{i}" for i in range(0, truncation)}
-        return FormalFibration(1, fiber, {1: minus_k}, symbols, table, truncation)
-
-    @staticmethod
-    def relative_surface() -> "FormalFibration":
-        """d = 2, truncated above degree 3; w is the first Chern class of the
-        relative dualizing sheaf (tangent c1 = -w) and c2 the second tangent
-        Chern class.  The degree-3 pushforwards get the symbols
-        s_w3 = f_*(w^3) and s_wc2 = f_*(w*c2)."""
-        truncation = 3
-        fiber = Alphabet([("w", 1), ("c2f", 2)])
-        symbols = Alphabet([("s_w3", 1), ("s_wc2", 1)])
-        w = GradedPolynomial.variable(fiber, truncation, "w")
-        c2f = GradedPolynomial.variable(fiber, truncation, "c2f")
-        table = {(3, 0): "s_w3", (1, 1): "s_wc2"}
-        return FormalFibration(2, fiber, {1: -w, 2: c2f}, symbols, table, truncation)
-
-    def ct_relative(self, m: int, sheaf_c1: GradedPolynomial | None) -> GradedPolynomial:
-        """The degree-m combined-class numerator of a line bundle with first
-        Chern class sheaf_c1 (None for the structure sheaf), evaluated at the
-        relative tangent data."""
-        uc = universal_ct(m)
-        images: dict[str, GradedPolynomial | Fraction] = {"r": Fraction(1)}
-        for i in range(1, m + 1):
-            images[f"c{i}"] = self.tangent_chern.get(
-                i, GradedPolynomial.zero(self.fiber, self.truncation)
-            )
-            images[f"cp{i}"] = Fraction(0)
-        if sheaf_c1 is not None:
-            images["cp1"] = sheaf_c1
-        return uc.numerator.with_bound(self.truncation).substitute(images, self.fiber)
-
-    def pushforward(self, p: GradedPolynomial) -> GradedPolynomial:
-        """Each term of p of relative degree at least d as its coefficient
-        times the table's symbol, in one pass over p's packed keys."""
-        names, monomial, shift = self.symbols.names(), self.fiber.monomial, self.fiber.shift
-        terms = {
-            tuple(int(n == self.table[monomial(key)]) for n in names): coeff
-            for key, coeff in p.packed.items()
-            if key >> shift >= self.d
-        }
-        return GradedPolynomial(self.symbols, self.truncation, terms)
+def _fiber_ct(
+    m: int, tangent_chern: Mapping[int, GradedPolynomial], sheaf_c1: GradedPolynomial | None
+) -> GradedPolynomial:
+    """ct_m's numerator for a line bundle on a formal fibration: c<i> is the
+    relative tangent's tangent_chern[i] (0 if absent), r is 1, cp1 the sheaf's
+    c1 sheaf_c1 (None for O) and every other cp<i> 0, over the tangent
+    classes' fiber alphabet at their one bound."""
+    first = next(iter(tangent_chern.values()))
+    fiber, bound = first.alphabet, first.truncation
+    images: dict[str, GradedPolynomial | int] = {"r": 1}
+    for i in range(1, m + 1):
+        images[f"c{i}"] = tangent_chern.get(i, GradedPolynomial.zero(fiber, bound))
+        images[f"cp{i}"] = 0
+    if sheaf_c1 is not None:
+        images["cp1"] = sheaf_c1
+    return universal_ct(m).numerator.with_bound(bound).substitute(images, fiber)
 
 
-def kappa_expected(n: int) -> tuple[Fraction, str]:
-    """The displayed right side for the relative-curve identity in degree n:
-    0 for even n >= 2, and the integer T_{n+1} B_{n+1} / (n+1)! times the
-    tautological class for odd n."""
+def kappa_expected(n: int) -> Fraction:
+    """The coefficient of kappa<n> in the displayed right side of the
+    relative-curve identity in degree n: 0 for even n >= 2, and
+    T_{n+1} B_{n+1} / (n+1)! for odd n."""
     if n >= 2 and n % 2 == 0:
-        return Fraction(0), ""
-    coeff = (
+        return Fraction(0)
+    return (
         Fraction(todd_denominator(n + 1).value)
         * bernoulli(n + 1)
         / factorial(n + 1)
     )
-    return coeff, f"kappa{n}"
 
 
 def check_kappa_identity(n: int) -> VerificationReport:
     """Pushforward of the combined class of the structure sheaf on a formal
-    relative curve, against the displayed tautological-class multiple."""
-    fib = FormalFibration.relative_curve(n + 2)
-    value = fib.pushforward(fib.ct_relative(n + 1, None))
-    coeff, symbol = kappa_expected(n)
-    if symbol:
-        if coeff.denominator != 1:
-            raise FalsificationError(
-                f"tautological coefficient {coeff} is not an integer",
-                identity="kappa-multiple",
-                instance=f"n={n}",
-            )
-        expected = GradedPolynomial.variable(fib.symbols, fib.truncation, symbol).scale(
-            coeff
+    relative curve, against the displayed tautological-class multiple.  K is
+    c1 of the relative cotangent sheaf (tangent c1 = -K); ct_{n+1}(O) is
+    homogeneous of degree n+1 in K alone, so it is c K^(n+1), no term is
+    dropped, and f_* of it is c kappa<n>."""
+    minus_k = GradedPolynomial.variable(Alphabet([("K", 1)]), n + 1, "K").scale(-1)
+    value = _fiber_ct(n + 1, {1: minus_k}, None).coefficient(K=n + 1)
+    coeff = kappa_expected(n)
+    if coeff.denominator != 1:
+        raise FalsificationError(
+            f"tautological coefficient {coeff} is not an integer",
+            identity="kappa-multiple",
+            instance=f"n={n}",
         )
-    else:
-        expected = GradedPolynomial.zero(fib.symbols, fib.truncation)
+    kappa = GradedPolynomial.variable(Alphabet([(f"kappa{n}", n)]), n, f"kappa{n}")
     notes = (
         "left side equals (T_{n+1}/n!) s_n of the pushed structure sheaf; the "
         "dualizing-side convention matched is s_n(f_*[O]) = (-1)^(n-1) s_n(Hodge)"
@@ -595,8 +550,8 @@ def check_kappa_identity(n: int) -> VerificationReport:
     return VerificationReport.compare(
         "kappa-multiple",
         f"n={n}",
-        value.serialize(),
-        expected.serialize(),
+        kappa.scale(value).serialize(),
+        kappa.scale(coeff).serialize(),
         notes=notes,
     )
 
@@ -605,20 +560,25 @@ def check_surface_det_identity(m: int) -> VerificationReport:
     """Exponent of the intersection-bundle generator in the 24th-power
     determinant identity for a formal relative surface, at power m.
 
-    The combination 24[det Rf_*(w^m)] + 24(2m-1)[det Rf_*(O)] is computed as
+    w is c1 of the relative dualizing sheaf (tangent c1 = -w) and c2f the
+    second tangent Chern class.  The combination
+    24[det Rf_*(w^m)] + 24(2m-1)[det Rf_*(O)] is computed as
     RHS(w^m) + (2m-1) RHS(O) with RHS the degree-3 relative combined class
-    pushed forward.  The w*c2 symbol must cancel; the remaining coefficient is
-    reported against the tangent-difference orientation of the generator,
+    pushed forward.  The only weight-3 monomials in w and c2f are w^3 and
+    w*c2f, so their coefficients are f_*(w^3) and f_*(w*c2f), and no term is
+    dropped.  The w*c2f coefficient must cancel; the w^3 one is reported
+    against the tangent-difference orientation of the generator,
     G := f_*(c1([T_X]-[f^*T_S])^3) = -f_*(c1(omega)^3), which is the
     orientation matching the displayed exponent m(6m-4m^2-2).
     """
-    fib = FormalFibration.relative_surface()
-    w = GradedPolynomial.variable(fib.fiber, fib.truncation, "w")
-    rhs_twisted = fib.pushforward(fib.ct_relative(3, w.scale(m)))
-    rhs_trivial = fib.pushforward(fib.ct_relative(3, None))
+    fiber = Alphabet([("w", 1), ("c2f", 2)])
+    w = GradedPolynomial.variable(fiber, 3, "w")
+    tangent_chern = {1: -w, 2: GradedPolynomial.variable(fiber, 3, "c2f")}
+    rhs_twisted = _fiber_ct(3, tangent_chern, w.scale(m))
+    rhs_trivial = _fiber_ct(3, tangent_chern, None)
     combo = rhs_twisted + rhs_trivial.scale(2 * m - 1)
-    c_wc2 = combo.coefficient(s_wc2=1)
-    c_w3 = combo.coefficient(s_w3=1)
+    c_wc2 = combo.coefficient(w=1, c2f=1)
+    c_w3 = combo.coefficient(w=3)
     exponent_tangent = -c_w3  # generator G = -f_*(w^3)
     expected = m * (6 * m - 4 * m * m - 2)
     lhs_text = f"s_wc2 {c_wc2}\nexponent {exponent_tangent}"

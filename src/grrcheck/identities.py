@@ -3,8 +3,8 @@
 Each checker expands both sides of one identity as GradedPolynomials over an
 explicit alphabet, serializes them canonically per checked degree, and returns
 a VerificationReport whose verdict is byte-equality of the two sides.  Two
-helpers build the shared setup: _root_tables the alphabet of named root sets
-(disjoint where the identity is about two classes) with the elementary
+helpers build the shared setup: _root_tables the alphabet of the two
+disjoint root sets of an identity about two classes, with the elementary
 classes of each set and, where read, of their union, and _divisors the
 weight-1 divisors of the exponential identities, each beside its 1 - e^{-x}
 (exp-flip-series builds its 1 - e^{b} from e^x, which ties that series to
@@ -210,7 +210,7 @@ def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
 
     rows: list[Row] = []
     for g in range(1, min(max_degree, _WEDGE_RANKS) + 1):
-        al, c_x = _root_tables(g, ("x", g))
+        al = root_alphabet("x", g)
         names = al.names()
         # 1 - sum_S x is the total Chern class of the line O(-sum_S x); S goes by
         # its largest root, so the running product stays in the roots met so far
@@ -223,7 +223,7 @@ def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
         total = GradedPolynomial.constant(al, g, 1).times_one_minus(factors)
         cp_values = {i: total.graded_part(i) for i in range(1, g + 1)}
         lhs = _substituted_chern_numerator(g, 0, cp_values, al, g)
-        rhs = c_x[g].scale(factorial(g))
+        rhs = elementary_symmetric(al, names, g, g).scale(factorial(g))
         rows.append((f"g={g}", lhs, rhs))
     return _compare_blocks(
         "top-chern-from-wedges",

@@ -128,10 +128,9 @@ class UniversalClass:
     the memo (mutation included), so grrcheck.grr keys its per-tower work on
     the class it read."""
 
-    __slots__ = ("name", "degree", "numerator", "scale", "__dict__")  # __dict__ caches series_part
+    __slots__ = ("degree", "numerator", "scale", "__dict__")  # __dict__ caches series_part
 
-    def __init__(self, name: str, degree: int, numerator: GradedPolynomial, scale: int):
-        self.name = name
+    def __init__(self, degree: int, numerator: GradedPolynomial, scale: int):
         self.degree = degree
         self.numerator = numerator  # scale times the class, integer coefficients
         self.scale = scale  # the cleared denominator (T_m, m!, ...)
@@ -192,7 +191,7 @@ def _finish(kind: str, args: tuple, numerator: GradedPolynomial, scale: int) -> 
             identity=f"integrality:{kind}",
             instance=integrality_instance(args),
         )
-    return UniversalClass(kind, args[0], numerator, scale)
+    return UniversalClass(args[0], numerator, scale)
 
 
 def _chern_exponents(

@@ -56,7 +56,6 @@ class ParseError(InputError):
 class ScopeError(InputError):
     def __init__(self, name: str):
         super().__init__(f"unknown symbol {name!r}")
-        self.name = name
 
 
 # -- AST ---------------------------------------------------------------------

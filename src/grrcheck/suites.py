@@ -222,7 +222,7 @@ def _kappa_coefficients(max_n: int) -> list[VerificationReport]:
     is an integer for every odd degree 2m - 1 <= max_n."""
     out = []
     for m in range(2, (max_n + 1) // 2 + 1):
-        coeff = kappa_expected(2 * m - 1)[0]
+        coeff = kappa_expected(2 * m - 1)
         out.append(
             VerificationReport.compare(
                 "kappa-coefficient-integrality",

@@ -205,6 +205,31 @@ class TestVerify:
         assert {identity for identity, _ in failed} == falsified
         assert failed <= clean
 
+    @pytest.mark.parametrize(
+        "suite,spec,code,failed",
+        [
+            # ct_2's r*c1^2 and ct_4's r*c1^4 are the K^2 and K^4 coefficients
+            ("kappa", "ct:2:4:1", 1, {"n=1"}),
+            ("kappa", "ct:4:17:1", 1, {"n=3"}),
+            # a non-integral ct_2 fails the one instance that reads it
+            ("kappa", "ct:2:0:1/2", 1, {"n=1"}),
+            # r*c2 is zero on a curve, so no report reads it
+            ("kappa", "ct:2:3:1", 0, set()),
+            # ct_3's r*c1*c2 feeds w*c2f and cp1^3 feeds w^3 at every twist m >= 1
+            ("surface-det", "ct:3:7:1", 1, {f"m={m}" for m in range(1, 7)}),
+            ("surface-det", "ct:3:2:1", 1, {f"m={m}" for m in range(1, 7)}),
+        ],
+    )
+    def test_formal_corollaries_fail_where_the_mutated_term_is_read(
+        self, suite, spec, code, failed, capsys
+    ):
+        # f_* on a formal fibration is a coefficient of the fiber
+        # polynomial, so a mutated term of ct fails exactly the instances
+        # whose coefficient it enters
+        assert main(["verify", suite, "--mutate", spec]) == code
+        lines = map(json.loads, capsys.readouterr().out.splitlines())
+        assert {r["instance"] for r in lines if r["verdict"] == "fail"} == failed
+
     def test_suite_exit_zero(self, capsys):
         assert main(["verify", "kappa"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -17,8 +17,8 @@ from grrcheck.geometry import (
 from grrcheck import grr
 from grrcheck.cli import _parse_mutation
 from grrcheck.grr import (
-    FormalFibration,
     MorphismDatum,
+    _fiber_ct,
     _instance_images,
     _sheaf_images,
     _source_ct,
@@ -37,6 +37,7 @@ from grrcheck.grr import (
     evaluate_universal,
     grr_error,
 )
+from grrcheck.poly import Alphabet, GradedPolynomial
 from grrcheck.report import FalsificationError
 from grrcheck.series import (
     Mutation,
@@ -237,7 +238,7 @@ def sheaf_map(rng, tower, m, rank, live):
 
 def assert_compiled_matches(uc, tower, c_side, sheaf):
     assert evaluate_universal(uc, tower, c_side, sheaf) == two_pass(uc, tower, c_side, sheaf), (
-        uc.name, uc.degree, tower, sheaf
+        uc.degree, tower, sheaf
     )
 
 
@@ -979,10 +980,23 @@ class TestHirzebruchConsistencyWideCoefficients:
                 ), (t, coeffs)
 
 
-class TestFormalFibration:
-    def test_low_degrees_killed(self):
-        fib = FormalFibration.relative_curve(4)
-        from grrcheck.poly import GradedPolynomial
+class TestFormalCorollaryShape:
+    """f_* on a formal fibration is a coefficient read, so the fiber
+    polynomial of each corollary must have no term besides the ones read:
+    ct_{n+1}(O) on the relative curve is c K^(n+1) (c = 0 at even n, where
+    kappa_expected is 0), and ct_3 on the relative surface, twisted by m w
+    or not, has only w^3 and w c2f."""
 
-        one = GradedPolynomial.constant(fib.fiber, fib.truncation, 5)
-        assert fib.pushforward(one).is_zero()
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_relative_curve_is_one_power_of_k(self, n):
+        minus_k = GradedPolynomial.variable(Alphabet([("K", 1)]), n + 1, "K").scale(-1)
+        ct = _fiber_ct(n + 1, {1: minus_k}, None)
+        assert list(ct.terms) == ([(n + 1,)] if n % 2 else [])
+
+    @pytest.mark.parametrize("m", [None, *range(0, 7)])
+    def test_relative_surface_is_w3_and_w_c2f(self, m):
+        fiber = Alphabet([("w", 1), ("c2f", 2)])
+        w = GradedPolynomial.variable(fiber, 3, "w")
+        tangent_chern = {1: -w, 2: GradedPolynomial.variable(fiber, 3, "c2f")}
+        ct = _fiber_ct(3, tangent_chern, None if m is None else w.scale(m))
+        assert not ct.is_zero() and set(ct.terms) <= {(3, 0), (1, 1)}

@@ -13,8 +13,6 @@ import pytest
 from grrcheck import series
 from grrcheck.arith import FactoredInteger
 from grrcheck.geometry import Tower, VirtualCompleteIntersection
-from grrcheck.grr import FormalFibration
-from grrcheck.poly import Alphabet
 from grrcheck.report import Record, VerificationReport
 from grrcheck.series import Mutation, UniversalClass, set_mutation, universal_todd
 from grrcheck.specparse import (
@@ -54,7 +52,6 @@ def _plain_records() -> dict[type, tuple]:
         ClassTwist: (h, o),
         GeometryScope: (Tower([[(), ()]]), {"F": 1}),
         Mutation: ("ct", 2, 0, Fraction(1, 2)),
-        FormalFibration: (1, Alphabet([("K", 1)]), {}, Alphabet([("kappa0", 0)]), {}, 2),
         FactoredInteger: (12, ((2, 2), (3, 1))),
     }
 
@@ -202,7 +199,7 @@ class TestMutation:
 class TestUniversalClass:
     def test_identity_equality_and_hash(self):
         todd = universal_todd(3)
-        twin = UniversalClass(todd.name, todd.degree, todd.numerator, todd.scale)
+        twin = UniversalClass(todd.degree, todd.numerator, todd.scale)
         assert twin != todd and todd == todd
         assert hash(twin) == object.__hash__(twin)
         assert twin.series_part is twin.series_part

@@ -163,16 +163,16 @@ class TestHomogeneityAllFamilies:
     def test_weighted_degree_is_constant(self, m):
         # the rank variable has weight 0, so every term still sits in degree m
         families = [
-            universal_todd(m),
-            universal_chern_character(m),
-            universal_ct(m),
-            q_poly(m),
+            ("todd", universal_todd(m)),
+            ("ch", universal_chern_character(m)),
+            ("ct", universal_ct(m)),
+            ("q", q_poly(m)),
         ]
         for r in range(1, min(m, 4) + 1):
-            families.append(todd_inverse_numerator(m, r))
-        for uc in families:
+            families.append((f"toddinv rank {r}", todd_inverse_numerator(m, r)))
+        for label, uc in families:
             degrees = {key >> uc.numerator.alphabet.shift for key in uc.numerator.packed}
-            assert len(degrees) <= 1, (uc.name, uc.degree, degrees)
+            assert len(degrees) <= 1, (label, m, degrees)
 
     def test_oracle_route_agrees(self):
         for m in range(0, 13):
