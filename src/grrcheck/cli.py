@@ -371,9 +371,5 @@ def main(argv: list[str] | None = None) -> int:
         return 130
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

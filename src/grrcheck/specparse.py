@@ -10,8 +10,8 @@ Grammar (whitespace-insensitive, LL(1)):
     divisor   := INT                      (must be the zero divisor "0")
                | ("+"|"-")? term (("+"|"-") term)*
     term      := (INT "*")? NAME
-    classexpr := "O" ("(" divisor ")")?
-               | classexpr ("+"|"-") classexpr
+    classexpr := classterm (("+"|"-") classterm)*
+    classterm := "O" ("(" divisor ")")?
                | "dual(" classexpr ")"
                | "wedge(" INT "," classexpr ")"
                | "sym(" INT "," classexpr ")"
@@ -29,9 +29,11 @@ Nesting past MAX_NESTING levels (brackets or geometry levels) is a syntax
 error at the first opener too deep, before any recursion limit; a flat sum of
 any length is parsed and evaluated in a loop.
 
-The AST nodes are report.Record values, equal when of one node type with
-equal fields, so parse(text(ast)) == ast.  Tokens are (kind, text, offset)
-tuples; a syntax error works out its line and column from the offset.
+A geometry parses to its GeomLevels, base first, and () is the point; a sum
+to one ClassSum of its signed terms, in text order; a bare "O" to "O(0)".
+The nodes are report.Record values, equal when of one node type with equal
+fields, so parse(text(ast)) == ast.  Tokens are (kind, text, offset) tuples;
+a syntax error works out its line and column from the offset.
 """
 
 from __future__ import annotations
@@ -73,15 +75,11 @@ class SummandBundle(Record):
     __slots__ = ("divisors",)
 
 
-class GeomPoint(Record):
-    __slots__ = ()
+class GeomLevel(Record):
+    __slots__ = ("bundle", "alias")
 
 
-class GeomBundle(Record):
-    __slots__ = ("bundle", "alias", "base")
-
-
-GeomAST = GeomPoint | GeomBundle
+GeomAST = tuple[GeomLevel, ...]  # base first; () is the point
 
 
 class ClassO(Record):
@@ -89,7 +87,7 @@ class ClassO(Record):
 
 
 class ClassSum(Record):
-    __slots__ = ("left", "sign", "right")
+    __slots__ = ("terms",)  # ((sign, term), ...): two or more, the first sign +1
 
 
 class ClassDual(Record):
@@ -229,18 +227,18 @@ class _Parser:
     def geometry(self) -> GeomAST:
         tok = self.tokens[self.pos]
         if self.accept("point"):
-            return GeomPoint()
+            return ()
         if self.accept("("):
-            inner = self.nested(self.geometry, tok)
+            levels = self.nested(self.geometry, tok)
             self.expect("punct", ")")
-            return inner
+            return levels
         if self.accept("P"):
             self.expect("punct", "(")
             bundle = self._bundle()
             self.expect("punct", ")")
             alias = self.expect("name")[1] if self.accept("as") else None
             self.expect("name", "over")
-            return GeomBundle(bundle, alias, self.nested(self.geometry, tok))
+            return self.nested(self.geometry, tok) + (GeomLevel(bundle, alias),)
         raise self.error(f"expected a geometry, found {self.found()}")
 
     def _bundle(self) -> TrivialBundle | SummandBundle:
@@ -260,13 +258,13 @@ class _Parser:
     # -- class expressions ----------------------------------------------
 
     def class_expr(self) -> ClassAST:
-        left = self._class_atom()
+        terms = [(1, self._class_term())]
         while self.tokens[self.pos][1] in ("+", "-"):
             sign = 1 if self.advance()[1] == "+" else -1
-            left = ClassSum(left, sign, self._class_atom())
-        return left
+            terms.append((sign, self._class_term()))
+        return ClassSum(tuple(terms)) if len(terms) > 1 else terms[0][1]
 
-    def _class_atom(self) -> ClassAST:
+    def _class_term(self) -> ClassAST:
         tok = self.tokens[self.pos]
         if self.accept("("):
             inner = self.nested(self.class_expr, tok)
@@ -274,7 +272,7 @@ class _Parser:
             return inner
         if self.accept("O"):
             if not self.accept("("):
-                return ClassO(None)
+                return ClassO(DivisorExpr(()))
             div = self.divisor()
             self.expect("punct", ")")
             return ClassO(div)
@@ -342,27 +340,20 @@ class GeometryScope(Record):
 
 
 def build_geometry(ast: GeomAST) -> GeometryScope:
-    """Resolve the AST bottom-up into a tower and its name scope.
+    """Resolve the levels, base first, into a tower and its name scope.
 
     The divisors of each level resolve against the levels below it (their
     count and aliases), so the tower is built once, at the end.
     """
-    chain: list[GeomBundle] = []
-    node = ast
-    while isinstance(node, GeomBundle):
-        chain.append(node)
-        node = node.base
-    chain.reverse()  # base first
-
     names: dict[str, int] = {}
     levels: list[list[tuple[int, ...]]] = []
-    for below, bundle_node in enumerate(chain):
-        bundle = bundle_node.bundle
+    for below, level in enumerate(ast):
+        bundle = level.bundle
         if isinstance(bundle, TrivialBundle):
             levels.append([(0,) * below] * bundle.count)
         else:
             levels.append([_divisor_vector(d, names, below) for d in bundle.divisors])
-        alias = bundle_node.alias
+        alias = level.alias
         if alias:
             if alias in names:
                 raise InputError(f"alias {alias!r} bound twice")
@@ -374,38 +365,33 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
 
 
 def geometry_shape(ast: GeomAST) -> tuple[int, ...]:
-    """The rank of each level, bottom first, of the tower the AST describes,
+    """The rank of each level, base first, of the tower the AST describes,
     without building it: a level's rank is its summand count minus one."""
     ranks = []
-    while isinstance(ast, GeomBundle):
-        bundle = ast.bundle
+    for level in ast:
+        bundle = level.bundle
         count = bundle.count if isinstance(bundle, TrivialBundle) else len(bundle.divisors)
         ranks.append(count - 1)
-        ast = ast.base
-    return tuple(reversed(ranks))
+    return tuple(ranks)
 
 
 def evaluate_class(ast: ClassAST, scope: GeometryScope) -> KClass:
-    """The class the AST names on the scope's tower.  The left-nested spine
-    of a sum, one node per term, is walked in a loop; the other nodes recurse
-    at most MAX_NESTING deep."""
-    spine = []
-    while isinstance(ast, ClassSum):
-        spine.append((ast.sign, ast.right))
-        ast = ast.left
-    if isinstance(ast, ClassO) and ast.divisor is None:
-        total = scope.tower.structure_sheaf()
-    elif isinstance(ast, ClassO):
-        total = scope.tower.line(scope.divisor_vector(ast.divisor))
-    elif isinstance(ast, ClassTwist):
-        total = evaluate_class(ast.inner, scope).twist(scope.divisor_vector(ast.divisor))
-    elif isinstance(ast, ClassDual):
-        total = evaluate_class(ast.inner, scope).dual()
-    elif isinstance(ast, ClassWedge):
-        total = evaluate_class(ast.inner, scope).wedge(ast.index)
-    else:  # ClassSym, the last of the closed set of node types
-        total = evaluate_class(ast.inner, scope).sym(ast.index)
-    for sign, right in reversed(spine):
-        value = evaluate_class(right, scope)
-        total = total + value if sign > 0 else total - value
-    return total
+    """The class the AST names on the scope's tower.  A sum adds its terms
+    in text order, in a loop; the other nodes recurse at most MAX_NESTING
+    deep."""
+    if isinstance(ast, ClassSum):
+        (_, first), *rest = ast.terms
+        total = evaluate_class(first, scope)
+        for sign, term in rest:
+            value = evaluate_class(term, scope)
+            total = total + value if sign > 0 else total - value
+        return total
+    if isinstance(ast, ClassO):
+        return scope.tower.line(scope.divisor_vector(ast.divisor))
+    if isinstance(ast, ClassTwist):
+        return evaluate_class(ast.inner, scope).twist(scope.divisor_vector(ast.divisor))
+    if isinstance(ast, ClassDual):
+        return evaluate_class(ast.inner, scope).dual()
+    if isinstance(ast, ClassWedge):
+        return evaluate_class(ast.inner, scope).wedge(ast.index)
+    return evaluate_class(ast.inner, scope).sym(ast.index)  # ClassSym, the last node type

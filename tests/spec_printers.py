@@ -19,8 +19,6 @@ from grrcheck.specparse import (
     ClassWedge,
     DivisorExpr,
     GeomAST,
-    GeomBundle,
-    GeomPoint,
     TrivialBundle,
 )
 
@@ -39,29 +37,29 @@ def divisor_text(div: DivisorExpr) -> str:
 
 
 def geometry_text(ast: GeomAST) -> str:
-    if isinstance(ast, GeomPoint):
-        return "point"
-    bundle = ast.bundle
-    if isinstance(bundle, TrivialBundle):
-        inner = f"trivial {bundle.count}"
-    else:
-        inner = "[" + ", ".join(divisor_text(d) for d in bundle.divisors) + "]"
-    alias = f" as {ast.alias}" if ast.alias else ""
-    base = geometry_text(ast.base)
-    if isinstance(ast.base, GeomBundle):
-        base = f"({base})"
-    return f"P({inner}){alias} over {base}"
+    text = "point"
+    for level in ast:  # base first, so each level is written over the text so far
+        bundle = level.bundle
+        if isinstance(bundle, TrivialBundle):
+            inner = f"trivial {bundle.count}"
+        else:
+            inner = "[" + ", ".join(divisor_text(d) for d in bundle.divisors) + "]"
+        alias = f" as {level.alias}" if level.alias else ""
+        text = f"P({inner}){alias} over {text}"
+    return text
 
 
 def class_text(ast: ClassAST) -> str:
     if isinstance(ast, ClassO):
-        return "O" if ast.divisor is None else f"O({divisor_text(ast.divisor)})"
+        return f"O({divisor_text(ast.divisor)})"
     if isinstance(ast, ClassSum):
-        op = "+" if ast.sign > 0 else "-"
-        right = class_text(ast.right)
-        if isinstance(ast.right, ClassSum):
-            right = f"({right})"
-        return f"{class_text(ast.left)} {op} {right}"
+        parts = []
+        for i, (sign, term) in enumerate(ast.terms):
+            text = class_text(term)
+            if isinstance(term, ClassSum):
+                text = f"({text})"
+            parts.append(text if i == 0 else ("+ " if sign > 0 else "- ") + text)
+        return " ".join(parts)
     if isinstance(ast, ClassDual):
         return f"dual({class_text(ast.inner)})"
     if isinstance(ast, ClassWedge):

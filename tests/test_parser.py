@@ -3,8 +3,15 @@ import pytest
 from grrcheck.arith import InputError
 from grrcheck.specparse import (
     MAX_NESTING,
+    ClassDual,
+    ClassO,
+    ClassSum,
+    DivisorExpr,
+    GeomLevel,
     ParseError,
     ScopeError,
+    SummandBundle,
+    TrivialBundle,
     build_geometry,
     evaluate_class,
     parse_class,
@@ -17,8 +24,21 @@ from spec_printers import class_text, geometry_text
 
 class TestGeometryParsing:
     def test_point(self):
+        assert parse_geometry("point") == ()
         scope = build_geometry(parse_geometry("point"))
         assert scope.tower.dim == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["P([0, h]) as F over P(trivial 2) over point",
+         "P([0, h]) as F over (P(trivial 2) over point)"],
+    )
+    def test_levels_parse_base_first(self, text):
+        h = DivisorExpr(((1, "h"),))
+        assert parse_geometry(text) == (
+            GeomLevel(TrivialBundle(2), None),
+            GeomLevel(SummandBundle((DivisorExpr(()), h)), "F"),
+        )
 
     def test_projective_plane(self):
         scope = build_geometry(parse_geometry("P(trivial 3) over point"))
@@ -135,6 +155,17 @@ class TestGeometryParsing:
 class TestClassParsing:
     def setup_method(self):
         self.scope = build_geometry(parse_geometry("P(trivial 3) over point"))
+
+    def test_sum_is_one_node_of_its_signed_terms(self):
+        o, h = ClassO(DivisorExpr(())), ClassO(DivisorExpr(((1, "h"),)))
+        assert parse_class("O(h) - O + dual(O)") == ClassSum(
+            ((1, h), (-1, o), (1, ClassDual(o)))
+        )
+        inner = ClassSum(((1, o), (1, o)))
+        assert parse_class("(O + O) - O") == ClassSum(((1, inner), (-1, o)))
+
+    def test_bare_o_is_o_of_zero(self):
+        assert parse_class("O") == parse_class("O(0)") == ClassO(DivisorExpr(()))
 
     def test_line_bundle(self):
         f = evaluate_class(parse_class("O(h)"), self.scope)

@@ -34,13 +34,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grrcheck"
 
-# Deliberate entry points that nothing in the traced run enters or names,
-# with the reason.
-ALLOWED_UNREACHED = {
-    "entrypoint": "the console script of pyproject.toml; it only hands "
-    "sys.argv to main, which the traced run calls directly",
-}
-
 QUERY = ["verify", "main-theorem", "--geometry"]
 GEN_KINDS = [
     ["todd", "--degree", "3"],
@@ -157,7 +150,7 @@ def test_every_function_is_reached_from_the_package():
     for file, qualname, name, is_method, first, last in defs:
         if name.startswith("__") and name.endswith("__"):
             continue  # dunder methods are called by the interpreter
-        if (file, first) in entered or name in ALLOWED_UNREACHED:
+        if (file, first) in entered:
             continue
         named = not is_method and any(
             used == name
@@ -178,11 +171,6 @@ def test_the_import_leaves_dataclasses_out():
         cwd=SRC.parent, capture_output=True, text=True, check=True,
     ).stdout
     assert out == "False\n"
-
-
-def test_allowlist_names_exist():
-    defs, _ = _definitions_and_uses()
-    assert set(ALLOWED_UNREACHED) <= {name for _, _, name, _, _, _ in defs}
 
 
 def test_every_import_is_used():
