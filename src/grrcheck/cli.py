@@ -29,15 +29,15 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .arith import InputError, bernoulli, fulton_macpherson_L, todd_denominator, von_staudt_D
-from .identities import IDENTITY_CHECKS, IDENTITY_INSTANCES
-from .report import FalsificationError, VerificationReport, run_check
+from .identities import IDENTITY_CHECKS
+from .report import FalsificationError, VerificationReport
 from .series import UNIVERSAL_CLASSES, Mutation, mutation_read, set_mutation
 from .geometry import RANK_LIMIT
 from .specparse import build_geometry, geometry_shape, parse_divisor, parse_geometry
-from .suites import SUITES, main_theorem_reports, suite_all
+from .suites import SUITES, main_theorem_reports, run_identity, suite_all
 
 DEFAULT_MAX_DEGREE = 12
 DEFAULT_MAX_DIM = 6
@@ -117,14 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _gen_universal(kind: str, args) -> tuple[dict, str]:
     degree = args.degree
-    if degree is None:
-        raise InputError("--degree is required for this kind")
     if degree > args.max_degree:
         raise InputError(
             f"degree {degree} exceeds the guard {args.max_degree}; raise it with --max-degree"
         )
-    if kind == "toddinv" and args.rank is None:
-        raise InputError("--rank is required for toddinv")
     if kind == "toddinv" and args.rank > degree:
         raise InputError(f"gen toddinv needs --rank <= --degree, got {args.rank} > {degree}")
     if kind == "q" and degree < 1:
@@ -165,8 +161,6 @@ FACTORED_NUMBERS = {
 
 def _gen_number(kind: str, args) -> tuple[dict, str]:
     if kind == "bernoulli":
-        if args.n is None:
-            raise InputError("--n is required for bernoulli")
         value = _decimal(kind, bernoulli(args.n))
         return (
             {"schema": "1", "kind": "bernoulli", "n": args.n, "value": value},
@@ -174,8 +168,6 @@ def _gen_number(kind: str, args) -> tuple[dict, str]:
         )
     flag, generator = FACTORED_NUMBERS[kind]
     index = getattr(args, flag)
-    if index is None:
-        raise InputError(f"--{flag} is required for {kind}")
     if kind == "L" and index < 1:
         raise InputError(f"gen L needs --n >= 1, got {index}")
     fi = generator(index)
@@ -206,6 +198,9 @@ def cmd_gen(args) -> int:
     reads = {"--degree": universal, "--rank": kind == "toddinv", "--m": kind == "tm"}
     reads |= {"--n": kind in ("bernoulli", "L"), "--g": kind == "D", "--max-degree": universal}
     _refuse_unread(f"gen {kind}", args, reads)
+    for flag, read in reads.items():
+        if read and getattr(args, flag[2:].replace("-", "_")) is None:
+            raise InputError(f"{flag} is required for {kind}")
     if universal:
         payload, text = _gen_universal(kind, args)
     else:
@@ -300,13 +295,9 @@ def cmd_verify(args) -> int:
             reports = suite_all()
         elif args.suite == "main-theorem" and args.geometry is not None:
             reports = _single_instance_reports(args)
-        elif args.suite in SUITES:
-            suite = SUITES[args.suite]
-            reports = suite() if args.max_degree is None else suite(args.max_degree)
         else:
-            max_degree = args.max_degree if args.max_degree is not None else 8
-            instance = IDENTITY_INSTANCES[args.suite](max_degree)
-            reports = run_check(args.suite, instance, IDENTITY_CHECKS[args.suite], max_degree)
+            suite = SUITES.get(args.suite) or partial(run_identity, args.suite)
+            reports = suite() if args.max_degree is None else suite(args.max_degree)
         if mutation and not mutation_read():
             print(
                 f"note: no check built {mutation.kind} of degree {mutation.degree}, "

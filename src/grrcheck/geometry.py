@@ -179,7 +179,7 @@ class Tower:
         # l^{r+1} -> sum_{j>=1} (-1)^{j+1} wedge^j E l^{r+1-j}, and multiplying
         # the relation by l^{-1}: l^{-1} -> sum_{j<=r} (-1)^{r+j} wedge^j E det(E)^{-1} l^{r-j}
         r, det_inverse = self.ranks[-1], self._det_inverse
-        wedges = self._bundle._lambda_terms(r + 1, 1, False)  # every wedge^j E in one pass
+        wedges = [self._bundle._lambda_terms(j, 1) for j in range(r + 2)]  # wedge^j E
         above = {
             v + (-j,): c if j % 2 else -c for j in range(1, r + 2) for v, c in wedges[j].items()
         }
@@ -408,33 +408,33 @@ class KClass:
         """Tensor with the line bundle of the given divisor vector."""
         return KClass(self.tower, accumulate({}, self.line_terms, 1, self.tower._arity(vec)))
 
-    def _lambda_terms(self, n: int, s: int, only_n: bool) -> dict[int, dict[DivisorVector, int]]:
-        """t-degree d -> terms of the t^d coefficient of prod_L (1 + s L t)^(s m_L)
-        over the line symbols L with multiplicity m_L, for d <= n (only d = n
-        when only_n): wedge^d for s = 1, Sym^d for s = -1.  The coefficient
-        of L^a in one factor is s^a binom(s m_L, a), a polynomial in m_L, so
-        this holds for every virtual class.  The product is taken one symbol
-        at a time; with only_n the last symbol only tops each degree up to n."""
+    def _lambda_terms(self, n: int, s: int) -> dict[DivisorVector, int]:
+        """Terms of the t^n coefficient of prod_L (1 + s L t)^(s m_L) over the
+        line symbols L with multiplicity m_L: wedge^n for s = 1, Sym^n for
+        s = -1.  The coefficient of L^a in one factor is s^a binom(s m_L, a),
+        a polynomial in m_L, so this holds for every virtual class.  The
+        product is taken one symbol at a time over the t-degrees d <= n; the
+        last symbol only tops each degree up to n."""
         parts = {0: {(0,) * self.tower.n_levels: 1}}
         items = sorted(self.line_terms.items())
         for i, (vec, m) in enumerate(items):
             top = s * m if s * m >= 0 else n  # binom(s m, a) = 0 for a > s m >= 0
             out: dict[int, dict[DivisorVector, int]] = {}
             for d, terms in parts.items():
-                low = n - d if only_n and i == len(items) - 1 else 0
+                low = n - d if i == len(items) - 1 else 0
                 for a in range(low, min(n - d, top) + 1):
                     shift = tuple(a * x for x in vec) if a else None
                     accumulate(out.setdefault(d + a, {}), terms, s**a * _binomial(s * m, a), shift)
             parts = out
-        return parts
+        return parts.get(n, {})
 
     def wedge(self, i: int) -> "KClass":
         """i-th exterior power."""
-        return KClass(self.tower, self._lambda_terms(i, 1, True).get(i, {}))
+        return KClass(self.tower, self._lambda_terms(i, 1))
 
     def sym(self, a: int) -> "KClass":
         """a-th symmetric power."""
-        return KClass(self.tower, self._lambda_terms(a, -1, True).get(a, {}))
+        return KClass(self.tower, self._lambda_terms(a, -1))
 
     def total_chern(self) -> ChowClass:
         """prod (1 + D)^m over the line symbols, each factor taken into the

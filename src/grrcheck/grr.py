@@ -218,17 +218,14 @@ def _source_relative_tangent(f: MorphismDatum) -> KClass:
     return cache[key]
 
 
-def _source_ct(
-    f: MorphismDatum, source: Mapping[str, ChowClass | int], m: int, relative: bool
+def _pushed_ct(
+    f: MorphismDatum, source: Mapping[str, ChowClass | int], m: int, tangent: KClass
 ) -> ChowClass:
-    """ct_m(F, source) pushed into the ambient ring (f.source.push), using the
-    absolute or fiberwise tangent; source holds F's ambient sheaf images up
-    to degree at least m."""
-    tangent = _source_relative_tangent(f) if relative else f.source.tangent_class()
-    return f.source.push(ct_on_tower(f.ambient, tangent, source, m))
-
-
-def _chow_pushforward(f: MorphismDatum, alpha: ChowClass) -> ChowClass:
+    """f_*(ct_m(F, X)) on the target at the tangent class given (the source's
+    own or its fiberwise difference): ct_m on the ambient, pushed into it by
+    f.source.push, then down to the target; source holds F's ambient sheaf
+    images up to degree at least m."""
+    alpha = f.source.push(ct_on_tower(f.ambient, tangent, source, m))
     return pushforward_chow(alpha, f.ambient.n_levels - f.base_levels)
 
 
@@ -257,11 +254,11 @@ def grr_error(
     lhs = ct_on_tower(target, target.tangent_class(), pushed, n)
     if d >= 0:
         lhs = lhs.scale(todd_ratio(d + n, 0, n))
-        rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=False))
+        rhs = _pushed_ct(f, source, d + n, f.source.tangent_class())
     elif n + d < 0:
         rhs = target.zero_chow()
     else:
-        rhs = _chow_pushforward(f, _source_ct(f, source, n + d, relative=False))
+        rhs = _pushed_ct(f, source, n + d, f.source.tangent_class())
         rhs = rhs.scale(todd_ratio(n, 0, n + d))
     return lhs, rhs
 
@@ -273,7 +270,7 @@ def corollary_sides(
     tangent difference (relative-dimension >= 0 form), from s_n(f_*[F]) and
     the source images of _instance_images."""
     d = f.relative_dimension
-    rhs = _chow_pushforward(f, _source_ct(f, source, d + n, relative=True))
+    rhs = _pushed_ct(f, source, d + n, _source_relative_tangent(f))
     return s_n.scale(todd_ratio(d + n, n, 0)), rhs
 
 
@@ -495,29 +492,25 @@ def check_divisor_calculus(
 
 
 def _fiber_ct(
-    m: int, tangent_chern: Mapping[int, GradedPolynomial], sheaf_c1: GradedPolynomial | None
+    m: int, tangent_chern: Mapping[int, GradedPolynomial], sheaf_c1: GradedPolynomial | int
 ) -> GradedPolynomial:
     """ct_m's numerator for a line bundle on a formal fibration: c<i> is the
     relative tangent's tangent_chern[i] (0 if absent), r is 1, cp1 the sheaf's
-    c1 sheaf_c1 (None for O) and every other cp<i> 0, over the tangent
-    classes' fiber alphabet at their one bound."""
+    c1 sheaf_c1 (0 for O) and every other cp<i> 0, over the tangent classes'
+    fiber alphabet at their one bound."""
     first = next(iter(tangent_chern.values()))
     fiber, bound = first.alphabet, first.truncation
     images: dict[str, GradedPolynomial | int] = {"r": 1}
     for i in range(1, m + 1):
         images[f"c{i}"] = tangent_chern.get(i, GradedPolynomial.zero(fiber, bound))
-        images[f"cp{i}"] = 0
-    if sheaf_c1 is not None:
-        images["cp1"] = sheaf_c1
+        images[f"cp{i}"] = sheaf_c1 if i == 1 else 0
     return universal_ct(m).numerator.with_bound(bound).substitute(images, fiber)
 
 
 def kappa_expected(n: int) -> Fraction:
     """The coefficient of kappa<n> in the displayed right side of the
-    relative-curve identity in degree n: 0 for even n >= 2, and
-    T_{n+1} B_{n+1} / (n+1)! for odd n."""
-    if n >= 2 and n % 2 == 0:
-        return Fraction(0)
+    relative-curve identity in degree n, T_{n+1} B_{n+1} / (n+1)!: 0 for
+    even n >= 2, where B_{n+1} = 0."""
     return (
         Fraction(todd_denominator(n + 1).value)
         * bernoulli(n + 1)
@@ -532,7 +525,7 @@ def check_kappa_identity(n: int) -> VerificationReport:
     homogeneous of degree n+1 in K alone, so it is c K^(n+1), no term is
     dropped, and f_* of it is c kappa<n>."""
     minus_k = GradedPolynomial.variable(Alphabet([("K", 1)]), n + 1, "K").scale(-1)
-    value = _fiber_ct(n + 1, {1: minus_k}, None).coefficient(K=n + 1)
+    value = _fiber_ct(n + 1, {1: minus_k}, 0).coefficient(K=n + 1)
     coeff = kappa_expected(n)
     if coeff.denominator != 1:
         raise FalsificationError(
@@ -575,7 +568,7 @@ def check_surface_det_identity(m: int) -> VerificationReport:
     w = GradedPolynomial.variable(fiber, 3, "w")
     tangent_chern = {1: -w, 2: GradedPolynomial.variable(fiber, 3, "c2f")}
     rhs_twisted = _fiber_ct(3, tangent_chern, w.scale(m))
-    rhs_trivial = _fiber_ct(3, tangent_chern, None)
+    rhs_trivial = _fiber_ct(3, tangent_chern, 0)
     combo = rhs_twisted + rhs_trivial.scale(2 * m - 1)
     c_wc2 = combo.coefficient(w=1, c2f=1)
     c_w3 = combo.coefficient(w=3)
@@ -616,5 +609,5 @@ def euler_characteristic_via_chow(
     if F.tower is not f.ambient:
         raise AssertionError("class does not live on the given tower")
     dim = f.source.dim
-    top = _source_ct(f, _sheaf_images(F, dim), dim, relative=False)
+    top = _pushed_ct(f, _sheaf_images(F, dim), dim, f.source.tangent_class())
     return Fraction(chow_degree(top), todd_denominator(dim).value)

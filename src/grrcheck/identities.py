@@ -5,7 +5,7 @@ explicit alphabet, serializes them canonically per checked degree, and returns
 a VerificationReport whose verdict is byte-equality of the two sides.  Two
 helpers build the shared setup: _root_tables the alphabet of the two
 disjoint root sets of an identity about two classes, with the elementary
-classes of each set and, where read, of their union, and _divisors the
+classes of each set and of their union, and _divisors the
 weight-1 divisors of the exponential identities, each beside its 1 - e^{-x}
 (exp-flip-series builds its 1 - e^{b} from e^x, which ties that series to
 e^{-x}).  A check that wants the powers of one polynomial takes them as
@@ -20,7 +20,6 @@ demands; each report records the root configuration it used.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
@@ -78,14 +77,12 @@ def _substituted_todd_numerator(m: int, c_values, target, bound: int) -> GradedP
     return universal_todd(m).numerator.with_bound(bound).substitute(images, target)
 
 
-def _root_tables(cap: int, *root_sets: tuple[str, int], union: bool = False):
+def _root_tables(cap: int, *root_sets: tuple[str, int]):
     """The alphabet of the root sets (prefix, count), in order, and the
-    elementary classes e_0..e_cap of each set, then, with union, of all the
-    roots."""
+    elementary classes e_0..e_cap of each set, then of all the roots."""
     al = join_alphabets(*(root_alphabet(prefix, count) for prefix, count in root_sets))
     sets = [[f"{prefix}{i}" for i in range(1, count + 1)] for prefix, count in root_sets]
-    if union:
-        sets.append(al.names())
+    sets.append(al.names())
     return al, *(
         [elementary_symmetric(al, roots, i, cap) for i in range(cap + 1)] for roots in sets
     )
@@ -148,7 +145,7 @@ def _root_configs(max_degree: int) -> list[tuple[int, int, int]]:
 def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
     rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
-        al, c_a, c_b = _root_tables(cap, ("u", p), ("v", q))
+        al, c_a, c_b, _ = _root_tables(cap, ("u", p), ("v", q))
         one = GradedPolynomial.constant(al, cap, 1)
         roots = [GradedPolynomial.variable(al, cap, name) for name in al.names()]
         total = one
@@ -176,7 +173,7 @@ def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
 def check_todd_additivity(max_degree: int) -> VerificationReport:
     rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
-        al, c_a, c_b, c_all = _root_tables(cap, ("u", p), ("v", q), union=True)
+        al, c_a, c_b, c_all = _root_tables(cap, ("u", p), ("v", q))
         td_a = [_substituted_todd_numerator(i, c_a, al, cap) for i in range(cap + 1)]
         td_b = [_substituted_todd_numerator(i, c_b, al, cap) for i in range(cap + 1)]
         for m in range(1, cap + 1):
@@ -271,15 +268,10 @@ def check_restriction_substitution(max_degree: int) -> VerificationReport:
         for k in range(1, m + 1):
             td_total = td_total + universal_todd(k).series_part.embed(al).with_bound(m)
         mixed = (inv * td_total).graded_part(m)
-        images: dict[str, GradedPolynomial | Fraction] = {}
-        for i in range(1, m + 1):
-            ci = GradedPolynomial.variable(al, m, f"c{i}")
-            prev = (
-                GradedPolynomial.constant(al, m, 1)
-                if i == 1
-                else GradedPolynomial.variable(al, m, f"c{i - 1}")
-            )
-            images[f"c{i}"] = ci + x * prev
+        c = [GradedPolynomial.constant(al, m, 1)] + [
+            GradedPolynomial.variable(al, m, f"c{i}") for i in range(1, m + 1)
+        ]
+        images = {f"c{i}": c[i] + x * c[i - 1] for i in range(1, m + 1)}
         lhs = mixed.substitute(images, al)
         rhs = universal_todd(m).series_part.embed(al)
         rows.append((f"degree {m}", lhs, rhs))
@@ -295,7 +287,7 @@ def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
     for r in range(1, min(3, max_degree) + 1):
         s_roots = max(1, min(3, max_degree - r))
         cap = max_degree
-        al, c_y, c_z, c_all = _root_tables(cap, ("y", s_roots), ("z", r), union=True)
+        al, c_y, c_z, c_all = _root_tables(cap, ("y", s_roots), ("z", r))
         z_images = {f"c{i}": c_z[i] for i in range(1, r + 1)}
         # inv[j] is the inverse-Todd numerator of degree j + r at the z-roots
         inv = [

@@ -16,10 +16,9 @@ here are the classical rational ones, which the tests compare it against:
 from __future__ import annotations
 
 from grrcheck.arith import InputError, todd_denominator
-from grrcheck.geometry import ChowClass, KClass, Tower
+from grrcheck.geometry import ChowClass, KClass, Tower, pushforward_chow
 from grrcheck.grr import (
     MorphismDatum,
-    _chow_pushforward,
     _instance_images,
     _source_relative_tangent,
     _tangent_chern,
@@ -69,7 +68,8 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
             universal_todd(d + n - j).series_part, ambient, td_rel_chern
         )
         total = total + ch_j * td_j
-    rhs = _chow_pushforward(f, f.source.push(total.graded_part(d + n)))
+    pushed_total = f.source.push(total.graded_part(d + n))
+    rhs = pushforward_chow(pushed_total, ambient.n_levels - f.base_levels)
     return lhs == rhs
 
 

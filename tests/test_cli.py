@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import inspect
 import io
@@ -29,6 +30,23 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 REFERENCE = BENCH / "reference.json"
 CATALOGUE_DIGESTS = BENCH / "catalogue_digests.txt"
 SRC = Path(__file__).resolve().parent.parent / "src" / "grrcheck"
+
+
+def spy_generators(monkeypatch) -> list:
+    """Replace every universal class builder and arith generator gen calls by
+    a spy, and return the list each call is appended to."""
+    calls = []
+
+    def spy(name):
+        return lambda *args: calls.append((name, args))
+
+    for kind in series.UNIVERSAL_CLASSES:
+        monkeypatch.setitem(series.UNIVERSAL_CLASSES, kind, (spy(kind), spy(f"{kind} oracle")))
+    for kind, (flag, generator) in cli.FACTORED_NUMBERS.items():
+        monkeypatch.setitem(cli.FACTORED_NUMBERS, kind, (flag, spy(generator.__name__)))
+    for name in ("bernoulli", "todd_denominator"):
+        monkeypatch.setattr(cli, name, spy(name))
+    return calls
 
 
 class TestGoldenSerializations:
@@ -131,10 +149,18 @@ class TestGen:
         assert main(["gen", *argv, *flags]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.{suffix}").read_text()
 
-    @pytest.mark.parametrize("kind,flag", [("tm", "--m"), ("D", "--g"), ("L", "--n")])
-    def test_factored_number_needs_its_flag(self, kind, flag, capsys):
+    @pytest.mark.parametrize(
+        "kind,flag",
+        [("tm", "--m"), ("D", "--g"), ("L", "--n"), ("bernoulli", "--n")]
+        + [(kind, "--degree") for kind in series.UNIVERSAL_CLASSES],
+    )
+    def test_factored_number_needs_its_flag(self, kind, flag, monkeypatch, capsys):
+        # every kind names the index flag it reads, before anything is built
+        calls = spy_generators(monkeypatch)
         assert main(["gen", kind]) == 2
-        assert f"{flag} is required for {kind}" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag} is required for {kind}\n"
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -151,7 +177,22 @@ class TestGen:
         assert out == "" and f"{flag} not used by gen {argv[0]}" in err
 
 
+@functools.cache
+def series_identities_lines() -> dict[str, str]:
+    """Each identity's line of `verify series-identities`, at its default degree."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "series-identities"]) == 0
+    return {json.loads(line)["identity"]: line for line in out.getvalue().splitlines()}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("identity", sorted(cli.IDENTITY_CHECKS))
+    def test_an_identity_prints_its_series_identities_line(self, identity, capsys):
+        # verify <identity> runs as series-identities runs it, at the same default degree
+        expected = series_identities_lines()[identity]
+        assert main(["verify", identity]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
     def test_single_instance_p2(self, capsys):
         code = main(
             [
@@ -860,15 +901,12 @@ P1 = "P(trivial 2) over point"
 # "error: ")
 USAGE_ERRORS = [
     # cli
-    (["gen", "todd"], "--degree is required for this kind"),
+    (["gen", "todd"], "--degree is required for todd"),
     (["gen", "todd", "--degree", "13"],
      "degree 13 exceeds the guard 12; raise it with --max-degree"),
-    (["gen", "toddinv", "--degree", "3"], "--rank is required for toddinv"),
     (["gen", "toddinv", "--degree", "1", "--rank", "2"],
      "gen toddinv needs --rank <= --degree, got 2 > 1"),
     (["gen", "q", "--degree", "0"], "gen q needs --degree >= 1, got 0"),
-    (["gen", "bernoulli"], "--n is required for bernoulli"),
-    (["gen", "tm"], "--m is required for tm"),
     (["gen", "L", "--n", "0"], "gen L needs --n >= 1, got 0"),
     (["gen", "tm", "--m", "1750"], "tm value exceeds the 4300-digit limit of decimal text"),
     (["verify", "kappa", "--mutate", "todd:2:0"],
@@ -918,9 +956,12 @@ USAGE_ERRORS = [
     (QUERY + ["P(trivial 2) as xi2 over point"],
      "alias 'xi2' on level 1 is another level's name"),
 ]
-# More gen values out of range, each reaching a site of USAGE_ERRORS again
-# and named by its flag (the query's are in TestVerify's guard tests)
+# More gen values missing or out of range, each reaching a site of
+# USAGE_ERRORS again and named by its flag (the query's are in TestVerify's guard tests)
 RANGE_ERRORS = [
+    (["gen", "toddinv", "--degree", "3"], "--rank is required for toddinv"),
+    (["gen", "bernoulli"], "--n is required for bernoulli"),
+    (["gen", "tm"], "--m is required for tm"),
     (["gen", "tm", "--m", "-2"], "argument --m: expected an integer >= 0, got '-2'"),
     (["gen", "bernoulli", "--n", "-1"], "argument --n: expected an integer >= 0, got '-1'"),
     (["gen", "D", "--g", "0"], "argument --g: expected an integer >= 1, got '0'"),
@@ -969,17 +1010,7 @@ class TestUsageErrors:
     def test_a_refused_gen_builds_nothing(self, argv, monkeypatch):
         # every gen refusal but the digit limit's, which reads the computed
         # value, comes before any universal class or arith generator is called
-        calls = []
-
-        def spy(name):
-            return lambda *args: calls.append((name, args))
-
-        for kind in series.UNIVERSAL_CLASSES:
-            monkeypatch.setitem(series.UNIVERSAL_CLASSES, kind, (spy(kind), spy(f"{kind} oracle")))
-        for kind, (flag, generator) in cli.FACTORED_NUMBERS.items():
-            monkeypatch.setitem(cli.FACTORED_NUMBERS, kind, (flag, spy(generator.__name__)))
-        for name in ("bernoulli", "todd_denominator"):
-            monkeypatch.setattr(cli, name, spy(name))
+        calls = spy_generators(monkeypatch)
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) == 2
         assert calls == []

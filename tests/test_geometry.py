@@ -668,28 +668,21 @@ class TestLazyKRelation:
             det = level.base.line(tuple(-x for x in level._det_inverse))
             assert det.line_terms == level._bundle.wedge(level.ranks[-1] + 1).line_terms
 
-    def test_built_on_the_first_normal_form_only(self, monkeypatch):
-        built = []
-        lambda_terms = KClass._lambda_terms
-
-        def spy(f, n, s, only_n):
-            if not only_n:  # every wedge^j E at once: one level's K relation
-                built.append(f.tower)
-            return lambda_terms(f, n, s, only_n)
-
-        monkeypatch.setattr(KClass, "_lambda_terms", spy)
+    def test_built_on_the_first_normal_form_only(self):
         t = Tower([[(), ()], [(0,), (1,)], [(1, -1), (0, 2)]])
         F = t.line((1, -3, -4)) + t.line((0, 2, 1)).scale(2) - t.line((-1, 0, 5)).wedge(1)
         for base in range(t.n_levels):
             for n in range(t.prefix(base).dim + 2):
                 reports = check_main_theorem(MorphismDatum(t, base, "t"), F, n, "F")
                 assert all(rep.passed for rep in reports)
-        assert built == []
+        levels = [t.prefix(k) for k in range(t.n_levels + 1)]
+        assert not any("k_rules" in level._cache for level in levels)
         F.normal_form()
-        # once per level: the relation of each level's bundle on its base
-        assert sorted(map(id, built)) == sorted(id(t.prefix(k)) for k in range(t.n_levels))
+        # every level above the point: the relation of its bundle on its base
+        built = [level._cache.get("k_rules") for level in levels[1:]]
+        assert all(built)
         F.twist((0, 1, -2)).serialize()
-        assert len(built) == t.n_levels
+        assert all(level._cache["k_rules"] is rules for level, rules in zip(levels[1:], built))
 
 
 class TestPackedChowAgainstTuples:

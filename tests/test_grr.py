@@ -14,14 +14,13 @@ from grrcheck.geometry import (
     VirtualCompleteIntersection,
     euler_characteristic,
 )
-from grrcheck import grr
+from grrcheck import grr, suites
 from grrcheck.cli import _parse_mutation
 from grrcheck.grr import (
     MorphismDatum,
     _fiber_ct,
     _instance_images,
     _sheaf_images,
-    _source_ct,
     _source_relative_tangent,
     _tangent_chern,
     check_divisor_calculus,
@@ -54,6 +53,7 @@ from grrcheck.suites import (
     _line_text,
     geometry_scope,
     main_theorem_reports,
+    main_theorem_rows,
     model_tower,
     suite_divisor_calculus,
     suite_immersion,
@@ -179,14 +179,12 @@ class TestCtClass:
     def test_degree_zero_is_rank_times_fundamental_class(self):
         p2 = Tower([[()] * 3])
         f = p2.line((1,)) + p2.structure_sheaf().scale(2)
-        value = _source_ct(MorphismDatum(p2, 0), _sheaf_images(f, 0), 0, relative=False)
+        value = ct_on_tower(p2, p2.tangent_class(), _sheaf_images(f, 0), 0)
         assert value == p2.unit_chow().scale(3)
 
     def test_degree_one_structure_sheaf_on_line(self):
         p1 = Tower([[()] * 2])
-        value = _source_ct(
-            MorphismDatum(p1, 0), _sheaf_images(p1.structure_sheaf(), 1), 1, relative=False
-        )
+        value = ct_on_tower(p1, p1.tangent_class(), _sheaf_images(p1.structure_sheaf(), 1), 1)
         assert value == p1.hyperplane(1).scale(2)
 
     def test_relative_on_trivial_family_matches_fiber(self):
@@ -198,7 +196,7 @@ class TestCtClass:
         expected_c1 = t.hyperplane(2).scale(3)
         assert rel.total_chern().graded_part(1) == expected_c1
         assert rel.total_chern().graded_part(2) == (t.hyperplane(2) * t.hyperplane(2)).scale(3)
-        value = _source_ct(f, _sheaf_images(t.structure_sheaf(), 2), 2, relative=True)
+        value = ct_on_tower(t, rel, _sheaf_images(t.structure_sheaf(), 2), 2)
         absolute_fiber = (t.hyperplane(2) * t.hyperplane(2)).scale(12)
         assert value == absolute_fiber  # twelve times the fiber point class
 
@@ -572,6 +570,29 @@ class TestCheckMainTheorem:
         assert failed
         assert {(r.identity, r.instance) for r in failed} <= clean
 
+    def test_every_check_runs_under_its_first_report(self, monkeypatch):
+        # a falsification inside a check is reported under the identity and
+        # instance run_check is given, so they must be the first clean report's
+        runs = []
+        run_check = suites.run_check
+
+        def spy(identity, instance, check, *args):
+            reports = run_check(identity, instance, check, *args)
+            runs.append(((identity, instance), (reports[0].identity, reports[0].instance)))
+            return reports
+
+        monkeypatch.setattr(suites, "run_check", spy)
+        for name, suite in suites.SUITES.items():
+            if name in ("integrality", "series-identities"):
+                all_pass(suite(4))
+            elif name != "main-theorem":
+                all_pass(suite())
+        text = {name: text for name, text, _ in MODEL_TOWERS}["F1"]
+        rows = [row for row in main_theorem_rows() if row[1] == text]
+        all_pass(main_theorem_reports(geometry_scope(text), rows))
+        assert len(runs) > len(rows)
+        assert [given for given, first in runs if given != first] == []
+
     def test_todd_mutation_reaches_the_memoised_todd_parts(self):
         # a Todd mutation moves ct and the Todd parts alike, so the report's
         # two sides agree under it; against the clean left side it must fail
@@ -915,7 +936,7 @@ class TestCompositionConsistency:
 
         # pushing the source class through Y and then to S equals the direct push
         m = d_f + d_g + n
-        src = _source_ct(composite, _sheaf_images(F, m), m, relative=False)
+        src = ct_on_tower(t, t.tangent_class(), _sheaf_images(F, m), m)
         assert pushforward_chow(src, 2) == pushforward_chow(pushforward_chow(src, 1), 1)
 
         # the middle-level identity scaled by step1 reproduces the composite side
@@ -990,7 +1011,7 @@ class TestFormalCorollaryShape:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_relative_curve_is_one_power_of_k(self, n):
         minus_k = GradedPolynomial.variable(Alphabet([("K", 1)]), n + 1, "K").scale(-1)
-        ct = _fiber_ct(n + 1, {1: minus_k}, None)
+        ct = _fiber_ct(n + 1, {1: minus_k}, 0)
         assert list(ct.terms) == ([(n + 1,)] if n % 2 else [])
 
     @pytest.mark.parametrize("m", [None, *range(0, 7)])
@@ -998,5 +1019,5 @@ class TestFormalCorollaryShape:
         fiber = Alphabet([("w", 1), ("c2f", 2)])
         w = GradedPolynomial.variable(fiber, 3, "w")
         tangent_chern = {1: -w, 2: GradedPolynomial.variable(fiber, 3, "c2f")}
-        ct = _fiber_ct(3, tangent_chern, None if m is None else w.scale(m))
+        ct = _fiber_ct(3, tangent_chern, 0 if m is None else w.scale(m))
         assert not ct.is_zero() and set(ct.terms) <= {(3, 0), (1, 1)}
