@@ -15,8 +15,8 @@ check runs through report.run_check, as in the suites: a single-instance
 query (``verify main-theorem --geometry ...``) is one row of
 suites.main_theorem_rows' shape, built from the flags' text (the geometry
 text its label, the sheaf text its sheaf label).  Its guards read the parsed
-geometry before any tower is built, and its cuts on a tower built fresh for
-the query; then the suite's own function, suites.main_theorem_reports, reads
+geometry before any tower is built, and its cuts on the query's tower, the
+one that geometry.tower keeps for its level list; then the suite's own function, suites.main_theorem_reports, reads
 its sheaf there and runs each n as its own check, so a falsified n is one
 failed report and the other n still print.  ``gen`` prints text by default
 and a JSON object with --json.

@@ -61,13 +61,19 @@ Towers are immutable after build apart from their lazy caches (the product
 memo, the pushforward table, and in _cache the K rules, the tangent class,
 each cut-out's tangent and grrcheck.grr's entries), whose entries are
 functions of the tower (and cuts) alone; all class operations are pure, so
-one tower may be shared read-only by concurrent verification jobs.
+one tower may be shared read-only by concurrent verification jobs.  A
+process builds one tower per level list: tower(levels) keeps each one it
+builds, under a lock, so two threads that name a new level list at once get
+one tower, and every Tower takes its base from it; the queries, suite rows
+and prefixes that name one level list read one tower and every cache on it.
+Tower(levels) called directly builds a new top over that shared base.
 """
 
 from __future__ import annotations
 
 from math import comb, prod
 from operator import add
+from threading import RLock
 from typing import Mapping, Sequence
 
 from .poly import Alphabet, Monomial, Scalar, accumulate, root_alphabet, serialize_keyed
@@ -96,7 +102,8 @@ class Tower:
     E is the split bundle of the top level's line summands, a KClass on the
     base; its total Chern class gives the Chow relation, its exterior powers
     the K relation, and the symmetric powers of E and of its dual the
-    K-pushforward images.
+    K-pushforward images.  The base is tower(levels[:-1]), the one tower
+    on those levels.
     """
 
     def __init__(self, levels: Sequence[Sequence[DivisorVector]]):
@@ -104,7 +111,7 @@ class Tower:
             tuple(tuple(vec) for vec in level) for level in levels
         )
         self.n_levels: int = len(self.levels)
-        self.base: Tower | None = Tower(self.levels[:-1]) if self.levels else None
+        self.base: Tower | None = tower(self.levels[:-1]) if self.levels else None
         self.ranks: tuple[int, ...] = tuple(len(level) - 1 for level in self.levels)
         self.dim: int = sum(self.ranks)
         self.alphabet = Alphabet([(f"xi{k + 1}", 1) for k in range(self.n_levels)])
@@ -270,6 +277,23 @@ class Tower:
             ",".join(str(v) for v in level) or "pt" for level in self.levels
         )
         return f"Tower(dim={self.dim}: {sig})"
+
+
+_towers: dict[tuple, Tower] = {}
+_towers_lock = RLock()  # reentrant: a build takes its base from tower()
+
+
+def tower(levels: tuple[tuple[DivisorVector, ...], ...]) -> Tower:
+    """The tower on these levels, base first, built once per process: every
+    caller that names one level list reads one tower and its caches.  A
+    build that raises stores nothing."""
+    found = _towers.get(levels)
+    if found is None:
+        with _towers_lock:
+            found = _towers.get(levels)
+            if found is None:
+                found = _towers[levels] = Tower(levels)
+    return found
 
 
 class ChowClass:

@@ -29,8 +29,10 @@ the same way: ct_m, and reading ct_m reads ch_0..ch_m and Td_0..Td_m.  Every
 other caller evaluates a class of degree at most its tower's dimension, so
 evaluate_universal has no degree branch.
 
-Work that depends only on the tower is cached in the tower's _cache.  Where
-a universal class is read, the key holds that class itself (UniversalClass
+Work that depends only on the tower is cached in the tower's _cache.  A
+process keeps one tower per level list (geometry.tower), so each entry
+serves every query, suite row and prefix that names those levels.  Where a
+universal class is read, the key holds that class itself (UniversalClass
 hashes by identity), so a class rebuilt under a mutation never meets work
 done with the clean one, and this module need not know that mutations exist:
 

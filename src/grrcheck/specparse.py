@@ -42,7 +42,7 @@ import re
 import sys
 
 from .arith import InputError
-from .geometry import KClass, Tower
+from .geometry import KClass, tower
 from .report import Record
 
 MAX_NESTING = 100  # levels of brackets or of a geometry that a text may nest
@@ -343,16 +343,17 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
     """Resolve the levels, base first, into a tower and its name scope.
 
     The divisors of each level resolve against the levels below it (their
-    count and aliases), so the tower is built once, at the end.
+    count and aliases), so the tower is read once, at the end, from
+    geometry.tower: texts that name one level list share one tower.
     """
     names: dict[str, int] = {}
-    levels: list[list[tuple[int, ...]]] = []
+    levels: list[tuple[tuple[int, ...], ...]] = []
     for below, level in enumerate(ast):
         bundle = level.bundle
         if isinstance(bundle, TrivialBundle):
-            levels.append([(0,) * below] * bundle.count)
+            levels.append(((0,) * below,) * bundle.count)
         else:
-            levels.append([_divisor_vector(d, names, below) for d in bundle.divisors])
+            levels.append(tuple(_divisor_vector(d, names, below) for d in bundle.divisors))
         alias = level.alias
         if alias:
             if alias in names:
@@ -361,7 +362,7 @@ def build_geometry(ast: GeomAST) -> GeometryScope:
             if m and int(m.group(1)) != below + 1:
                 raise InputError(f"alias {alias!r} on level {below + 1} is another level's name")
             names[alias] = below + 1
-    return GeometryScope(Tower(levels), names)
+    return GeometryScope(tower(tuple(levels)), names)
 
 
 def geometry_shape(ast: GeomAST) -> tuple[int, ...]:

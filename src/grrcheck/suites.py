@@ -8,8 +8,9 @@ which the single-instance CLI query shares.  Each registered tower X
 dim <= 2), with every line bundle of divisor coefficients in [-2, 2] and
 n <= min(3, dim S + 1) (the first vacuous n kept as a vanishing check), and
 a row for its identity morphism; two cut-outs of P3;P2 over P3 close the
-table.  The suite reads each geometry text once, through geometry_scope; the
-CLI builds a fresh tower per query.
+table.  The suite reads each geometry text through geometry_scope, and the
+CLI reads its query's; either way the tower is geometry.tower's, so rows,
+queries and prefixes that name one level list share one tower.
 
 Suites never raise on a falsified identity: every check runs through
 report.run_check with the check function and its arguments, which turns a
@@ -37,6 +38,7 @@ from .geometry import (
     chi_projective_space_oracle,
     euler_characteristic,
     pushforward_k,
+    tower,
 )
 from .grr import (
     MorphismDatum,
@@ -94,9 +96,17 @@ TWIST_BOUND = 2  # the main-theorem suite's twist vectors have entries in [-2, 2
 
 
 @cache
+def _resolved_geometry(text: str):
+    """The level list and name scope that geometry text resolves to."""
+    scope = build_geometry(parse_geometry(text))
+    return scope.tower.levels, scope.names
+
+
 def geometry_scope(text: str) -> GeometryScope:
-    """The tower and name scope that geometry text names, built once per text."""
-    return build_geometry(parse_geometry(text))
+    """The tower and name scope that geometry text names: the text is read
+    once, and the tower is geometry.tower's, the one on its level list."""
+    levels, names = _resolved_geometry(text)
+    return GeometryScope(tower(levels), names)
 
 
 def model_tower(name: str) -> Tower:

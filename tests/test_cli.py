@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grrcheck import cli, grr, series, specparse, suites
+from grrcheck import cli, geometry, grr, series, specparse, suites
 from grrcheck.cli import main
 from grrcheck.report import FalsificationError
 from grrcheck.suites import SUITES, main_theorem_rows, suite_main_theorem
@@ -368,8 +368,10 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and err.endswith("error: --cut '2*h-h-h' is the zero divisor\n")
 
-    def test_each_query_builds_its_own_tower(self, monkeypatch, capsys):
-        # no tower outlives its query, so no query reads another's caches
+    def test_queries_on_one_geometry_share_its_tower(self, monkeypatch, capsys):
+        # a process builds one tower per level list; a mutated query between
+        # clean ones leaves the clean stream as it was, and so does a fresh
+        # table, as in a new process
         scopes = []
 
         def build(ast):
@@ -377,13 +379,23 @@ class TestVerify:
             return scopes[-1]
 
         monkeypatch.setattr(cli, "build_geometry", build)
+        # at n = 0 the source side reads ct_2 on P2
         argv = ["verify", "main-theorem", "--geometry", "P(trivial 3) over point",
-                "--sheaf", "O(h)", "-n", "1"]
+                "--sheaf", "O(h)", "-n", "0"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-        assert len(scopes) == 2 and scopes[0].tower is not scopes[1].tower
+        assert scopes[0].tower is scopes[1].tower
+        assert main(argv + ["--mutate", "ct:2:0:1/2"]) == 1
+        capsys.readouterr()
+        assert scopes[2].tower is scopes[0].tower
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        geometry._towers.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert scopes[4].tower is not scopes[0].tower
 
     def test_codimension_guard_runs_before_the_build(self, monkeypatch, capsys):
         # every n above dim S + 1 is vacuous; ct_22 alone takes seconds

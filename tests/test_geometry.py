@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -7,6 +9,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grrcheck import geometry
 from grrcheck.geometry import (
     ChowClass,
     KClass,
@@ -17,8 +20,10 @@ from grrcheck.geometry import (
     pullback_k,
     pushforward_chow,
     pushforward_k,
+    tower,
 )
 from grrcheck.grr import MorphismDatum, check_main_theorem, chow_degree
+from grrcheck.specparse import build_geometry, parse_geometry
 from grrcheck.suites import MODEL_TOWERS, geometry_scope
 
 import chow_reference as tuple_ring
@@ -96,6 +101,66 @@ class TestTowerConstruction:
         a, b = Tower([[()] * 3]), Tower([[()] * 3])
         with pytest.raises(AssertionError, match="classes live on different towers"):
             _ = a.hyperplane(1) + b.hyperplane(1)
+
+
+class TestOneTowerPerLevelList:
+    """geometry.tower keeps one tower per level list, and every tower takes
+    its base from it."""
+
+    @staticmethod
+    def scope(text):
+        return build_geometry(parse_geometry(text))
+
+    def test_towers_over_one_base_share_it(self):
+        p1xp1 = self.scope("P(trivial 2) over P(trivial 2) over point").tower
+        f1 = self.scope("P([0, xi1]) over P(trivial 2) over point").tower
+        assert p1xp1 is not f1
+        assert p1xp1.base is f1.base is tower((((), ()),))
+        assert p1xp1.base.base is tower(())
+
+    def test_aliases_name_one_tower(self):
+        a = self.scope("P([0, a]) over P(trivial 2) as a over point")
+        b = self.scope("P([0, xi1]) over P(trivial 2) as b over point")
+        assert a.names != b.names
+        assert a.tower is b.tower is tower((((), ()), ((0,), (1,))))
+
+    def test_tower_called_directly_is_a_new_top_over_the_shared_base(self):
+        levels = (((), ()), ((0,), (1,)))
+        a, b = Tower(levels), Tower(levels)
+        assert a is not b and tower(levels) not in (a, b)
+        assert a.base is b.base is tower(levels[:-1])
+
+    def test_a_suite_text_reads_the_table(self):
+        text = "P([0, xi1]) over P(trivial 2) over point"
+        assert geometry_scope(text).tower is tower((((), ()), ((0,), (1,))))
+        geometry._towers.clear()
+        assert geometry_scope(text).tower is tower((((), ()), ((0,), (1,))))
+
+    def test_refused_rank_raises_on_every_call_and_stores_nothing(self):
+        for levels in [(((),) * 16385,), (((), ()), ((1,),) * 16386)]:
+            tower(levels[:-1])
+            stored = dict(geometry._towers)
+            for _ in range(2):
+                with pytest.raises(AssertionError, match="past the packed range"):
+                    tower(levels)
+            assert geometry._towers == stored
+
+    def test_threads_that_name_a_new_level_list_at_once_get_one_tower(self, monkeypatch):
+        # each build sleeps, so the second thread asks while the first builds
+        class SlowTower(Tower):
+            def __init__(self, levels):
+                time.sleep(0.05)
+                super().__init__(levels)
+
+        monkeypatch.setattr(geometry, "Tower", SlowTower)
+        levels = (((), (), ()),)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(tower(levels))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(got) == 2 and got[0] is got[1]
 
 
 class TestNormalForm:

@@ -254,7 +254,8 @@ def random_sheaves(rng, tower, m):
 
 def normal_sources(rng):
     """(tower, normal class) of cut-outs by one and by two random nonzero
-    divisors on fresh copies of the model towers."""
+    divisors on the model towers, each a new top over its shared base, so
+    its caches start cold."""
     for _, text, _ in MODEL_TOWERS:
         t = Tower(geometry_scope(text).tower.levels)
         for codim in range(1, min(2, t.dim) + 1):
@@ -365,10 +366,10 @@ class TestCompiledCt:
 
 
 def tangent_sources():
-    """(tower, tangent, sheaves) on fresh copies of the model towers, with the
-    absolute tangent and the fiberwise one over each base, plus a cut-out
-    source: a hyperplane of the P3 factor in P3 x P2 with its virtual tangent
-    and Koszul sheaves."""
+    """(tower, tangent, sheaves) on the model towers, each a new top over its
+    shared base so its caches start cold, with the absolute tangent and the
+    fiberwise one over each base, plus a cut-out source: a hyperplane of the
+    P3 factor in P3 x P2 with its virtual tangent and Koszul sheaves."""
     for _, text, bases in MODEL_TOWERS:
         t = Tower(geometry_scope(text).tower.levels)
         a = t.line((1,) + (-1,) * (t.n_levels - 1))

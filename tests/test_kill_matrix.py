@@ -3,10 +3,11 @@ code, applied with monkeypatch, turns a fixed subset of the suites red, and
 the failed reports per identity are pinned.
 
 The subset is the immersion and divisor-calculus suites and the main-theorem
-rows of P2, F1 and P1;F;twist.  They read their towers through
-suites.geometry_scope, a cache keyed by geometry text; it is cleared before
-and after each mutant, so no tower built by clean code serves a mutant, and
-no mutant's tower outlives its test.
+rows of P2, F1 and P1;F;twist.  They read their towers, through
+suites.geometry_scope, from geometry.tower, the table of one tower per level
+list, which tests/conftest.py empties before and after each test, so no
+tower built by clean code serves a mutant, and no mutant's tower outlives
+its test.
 
 - G1: each tangent summand is O(xi_k + L), not O(xi_k - L).
 - G2: the sign of pi_* l^a below the vanishing band flipped.
@@ -164,15 +165,11 @@ MAIN_THEOREM_TOWERS = ("P2->", "F1->", "P1;F;twist->")
 
 
 def _reports():
-    suites.geometry_scope.cache_clear()
-    try:
-        reports = suites.suite_immersion() + suites.suite_divisor_calculus()
-        rows = [row for row in suites.main_theorem_rows() if row[0].startswith(MAIN_THEOREM_TOWERS)]
-        for text, group in groupby(rows, key=lambda row: row[1]):
-            reports += suites.main_theorem_reports(suites.geometry_scope(text), group)
-        return reports
-    finally:
-        suites.geometry_scope.cache_clear()
+    reports = suites.suite_immersion() + suites.suite_divisor_calculus()
+    rows = [row for row in suites.main_theorem_rows() if row[0].startswith(MAIN_THEOREM_TOWERS)]
+    for text, group in groupby(rows, key=lambda row: row[1]):
+        reports += suites.main_theorem_reports(suites.geometry_scope(text), group)
+    return reports
 
 
 def test_the_clean_suites_pass():
