@@ -363,11 +363,6 @@ class ChowClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.tower is other.tower and self.terms == other.terms
-
     def serialize(self) -> str:
         return serialize_keyed(self.tower.alphabet, self.terms.items())
 
@@ -483,16 +478,6 @@ class KClass:
     def normal_form(self) -> dict[DivisorVector, int]:
         """Coordinates in the monomial basis of the K-group (exponents in [0, r_k])."""
         return self.tower._normal_form(self.line_terms, self.tower._k_rules())
-
-    def __eq__(self, other: object) -> bool:
-        """Equality as K-theory classes (compared in normal form)."""
-        if not isinstance(other, KClass):
-            return NotImplemented
-        if self.tower is not other.tower:
-            return False
-        if self.line_terms == other.line_terms:
-            return True
-        return self.normal_form() == other.normal_form()
 
     def serialize(self) -> str:
         """Canonical text of the class in normal form, one line per basis

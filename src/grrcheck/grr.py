@@ -187,8 +187,9 @@ class MorphismDatum:
     lower level of the tower (possibly the point), or the closed immersion
     of the locus into its tower (base_levels all the levels, relative
     dimension -codim).  A bare Tower is the cut-out with no cuts: it is
-    wrapped here, the one place that reads the kind of source.  Construction
-    fixes the ambient tower, the target and the relative dimension."""
+    wrapped here, the one place that reads the kind of source; the
+    benchmark's workloads pass one.  Construction fixes the ambient tower,
+    the target and the relative dimension."""
 
     __slots__ = ("source", "base_levels", "label", "ambient", "target", "relative_dimension")
 

@@ -110,6 +110,7 @@ def geometry_scope(text: str) -> GeometryScope:
 
 
 def model_tower(name: str) -> Tower:
+    """The tower of a named model geometry; the benchmark's workloads call it."""
     return geometry_scope(_MODEL_TOWER_TEXT[name]).tower
 
 

@@ -70,7 +70,7 @@ def rational_grr_cross_check(f: MorphismDatum, F: KClass, n: int) -> bool:
         total = total + ch_j * td_j
     pushed_total = f.source.push(total.graded_part(d + n))
     rhs = pushforward_chow(pushed_total, ambient.n_levels - f.base_levels)
-    return lhs == rhs
+    return lhs.serialize() == rhs.serialize()
 
 
 def q_numerator_reference(m: int) -> GradedPolynomial:

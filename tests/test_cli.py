@@ -4,8 +4,10 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -888,6 +890,33 @@ class TestExitCodes:
         else:
             assert (code, out) == (2, "")
             assert err == f"error: nesting deeper than 100 levels (line 1, {error})\n"
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify", "kappa"], 0),
+            (["verify", "kappa", "--mutate", "ct:2:0:1/2"], 1),
+            (["verify", "nope"], 2),
+            (["gen", "todd", "--degree", "-1"], 2),
+        ],
+        ids=["passing", "mutated", "unknown-suite", "negative-degree"],
+    )
+    def test_the_module_exits_with_the_code_of_main(self, argv, code):
+        # python -m grrcheck.cli hands main's code to the process exit
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "grrcheck.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == code, run.stderr
+        if code == 2:
+            message = {tuple(a): m for a, m in USAGE_ERRORS + RANGE_ERRORS}[tuple(argv)]
+            assert run.stdout == "" and run.stderr.endswith(f"error: {message}\n"), run.stderr
+        else:
+            lines = run.stdout.splitlines()
+            assert len(lines) == 13 and run.stderr == ""
+            assert ("fail" in {json.loads(line)["verdict"] for line in lines}) == (code == 1)
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(single_instance_queries())

@@ -66,12 +66,12 @@ class TestTowerConstruction:
         t = p_by_p(1, 1)
         x1, x2 = t.hyperplane(1), t.hyperplane(2)
         s = (x1 + x2) * (x1 + x2)
-        assert s == (x1 * x2).scale(2)
+        assert s.serialize() == (x1 * x2).scale(2).serialize()
 
     def test_hirzebruch_relation(self):
         t = hirzebruch()
         xi, h = t.hyperplane(2), t.hyperplane(1)
-        assert xi * xi == h * xi
+        assert (xi * xi).serialize() == (h * xi).serialize()
 
     def test_malformed_level(self):
         with pytest.raises(AssertionError, match="must reference exactly the 0 earlier"):
@@ -177,7 +177,7 @@ class TestNormalForm:
             right = t.unit_chow()
             for c in reversed(picks):
                 right = c * right
-            assert left == right
+            assert left.serialize() == right.serialize()
 
     def test_normal_form_exponent_bounds(self):
         t = hirzebruch()
@@ -271,7 +271,7 @@ class TestProductTable:
             monkeypatch.setattr(Tower, "_normal_form", spy)
             product = a * b
             monkeypatch.undo()
-            assert product == chow_class(t, naive)
+            assert product.serialize() == chow_class(t, naive).serialize()
         # the table rewrites no pair above the dimension: it vanishes unread
         assert all(sum(m) <= t.dim for m in rewritten)
 
@@ -282,7 +282,7 @@ class TestProductTable:
             assert scalar_types(alpha) <= {int}, alpha
         half = x.scale(Fraction(1, 2))
         assert scalar_types(half * x) <= {int, Fraction}
-        assert (half * x.scale(2)) == x * x
+        assert (half * x.scale(2)).serialize() == (x * x).serialize()
 
     def test_integral_results_of_rational_classes_are_int(self):
         p2 = Tower([[()] * 3])
@@ -299,7 +299,7 @@ class TestProductTable:
         assert t.unit_chow() is t.unit_chow()
         assert t.zero_chow() is t.zero_chow()
         x = t.hyperplane(2) * t.hyperplane(3) - t.hyperplane(1).scale(4)
-        assert t.unit_chow() * x == x == x * t.unit_chow()
+        assert (t.unit_chow() * x).serialize() == x.serialize() == (x * t.unit_chow()).serialize()
         assert (t.zero_chow() * x).is_zero()
         assert chow_terms(t.unit_chow()) == {(0, 0, 0): 1}
 
@@ -353,7 +353,8 @@ class TestDivisorChow:
                 if c
             }
             d = t.divisor_chow(vec)
-            assert d == chow_class(t, raw) and scalar_types(d) <= {int}, vec
+            assert d.serialize() == chow_class(t, raw).serialize(), vec
+            assert scalar_types(d) <= {int}, vec
 
     def test_each_hyperplane_is_rewritten_once(self, monkeypatch):
         t = Tower(TestProductTable.TOWERS[-1])  # ranks 2, 0, 2
@@ -363,7 +364,7 @@ class TestDivisorChow:
             raise AssertionError("normal form computed")
 
         monkeypatch.setattr(t, "_normal_form", rewrite)
-        assert t.divisor_chow((3, 1, -1)) == first
+        assert t.divisor_chow((3, 1, -1)).terms == first.terms
         assert chow_terms(t.divisor_chow((1, 0, 2))) == {(1, 0, 0): 1, (0, 0, 1): 2}
         with pytest.raises(AssertionError, match="normal form"):
             t.hyperplane(1) * t.hyperplane(3)  # a raw key not yet in the memo
@@ -381,7 +382,7 @@ class TestPushPull:
         t = p_by_p(2, 1)
         x1, x2 = t.hyperplane(1), t.hyperplane(2)
         down = pushforward_chow(x1 * x2, 1)  # collapse the fiber line
-        assert down == chow_class(t.prefix(1), {(1,): Fraction(1)})
+        assert down.serialize() == chow_class(t.prefix(1), {(1,): Fraction(1)}).serialize()
 
     def test_pullback_then_push(self):
         t = p_by_p(1, 2)
@@ -402,26 +403,25 @@ class TestPushPull:
                 beta = chow_class(base, {bm: Fraction(1)})
                 lhs = pushforward_chow(alpha * pullback_chow(beta, t), 1)
                 rhs = pushforward_chow(alpha, 1) * beta
-                assert lhs == rhs, (am, bm)
+                assert lhs.serialize() == rhs.serialize(), (am, bm)
 
     def test_functoriality_stepwise_vs_at_once(self):
         t = Tower([[(), ()], [(1,), (0,)], [(0, 1), (1, 0)]])
         for mono in product(*(range(r + 1) for r in t.ranks)):
             alpha = chow_class(t, {mono: Fraction(1)})
-            assert pushforward_chow(pushforward_chow(alpha, 1), 1) == pushforward_chow(
-                alpha, 2
-            )
+            stepwise = pushforward_chow(pushforward_chow(alpha, 1), 1)
+            assert stepwise.serialize() == pushforward_chow(alpha, 2).serialize()
         f = KClass(t, {(1, -1, 2): 3, (0, 1, 0): -1})
         step = pushforward_k(pushforward_k(f, 1), 1)
         once = pushforward_k(f, 2)
-        assert step == once
+        assert step.serialize() == once.serialize()
 
 
 class TestChern:
     def test_line_bundle(self):
         p2 = Tower([[()] * 3])
         f = p2.line((1,))
-        assert f.total_chern().graded_part(1) == p2.hyperplane(1)
+        assert f.total_chern().graded_part(1).serialize() == p2.hyperplane(1).serialize()
         assert f.total_chern().graded_part(2).is_zero()
 
     def test_virtual_pair(self):
@@ -429,7 +429,7 @@ class TestChern:
         f = p2.line((1,)) + p2.line((-1,))
         h = p2.hyperplane(1)
         assert f.total_chern().graded_part(1).is_zero()
-        assert f.total_chern().graded_part(2) == (h * h).scale(-1)
+        assert f.total_chern().graded_part(2).serialize() == (h * h).scale(-1).serialize()
 
     def test_virtual_rank(self):
         p2 = Tower([[()] * 3])
@@ -439,21 +439,22 @@ class TestChern:
         t = hirzebruch()
         f = t.line((1, 0)) + t.line((0, 1))
         g = t.line((-1, 1)) + t.line((2, 0)).scale(2)
-        assert (f + g).total_chern() == f.total_chern() * g.total_chern()
+        assert (f + g).total_chern().serialize() == (f.total_chern() * g.total_chern()).serialize()
 
     def test_tangent_projective_spaces(self):
         p2 = Tower([[()] * 3])
         h = p2.hyperplane(1)
         ct = p2.tangent_class().total_chern()
-        assert ct.graded_part(1) == h.scale(3)
-        assert ct.graded_part(2) == (h * h).scale(3)
+        assert ct.graded_part(1).serialize() == h.scale(3).serialize()
+        assert ct.graded_part(2).serialize() == (h * h).scale(3).serialize()
         p1 = Tower([[()] * 2])
-        assert p1.tangent_class().total_chern().graded_part(1) == p1.hyperplane(1).scale(2)
+        c1 = p1.tangent_class().total_chern().graded_part(1)
+        assert c1.serialize() == p1.hyperplane(1).scale(2).serialize()
 
     def test_tangent_additive_across_levels(self):
         t = p_by_p(1, 1)
         c1 = t.tangent_class().total_chern().graded_part(1)
-        assert c1 == t.hyperplane(1).scale(2) + t.hyperplane(2).scale(2)
+        assert c1.serialize() == (t.hyperplane(1).scale(2) + t.hyperplane(2).scale(2)).serialize()
 
 
 def reference_total_chern(f: KClass) -> ChowClass:
@@ -482,12 +483,12 @@ class TestBinomialTotalChern:
         t = Tower(self.TOWER)
         for vec in [(1, 0, 0), (0, 1, -1), (2, -1, 1), (-1, 1, 1), (0, 0, 0)]:
             f = KClass(t, {vec: mult})
-            assert f.total_chern() == reference_total_chern(f), (vec, mult)
+            assert f.total_chern().serialize() == reference_total_chern(f).serialize(), (vec, mult)
 
     def test_mixed_class_matches_product(self):
         t = Tower(self.TOWER)
         f = KClass(t, {(1, 0, 0): 5, (0, 1, -1): -6, (2, -1, 1): -3, (-1, 1, 1): 4})
-        assert f.total_chern() == reference_total_chern(f)
+        assert f.total_chern().serialize() == reference_total_chern(f).serialize()
 
 
 class TestRunningProductTotalChern:
@@ -505,7 +506,7 @@ class TestRunningProductTotalChern:
                 vec = tuple(rng.randint(-2, 2) for _ in range(t.n_levels))
                 terms[vec] = rng.choice((-3, -2, -1, 1, 2, 3))  # nonzero, as KClass takes them
             f = KClass(t, terms)
-            assert f.total_chern() == factor_total_chern(f), terms
+            assert f.total_chern().serialize() == factor_total_chern(f).serialize(), terms
 
 
 class TestTowerChain:
@@ -526,35 +527,36 @@ class TestTowerChain:
         # xi^2 = c1(E) xi - c2(E) on P(E) with E = O(h) + O(2h) over P2
         t = Tower([[(), (), ()], [(1,), (2,)]])
         h, xi = t.hyperplane(1), t.hyperplane(2)
-        assert xi * xi == h.scale(3) * xi - (h * h).scale(2)
+        assert (xi * xi).serialize() == (h.scale(3) * xi - (h * h).scale(2)).serialize()
         # l^2 = [E] l - det E in K, and pi_* l = E
         e = t.line((1, 0)) + t.line((2, 0))
-        assert t.line((0, 2)) == e.twist((0, 1)) - t.line((3, 0))
-        assert pushforward_k(t.line((0, 1)), 1) == t.base.line((1,)) + t.base.line((2,))
+        assert t.line((0, 2)).serialize() == (e.twist((0, 1)) - t.line((3, 0))).serialize()
+        pushed = pushforward_k(t.line((0, 1)), 1)
+        assert pushed.serialize() == (t.base.line((1,)) + t.base.line((2,))).serialize()
 
 
 class TestLambdaOps:
     def test_top_wedge(self):
         p2 = Tower([[()] * 3])
         f = p2.line((1,)) + p2.line((2,))
-        assert f.wedge(2) == p2.line((3,))
+        assert f.wedge(2).serialize() == p2.line((3,)).serialize()
 
     def test_sym_square(self):
         p2 = Tower([[()] * 3])
         f = p2.structure_sheaf() + p2.line((1,))
         expected = p2.structure_sheaf() + p2.line((1,)) + p2.line((2,))
-        assert f.sym(2) == expected
+        assert f.sym(2).serialize() == expected.serialize()
 
     def test_dual_involution(self):
         t = hirzebruch()
         f = t.line((2, -1)) + t.line((0, 1)).scale(3)
-        assert f.dual().dual() == f
+        assert f.dual().dual().serialize() == f.serialize()
 
     def test_virtual_class(self):
         # lambda_t(L - O) = (1 + L t)/(1 + t) and sigma_t(L - O) = (1 - t)/(1 - L t)
         p2 = Tower([[()] * 3])
         virt = p2.line((1,)) - p2.structure_sheaf()
-        assert virt.wedge(1) == virt
+        assert virt.wedge(1).serialize() == virt.serialize()
         assert virt.wedge(2).line_terms == {(0,): 1, (1,): -1}
         assert virt.sym(2).line_terms == {(2,): 1, (1,): -1}
 
@@ -598,11 +600,12 @@ class TestKPushforward:
     def test_serre_example(self):
         p1 = Tower([[()] * 2])
         pushed = pushforward_k(p1.line((-2,)), 1)
-        assert pushed == p1.prefix(0).structure_sheaf().scale(-1)
+        assert pushed.serialize() == p1.prefix(0).structure_sheaf().scale(-1).serialize()
 
     def test_structure_sheaf_pushes_to_structure_sheaf(self):
         t = Tower([[(), ()], [(1,), (0,)]])
-        assert pushforward_k(t.structure_sheaf(), 1) == t.prefix(1).structure_sheaf()
+        pushed = pushforward_k(t.structure_sheaf(), 1)
+        assert pushed.serialize() == t.prefix(1).structure_sheaf().serialize()
 
     def test_product_chi(self):
         t = p_by_p(1, 1)
@@ -642,7 +645,7 @@ class TestKNormalForm:
         p1 = Tower([[()] * 2])
         lhs = p1.line((2,))
         rhs = p1.line((1,)).scale(2) - p1.structure_sheaf()
-        assert lhs == rhs  # l^2 = 2l - 1 on the line
+        assert lhs.serialize() == rhs.serialize()  # l^2 = 2l - 1 on the line
 
     def test_serialize_prints_normal_form(self):
         p1 = Tower([[()] * 2])
@@ -831,21 +834,22 @@ class TestVCI:
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((2,),))
         expected = p3.structure_sheaf() - p3.line((-2,))
-        assert z.koszul_class(p3.structure_sheaf()) == expected
+        assert z.koszul_class(p3.structure_sheaf()).serialize() == expected.serialize()
 
     def test_push(self):
         p3 = Tower([[()] * 4])
         z = VirtualCompleteIntersection(p3, ((1,), (2,)))
         h = p3.hyperplane(1)
-        assert z.push(p3.unit_chow()) == (h * h).scale(2)
-        assert z.push(h) == (h * h * h).scale(2)
+        assert z.push(p3.unit_chow()).serialize() == (h * h).scale(2).serialize()
+        assert z.push(h).serialize() == (h * h * h).scale(2).serialize()
 
     def test_no_cuts_is_the_tower_with_no_work(self):
         t = Tower([[(), ()], [(0,), (1,)]])
         z = VirtualCompleteIntersection(t, ())
         F, alpha = t.line((1, -1)), t.hyperplane(2)
         assert z.koszul_class(F) is F and z.push(alpha) is alpha
-        assert z.tangent_class() is z.tangent_class() == t.tangent_class()
+        assert z.tangent_class() is z.tangent_class()
+        assert z.tangent_class().serialize() == t.tangent_class().serialize()
         assert (z.dim, z.codim) == (t.dim, 0)
         cut = VirtualCompleteIntersection(t, ((1, 1),))
         assert repr(cut) == "VirtualCompleteIntersection(ambient=" + repr(t) + ", cuts=((1, 1),))"

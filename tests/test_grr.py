@@ -88,7 +88,7 @@ class TestGrrError:
             pd = Tower([[()] * (d + 1)])
             f = MorphismDatum(pd, 0)
             lhs, rhs = main_sides(f, pd.structure_sheaf(), 0)
-            assert lhs == rhs
+            assert lhs.serialize() == rhs.serialize()
             # chi(P^d, O) = 1, so the common value is the Todd denominator
             assert lhs.serialize() == f"{todd_denominator(d).value}/1"
 
@@ -97,7 +97,7 @@ class TestGrrError:
         f = MorphismDatum(t, t.n_levels, "id")
         for n in range(0, 3):
             lhs, rhs = main_sides(f, t.line((1, -1)), n)
-            assert lhs == rhs
+            assert lhs.serialize() == rhs.serialize()
 
     def test_morphism_geometry_is_fixed_at_construction(self):
         t = Tower([[(), ()], [(0,), (1,)]])
@@ -112,7 +112,7 @@ class TestGrrError:
         f = MorphismDatum(z, 1, "hyperplane->P3")
         for n in range(0, 4):
             lhs, rhs = main_sides(f, p3.structure_sheaf(), n)
-            assert lhs == rhs, n
+            assert lhs.serialize() == rhs.serialize(), n
 
     def test_corollary_and_decomposition(self):
         t = Tower([[(), (), ()], [(0,), (1,)]])
@@ -122,10 +122,10 @@ class TestGrrError:
             pushed, source = _instance_images(f, F, n)
             s_n = evaluate_universal(universal_chern_character(n), f.target, sheaf=pushed)
             cl, cr = corollary_sides(f, n, s_n, source)
-            assert cl == cr, n
+            assert cl.serialize() == cr.serialize(), n
             dl, _ = grr_error(f, n, pushed, source)
             dr = decomposition_rhs(f, n, pushed, s_n)
-            assert dl == dr, n
+            assert dl.serialize() == dr.serialize(), n
 
     def test_rational_shadow(self):
         t = Tower([[(), ()], [(0,), (2,)]])
@@ -170,9 +170,9 @@ class TestGrrError:
         F = t.line((0, 1))
         for n in range(0, 2):
             l0, r0 = main_sides(f, F, n)
-            assert l0 == r0
+            assert l0.serialize() == r0.serialize()
             lt, rt = main_sides(f, F.twist((2, 0)), n)
-            assert lt == rt
+            assert lt.serialize() == rt.serialize()
 
 
 class TestCtClass:
@@ -180,12 +180,12 @@ class TestCtClass:
         p2 = Tower([[()] * 3])
         f = p2.line((1,)) + p2.structure_sheaf().scale(2)
         value = ct_on_tower(p2, p2.tangent_class(), _sheaf_images(f, 0), 0)
-        assert value == p2.unit_chow().scale(3)
+        assert value.serialize() == p2.unit_chow().scale(3).serialize()
 
     def test_degree_one_structure_sheaf_on_line(self):
         p1 = Tower([[()] * 2])
         value = ct_on_tower(p1, p1.tangent_class(), _sheaf_images(p1.structure_sheaf(), 1), 1)
-        assert value == p1.hyperplane(1).scale(2)
+        assert value.serialize() == p1.hyperplane(1).scale(2).serialize()
 
     def test_relative_on_trivial_family_matches_fiber(self):
         # fiberwise tangent difference of a product equals the fiber's
@@ -194,11 +194,13 @@ class TestCtClass:
         f = MorphismDatum(t, 1)
         rel = _source_relative_tangent(f)
         expected_c1 = t.hyperplane(2).scale(3)
-        assert rel.total_chern().graded_part(1) == expected_c1
-        assert rel.total_chern().graded_part(2) == (t.hyperplane(2) * t.hyperplane(2)).scale(3)
+        assert rel.total_chern().graded_part(1).serialize() == expected_c1.serialize()
+        c2 = (t.hyperplane(2) * t.hyperplane(2)).scale(3)
+        assert rel.total_chern().graded_part(2).serialize() == c2.serialize()
         value = ct_on_tower(t, rel, _sheaf_images(t.structure_sheaf(), 2), 2)
         absolute_fiber = (t.hyperplane(2) * t.hyperplane(2)).scale(12)
-        assert value == absolute_fiber  # twelve times the fiber point class
+        # twelve times the fiber point class
+        assert value.serialize() == absolute_fiber.serialize()
 
 
 def two_pass(uc, tower, c_side, sheaf):
@@ -235,7 +237,8 @@ def sheaf_map(rng, tower, m, rank, live):
 
 
 def assert_compiled_matches(uc, tower, c_side, sheaf):
-    assert evaluate_universal(uc, tower, c_side, sheaf) == two_pass(uc, tower, c_side, sheaf), (
+    compiled = evaluate_universal(uc, tower, c_side, sheaf)
+    assert compiled.serialize() == two_pass(uc, tower, c_side, sheaf).serialize(), (
         uc.degree, tower, sheaf
     )
 
@@ -396,8 +399,8 @@ class TestZeroAboveDimension:
             above = kind_inputs(kind, rng, lambda t: (t.dim + 1, t.dim + 2))
             for uc, tower, c_side, sheaf in above:
                 unguarded = two_pass(uc, tower, c_side, sheaf)
-                assert unguarded == tower.zero_chow(), (kind, tower, uc.degree)
-                assert evaluate_universal(uc, tower, c_side, sheaf) == unguarded
+                assert unguarded.is_zero(), (kind, tower, uc.degree)
+                assert evaluate_universal(uc, tower, c_side, sheaf).is_zero()
 
     def test_non_integral_mutation_still_raises(self):
         # the mutation is checked when the class is built, before the degree
@@ -435,7 +438,8 @@ class TestTangentChern:
     def test_cached_class_is_the_total_chern_class(self):
         for tower, tangent, sheaves in tangent_sources():
             cached = _tangent_chern(tangent)
-            assert cached == tangent.total_chern() == factor_total_chern(tangent)
+            want = tangent.total_chern().serialize()
+            assert cached.serialize() == want == factor_total_chern(tangent).serialize()
             key = ("tangent-chern", frozenset(tangent.line_terms.items()))
             assert tower._cache[key] is cached
             assert _tangent_chern(KClass(tower, dict(tangent.line_terms))) is cached
@@ -603,7 +607,7 @@ class TestCheckMainTheorem:
         pushed, source = _instance_images(f, t.line((1, 1)), n)
         clean, _ = grr_error(f, n, pushed, source)
         s_n = evaluate_universal(universal_chern_character(n), f.target, sheaf=pushed)
-        assert decomposition_rhs(f, n, pushed, s_n) == clean
+        assert decomposition_rhs(f, n, pushed, s_n).serialize() == clean.serialize()
         for j in range(1, n + 1):
             set_mutation(Mutation("todd", j, 0, Fraction(1)))
             try:
@@ -611,9 +615,9 @@ class TestCheckMainTheorem:
                 mutated_lhs, _ = grr_error(f, n, pushed, source)
             finally:
                 set_mutation(None)
-            assert mutated != clean, j
-            assert mutated == mutated_lhs, j
-            assert decomposition_rhs(f, n, pushed, s_n) == clean, j
+            assert mutated.serialize() != clean.serialize(), j
+            assert mutated.serialize() == mutated_lhs.serialize(), j
+            assert decomposition_rhs(f, n, pushed, s_n).serialize() == clean.serialize(), j
 
     def test_bundles_over_bases(self):
         cases = [
@@ -862,7 +866,7 @@ class TestDivisorCalculus:
         lhs = p3.structure_sheaf() - p3.line((-2,))
         square = VirtualCompleteIntersection(p3, ((1,), (1,))).koszul_class(p3.structure_sheaf())
         rhs = u.scale(2) - square
-        assert lhs == rhs
+        assert lhs.serialize() == rhs.serialize()
 
 
 class TestKappa:
@@ -938,14 +942,15 @@ class TestCompositionConsistency:
         # pushing the source class through Y and then to S equals the direct push
         m = d_f + d_g + n
         src = ct_on_tower(t, t.tangent_class(), _sheaf_images(F, m), m)
-        assert pushforward_chow(src, 2) == pushforward_chow(pushforward_chow(src, 1), 1)
+        stepwise = pushforward_chow(pushforward_chow(src, 1), 1)
+        assert pushforward_chow(src, 2).serialize() == stepwise.serialize()
 
         # the middle-level identity scaled by step1 reproduces the composite side
         mid_pushed = pushforward_k(F, 1)
         mid_ct = ct_on_tower(y, y.tangent_class(), _sheaf_images(mid_pushed, d_g + n), d_g + n)
         lhs_via_middle = pushforward_chow(mid_ct.scale(step1), 1).scale(step2)
         lhs_direct, rhs_direct = main_sides(composite, F, n)
-        assert lhs_via_middle == lhs_direct == rhs_direct
+        assert lhs_via_middle.serialize() == lhs_direct.serialize() == rhs_direct.serialize()
 
 
 class TestDeterminantFormulaDegreeOne:
@@ -981,7 +986,7 @@ class TestDeterminantFormulaDegreeOne:
                     )
                     td_part = evaluate_universal(universal_todd(2 - m), t, t.tangent_class())
                     rhs = rhs + pushforward_chow(s_m * td_part, 1).scale(scalar)
-                assert lhs == rhs, (t, coeffs)
+                assert lhs.serialize() == rhs.serialize(), (t, coeffs)
 
 
 class TestHirzebruchConsistencyWideCoefficients:

@@ -10,9 +10,12 @@ calls run in a fresh interpreter (this file run as a script), because the
 package memoises universal classes and model towers: a process that other
 tests have warmed would skip their builders.
 
-- A method (a function defined in a class body, dunders aside) must be
+- A method (a function defined in a class body, dunders included) must be
   entered by the traced run.  Sharing its name with an attribute read
-  elsewhere no longer counts.
+  elsewhere no longer counts.  Two dunders are exempt: __repr__, which only
+  message and traceback text reads, and an __eq__ whose class's __hash__
+  the traced run enters (a hashed key must compare by the fields it
+  hashes).
 - A module-level function must be entered, or named inside a function or
   method the traced run entered: suite_all, for one, runs only under verify
   all, which the run leaves out for time, and cmd_verify names it.
@@ -147,10 +150,15 @@ def test_every_function_is_reached_from_the_package():
     defs, uses = _definitions_and_uses()
     spans = [(file, first, last) for file, _, _, _, first, last in defs if (file, first) in entered]
     unreached = []
+    hashed = {
+        (file, qualname.split(".")[0])
+        for file, qualname, name, _, first, _ in defs
+        if name == "__hash__" and (file, first) in entered
+    }
     for file, qualname, name, is_method, first, last in defs:
-        if name.startswith("__") and name.endswith("__"):
-            continue  # dunder methods are called by the interpreter
-        if (file, first) in entered:
+        if (file, first) in entered or name == "__repr__":
+            continue
+        if name == "__eq__" and (file, qualname.split(".")[0]) in hashed:
             continue
         named = not is_method and any(
             used == name
