@@ -132,7 +132,7 @@ def _gen_universal(kind: str, args) -> tuple[dict, str]:
         "kind": kind,
         "degree": uc.degree,
         "scale": str(uc.scale),
-        "integral": True,  # _finish certified the numerator
+        "integral": True,  # the class's gate certified the numerator
         "numerator": uc.numerator.serialize(),
         "pretty": uc.numerator.pretty(),
     }

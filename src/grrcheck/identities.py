@@ -1,11 +1,14 @@
 """Formal power-series identities, verified coefficient by coefficient.
 
 Each checker expands both sides of one identity as GradedPolynomials over an
-explicit alphabet, serializes them canonically per checked degree, and returns
-a VerificationReport whose verdict is byte-equality of the two sides.  Two
-helpers build the shared setup: _root_tables the alphabet of the two
-disjoint root sets of an identity about two classes, with the elementary
-classes of each set and of their union, and _divisors the
+explicit alphabet and returns them serialized canonically per checked degree,
+with its notes where it has them.  The decorator _identity(name, instance)
+registers it: the check bound to its module name, the value of
+IDENTITY_CHECKS[name], returns the VerificationReport whose verdict is
+byte-equality of the two sides, under the instance text IDENTITY_INSTANCES[name]
+of its max degree.  Two helpers build the shared setup: _root_tables the
+alphabet of the two disjoint root sets of an identity about two classes, with
+the elementary classes of each set and of their union, and _divisors the
 weight-1 divisors of the exponential identities, each beside its 1 - e^{-x}
 (exp-flip-series builds its 1 - e^{b} from e^x, which ties that series to
 e^{-x}).  A check that wants the powers of one polynomial takes them as
@@ -20,6 +23,7 @@ demands; each report records the root configuration it used.
 from __future__ import annotations
 
 import itertools
+from functools import wraps
 from math import comb, factorial
 from operator import mul
 
@@ -39,8 +43,9 @@ from .series import (
     exp_series,
     one_minus_exp_neg_series,
     q_poly,
-    todd_inverse_numerator,
     tangent_alphabet,
+    todd_inverse_numerator,
+    todd_inverse_root_series,
     universal_chern_character,
     universal_ct,
     universal_todd,
@@ -50,18 +55,34 @@ from .series import (
 Row = tuple[str, GradedPolynomial, GradedPolynomial]  # (label, lhs, rhs) of one block
 
 
-def _report(identity: str, max_degree: int, lhs: str, rhs: str, notes=None) -> VerificationReport:
-    """Compare the two sides of an identity under its instance text."""
-    instance = IDENTITY_INSTANCES[identity](max_degree)
-    return VerificationReport.compare(identity, instance, lhs, rhs, notes)
+# identity -> its check through a max degree, and -> the instance text of
+# its report through a max degree: the check names its report by it, and so
+# do the suite and the CLI when it is falsified; _identity fills both
+IDENTITY_CHECKS: dict = {}
+IDENTITY_INSTANCES: dict = {}
 
 
-def _compare_blocks(
-    identity: str, max_degree: int, rows: list[Row], notes: str | None = None
-) -> VerificationReport:
-    """Compare the two sides, each one "# label" block per row."""
+def _identity(name: str, instance):
+    """Register the sides of an identity, a function of the max degree, under
+    its name and instance text (a function of the max degree too): the check
+    that compares them is the one object bound to the module name and held
+    by IDENTITY_CHECKS."""
+
+    def register(sides):
+        @wraps(sides)
+        def check(max_degree: int) -> VerificationReport:
+            return VerificationReport.compare(name, instance(max_degree), *sides(max_degree))
+
+        IDENTITY_CHECKS[name], IDENTITY_INSTANCES[name] = check, instance
+        return check
+
+    return register
+
+
+def _blocks(rows: list[Row], notes: str | None = None) -> tuple[str, str, str | None]:
+    """The two sides, each one "# label" block per row, and the notes."""
     lhs, rhs = ("\n".join(f"# {row[0]}\n{row[i].serialize()}" for row in rows) for i in (1, 2))
-    return _report(identity, max_degree, lhs, rhs, notes)
+    return lhs, rhs, notes
 
 
 def _substituted_chern_numerator(m: int, rank, cp_values, target, bound: int) -> GradedPolynomial:
@@ -102,14 +123,16 @@ def _divisors(max_degree: int, *names: str):
 # ---------------------------------------------------------------------------
 
 
-def check_exp_sum_product(max_degree: int) -> VerificationReport:
+@_identity("exp-sum-product", "degrees 0..{}".format)
+def check_exp_sum_product(max_degree: int) -> tuple:
     _, coeffs, ((a, big_a), (b, big_b)) = _divisors(max_degree, "a", "b")
     lhs = apply_series(coeffs, a + b)
     rhs = big_a + big_b - big_a * big_b
-    return _report("exp-sum-product", max_degree, lhs.serialize(), rhs.serialize())
+    return lhs.serialize(), rhs.serialize()
 
 
-def check_exp_flip_series(max_degree: int) -> VerificationReport:
+@_identity("exp-flip-series", "degrees 0..{}".format)
+def check_exp_flip_series(max_degree: int) -> tuple:
     al, _, ((b, big_b),) = _divisors(max_degree, "b")
     lhs = apply_series([-c for c in exp_series(max_degree)], b) + GradedPolynomial.constant(
         al, max_degree, 1
@@ -117,16 +140,17 @@ def check_exp_flip_series(max_degree: int) -> VerificationReport:
     rhs = GradedPolynomial.zero(al, max_degree)
     for power in itertools.accumulate([big_b] * max_degree, mul):
         rhs = rhs - power
-    return _report("exp-flip-series", max_degree, lhs.serialize(), rhs.serialize())
+    return lhs.serialize(), rhs.serialize()
 
 
-def check_exp_difference_series(max_degree: int) -> VerificationReport:
+@_identity("exp-difference-series", "degrees 0..{}".format)
+def check_exp_difference_series(max_degree: int) -> tuple:
     _, coeffs, ((a, big_a), (b, big_b)) = _divisors(max_degree, "a", "b")
     lhs = apply_series(coeffs, a - b)
     rhs = big_a - big_b
     for power in itertools.accumulate([big_b] * max_degree, mul):
         rhs = rhs + big_a * power - power * big_b
-    return _report("exp-difference-series", max_degree, lhs.serialize(), rhs.serialize())
+    return lhs.serialize(), rhs.serialize()
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +166,8 @@ def _root_configs(max_degree: int) -> list[tuple[int, int, int]]:
     return configs
 
 
-def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
+@_identity("chern-multiplicativity", lambda _: "tensor product of split classes")
+def check_chern_multiplicativity(max_degree: int) -> tuple:
     rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
         al, c_a, c_b, _ = _root_tables(cap, ("u", p), ("v", q))
@@ -162,15 +187,11 @@ def check_chern_multiplicativity(max_degree: int) -> VerificationReport:
             for i in range(m + 1):
                 rhs_m = rhs_m + (s_a[i] * s_b[m - i]).scale(comb(m, i))
             rows.append((label, lhs_m, rhs_m))
-    return _compare_blocks(
-        "chern-multiplicativity",
-        max_degree,
-        rows,
-        notes="binomial scalars m!/(i!(m-i)!) are integers by construction",
-    )
+    return _blocks(rows, "binomial scalars m!/(i!(m-i)!) are integers by construction")
 
 
-def check_todd_additivity(max_degree: int) -> VerificationReport:
+@_identity("todd-additivity", lambda _: "direct sum of split classes")
+def check_todd_additivity(max_degree: int) -> tuple:
     rows: list[Row] = []
     for p, q, cap in _root_configs(max_degree):
         al, c_a, c_b, c_all = _root_tables(cap, ("u", p), ("v", q))
@@ -187,15 +208,14 @@ def check_todd_additivity(max_degree: int) -> VerificationReport:
                 )
                 rhs_m = rhs_m + (td_a[i] * td_b[m - i]).scale(scalar)
             rows.append((label, lhs_m, rhs_m))
-    return _compare_blocks(
-        "todd-additivity",
-        max_degree,
-        rows,
-        notes="scalars T_m/(T_i*T_{m-i}) asserted integral",
-    )
+    return _blocks(rows, "scalars T_m/(T_i*T_{m-i}) asserted integral")
 
 
-def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
+_WEDGE_RANKS = 6  # the largest split rank top-chern-from-wedges checks
+
+
+@_identity("top-chern-from-wedges", lambda d: f"split rank g, g=1..{min(d, _WEDGE_RANKS)}")
+def check_top_chern_from_wedges(max_degree: int) -> tuple:
     """s_g of the alternating sum of dual wedge powers equals g! * c_g, for
     g = 1..min(max_degree, _WEDGE_RANKS).
 
@@ -203,8 +223,6 @@ def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
     total Chern class prod over nonempty subsets S of the roots of
     (1 - sum_S x)^((-1)^|S|); its rank is 0.
     """
-    from itertools import combinations
-
     rows: list[Row] = []
     for g in range(1, min(max_degree, _WEDGE_RANKS) + 1):
         al = root_alphabet("x", g)
@@ -215,22 +233,18 @@ def check_top_chern_from_wedges(max_degree: int) -> VerificationReport:
             ((*rest, names[top]), (-1) ** (size + 1))
             for top in range(g)
             for size in range(top, -1, -1)
-            for rest in combinations(names[:top], size)
+            for rest in itertools.combinations(names[:top], size)
         ]
         total = GradedPolynomial.constant(al, g, 1).times_one_minus(factors)
         cp_values = {i: total.graded_part(i) for i in range(1, g + 1)}
         lhs = _substituted_chern_numerator(g, 0, cp_values, al, g)
         rhs = elementary_symmetric(al, names, g, g).scale(factorial(g))
         rows.append((f"g={g}", lhs, rhs))
-    return _compare_blocks(
-        "top-chern-from-wedges",
-        max_degree,
-        rows,
-        notes="virtual rank 0 substituted for the rank variable",
-    )
+    return _blocks(rows, "virtual rank 0 substituted for the rank variable")
 
 
-def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
+@_identity("divisor-todd-vs-ct", "degrees 1..{}".format)
+def check_divisor_todd_vs_ct(max_degree: int) -> tuple:
     """(T_m/T_{m-1}) * Q_m agrees with the combined class of [O]-[O(-D)].
 
     The virtual class [O]-[O(-D)] has rank 0 and total Chern class
@@ -246,19 +260,13 @@ def check_divisor_todd_vs_ct(max_degree: int) -> VerificationReport:
             images[f"cp{i}"] = power
         rhs = universal_ct(m).numerator.substitute(images, al)
         rows.append((f"degree {m}", lhs, rhs))
-    return _compare_blocks(
-        "divisor-todd-vs-ct",
-        max_degree,
-        rows,
-        notes="scalars T_m/T_{m-1} asserted integral",
-    )
+    return _blocks(rows, "scalars T_m/T_{m-1} asserted integral")
 
 
-def check_restriction_substitution(max_degree: int) -> VerificationReport:
+@_identity("todd-restriction-substitution", "degrees 0..{}".format)
+def check_restriction_substitution(max_degree: int) -> tuple:
     """The degree-m part of (1-e^{-x})/x * Td turns into Td_m under
     c_i -> c_i + x*c_{i-1} (with c_0 = 1)."""
-    from .series import todd_inverse_root_series
-
     rows: list[Row] = []
     for m in range(0, max_degree + 1):
         al = join_alphabets(tangent_alphabet(m), Alphabet([("x", 1)]))
@@ -275,10 +283,11 @@ def check_restriction_substitution(max_degree: int) -> VerificationReport:
         lhs = mixed.substitute(images, al)
         rhs = universal_todd(m).series_part.embed(al)
         rows.append((f"degree {m}", lhs, rhs))
-    return _compare_blocks("todd-restriction-substitution", max_degree, rows)
+    return _blocks(rows)
 
 
-def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
+@_identity("immersion-todd-decomposition", "ranks 1..3, degrees up to {}".format)
+def check_immersion_todd_decomposition(max_degree: int) -> tuple:
     """T_m/T_{m-r} * Td-numerator of the source tangent decomposes through the
     inverse-Todd numerators of the normal class and the restricted ambient
     tangent, for split tangent (y-roots) and normal (z-roots) classes, at
@@ -306,12 +315,7 @@ def check_immersion_todd_decomposition(max_degree: int) -> VerificationReport:
                 coef = todd_ratio(m, j + r, m - r - j)
                 rhs = rhs + (inv[j] * td_all[m - r - j]).scale(coef)
             rows.append((label, lhs, rhs))
-    return _compare_blocks(
-        "immersion-todd-decomposition",
-        max_degree,
-        rows,
-        notes="scalars T_m/((j+r)! T_{m-r-j}) asserted integral",
-    )
+    return _blocks(rows, "scalars T_m/((j+r)! T_{m-r-j}) asserted integral")
 
 
 # ---------------------------------------------------------------------------
@@ -395,37 +399,3 @@ def howe_claims(r: int, degree_bound: int) -> list[VerificationReport]:
             )
         )
     return reports
-
-
-# ---------------------------------------------------------------------------
-# the registry
-# ---------------------------------------------------------------------------
-
-IDENTITY_CHECKS = {
-    "exp-sum-product": check_exp_sum_product,
-    "exp-flip-series": check_exp_flip_series,
-    "exp-difference-series": check_exp_difference_series,
-    "chern-multiplicativity": check_chern_multiplicativity,
-    "todd-additivity": check_todd_additivity,
-    "top-chern-from-wedges": check_top_chern_from_wedges,
-    "divisor-todd-vs-ct": check_divisor_todd_vs_ct,
-    "todd-restriction-substitution": check_restriction_substitution,
-    "immersion-todd-decomposition": check_immersion_todd_decomposition,
-}
-
-
-_WEDGE_RANKS = 6  # the largest split rank top-chern-from-wedges checks
-
-# identity -> the instance text of its report through a max degree: the check
-# names its report by it, and so do the suite and the CLI when it is falsified
-IDENTITY_INSTANCES = {
-    "exp-sum-product": "degrees 0..{}".format,
-    "exp-flip-series": "degrees 0..{}".format,
-    "exp-difference-series": "degrees 0..{}".format,
-    "chern-multiplicativity": lambda _: "tensor product of split classes",
-    "todd-additivity": lambda _: "direct sum of split classes",
-    "top-chern-from-wedges": lambda d: f"split rank g, g=1..{min(d, _WEDGE_RANKS)}",
-    "divisor-todd-vs-ct": "degrees 1..{}".format,
-    "todd-restriction-substitution": "degrees 0..{}".format,
-    "immersion-todd-decomposition": "ranks 1..3, degrees up to {}".format,
-}

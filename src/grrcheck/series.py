@@ -16,9 +16,10 @@ numerator / scale, is derived only where it is read.  Universal polynomials
 of degree m are generated with exactly m roots and reduced to the Chern
 variables by the classical leading-term elimination in :mod:`grrcheck.poly`,
 over the integers: the orbit expansion is scaled first.  A stability test
-confirms that more roots give the same answer.  _finish receives every class
-as its numerator, applies the mutation hook to it, and certifies it: every
-class the theory asserts to be integral is certified at generation time, and
+confirms that more roots give the same answer.  Each builder returns its
+numerator and scale, and the one gate _universal(kind) around it memoises
+the class, applies the mutation hook and certifies it: every class the
+theory asserts to be integral is certified at generation time, and
 generation fails loudly (FalsificationError) otherwise.
 
 An independent generation route through power sums (Newton's identities and
@@ -42,7 +43,7 @@ a class is a distinct object per mutation, and caches elsewhere key on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import factorial, lcm
 
 from .arith import InputError, todd_denominator, todd_ratio
@@ -170,28 +171,47 @@ def integrality_instance(args: tuple[int, ...]) -> str:
     return f"degree {args[0]}" + "".join(f" rank {r}" for r in args[1:])
 
 
-def _finish(kind: str, args: tuple, numerator: GradedPolynomial, scale: int) -> UniversalClass:
-    """The class of the arguments with the given numerator (scale times the
-    class, computed as such) after the mutation hook, certified integral; a
-    failure names the instance suites.suite_integrality runs."""
-    if _MUTATION is not None and _MUTATION.kind == kind and _MUTATION.degree == args[0]:
-        terms = numerator.sorted_terms()
-        if not 0 <= _MUTATION.index < len(terms):
-            raise InputError(f"mutation index {_MUTATION.index} out of range for {kind}")
-        mono, coeff = terms[_MUTATION.index]
-        mutated = dict(numerator.terms)
-        mutated[mono] = coeff + _MUTATION.delta
-        numerator = GradedPolynomial(numerator.alphabet, numerator.truncation, mutated)
-    if not numerator.is_integral():
-        bad = next(
-            (m, c) for m, c in numerator.sorted_terms() if c.denominator != 1
-        )
-        raise FalsificationError(
-            f"{kind}: numerator coefficient {bad[1]} at {bad[0]} is not an integer",
-            identity=f"integrality:{kind}",
-            instance=integrality_instance(args),
-        )
-    return UniversalClass(args[0], numerator, scale)
+def _universal(kind: str):
+    """Gate the builder of one kind of class, which returns the numerator
+    (scale times the class, computed as such) and the scale of its
+    arguments.  The gate memoises the class per arguments and active
+    mutation; a class it builds goes through the mutation hook and is
+    certified integral, a failure naming the instance
+    suites.suite_integrality runs.  The gate is the one object bound to the
+    builder's module name."""
+
+    def gate(builder):
+        @wraps(builder)
+        def universal(*args: int) -> UniversalClass:
+            global _MUTATION_READ
+            mutation = _MUTATION
+            mutated = mutation is not None and (mutation.kind, mutation.degree) == (kind, args[0])
+            if mutated:
+                _MUTATION_READ = True
+            key = (kind, args, mutation)
+            got = _CACHE.get(key)
+            if got is not None:
+                return got
+            numerator, scale = builder(*args)
+            if mutated:
+                terms = numerator.sorted_terms()
+                if not 0 <= mutation.index < len(terms):
+                    raise InputError(f"mutation index {mutation.index} out of range for {kind}")
+                mono, coeff = terms[mutation.index]
+                corrupted = {**numerator.terms, mono: coeff + mutation.delta}
+                numerator = GradedPolynomial(numerator.alphabet, numerator.truncation, corrupted)
+            if not numerator.is_integral():
+                bad = next((m, c) for m, c in numerator.sorted_terms() if c.denominator != 1)
+                raise FalsificationError(
+                    f"{kind}: numerator coefficient {bad[1]} at {bad[0]} is not an integer",
+                    identity=f"integrality:{kind}",
+                    instance=integrality_instance(args),
+                )
+            return _CACHE.setdefault(key, UniversalClass(args[0], numerator, scale))
+
+        return universal
+
+    return gate
 
 
 def _chern_exponents(
@@ -210,114 +230,89 @@ def _chern_exponents(
     return terms
 
 
-def _cached(key: tuple, builder) -> UniversalClass:
-    global _MUTATION_READ
-    if _MUTATION is not None and key[:2] == (_MUTATION.kind, _MUTATION.degree):
-        _MUTATION_READ = True
-    key += (_MUTATION,)
-    got = _CACHE.get(key)
-    if got is None:
-        got = builder()
-        _CACHE[key] = got
-    return got
-
-
-def universal_todd(m: int) -> UniversalClass:
+@_universal("todd")
+def universal_todd(m: int) -> tuple[GradedPolynomial, int]:
     """The degree-m Todd polynomial Td_m and its numerator T_m * Td_m.
 
     Generated by expanding the per-root series over m roots (one at m = 0),
     scaling by T_m and reducing to elementary symmetric (Chern) variables.
     """
-    n = max(m, 1)
-
-    def build() -> UniversalClass:
-        tm = todd_denominator(m).value
-        orbit = orbit_from_product(todd_root_series(m), n, m, tm)
-        reduced = reduce_orbit_to_elementary(orbit, n)
-        numerator = GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m))
-        return _finish("todd", (m,), numerator, tm)
-
-    return _cached(("todd", m), build)
+    tm = todd_denominator(m).value
+    orbit = orbit_from_product(todd_root_series(m), max(m, 1), m, tm)
+    reduced = reduce_orbit_to_elementary(orbit, max(m, 1))
+    return GradedPolynomial(tangent_alphabet(m), m, _chern_exponents(reduced, m)), tm
 
 
-def universal_chern_character(m: int) -> UniversalClass:
+@_universal("ch")
+def universal_chern_character(m: int) -> tuple[GradedPolynomial, int]:
     """The degree-m Chern character term ch_m and its numerator m! * ch_m.
 
-    ch_0 is the rank variable; for m >= 1 the numerator, before the
-    mutation hook of _finish, is asserted equal to the m-th Newton power sum
-    in the primed variables.
+    ch_0 is the rank variable; for m >= 1 the numerator, before the gate's
+    mutation hook, is asserted equal to the m-th Newton power sum in the
+    primed variables.
     """
-    def build() -> UniversalClass:
-        alph = sheaf_alphabet(m)
-        if m == 0:
-            return _finish("ch", (0,), GradedPolynomial.variable(alph, 0, "r"), 1)
-        # ch_m = p_m / m! and p_m is the single orbit m_(m)
-        reduced = reduce_orbit_to_elementary({(m,): 1}, m)
-        # position 0 is the rank variable
-        numerator = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
-        if numerator != chern_character_oracle(m):
-            raise FalsificationError(
-                f"ch numerator of degree {m} differs from the Newton power sum",
-                identity="integrality:ch",
-                instance=integrality_instance((m,)),
-            )
-        return _finish("ch", (m,), numerator, factorial(m))
-
-    return _cached(("ch", m), build)
+    alph = sheaf_alphabet(m)
+    if m == 0:
+        return GradedPolynomial.variable(alph, 0, "r"), 1
+    # ch_m = p_m / m! and p_m is the single orbit m_(m)
+    reduced = reduce_orbit_to_elementary({(m,): 1}, m)
+    # position 0 is the rank variable
+    numerator = GradedPolynomial(alph, m, _chern_exponents(reduced, m + 1, offset=0))
+    if numerator != chern_character_oracle(m):
+        raise FalsificationError(
+            f"ch numerator of degree {m} differs from the Newton power sum",
+            identity="integrality:ch",
+            instance=integrality_instance((m,)),
+        )
+    return numerator, factorial(m)
 
 
-def universal_ct(m: int) -> UniversalClass:
+@_universal("ct")
+def universal_ct(m: int) -> tuple[GradedPolynomial, int]:
     """The combined class: numerator sum_j T_m/(j! T_{m-j}) * s_j * Td-numerator_{m-j}.
 
     Every scalar ratio is a checked exact integer division.
     """
-    def build() -> UniversalClass:
-        alph = ct_alphabet(m)
-        total = GradedPolynomial.zero(alph, m)
-        for j in range(m + 1):
-            scalar = todd_ratio(m, j, m - j)
-            s_j = universal_chern_character(j).numerator.embed(alph).with_bound(m)
-            td_part = universal_todd(m - j).numerator.embed(alph).with_bound(m)
-            total = total + (s_j * td_part).scale(scalar)
-        return _finish("ct", (m,), total, todd_denominator(m).value)
-
-    return _cached(("ct", m), build)
+    alph = ct_alphabet(m)
+    total = GradedPolynomial.zero(alph, m)
+    for j in range(m + 1):
+        scalar = todd_ratio(m, j, m - j)
+        s_j = universal_chern_character(j).numerator.embed(alph).with_bound(m)
+        td_part = universal_todd(m - j).numerator.embed(alph).with_bound(m)
+        total = total + (s_j * td_part).scale(scalar)
+    return total, todd_denominator(m).value
 
 
 def divisor_alphabet(m: int) -> Alphabet:
     return Alphabet([(f"c{i}", i) for i in range(1, m)] + [("x", 1)])
 
 
-def q_poly(m: int) -> UniversalClass:
+@_universal("q")
+def q_poly(m: int) -> tuple[GradedPolynomial, int]:
     """The divisor-side polynomial: T_{m-1} times the degree-m part of
     (1 - e^{-x}) * Td, in c1..c_{m-1} and the divisor variable x.
 
     Summed on integers: the x^j coefficient of 1 - e^{-x} is (-1)^(j+1)/j!,
     so Q_m = sum_{k<m} (-1)^(m-k+1) todd_ratio(m-1, m-k, k) x^(m-k)
     Td-numerator_k."""
-    def build() -> UniversalClass:
-        alph = divisor_alphabet(m)
-        total = GradedPolynomial.zero(alph, m)
-        for k in range(m):  # x is the last of the m variables
-            ratio = (-1) ** (m - k + 1) * todd_ratio(m - 1, m - k, k)
-            x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): ratio})
-            total = total + x_part * universal_todd(k).numerator.embed(alph).with_bound(m)
-        return _finish("q", (m,), total, todd_denominator(m - 1).value)
-
-    return _cached(("q", m), build)
+    alph = divisor_alphabet(m)
+    total = GradedPolynomial.zero(alph, m)
+    for k in range(m):  # x is the last of the m variables
+        ratio = (-1) ** (m - k + 1) * todd_ratio(m - 1, m - k, k)
+        x_part = GradedPolynomial(alph, m, {(0,) * (m - 1) + (m - k,): ratio})
+        total = total + x_part * universal_todd(k).numerator.embed(alph).with_bound(m)
+    return total, todd_denominator(m - 1).value
 
 
-def todd_inverse_numerator(m: int, r: int) -> UniversalClass:
+@_universal("toddinv")
+def todd_inverse_numerator(m: int, r: int) -> tuple[GradedPolynomial, int]:
     """m! times the degree (m-r) part of prod_{i<=r} (1-e^{-x_i})/x_i, reduced
     to the elementary symmetric (Chern) variables c1..cr of the r roots."""
-    def build() -> UniversalClass:
-        deg = m - r
-        orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg, factorial(m))
-        reduced = reduce_orbit_to_elementary(orbit, r)
-        numerator = GradedPolynomial(weighted_alphabet("c", r), deg, _chern_exponents(reduced, r))
-        return _finish("toddinv", (m, r), numerator, factorial(m))
-
-    return _cached(("toddinv", m, r), build)
+    deg = m - r
+    orbit = orbit_from_product(todd_inverse_root_series(deg), r, deg, factorial(m))
+    reduced = reduce_orbit_to_elementary(orbit, r)
+    numerator = GradedPolynomial(weighted_alphabet("c", r), deg, _chern_exponents(reduced, r))
+    return numerator, factorial(m)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +458,11 @@ def todd_inverse_oracle(m: int, r: int) -> GradedPolynomial:
 
 
 # class kind -> (builder, power-sum oracle), both called with the class's
-# arguments: (degree,), or (degree, rank) for toddinv.  The lambdas look the
-# functions up by name at call time, so a rebinding of a module name (as the
-# benchmark's layer tracer does) is seen through the table as well.
+# arguments: (degree,), or (degree, rank) for toddinv.  The benchmark's layer
+# tracer wraps the five builders and five oracles by function identity and
+# rebinds every module name that holds them, so each builder's module name is
+# its one gate object, and the lambdas look the functions up by name at call
+# time, so such a rebinding is seen through the table as well.
 UNIVERSAL_CLASSES = {
     "todd": (lambda *a: universal_todd(*a), lambda *a: todd_series_oracle(*a)),
     "ch": (lambda *a: universal_chern_character(*a), lambda *a: chern_character_oracle(*a)),

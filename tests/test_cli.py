@@ -632,19 +632,31 @@ class TestVerify:
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert any(r["verdict"] == "fail" for r in lines)
 
-    def test_toddinv_falsification_names_its_rank(self, capsys):
-        # the error names the instance the integrality suite runs, so the
-        # discrepancy carries no lead naming another claim
-        code = main(
-            ["verify", "integrality", "--max-degree", "6", "--mutate", "toddinv:3:0:1/2"]
-        )
+    @pytest.mark.parametrize("kind", ["todd", "ch", "ct", "q", "toddinv"])
+    def test_every_falsification_names_the_suite_instance(self, kind, capsys):
+        # the gate names a failure by the instance the integrality suite
+        # runs, so its own reports carry no lead naming another claim, and a
+        # class that reads it fails under its own clean instance, led by it:
+        # ct_3, ct_4 and Q_4 read Td_3, and ct_3 and ct_4 read ch_3
+        readers = {"todd": ["ct", "ct", "q"], "ch": ["ct", "ct"]}.get(kind, [])
+        argv = ["verify", "integrality", "--max-degree", "6"]
+        assert main(argv) == 0
+        clean = {
+            (r["identity"], r["instance"])
+            for r in map(json.loads, capsys.readouterr().out.splitlines())
+        }
+        assert main(argv + ["--mutate", f"{kind}:3:0:1/2"]) == 1
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         failed = [r for r in lines if r["verdict"] == "fail"]
-        assert code == 1
-        assert [(r["identity"], r["instance"]) for r in failed] == [
-            ("integrality:toddinv", f"degree 3 rank {r}") for r in (1, 2, 3)
-        ]
-        assert all(r["discrepancy"].startswith("toddinv: numerator coefficient ") for r in failed)
+        own = [r for r in failed if r["identity"] == f"integrality:{kind}"]
+        others = [r for r in failed if r["identity"] != f"integrality:{kind}"]
+        ranks = [f" rank {r}" for r in (1, 2, 3)] if kind == "toddinv" else [""]
+        assert [r["instance"] for r in own] == [f"degree 3{rank}" for rank in ranks]
+        assert all(r["discrepancy"].startswith(f"{kind}: numerator coefficient ") for r in own)
+        assert [r["identity"] for r in others] == [f"integrality:{k}" for k in readers]
+        assert all((r["identity"], r["instance"]) in clean for r in others)
+        lead = f"integrality:{kind} degree 3: {kind}: numerator coefficient "
+        assert all(r["discrepancy"].startswith(lead) for r in others)
 
     def test_timing_flag_adds_millis(self, capsys):
         main(["verify", "surface-det", "--timing"])
